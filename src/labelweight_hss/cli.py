@@ -9,7 +9,9 @@ Subcommands map one-to-one onto the package's artifact classes:
 * ``audit-privacy``  exhaustive share-distribution equality audit
 * ``gv-sim``         random-code labelweight Monte Carlo
 
-Exit codes: 0 success, 1 verification failure, 2 bad usage or parameters.
+Exit codes: 0 success, 1 verification failure or a limit of the
+implementation (such as field order > 256 where bytes are packed),
+2 bad usage or parameters.
 All randomized paths take --seed and are byte-reproducible from it; the
 HSS_ENUM_BUDGET environment variable overrides enumeration budgets.
 """
@@ -192,6 +194,11 @@ def _cmd_code(args) -> int:
     raise AssertionError(args.action)
 
 
+def _check_trials(trials: int) -> None:
+    if trials < 1:
+        raise ParameterOutOfRange(f"--trials must be >= 1, got {trials}")
+
+
 def _run_trials(scheme, trials: int, seed: int, runner) -> tuple[int, list[str]]:
     """Shared demo/simulate loop: seeded secrets per trial, exact comparison."""
     params = scheme.params
@@ -209,6 +216,7 @@ def _run_trials(scheme, trials: int, seed: int, runner) -> tuple[int, list[str]]
 
 
 def _cmd_demo(args) -> int:
+    _check_trials(args.trials)
     code = _build_code(args)
     scheme = scheme_for_code(code, t=args.t, d=args.d, m=args.m)
     rate = scheme_rate(scheme)
@@ -240,6 +248,7 @@ def _cmd_simulate(args) -> int:
         return 0
     if args.family is None or args.t is None or args.d is None:
         raise ParameterOutOfRange("simulate needs --code, --t and --d (or --replay)")
+    _check_trials(args.trials)
     code = _build_code(args)
     scheme = scheme_for_code(code, t=args.t, d=args.d, m=args.m)
     last_transcript = None
@@ -261,7 +270,7 @@ def _cmd_simulate(args) -> int:
         f"{passed}/{args.trials} correct",
     ]
     _emit(args, "\n".join(lines) + "\n")
-    if args.dump_transcript and last_transcript is not None:
+    if args.dump_transcript:
         with open(args.dump_transcript, "w", encoding="utf-8") as fh:
             fh.write(transcript_to_text(last_transcript))
     return 0 if passed == args.trials else VERIFY_ERROR

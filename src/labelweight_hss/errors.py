@@ -45,5 +45,9 @@ class MissingShare(HssError):
     """A server view lacks a share needed by its output polynomial."""
 
 
+class FieldTooLarge(HssError):
+    """The field order exceeds 256, the limit of byte packing and lookup tables."""
+
+
 class DecodeError(HssError):
     """Malformed wire frame or serialized document."""

@@ -9,20 +9,22 @@ order of these codes.
 
 A :class:`FieldSpec` fixes the characteristic ``p``, extension degree
 ``k`` and an explicit monic irreducible modulus polynomial; specs compare
-equal iff all three match.  Multiplication and inversion go through
-lazily built lookup tables for field orders up to 256 and fall back to
-direct polynomial reduction above that.  Specs and polynomials are
-immutable after construction.
+equal iff all three match.  For field orders up to 256, addition,
+subtraction, negation, multiplication and inversion go through flat
+lookup tables built once per spec (:meth:`FieldSpec.tables`), which the
+hot loops of ``matrix`` and ``hss`` also index directly.  Above 256 they
+fall back to base-p digit loops and direct polynomial reduction.  Specs
+and polynomials are immutable after construction.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import FieldMismatch
+from .errors import FieldMismatch, FieldTooLarge
 
-_MAX_TABLE_ORDER = 256
+MAX_TABLE_ORDER = 256
 
 #: Degree of the zero polynomial.  A distinguished sentinel, never -1.
 NEG_INFINITY = float("-inf")
@@ -41,6 +43,24 @@ def _is_prime(n: int) -> bool:
             return False
         f += 2
     return True
+
+
+def require_table_order(q: int) -> None:
+    """Raise FieldTooLarge unless GF(q) elements fit in one byte each."""
+    if q > MAX_TABLE_ORDER:
+        raise FieldTooLarge(
+            f"field order {q} exceeds {MAX_TABLE_ORDER}, the largest that byte packing and lookup tables support"
+        )
+
+
+class FieldTables(NamedTuple):
+    """Flat lookup tables of one field, indexed by element codes:
+    ``add[a*q + b]``, ``sub[a*q + b]``, ``neg[a]`` and ``mul[a*q + b]``."""
+
+    add: bytes
+    sub: bytes
+    neg: bytes
+    mul: bytes
 
 
 class FieldSpec:
@@ -75,6 +95,7 @@ class FieldSpec:
         self.modulus = modulus
         self._mul_table: bytes | None = None
         self._inv_table: list[int] | None = None
+        self._tables: FieldTables | None = None
         if k > 1 and not _modulus_is_irreducible(p, modulus):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
 
@@ -151,40 +172,33 @@ class FieldSpec:
             return a ^ b
         if self.k == 1:
             return (a + b) % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        if self.q <= MAX_TABLE_ORDER:
+            return (self._tables or self.tables()).add[a * self.q + b]
+        return self._add_digits(a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
             return a
         if self.k == 1:
             return (-a) % self.p
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
+        if self.q <= MAX_TABLE_ORDER:
+            return (self._tables or self.tables()).neg[a]
+        return self._neg_digits(a)
 
     def sub(self, a: int, b: int) -> int:
+        if self.p != 2 and self.k > 1 and self.q <= MAX_TABLE_ORDER:
+            return (self._tables or self.tables()).sub[a * self.q + b]
         return self.add(a, self.neg(b))
 
     def mul(self, a: int, b: int) -> int:
-        if self.q <= _MAX_TABLE_ORDER:
+        if self.q <= MAX_TABLE_ORDER:
             return self.mul_table[a * self.q + b]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
-        if self.q <= _MAX_TABLE_ORDER:
+        if self.q <= MAX_TABLE_ORDER:
             if self._inv_table is None:
                 self.mul_table  # builds both tables
             return self._inv_table[a]
@@ -204,6 +218,26 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return result
+
+    def _add_digits(self, a: int, b: int) -> int:
+        """Digit-wise sum of the base-p coefficient vectors."""
+        p = self.p
+        out, mult = 0, 1
+        for _ in range(self.k):
+            out += ((a + b) % p) * mult
+            a //= p
+            b //= p
+            mult *= p
+        return out
+
+    def _neg_digits(self, a: int) -> int:
+        p = self.p
+        out, mult = 0, 1
+        for _ in range(self.k):
+            out += ((-a) % p) * mult
+            a //= p
+            mult *= p
+        return out
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Coefficient-vector product reduced modulo the modulus polynomial."""
@@ -230,8 +264,7 @@ class FieldSpec:
     @property
     def mul_table(self) -> bytes:
         """Flat q*q multiplication table (only for q <= 256)."""
-        if self.q > _MAX_TABLE_ORDER:
-            raise ValueError(f"no lookup tables for field order {self.q} > {_MAX_TABLE_ORDER}")
+        require_table_order(self.q)
         if self._mul_table is None:
             q = self.q
             table = bytearray(q * q)
@@ -256,15 +289,23 @@ class FieldSpec:
 
     @property
     def add_table(self) -> bytes:
-        """Flat q*q addition table (only for q <= 256)."""
-        if self.q > _MAX_TABLE_ORDER:
-            raise ValueError(f"no lookup tables for field order {self.q} > {_MAX_TABLE_ORDER}")
-        q = self.q
-        table = bytearray(q * q)
-        for a in range(q):
-            for b in range(q):
-                table[a * q + b] = self.add(a, b)
-        return bytes(table)
+        """Flat q*q addition table (only for q <= 256), built once."""
+        return self.tables().add
+
+    def tables(self) -> FieldTables:
+        """The add, sub, neg and mul tables, built on first use (only for q <= 256)."""
+        if self._tables is None:
+            require_table_order(self.q)
+            q = self.q
+            if self.p == 2 or self.k == 1:
+                add_fn, neg_fn = self.add, self.neg
+            else:
+                add_fn, neg_fn = self._add_digits, self._neg_digits
+            add = bytes(add_fn(a, b) for a in range(q) for b in range(q))
+            neg = bytes(neg_fn(a) for a in range(q))
+            sub = bytes(add[a * q + neg[b]] for a in range(q) for b in range(q))
+            self._tables = FieldTables(add, sub, neg, self.mul_table)
+        return self._tables
 
 
 def parse_field(text: str) -> FieldSpec:

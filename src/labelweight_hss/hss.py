@@ -35,8 +35,8 @@ from .errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from .galois import FieldElement, FieldSpec
-from .matrix import MatrixF, column_indices, solve_many
+from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec
+from .matrix import column_indices, solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
 
@@ -122,17 +122,13 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     limit = effective_budget(MONOMIAL_BUDGET) if budget is None else budget
     if total > limit:
         raise EnumerationBudgetExceeded(f"{total} monomials exceed budget {limit}")
-    monomials = [
-        MonomialId(i, combo)
-        for i in range(1, params.ell + 1)
-        for combo in itertools.product(subsets, repeat=params.d)
-    ]
-    per_server = {j: [] for j in range(1, params.s + 1)}
-    for mono in monomials:
-        union = mono.union()
-        for j in range(1, params.s + 1):
-            if j not in union:
-                per_server[j].append(mono)
+    combos = list(itertools.product(subsets, repeat=params.d))
+    monomials = [MonomialId(i, combo) for i in range(1, params.ell + 1) for combo in combos]
+    unions = [frozenset().union(*combo) for combo in combos]
+    per_server = {}
+    for j in range(1, params.s + 1):
+        local = [j not in union for union in unions]
+        per_server[j] = list(itertools.compress(monomials, local * params.ell))
     return monomials, per_server
 
 
@@ -160,8 +156,10 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
     """Build the Eval coefficient table for the product-of-d-secrets family.
 
     Monomials sharing an (instance, subset-union) pair need the same
-    linear solve, so solves are grouped by union with all ell unit
-    targets handled in one elimination.  Raises InsufficientLabelweight
+    linear solve and get the same coefficients, so subset combinations
+    are grouped by union, all ell unit targets are handled in one
+    elimination, and each nonzero solution entry is stored for the whole
+    (union, instance) group at once.  Raises InsufficientLabelweight
     if the code's labelweight is below d*t + 1 (detected either by the
     exhaustive check, when it fits the budget, or by a rank-deficient
     column restriction during solving).
@@ -183,11 +181,12 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
         verified = True
 
     monomials, _ = enumerate_monomials(params)
-    by_union: dict[frozenset, list[MonomialId]] = {}
-    for mono in monomials:
-        by_union.setdefault(mono.union(), []).append(mono)
+    # monomials are instance-major, so monomials[i*ncombos + c] is subset combo c of instance i+1
+    ncombos = len(monomials) // params.ell
+    by_union: dict[frozenset, list[int]] = {}
+    for c, mono in enumerate(monomials[:ncombos]):
+        by_union.setdefault(mono.union(), []).append(c)
 
-    spec = code.spec
     G = code.generator
     labels = code.labeling.map
     all_servers = set(range(1, params.s + 1))
@@ -197,17 +196,16 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
     for union, members in sorted(by_union.items(), key=lambda kv: sorted(kv[0])):
         lam = all_servers - union
         cols = column_indices(labels, lam)
-        sub = MatrixF(spec, [[G.data[i][j] for j in cols] for i in range(params.ell)])
-        solutions = solve_many(sub, units)
+        solutions = solve_many(G.select_columns(cols), units)
         if any(sol is None for sol in solutions):
             raise InsufficientLabelweight(
                 f"columns labeled {sorted(lam)} have rank below {params.ell}; labelweight < {need}"
             )
-        for mono in members:
-            sol = solutions[mono.instance - 1]
-            for pos, r in enumerate(cols):
-                if sol[pos]:
-                    table[r][mono] = sol[pos]
+        for i, sol in enumerate(solutions):
+            group = [monomials[i * ncombos + c] for c in members]
+            for r, coeff in zip(cols, sol):
+                if coeff:
+                    table[r].update(dict.fromkeys(group, coeff))
 
     return HssScheme(params, code, table, labelweight_verified=verified)
 
@@ -228,30 +226,63 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
 
     `views` maps (instance, variable) to that secret's fragment
     {T: y_T with j not in T}; var_indices picks which of the m variables
-    feed the d product slots (repetition allowed).
+    feed the d product slots (repetition allowed).  A product stops at its
+    first zero share; the first share looked up and not found raises
+    MissingShare.
     """
     params = scheme.params
     spec = params.spec
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
+    q = spec.q
+    if q <= MAX_TABLE_ORDER:
+        tables = spec.tables()
+        mul, add = tables.mul, tables.add
+    else:
+        mul, add = _ComputedTable(spec.mul, q), _ComputedTable(spec.add, q)
+    rows = [scheme.eval_table[r] for r in scheme.code.labeling.coords(j)]
+    # each instance's fragments in product-slot order; a missing fragment
+    # reads as empty, so its first lookup fails like a missing share
+    slot_views = {i: [views.get((i, v), {}) for v in chosen] for i, _ in views}
     out = []
-    for r in scheme.code.labeling.coords(j):
-        acc = 0
-        for mono, coeff in scheme.eval_table[r].items():
-            prod = coeff
-            for slot, T in enumerate(mono.subsets):
-                try:
-                    y = views[(mono.instance, chosen[slot])][T]
-                except KeyError as exc:
-                    raise MissingShare(f"server {j} lacks share {T} of secret {(mono.instance, chosen[slot])}") from exc
-                if y == 0:
-                    prod = 0
-                    break
-                prod = spec.mul(prod, y)
-            acc = spec.add(acc, prod)
-        out.append(acc)
+    try:
+        for row in rows:
+            acc = 0
+            for (instance, subsets), coeff in row.items():
+                prod = coeff
+                for view, T in zip(slot_views[instance], subsets):
+                    y = view[T]
+                    if not y:
+                        prod = 0
+                        break
+                    prod = mul[prod * q + y]
+                acc = add[acc * q + prod]
+            out.append(acc)
+    except KeyError as exc:
+        raise _missing_share(j, instance, subsets, views, chosen) from exc
     return out
+
+
+class _ComputedTable:
+    """Stands in for a flat q*q table on fields too large to tabulate:
+    entry ``a*q + b`` is ``fn(a, b)``."""
+
+    __slots__ = ("fn", "q")
+
+    def __init__(self, fn, q: int):
+        self.fn, self.q = fn, q
+
+    def __getitem__(self, index: int) -> int:
+        return self.fn(*divmod(index, self.q))
+
+
+def _missing_share(j: int, instance: int, subsets, views: dict, chosen: tuple[int, ...]) -> MissingShare:
+    """The error for the first share of this monomial that server j lacks."""
+    for var, T in zip(chosen, subsets):
+        if T not in views.get((instance, var), {}):
+            return MissingShare(f"server {j} lacks share {T} of secret {(instance, var)}")
+    raise AssertionError("no share of the monomial is missing")  # unreachable
 
 
 def reconstruct(scheme: HssScheme, z: Sequence[int]) -> list[int]:
@@ -330,7 +361,10 @@ def scheme_rate(scheme: HssScheme) -> Fraction:
     params = scheme.params
     value = Fraction(params.ell, scheme.n)
     ceiling = Fraction(params.s - params.d * params.t, params.s)
-    assert value <= ceiling, f"rate {value} exceeds linear-scheme ceiling {ceiling}"
+    if value > ceiling:
+        raise ParameterOutOfRange(
+            f"rate {value} exceeds linear-scheme ceiling {ceiling} (s={params.s}, d*t={params.d * params.t})"
+        )
     return value
 
 

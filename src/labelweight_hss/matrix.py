@@ -4,7 +4,8 @@ Matrices store raw element codes (see galois) in row-major nested lists.
 Everything here is deterministic: pivots are chosen leftmost column
 first, topmost row first, and particular solutions zero all free
 variables.  All operations are pure; matrices are never mutated after
-construction.
+construction.  Elimination rewrites whole rows at a time through the
+field's flat lookup tables (q <= 256).
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from __future__ import annotations
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch, FieldMismatch
-from .galois import FieldElement, FieldSpec
+from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec, require_table_order
 
 
 class MatrixF:
@@ -62,6 +63,13 @@ class MatrixF:
     def column(self, j: int) -> list[int]:
         return [row[j] for row in self.data]
 
+    def select_columns(self, idx: Sequence[int]) -> "MatrixF":
+        """The columns listed in `idx`, in that order; cells are copied unchecked."""
+        out = MatrixF.__new__(MatrixF)
+        out.spec, out.rows, out.cols = self.spec, self.rows, len(idx)
+        out.data = [[row[j] for j in idx] for row in self.data]
+        return out
+
     def matvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
@@ -77,8 +85,7 @@ class MatrixF:
 
     def to_bytes(self) -> bytes:
         """Row-major cell codes; valid only for field orders <= 256."""
-        if self.spec.q > 256:
-            raise ValueError("byte packing requires field order <= 256")
+        require_table_order(self.spec.q)
         out = bytearray()
         for row in self.data:
             out.extend(row)
@@ -101,57 +108,66 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _eliminate(spec: FieldSpec, a: list[list[int]], aug: list[list[int]] | None) -> list[int]:
-    """In-place reduced row echelon form of `a`, mirroring row ops on `aug`.
+def _row_ops(spec: FieldSpec):
+    """``scale(c, row) = c*row`` and ``axpy(c, dst, src) = dst - c*src`` on
+    element-code rows, each returning a new list."""
+    q = spec.q
+    if q > MAX_TABLE_ORDER:
+        mul, sub = spec.mul, spec.sub
+        return (
+            lambda c, row: [mul(c, v) for v in row],
+            lambda c, dst, src: [sub(d, mul(c, s)) for d, s in zip(dst, src)],
+        )
+    tables = spec.tables()
+    mul, sub = tables.mul, tables.sub
+    char2 = spec.p == 2
 
-    Returns the pivot column list.
+    def scale(c, row):
+        mrow = mul[c * q : c * q + q]
+        return [mrow[v] for v in row]
+
+    def axpy(c, dst, src):
+        if c == 1 and char2:  # dst - src is dst XOR src
+            return [d ^ s for d, s in zip(dst, src)]
+        mrow = mul[c * q : c * q + q]
+        return [sub[d * q + mrow[s]] for d, s in zip(dst, src)]
+
+    return scale, axpy
+
+
+def _eliminate(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
+    """In-place reduced row echelon form of the first `ncols` columns of `rows`.
+
+    Columns past `ncols` (augmented right-hand sides) take the same row
+    operations but never hold a pivot.  Returns the pivot column list.
     """
-    nrows = len(a)
-    ncols = len(a[0]) if nrows else 0
+    scale, axpy = _row_ops(spec)
+    nrows = len(rows)
     pivots: list[int] = []
-    piv_row = 0
     for col in range(ncols):
+        piv_row = len(pivots)
         if piv_row == nrows:
             break
-        hit = None
-        for i in range(piv_row, nrows):
-            if a[i][col]:
-                hit = i
-                break
+        hit = next((i for i in range(piv_row, nrows) if rows[i][col]), None)
         if hit is None:
             continue
-        if hit != piv_row:
-            a[piv_row], a[hit] = a[hit], a[piv_row]
-            if aug is not None:
-                aug[piv_row], aug[hit] = aug[hit], aug[piv_row]
-        lead = a[piv_row][col]
+        rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
+        lead = rows[piv_row][col]
         if lead != 1:
-            scale = spec.inv(lead)
-            a[piv_row] = [spec.mul(scale, v) for v in a[piv_row]]
-            if aug is not None:
-                aug[piv_row] = [spec.mul(scale, v) for v in aug[piv_row]]
+            rows[piv_row] = scale(spec.inv(lead), rows[piv_row])
+        src = rows[piv_row]
         for i in range(nrows):
-            if i != piv_row and a[i][col]:
-                factor = a[i][col]
-                src = a[piv_row]
-                dst = a[i]
-                for j in range(col, ncols):
-                    if src[j]:
-                        dst[j] = spec.sub(dst[j], spec.mul(factor, src[j]))
-                if aug is not None:
-                    srcb, dstb = aug[piv_row], aug[i]
-                    for j in range(len(srcb)):
-                        if srcb[j]:
-                            dstb[j] = spec.sub(dstb[j], spec.mul(factor, srcb[j]))
+            factor = rows[i][col]
+            if factor and i != piv_row:
+                rows[i] = axpy(factor, rows[i], src)
         pivots.append(col)
-        piv_row += 1
     return pivots
 
 
 def rref(A: MatrixF) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
     work = A.copy_data()
-    pivots = _eliminate(A.spec, work, None)
+    pivots = _eliminate(A.spec, work, A.cols)
     return RrefResult(MatrixF(A.spec, work), tuple(pivots), len(pivots))
 
 
@@ -168,18 +184,17 @@ def solve_many(A: MatrixF, targets: Sequence[Sequence[int]]) -> list[list[int] |
     for b in targets:
         if len(b) != A.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
-    work = A.copy_data()
-    aug = [[int(b[i]) for b in targets] for i in range(A.rows)]
-    pivots = _eliminate(A.spec, work, aug)
+    work = [row + [int(b[i]) for b in targets] for i, row in enumerate(A.data)]
+    pivots = _eliminate(A.spec, work, A.cols)
     nrank = len(pivots)
     out: list[list[int] | None] = []
-    for idx in range(len(targets)):
-        if any(aug[i][idx] for i in range(nrank, A.rows)):
+    for idx in range(A.cols, A.cols + len(targets)):
+        if any(work[i][idx] for i in range(nrank, A.rows)):
             out.append(None)
             continue
         x = [0] * A.cols
         for i, col in enumerate(pivots):
-            x[col] = aug[i][idx]
+            x[col] = work[i][idx]
         out.append(x)
     return out
 
@@ -209,8 +224,7 @@ def kernel_basis(A: MatrixF) -> list[list[int]]:
 def restrict_columns(G: MatrixF, labels: Sequence[int], keep: Iterable[int]) -> MatrixF:
     """Columns of G whose label is in `keep`, original order preserved."""
     wanted = set(keep)
-    idx = [j for j in range(G.cols) if labels[j] in wanted]
-    return MatrixF(G.spec, [[row[j] for j in idx] for row in G.data])
+    return G.select_columns([j for j in range(G.cols) if labels[j] in wanted])
 
 
 def column_indices(labels: Sequence[int], keep: Iterable[int]) -> list[int]:

@@ -1,3 +1,5 @@
+import pytest
+
 from labelweight_hss.cli import main
 
 
@@ -90,6 +92,25 @@ def test_simulate_with_transcript_dump_and_replay(capsys, tmp_path):
     code, out, _ = run(capsys, "simulate", "--replay", str(path))
     assert code == 0
     assert "downloaded-symbols 5" in out
+
+
+@pytest.mark.parametrize("command", ["demo", "simulate"])
+@pytest.mark.parametrize("trials", ["0", "-1"])
+def test_trials_below_one_is_a_usage_error(capsys, command, trials):
+    code, out, err = run(
+        capsys, command, "--code", "goppa", "--u", "3", "--r", "1",
+        "--t", "1", "--d", "1", "--trials", trials,
+    )
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --trials must be >= 1, got {trials}\n"
+
+
+def test_labelweight_over_large_field_is_a_typed_limit(capsys):
+    code, out, err = run(capsys, "code", "labelweight", "--family", "rs", "--q", "257", "--k", "1", "--n", "4")
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and "field order 257 exceeds 256" in err
 
 
 def test_audit_privacy(capsys):

@@ -13,6 +13,7 @@ from labelweight_hss.errors import (
 from labelweight_hss.galois import FieldSpec
 from labelweight_hss.hss import (
     HssParams,
+    HssScheme,
     MonomialId,
     cnf_share,
     enumerate_monomials,
@@ -321,6 +322,14 @@ def test_scheme_rate_hermitian():
 def test_scheme_rate_goppa():
     scheme = scheme_for_code(goppa_build(4, 2), t=1, d=2)
     assert scheme_rate(scheme) == Fraction(8, 16)
+
+
+def test_scheme_rate_above_ceiling_raises():
+    # rate 2/2 against the ceiling (s - dt)/s = 1/2; the table is never read
+    code = LabeledCode(GF2, MatrixF.identity(GF2, 2), Labeling.identity(2))
+    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, {0: {}, 1: {}})
+    with pytest.raises(ParameterOutOfRange, match="exceeds linear-scheme ceiling 1/2"):
+        scheme_rate(scheme)
 
 
 # -- labelweight restriction (full-rank guarantee) ---------------------------------

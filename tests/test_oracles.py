@@ -1,0 +1,175 @@
+"""Table-driven field arithmetic, elimination, synthesis and server
+evaluation against the per-element reference code in ``oracles``."""
+
+import copy
+import hashlib
+import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import oracles
+from labelweight_hss import hss, protocol
+from labelweight_hss.codes import goppa_build, hermitian_build
+from labelweight_hss.errors import FieldTooLarge, MissingShare
+from labelweight_hss.galois import FieldSpec
+from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
+
+TABLE_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
+                (7, 2), (2, 6), (3, 4), (5, 3), (3, 5), (2, 8)]
+
+
+@pytest.mark.parametrize("p,k", TABLE_ORDERS, ids=lambda v: str(v))
+def test_field_tables_match_digit_loops(p, k):
+    spec = FieldSpec(p, k)
+    q = spec.q
+    tables = spec.tables()
+    assert spec.add_table is tables.add
+    assert tables.mul == spec.mul_table
+    assert list(tables.neg) == [oracles.neg(spec, a) for a in range(q)]
+    assert [spec.neg(a) for a in range(q)] == list(tables.neg)
+    want_add = [oracles.add(spec, a, b) for a in range(q) for b in range(q)]
+    want_sub = [oracles.sub(spec, a, b) for a in range(q) for b in range(q)]
+    assert list(tables.add) == want_add
+    assert list(tables.sub) == want_sub
+    assert [spec.add(a, b) for a in range(q) for b in range(q)] == want_add
+    assert [spec.sub(a, b) for a in range(q) for b in range(q)] == want_sub
+
+
+def test_large_field_falls_back_to_digit_loops():
+    spec = FieldSpec(3, 6)  # q = 729, no tables
+    rng = random.Random(3)
+    for _ in range(500):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        assert spec.add(a, b) == oracles.add(spec, a, b)
+        assert spec.sub(a, b) == oracles.sub(spec, a, b)
+        assert spec.neg(a) == oracles.neg(spec, a)
+    with pytest.raises(FieldTooLarge, match="729"):
+        spec.tables()
+
+
+# -- elimination -----------------------------------------------------------------
+
+# GF(257) has no tables and takes the per-element fallback of the row operations.
+ELIMINATION_FIELDS = [FieldSpec(2), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(5), FieldSpec(257)]
+GF9 = FieldSpec(3, 2)
+# rank 1 over GF(9): the second row is x times the first (x has code 3)
+DEPENDENT = MatrixF(GF9, [[1, 4, 7], [GF9.mul(3, v) for v in (1, 4, 7)]])
+
+
+@st.composite
+def systems(draw):
+    spec = draw(st.sampled_from(ELIMINATION_FIELDS))
+    rows = draw(st.integers(1, 6))
+    cols = draw(st.integers(1, 7))
+    # zeros are drawn often, so rank-deficient matrices and inconsistent targets are common
+    cell = st.one_of(st.just(0), st.integers(0, spec.q - 1))
+    data = draw(st.lists(st.lists(cell, min_size=cols, max_size=cols), min_size=rows, max_size=rows))
+    targets = draw(st.lists(st.lists(cell, min_size=rows, max_size=rows), min_size=1, max_size=4))
+    return MatrixF(spec, data), targets
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(systems())
+@example((DEPENDENT, [[1, 3], [1, 0], [0, 0]]))
+def test_elimination_matches_oracle(system):
+    A, targets = system
+    assert rref(A) == oracles.rref(A)
+    assert kernel_basis(A) == oracles.kernel_basis(A)
+    assert solve_many(A, targets) == oracles.solve_many(A, targets)
+
+
+def test_elimination_example_covers_rank_deficiency_and_inconsistency():
+    assert rref(DEPENDENT).rank == 1
+    solutions = solve_many(DEPENDENT, [[1, 3], [1, 0]])
+    assert solutions[0] is not None and solutions[1] is None
+
+
+# -- synthesis and server evaluation ----------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def schemes():
+    """(new, oracle) scheme pairs: Goppa [16,8] over GF(2) with t=1, d=3, and
+    Hermitian [27,10] over GF(9) with t=1, d=2."""
+    out = {}
+    for name, code, d in (("goppa", goppa_build(4, 2), 3), ("hermitian", hermitian_build(3, 10), 2)):
+        out[name] = (hss.scheme_for_code(code, t=1, d=d), oracles.scheme_for_code(code, t=1, d=d))
+    return out
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian"])
+def test_scheme_text_matches_oracle_synthesizer(schemes, name):
+    new, old = schemes[name]
+    assert new.eval_table == old.eval_table
+    assert hss.scheme_to_text(new) == hss.scheme_to_text(old)
+
+
+def _views(scheme, seed):
+    params = scheme.params
+    rng = random.Random(seed)
+    secrets = [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
+    return hss.share_all_secrets(params, secrets, random.Random(seed + 1))[1]
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian"])
+def test_eval_server_matches_oracle(schemes, name):
+    scheme = schemes[name][0]
+    d = scheme.params.d
+    for seed in range(2):
+        views = _views(scheme, seed)
+        for chosen in (None, (d,) * d):
+            for j in range(1, scheme.params.s + 1):
+                assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(scheme, j, views[j], chosen)
+
+
+def _raised(fn, *args):
+    try:
+        return "ok", fn(*args)
+    except MissingShare as exc:
+        return "missing", str(exc), type(exc.__cause__)
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian"])
+def test_eval_server_missing_share_matches_oracle(schemes, name):
+    scheme = schemes[name][0]
+    params = scheme.params
+    j = 2
+    base = _views(scheme, 7)[j]
+    inst = params.ell  # the last instance, so earlier monomials evaluate first
+    T = next(iter(base[(inst, 2)]))
+    cases = []
+    # one share missing from slot 2's fragment
+    view = copy.deepcopy(base)
+    del view[(inst, 2)][T]
+    cases.append(view)
+    # a whole fragment missing
+    view = copy.deepcopy(base)
+    del view[(inst, 1)]
+    cases.append(view)
+    # slot 1 all zero: products stop there, so the share missing in slot 2 is never read
+    view = copy.deepcopy(base)
+    view[(inst, 1)] = dict.fromkeys(view[(inst, 1)], 0)
+    del view[(inst, 2)][T]
+    cases.append(view)
+    results = [_raised(hss.eval_server, scheme, j, view) for view in cases]
+    assert results == [_raised(oracles.eval_server, scheme, j, view) for view in cases]
+    assert [r[0] for r in results] == ["missing", "missing", "ok"]
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian"])
+def test_simulate_transcript_matches_oracle(schemes, name, monkeypatch):
+    scheme = schemes[name][0]
+    params = scheme.params
+    rng = random.Random(11)
+    secrets = [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
+
+    def digest(transcript):
+        return hashlib.sha256(b"".join(transcript.frames)).hexdigest()
+
+    transcript, outputs = protocol.simulate(scheme, secrets, seed=5)
+    monkeypatch.setattr(protocol, "eval_server", oracles.eval_server)
+    old_transcript, old_outputs = protocol.simulate(scheme, secrets, seed=5)
+    assert outputs == old_outputs
+    assert digest(transcript) == digest(old_transcript)
