@@ -161,10 +161,6 @@ class FieldSpec:
     def one(self) -> "FieldElement":
         return FieldElement(self, 1 % self.q)
 
-    def rand(self, rng: random.Random) -> int:
-        """Uniform element code drawn from `rng`."""
-        return rng.randrange(self.q)
-
     # -- raw arithmetic on codes ----------------------------------------
 
     def add(self, a: int, b: int) -> int:

@@ -18,12 +18,14 @@ so every run is replayable from (seed, inputs).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET, effective_budget
 from .codes import LabeledCode, code_from_text, code_to_text, labelweight
@@ -82,34 +84,48 @@ def subsets_of_size(s: int, t: int) -> list[tuple[int, ...]]:
     return list(itertools.combinations(range(1, s + 1), t))
 
 
-def _shares_from_stream(x: int, subsets: Sequence[tuple[int, ...]], stream: Sequence[int], spec: FieldSpec):
-    """Assemble CNF shares: all subsets but the last take stream values, the
-    last is fixed so the total is x."""
-    shares = {}
-    acc = 0
-    for T, y in zip(subsets[:-1], stream):
-        shares[T] = y
-        acc = spec.add(acc, y)
-    shares[subsets[-1]] = spec.sub(x, acc)
+def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
+    """CNF shares aligned with subsets_of_size: the stream values, then the
+    one share that makes the total x."""
+    shares = list(stream)
+    if spec.p == 2:
+        last = functools.reduce(operator.xor, shares, x)
+    else:
+        last = spec.sub(x, functools.reduce(spec.add, shares, 0))
+    shares.append(last)
     return shares
+
+
+def _draw_shares(x, count: int, spec: FieldSpec, rng: random.Random) -> list[int]:
+    """Shares of one secret over `count` subsets: one rng.randrange(q) per
+    subset but the last, in subset order."""
+    code = x.value if isinstance(x, FieldElement) else int(x)
+    return _share_vector(code, map(rng.randrange, itertools.repeat(spec.q, count - 1)), spec)
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tuple[int, ...], int]:
     """Replicated t-private sharing of one secret.
 
     Returns the full share map {T: y_T}; server j's fragment is every
-    entry with j not in T (see server_fragment).
+    entry with j not in T (see held_mask and server_fragment).
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
-    code = x.value if isinstance(x, FieldElement) else int(x)
     subsets = subsets_of_size(s, t)
-    stream = [spec.rand(rng) for _ in range(len(subsets) - 1)]
-    return _shares_from_stream(code, subsets, stream, spec)
+    return dict(zip(subsets, _draw_shares(x, len(subsets), spec, rng)))
+
+
+def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
+    """Which of `subsets` server j holds the share of: those with j not in T.
+
+    Compressing subsets_of_size by this mask gives the order of server j's
+    fragments and of its INPUT_SHARES payload (see protocol.simulate).
+    """
+    return [j not in T for T in subsets]
 
 
 def server_fragment(shares: dict, j: int) -> dict:
-    return {T: y for T, y in shares.items() if j not in T}
+    return dict(itertools.compress(shares.items(), held_mask(shares, j)))
 
 
 def enumerate_monomials(params: HssParams, budget: int | None = None):
@@ -296,18 +312,28 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     """CNF-share an ell x m secret matrix; returns (bundles, per-server views).
 
     Secrets are shared independently in (instance, variable) order, so a
-    fixed seed reproduces the exact same share values.
+    fixed seed reproduces the exact same share values.  bundles[(i, k)]
+    is the full share map of secret (i, k); views[j][(i, k)] is server j's
+    fragment of it.  Both iterate in (instance, variable) order, and each
+    share map in subsets_of_size order, a fragment leaving out the subsets
+    that contain j: protocol.simulate packs INPUT_SHARES payloads in this
+    order.
     """
     if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
         raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
+    subsets = subsets_of_size(params.s, params.t)
+    holdings = []  # (server, mask over subsets, the subsets it holds)
+    for j in range(1, params.s + 1):
+        mask = held_mask(subsets, j)
+        holdings.append((j, mask, list(itertools.compress(subsets, mask))))
     bundles = {}
     views = {j: {} for j in range(1, params.s + 1)}
     for i in range(1, params.ell + 1):
         for k in range(1, params.m + 1):
-            shares = cnf_share(secrets[i - 1][k - 1], params.t, params.s, params.spec, rng)
-            bundles[(i, k)] = shares
-            for j in range(1, params.s + 1):
-                views[j][(i, k)] = server_fragment(shares, j)
+            shares = _draw_shares(secrets[i - 1][k - 1], len(subsets), params.spec, rng)
+            bundles[(i, k)] = dict(zip(subsets, shares))
+            for j, mask, held in holdings:
+                views[j][(i, k)] = dict(zip(held, itertools.compress(shares, mask)))
     return bundles, views
 
 
@@ -416,7 +442,7 @@ def privacy_audit(t: int, s: int, spec: FieldSpec, d: int = 1, m: int = 1, budge
     for x in range(spec.q):
         per_subset: dict[tuple[int, ...], Counter] = {T: Counter() for T in subsets}
         for stream in itertools.product(range(spec.q), repeat=free):
-            shares = _shares_from_stream(x, subsets, stream, spec)
+            shares = dict(zip(subsets, _share_vector(x, stream, spec)))
             for T in subsets:
                 # T's joint view is every share except its own missing y_T
                 view = tuple(shares[U] for U in subsets if U != T)

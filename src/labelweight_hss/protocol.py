@@ -20,6 +20,14 @@ Wire frame layout (little-endian):
 
 The element width depends only on the field order, so frames do not
 self-describe the field; codec calls take the width (or spec) explicitly.
+Every field with q <= 256 has width 1: its payload bytes are the element
+codes themselves, packed and unpacked by one bytes/tuple conversion.
+
+Server j's INPUT_SHARES payload is its whole view laid end to end: the
+fragments of the ell*m secrets in (instance, variable) order, each one
+the C(s-1, t) shares y_T with j not in T (hss.held_mask) in
+subsets_of_size order.  The server cuts the payload back into fragments
+of that length.
 """
 
 from __future__ import annotations
@@ -28,15 +36,17 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain, compress
 from typing import Sequence
 
-from .errors import DecodeError, DimensionMismatch
+from .errors import DecodeError
 from .galois import FieldSpec
 from .hss import (
     HssScheme,
     collect_output_shares,
     default_monomial,
     eval_server,
+    held_mask,
     reconstruct,
     share_all_secrets,
     subsets_of_size,
@@ -54,7 +64,11 @@ _HEADER_LEN = 10  # 1 version + 1 kind + 2 sender + 2 receiver + 4 length
 
 def element_width(spec: FieldSpec) -> int:
     """Bytes per element: ceil(log2(q) / 8)."""
-    return (max(spec.q - 1, 1).bit_length() + 7) // 8
+    return _order_width(spec.q)
+
+
+def _order_width(q: int) -> int:
+    return (max(q - 1, 1).bit_length() + 7) // 8
 
 
 @dataclass(frozen=True)
@@ -66,10 +80,17 @@ class WireMessage:
 
 
 def encode(message: WireMessage, width: int) -> bytes:
-    """Frame a message; elements are packed little-endian at fixed width."""
+    """Frame a message; elements are packed little-endian at fixed width.
+    An element that does not fit the width raises OverflowError."""
     if message.kind not in _KINDS:
         raise ValueError(f"unknown message kind {message.kind}")
-    body = b"".join(v.to_bytes(width, "little") for v in message.payload)
+    if width == 1:
+        try:
+            body = bytes(message.payload)
+        except ValueError as exc:
+            raise OverflowError(f"payload element does not fit in 1 byte: {exc}") from None
+    else:
+        body = b"".join(v.to_bytes(width, "little") for v in message.payload)
     return (
         bytes((WIRE_VERSION, message.kind))
         + message.sender.to_bytes(2, "little")
@@ -96,10 +117,11 @@ def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
         raise DecodeError(f"length field {length} != payload bytes {len(body)}")
     if length % width:
         raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
-    payload = tuple(
-        int.from_bytes(body[i : i + width], "little") for i in range(0, length, width)
-    )
-    if q is not None and any(v >= q for v in payload):
+    if width == 1:
+        payload = tuple(body)
+    else:
+        payload = tuple(int.from_bytes(body[i : i + width], "little") for i in range(0, length, width))
+    if q is not None and payload and max(payload) >= q:
         raise DecodeError("payload element outside the field")
     return WireMessage(kind, sender, receiver, payload)
 
@@ -131,17 +153,6 @@ class Transcript:
         return Fraction(ell, self.downloaded_symbols)
 
 
-def _fragment_order(params, j: int) -> list[tuple[int, int, tuple[int, ...]]]:
-    """Canonical payload order of server j's input fragments."""
-    subsets = [T for T in subsets_of_size(params.s, params.t) if j not in T]
-    return [
-        (i, k, T)
-        for i in range(1, params.ell + 1)
-        for k in range(1, params.m + 1)
-        for T in subsets
-    ]
-
-
 def simulate(
     scheme: HssScheme,
     secrets: Sequence[Sequence],
@@ -160,32 +171,33 @@ def simulate(
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     output_client = params.s + 1
     transcript = Transcript(field_order=spec.q)
+    secret_ids = [(i, k) for i in range(1, params.ell + 1) for k in range(1, params.m + 1)]
 
     def send(message: WireMessage) -> WireMessage:
         frame = encode(message, width)
         transcript.record(message, frame, output_client)
         return decode(frame, width, spec.q)
 
-    # Input client (id 0): share everything, fan out per-server fragments.
+    # Input client (id 0): share everything, send each server its view.
     rng = random.Random(seed)
     grid = [[int(v) if not hasattr(v, "value") else v.value for v in row] for row in secrets]
     _, views = share_all_secrets(params, grid, rng)
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
-        order = _fragment_order(params, j)
-        payload = tuple(views[j][(i, k)][T] for i, k, T in order)
+        view = views[j]
+        payload = tuple(chain.from_iterable(view[key].values() for key in secret_ids))
         inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, payload))
 
     # Servers 1..s in id order: rebuild views from the wire, evaluate.
+    subsets = subsets_of_size(params.s, params.t)
     received: dict[int, list[int]] = {}
     for j in range(1, params.s + 1):
-        message = inboxes[j]
-        order = _fragment_order(params, j)
-        if len(message.payload) != len(order):
-            raise DecodeError(f"server {j}: expected {len(order)} elements, got {len(message.payload)}")
-        view: dict[tuple[int, int], dict] = {}
-        for (i, k, T), value in zip(order, message.payload):
-            view.setdefault((i, k), {})[T] = value
+        payload = inboxes[j].payload
+        held = list(compress(subsets, held_mask(subsets, j)))
+        run = len(held)
+        if len(payload) != run * len(secret_ids):
+            raise DecodeError(f"server {j}: expected {run * len(secret_ids)} elements, got {len(payload)}")
+        view = {key: dict(zip(held, payload[n * run : (n + 1) * run])) for n, key in enumerate(secret_ids)}
         z_j = eval_server(scheme, j, view, chosen)
         delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, tuple(z_j)))
         received[delivered.sender] = list(delivered.payload)
@@ -202,29 +214,33 @@ def transcript_to_text(transcript: Transcript) -> str:
     return "\n".join(lines) + "\n"
 
 
-def transcript_from_text(text: str, ell: int | None = None) -> Transcript:
+def transcript_from_text(text: str) -> Transcript:
     """Rebuild a transcript from its hex dump (for replay / inspection)."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != TRANSCRIPT_FORMAT_TAG:
         raise DecodeError(f"missing {TRANSCRIPT_FORMAT_TAG} header")
     if len(lines) < 2 or not lines[1].startswith("q "):
         raise DecodeError("missing field order line")
-    q = int(lines[1][2:])
-    spec_width = (max(q - 1, 1).bit_length() + 7) // 8
-    transcript = Transcript(field_order=q)
-    output_client = None
+    try:
+        q = int(lines[1][2:])
+    except ValueError as exc:
+        raise DecodeError(f"bad field order line {lines[1]!r}") from exc
+    if q < 2:
+        raise DecodeError(f"field order {q} is below 2")
+    width = _order_width(q)
     frames = []
     for line in lines[2:]:
         try:
             frames.append(bytes.fromhex(line))
         except ValueError as exc:
             raise DecodeError(f"bad hex frame: {exc}") from exc
-    # the output client is the receiver of OUTPUT_SHARES frames / sender of RESULT
-    for frame in frames:
-        message = decode(frame, spec_width, q)
+    messages = [decode(frame, width, q) for frame in frames]
+    # the output client is the sender of the (last) RESULT frame
+    output_client = -1
+    for message in messages:
         if message.kind == RESULT:
             output_client = message.sender
-    for frame in frames:
-        message = decode(frame, spec_width, q)
-        transcript.record(message, frame, output_client if output_client is not None else -1)
+    transcript = Transcript(field_order=q)
+    for message, frame in zip(messages, frames):
+        transcript.record(message, frame, output_client)
     return transcript

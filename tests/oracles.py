@@ -4,25 +4,41 @@ These are the per-element versions that the lookup-table hot loops in
 ``galois``, ``matrix`` and ``hss`` replaced: base-p digit-loop addition and
 negation, Gaussian elimination through one field call per cell, Eval
 synthesis scattered monomial by monomial, and server evaluation through
-``FieldSpec`` method calls.  The optimised code must agree with them
-exactly, on values and on the errors raised.
+``FieldSpec`` method calls.  The wire path keeps CNF sharing with one
+fragment scan per server and secret, the frame codec packing one element
+per ``int.to_bytes`` call, and the simulation that orders each server's
+payload by an explicit (instance, variable, subset) list.  The optimised
+code must agree with them exactly, on values and on the errors raised.
 """
 
 from __future__ import annotations
 
 import itertools
+import random
+from typing import Sequence
 
+from labelweight_hss import hss, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
 from labelweight_hss.codes import LabeledCode, labelweight
 from labelweight_hss.errors import (
+    DecodeError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import FieldSpec
-from labelweight_hss.hss import HssParams, HssScheme, MonomialId, default_monomial, subsets_of_size
+from labelweight_hss.galois import FieldElement, FieldSpec
+from labelweight_hss.hss import (
+    HssParams,
+    HssScheme,
+    MonomialId,
+    collect_output_shares,
+    default_monomial,
+    reconstruct,
+    server_fragment,
+    subsets_of_size,
+)
 from labelweight_hss.matrix import MatrixF, RrefResult, column_indices
 
 # -- field: base-p digit loops ------------------------------------------------
@@ -238,3 +254,123 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
             acc = add(spec, acc, prod)
         out.append(acc)
     return out
+
+
+# -- sharing: one fragment scan per server and secret -------------------------------
+
+
+def _shares_from_stream(x: int, subsets, stream, spec: FieldSpec):
+    shares = {}
+    acc = 0
+    for T, y in zip(subsets[:-1], stream):
+        shares[T] = y
+        acc = spec.add(acc, y)
+    shares[subsets[-1]] = spec.sub(x, acc)
+    return shares
+
+
+def cnf_share(x, t: int, s: int, spec: FieldSpec, rng) -> dict[tuple[int, ...], int]:
+    if not 1 <= t < s:
+        raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
+    code = x.value if isinstance(x, FieldElement) else int(x)
+    subsets = subsets_of_size(s, t)
+    stream = [rng.randrange(spec.q) for _ in range(len(subsets) - 1)]  # was spec.rand(rng)
+    return _shares_from_stream(code, subsets, stream, spec)
+
+
+def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng):
+    if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
+        raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
+    bundles = {}
+    views = {j: {} for j in range(1, params.s + 1)}
+    for i in range(1, params.ell + 1):
+        for k in range(1, params.m + 1):
+            shares = cnf_share(secrets[i - 1][k - 1], params.t, params.s, params.spec, rng)
+            bundles[(i, k)] = shares
+            for j in range(1, params.s + 1):
+                views[j][(i, k)] = server_fragment(shares, j)
+    return bundles, views
+
+
+# -- protocol: one int.to_bytes / int.from_bytes per element --------------------------
+
+
+def encode(message, width: int) -> bytes:
+    if message.kind not in protocol._KINDS:
+        raise ValueError(f"unknown message kind {message.kind}")
+    body = b"".join(v.to_bytes(width, "little") for v in message.payload)
+    return (
+        bytes((protocol.WIRE_VERSION, message.kind))
+        + message.sender.to_bytes(2, "little")
+        + message.receiver.to_bytes(2, "little")
+        + len(body).to_bytes(4, "little")
+        + body
+    )
+
+
+def decode(frame: bytes, width: int, q: int | None = None):
+    if len(frame) < protocol._HEADER_LEN:
+        raise DecodeError(f"frame too short: {len(frame)} bytes")
+    if frame[0] != protocol.WIRE_VERSION:
+        raise DecodeError(f"bad version byte {frame[0]:#x}")
+    kind = frame[1]
+    if kind not in protocol._KINDS:
+        raise DecodeError(f"bad message kind {kind}")
+    sender = int.from_bytes(frame[2:4], "little")
+    receiver = int.from_bytes(frame[4:6], "little")
+    length = int.from_bytes(frame[6:10], "little")
+    body = frame[protocol._HEADER_LEN :]
+    if len(body) != length:
+        raise DecodeError(f"length field {length} != payload bytes {len(body)}")
+    if length % width:
+        raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
+    payload = tuple(int.from_bytes(body[i : i + width], "little") for i in range(0, length, width))
+    if q is not None and any(v >= q for v in payload):
+        raise DecodeError("payload element outside the field")
+    return protocol.WireMessage(kind, sender, receiver, payload)
+
+
+def _fragment_order(params, j: int) -> list[tuple[int, int, tuple[int, ...]]]:
+    subsets = [T for T in subsets_of_size(params.s, params.t) if j not in T]
+    return [(i, k, T) for i in range(1, params.ell + 1) for k in range(1, params.m + 1) for T in subsets]
+
+
+def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indices=None):
+    """The protocol run of ``protocol.simulate``, with server evaluation taken from ``hss``."""
+    params = scheme.params
+    spec = params.spec
+    width = protocol.element_width(spec)
+    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
+    output_client = params.s + 1
+    transcript = protocol.Transcript(field_order=spec.q)
+
+    def send(message):
+        frame = encode(message, width)
+        transcript.record(message, frame, output_client)
+        return decode(frame, width, spec.q)
+
+    rng = random.Random(seed)
+    grid = [[int(v) if not hasattr(v, "value") else v.value for v in row] for row in secrets]
+    _, views = share_all_secrets(params, grid, rng)
+    inboxes = {}
+    for j in range(1, params.s + 1):
+        order = _fragment_order(params, j)
+        payload = tuple(views[j][(i, k)][T] for i, k, T in order)
+        inboxes[j] = send(protocol.WireMessage(protocol.INPUT_SHARES, 0, j, payload))
+
+    received: dict[int, list[int]] = {}
+    for j in range(1, params.s + 1):
+        message = inboxes[j]
+        order = _fragment_order(params, j)
+        if len(message.payload) != len(order):
+            raise DecodeError(f"server {j}: expected {len(order)} elements, got {len(message.payload)}")
+        view: dict[tuple[int, int], dict] = {}
+        for (i, k, T), value in zip(order, message.payload):
+            view.setdefault((i, k), {})[T] = value
+        z_j = hss.eval_server(scheme, j, view, chosen)
+        delivered = send(protocol.WireMessage(protocol.OUTPUT_SHARES, j, output_client, tuple(z_j)))
+        received[delivered.sender] = list(delivered.payload)
+
+    outputs = reconstruct(scheme, collect_output_shares(scheme, received))
+    send(protocol.WireMessage(protocol.RESULT, output_client, 0, tuple(outputs)))
+    return transcript, outputs

@@ -94,6 +94,16 @@ def test_simulate_with_transcript_dump_and_replay(capsys, tmp_path):
     assert "downloaded-symbols 5" in out
 
 
+@pytest.mark.parametrize("q_line", ["q x", "q 0", "q 1", "q -5", "q 2.5"])
+def test_replay_rejects_a_bad_field_order_line(capsys, tmp_path, q_line):
+    path = tmp_path / "transcript.txt"
+    path.write_text(f"labelweight-hss-transcript/v1\n{q_line}\n")
+    code, out, err = run(capsys, "simulate", "--replay", str(path))
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("decode error: ")
+
+
 @pytest.mark.parametrize("command", ["demo", "simulate"])
 @pytest.mark.parametrize("trials", ["0", "-1"])
 def test_trials_below_one_is_a_usage_error(capsys, command, trials):

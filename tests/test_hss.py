@@ -18,6 +18,7 @@ from labelweight_hss.hss import (
     cnf_share,
     enumerate_monomials,
     eval_server,
+    held_mask,
     privacy_audit,
     reconstruct,
     run_end_to_end,
@@ -104,6 +105,22 @@ def test_fragment_size():
     shares = cnf_share(1, t, s, GF2, rng)
     for j in range(1, s + 1):
         assert len(server_fragment(shares, j)) == math.comb(s - 1, t)
+
+
+def test_held_mask_orders_fragments_and_views():
+    import itertools
+
+    params = HssParams(ell=2, m=2, d=1, t=2, s=4, spec=GF3)
+    subsets = subsets_of_size(params.s, params.t)
+    secrets = [[1, 2], [0, 1]]
+    bundles, views = share_all_secrets(params, secrets, random.Random(5))
+    for j in range(1, params.s + 1):
+        held = list(itertools.compress(subsets, held_mask(subsets, j)))
+        assert held == [T for T in subsets if j not in T]
+        for key, shares in bundles.items():
+            assert list(views[j][key]) == held
+            assert list(server_fragment(shares, j)) == held
+            assert views[j][key] == server_fragment(shares, j)
 
 
 # -- monomials -------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Table-driven field arithmetic, elimination, synthesis and server
-evaluation against the per-element reference code in ``oracles``."""
+evaluation, and the byte-level sharing and wire path, against the
+per-element reference code in ``oracles``."""
 
 import copy
 import hashlib
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 
 import oracles
 from labelweight_hss import hss, protocol
-from labelweight_hss.codes import goppa_build, hermitian_build
-from labelweight_hss.errors import FieldTooLarge, MissingShare
+from labelweight_hss.codes import goppa_build, hermitian_build, rs_build
+from labelweight_hss.errors import DecodeError, FieldTooLarge, MissingShare
 from labelweight_hss.galois import FieldSpec
 from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
 
@@ -173,3 +174,168 @@ def test_simulate_transcript_matches_oracle(schemes, name, monkeypatch):
     old_transcript, old_outputs = protocol.simulate(scheme, secrets, seed=5)
     assert outputs == old_outputs
     assert digest(transcript) == digest(old_transcript)
+
+
+# -- sharing and the wire path ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def wire_schemes(schemes):
+    """The goppa and hermitian fixtures, plus Goppa [16,8] with t=4, d=1,
+    m=4 (1,820 share subsets per secret) and RS [5,2] over GF(5) with t=1,
+    d=2, m=3."""
+    return {
+        "goppa": schemes["goppa"][0],
+        "hermitian": schemes["hermitian"][0],
+        "goppa-wire": hss.scheme_for_code(goppa_build(4, 2), t=4, d=1, m=4),
+        "rs5": hss.scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3),
+    }
+
+
+def _secrets(params, seed):
+    rng = random.Random(seed)
+    return [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
+
+
+def _ordered(nested):
+    """A share map or view, with the iteration order of every dict spelled out."""
+    if isinstance(nested, dict):
+        return [(key, _ordered(value)) for key, value in nested.items()]
+    return nested
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian", "goppa-wire", "rs5"])
+def test_share_all_secrets_matches_oracle(wire_schemes, name):
+    params = wire_schemes[name].params
+    secrets = _secrets(params, 4)
+    bundles, views = hss.share_all_secrets(params, secrets, random.Random(9))
+    old_bundles, old_views = oracles.share_all_secrets(params, secrets, random.Random(9))
+    assert _ordered(bundles) == _ordered(old_bundles)
+    assert _ordered(views) == _ordered(old_views)
+
+
+def test_cnf_share_matches_oracle():
+    for spec, s, t in ((FieldSpec(2), 6, 2), (FieldSpec(5), 5, 2), (FieldSpec(3, 2), 4, 1), (FieldSpec(257), 4, 2)):
+        for x in (0, 1, spec.q - 1):
+            shares = hss.cnf_share(x, t, s, spec, random.Random(x))
+            assert _ordered(shares) == _ordered(oracles.cnf_share(x, t, s, spec, random.Random(x)))
+
+
+def _same_runs(new, old):
+    (transcript, outputs), (old_transcript, old_outputs) = new, old
+    assert outputs == old_outputs
+    assert transcript.frames == old_transcript.frames
+    assert transcript.messages == old_transcript.messages
+    assert transcript.link_bytes == old_transcript.link_bytes
+    assert transcript.downloaded_symbols == old_transcript.downloaded_symbols
+
+
+@pytest.mark.parametrize(
+    "name,var_indices", [("goppa", None), ("hermitian", None), ("goppa-wire", None), ("rs5", None), ("rs5", (3, 1))]
+)
+def test_simulate_matches_oracle_protocol(wire_schemes, name, var_indices):
+    scheme = wire_schemes[name]
+    secrets = _secrets(scheme.params, 12)
+    new = protocol.simulate(scheme, secrets, 8, var_indices)
+    _same_runs(new, oracles.simulate(scheme, secrets, 8, var_indices))
+    if name == "goppa-wire":
+        assert len(new[0].frames) == 33
+        assert sum(map(len, new[0].frames)) == 699_234
+
+
+def test_short_input_payload_is_a_decode_error(wire_schemes, monkeypatch):
+    """An INPUT_SHARES payload one element short fails the server's length check."""
+    scheme = wire_schemes["rs5"]
+    secrets = _secrets(scheme.params, 1)
+
+    def short(decode):
+        def patched(frame, width, q=None):
+            message = decode(frame, width, q)
+            if message.kind == protocol.INPUT_SHARES:
+                message = protocol.WireMessage(message.kind, message.sender, message.receiver, message.payload[:-1])
+            return message
+
+        return patched
+
+    monkeypatch.setattr(protocol, "decode", short(protocol.decode))
+    monkeypatch.setattr(oracles, "decode", short(oracles.decode))
+    with pytest.raises(DecodeError) as new:
+        protocol.simulate(scheme, secrets, 3)
+    with pytest.raises(DecodeError) as old:
+        oracles.simulate(scheme, secrets, 3)
+    assert str(new.value) == str(old.value) == "server 1: expected 24 elements, got 23"
+
+
+# -- codec properties ------------------------------------------------------------------
+
+CODEC_WIDTHS = (1, 2, 3)
+KINDS = (protocol.INPUT_SHARES, protocol.OUTPUT_SHARES, protocol.RESULT)
+
+
+@st.composite
+def messages(draw, width=None):
+    width = draw(st.sampled_from(CODEC_WIDTHS)) if width is None else width
+    payload = draw(st.lists(st.integers(0, 256**width - 1), max_size=24))
+    message = protocol.WireMessage(
+        draw(st.sampled_from(KINDS)), draw(st.integers(0, 2**16 - 1)), draw(st.integers(0, 2**16 - 1)), tuple(payload)
+    )
+    return width, message
+
+
+@st.composite
+def damaged_frames(draw):
+    """A valid frame cut short, extended, or with one byte flipped; or arbitrary bytes."""
+    width, message = draw(messages())
+    frame = oracles.encode(message, width)
+    how = draw(st.sampled_from(["intact", "truncate", "extend", "flip", "arbitrary"]))
+    if how == "truncate":
+        frame = frame[: draw(st.integers(0, len(frame) - 1))]
+    elif how == "extend":
+        frame += draw(st.binary(min_size=1, max_size=2 * width + 1))
+    elif how == "flip":
+        at = draw(st.integers(0, len(frame) - 1))
+        frame = frame[:at] + bytes([frame[at] ^ draw(st.integers(1, 255))]) + frame[at + 1 :]
+    elif how == "arbitrary":
+        frame = draw(st.binary(max_size=40))
+    q = draw(st.none() | st.integers(2, 256**width))
+    return frame, width, q
+
+
+def _decoded(decode, frame, width, q):
+    try:
+        return "ok", decode(frame, width, q)
+    except DecodeError as exc:
+        return "decode error", str(exc)
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(messages())
+def test_encode_matches_oracle(case):
+    width, message = case
+    frame = protocol.encode(message, width)
+    assert frame == oracles.encode(message, width)
+    assert protocol.decode(frame, width) == message
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(damaged_frames())
+def test_decode_matches_oracle_on_damaged_frames(case):
+    """decode raises nothing but DecodeError, exactly when the oracle does,
+    with the same message; otherwise both return the same WireMessage."""
+    frame, width, q = case
+    assert _decoded(protocol.decode, frame, width, q) == _decoded(oracles.decode, frame, width, q)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.data())
+def test_encode_rejects_elements_wider_than_the_width(data):
+    width = data.draw(st.sampled_from((1, 2)))
+    _, message = data.draw(messages(width))
+    bad = data.draw(st.integers(256**width, 256**width * 4) | st.integers(-(256**width), -1))
+    at = data.draw(st.integers(0, len(message.payload)))
+    payload = message.payload[:at] + (bad,) + message.payload[at:]
+    message = protocol.WireMessage(message.kind, message.sender, message.receiver, payload)
+    with pytest.raises(OverflowError):
+        oracles.encode(message, width)
+    with pytest.raises(OverflowError):
+        protocol.encode(message, width)

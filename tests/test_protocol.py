@@ -172,6 +172,24 @@ def test_transcript_text_rejects_garbage():
         transcript_from_text("\n".join(lines) + "\n")
 
 
+def test_transcript_text_decodes_each_frame_once(monkeypatch):
+    import labelweight_hss.protocol as protocol
+
+    transcript, _ = simulate(repetition_scheme(), [[1]], seed=3)
+    text = transcript_to_text(transcript)
+    calls = []
+
+    def counting(frame, width, q=None):
+        calls.append(frame)
+        return decode(frame, width, q)
+
+    monkeypatch.setattr(protocol, "decode", counting)
+    parsed = transcript_from_text(text)
+    assert calls == transcript.frames
+    assert parsed.messages == transcript.messages
+    assert parsed.link_bytes == transcript.link_bytes
+
+
 def test_identical_seed_identical_transcript():
     scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2)
     t1, o1 = simulate(scheme, [[2, 3], [4, 1]], seed=9)
