@@ -23,6 +23,7 @@ import itertools
 import operator
 import random
 from collections import Counter
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
@@ -79,9 +80,15 @@ class MonomialId(NamedTuple):
         return frozenset(out)
 
 
-def subsets_of_size(s: int, t: int) -> list[tuple[int, ...]]:
-    """All size-t subsets of servers 1..s as sorted tuples, ordered lexicographically."""
-    return list(itertools.combinations(range(1, s + 1), t))
+@functools.cache
+def subsets_of_size(s: int, t: int) -> tuple[tuple[int, ...], ...]:
+    """All size-t subsets of servers 1..s as sorted tuples, ordered lexicographically.
+
+    Computed once per (s, t): sharing, protocol.simulate and eval_server
+    then hold the very same subset objects, so comparing fragment keys
+    against a server's held subsets is a pointer comparison.
+    """
+    return tuple(itertools.combinations(range(1, s + 1), t))
 
 
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
@@ -132,6 +139,8 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     """All product monomials, plus the sublist each server can compute locally.
 
     Ordering is instance-major, then lexicographic on the subset tuple.
+    The second value is a LocalMonomials mapping, which builds each
+    server's list on first access.
     """
     subsets = subsets_of_size(params.s, params.t)
     total = params.ell * len(subsets) ** params.d
@@ -141,11 +150,54 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     combos = list(itertools.product(subsets, repeat=params.d))
     monomials = [MonomialId(i, combo) for i in range(1, params.ell + 1) for combo in combos]
     unions = [frozenset().union(*combo) for combo in combos]
-    per_server = {}
-    for j in range(1, params.s + 1):
-        local = [j not in union for union in unions]
-        per_server[j] = list(itertools.compress(monomials, local * params.ell))
-    return monomials, per_server
+    return monomials, LocalMonomials(monomials, unions, params.s)
+
+
+class LocalMonomials(Mapping):
+    """Server j -> the monomials it can compute locally (none of whose
+    subsets contains j), in monomial order; each list is built on first
+    access.  unions[c] is the subset union of combo c, in
+    itertools.product(subsets_of_size(s, t), repeat=d) order."""
+
+    def __init__(self, monomials: list[MonomialId], unions: list[frozenset[int]], s: int):
+        self.monomials, self.unions, self.s = monomials, unions, s
+        self._lists: dict[int, list[MonomialId]] = {}
+
+    def __getitem__(self, j: int) -> list[MonomialId]:
+        local = self._lists.get(j)
+        if local is None:
+            if j not in range(1, self.s + 1):
+                raise KeyError(j)
+            mask = [j not in union for union in self.unions]
+            local = list(itertools.compress(self.monomials, mask * (len(self.monomials) // len(mask))))
+            self._lists[j] = local
+        return local
+
+    def __iter__(self):
+        return iter(range(1, self.s + 1))
+
+    def __len__(self) -> int:
+        return self.s
+
+
+class SolutionBlocks(NamedTuple):
+    """The solves behind a synthesized Eval table, one block per distinct
+    subset union U, in solve order.
+
+    Block u belongs to unions[u]: coords[u] are the coordinates of the
+    servers outside it, and solutions[u] holds the ell solutions of
+    G(Lambda) e = u_i over those coordinates, coordinate-major (bytes
+    when q <= 256): entry pos*ell + i - 1 is the coefficient of instance
+    i at coordinate coords[u][pos].  combo_union[c] is the block of
+    subset combo c, in itertools.product(subsets_of_size(s, t), repeat=d)
+    order.  Monomial (i, combo c) therefore has that coefficient with u =
+    combo_union[c]; eval_table holds the nonzero ones.
+    """
+
+    unions: list[frozenset[int]]
+    coords: list[list[int]]
+    solutions: list[Sequence[int]]
+    combo_union: list[int]
 
 
 @dataclass
@@ -154,7 +206,13 @@ class HssScheme:
 
     eval_table[r] maps each monomial to its coefficient in the output
     polynomial z_r computed by server labeling(r); only nonzero
-    coefficients are stored.
+    coefficients are stored.  A scheme from synthesize_eval also keeps
+    the SolutionBlocks the table was filled from (`solutions`; None for
+    schemes built by hand or read by scheme_from_text).  From them
+    eval_server builds, on a server's first call, one dense coefficient
+    tensor per (owned coordinate, instance) and caches it here, so a
+    scheme is treated as immutable once it has been evaluated: editing
+    its table or blocks afterwards does not reach those tensors.
     """
 
     params: HssParams
@@ -162,6 +220,9 @@ class HssScheme:
     eval_table: dict[int, dict[MonomialId, int]]
     labelweight_verified: bool = True
     meta: dict = field(default_factory=dict)
+    solutions: SolutionBlocks | None = field(default=None, repr=False, compare=False)
+    # server id -> (held subsets, tensors[coordinate position][instance - 1])
+    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -196,18 +257,20 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
         verified = True
 
-    monomials, _ = enumerate_monomials(params)
+    monomials, local = enumerate_monomials(params)
     # monomials are instance-major, so monomials[i*ncombos + c] is subset combo c of instance i+1
-    ncombos = len(monomials) // params.ell
+    ncombos = len(local.unions)
     by_union: dict[frozenset, list[int]] = {}
-    for c, mono in enumerate(monomials[:ncombos]):
-        by_union.setdefault(mono.union(), []).append(c)
+    for c, union in enumerate(local.unions):
+        by_union.setdefault(union, []).append(c)
 
     G = code.generator
     labels = code.labeling.map
     all_servers = set(range(1, params.s + 1))
     units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
     table: dict[int, dict[MonomialId, int]] = {r: {} for r in range(code.n)}
+    pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
+    blocks = SolutionBlocks([], [], [], [])
 
     for union, members in sorted(by_union.items(), key=lambda kv: sorted(kv[0])):
         lam = all_servers - union
@@ -222,8 +285,13 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
             for r, coeff in zip(cols, sol):
                 if coeff:
                     table[r].update(dict.fromkeys(group, coeff))
+        blocks.unions.append(union)
+        blocks.coords.append(cols)
+        blocks.solutions.append(pack(itertools.chain.from_iterable(zip(*solutions))))
 
-    return HssScheme(params, code, table, labelweight_verified=verified)
+    block_of = {union: u for u, union in enumerate(blocks.unions)}
+    blocks.combo_union.extend(map(block_of.__getitem__, local.unions))
+    return HssScheme(params, code, table, labelweight_verified=verified, solutions=blocks)
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
@@ -242,15 +310,117 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
 
     `views` maps (instance, variable) to that secret's fragment
     {T: y_T with j not in T}; var_indices picks which of the m variables
-    feed the d product slots (repetition allowed).  A product stops at its
-    first zero share; the first share looked up and not found raises
-    MissingShare.
+    feed the d product slots (repetition allowed).
+
+    Each output share z_r is a fixed d-linear form in the shares.  When
+    the scheme keeps its SolutionBlocks, q <= 256, and every fragment
+    read holds exactly server j's subsets in subsets_of_size order (as
+    share_all_secrets and protocol.simulate produce them), the form is
+    contracted against dense coefficient tensors built once per server
+    and cached on the scheme (see HssScheme).  Otherwise the sparse
+    eval_table is walked monomial by monomial: a product stops at its
+    first zero share, and the first share looked up, in table order, and
+    not found raises MissingShare.  Both give the same outputs.
     """
     params = scheme.params
-    spec = params.spec
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
+    if scheme.solutions is not None and params.spec.q <= MAX_TABLE_ORDER:
+        if j not in scheme._tensors:
+            scheme._tensors[j] = _build_tensors(scheme, j)
+        held, tensors = scheme._tensors[j]
+        slots = _positional_views(views, held, params.ell, chosen)
+        if slots is not None:
+            return _contract(params.spec, tensors, slots, len(held))
+    return _eval_by_monomial(scheme, j, views, chosen)
+
+
+def _build_tensors(scheme: HssScheme, j: int):
+    """The subsets server j holds, and for each coordinate r it owns and
+    each instance i the dense tensor of z_r's coefficients on instance i.
+
+    A tensor has C(s-1, t)^d byte entries, indexed row-major by the d
+    held subsets of a monomial (positions in `held`): every combo of held
+    subsets leaves j out, so its block lists r among its coordinates.
+    """
+    params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
+    subsets = subsets_of_size(params.s, params.t)
+    held = list(itertools.compress(subsets, held_mask(subsets, j)))
+    local = [j not in union for union in blocks.unions]
+    # the block of every combo of held subsets, in product order
+    held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
+    tensors = []
+    for r in scheme.code.labeling.coords(j):
+        # r's ell coefficients in each block (those of position 0 in blocks held_blocks never names)
+        at = [cols.index(r) * ell if ok else 0 for cols, ok in zip(blocks.coords, local)]
+        column = [block[start : start + ell] for block, start in zip(blocks.solutions, at)]
+        # combo-major, instance-minor: instance i's tensor is every ell-th byte
+        joined = b"".join(map(column.__getitem__, held_blocks))
+        tensors.append([joined[i::ell] for i in range(ell)])
+    return held, tensors
+
+
+def _positional_views(views: dict, held: list, ell: int, chosen: tuple[int, ...]):
+    """Per instance, the share vectors of its d product slots, aligned
+    with `held`; None unless every fragment read has exactly the keys
+    `held`, in that order."""
+    vectors = dict.fromkeys((i, v) for i in range(1, ell + 1) for v in chosen)
+    for key in vectors:
+        fragment = views.get(key)
+        if fragment is None or list(fragment) != held:
+            return None
+        vectors[key] = list(fragment.values())
+    return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
+
+
+def _contract(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+    """Sum over instances i of tensor(r, i) contracted with the slot vectors.
+
+    Slots 1..d-1 expand into the rows of the last slot that have no zero
+    share, each with w, the product of its shares.  The last slot is a
+    C-level dot product per row: entry c at a position whose share is y
+    adds (w*y)*c, read from a product table that keeps each base-p digit
+    in its own bit field, so integer sums add digit by digit without
+    carries (in every characteristic, XOR included).  Each output is
+    reduced digit by digit mod p once, at the end.
+    """
+    p, q, mul = spec.p, spec.q, spec.tables().mul
+    bits = ((p - 1) * len(slots) * h ** len(slots[0])).bit_length()
+    products = _lifted_products(spec, bits)
+    acc = [0] * len(tensors)
+    for i, vectors in enumerate(slots):
+        rows = [(0, 1)]  # (row of the last slot, product of its shares in slots 1..d-1)
+        for vector in vectors[:-1]:
+            nonzero = [(a, y) for a, y in enumerate(vector) if y]
+            rows = [(row * h + a, mul[w * q + y]) for row, w in rows for a, y in nonzero]
+        last = vectors[-1]
+        scaled = {w: list(map(products[w * q : (w + 1) * q].__getitem__, last)) for w in {w for _, w in rows}}
+        rows = [(row * h, scaled[w]) for row, w in rows]
+        for n, per_instance in enumerate(tensors):
+            tensor = per_instance[i]
+            acc[n] += sum(
+                itertools.chain.from_iterable(
+                    map(operator.getitem, terms, tensor[start : start + h]) for start, terms in rows
+                )
+            )
+    mask = (1 << bits) - 1
+    return [sum((total >> (bits * e) & mask) % p * p**e for e in range(spec.k)) for total in acc]
+
+
+@functools.cache
+def _lifted_products(spec: FieldSpec, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Entry a*q + b lists the products (a*b)*c, c = 0..q-1, with each
+    base-p digit moved into its own `bits`-bit field."""
+    p, q, mul = spec.p, spec.q, spec.tables().mul
+    lift = [sum(c // p**e % p << (bits * e) for e in range(spec.k)) for c in range(q)]
+    rows = [tuple(lift[c] for c in mul[a * q : (a + 1) * q]) for a in range(q)]
+    return tuple(rows[ab] for ab in mul)
+
+
+def _eval_by_monomial(scheme: HssScheme, j: int, views: dict, chosen: tuple[int, ...]) -> list[int]:
+    """eval_server over the sparse eval_table, one monomial at a time."""
+    spec = scheme.params.spec
     q = spec.q
     if q <= MAX_TABLE_ORDER:
         tables = spec.tables()

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,6 +12,7 @@ from labelweight_hss.galois import (
     is_irreducible,
     parse_field,
     poly_pow_mod,
+    _frobenius_irreducible,
 )
 
 GF2 = FieldSpec(2)
@@ -213,6 +215,19 @@ def test_irreducible_by_frobenius_oracle(spec, degree):
     for m in range(1, degree):
         if degree % m == 0:
             assert poly_pow_mod(x, spec.q**m, f) != x % f
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3], ids=["GF2", "GF3"])
+def test_frobenius_test_matches_trial_division_on_every_monic_quartic(spec):
+    """find_irreducible trusts the Frobenius test for degree >= 4; trial
+    division (is_irreducible) is the oracle."""
+    found = 0
+    for low in itertools.product(range(spec.q), repeat=4):
+        f = Polynomial(spec, (*low, 1))
+        assert _frobenius_irreducible(f) == is_irreducible(f), f
+        found += is_irreducible(f)
+    # monic irreducible quartics: (q^4 - q^2) / 4
+    assert found == (spec.q**4 - spec.q**2) // 4
 
 
 def test_modulus_rejects_reducible():

@@ -142,6 +142,26 @@ def test_enumerate_monomials_counts():
         assert len(per_server[j]) == 2 * 16
 
 
+def test_enumerate_monomials_builds_server_lists_on_access():
+    params = HssParams(5, 1, 2, 2, 2, GF5)
+    monos, per_server = enumerate_monomials(params)
+    assert list(per_server) == [1, 2, 3, 4, 5] and len(per_server) == 5
+    assert not per_server._lists
+    assert per_server[3] == [mono for mono in monos if 3 not in mono.union()]
+    assert per_server[3] is per_server[3]
+    assert list(per_server._lists) == [3]
+    with pytest.raises(KeyError):
+        per_server[6]
+
+
+def test_subsets_of_size_is_one_shared_tuple():
+    subsets = subsets_of_size(6, 2)
+    assert isinstance(subsets, tuple) and subsets is subsets_of_size(6, 2)
+    # share maps are keyed by those very subset objects
+    shares = cnf_share(1, 2, 6, GF2, random.Random(0))
+    assert all(key is T for key, T in zip(shares, subsets))
+
+
 def test_monomial_union_complement():
     mono = MonomialId(1, ((1,), (2,)))
     assert mono.union() == {1, 2}

@@ -4,6 +4,7 @@ per-element reference code in ``oracles``."""
 
 import copy
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 
 import oracles
 from labelweight_hss import hss, protocol
-from labelweight_hss.codes import goppa_build, hermitian_build, rs_build
+from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import DecodeError, FieldTooLarge, MissingShare
 from labelweight_hss.galois import FieldSpec
 from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
@@ -174,6 +175,130 @@ def test_simulate_transcript_matches_oracle(schemes, name, monkeypatch):
     old_transcript, old_outputs = protocol.simulate(scheme, secrets, seed=5)
     assert outputs == old_outputs
     assert digest(transcript) == digest(old_transcript)
+
+
+# -- dense coefficient tensors ----------------------------------------------------------
+
+
+def _binary_10_2(labeling):
+    """[10, 2] binary code with rows 1^5 0^5 and 0^5 1^5: labelweight 5
+    under the identity labeling, 3 when servers own coordinate pairs."""
+    spec = FieldSpec(2)
+    return LabeledCode(spec, MatrixF(spec, [[1] * 5 + [0] * 5, [0] * 5 + [1] * 5]), labeling)
+
+
+def _rs9_pairs():
+    """RS [8, 2] over GF(9) on 4 servers owning 2 coordinates each: labelweight 4."""
+    code = rs_build(9, 8, 2)
+    return LabeledCode(code.spec, code.generator, Labeling.balanced(4, 2))
+
+
+# (code, t, d); servers own several coordinates in the "pairs" cases, and
+# GF(257) has no tables, so it always walks the eval_table
+EVAL_CASES = {
+    "gf2-goppa-t1d1": (lambda: goppa_build(3, 1), 1, 1),
+    "gf2-goppa-t1d2": (lambda: goppa_build(3, 1), 1, 2),
+    "gf2-t1d3": (lambda: _binary_10_2(Labeling.identity(10)), 1, 3),
+    "gf2-t2d2": (lambda: _binary_10_2(Labeling.identity(10)), 2, 2),
+    "gf2-pairs-t1d2": (lambda: _binary_10_2(Labeling.balanced(5, 2)), 1, 2),
+    "gf4-rs-t1d1": (lambda: rs_build(4, 4, 3), 1, 1),
+    "gf4-rs-t1d2": (lambda: rs_build(4, 4, 2), 1, 2),
+    "gf4-rs-t1d3": (lambda: rs_build(4, 4, 1), 1, 3),
+    "gf4-hermitian-t2d2": (lambda: hermitian_build(2, 3), 2, 2),
+    "gf5-rs-t1d1": (lambda: rs_build(5, 5, 4), 1, 1),
+    "gf5-rs-t1d2": (lambda: rs_build(5, 5, 3), 1, 2),
+    "gf5-rs-t1d3": (lambda: rs_build(5, 5, 2), 1, 3),
+    "gf5-rs-t2d2": (lambda: rs_build(5, 5, 1), 2, 2),
+    "gf9-rs-t1d1": (lambda: rs_build(9, 5, 3), 1, 1),
+    "gf9-rs-t1d2": (lambda: rs_build(9, 6, 3), 1, 2),
+    "gf9-rs-t1d3": (lambda: rs_build(9, 6, 2), 1, 3),
+    "gf9-rs-t2d2": (lambda: rs_build(9, 7, 3), 2, 2),
+    "gf9-pairs-t1d3": (_rs9_pairs, 1, 3),
+    "gf257-rs-t1d1": (lambda: rs_build(257, 5, 3), 1, 1),
+    "gf257-rs-t1d2": (lambda: rs_build(257, 5, 3), 1, 2),
+    "gf257-rs-t1d3": (lambda: rs_build(257, 6, 3), 1, 3),
+    "gf257-rs-t2d2": (lambda: rs_build(257, 7, 3), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES))
+def test_eval_server_matches_oracle_across_fields(name):
+    build, t, d = EVAL_CASES[name]
+    scheme = hss.scheme_for_code(build(), t=t, d=d, m=d + 1)
+    params = scheme.params
+    for seed in range(2):
+        views = _views(scheme, seed)
+        for chosen in (None, (params.m,) * d):
+            for j in range(1, params.s + 1):
+                assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(scheme, j, views[j], chosen)
+    # the tensors ran wherever the field has tables
+    assert sorted(scheme._tensors) == (list(range(1, params.s + 1)) if params.spec.q <= 256 else [])
+
+
+@pytest.mark.parametrize("name", ["goppa", "rs5"])
+def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name):
+    scheme = wire_schemes[name]
+    parsed = hss.scheme_from_text(hss.scheme_to_text(scheme))
+    assert parsed.solutions is None
+    secrets = _secrets(scheme.params, 12)
+    transcript, outputs = protocol.simulate(scheme, secrets, seed=4)
+    parsed_transcript, parsed_outputs = protocol.simulate(parsed, secrets, seed=4)
+    assert parsed_outputs == outputs
+    digest = hashlib.sha256(b"".join(transcript.frames)).hexdigest()
+    assert hashlib.sha256(b"".join(parsed_transcript.frames)).hexdigest() == digest
+    assert not parsed._tensors
+
+
+@pytest.mark.parametrize("name", ["goppa", "rs5"])
+def test_eval_server_reordered_fragment_matches_oracle(wire_schemes, name):
+    """A fragment with the right keys in another order is still read by key."""
+    scheme = wire_schemes[name]
+    views = _views(scheme, 5)
+    for j in (1, scheme.params.s):
+        view = {}
+        for key, fragment in views[j].items():
+            items = list(fragment.items())
+            view[key] = dict(items[1:] + items[:1])  # rotated by one key
+        assert all(list(view[key]) != list(views[j][key]) for key in view)
+        assert hss.eval_server(scheme, j, view) == oracles.eval_server(scheme, j, view)
+
+
+def test_tensors_serve_complete_fragments_and_are_built_once(monkeypatch):
+    """With complete fragments the eval_table walk never runs, and each
+    server's tensors are built on its first call only."""
+
+    def walk(*args):
+        raise AssertionError("the per-monomial loop ran")
+
+    builds = []
+    build = hss._build_tensors
+    monkeypatch.setattr(hss, "_eval_by_monomial", walk)
+    monkeypatch.setattr(hss, "_build_tensors", lambda scheme, j: builds.append(j) or build(scheme, j))
+    for code, t, d in ((goppa_build(3, 1), 1, 2), (rs_build(9, 7, 3), 2, 2)):
+        scheme = hss.scheme_for_code(code, t=t, d=d)
+        builds.clear()
+        for seed in range(3):
+            secrets = _secrets(scheme.params, seed)
+            assert hss.run_end_to_end(scheme, secrets, seed).ok
+            assert protocol.simulate(scheme, secrets, seed)[1] == hss.run_end_to_end(scheme, secrets, seed).outputs
+        assert builds == list(range(1, scheme.params.s + 1))
+
+
+def test_solution_blocks_reproduce_the_eval_table(schemes):
+    """Every monomial's coefficient, read from the blocks, is its table entry (or absent when zero)."""
+    scheme = schemes["hermitian"][0]
+    params, blocks = scheme.params, scheme.solutions
+    subsets = hss.subsets_of_size(params.s, params.t)
+    combos = list(itertools.product(subsets, repeat=params.d))
+    assert len(blocks.combo_union) == len(combos)
+    rebuilt = {r: {} for r in range(scheme.n)}
+    for combo, u in zip(combos, blocks.combo_union):
+        assert blocks.unions[u] == frozenset().union(*combo)
+        for i in range(1, params.ell + 1):
+            for r, coeff in zip(blocks.coords[u], blocks.solutions[u][i - 1 :: params.ell]):
+                if coeff:
+                    rebuilt[r][hss.MonomialId(i, combo)] = coeff
+    assert rebuilt == scheme.eval_table
 
 
 # -- sharing and the wire path ------------------------------------------------------
