@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
-"""Benchmark the codeword-enumeration kernels: compiled extension vs the
-pure-Python fallback.
+"""Benchmark the bit-packed codeword-enumeration kernel against the
+depth-first walk it replaced (kept in tests/oracles.py).
 
 Usage:  python3 benchmarks/bench_kernels.py [--repeats N] [--big]
 
-Each case reports the best-of-N wall time per backend and the speedup of
-the compiled kernel when it is available.  --big adds a 2^20-message
-instance (pure Python takes tens of seconds there; the compiled kernel
-does not care).
+Each case reports the best-of-N wall time of both implementations, the
+q^k messages of the case divided by that time, and the speedup.  The two must
+agree on every case.  --big adds a 2^20-message instance (the oracle
+takes minutes there, so that case times the kernel alone).
 """
 
 import argparse
@@ -16,11 +16,14 @@ import sys
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
 
-from labelweight_hss import kernels
-from labelweight_hss.codes import goppa_build, hermitian_build
-from labelweight_hss.galois import FieldSpec
+import oracles  # noqa: E402
+from labelweight_hss import kernels  # noqa: E402
+from labelweight_hss.codes import goppa_build, hermitian_build  # noqa: E402
+from labelweight_hss.galois import FieldSpec  # noqa: E402
 
 
 def code_case(name, code):
@@ -44,26 +47,18 @@ def random_case(name, q, k, n, seed):
     spec = FieldSpec(p, e)
     rng = random.Random(seed)
     rows = bytes(rng.randrange(q) for _ in range(k * n))
-    labels0 = bytes(j % n for j in range(n))  # identity labels
+    labels0 = bytes(range(n))  # identity labels
     return (name, spec, rows, k, n, labels0, n)
 
 
-def run_case(case, repeats):
-    name, spec, rows, k, n, labels0, s = case
-    add, mul = spec.add_table, spec.mul_table
-    results = {}
-    for backend, impl in sorted(kernels.backends().items()):
-        best = None
-        value = None
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            value = impl.min_labelweight(rows, k, n, labels0, add, mul, spec.q, s)
-            dt = time.perf_counter() - t0
-            best = dt if best is None else min(best, dt)
-        results[backend] = (best, value)
-    values = {v for _, v in results.values()}
-    assert len(values) == 1, f"{name}: backends disagree: {results}"
-    return name, spec.q**k, results
+def best_time(impl, args, repeats):
+    best, value = None, None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        value = impl.min_labelweight(*args)
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, value
 
 
 def main() -> int:
@@ -75,24 +70,27 @@ def main() -> int:
     cases = [
         code_case("goppa u=4 r=2  [16,8] GF(2)", goppa_build(4, 2)),
         code_case("hermitian q=2 k=5  [8,5] GF(4)", hermitian_build(2, 5)),
+        random_case("random [28,15] GF(2)", 2, 15, 28, seed=1),
         random_case("random [32,16] GF(2)", 2, 16, 32, seed=1),
         random_case("random [18,9] GF(4)", 4, 9, 18, seed=2),
+        random_case("random [20,10] GF(3)", 3, 10, 20, seed=3),
     ]
+    runs = [(case, True) for case in cases]
     if args.big:
-        cases.append(random_case("random [40,20] GF(2)", 2, 20, 40, seed=3))
+        runs.append((random_case("random [40,20] GF(2)", 2, 20, 40, seed=3), False))
 
-    print(f"active backend: {kernels.BACKEND}")
-    print(f"{'case':<34} {'messages':>10} {'pure':>12} {'compiled':>12} {'speedup':>9}")
-    for case in cases:
-        name, messages, results = run_case(case, args.repeats)
-        pure = results["pure"][0]
-        if "compiled" in results:
-            compiled = results["compiled"][0]
-            print(f"{name:<34} {messages:>10} {pure:>11.4f}s {compiled:>11.4f}s {pure / compiled:>8.1f}x")
-        else:
-            print(f"{name:<34} {messages:>10} {pure:>11.4f}s {'-':>12} {'-':>9}")
-    if "compiled" not in kernels.backends():
-        print("compiled kernel not built; run: python3 setup.py build_ext --inplace")
+    print(f"{'case':<34} {'messages':>10} {'kernel':>10} {'msg/s':>10} {'oracle':>10} {'msg/s':>10} {'speedup':>8}")
+    for (name, spec, rows, k, n, labels0, s), with_oracle in runs:
+        call = (rows, k, n, labels0, spec.add_table, spec.mul_table, spec.q, s)
+        messages = spec.q**k
+        fast, value = best_time(kernels, call, args.repeats)
+        line = f"{name:<34} {messages:>10} {fast:>9.4f}s {messages / fast:>10.3g}"
+        if not with_oracle:
+            print(f"{line} {'-':>10} {'-':>10} {'-':>8}")
+            continue
+        slow, expected = best_time(oracles, call, args.repeats)
+        assert value == expected, f"{name}: kernel {value} != oracle {expected}"
+        print(f"{line} {slow:>9.4f}s {messages / slow:>10.3g} {slow / fast:>7.1f}x")
     return 0
 
 

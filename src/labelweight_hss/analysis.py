@@ -36,10 +36,12 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import kernels
+from .budget import LABELWEIGHT_BUDGET, effective_budget
 from .codes import Labeling, ball_volume, prime_power
 from .errors import (
     ConditionViolated,
     DegenerateDimension,
+    EnumerationBudgetExceeded,
     NotACube,
     ParameterOutOfRange,
 )
@@ -333,12 +335,19 @@ def gv_monte_carlo(cfg: GvConfig, trials: int, seed: int) -> GvReport:
     observed fraction is compared against q^(-eps*n) plus a three-sigma
     binomial allowance.  Trial i draws from a generator seeded with
     (seed, i), so any subset of trials is reproducible in isolation.
+    Each trial enumerates q^k messages, which must fit the labelweight
+    enumeration budget.
     """
     if trials < 1:
         raise ParameterOutOfRange("need at least one trial")
     p, e = prime_power(cfg.q)
     spec = FieldSpec(p, e)
     k = gv_dimension(cfg)
+    limit, total = effective_budget(LABELWEIGHT_BUDGET), cfg.q**k
+    if total > limit:
+        raise EnumerationBudgetExceeded(
+            f"{total} messages per trial (dimension {k}) exceed budget {limit}; raise HSS_ENUM_BUDGET to force"
+        )
     lab = Labeling.balanced(cfg.s, cfg.w)
     labels0 = bytes(v - 1 for v in lab.map)
     add_t, mul_t = spec.add_table, spec.mul_table

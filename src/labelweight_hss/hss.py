@@ -323,6 +323,8 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     not found raises MissingShare.  Both give the same outputs.
     """
     params = scheme.params
+    if not 1 <= j <= params.s:
+        raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")

@@ -9,6 +9,9 @@ fragment scan per server and secret, the frame codec packing one element
 per ``int.to_bytes`` call, and the simulation that orders each server's
 payload by an explicit (instance, variable, subset) list.  The optimised
 code must agree with them exactly, on values and on the errors raised.
+The enumeration kernel keeps its depth-first walk over unpacked
+coordinate lists, one table addition per coordinate, which the bit-packed
+``kernels.min_labelweight`` replaced.
 """
 
 from __future__ import annotations
@@ -75,6 +78,65 @@ def neg(spec: FieldSpec, a: int) -> int:
 
 def sub(spec: FieldSpec, a: int, b: int) -> int:
     return add(spec, a, neg(spec, b))
+
+
+# -- kernels: depth-first walk over coordinate lists --------------------------------
+
+
+def min_labelweight(
+    rows: bytes,
+    nrows: int,
+    ncols: int,
+    labels0: bytes,
+    add: bytes,
+    mul: bytes,
+    q: int,
+    s: int,
+) -> int:
+    """Minimum labelweight over the nonzero words of the row span.
+
+    Walks all q^nrows messages in base-q counter order, adding one
+    precomputed scaled generator row per level; zero words are skipped
+    and a trivial span gives the sentinel s + 1.
+    """
+    if nrows < 1:
+        raise ValueError("generator needs at least one row")
+    scaled = [
+        [
+            [mul[c * q + rows[i * ncols + j]] for j in range(ncols)]
+            for c in range(q)
+        ]
+        for i in range(nrows)
+    ]
+    best = s + 1
+    use_mask = s <= 64
+    label_bit = [1 << b for b in labels0] if use_mask else None
+
+    def descend(level: int, acc: list[int]) -> None:
+        nonlocal best
+        last = level == nrows - 1
+        for c in range(q):
+            srow = scaled[level][c]
+            nxt = acc if c == 0 else [add[a * q + b] for a, b in zip(acc, srow)]
+            if last:
+                if use_mask:
+                    mask = 0
+                    for j, v in enumerate(nxt):
+                        if v:
+                            mask |= label_bit[j]
+                    if mask:
+                        weight = bin(mask).count("1")
+                        if weight < best:
+                            best = weight
+                else:
+                    touched = {labels0[j] for j, v in enumerate(nxt) if v}
+                    if touched and len(touched) < best:
+                        best = len(touched)
+            else:
+                descend(level + 1, nxt)
+
+    descend(0, [0] * ncols)
+    return best
 
 
 # -- matrix: one field call per cell ---------------------------------------------

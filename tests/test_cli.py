@@ -139,6 +139,18 @@ def test_gv_sim(capsys):
     assert "ball-bound ok" in out
 
 
+def test_gv_sim_over_enumeration_budget(capsys, monkeypatch):
+    # k = 48 here: 2^48 messages per trial are refused before any draw
+    monkeypatch.delenv("HSS_ENUM_BUDGET", raising=False)
+    code, out, err = run(
+        capsys, "gv-sim", "--q", "2", "--w", "2", "--s", "40",
+        "--delta", "1/8", "--eps", "1/50", "--trials", "1",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith("error: ") and "budget 16777216" in err
+
+
 def test_csv_output_parses_with_generic_reader(capsys):
     import csv
     import io

@@ -244,6 +244,16 @@ def test_missing_share_raises():
         eval_server(scheme, 1, {(1, 1): {}})
 
 
+@pytest.mark.parametrize("j", [0, 9, -1])
+def test_server_id_outside_range_raises(j):
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2)
+    _, views = share_all_secrets(scheme.params, [[1, 2]] * 2, random.Random(0))
+    eval_server(scheme, 1, views[1])
+    with pytest.raises(ParameterOutOfRange, match=f"j={j} outside 1..s=5"):
+        eval_server(scheme, j, views[1])
+    assert list(scheme._tensors) == [1]
+
+
 def test_zero_secrets_zero_outputs():
     code = hermitian_build(2, 5)
     scheme = scheme_for_code(code, t=1, d=2)

@@ -1,97 +1,31 @@
-"""Backend parity: every importable kernel must agree with an independent
-itertools-based enumeration, and with each other, on seeded random inputs.
-
-The compiled kernel is built here by the repo's own build step
-(``setup.py build_ext --inplace``) on a copy of the sources in a temporary
-directory, so the checks run on a fresh checkout and nothing is built into the
-working tree, where a stray module would switch ``KERNEL_BACKEND``.
+"""Parity of the bit-packed enumeration kernel with an independent
+itertools enumeration and with the depth-first walk it replaced
+(``tests/oracles.py``), across field orders, label layouts, label counts
+and generator shapes.
 """
 
-import importlib.util
 import itertools
-import json
-import os
 import random
-import shlex
-import shutil
-import subprocess
-import sys
-import sysconfig
-from pathlib import Path
-from unittest import mock
+import tracemalloc
 
 import pytest
 
+import labelweight_hss
 from labelweight_hss import kernels
+from labelweight_hss.codes import goppa_build
 from labelweight_hss.galois import FieldSpec
 
-FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), FieldSpec(2, 3)]
+import oracles
 
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _missing_toolchain():
-    """What the extension build needs and this machine lacks, or ''."""
-    cc = shlex.split(os.environ.get("CC") or sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        return f"C compiler {cc[0] if cc else None!r} not on PATH"
-    python_h = Path(sysconfig.get_paths()["include"]) / "Python.h"
-    if not python_h.is_file():
-        return f"{python_h} missing"
-    return ""
-
-
-MISSING_TOOLCHAIN = _missing_toolchain()
-needs_toolchain = pytest.mark.skipif(bool(MISSING_TOOLCHAIN), reason=MISSING_TOOLCHAIN)
-
-
-@pytest.fixture(scope="session")
-def kernel_build(tmp_path_factory):
-    """Run ``setup.py build_ext --inplace`` on a copy of the build inputs.
-
-    Returns the copy's root, the build's combined output and the built
-    module's path (None when the build produced none).  ``-O0`` keeps the
-    compile short: this checks the build and parity, not speed.
-    """
-    root = tmp_path_factory.mktemp("kernel-build")
-    shutil.copy2(ROOT / "setup.py", root)
-    shutil.copy2(ROOT / "pyproject.toml", root)
-    shutil.copytree(
-        ROOT / "src" / "labelweight_hss",
-        root / "src" / "labelweight_hss",
-        ignore=shutil.ignore_patterns("__pycache__", "*.so", "*.pyd"),
-    )
-    proc = subprocess.run(
-        [sys.executable, "setup.py", "build_ext", "--inplace"],
-        cwd=root,
-        env={**os.environ, "CFLAGS": "-O0"},
-        capture_output=True,
-        text=True,
-        timeout=600,
-    )
-    log = f"exit {proc.returncode}\n{proc.stdout}{proc.stderr}"
-    built = root / "src" / "labelweight_hss" / ("_speedups" + sysconfig.get_config_var("EXT_SUFFIX"))
-    return root, log, built if built.is_file() else None
-
-
-@pytest.fixture(scope="session")
-def built_kernel(request):
-    """The module the build produced, loaded from its path, or None.
-
-    Without a toolchain the build is not attempted.
-    """
-    if MISSING_TOOLCHAIN:
-        return None
-    _, _, path = request.getfixturevalue("kernel_build")
-    if path is None:
-        return None
-    spec = importlib.util.spec_from_file_location("labelweight_hss._speedups", path)
-    # loading registers the module in sys.modules; restore it so later imports
-    # in this process still see the source tree's backends, not this build
-    with mock.patch.dict(sys.modules):
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    return module
+FIELDS = [
+    FieldSpec(2),
+    FieldSpec(3),
+    FieldSpec(2, 2),
+    FieldSpec(5),
+    FieldSpec(2, 3),
+    FieldSpec(7),
+    FieldSpec(3, 2),
+]
 
 
 def reference(rows, nrows, ncols, labels0, spec):
@@ -108,55 +42,147 @@ def reference(rows, nrows, ncols, labels0, spec):
     return best
 
 
+def args_for(spec, rows, nrows, ncols, labels0, s):
+    return (bytes(rows), nrows, ncols, bytes(labels0), spec.add_table, spec.mul_table, spec.q, s)
+
+
+def random_labels(rng, ncols, s):
+    """A surjective labeling onto s labels, groups uneven and interleaved."""
+    labels0 = list(range(s)) + [rng.randrange(s) for _ in range(ncols - s)]
+    rng.shuffle(labels0)
+    return labels0
+
+
+def assert_parity(spec, rows, nrows, ncols, labels0, s, with_reference=True):
+    args = args_for(spec, rows, nrows, ncols, labels0, s)
+    got = kernels.min_labelweight(*args)
+    assert got == oracles.min_labelweight(*args)
+    if with_reference:
+        want = reference(args[0], nrows, ncols, args[3], spec)
+        assert got == (s + 1 if want is None else want)
+    return got
+
+
 def test_backend_reports_which_is_active():
-    assert kernels.BACKEND in ("compiled", "pure")
-    assert "pure" in kernels.backends()
-
-
-@needs_toolchain
-def test_compiled_backend_present(kernel_build):
-    # the build step of this repo compiles the extension; if this fails the
-    # fallback still works but we want to know
-    root, log, _ = kernel_build
-    probe = (
-        "import json; import labelweight_hss; from labelweight_hss import kernels; "
-        "print(json.dumps([sorted(kernels.backends()), labelweight_hss.KERNEL_BACKEND, kernels.__file__]))"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", probe],
-        cwd=root,
-        env={**os.environ, "PYTHONPATH": str(root / "src")},
-        capture_output=True,
-        text=True,
-    )
-    assert proc.returncode == 0, proc.stderr
-    backends, backend, where = json.loads(proc.stdout)
-    assert Path(where).is_relative_to(root), f"imported {where}, not the build copy"
-    why = f"compiled kernel missing after setup.py build_ext --inplace; build output:\n{log}"
-    assert "compiled" in backends, why
-    assert backend == "compiled", why
+    assert kernels.BACKEND == "pure"
+    assert labelweight_hss.KERNEL_BACKEND == "pure"
 
 
 @pytest.mark.parametrize("spec", FIELDS)
-def test_backends_match_reference(spec, built_kernel):
+def test_backends_match_reference(spec):
     rng = random.Random(100 + spec.q)
-    impls = dict(kernels.backends())
-    if built_kernel is not None:
-        impls["built"] = built_kernel
-    add, mul = spec.add_table, spec.mul_table
     for _ in range(40):
-        nrows = rng.randrange(1, 4)
-        ncols = rng.randrange(1, 8)
+        nrows = rng.randrange(1, 5 if spec.q <= 4 else 4)
+        ncols = rng.randrange(1, 9)
         s = rng.randrange(1, ncols + 1)
-        labels0 = bytes(
-            list(range(s)) + [rng.randrange(s) for _ in range(ncols - s)]
-        )
-        rows = bytes(rng.randrange(spec.q) for _ in range(nrows * ncols))
-        want = reference(rows, nrows, ncols, labels0, spec)
-        want = s + 1 if want is None else want
-        for name, impl in impls.items():
-            got = impl.min_labelweight(rows, nrows, ncols, labels0, add, mul, spec.q, s)
-            assert got == want, f"{name} disagrees with reference"
+        labels0 = random_labels(rng, ncols, s)
+        density = rng.random()  # sparse rows make rank-deficient spans
+        rows = [rng.randrange(spec.q) if rng.random() < density else 0 for _ in range(nrows * ncols)]
+        assert_parity(spec, rows, nrows, ncols, labels0, s)
+
+
+@pytest.mark.parametrize(
+    "spec, nrows",
+    [(FieldSpec(2), k) for k in range(1, 10)]
+    + [(FieldSpec(3), k) for k in range(1, 7)]
+    + [(FieldSpec(2, 2), k) for k in range(1, 6)],
+)
+def test_split_of_odd_and_even_dimension(spec, nrows):
+    # the walk pairs the span of the first ceil(k/2) rows with the rest
+    rng = random.Random(nrows * 31 + spec.q)
+    ncols, s = 12, 5
+    for _ in range(4):
+        labels0 = random_labels(rng, ncols, s)
+        rows = [rng.randrange(spec.q) for _ in range(nrows * ncols)]
+        assert_parity(spec, rows, nrows, ncols, labels0, s, with_reference=False)
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_uneven_label_groups(spec):
+    # one wide group, singletons and an empty label
+    labels0 = [0, 2, 0, 3, 0, 0, 2, 0, 3, 5]
+    rng = random.Random(spec.q)
+    for _ in range(5):
+        rows = [rng.randrange(spec.q) for _ in range(2 * len(labels0))]
+        assert_parity(spec, rows, 2, len(labels0), labels0, 6)
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2)])
+def test_more_than_64_labels(spec):
+    rng = random.Random(70 + spec.q)
+    s = 70
+    labels0 = random_labels(rng, 90, s)
+    for _ in range(3):
+        rows = [rng.randrange(spec.q) if rng.random() < 0.1 else 0 for _ in range(3 * 90)]
+        assert_parity(spec, rows, 3, 90, labels0, s, with_reference=False)
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_rank_deficient_generators(spec):
+    rng = random.Random(7 * spec.q)
+    ncols, s = 6, 4
+    labels0 = random_labels(rng, ncols, s)
+    base = [rng.randrange(spec.q) for _ in range(ncols)]
+    c = rng.randrange(1, spec.q) if spec.q > 2 else 1
+    # row 2 is c * row 1, row 3 is zero
+    rows = base + [spec.mul(c, v) for v in base] + [0] * ncols
+    assert_parity(spec, rows, 3, ncols, labels0, s)
+
+
+@pytest.mark.parametrize("spec", FIELDS)
+def test_zero_generators(spec):
+    for nrows in (1, 2, 3):
+        assert assert_parity(spec, [0] * (nrows * 4), nrows, 4, [0, 1, 1, 2], 3) == 4
+
+
+@pytest.mark.parametrize("p", [11, 131, 251])
+def test_wide_prime_digit_fields(p):
+    # digit fields grow with p; two digits near p must still add mod p
+    spec = FieldSpec(p)
+    rng = random.Random(p)
+    for _ in range(4):
+        labels0 = random_labels(rng, 5, 3)
+        rows = [rng.choice([0, 1, p - 1, p - 2, rng.randrange(p)]) for _ in range(2 * 5)]
+        assert_parity(spec, rows, 2, 5, labels0, 3, with_reference=False)
+
+
+def test_packed_matches_oracle_on_goppa_code():
+    code = goppa_build(4, 2)
+    spec = code.spec
+    args = (
+        code.generator.to_bytes(),
+        code.dim,
+        code.n,
+        bytes(v - 1 for v in code.labeling.map),
+        spec.add_table,
+        spec.mul_table,
+        spec.q,
+        code.s,
+    )
+    assert kernels.min_labelweight(*args) == oracles.min_labelweight(*args)
+
+
+def test_no_rows_raise():
+    spec = FieldSpec(2)
+    with pytest.raises(ValueError):
+        kernels.min_labelweight(b"", 0, 2, bytes([0, 1]), spec.add_table, spec.mul_table, 2, 2)
+
+
+def test_walk_holds_half_spans_not_the_whole_span():
+    # 2^16 messages: one list of the whole span would hold 2^16 pointers
+    spec = FieldSpec(2)
+    nrows, ncols = 16, 32
+    rng = random.Random(16)
+    rows = bytes(rng.randrange(2) for _ in range(nrows * ncols))
+    args = (rows, nrows, ncols, bytes(range(ncols)), spec.add_table, spec.mul_table, 2, ncols)
+    tracemalloc.start()
+    try:
+        got = kernels.min_labelweight(*args)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got > 1  # no early stop: every pair was walked
+    assert peak < 2**16 * 8 // 8, f"traced peak {peak} B"
 
 
 def test_rank_deficient_rows_are_skipped_not_zero():
@@ -182,23 +208,3 @@ def test_wide_labels_use_pure_path():
     rows = bytes([1] * 70)
     got = kernels.min_labelweight(rows, 1, ncols, labels0, spec.add_table, spec.mul_table, 2, 70)
     assert got == 70
-
-
-@needs_toolchain
-def test_compiled_matches_pure_on_goppa_code(kernel_build, built_kernel):
-    from labelweight_hss.codes import goppa_build
-
-    assert built_kernel is not None, f"build produced no module; build output:\n{kernel_build[1]}"
-    code = goppa_build(4, 2)
-    spec = code.spec
-    args = (
-        code.generator.to_bytes(),
-        code.dim,
-        code.n,
-        bytes(v - 1 for v in code.labeling.map),
-        spec.add_table,
-        spec.mul_table,
-        spec.q,
-        code.s,
-    )
-    assert built_kernel.min_labelweight(*args) == kernels.backends()["pure"].min_labelweight(*args)
