@@ -9,11 +9,12 @@ Subcommands map one-to-one onto the package's artifact classes:
 * ``audit-privacy``  exhaustive share-distribution equality audit
 * ``gv-sim``         random-code labelweight Monte Carlo
 
-Exit codes: 0 success, 1 verification failure or a limit of the
-implementation (such as field order > 256 where bytes are packed),
-2 bad usage or parameters.
-All randomized paths take --seed and are byte-reproducible from it; the
-HSS_ENUM_BUDGET environment variable overrides enumeration budgets.
+Exit codes: 0 success, 1 verification failure, a malformed input
+document or a limit of the implementation (such as field order > 256
+where bytes are packed), 2 bad usage or parameters.
+The randomized commands (demo, simulate, gv-sim) take --seed and are
+byte-reproducible from it; the HSS_ENUM_BUDGET environment variable
+overrides enumeration budgets.
 """
 
 from __future__ import annotations
@@ -47,58 +48,51 @@ def _parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
-        p.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
-        p.add_argument("--format", choices=("csv", "markdown", "text"), default="text")
-        p.add_argument("--out", help="write output to this path instead of stdout")
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", help="write output to this path instead of stdout")
+    seeded = argparse.ArgumentParser(add_help=False, parents=[out])
+    seeded.add_argument("--seed", type=int, default=0, help="RNG seed (default 0)")
 
-    table = sub.add_parser("table", help="emit a parameter comparison table")
+    table = sub.add_parser("table", parents=[out], help="emit a parameter comparison table")
     table.add_argument("kind", choices=("hermitian", "goppa", "gv-example"))
     table.add_argument("--dt", type=int, required=True, help="degree*privacy product")
     table.add_argument("--servers", required=True, help="comma-separated server counts")
     table.add_argument("--eps", default="1/20", help="slack for gv-example (fraction)")
-    add_common(table)
+    table.add_argument("--format", choices=("csv", "markdown", "text"), default="text")
 
-    code = sub.add_parser("code", help="build or inspect labelweight codes")
+    code = sub.add_parser("code", parents=[out], help="build or inspect labelweight codes")
     code.add_argument("action", choices=("build", "info", "labelweight"))
     code.add_argument("--family", choices=("goppa", "hermitian", "rs"))
     code.add_argument("--in", dest="infile", help="read a serialized code document")
     _add_family_flags(code)
-    add_common(code)
 
-    demo = sub.add_parser("demo", help="end-to-end correctness runs")
+    demo = sub.add_parser("demo", parents=[seeded], help="end-to-end correctness runs")
     demo.add_argument("--code", dest="family", required=True, choices=("goppa", "hermitian", "rs"))
     _add_family_flags(demo)
     _add_scheme_flags(demo)
     demo.add_argument("--trials", type=int, default=1)
-    add_common(demo)
 
-    sim = sub.add_parser("simulate", help="message-passing protocol runs")
+    sim = sub.add_parser("simulate", parents=[seeded], help="message-passing protocol runs")
     sim.add_argument("--code", dest="family", choices=("goppa", "hermitian", "rs"))
     _add_family_flags(sim)
     _add_scheme_flags(sim, required=False)
     sim.add_argument("--trials", type=int, default=1)
     sim.add_argument("--dump-transcript", help="write the last run's transcript here")
     sim.add_argument("--replay", help="decode and summarize a dumped transcript")
-    add_common(sim)
 
-    audit = sub.add_parser("audit-privacy", help="exhaustive sharing privacy audit")
+    audit = sub.add_parser("audit-privacy", parents=[out], help="exhaustive sharing privacy audit")
     audit.add_argument("--s", type=int, required=True)
     audit.add_argument("--t", type=int, required=True)
     audit.add_argument("--p", type=int, required=True, help="field characteristic")
     audit.add_argument("--k", type=int, default=1, help="field extension degree")
-    audit.add_argument("--d", type=int, default=1)
-    audit.add_argument("--m", type=int, default=1)
-    add_common(audit)
 
-    gv = sub.add_parser("gv-sim", help="random-code labelweight Monte Carlo")
+    gv = sub.add_parser("gv-sim", parents=[seeded], help="random-code labelweight Monte Carlo")
     gv.add_argument("--q", type=int, required=True)
     gv.add_argument("--w", type=int, required=True)
     gv.add_argument("--s", type=int, required=True)
     gv.add_argument("--delta", required=True, help="relative labelweight (fraction, e.g. 1/3)")
     gv.add_argument("--eps", required=True, help="slack (fraction, e.g. 1/10)")
     gv.add_argument("--trials", type=int, default=500)
-    add_common(gv)
 
     return parser
 
@@ -280,7 +274,7 @@ def _cmd_audit(args) -> int:
     from .hss import privacy_audit
 
     spec = FieldSpec(args.p, args.k)
-    report = privacy_audit(args.t, args.s, spec, d=args.d, m=args.m)
+    report = privacy_audit(args.t, args.s, spec)
     lines = [
         f"audit s={args.s} t={args.t} field={report.field} "
         f"randomness-space={report.randomness_space} checks={len(report.checks)}"

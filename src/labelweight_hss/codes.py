@@ -38,6 +38,7 @@ from .galois import FieldElement, FieldSpec, Polynomial, find_irreducible, is_ir
 from .matrix import MatrixF, kernel_basis, rank
 
 CODE_FORMAT_TAG = "labelweight-code/v1"
+_CODE_FIELDS = ("field", "n", "dim", "servers", "labeling")
 
 
 class Labeling:
@@ -71,9 +72,6 @@ class Labeling:
 
     def coords(self, label: int) -> list[int]:
         return [j for j, v in enumerate(self.map) if v == label]
-
-    def coords_in(self, labels: set[int]) -> list[int]:
-        return [j for j, v in enumerate(self.map) if v in labels]
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Labeling) and other.s == self.s and other.map == self.map
@@ -380,27 +378,32 @@ def code_to_text(code: LabeledCode) -> str:
 
 
 def code_from_text(text: str) -> LabeledCode:
+    """Parse a code document.  Raises DecodeError for a missing, repeated
+    or unknown header line, inconsistent dimensions, a cell outside the
+    field, and a labeling or generator that LabeledCode rejects."""
     lines = text.splitlines()
     if not lines or lines[0] != CODE_FORMAT_TAG:
         raise DecodeError(f"missing {CODE_FORMAT_TAG} header")
     fields: dict[str, str] = {}
     rows = []
-    for line in lines[1:]:
-        if not line.strip():
-            continue
-        key, _, rest = line.partition(" ")
-        if key == "row":
-            rows.append([int(v) for v in rest.split(",")])
-        else:
-            fields[key] = rest
     try:
+        for line in lines[1:]:
+            if not line.strip():
+                continue
+            key, _, rest = line.partition(" ")
+            if key == "row":
+                rows.append([int(v) for v in rest.split(",")])
+            elif key in fields or key not in _CODE_FIELDS:
+                raise DecodeError(f"repeated or unknown line {line!r}")
+            else:
+                fields[key] = rest
         spec = parse_field(fields["field"])
         n = int(fields["n"])
         dim = int(fields["dim"])
         s = int(fields["servers"])
         labels = [int(v) for v in fields["labeling"].split(",")]
-    except (KeyError, ValueError) as exc:
+        if len(labels) != n or len(rows) != dim or any(len(r) != n for r in rows):
+            raise DecodeError("code document dimensions are inconsistent")
+        return LabeledCode(spec, MatrixF(spec, rows), Labeling(s, labels))
+    except (KeyError, ValueError, ParameterOutOfRange) as exc:
         raise DecodeError(f"bad code document: {exc}") from exc
-    if len(labels) != n or len(rows) != dim or any(len(r) != n for r in rows):
-        raise DecodeError("code document dimensions are inconsistent")
-    return LabeledCode(spec, MatrixF(spec, rows), Labeling(s, labels))

@@ -58,11 +58,11 @@ class HssParams:
 
     def __post_init__(self):
         if self.t < 1 or self.d < 1:
-            raise ParameterOutOfRange("t and d must both be >= 1")
+            raise ParameterOutOfRange(f"t and d must both be >= 1, got t={self.t}, d={self.d}")
         if self.s - self.d * self.t <= 0:
             raise ParameterOutOfRange(f"need s > d*t, got s={self.s}, d*t={self.d * self.t}")
         if self.ell < 1:
-            raise ParameterOutOfRange("ell must be >= 1")
+            raise ParameterOutOfRange(f"ell must be >= 1, got ell={self.ell}")
         if self.m < self.d:
             raise ParameterOutOfRange(f"need m >= d, got m={self.m}, d={self.d}")
 
@@ -142,15 +142,22 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     The second value is a LocalMonomials mapping, which builds each
     server's list on first access.
     """
+    combos = _subset_combos(params, budget)
+    monomials = [MonomialId(i, combo) for i in range(1, params.ell + 1) for combo in combos]
+    unions = [frozenset().union(*combo) for combo in combos]
+    return monomials, LocalMonomials(monomials, unions, params.s)
+
+
+def _subset_combos(params: HssParams, budget: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
+    """Every d-tuple of share subsets, in itertools.product order; raises
+    EnumerationBudgetExceeded when ell times their count exceeds the
+    monomial budget."""
     subsets = subsets_of_size(params.s, params.t)
     total = params.ell * len(subsets) ** params.d
     limit = effective_budget(MONOMIAL_BUDGET) if budget is None else budget
     if total > limit:
         raise EnumerationBudgetExceeded(f"{total} monomials exceed budget {limit}")
-    combos = list(itertools.product(subsets, repeat=params.d))
-    monomials = [MonomialId(i, combo) for i in range(1, params.ell + 1) for combo in combos]
-    unions = [frozenset().union(*combo) for combo in combos]
-    return monomials, LocalMonomials(monomials, unions, params.s)
+    return list(itertools.product(subsets, repeat=params.d))
 
 
 class LocalMonomials(Mapping):
@@ -181,17 +188,18 @@ class LocalMonomials(Mapping):
 
 
 class SolutionBlocks(NamedTuple):
-    """The solves behind a synthesized Eval table, one block per distinct
-    subset union U, in solve order.
+    """The Eval coefficients of a scheme, one block per distinct subset
+    union U, in solve order (unions sorted as sorted lists).
 
     Block u belongs to unions[u]: coords[u] are the coordinates of the
     servers outside it, and solutions[u] holds the ell solutions of
     G(Lambda) e = u_i over those coordinates, coordinate-major (bytes
-    when q <= 256): entry pos*ell + i - 1 is the coefficient of instance
-    i at coordinate coords[u][pos].  combo_union[c] is the block of
-    subset combo c, in itertools.product(subsets_of_size(s, t), repeat=d)
-    order.  Monomial (i, combo c) therefore has that coefficient with u =
-    combo_union[c]; eval_table holds the nonzero ones.
+    when q <= 256, a tuple above): entry pos*ell + i - 1 is the
+    coefficient of instance i at coordinate coords[u][pos].
+    combo_union[c] is the block of subset combo c, in
+    itertools.product(subsets_of_size(s, t), repeat=d) order.  Monomial
+    (i, combo c) therefore has that coefficient with u = combo_union[c];
+    eval_table lists the nonzero ones monomial by monomial.
     """
 
     unions: list[frozenset[int]]
@@ -200,27 +208,37 @@ class SolutionBlocks(NamedTuple):
     combo_union: list[int]
 
 
+def _block_layout(code: LabeledCode, params: HssParams, combo_unions: list[frozenset[int]]) -> SolutionBlocks:
+    """Blocks without solutions yet: the distinct unions of combo_unions
+    in solve order, the coordinates outside each, and combo_union."""
+    unions = sorted(set(combo_unions), key=sorted)
+    all_servers = set(range(1, params.s + 1))
+    coords = [column_indices(code.labeling.map, all_servers - union) for union in unions]
+    block_of = {union: u for u, union in enumerate(unions)}
+    return SolutionBlocks(unions, coords, [], list(map(block_of.__getitem__, combo_unions)))
+
+
 @dataclass
 class HssScheme:
-    """A synthesized scheme: code, parameters, and the sparse Eval table.
+    """A synthesized scheme: code, parameters, and the Eval coefficients
+    as SolutionBlocks (`solutions`), the one stored form.
 
     eval_table[r] maps each monomial to its coefficient in the output
-    polynomial z_r computed by server labeling(r); only nonzero
-    coefficients are stored.  A scheme from synthesize_eval also keeps
-    the SolutionBlocks the table was filled from (`solutions`; None for
-    schemes built by hand or read by scheme_from_text).  From them
-    eval_server builds, on a server's first call, one dense coefficient
-    tensor per (owned coordinate, instance) and caches it here, so a
-    scheme is treated as immutable once it has been evaluated: editing
-    its table or blocks afterwards does not reach those tensors.
+    polynomial z_r computed by server labeling(r), nonzero coefficients
+    only.  It is expanded from the blocks on first read and cached; it
+    serves the v1 document, the literal block-system check and
+    inspection, and evaluation never reads it.  eval_server builds, on a
+    server's first call, one dense coefficient tensor per (owned
+    coordinate, instance) from the blocks and caches it here, so a scheme
+    is treated as immutable once it has been read or evaluated: editing
+    its blocks afterwards reaches neither the table nor the tensors.
     """
 
     params: HssParams
     code: LabeledCode
-    eval_table: dict[int, dict[MonomialId, int]]
+    solutions: SolutionBlocks = field(repr=False)
     labelweight_verified: bool = True
-    meta: dict = field(default_factory=dict)
-    solutions: SolutionBlocks | None = field(default=None, repr=False, compare=False)
+    _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
     # server id -> (held subsets, tensors[coordinate position][instance - 1])
     _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
@@ -228,18 +246,44 @@ class HssScheme:
     def n(self) -> int:
         return self.code.n
 
+    @property
+    def eval_table(self) -> dict[int, dict[MonomialId, int]]:
+        if self._eval_table is None:
+            self._eval_table = _expand_blocks(self.params, self.n, self.solutions)
+        return self._eval_table
+
+
+def _expand_blocks(params: HssParams, n: int, blocks: SolutionBlocks) -> dict[int, dict[MonomialId, int]]:
+    """The per-monomial table of the blocks: block by block, instance by
+    instance, each nonzero coefficient stored for every monomial of the
+    (union, instance) group."""
+    members: list[list[tuple]] = [[] for _ in blocks.unions]
+    combos = itertools.product(subsets_of_size(params.s, params.t), repeat=params.d)
+    for combo, u in zip(combos, blocks.combo_union):
+        members[u].append(combo)
+    ell = params.ell
+    table: dict[int, dict[MonomialId, int]] = {r: {} for r in range(n)}
+    for cols, block, group_combos in zip(blocks.coords, blocks.solutions, members):
+        for i in range(1, ell + 1):
+            group = [MonomialId(i, combo) for combo in group_combos]
+            for r, coeff in zip(cols, block[i - 1 :: ell]):
+                if coeff:
+                    table[r].update(dict.fromkeys(group, coeff))
+    return table
+
 
 def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | None = None) -> HssScheme:
-    """Build the Eval coefficient table for the product-of-d-secrets family.
+    """Solve the Eval coefficients for the product-of-d-secrets family.
 
     Monomials sharing an (instance, subset-union) pair need the same
     linear solve and get the same coefficients, so subset combinations
-    are grouped by union, all ell unit targets are handled in one
-    elimination, and each nonzero solution entry is stored for the whole
-    (union, instance) group at once.  Raises InsufficientLabelweight
-    if the code's labelweight is below d*t + 1 (detected either by the
-    exhaustive check, when it fits the budget, or by a rank-deficient
-    column restriction during solving).
+    are grouped by union and all ell unit targets are handled in one
+    elimination per union; the solutions are kept as SolutionBlocks.
+    Raises InsufficientLabelweight if the code's labelweight is below
+    d*t + 1: by the exhaustive check when q <= 256 and q^ell fits the
+    budget, otherwise by a rank-deficient column restriction during
+    solving (every d*t servers are the union of d t-subsets, so a code
+    of labelweight at most d*t always leaves one).
     """
     if params.spec != code.spec:
         raise ParameterOutOfRange("params and code disagree on the field")
@@ -251,47 +295,23 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
     need = params.d * params.t + 1
     limit = effective_budget(LABELWEIGHT_BUDGET) if check_budget is None else check_budget
     verified = False
-    if code.spec.q**code.dim <= limit:
+    if code.spec.q <= MAX_TABLE_ORDER and code.spec.q**code.dim <= limit:
         lw = labelweight(code, budget=limit)
         if lw < need:
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
         verified = True
 
-    monomials, local = enumerate_monomials(params)
-    # monomials are instance-major, so monomials[i*ncombos + c] is subset combo c of instance i+1
-    ncombos = len(local.unions)
-    by_union: dict[frozenset, list[int]] = {}
-    for c, union in enumerate(local.unions):
-        by_union.setdefault(union, []).append(c)
-
-    G = code.generator
-    labels = code.labeling.map
-    all_servers = set(range(1, params.s + 1))
+    _, local = enumerate_monomials(params)
+    blocks = _block_layout(code, params, local.unions)
     units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
-    table: dict[int, dict[MonomialId, int]] = {r: {} for r in range(code.n)}
     pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
-    blocks = SolutionBlocks([], [], [], [])
-
-    for union, members in sorted(by_union.items(), key=lambda kv: sorted(kv[0])):
-        lam = all_servers - union
-        cols = column_indices(labels, lam)
-        solutions = solve_many(G.select_columns(cols), units)
+    for union, cols in zip(blocks.unions, blocks.coords):
+        solutions = solve_many(code.generator.select_columns(cols), units)
         if any(sol is None for sol in solutions):
-            raise InsufficientLabelweight(
-                f"columns labeled {sorted(lam)} have rank below {params.ell}; labelweight < {need}"
-            )
-        for i, sol in enumerate(solutions):
-            group = [monomials[i * ncombos + c] for c in members]
-            for r, coeff in zip(cols, sol):
-                if coeff:
-                    table[r].update(dict.fromkeys(group, coeff))
-        blocks.unions.append(union)
-        blocks.coords.append(cols)
+            lam = sorted(set(range(1, params.s + 1)) - union)
+            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {params.ell}; labelweight < {need}")
         blocks.solutions.append(pack(itertools.chain.from_iterable(zip(*solutions))))
-
-    block_of = {union: u for u, union in enumerate(blocks.unions)}
-    blocks.combo_union.extend(map(block_of.__getitem__, local.unions))
-    return HssScheme(params, code, table, labelweight_verified=verified, solutions=blocks)
+    return HssScheme(params, code, blocks, labelweight_verified=verified)
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
@@ -312,15 +332,15 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     {T: y_T with j not in T}; var_indices picks which of the m variables
     feed the d product slots (repetition allowed).
 
-    Each output share z_r is a fixed d-linear form in the shares.  When
-    the scheme keeps its SolutionBlocks, q <= 256, and every fragment
-    read holds exactly server j's subsets in subsets_of_size order (as
-    share_all_secrets and protocol.simulate produce them), the form is
-    contracted against dense coefficient tensors built once per server
-    and cached on the scheme (see HssScheme).  Otherwise the sparse
-    eval_table is walked monomial by monomial: a product stops at its
-    first zero share, and the first share looked up, in table order, and
-    not found raises MissingShare.  Both give the same outputs.
+    Each output share z_r is a fixed d-linear form in the shares, which
+    is contracted against dense coefficient tensors built from the
+    scheme's SolutionBlocks on server j's first call and cached on the
+    scheme (see HssScheme).  Each fragment read is first laid out in the
+    order of the subsets server j holds (subsets_of_size order, as
+    share_all_secrets and protocol.simulate produce them): in one pass
+    when its keys are already in that order, by key otherwise.  The
+    first share missing, in (instance, slot, subset) order, raises
+    MissingShare, whatever the other shares of its products are.
     """
     params = scheme.params
     if not 1 <= j <= params.s:
@@ -328,23 +348,22 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
-    if scheme.solutions is not None and params.spec.q <= MAX_TABLE_ORDER:
-        if j not in scheme._tensors:
-            scheme._tensors[j] = _build_tensors(scheme, j)
-        held, tensors = scheme._tensors[j]
-        slots = _positional_views(views, held, params.ell, chosen)
-        if slots is not None:
-            return _contract(params.spec, tensors, slots, len(held))
-    return _eval_by_monomial(scheme, j, views, chosen)
+    if j not in scheme._tensors:
+        scheme._tensors[j] = _build_tensors(scheme, j)
+    held, tensors = scheme._tensors[j]
+    slots = _slot_vectors(views, held, params.ell, chosen, j)
+    contract = _contract if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
+    return contract(params.spec, tensors, slots, len(held))
 
 
 def _build_tensors(scheme: HssScheme, j: int):
     """The subsets server j holds, and for each coordinate r it owns and
     each instance i the dense tensor of z_r's coefficients on instance i.
 
-    A tensor has C(s-1, t)^d byte entries, indexed row-major by the d
-    held subsets of a monomial (positions in `held`): every combo of held
-    subsets leaves j out, so its block lists r among its coordinates.
+    A tensor has C(s-1, t)^d entries (bytes when q <= 256, a tuple
+    above), indexed row-major by the d held subsets of a monomial
+    (positions in `held`): every combo of held subsets leaves j out, so
+    its block lists r among its coordinates.
     """
     params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
     subsets = subsets_of_size(params.s, params.t)
@@ -352,27 +371,31 @@ def _build_tensors(scheme: HssScheme, j: int):
     local = [j not in union for union in blocks.unions]
     # the block of every combo of held subsets, in product order
     held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
+    join = b"".join if params.spec.q <= MAX_TABLE_ORDER else lambda parts: tuple(itertools.chain.from_iterable(parts))
     tensors = []
     for r in scheme.code.labeling.coords(j):
         # r's ell coefficients in each block (those of position 0 in blocks held_blocks never names)
         at = [cols.index(r) * ell if ok else 0 for cols, ok in zip(blocks.coords, local)]
         column = [block[start : start + ell] for block, start in zip(blocks.solutions, at)]
-        # combo-major, instance-minor: instance i's tensor is every ell-th byte
-        joined = b"".join(map(column.__getitem__, held_blocks))
+        # combo-major, instance-minor: instance i's tensor is every ell-th entry
+        joined = join(map(column.__getitem__, held_blocks))
         tensors.append([joined[i::ell] for i in range(ell)])
     return held, tensors
 
 
-def _positional_views(views: dict, held: list, ell: int, chosen: tuple[int, ...]):
+def _slot_vectors(views: dict, held: list, ell: int, chosen: tuple[int, ...], j: int) -> list[list[list[int]]]:
     """Per instance, the share vectors of its d product slots, aligned
-    with `held`; None unless every fragment read has exactly the keys
-    `held`, in that order."""
-    vectors = dict.fromkeys((i, v) for i in range(1, ell + 1) for v in chosen)
-    for key in vectors:
-        fragment = views.get(key)
-        if fragment is None or list(fragment) != held:
-            return None
-        vectors[key] = list(fragment.values())
+    with `held`."""
+    vectors: dict[tuple[int, int], list[int]] = {}
+    for key in ((i, v) for i in range(1, ell + 1) for v in chosen):
+        if key in vectors:
+            continue
+        try:
+            fragment = views[key]
+            vectors[key] = list(fragment.values()) if list(fragment) == held else [fragment[T] for T in held]
+        except KeyError as exc:
+            T = next(T for T in held if T not in views.get(key, {}))
+            raise MissingShare(f"server {j} lacks share {T} of secret {key}") from exc
     return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
 
 
@@ -420,57 +443,18 @@ def _lifted_products(spec: FieldSpec, bits: int) -> tuple[tuple[int, ...], ...]:
     return tuple(rows[ab] for ab in mul)
 
 
-def _eval_by_monomial(scheme: HssScheme, j: int, views: dict, chosen: tuple[int, ...]) -> list[int]:
-    """eval_server over the sparse eval_table, one monomial at a time."""
-    spec = scheme.params.spec
-    q = spec.q
-    if q <= MAX_TABLE_ORDER:
-        tables = spec.tables()
-        mul, add = tables.mul, tables.add
-    else:
-        mul, add = _ComputedTable(spec.mul, q), _ComputedTable(spec.add, q)
-    rows = [scheme.eval_table[r] for r in scheme.code.labeling.coords(j)]
-    # each instance's fragments in product-slot order; a missing fragment
-    # reads as empty, so its first lookup fails like a missing share
-    slot_views = {i: [views.get((i, v), {}) for v in chosen] for i, _ in views}
-    out = []
-    try:
-        for row in rows:
-            acc = 0
-            for (instance, subsets), coeff in row.items():
-                prod = coeff
-                for view, T in zip(slot_views[instance], subsets):
-                    y = view[T]
-                    if not y:
-                        prod = 0
-                        break
-                    prod = mul[prod * q + y]
-                acc = add[acc * q + prod]
-            out.append(acc)
-    except KeyError as exc:
-        raise _missing_share(j, instance, subsets, views, chosen) from exc
-    return out
-
-
-class _ComputedTable:
-    """Stands in for a flat q*q table on fields too large to tabulate:
-    entry ``a*q + b`` is ``fn(a, b)``."""
-
-    __slots__ = ("fn", "q")
-
-    def __init__(self, fn, q: int):
-        self.fn, self.q = fn, q
-
-    def __getitem__(self, index: int) -> int:
-        return self.fn(*divmod(index, self.q))
-
-
-def _missing_share(j: int, instance: int, subsets, views: dict, chosen: tuple[int, ...]) -> MissingShare:
-    """The error for the first share of this monomial that server j lacks."""
-    for var, T in zip(chosen, subsets):
-        if T not in views.get((instance, var), {}):
-            return MissingShare(f"server {j} lacks share {T} of secret {(instance, var)}")
-    raise AssertionError("no share of the monomial is missing")  # unreachable
+def _contract_by_field(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+    """_contract through FieldSpec calls, for fields too large to tabulate:
+    entry c of tensor(r, i) at row-major position (a_1, ..., a_d) adds
+    c * y_1[a_1] * ... * y_d[a_d]."""
+    acc = [0] * len(tensors)
+    for i, vectors in enumerate(slots):
+        for index, shares in enumerate(itertools.product(*vectors)):
+            w = functools.reduce(spec.mul, shares)
+            if w:
+                for n, per_instance in enumerate(tensors):
+                    acc[n] = spec.add(acc[n], spec.mul(w, per_instance[i][index]))
+    return acc
 
 
 def reconstruct(scheme: HssScheme, z: Sequence[int]) -> list[int]:
@@ -582,8 +566,6 @@ class PrivacyReport:
     s: int
     t: int
     field: str
-    d: int
-    m: int
     randomness_space: int
     checks: list[PrivacyCheck]
 
@@ -592,13 +574,13 @@ class PrivacyReport:
         return all(c.equal for c in self.checks)
 
 
-def privacy_audit(t: int, s: int, spec: FieldSpec, d: int = 1, m: int = 1, budget: int | None = None) -> PrivacyReport:
+def privacy_audit(t: int, s: int, spec: FieldSpec, budget: int | None = None) -> PrivacyReport:
     """Exhaustive distribution-equality audit of the sharing stage.
 
     For every size-t server subset T and every secret pair (x, x'), walk
     the entire randomness space and compare the exact multisets of T's
     joint views.  Sharing is per-secret independent, so a single-secret
-    audit covers every batch size; d and m are recorded for context only.
+    audit covers every batch size and product degree.
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
@@ -628,7 +610,7 @@ def privacy_audit(t: int, s: int, spec: FieldSpec, d: int = 1, m: int = 1, budge
                 checks.append(
                     PrivacyCheck(T, x, x_prime, distributions[x][T] == distributions[x_prime][T])
                 )
-    return PrivacyReport(s, t, spec.describe(), d, m, spec.q**free, checks)
+    return PrivacyReport(s, t, spec.describe(), spec.q**free, checks)
 
 
 # -- literal block-system verification -----------------------------------------
@@ -704,38 +686,54 @@ def scheme_to_text(scheme: HssScheme) -> str:
 
 
 def scheme_from_text(text: str) -> HssScheme:
+    """Parse a scheme document, reading its eval rows back into the
+    SolutionBlocks they expand to, so that the parsed scheme equals the
+    synthesized one block for block.
+
+    Each (union, instance, coordinate) group takes the coefficient of its
+    first row that is in range and whose coordinate belongs to a server
+    outside the union.  The document must then be the canonical text of
+    that scheme: otherwise DecodeError names its first line that differs,
+    such as a header value that disagrees with the code, a row out of
+    range, out of order or repeated, a row that disagrees with its group,
+    or the first row missing from a group that lists only some of its
+    union's subset combos.
+    """
     lines = text.splitlines()
     if not lines or lines[0] != SCHEME_FORMAT_TAG:
         raise DecodeError(f"missing {SCHEME_FORMAT_TAG} header")
-    idx = 1
-    fields: dict[str, str] = {}
+    # the tag and seven header lines, then code-lines lines of code document, then the rows
+    header = dict(line.partition(" ")[::2] for line in lines[1:8])
     try:
-        while not lines[idx].startswith("code-lines "):
-            key, _, rest = lines[idx].partition(" ")
-            fields[key] = rest
-            idx += 1
-        count = int(lines[idx].split(" ", 1)[1])
-        idx += 1
-        code = code_from_text("\n".join(lines[idx : idx + count]) + "\n")
-        idx += count
-        params = HssParams(
-            int(fields["s"]),
-            int(fields["t"]),
-            int(fields["d"]),
-            int(fields["l"]),
-            int(fields["m"]),
-            code.spec,
-        )
-        verified = fields["labelweight-verified"] == "1"
-        table: dict[int, dict[MonomialId, int]] = {r: {} for r in range(code.n)}
-        for line in lines[idx:]:
-            if not line.strip():
-                continue
-            parts = line.split(" ")
-            if parts[0] != "eval" or len(parts) != 5:
-                raise DecodeError(f"bad eval row: {line!r}")
-            r, inst, subsets, coeff = int(parts[1]), int(parts[2]), _parse_subsets(parts[3]), int(parts[4])
-            table[r][MonomialId(inst, subsets)] = coeff
-    except (KeyError, ValueError, IndexError) as exc:
-        raise DecodeError(f"bad scheme document: {exc}") from exc
-    return HssScheme(params, code, table, labelweight_verified=verified)
+        t, d, m, count = (int(header[key]) for key in ("t", "d", "m", "code-lines"))
+    except (KeyError, ValueError) as exc:
+        raise DecodeError(f"bad scheme header: {exc}") from exc
+    code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
+    try:
+        params = HssParams(code.s, t, d, code.dim, m, code.spec)
+        combos = _subset_combos(params)
+    except (ParameterOutOfRange, EnumerationBudgetExceeded) as exc:
+        raise DecodeError(f"bad scheme parameters: {exc}") from exc
+
+    blocks = _block_layout(code, params, [frozenset().union(*combo) for combo in combos])
+    combo_index = {combo: c for c, combo in enumerate(combos)}
+    labels, ell, q = code.labeling.map, params.ell, code.spec.q
+    values = [[0] * (len(cols) * ell) for cols in blocks.coords]
+    for line in lines[8 + count :]:
+        try:
+            tag, r, i, subsets, coeff = line.split(" ")
+            r, i, c, coeff = int(r), int(i), combo_index.get(_parse_subsets(subsets)), int(coeff)
+        except ValueError:
+            continue  # not a row of any scheme: the comparison below names it
+        if tag == "eval" and c is not None and 0 <= r < code.n and 1 <= i <= ell and 0 < coeff < q:
+            u = blocks.combo_union[c]
+            if labels[r] not in blocks.unions[u]:
+                entry = blocks.coords[u].index(r) * ell + i - 1
+                values[u][entry] = values[u][entry] or coeff
+    blocks.solutions.extend(map(bytes if q <= MAX_TABLE_ORDER else tuple, values))
+    scheme = HssScheme(params, code, blocks, labelweight_verified=header.get("labelweight-verified") == "1")
+    canonical = scheme_to_text(scheme).splitlines()
+    for n, (got, want) in enumerate(itertools.zip_longest(lines, canonical), 1):
+        if got != want:
+            raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")
+    return scheme

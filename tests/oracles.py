@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from labelweight_hss import hss, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
@@ -248,7 +248,17 @@ def enumerate_monomials(params: HssParams):
     return monomials, per_server
 
 
-def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
+class TableScheme(NamedTuple):
+    """What the per-monomial synthesizer returns: the scheme's parameters,
+    code and flag, and its Eval table, monomial by monomial."""
+
+    params: HssParams
+    code: LabeledCode
+    eval_table: dict[int, dict[MonomialId, int]]
+    labelweight_verified: bool
+
+
+def synthesize_eval(code: LabeledCode, params: HssParams) -> TableScheme:
     need = params.d * params.t + 1
     limit = effective_budget(LABELWEIGHT_BUDGET)
     verified = False
@@ -285,10 +295,10 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
                 if sol[pos]:
                     table[r][mono] = sol[pos]
 
-    return HssScheme(params, code, table, labelweight_verified=verified)
+    return TableScheme(params, code, table, verified)
 
 
-def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
+def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> TableScheme:
     params = HssParams(code.s, t, d, code.dim, m if m is not None else d, code.spec)
     return synthesize_eval(code, params)
 

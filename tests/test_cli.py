@@ -164,3 +164,33 @@ def test_csv_output_parses_with_generic_reader(capsys):
 
 def test_unknown_subcommand(capsys):
     assert main(["bogus"]) == 2
+
+
+def test_demo_over_a_field_above_256(capsys):
+    code, out, err = run(capsys, "demo", "--code", "rs", "--q", "257", "--n", "5", "--k", "2", "--t", "1", "--d", "1")
+    assert code == 0 and err == ""
+    assert "1/1 correct" in out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["code", "info", "--family", "goppa", "--u", "3", "--r", "1", "--format", "csv"],
+        ["audit-privacy", "--s", "3", "--t", "1", "--p", "2", "--seed", "1"],
+        ["audit-privacy", "--s", "3", "--t", "1", "--p", "2", "--d", "2"],
+    ],
+)
+def test_flags_a_command_does_not_read_are_usage_errors(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2 and out == ""
+
+
+def test_code_info_on_a_rank_deficient_document(capsys, tmp_path):
+    path = tmp_path / "code.txt"
+    path.write_text(
+        "labelweight-code/v1\nfield GF(2^1)/modulus=[0,1]\nn 3\ndim 2\nservers 3\nlabeling 1,2,3\n"
+        "row 1,1,0\nrow 1,1,0\n"
+    )
+    code, out, err = run(capsys, "code", "info", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("decode error: ") and "full row rank" in err

@@ -1,0 +1,125 @@
+"""Property tests for the code and scheme text documents.
+
+Canonical documents round-trip byte for byte and parse back into the
+synthesized solution blocks.  A document with one line mutated either
+raises DecodeError, and no other error, or is itself the canonical
+document of what it parses to; mutations that no valid scheme or code
+can absorb must raise.
+"""
+
+import functools
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, rs_build
+from labelweight_hss.errors import DecodeError
+from labelweight_hss.hss import scheme_for_code, scheme_from_text, scheme_to_text
+
+# (code family and arguments, t, d); the d >= 2 schemes have union groups
+# of several rows, and GF(257) stores its blocks as tuples
+SCHEMES = [
+    (("rs", 4, 4, 2), 1, 1),
+    (("rs", 5, 5, 2), 1, 2),
+    (("rs", 5, 5, 1), 2, 2),
+    (("rs", 7, 6, 3), 1, 2),
+    (("rs", 9, 5, 2), 1, 3),
+    (("goppa", 3, 1), 1, 1),
+    (("goppa", 3, 1), 1, 2),
+    (("rs", 257, 5, 2), 1, 2),
+]
+JUNK = ("", "x", "#", "-", "1.5")
+# header lines whose value no other valid value can replace
+FIXED_KEYS = {"s", "t", "d", "l", "code-lines", "n", "dim", "servers"}
+
+
+@functools.cache
+def scheme(case):
+    (family, *args), t, d = case
+    code = rs_build(*args) if family == "rs" else goppa_build(*args)
+    return scheme_for_code(code, t=t, d=d)
+
+
+@pytest.mark.parametrize("case", SCHEMES, ids=str)
+def test_documents_round_trip(case):
+    synthesized = scheme(case)
+    code_doc = code_to_text(synthesized.code)
+    assert code_to_text(code_from_text(code_doc)) == code_doc
+    doc = scheme_to_text(synthesized)
+    parsed = scheme_from_text(doc)
+    assert scheme_to_text(parsed) == doc
+    assert parsed.solutions == synthesized.solutions
+    assert parsed.params == synthesized.params
+    assert parsed.labelweight_verified == synthesized.labelweight_verified
+
+
+def _groups(lines):
+    """Line indices of the eval rows, by (union, instance, coordinate)."""
+    groups = {}
+    for at, line in enumerate(lines):
+        if line.startswith("eval "):
+            _, r, i, subsets, _ = line.split(" ")
+            union = frozenset(v for part in subsets.split("/") for v in part.split(","))
+            groups.setdefault((union, i, r), []).append(at)
+    return list(groups.values())
+
+
+@st.composite
+def mutated(draw, lines, q):
+    """One line of `lines` mutated: (document, whether it must be rejected)."""
+    groups = _groups(lines)
+    shared = [at for group in groups if len(group) > 1 for at in group]
+    how = draw(st.sampled_from(["drop", "duplicate", "header", "garble"] + ["coefficient"] * bool(shared)))
+    lines = list(lines)
+    must = True
+    if how == "coefficient":
+        at = draw(st.sampled_from(shared))
+        *head, coeff = lines[at].split(" ")
+        new = draw(st.integers(1, q - 1).filter(lambda c: c != int(coeff)))
+        lines[at] = " ".join(head + [str(new)])
+    elif how == "drop":
+        at = draw(st.integers(0, len(lines) - 1))
+        # an eval row alone in its group holds a coefficient that may be zero
+        must = not any(group == [at] for group in groups)
+        del lines[at]
+    elif how == "duplicate":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines.insert(at, lines[at])
+    elif how == "header":
+        at = draw(st.sampled_from([at for at, line in enumerate(lines) if line.partition(" ")[2].isdigit()]))
+        key, value = lines[at].split(" ")
+        lines[at] = f"{key} {draw(st.integers(0, int(value) + 3).filter(lambda v: v != int(value)))}"
+        must = key in FIXED_KEYS
+    else:
+        at = draw(st.integers(0, len(lines) - 1))
+        tokens = lines[at].split(" ")
+        tokens[draw(st.integers(0, len(tokens) - 1))] = draw(st.sampled_from(JUNK))
+        lines[at] = " ".join(tokens)
+    return "\n".join(lines) + "\n", must
+
+
+def _check(parse, render, case):
+    doc, must = case
+    try:
+        parsed = parse(doc)
+    except DecodeError:
+        return
+    assert not must, "a mutation no valid document absorbs was accepted"
+    assert render(parsed) == doc
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_mutated_scheme_document_raises_only_decode_error(data):
+    synthesized = scheme(data.draw(st.sampled_from(SCHEMES)))
+    lines = scheme_to_text(synthesized).splitlines()
+    _check(scheme_from_text, scheme_to_text, data.draw(mutated(lines, synthesized.params.spec.q)))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(st.data())
+def test_mutated_code_document_raises_only_decode_error(data):
+    code = scheme(data.draw(st.sampled_from(SCHEMES))).code
+    lines = code_to_text(code).splitlines()
+    _check(code_from_text, code_to_text, data.draw(mutated(lines, code.spec.q)))

