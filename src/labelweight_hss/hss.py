@@ -23,10 +23,10 @@ import itertools
 import operator
 import random
 from collections import Counter
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET, effective_budget
 from .codes import LabeledCode, code_from_text, code_to_text, labelweight
@@ -34,6 +34,7 @@ from .errors import (
     DecodeError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
+    FieldMismatch,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
@@ -91,6 +92,44 @@ def subsets_of_size(s: int, t: int) -> tuple[tuple[int, ...], ...]:
     return tuple(itertools.combinations(range(1, s + 1), t))
 
 
+@functools.cache
+def held_subsets(s: int, t: int, j: int) -> tuple[tuple[int, ...], ...]:
+    """The subsets_of_size(s, t) that server j holds the share of (j not in
+    T), in that order.  Computed once per (s, t, j), so a ShareVector laid
+    out for server j is recognised by one `is` test."""
+    subsets = subsets_of_size(s, t)
+    return tuple(itertools.compress(subsets, held_mask(subsets, j)))
+
+
+class ShareVector(Mapping):
+    """Shares of one secret held positionally: shares[n] is y_T for T =
+    subsets[n].
+
+    A read-only mapping T -> y_T that iterates its subsets in order and
+    equals the dict of the same items.  Looking a share up by key builds
+    an index on first use; sharing, the wire and eval_server pass the
+    share list through without one.
+    """
+
+    __slots__ = ("subsets", "shares", "_index")
+
+    def __init__(self, subsets: Sequence[tuple[int, ...]], shares: Sequence[int]):
+        if len(subsets) != len(shares):
+            raise DimensionMismatch(f"{len(shares)} shares for {len(subsets)} subsets")
+        self.subsets, self.shares, self._index = subsets, shares, None
+
+    def __getitem__(self, T: tuple[int, ...]) -> int:
+        if self._index is None:
+            self._index = {U: n for n, U in enumerate(self.subsets)}
+        return self.shares[self._index[T]]
+
+    def __iter__(self):
+        return iter(self.subsets)
+
+    def __len__(self) -> int:
+        return len(self.subsets)
+
+
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
     """CNF shares aligned with subsets_of_size: the stream values, then the
     one share that makes the total x."""
@@ -103,30 +142,58 @@ def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
     return shares
 
 
-def _draw_shares(x, count: int, spec: FieldSpec, rng: random.Random) -> list[int]:
+def _draw_shares(code: int, count: int, spec: FieldSpec, rng: random.Random) -> list[int]:
     """Shares of one secret over `count` subsets: one rng.randrange(q) per
     subset but the last, in subset order."""
-    code = x.value if isinstance(x, FieldElement) else int(x)
     return _share_vector(code, map(rng.randrange, itertools.repeat(spec.q, count - 1)), spec)
 
 
+def _secret_code(x, spec: FieldSpec, name: str = "secret") -> int:
+    """The integer code of a secret: an int in 0..q-1 or an element of
+    `spec`.  Anything else would be shared as some other secret."""
+    if isinstance(x, FieldElement):
+        if x.spec != spec:
+            raise FieldMismatch(f"{name} is an element of {x.spec.describe()}, not {spec.describe()}")
+        x = x.value
+    try:
+        code = operator.index(x)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} value {x!r} is not an integer in 0..{spec.q - 1} (q={spec.q})") from None
+    if not 0 <= code < spec.q:
+        raise ParameterOutOfRange(f"{name} value {code} is outside 0..{spec.q - 1} (q={spec.q})")
+    return code
+
+
+def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[list[int]]:
+    """The ell x m secret matrix as integer codes, each checked by _secret_code."""
+    if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
+        raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
+    spec = params.spec
+    return [
+        [_secret_code(x, spec, f"secret {(i, k)}") for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)
+    ]
+
+
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tuple[int, ...], int]:
-    """Replicated t-private sharing of one secret.
+    """Replicated t-private sharing of one secret (an int in 0..q-1 or an
+    element of spec).
 
     Returns the full share map {T: y_T}; server j's fragment is every
     entry with j not in T (see held_mask and server_fragment).
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
+    code = _secret_code(x, spec)
     subsets = subsets_of_size(s, t)
-    return dict(zip(subsets, _draw_shares(x, len(subsets), spec, rng)))
+    return dict(zip(subsets, _draw_shares(code, len(subsets), spec, rng)))
 
 
 def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
     """Which of `subsets` server j holds the share of: those with j not in T.
 
-    Compressing subsets_of_size by this mask gives the order of server j's
-    fragments and of its INPUT_SHARES payload (see protocol.simulate).
+    Compressing subsets_of_size by this mask gives held_subsets, the order
+    of server j's fragments and of its INPUT_SHARES payload (see
+    protocol.simulate).
     """
     return [j not in T for T in subsets]
 
@@ -139,11 +206,12 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     """All product monomials, plus the sublist each server can compute locally.
 
     Ordering is instance-major, then lexicographic on the subset tuple.
-    The second value is a LocalMonomials mapping, which builds each
-    server's list on first access.
+    The first value is a Monomials sequence, which builds each MonomialId
+    when it is read; the second a LocalMonomials mapping, which builds
+    each server's list on first access.
     """
     combos = _subset_combos(params, budget)
-    monomials = [MonomialId(i, combo) for i in range(1, params.ell + 1) for combo in combos]
+    monomials = Monomials(params.ell, combos)
     unions = [frozenset().union(*combo) for combo in combos]
     return monomials, LocalMonomials(monomials, unions, params.s)
 
@@ -160,13 +228,33 @@ def _subset_combos(params: HssParams, budget: int | None = None) -> list[tuple[t
     return list(itertools.product(subsets, repeat=params.d))
 
 
+class Monomials(Sequence):
+    """MonomialId(i, combo) for every instance i in 1..ell and subset combo,
+    instance-major, each built when it is read."""
+
+    def __init__(self, ell: int, combos: list[tuple[tuple[int, ...], ...]]):
+        self.ell, self.combos = ell, combos
+
+    def __len__(self) -> int:
+        return self.ell * len(self.combos)
+
+    def __getitem__(self, n: int) -> MonomialId:
+        if not 0 <= n < len(self):
+            raise IndexError(n)
+        i, c = divmod(n, len(self.combos))
+        return MonomialId(i + 1, self.combos[c])
+
+    def __iter__(self):
+        return itertools.starmap(MonomialId, itertools.product(range(1, self.ell + 1), self.combos))
+
+
 class LocalMonomials(Mapping):
     """Server j -> the monomials it can compute locally (none of whose
     subsets contains j), in monomial order; each list is built on first
     access.  unions[c] is the subset union of combo c, in
     itertools.product(subsets_of_size(s, t), repeat=d) order."""
 
-    def __init__(self, monomials: list[MonomialId], unions: list[frozenset[int]], s: int):
+    def __init__(self, monomials: Sequence[MonomialId], unions: list[frozenset[int]], s: int):
         self.monomials, self.unions, self.s = monomials, unions, s
         self._lists: dict[int, list[MonomialId]] = {}
 
@@ -328,17 +416,17 @@ def default_monomial(params: HssParams) -> tuple[int, ...]:
 def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
     """Server j's output shares, one per coordinate it owns.
 
-    `views` maps (instance, variable) to that secret's fragment
-    {T: y_T with j not in T}; var_indices picks which of the m variables
-    feed the d product slots (repetition allowed).
+    `views` maps (instance, variable) to that secret's fragment, a
+    mapping {T: y_T with j not in T}; var_indices picks which of the m
+    variables feed the d product slots (repetition allowed).
 
     Each output share z_r is a fixed d-linear form in the shares, which
     is contracted against dense coefficient tensors built from the
     scheme's SolutionBlocks on server j's first call and cached on the
-    scheme (see HssScheme).  Each fragment read is first laid out in the
-    order of the subsets server j holds (subsets_of_size order, as
-    share_all_secrets and protocol.simulate produce them): in one pass
-    when its keys are already in that order, by key otherwise.  The
+    scheme (see HssScheme).  The tensors are indexed by
+    held_subsets(s, t, j).  A ShareVector over that very tuple, as
+    share_all_secrets and protocol.simulate produce, has its share list
+    read as it is; any other fragment is read by key in that order.  The
     first share missing, in (instance, slot, subset) order, raises
     MissingShare, whatever the other shares of its products are.
     """
@@ -366,8 +454,7 @@ def _build_tensors(scheme: HssScheme, j: int):
     its block lists r among its coordinates.
     """
     params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
-    subsets = subsets_of_size(params.s, params.t)
-    held = list(itertools.compress(subsets, held_mask(subsets, j)))
+    held = held_subsets(params.s, params.t, j)
     local = [j not in union for union in blocks.unions]
     # the block of every combo of held subsets, in product order
     held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
@@ -383,16 +470,19 @@ def _build_tensors(scheme: HssScheme, j: int):
     return held, tensors
 
 
-def _slot_vectors(views: dict, held: list, ell: int, chosen: tuple[int, ...], j: int) -> list[list[list[int]]]:
+def _slot_vectors(views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int) -> list[list[Sequence]]:
     """Per instance, the share vectors of its d product slots, aligned
     with `held`."""
-    vectors: dict[tuple[int, int], list[int]] = {}
+    vectors: dict[tuple[int, int], Sequence[int]] = {}
     for key in ((i, v) for i in range(1, ell + 1) for v in chosen):
         if key in vectors:
             continue
         try:
             fragment = views[key]
-            vectors[key] = list(fragment.values()) if list(fragment) == held else [fragment[T] for T in held]
+            if isinstance(fragment, ShareVector) and fragment.subsets is held:
+                vectors[key] = fragment.shares
+            else:
+                vectors[key] = [fragment[T] for T in held]
         except KeyError as exc:
             T = next(T for T in held if T not in views.get(key, {}))
             raise MissingShare(f"server {j} lacks share {T} of secret {key}") from exc
@@ -467,30 +557,28 @@ def reconstruct(scheme: HssScheme, z: Sequence[int]) -> list[int]:
 def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: random.Random):
     """CNF-share an ell x m secret matrix; returns (bundles, per-server views).
 
-    Secrets are shared independently in (instance, variable) order, so a
-    fixed seed reproduces the exact same share values.  bundles[(i, k)]
-    is the full share map of secret (i, k); views[j][(i, k)] is server j's
-    fragment of it.  Both iterate in (instance, variable) order, and each
-    share map in subsets_of_size order, a fragment leaving out the subsets
-    that contain j: protocol.simulate packs INPUT_SHARES payloads in this
-    order.
+    Each secret is an int in 0..q-1 or an element of the scheme's field;
+    any other value raises before a share is drawn.  Secrets are shared
+    independently in (instance, variable) order, so a fixed seed
+    reproduces the exact same share values.  bundles[(i, k)] is the full
+    share map of secret (i, k), a ShareVector over subsets_of_size(s, t);
+    views[j][(i, k)] is server j's fragment of it, a ShareVector over
+    held_subsets(s, t, j).  Both iterate in (instance, variable) order:
+    protocol.simulate chains the fragments' share lists into INPUT_SHARES
+    payloads in this order, and eval_server reads those lists as they are.
     """
-    if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
-        raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
+    grid = _secret_codes(params, secrets)
     subsets = subsets_of_size(params.s, params.t)
-    holdings = []  # (server, mask over subsets, the subsets it holds)
-    for j in range(1, params.s + 1):
-        mask = held_mask(subsets, j)
-        holdings.append((j, mask, list(itertools.compress(subsets, mask))))
+    # per server: mask over subsets, the subsets it holds, its view
+    holdings = [(held_mask(subsets, j), held_subsets(params.s, params.t, j), {}) for j in range(1, params.s + 1)]
     bundles = {}
-    views = {j: {} for j in range(1, params.s + 1)}
     for i in range(1, params.ell + 1):
         for k in range(1, params.m + 1):
-            shares = _draw_shares(secrets[i - 1][k - 1], len(subsets), params.spec, rng)
-            bundles[(i, k)] = dict(zip(subsets, shares))
-            for j, mask, held in holdings:
-                views[j][(i, k)] = dict(zip(held, itertools.compress(shares, mask)))
-    return bundles, views
+            shares = _draw_shares(grid[i - 1][k - 1], len(subsets), params.spec, rng)
+            bundles[(i, k)] = ShareVector(subsets, shares)
+            for mask, held, view in holdings:
+                view[(i, k)] = ShareVector(held, list(itertools.compress(shares, mask)))
+    return bundles, {j: view for j, (_, _, view) in enumerate(holdings, 1)}
 
 
 def collect_output_shares(scheme: HssScheme, per_server: dict[int, list[int]]) -> list[int]:
@@ -525,7 +613,7 @@ def run_end_to_end(
     spec = params.spec
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     rng = random.Random(seed)
-    grid = [[v.value if isinstance(v, FieldElement) else int(v) for v in row] for row in secrets]
+    grid = _secret_codes(params, secrets)
     _, views = share_all_secrets(params, grid, rng)
     per_server = {j: eval_server(scheme, j, views[j], chosen) for j in range(1, params.s + 1)}
     outputs = reconstruct(scheme, collect_output_shares(scheme, per_server))

@@ -24,10 +24,11 @@ Every field with q <= 256 has width 1: its payload bytes are the element
 codes themselves, packed and unpacked by one bytes/tuple conversion.
 
 Server j's INPUT_SHARES payload is its whole view laid end to end: the
-fragments of the ell*m secrets in (instance, variable) order, each one
-the C(s-1, t) shares y_T with j not in T (hss.held_mask) in
-subsets_of_size order.  The server cuts the payload back into fragments
-of that length.
+share lists of the ell*m secrets' fragments in (instance, variable)
+order, each one the C(s-1, t) shares y_T with j not in T, in
+hss.held_subsets(s, t, j) order.  The server slices the decoded payload
+into runs of that length and wraps each in a hss.ShareVector over that
+same held tuple, which eval_server reads without building any dict.
 """
 
 from __future__ import annotations
@@ -36,20 +37,20 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, compress
+from itertools import chain
 from typing import Sequence
 
 from .errors import DecodeError
 from .galois import FieldSpec
 from .hss import (
     HssScheme,
+    ShareVector,
     collect_output_shares,
     default_monomial,
     eval_server,
-    held_mask,
+    held_subsets,
     reconstruct,
     share_all_secrets,
-    subsets_of_size,
 )
 
 TRANSCRIPT_FORMAT_TAG = "labelweight-hss-transcript/v1"
@@ -119,9 +120,12 @@ def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
         raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
     if width == 1:
         payload = tuple(body)
+        # a byte outside the field is what is left once the codes 0..q-1 are deleted
+        outside = q is not None and body.translate(None, bytes(range(min(q, 256))))
     else:
         payload = tuple(int.from_bytes(body[i : i + width], "little") for i in range(0, length, width))
-    if q is not None and payload and max(payload) >= q:
+        outside = q is not None and payload and max(payload) >= q
+    if outside:
         raise DecodeError("payload element outside the field")
     return WireMessage(kind, sender, receiver, payload)
 
@@ -180,24 +184,22 @@ def simulate(
 
     # Input client (id 0): share everything, send each server its view.
     rng = random.Random(seed)
-    grid = [[int(v) if not hasattr(v, "value") else v.value for v in row] for row in secrets]
-    _, views = share_all_secrets(params, grid, rng)
+    _, views = share_all_secrets(params, secrets, rng)
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
         view = views[j]
-        payload = tuple(chain.from_iterable(view[key].values() for key in secret_ids))
+        payload = tuple(chain.from_iterable(view[key].shares for key in secret_ids))
         inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, payload))
 
-    # Servers 1..s in id order: rebuild views from the wire, evaluate.
-    subsets = subsets_of_size(params.s, params.t)
+    # Servers 1..s in id order: slice each view from the wire, evaluate.
     received: dict[int, list[int]] = {}
     for j in range(1, params.s + 1):
         payload = inboxes[j].payload
-        held = list(compress(subsets, held_mask(subsets, j)))
+        held = held_subsets(params.s, params.t, j)
         run = len(held)
         if len(payload) != run * len(secret_ids):
             raise DecodeError(f"server {j}: expected {run * len(secret_ids)} elements, got {len(payload)}")
-        view = {key: dict(zip(held, payload[n * run : (n + 1) * run])) for n, key in enumerate(secret_ids)}
+        view = {key: ShareVector(held, payload[n * run : (n + 1) * run]) for n, key in enumerate(secret_ids)}
         z_j = eval_server(scheme, j, view, chosen)
         delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, tuple(z_j)))
         received[delivered.sender] = list(delivered.payload)

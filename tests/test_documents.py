@@ -1,13 +1,16 @@
-"""Property tests for the code and scheme text documents.
+"""Property tests for the code, scheme and transcript text documents.
 
 Canonical documents round-trip byte for byte and parse back into the
 synthesized solution blocks.  A document with one line mutated either
 raises DecodeError, and no other error, or is itself the canonical
 document of what it parses to; mutations that no valid scheme or code
-can absorb must raise.
+can absorb must raise.  Transcripts round-trip frames, messages and byte
+counts, and a mutated one raises only DecodeError or parses to a
+transcript whose frames are the encodings of its messages.
 """
 
 import functools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +19,7 @@ from hypothesis import strategies as st
 from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, rs_build
 from labelweight_hss.errors import DecodeError
 from labelweight_hss.hss import scheme_for_code, scheme_from_text, scheme_to_text
+from labelweight_hss.protocol import _order_width, encode, simulate, transcript_from_text, transcript_to_text
 
 # (code family and arguments, t, d); the d >= 2 schemes have union groups
 # of several rows, and GF(257) stores its blocks as tuples
@@ -123,3 +127,89 @@ def test_mutated_code_document_raises_only_decode_error(data):
     code = scheme(data.draw(st.sampled_from(SCHEMES))).code
     lines = code_to_text(code).splitlines()
     _check(code_from_text, code_to_text, data.draw(mutated(lines, code.spec.q)))
+
+
+# -- transcripts ------------------------------------------------------------------
+
+# (code family and arguments, t, d, m): Goppa [16,8] with 16 INPUT_SHARES
+# frames of 43,680 shares, the same code with t=1 d=3, and RS [5,2] over GF(5)
+TRANSCRIPTS = {
+    "goppa-wire": (("goppa", 4, 2), 4, 1, 4),
+    "goppa": (("goppa", 4, 2), 1, 3, 3),
+    "rs5": (("rs", 5, 5, 2), 1, 2, 3),
+}
+
+
+@functools.cache
+def transcript(name):
+    (family, *args), t, d, m = TRANSCRIPTS[name]
+    synthesized = scheme_for_code(rs_build(*args) if family == "rs" else goppa_build(*args), t=t, d=d, m=m)
+    params, rng = synthesized.params, random.Random(name)
+    secrets = [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
+    return simulate(synthesized, secrets, seed=8)[0]
+
+
+@functools.cache
+def transcript_lines(name):
+    return tuple(transcript_to_text(transcript(name)).splitlines())
+
+
+def _fields(t):
+    return t.field_order, t.frames, t.messages, t.link_bytes, t.downloaded_symbols
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_transcript_round_trips(name):
+    original = transcript(name)
+    doc = transcript_to_text(original)
+    parsed = transcript_from_text(doc)
+    assert _fields(parsed) == _fields(original)
+    assert transcript_to_text(parsed) == doc
+
+
+@st.composite
+def mutated_transcript(draw, lines):
+    """One line of a transcript document mutated: (document, whether it must be rejected)."""
+    how = draw(st.sampled_from(["drop", "duplicate", "digit", "truncate", "junk", "q"]))
+    lines = list(lines)
+    frames = range(2, len(lines))
+    if how in ("drop", "duplicate"):
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at : at + 1] = [] if how == "drop" else [lines[at]] * 2
+        must = at < 2  # the tag and q lines lead the document, once each
+    elif how == "digit":
+        at = draw(st.sampled_from(frames))
+        pos = draw(st.integers(0, len(lines[at]) - 1))
+        digit = draw(st.sampled_from("0123456789abcdef").filter(lambda c: c != lines[at][pos]))
+        lines[at] = lines[at][:pos] + digit + lines[at][pos + 1 :]
+        must = False
+    elif how == "truncate":
+        at = draw(st.sampled_from(frames))
+        lines[at] = lines[at][:-1]
+        must = True  # an odd number of hex digits
+    elif how == "junk":
+        at = draw(st.integers(0, len(lines) - 1))
+        lines[at] = draw(st.sampled_from(JUNK))
+        must = bool(lines[at]) or at < 2  # blank lines are skipped
+    else:
+        at = 1
+        lines[at] = f"q {draw(st.integers(-3, 70_000))}"
+        must = False
+    return "\n".join(lines) + "\n", must
+
+
+@settings(max_examples=400, deadline=None, database=None)
+@given(st.data())
+def test_mutated_transcript_raises_only_decode_error(data):
+    # the 1.4 MB goppa-wire document costs about 50 ms an example, so only its round trip is tested
+    doc, must = data.draw(mutated_transcript(transcript_lines(data.draw(st.sampled_from(["goppa", "rs5"])))))
+    try:
+        parsed = transcript_from_text(doc)
+    except DecodeError:
+        return
+    assert not must, "a mutation no transcript absorbs was accepted"
+    q = parsed.field_order
+    assert q >= 2
+    assert [encode(message, _order_width(q)) for message in parsed.messages] == parsed.frames
+    assert sum(parsed.link_bytes.values()) == sum(map(len, parsed.frames))
+    assert _fields(transcript_from_text(transcript_to_text(parsed))) == _fields(parsed)

@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -7,21 +8,25 @@ import pytest
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, labelweight, rs_build
 from labelweight_hss.errors import (
     DecodeError,
+    DimensionMismatch,
     EnumerationBudgetExceeded,
+    FieldMismatch,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import FieldSpec
+from labelweight_hss.galois import FieldElement, FieldSpec
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
     MonomialId,
+    ShareVector,
     SolutionBlocks,
     cnf_share,
     enumerate_monomials,
     eval_server,
     held_mask,
+    held_subsets,
     privacy_audit,
     reconstruct,
     run_end_to_end,
@@ -120,10 +125,57 @@ def test_held_mask_orders_fragments_and_views():
     for j in range(1, params.s + 1):
         held = list(itertools.compress(subsets, held_mask(subsets, j)))
         assert held == [T for T in subsets if j not in T]
+        assert held_subsets(params.s, params.t, j) == tuple(held)
         for key, shares in bundles.items():
             assert list(views[j][key]) == held
             assert list(server_fragment(shares, j)) == held
             assert views[j][key] == server_fragment(shares, j)
+            # laid out over the one cached tuple per server, which eval_server tests with `is`
+            assert views[j][key].subsets is held_subsets(params.s, params.t, j)
+            assert shares.subsets is subsets
+
+
+def test_share_vector_is_a_read_only_positional_mapping():
+    subsets = subsets_of_size(4, 2)
+    fragment = ShareVector(subsets, [3, 1, 4, 1, 5, 9])
+    assert fragment == dict(zip(subsets, [3, 1, 4, 1, 5, 9])) == dict(fragment)
+    assert list(fragment) == list(subsets) and len(fragment) == 6
+    assert fragment[(3, 4)] == 9 and fragment[(2, 4)] == 5 and fragment[(1, 2)] == 3
+    assert (2, 4) in fragment and (4, 5) not in fragment
+    for foreign in ((4, 5), (2,), (1, 2, 3)):
+        with pytest.raises(KeyError):
+            fragment[foreign]
+    with pytest.raises(TypeError):
+        fragment[(1, 2)] = 0
+    with pytest.raises(TypeError):
+        del fragment[(1, 2)]
+    with pytest.raises(DimensionMismatch):
+        ShareVector(subsets, [1, 2])
+
+
+def test_secrets_outside_the_field_are_rejected():
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
+    # shared as 7 mod 5 these would reconstruct [2, 1], not the products [4, 1]
+    with pytest.raises(ParameterOutOfRange, match=r"secret \(1, 1\) value 7 is outside 0\.\.4 \(q=5\)"):
+        run_end_to_end(scheme, [[7, 1, 1], [1, 1, 1]], 3)
+    with pytest.raises(ParameterOutOfRange, match=r"secret \(2, 3\) value -1 is outside"):
+        share_all_secrets(scheme.params, [[1, 1, 1], [1, 1, -1]], random.Random(0))
+    with pytest.raises(FieldMismatch, match=r"secret \(2, 1\) is an element of GF\(3\^1\)"):
+        run_end_to_end(scheme, [[1, 1, 1], [FieldElement(GF3, 2), 1, 1]], 3)
+    for x in (5, -1):
+        with pytest.raises(ParameterOutOfRange, match=f"secret value {x} is outside 0..4"):
+            cnf_share(x, 1, 3, GF5, random.Random(0))
+    with pytest.raises(FieldMismatch):
+        cnf_share(FieldElement(GF3, 1), 1, 3, GF5, random.Random(0))
+    # a float or a string is not truncated or parsed into a code
+    with pytest.raises(ParameterOutOfRange, match=r"secret \(1, 2\) value 1\.5 is not an integer in 0\.\.4"):
+        run_end_to_end(scheme, [[1, 1.5, 1], [1, 1, 1]], 3)
+    with pytest.raises(ParameterOutOfRange, match=r"secret value '3' is not an integer"):
+        cnf_share("3", 1, 3, GF5, random.Random(0))
+    # elements of the scheme's own field are shared as their codes
+    elements = [[FieldElement(GF5, 4), 1, 1], [1, 1, 1]]
+    assert run_end_to_end(scheme, elements, 3) == run_end_to_end(scheme, [[4, 1, 1], [1, 1, 1]], 3)
+    assert cnf_share(FieldElement(GF5, 3), 1, 3, GF5, random.Random(1)) == cnf_share(3, 1, 3, GF5, random.Random(1))
 
 
 # -- monomials -------------------------------------------------------------------
@@ -132,7 +184,7 @@ def test_held_mask_orders_fragments_and_views():
 def test_enumerate_monomials_small():
     params = HssParams(2, 1, 1, 1, 1, GF2)
     monos, per_server = enumerate_monomials(params)
-    assert monos == [MonomialId(1, ((1,),)), MonomialId(1, ((2,),))]
+    assert list(monos) == [MonomialId(1, ((1,),)), MonomialId(1, ((2,),))]
     assert per_server[1] == [MonomialId(1, ((2,),))]
     assert per_server[2] == [MonomialId(1, ((1,),))]
 
@@ -143,6 +195,19 @@ def test_enumerate_monomials_counts():
     assert len(monos) == 2 * 25
     for j in range(1, 6):
         assert len(per_server[j]) == 2 * 16
+
+
+def test_enumerate_monomials_builds_each_monomial_when_read():
+    params = HssParams(5, 1, 2, 2, 2, GF5)
+    monos, _ = enumerate_monomials(params)
+    eager = [MonomialId(i, combo) for i in (1, 2) for combo in itertools.product(subsets_of_size(5, 1), repeat=2)]
+    assert not isinstance(monos, list) and len(monos) == 50
+    assert list(monos) == eager
+    assert [monos[n] for n in range(50)] == eager
+    assert monos.index(eager[31]) == 31
+    for n in (50, -1):
+        with pytest.raises(IndexError):
+            monos[n]
 
 
 def test_enumerate_monomials_builds_server_lists_on_access():

@@ -6,6 +6,7 @@ import copy
 import hashlib
 import itertools
 import random
+from collections.abc import Mapping
 
 import pytest
 from hypothesis import example, given, settings
@@ -138,7 +139,8 @@ def test_eval_server_missing_share_matches_oracle(schemes, name):
     scheme = schemes[name][0]
     params = scheme.params
     j = 2
-    base = _views(scheme, 7)[j]
+    # plain dicts, which the cases below edit
+    base = {key: dict(fragment) for key, fragment in _views(scheme, 7)[j].items()}
     inst = params.ell  # the last instance, so earlier monomials evaluate first
     T = next(iter(base[(inst, 2)]))
     cases = []
@@ -233,7 +235,11 @@ def test_eval_server_matches_oracle_across_fields(name):
         views = _views(scheme, seed)
         for chosen in (None, (params.m,) * d):
             for j in range(1, params.s + 1):
-                assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(scheme, j, views[j], chosen)
+                positional = hss.eval_server(scheme, j, views[j], chosen)
+                assert positional == oracles.eval_server(scheme, j, views[j], chosen)
+                # the share vectors read as they are and dicts read by key agree
+                as_dicts = {key: dict(fragment) for key, fragment in views[j].items()}
+                assert positional == hss.eval_server(scheme, j, as_dicts, chosen)
     # the tensors ran in every field
     assert sorted(scheme._tensors) == list(range(1, params.s + 1))
 
@@ -254,16 +260,33 @@ def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name)
 
 @pytest.mark.parametrize("name", ["goppa", "rs5"])
 def test_eval_server_reordered_fragment_matches_oracle(wire_schemes, name):
-    """A fragment with the right keys in another order is still read by key."""
+    """A fragment with the right keys in another order, as a dict or as a
+    ShareVector over a rotated tuple of subsets, is still read by key."""
     scheme = wire_schemes[name]
     views = _views(scheme, 5)
     for j in (1, scheme.params.s):
-        view = {}
+        view, vectors = {}, {}
         for key, fragment in views[j].items():
             items = list(fragment.items())
-            view[key] = dict(items[1:] + items[:1])  # rotated by one key
+            items = items[1:] + items[:1]  # rotated by one key
+            view[key] = dict(items)
+            vectors[key] = hss.ShareVector(tuple(T for T, _ in items), [y for _, y in items])
         assert all(list(view[key]) != list(views[j][key]) for key in view)
-        assert hss.eval_server(scheme, j, view) == oracles.eval_server(scheme, j, view)
+        expected = oracles.eval_server(scheme, j, view)
+        assert hss.eval_server(scheme, j, view) == expected
+        assert hss.eval_server(scheme, j, vectors) == expected
+        # the fragments of the product's variables 1..d were looked up by key
+        assert all(fragment._index is not None for (_, v), fragment in vectors.items() if v <= scheme.params.d)
+
+
+@pytest.mark.parametrize("s,t,d,ell", [(2, 1, 1, 1), (5, 1, 2, 2), (5, 2, 2, 3), (6, 1, 3, 2)])
+def test_lazy_monomials_match_oracle(s, t, d, ell):
+    params = hss.HssParams(s, t, d, ell, d, FieldSpec(3))
+    monomials, local = hss.enumerate_monomials(params)
+    old_monomials, old_local = oracles.enumerate_monomials(params)
+    assert len(monomials) == len(old_monomials) and list(monomials) == old_monomials
+    assert [monomials[n] for n in range(len(monomials))] == old_monomials
+    assert {j: local[j] for j in local} == old_local
 
 
 def test_tensors_serve_complete_fragments_and_are_built_once(monkeypatch):
@@ -320,8 +343,8 @@ def _secrets(params, seed):
 
 
 def _ordered(nested):
-    """A share map or view, with the iteration order of every dict spelled out."""
-    if isinstance(nested, dict):
+    """A share map or view, with the iteration order of every mapping spelled out."""
+    if isinstance(nested, Mapping):
         return [(key, _ordered(value)) for key, value in nested.items()]
     return nested
 

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
+from labelweight_hss import protocol
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
-from labelweight_hss.errors import DecodeError
-from labelweight_hss.galois import FieldSpec
-from labelweight_hss.hss import run_end_to_end, scheme_for_code, scheme_rate
+from labelweight_hss.errors import DecodeError, FieldMismatch, ParameterOutOfRange
+from labelweight_hss.galois import FieldElement, FieldSpec
+from labelweight_hss.hss import ShareVector, held_subsets, run_end_to_end, scheme_for_code, scheme_rate
 from labelweight_hss.matrix import MatrixF
 from labelweight_hss.protocol import (
     INPUT_SHARES,
@@ -131,6 +132,36 @@ def test_simulation_matches_monolith_50_seeds():
             mono = run_end_to_end(scheme, secrets, seed=trial)
             assert sim_outputs == mono.outputs
             assert mono.ok
+
+
+def test_simulate_rejects_secrets_outside_the_field():
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
+    with pytest.raises(ParameterOutOfRange, match=r"secret \(1, 1\) value 7 is outside 0\.\.4 \(q=5\)"):
+        simulate(scheme, [[7, 1, 1], [1, 1, 1]], seed=3)
+    with pytest.raises(FieldMismatch, match=r"secret \(1, 2\)"):
+        simulate(scheme, [[1, FieldElement(FieldSpec(7), 1), 1], [1, 1, 1]], seed=3)
+    _, outputs = simulate(scheme, [[FieldElement(GF5, 4), 2, 1], [1, 1, 1]], seed=3)
+    assert outputs == [3, 1]
+
+
+def test_servers_read_their_payload_slices_without_dicts(monkeypatch):
+    """Every fragment a server evaluates is a slice of its decoded payload,
+    laid out over the cached held subsets and never looked up by key."""
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
+    seen = []
+
+    def recording(scheme, j, views, var_indices=None):
+        seen.append((j, views))
+        return evaluate(scheme, j, views, var_indices)
+
+    evaluate = protocol.eval_server
+    monkeypatch.setattr(protocol, "eval_server", recording)
+    transcript, _ = simulate(scheme, [[1, 2, 3], [4, 0, 1]], seed=6)
+    assert [j for j, _ in seen] == [1, 2, 3, 4, 5]
+    for (j, views), message in zip(seen, transcript.messages):
+        held = held_subsets(5, 1, j)
+        assert all(type(f) is ShareVector and f.subsets is held and f._index is None for f in views.values())
+        assert [y for f in views.values() for y in f.shares] == list(message.payload)
 
 
 def test_hermitian_measured_download_rate():
