@@ -23,7 +23,7 @@ import itertools
 import operator
 import random
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -314,12 +314,16 @@ class HssScheme:
     eval_table[r] maps each monomial to its coefficient in the output
     polynomial z_r computed by server labeling(r), nonzero coefficients
     only.  It is expanded from the blocks on first read and cached; it
-    serves the v1 document, the literal block-system check and
-    inspection, and evaluation never reads it.  eval_server builds, on a
-    server's first call, one dense coefficient tensor per (owned
-    coordinate, instance) from the blocks and caches it here, so a scheme
-    is treated as immutable once it has been read or evaluated: editing
-    its blocks afterwards reaches neither the table nor the tensors.
+    serves the literal block-system check and inspection, while the v1
+    document and evaluation read the blocks.  eval_server builds, on a
+    server's first call, the coefficients of each coordinate it owns from
+    the blocks and caches them here: when q <= 256, one int per digit-bit
+    plane (bit b of base-p digit e of every coefficient, one byte per
+    tensor position, instance i - 1 in bit (i - 1) % 8, groups of 8
+    instances concatenated; see eval_server), above, one dense tensor per
+    instance.  A scheme is therefore treated as immutable once it has
+    been read or evaluated: editing its blocks afterwards reaches neither
+    the table nor the tensors.
     """
 
     params: HssParams
@@ -327,7 +331,7 @@ class HssScheme:
     solutions: SolutionBlocks = field(repr=False)
     labelweight_verified: bool = True
     _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
-    # server id -> (held subsets, tensors[coordinate position][instance - 1])
+    # server id -> (held subsets, per owned coordinate: its plane ints, or its tensors by instance)
     _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -420,11 +424,25 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     mapping {T: y_T with j not in T}; var_indices picks which of the m
     variables feed the d product slots (repetition allowed).
 
-    Each output share z_r is a fixed d-linear form in the shares, which
-    is contracted against dense coefficient tensors built from the
-    scheme's SolutionBlocks on server j's first call and cached on the
-    scheme (see HssScheme).  The tensors are indexed by
-    held_subsets(s, t, j).  A ShareVector over that very tuple, as
+    Each output share z_r is a fixed d-linear form in the shares:
+    z_r = sum over instances i and held-subset tuples (a_1, ..., a_d) of
+    T_{r,i}[a] * W_i[a], where W_i[a] = y_{i,1}[a_1] * ... * y_{i,d}[a_d]
+    is the share-product tensor and T_{r,i} the coefficient tensor of
+    _build_tensors, both row-major over held_subsets(s, t, j).  When
+    q <= 256 both sides are split into digit-bit planes (T_{e,b}: bit b of
+    base-p digit e; W_{f,g} likewise) packed one position per byte,
+    instance i - 1 in bit (i - 1) % 8 and groups of 8 instances
+    concatenated, so that with alpha = x, the generator of the
+    polynomial basis,
+
+        z_r = sum_{e,f} alpha^(e+f) * ((sum_{b,g} 2^(b+g) *
+              popcount(T_{e,b} & W_{f,g})) mod p),
+
+    every count an exact integer.  Fields above 256 contract the tensors
+    through FieldSpec calls.  The tensors are built on server j's first
+    call and cached on the scheme (see HssScheme).
+
+    A ShareVector over held_subsets(s, t, j) itself, as
     share_all_secrets and protocol.simulate produce, has its share list
     read as it is; any other fragment is read by key in that order.  The
     first share missing, in (instance, slot, subset) order, raises
@@ -440,25 +458,30 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
         scheme._tensors[j] = _build_tensors(scheme, j)
     held, tensors = scheme._tensors[j]
     slots = _slot_vectors(views, held, params.ell, chosen, j)
-    contract = _contract if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
+    contract = _contract_planes if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
     return contract(params.spec, tensors, slots, len(held))
 
 
 def _build_tensors(scheme: HssScheme, j: int):
-    """The subsets server j holds, and for each coordinate r it owns and
-    each instance i the dense tensor of z_r's coefficients on instance i.
+    """The subsets server j holds, and for each coordinate r it owns the
+    coefficients of z_r.
 
-    A tensor has C(s-1, t)^d entries (bytes when q <= 256, a tuple
-    above), indexed row-major by the d held subsets of a monomial
+    T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
+    entries, indexed row-major by the d held subsets of a monomial
     (positions in `held`): every combo of held subsets leaves j out, so
-    its block lists r among its coordinates.
+    its block lists r among its coordinates.  When q <= 256, r's entry is
+    one int per digit-bit plane (_bit_planes of T_{r,1}, ..., T_{r,ell}),
+    k * bit_length(p - 1) of them; above, the list of the ell tensors as
+    tuples.
     """
     params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
     held = held_subsets(params.s, params.t, j)
     local = [j not in union for union in blocks.unions]
     # the block of every combo of held subsets, in product order
     held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
-    join = b"".join if params.spec.q <= MAX_TABLE_ORDER else lambda parts: tuple(itertools.chain.from_iterable(parts))
+    small = params.spec.q <= MAX_TABLE_ORDER
+    join = b"".join if small else lambda parts: tuple(itertools.chain.from_iterable(parts))
+    tables, size = _plane_tables(params.spec) if small else None, len(held_blocks)
     tensors = []
     for r in scheme.code.labeling.coords(j):
         # r's ell coefficients in each block (those of position 0 in blocks held_blocks never names)
@@ -466,7 +489,8 @@ def _build_tensors(scheme: HssScheme, j: int):
         column = [block[start : start + ell] for block, start in zip(blocks.solutions, at)]
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
         joined = join(map(column.__getitem__, held_blocks))
-        tensors.append([joined[i::ell] for i in range(ell)])
+        per_instance = [joined[i::ell] for i in range(ell)]
+        tensors.append(_bit_planes(tables, _lane_strings(tables, per_instance, size), size) if small else per_instance)
     return held, tensors
 
 
@@ -489,52 +513,119 @@ def _slot_vectors(views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...]
     return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
 
 
-def _contract(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
-    """Sum over instances i of tensor(r, i) contracted with the slot vectors.
+class _PlaneTables(NamedTuple):
+    """Translate tables of the digit-bit planes of a field with q <= 256.
 
-    Slots 1..d-1 expand into the rows of the last slot that have no zero
-    share, each with w, the product of its shares.  The last slot is a
-    C-level dot product per row: entry c at a position whose share is y
-    adds (w*y)*c, read from a product table that keeps each base-p digit
-    in its own bit field, so integer sums add digit by digit without
-    carries (in every characteristic, XOR included).  Each output is
-    reduced digit by digit mod p once, at the end.
+    Tensors are packed `lanes` instances to a byte before they are split
+    into planes: entry a of instance s * lanes + l sits in bits
+    l * width .. (l + 1) * width - 1 of byte a of lane string s, with
+    width = bit_length(q - 1) and lanes the largest power of two with
+    lanes * width <= 8 (8 for GF(2), 2 for GF(9), 1 above 16).
     """
-    p, q, mul = spec.p, spec.q, spec.tables().mul
-    bits = ((p - 1) * len(slots) * h ** len(slots[0])).bit_length()
-    products = _lifted_products(spec, bits)
-    acc = [0] * len(tensors)
-    for i, vectors in enumerate(slots):
-        rows = [(0, 1)]  # (row of the last slot, product of its shares in slots 1..d-1)
-        for vector in vectors[:-1]:
-            nonzero = [(a, y) for a, y in enumerate(vector) if y]
-            rows = [(row * h + a, mul[w * q + y]) for row, w in rows for a, y in nonzero]
-        last = vectors[-1]
-        scaled = {w: list(map(products[w * q : (w + 1) * q].__getitem__, last)) for w in {w for _, w in rows}}
-        rows = [(row * h, scaled[w]) for row, w in rows]
-        for n, per_instance in enumerate(tensors):
-            tensor = per_instance[i]
-            acc[n] += sum(
-                itertools.chain.from_iterable(
-                    map(operator.getitem, terms, tensor[start : start + h]) for start, terms in rows
-                )
-            )
-    mask = (1 << bits) - 1
-    return [sum((total >> (bits * e) & mask) % p * p**e for e in range(spec.k)) for total in acc]
+
+    planes: list[tuple[int, int]]  # (digit e, bit b) of each plane
+    width: int
+    lanes: int
+    scale: list[bytes]  # scale[u] multiplies lane l of a byte by lane l of u
+    bits: list[list[bytes]]  # bits[s][n]: plane n's bit of lane l, moved to bit s * lanes + l
+    powers: list[int]  # alpha^m for m = 0..2k-2
 
 
 @functools.cache
-def _lifted_products(spec: FieldSpec, bits: int) -> tuple[tuple[int, ...], ...]:
-    """Entry a*q + b lists the products (a*b)*c, c = 0..q-1, with each
-    base-p digit moved into its own `bits`-bit field."""
-    p, q, mul = spec.p, spec.q, spec.tables().mul
-    lift = [sum(c // p**e % p << (bits * e) for e in range(spec.k)) for c in range(q)]
-    rows = [tuple(lift[c] for c in mul[a * q : (a + 1) * q]) for a in range(q)]
-    return tuple(rows[ab] for ab in mul)
+def _plane_tables(spec: FieldSpec) -> _PlaneTables:
+    p, q, k, mul = spec.p, spec.q, spec.k, spec.tables().mul
+    planes = [(e, b) for e in range(k) for b in range((p - 1).bit_length())]
+    width = (q - 1).bit_length()
+    lanes = 1 << ((8 // width).bit_length() - 1)
+    mask = (1 << width) - 1
+    lane = [bytes(u >> l * width & mask for u in range(256)) for l in range(lanes)]
+
+    def by_lane(l: int, column: bytes, shift: int) -> int:
+        """The 256 bytes u -> column[lane l of u] << shift (0 past the
+        column's end), as one int."""
+        return int.from_bytes(lane[l].translate(column.ljust(256, b"\0")), "little") << shift
+
+    # scaled[l][c]: c times lane l of each byte, kept in lane l (lanes holding q..mask never occur)
+    scaled = [
+        [by_lane(l, mul[c * q : (c + 1) * q], l * width) for c in range(q)] + [0] * (mask + 1 - q)
+        for l in range(lanes)
+    ]
+    scale = [sum(scaled[l][u >> l * width & mask] for l in range(lanes)).to_bytes(256, "little") for u in range(256)]
+    digit_bits = [bytes(y // p**e % p >> b & 1 for y in range(q)) for e, b in planes]
+    bits = [
+        [sum(by_lane(l, column, s * lanes + l) for l in range(lanes)).to_bytes(256, "little") for column in digit_bits]
+        for s in range(8 // lanes)
+    ]
+    powers = [1]
+    for _ in range(2 * k - 2):
+        powers.append(mul[powers[-1] * q + p])  # times alpha, whose code is p
+    return _PlaneTables(planes, width, lanes, scale, bits, powers)
+
+
+def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: int) -> list[bytes]:
+    """The tensors of `size` entries each (one per instance, in order),
+    packed tables.lanes to a byte (see _PlaneTables)."""
+    width, lanes = tables.width, tables.lanes
+    strings = []
+    for s in range(0, len(tensors), lanes):
+        packed = sum(int.from_bytes(bytes(t), "little") << l * width for l, t in enumerate(tensors[s : s + lanes]))
+        strings.append(packed.to_bytes(size, "little"))
+    return strings
+
+
+def _bit_planes(tables: _PlaneTables, strings: Sequence[bytes], size: int) -> list[int]:
+    """One int per digit-bit plane n of lane strings of `size` bytes:
+    bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit of entry a of
+    instance i (counted from 0)."""
+    per_group = 8 // tables.lanes
+    planes = [0] * len(tables.planes)
+    for s, string in enumerate(strings):
+        offset = 8 * size * (s // per_group)
+        for n, table in enumerate(tables.bits[s % per_group]):
+            planes[n] |= int.from_bytes(string.translate(table), "little") << offset
+    return planes
+
+
+def _share_products(scale: list[bytes], columns: Sequence[bytes], h: int) -> bytes:
+    """The lane string of the row-major tensors y_1 (x) ... (x) y_d, from
+    the lane strings of the d slot vectors (h shares each): slot by slot,
+    column b of the next level is the tensor so far scaled by that
+    slot's byte b."""
+    product = columns[0]
+    for column in columns[1:]:
+        level = bytearray(len(product) * h)
+        for b, u in enumerate(column):
+            if u:
+                level[b::h] = product.translate(scale[u])
+        product = level
+    return product
+
+
+def _contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+    """z_r for each owned coordinate, by the popcount identity of
+    eval_server: AND each coefficient plane with each share-product plane."""
+    tables = _plane_tables(spec)
+    p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
+    d = len(slots[0])
+    columns = [_lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(d)]
+    products = [_share_products(tables.scale, lane, h) for lane in zip(*columns)]
+    shares = _bit_planes(tables, products, h**d)
+    out = []
+    for coefficients in tensors:
+        sums = [0] * len(tables.powers)  # sums[m]: the integer coefficient of alpha^m
+        for (e, b), t in zip(tables.planes, coefficients):
+            if t:
+                for (f, g), w in zip(tables.planes, shares):
+                    sums[e + f] += (t & w).bit_count() << (b + g)
+        z = 0
+        for total, power in zip(sums, tables.powers):
+            z = add[z * q + mul[total % p * q + power]]
+        out.append(z)
+    return out
 
 
 def _contract_by_field(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
-    """_contract through FieldSpec calls, for fields too large to tabulate:
+    """z_r through FieldSpec calls, for fields too large to tabulate:
     entry c of tensor(r, i) at row-major position (a_1, ..., a_d) adds
     c * y_1[a_1] * ... * y_d[a_d]."""
     acc = [0] * len(tensors)
@@ -749,10 +840,16 @@ def _parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
 
 def scheme_to_text(scheme: HssScheme) -> str:
     """Canonical textual form; round-trips byte-identically."""
-    p = scheme.params
-    code_doc = code_to_text(scheme.code)
-    code_lines = code_doc.splitlines()
-    lines = [
+    return "\n".join(_canonical_lines(scheme)) + "\n"
+
+
+def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
+    """The lines of scheme_to_text: the header, the code document, then
+    one row per nonzero Eval coefficient in (coordinate, instance, subset
+    combo) order, streamed from the blocks without the eval_table."""
+    p, blocks = scheme.params, scheme.solutions
+    code_lines = code_to_text(scheme.code).splitlines()
+    yield from (
         SCHEME_FORMAT_TAG,
         f"s {p.s}",
         f"t {p.t}",
@@ -762,15 +859,19 @@ def scheme_to_text(scheme: HssScheme) -> str:
         f"labelweight-verified {1 if scheme.labelweight_verified else 0}",
         f"code-lines {len(code_lines)}",
         *code_lines,
-    ]
-    entries = []
-    for r in sorted(scheme.eval_table):
-        for mono, coeff in scheme.eval_table[r].items():
-            entries.append((r, mono.instance, mono.subsets, coeff))
-    entries.sort()
-    for r, inst, subsets, coeff in entries:
-        lines.append(f"eval {r} {inst} {_format_subsets(subsets)} {coeff}")
-    return "\n".join(lines) + "\n"
+    )
+    names = [_format_subsets(combo) for combo in _subset_combos(p)]
+    labels, ell = scheme.code.labeling.map, p.ell
+    for r in range(scheme.n):
+        # where r's coefficients start in each block, None where its server is in the union
+        at = [
+            cols.index(r) * ell if labels[r] not in union else None for cols, union in zip(blocks.coords, blocks.unions)
+        ]
+        for i in range(ell):
+            coeffs = [0 if start is None else block[start + i] for block, start in zip(blocks.solutions, at)]
+            for name, coeff in zip(names, map(coeffs.__getitem__, blocks.combo_union)):
+                if coeff:
+                    yield f"eval {r} {i + 1} {name} {coeff}"
 
 
 def scheme_from_text(text: str) -> HssScheme:
@@ -820,8 +921,7 @@ def scheme_from_text(text: str) -> HssScheme:
                 values[u][entry] = values[u][entry] or coeff
     blocks.solutions.extend(map(bytes if q <= MAX_TABLE_ORDER else tuple, values))
     scheme = HssScheme(params, code, blocks, labelweight_verified=header.get("labelweight-verified") == "1")
-    canonical = scheme_to_text(scheme).splitlines()
-    for n, (got, want) in enumerate(itertools.zip_longest(lines, canonical), 1):
+    for n, (got, want) in enumerate(itertools.zip_longest(lines, _canonical_lines(scheme)), 1):
         if got != want:
             raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")
     return scheme

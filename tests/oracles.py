@@ -11,18 +11,22 @@ payload by an explicit (instance, variable, subset) list.  The optimised
 code must agree with them exactly, on values and on the errors raised.
 The enumeration kernel keeps its depth-first walk over unpacked
 coordinate lists, one table addition per coordinate, which the bit-packed
-``kernels.min_labelweight`` replaced.
+``kernels.min_labelweight`` replaced; server evaluation keeps the dense
+byte tensors contracted through digit-lifted product tables, which the
+bit-plane popcount contraction of ``hss.eval_server`` replaced.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
+import operator
 import random
 from typing import NamedTuple, Sequence
 
 from labelweight_hss import hss, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
-from labelweight_hss.codes import LabeledCode, labelweight
+from labelweight_hss.codes import LabeledCode, code_to_text, labelweight
 from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
@@ -31,7 +35,7 @@ from labelweight_hss.errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import FieldElement, FieldSpec
+from labelweight_hss.galois import MAX_TABLE_ORDER, FieldElement, FieldSpec
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
@@ -327,6 +331,107 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
         out.append(acc)
     return out
 
+
+
+# -- hss: server evaluation by lifted products, the contraction the bit planes replaced --
+
+
+def build_byte_tensors(scheme: HssScheme, j: int):
+    """The subsets server j holds, and for each coordinate r it owns and
+    each instance i the dense tensor of z_r's coefficients on instance i
+    (bytes when q <= 256, a tuple above), row-major over the held subsets."""
+    params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
+    held = hss.held_subsets(params.s, params.t, j)
+    local = [j not in union for union in blocks.unions]
+    held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
+    join = b"".join if params.spec.q <= MAX_TABLE_ORDER else lambda parts: tuple(itertools.chain.from_iterable(parts))
+    tensors = []
+    for r in scheme.code.labeling.coords(j):
+        at = [cols.index(r) * ell if ok else 0 for cols, ok in zip(blocks.coords, local)]
+        column = [block[start : start + ell] for block, start in zip(blocks.solutions, at)]
+        joined = join(map(column.__getitem__, held_blocks))
+        tensors.append([joined[i::ell] for i in range(ell)])
+    return held, tensors
+
+
+def contract(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+    """Sum over instances i of tensor(r, i) contracted with the slot vectors.
+
+    Slots 1..d-1 expand into the rows of the last slot that have no zero
+    share, each with w, the product of its shares.  The last slot is a
+    C-level dot product per row: entry c at a position whose share is y
+    adds (w*y)*c, read from a product table that keeps each base-p digit
+    in its own bit field, so integer sums add digit by digit without
+    carries (in every characteristic, XOR included).  Each output is
+    reduced digit by digit mod p once, at the end.
+    """
+    p, q, mul = spec.p, spec.q, spec.tables().mul
+    bits = ((p - 1) * len(slots) * h ** len(slots[0])).bit_length()
+    products = lifted_products(spec, bits)
+    acc = [0] * len(tensors)
+    for i, vectors in enumerate(slots):
+        rows = [(0, 1)]  # (row of the last slot, product of its shares in slots 1..d-1)
+        for vector in vectors[:-1]:
+            nonzero = [(a, y) for a, y in enumerate(vector) if y]
+            rows = [(row * h + a, mul[w * q + y]) for row, w in rows for a, y in nonzero]
+        last = vectors[-1]
+        scaled = {w: list(map(products[w * q : (w + 1) * q].__getitem__, last)) for w in {w for _, w in rows}}
+        rows = [(row * h, scaled[w]) for row, w in rows]
+        for n, per_instance in enumerate(tensors):
+            tensor = per_instance[i]
+            acc[n] += sum(
+                itertools.chain.from_iterable(
+                    map(operator.getitem, terms, tensor[start : start + h]) for start, terms in rows
+                )
+            )
+    mask = (1 << bits) - 1
+    return [sum((total >> (bits * e) & mask) % p * p**e for e in range(spec.k)) for total in acc]
+
+
+@functools.cache
+def lifted_products(spec: FieldSpec, bits: int) -> tuple[tuple[int, ...], ...]:
+    """Entry a*q + b lists the products (a*b)*c, c = 0..q-1, with each
+    base-p digit moved into its own `bits`-bit field."""
+    p, q, mul = spec.p, spec.q, spec.tables().mul
+    lift = [sum(c // p**e % p << (bits * e) for e in range(spec.k)) for c in range(q)]
+    rows = [tuple(lift[c] for c in mul[a * q : (a + 1) * q]) for a in range(q)]
+    return tuple(rows[ab] for ab in mul)
+
+
+def eval_server_lifted(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
+    """hss.eval_server on byte tensors contracted by lifted products
+    (q <= 256), built afresh on every call."""
+    params = scheme.params
+    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
+    held, tensors = build_byte_tensors(scheme, j)
+    slots = hss._slot_vectors(views, held, params.ell, chosen, j)
+    return contract(params.spec, tensors, slots, len(held))
+
+
+def scheme_to_text(scheme) -> str:
+    """The v1 scheme document rendered from the per-monomial eval_table,
+    every row collected and sorted (a scheme or a TableScheme)."""
+    p = scheme.params
+    code_lines = code_to_text(scheme.code).splitlines()
+    lines = [
+        hss.SCHEME_FORMAT_TAG,
+        f"s {p.s}",
+        f"t {p.t}",
+        f"d {p.d}",
+        f"l {p.ell}",
+        f"m {p.m}",
+        f"labelweight-verified {1 if scheme.labelweight_verified else 0}",
+        f"code-lines {len(code_lines)}",
+        *code_lines,
+    ]
+    entries = []
+    for r in sorted(scheme.eval_table):
+        for mono, coeff in scheme.eval_table[r].items():
+            entries.append((r, mono.instance, mono.subsets, coeff))
+    entries.sort()
+    for r, inst, subsets, coeff in entries:
+        lines.append(f"eval {r} {inst} {hss._format_subsets(subsets)} {coeff}")
+    return "\n".join(lines) + "\n"
 
 # -- sharing: one fragment scan per server and secret -------------------------------
 

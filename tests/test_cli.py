@@ -1,4 +1,9 @@
+import contextlib
+import io
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from labelweight_hss.cli import main
 
@@ -194,3 +199,43 @@ def test_code_info_on_a_rank_deficient_document(capsys, tmp_path):
     code, out, err = run(capsys, "code", "info", "--in", str(path))
     assert code == 1 and out == ""
     assert err.count("\n") == 1 and err.startswith("decode error: ") and "full row rank" in err
+
+
+_FAMILY_FLAGS = {
+    "goppa": {"--u": st.integers(0, 3), "--r": st.integers(0, 3)},
+    "hermitian": {"--q": st.integers(0, 2), "--k": st.integers(0, 6)},
+    "rs": {"--q": st.sampled_from([0, 1, 2, 4, 5, 6, 9, 257]), "--n": st.integers(0, 7), "--k": st.integers(0, 5)},
+}
+
+
+@st.composite
+def _run_argv(draw, family):
+    """A demo or simulate argument vector over a small code of `family`,
+    valid or not (0 is out of range for every count but the seed)."""
+    argv = [draw(st.sampled_from(["demo", "simulate"])), "--code", family]
+    for flag, values in _FAMILY_FLAGS[family].items():
+        argv += [flag, draw(values)]
+    argv += ["--t", draw(st.integers(0, 2)), "--d", draw(st.integers(0, 3))]
+    if draw(st.booleans()):
+        argv += ["--m", draw(st.integers(0, 4))]
+    argv += ["--trials", draw(st.integers(0, 2)), "--seed", draw(st.integers(-2, 5))]
+    return [str(v) for v in argv]
+
+
+@pytest.mark.parametrize("family", sorted(_FAMILY_FLAGS))
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_generated_run_commands_end_in_an_exit_code_and_one_line(family, data):
+    """Every small demo or simulate invocation returns 0, 1 or 2 (no
+    exception escapes main): a run reports its trials on stdout, a failure
+    is one message line on stderr."""
+    argv = data.draw(_run_argv(family))
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if err.getvalue():
+        assert code != 0 and err.getvalue().count("\n") == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "decode error: "))
+    else:
+        assert out.getvalue().splitlines()[-1].endswith(" correct")

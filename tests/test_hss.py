@@ -564,6 +564,17 @@ def test_scheme_roundtrip_byte_identical():
         assert a == b
 
 
+def test_scheme_text_is_read_without_expanding_the_table():
+    doc = scheme_to_text(scheme_for_code(rs_build(5, 5, 2), t=1, d=2))
+    assert scheme_from_text(doc)._eval_table is None
+    lines = doc.splitlines()
+    # a document cut short or run on names its first line that differs
+    with pytest.raises(DecodeError, match=f"^line {len(lines)}: None is not {re.escape(repr(lines[-1]))}"):
+        scheme_from_text("\n".join(lines[:-1]) + "\n")
+    with pytest.raises(DecodeError, match=f"^line {len(lines) + 1}: 'eval 9' is not None"):
+        scheme_from_text(doc + "eval 9\n")
+
+
 def test_scheme_text_rejects_garbage():
     with pytest.raises(DecodeError):
         scheme_from_text("bogus\n")

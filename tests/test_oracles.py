@@ -3,6 +3,7 @@ evaluation, and the byte-level sharing and wire path, against the
 per-element reference code in ``oracles``."""
 
 import copy
+import functools
 import hashlib
 import itertools
 import random
@@ -16,7 +17,7 @@ import oracles
 from labelweight_hss import hss, protocol
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import DecodeError, FieldTooLarge, MissingShare
-from labelweight_hss.galois import FieldSpec
+from labelweight_hss.galois import MAX_TABLE_ORDER, FieldSpec
 from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
 
 TABLE_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
@@ -106,7 +107,8 @@ def schemes():
 def test_scheme_text_matches_oracle_synthesizer(schemes, name):
     new, old = schemes[name]
     assert new.eval_table == old.eval_table
-    assert hss.scheme_to_text(new) == hss.scheme_to_text(old)
+    # the rows streamed from the blocks are the sorted rows of the table
+    assert hss.scheme_to_text(new) == oracles.scheme_to_text(old) == oracles.scheme_to_text(new)
 
 
 def _views(scheme, seed):
@@ -124,7 +126,7 @@ def test_eval_server_matches_oracle(schemes, name):
         views = _views(scheme, seed)
         for chosen in (None, (d,) * d):
             for j in range(1, scheme.params.s + 1):
-                assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(scheme, j, views[j], chosen)
+                assert hss.eval_server(scheme, j, views[j], chosen) == _eval_oracles(scheme, j, views[j], chosen)
 
 
 def _raised(fn, *args):
@@ -198,32 +200,71 @@ def _rs9_pairs():
     return LabeledCode(code.spec, code.generator, Labeling.balanced(4, 2))
 
 
-# (code, t, d); servers own several coordinates in the "pairs" cases, and
-# GF(257) has no tables, so its tensors are contracted through FieldSpec calls
+def _copies(spec, ell, copies):
+    """[copies * ell, ell] code with generator [I | ... | I], copy c owned
+    by server c: labelweight `copies`, any ell."""
+    rows = [[1 if col % ell == row else 0 for col in range(copies * ell)] for row in range(ell)]
+    return LabeledCode(spec, MatrixF(spec, rows), Labeling.balanced(copies, ell))
+
+
+# (code, t, d); servers own several coordinates in the "pairs" and "copies"
+# cases, the "copies" cases put ell = 8, 9 and 17 instances across the
+# groups of 8 that the bit planes pack into a byte, and GF(257) has no
+# tables, so its tensors are contracted through FieldSpec calls
 EVAL_CASES = {
     "gf2-goppa-t1d1": (lambda: goppa_build(3, 1), 1, 1),
     "gf2-goppa-t1d2": (lambda: goppa_build(3, 1), 1, 2),
     "gf2-t1d3": (lambda: _binary_10_2(Labeling.identity(10)), 1, 3),
     "gf2-t2d2": (lambda: _binary_10_2(Labeling.identity(10)), 2, 2),
     "gf2-pairs-t1d2": (lambda: _binary_10_2(Labeling.balanced(5, 2)), 1, 2),
+    "gf2-copies-l8-t1d2": (lambda: _copies(FieldSpec(2), 8, 3), 1, 2),
+    "gf2-copies-l9-t1d3": (lambda: _copies(FieldSpec(2), 9, 4), 1, 3),
+    "gf2-copies-l17-t1d2": (lambda: _copies(FieldSpec(2), 17, 3), 1, 2),
+    "gf3-copies-l9-t1d2": (lambda: _copies(FieldSpec(3), 9, 3), 1, 2),
     "gf4-rs-t1d1": (lambda: rs_build(4, 4, 3), 1, 1),
     "gf4-rs-t1d2": (lambda: rs_build(4, 4, 2), 1, 2),
     "gf4-rs-t1d3": (lambda: rs_build(4, 4, 1), 1, 3),
     "gf4-hermitian-t2d2": (lambda: hermitian_build(2, 3), 2, 2),
+    "gf4-copies-l17-t1d2": (lambda: _copies(FieldSpec(2, 2), 17, 3), 1, 2),
     "gf5-rs-t1d1": (lambda: rs_build(5, 5, 4), 1, 1),
     "gf5-rs-t1d2": (lambda: rs_build(5, 5, 3), 1, 2),
     "gf5-rs-t1d3": (lambda: rs_build(5, 5, 2), 1, 3),
     "gf5-rs-t2d2": (lambda: rs_build(5, 5, 1), 2, 2),
+    "gf7-rs-t1d2": (lambda: rs_build(7, 6, 3), 1, 2),
+    "gf7-rs-t1d3": (lambda: rs_build(7, 6, 2), 1, 3),
+    "gf7-copies-l9-t1d2": (lambda: _copies(FieldSpec(7), 9, 3), 1, 2),
+    "gf8-rs-t1d2": (lambda: rs_build(8, 6, 3), 1, 2),
+    "gf8-rs-t2d2": (lambda: rs_build(8, 7, 2), 2, 2),
     "gf9-rs-t1d1": (lambda: rs_build(9, 5, 3), 1, 1),
     "gf9-rs-t1d2": (lambda: rs_build(9, 6, 3), 1, 2),
     "gf9-rs-t1d3": (lambda: rs_build(9, 6, 2), 1, 3),
     "gf9-rs-t2d2": (lambda: rs_build(9, 7, 3), 2, 2),
     "gf9-pairs-t1d3": (_rs9_pairs, 1, 3),
+    "gf9-copies-l8-t1d3": (lambda: _copies(GF9, 8, 4), 1, 3),
+    "gf9-copies-l17-t1d2": (lambda: _copies(GF9, 17, 3), 1, 2),
+    "gf16-rs-t1d2": (lambda: rs_build(16, 6, 3), 1, 2),
+    "gf16-rs-l9-t1d2": (lambda: rs_build(16, 12, 9), 1, 2),
+    "gf27-rs-t1d2": (lambda: rs_build(27, 6, 3), 1, 2),
+    "gf27-rs-t1d3": (lambda: rs_build(27, 6, 2), 1, 3),
+    "gf251-rs-t1d2": (lambda: rs_build(251, 7, 4), 1, 2),
+    "gf251-rs-t1d3": (lambda: rs_build(251, 6, 2), 1, 3),
+    "gf251-copies-l9-t1d2": (lambda: _copies(FieldSpec(251), 9, 3), 1, 2),
+    "gf256-rs-t1d2": (lambda: rs_build(256, 7, 4), 1, 2),
     "gf257-rs-t1d1": (lambda: rs_build(257, 5, 3), 1, 1),
     "gf257-rs-t1d2": (lambda: rs_build(257, 5, 3), 1, 2),
     "gf257-rs-t1d3": (lambda: rs_build(257, 6, 3), 1, 3),
     "gf257-rs-t2d2": (lambda: rs_build(257, 7, 3), 2, 2),
 }
+
+
+def _eval_oracles(scheme, j, view, chosen):
+    """Server j's output shares by the per-monomial oracle, checked
+    against the byte-tensor contraction by lifted products where the field
+    has tables."""
+    expected = oracles.eval_server(scheme, j, view, chosen)
+    if scheme.params.spec.q <= MAX_TABLE_ORDER:
+        assert oracles.eval_server_lifted(scheme, j, view, chosen) == expected
+    return expected
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES))
@@ -236,7 +277,7 @@ def test_eval_server_matches_oracle_across_fields(name):
         for chosen in (None, (params.m,) * d):
             for j in range(1, params.s + 1):
                 positional = hss.eval_server(scheme, j, views[j], chosen)
-                assert positional == oracles.eval_server(scheme, j, views[j], chosen)
+                assert positional == _eval_oracles(scheme, j, views[j], chosen)
                 # the share vectors read as they are and dicts read by key agree
                 as_dicts = {key: dict(fragment) for key, fragment in views[j].items()}
                 assert positional == hss.eval_server(scheme, j, as_dicts, chosen)
@@ -244,11 +285,49 @@ def test_eval_server_matches_oracle_across_fields(name):
     assert sorted(scheme._tensors) == list(range(1, params.s + 1))
 
 
+PROPERTY_CASES = ["gf2-copies-l9-t1d3", "gf4-copies-l17-t1d2", "gf7-rs-t1d3", "gf9-rs-t2d2", "gf27-rs-t1d2",
+                  "gf251-rs-t1d2", "gf256-rs-t1d2"]
+
+
+@functools.cache
+def _property_scheme(name):
+    build, t, d = EVAL_CASES[name]
+    return hss.scheme_for_code(build(), t=t, d=d, m=d + 1)
+
+
+@st.composite
+def _server_inputs(draw):
+    """A scheme, a server, d variable indices (repeats allowed) and a view
+    whose fragments are all zero, random, or sparse."""
+    scheme = _property_scheme(draw(st.sampled_from(PROPERTY_CASES)))
+    params = scheme.params
+    j = draw(st.integers(1, params.s))
+    chosen = tuple(draw(st.lists(st.integers(1, params.m), min_size=params.d, max_size=params.d)))
+    held = hss.held_subsets(params.s, params.t, j)
+    element = st.integers(0, params.spec.q - 1)
+    vector = st.one_of(
+        st.just([0] * len(held)),
+        st.lists(element, min_size=len(held), max_size=len(held)),
+        st.lists(st.sampled_from([0, 0, 0, 1, params.spec.q - 1]), min_size=len(held), max_size=len(held)),
+    )
+    keys = [(i, v) for i in range(1, params.ell + 1) for v in range(1, params.m + 1)]
+    view = {key: hss.ShareVector(held, draw(vector)) for key in keys}
+    return scheme, j, chosen, view
+
+
+@given(_server_inputs())
+@settings(max_examples=100, deadline=None, database=None)
+def test_eval_server_matches_oracles_on_generated_views(inputs):
+    scheme, j, chosen, view = inputs
+    assert hss.eval_server(scheme, j, view, chosen) == _eval_oracles(scheme, j, view, chosen)
+
+
 @pytest.mark.parametrize("name", ["goppa", "rs5"])
 def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name):
     scheme = wire_schemes[name]
     parsed = hss.scheme_from_text(hss.scheme_to_text(scheme))
     assert parsed.solutions == scheme.solutions
+    assert parsed._eval_table is None  # checked against rows streamed from the blocks
     secrets = _secrets(scheme.params, 12)
     transcript, outputs = protocol.simulate(scheme, secrets, seed=4)
     parsed_transcript, parsed_outputs = protocol.simulate(parsed, secrets, seed=4)
