@@ -112,6 +112,17 @@ def _integer_log(base: int, value: int) -> int | None:
     return j if acc == value else None
 
 
+def _servers_above_dt(s, d: int, t: int) -> int:
+    """dt = d*t, after checking dt >= 1 and s > dt, the range of every
+    closed-form family."""
+    dt = d * t
+    if dt < 1:
+        raise ParameterOutOfRange(f"need dt >= 1, got dt={dt}")
+    if s <= dt:
+        raise ParameterOutOfRange(f"need s > dt, got s={s}, dt={dt}")
+    return dt
+
+
 def baseline_params(s: int, d: int, t: int, log_base) -> ParamRow:
     """Baseline optimal-rate family: rate 1 - dt/s, amortization (s-dt)*j.
 
@@ -119,9 +130,7 @@ def baseline_params(s: int, d: int, t: int, log_base) -> ParamRow:
     s^(2/3) (cube-alphabet comparisons); otherwise ceil of the log.  The
     printed rate truncates (matching the reference tables).
     """
-    dt = d * t
-    if s <= dt:
-        raise ParameterOutOfRange(f"need s > dt, got s={s}, dt={dt}")
+    dt = _servers_above_dt(s, d, t)
     rate = Fraction(s - dt, s)
     j: object
     if isinstance(log_base, int) and (exact := _integer_log(log_base, s)) is not None:
@@ -145,9 +154,7 @@ def baseline_params(s: int, d: int, t: int, log_base) -> ParamRow:
 def baseline_amort_lower(s: int, d: int, t: int, q: int) -> int:
     """Lower bound on baseline amortization:
     (s-dt) * ceil(max(log_q(s-dt+1), log_q(dt+1)))."""
-    dt = d * t
-    if s <= dt:
-        raise ParameterOutOfRange(f"need s > dt, got s={s}, dt={dt}")
+    dt = _servers_above_dt(s, d, t)
 
     def ceil_log(x: int) -> int:
         j, acc = 0, 1
@@ -168,9 +175,7 @@ def hermitian_params(s, d: int, t: int, exact: bool = False) -> ParamRow:
     inputs are evaluated in exact rational arithmetic, so integral
     amortization values print without float fuzz.
     """
-    dt = d * t
-    if s <= dt:
-        raise ParameterOutOfRange(f"need s > dt, got s={s}, dt={dt}")
+    dt = _servers_above_dt(s, d, t)
     root = round(float(s) ** (1 / 3))
     is_cube = isinstance(s, int) and root**3 == s
     if exact and not is_cube:
@@ -203,9 +208,7 @@ def goppa_params(s: int, d: int, t: int, mode: str = "exact") -> ParamRow:
     real threshold u* itself, which is the variant the printed comparison
     uses.
     """
-    dt = d * t
-    if s <= dt:
-        raise ParameterOutOfRange(f"need s > dt, got s={s}, dt={dt}")
+    dt = _servers_above_dt(s, d, t)
     threshold = goppa_u_threshold(dt)
     if mode == "exact":
         u = _integer_log(2, s)

@@ -34,8 +34,8 @@ from .errors import (
     EnumerationBudgetExceeded,
     ParameterOutOfRange,
 )
-from .galois import FieldElement, FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field
-from .matrix import MatrixF, kernel_basis, rank
+from .galois import FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field
+from .matrix import MatrixF, kernel_basis, rank, rref
 
 CODE_FORMAT_TAG = "labelweight-code/v1"
 _CODE_FIELDS = ("field", "n", "dim", "servers", "labeling")
@@ -120,26 +120,24 @@ class LabeledCode:
         return f"LabeledCode([{self.n},{self.dim}] over GF({self.spec.p}^{self.spec.k}), s={self.s})"
 
 
-def word_labelweight(labeling: Labeling, word: Sequence) -> int:
-    """Number of distinct labels touched by the support of `word`."""
+def word_labelweight(labeling: Labeling, word: Sequence[int]) -> int:
+    """Number of distinct labels touched by the support of `word`, a
+    sequence of element codes."""
     if len(word) != labeling.n:
         raise DimensionMismatch(f"word length {len(word)} != n {labeling.n}")
-    touched = set()
-    for j, v in enumerate(word):
-        code = v.value if isinstance(v, FieldElement) else int(v)
-        if code:
-            touched.add(labeling.map[j])
-    return len(touched)
+    return len({label for label, v in zip(labeling.map, word) if int(v)})
 
 
 def labelweight(code: LabeledCode, word: Sequence | None = None, budget: int | None = None) -> int:
     """Labelweight of one word, or of the whole code when `word` is None.
 
-    The whole-code form enumerates every nonzero message exhaustively;
-    the number of messages q^dim must fit the enumeration budget.
+    The word's entries are elements of the code's field or their codes
+    (FieldSpec.code_of).  The whole-code form enumerates every nonzero
+    message exhaustively; the number of messages q^dim must fit the
+    enumeration budget.
     """
     if word is not None:
-        return word_labelweight(code.labeling, word)
+        return word_labelweight(code.labeling, [code.spec.code_of(v) for v in word])
     limit = effective_budget(LABELWEIGHT_BUDGET) if budget is None else budget
     total = code.spec.q**code.dim
     if total > limit:
@@ -200,11 +198,14 @@ def goppa_build(
     """Binary Goppa code from a degree-r polynomial over GF(2^u).
 
     `g` defaults to the smallest monic irreducible of degree r with no
-    roots on the support; `points` defaults to all of GF(2^u).  For r = 1
-    every monic linear polynomial has its root in the full field, so the
-    support shrinks by that single root (n = 2^u - 1) instead of failing.
-    The codeword space is the GF(2) kernel of the bit-expanded parity
-    check H[j][i] = a_i^j / g(a_i), and the labeling is the identity.
+    roots on the support (find_irreducible); `points` (element codes or
+    elements of GF(2^u)) default to all of GF(2^u).  For r = 1 every monic
+    linear polynomial has its root in the full field, so the support
+    shrinks by that single root (n = 2^u - 1) instead of failing.  A
+    caller-supplied g must be monic, irreducible, of degree r over
+    GF(2^u) and nonzero on the support.  The codeword space is the GF(2)
+    kernel of the bit-expanded parity check H[j][i] = a_i^j / g(a_i), and
+    the labeling is the identity.
     """
     if u < 1 or r < 1:
         raise ParameterOutOfRange("u and r must be >= 1")
@@ -212,28 +213,28 @@ def goppa_build(
     if points is None:
         support = list(range(ext.q))
     else:
-        support = [v.value if isinstance(v, FieldElement) else int(v) for v in points]
+        support = [ext.code_of(v) for v in points]
         if len(set(support)) != len(support):
             raise ParameterOutOfRange("support points must be distinct")
     if g is None:
         try:
-            g = find_irreducible(ext, r, "lex", exclude=support)
+            g = find_irreducible(ext, r, exclude=support)
         except ValueError:
             # Only reachable for r = 1 with the full field as support.
-            g = find_irreducible(ext, r, "lex")
-            roots = [v for v in support if g(v).value == 0]
-            support = [v for v in support if v not in set(roots)]
-    if g.spec != ext:
-        raise BadGoppaPolynomial("polynomial not over GF(2^u)")
-    if g.degree != r:
-        raise BadGoppaPolynomial(f"degree {g.degree} != {r}")
-    if not g.is_monic():
-        raise BadGoppaPolynomial("polynomial must be monic")
-    if not is_irreducible(g):
-        raise BadGoppaPolynomial("polynomial is reducible")
-    vanishing = [a for a in support if g(a).value == 0]
-    if vanishing:
-        raise BadGoppaPolynomial(f"polynomial vanishes on support points {vanishing}")
+            g = find_irreducible(ext, r)
+            support = [v for v in support if g(v)]
+    else:
+        if g.spec != ext:
+            raise BadGoppaPolynomial("polynomial not over GF(2^u)")
+        if g.degree != r:
+            raise BadGoppaPolynomial(f"degree {g.degree} != {r}")
+        if not g.is_monic():
+            raise BadGoppaPolynomial("polynomial must be monic")
+        if not is_irreducible(g):
+            raise BadGoppaPolynomial("polynomial is reducible")
+        vanishing = [a for a in support if not g(a)]
+        if vanishing:
+            raise BadGoppaPolynomial(f"polynomial vanishes on support points {vanishing}")
     n = len(support)
     if n == 0:
         raise ParameterOutOfRange("empty support")
@@ -271,51 +272,43 @@ def hermitian_points(q: int) -> tuple[FieldSpec, list[tuple[int, int]]]:
     """
     p, e = prime_power(q)
     ext = FieldSpec(p, 2 * e)
+    trace = [ext.add(ext.pow(y, q), y) for y in range(ext.q)]
     pts = []
     for x in range(ext.q):
         xq1 = ext.pow(x, q + 1)
-        for y in range(ext.q):
-            if ext.add(ext.pow(y, q), y) == xq1:
-                pts.append((x, y))
+        pts.extend((x, y) for y in range(ext.q) if trace[y] == xq1)
     return ext, pts
 
 
 def hermitian_build(q: int, k: int) -> LabeledCode:
     """Dimension-k evaluation code on the Hermitian curve point set.
 
-    Rows evaluate monomials x^a y^b (0 <= b <= q-1) in increasing pole
-    order a*q + b*(q+1), keeping the first k whose evaluations are
-    linearly independent; the labeling is the identity.  For
-    k <= q^3 - q(q-1)/2 nothing is ever skipped (evaluation is injective
-    below pole order n), so this is the plain first-k basis there; past
-    that point functions like x^(q^2) - x vanish on the whole point set
-    and the skip rule keeps the generator full rank up to k = q^3.
+    Rows evaluate monomials x^a y^b (0 <= b <= q-1, a <= q^2 + q + 1) in
+    increasing pole order a*q + b*(q+1), keeping the first k whose
+    evaluations are linearly independent: the first k pivot columns of
+    the reduced row echelon form of the points x monomials evaluation
+    matrix.  The labeling is the identity.  For k <= q^3 - q(q-1)/2
+    nothing is ever skipped (evaluation is injective below pole order n),
+    so this is the plain first-k basis there; past that point functions
+    like x^(q^2) - x vanish on the whole point set and the skipping keeps
+    the generator full rank up to k = q^3.
     """
     ext, pts = hermitian_points(q)
     n = len(pts)
     if not 1 <= k <= n:
         raise ParameterOutOfRange(f"need 1 <= k <= {n}, got {k}")
-    monomials = sorted((a * q + b * (q + 1), a, b) for b in range(q) for a in range(q * q + q + 2))
-    rows: list[list[int]] = []
-    reduced: dict[int, list[int]] = {}  # pivot column -> normalized reduced row
-    for _, a, b in monomials:
-        if len(rows) == k:
-            break
-        row = [ext.mul(ext.pow(x, a), ext.pow(y, b)) for x, y in pts]
-        work = row[:]
-        for col, base in sorted(reduced.items()):
-            if work[col]:
-                factor = work[col]
-                work = [ext.sub(wv, ext.mul(factor, bv)) for wv, bv in zip(work, base)]
-        pivot = next((j for j, v in enumerate(work) if v), None)
-        if pivot is None:
-            continue
-        scale = ext.inv(work[pivot])
-        reduced[pivot] = [ext.mul(scale, v) for v in work]
-        rows.append(row)
-    if len(rows) < k:
+    top = q * q + q + 1
+    monomials = sorted((a * q + b * (q + 1), a, b) for b in range(q) for a in range(top + 1))
+    # powers[v][e] = v^e, for every element v and e <= top
+    powers = [[1] * (top + 1) for _ in range(ext.q)]
+    for v, row in enumerate(powers):
+        for e in range(1, top + 1):
+            row[e] = ext.mul(row[e - 1], v)
+    evals = [[ext.mul(powers[x][a], powers[y][b]) for x, y in pts] for _, a, b in monomials]
+    pivots = rref(MatrixF(ext, list(zip(*evals)))).pivots
+    if len(pivots) < k:
         raise ParameterOutOfRange(f"could not collect {k} independent evaluations")
-    generator = MatrixF(ext, rows)
+    generator = MatrixF(ext, [evals[c] for c in pivots[:k]])
     meta = {"family": "hermitian", "q": q, "k": k}
     return LabeledCode(ext, generator, Labeling.identity(n), meta)
 

@@ -10,16 +10,21 @@ order of these codes.
 A :class:`FieldSpec` fixes the characteristic ``p``, extension degree
 ``k`` and an explicit monic irreducible modulus polynomial; specs compare
 equal iff all three match.  For field orders up to 256, addition,
-subtraction, negation, multiplication and inversion go through flat
-lookup tables built once per spec (:meth:`FieldSpec.tables`), which the
-hot loops of ``matrix`` and ``hss`` also index directly.  Above 256 they
-fall back to base-p digit loops and direct polynomial reduction.  Specs
-and polynomials are immutable after construction.
+subtraction, negation, multiplication and inversion go through one set
+of flat lookup tables built once per spec (:meth:`FieldSpec.tables`:
+``add``, ``sub``, ``neg``, ``mul`` and ``inv``), which the hot loops of
+``matrix`` and ``hss`` also index directly.  Above 256 they fall back to
+base-p digit loops and direct polynomial reduction.
+
+Irreducibility has one test, Ben-Or's (:func:`is_irreducible`), exact at
+every degree.  The default modulus of a spec is the first monic
+irreducible that :func:`find_irreducible` meets in coefficient-code
+order.  Specs and polynomials are immutable after construction.
 """
 
 from __future__ import annotations
 
-import random
+import itertools
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FieldMismatch, FieldTooLarge
@@ -55,12 +60,14 @@ def require_table_order(q: int) -> None:
 
 class FieldTables(NamedTuple):
     """Flat lookup tables of one field, indexed by element codes:
-    ``add[a*q + b]``, ``sub[a*q + b]``, ``neg[a]`` and ``mul[a*q + b]``."""
+    ``add[a*q + b]``, ``sub[a*q + b]``, ``neg[a]``, ``mul[a*q + b]`` and
+    ``inv[a]`` (``inv[0]`` is 0 and never read)."""
 
     add: bytes
     sub: bytes
     neg: bytes
     mul: bytes
+    inv: bytes
 
 
 class FieldSpec:
@@ -87,22 +94,22 @@ class FieldSpec:
         self.p = p
         self.k = k
         self.q = p**k
+        self._tables: FieldTables | None = None
         if modulus is None:
-            modulus = _smallest_irreducible_modulus(p, k)
+            # irreducible as found, so not tested again
+            self.modulus = (0, 1) if k == 1 else find_irreducible(FieldSpec(p), k).coeffs
+            return
         modulus = tuple(c % p for c in modulus)
         if len(modulus) != k + 1 or modulus[k] != 1:
             raise ValueError(f"modulus must be monic of degree {k}: {modulus}")
-        self.modulus = modulus
-        self._mul_table: bytes | None = None
-        self._inv_table: list[int] | None = None
-        self._tables: FieldTables | None = None
-        if k > 1 and not _modulus_is_irreducible(p, modulus):
+        if k > 1 and not is_irreducible(Polynomial(FieldSpec(p), modulus)):
             raise ValueError(f"modulus {modulus} is reducible over GF({p})")
+        self.modulus = modulus
 
     # -- identity ------------------------------------------------------
 
     def __eq__(self, other) -> bool:
-        return (
+        return other is self or (
             isinstance(other, FieldSpec)
             and self.p == other.p
             and self.k == other.k
@@ -139,18 +146,24 @@ class FieldSpec:
             code //= self.p
         return tuple(out)
 
-    def element(self, value) -> "FieldElement":
-        """Wrap an element code (or coefficient sequence) as a FieldElement."""
+    def code_of(self, value) -> int:
+        """The element code of `value`, an element of this field or an
+        integer code.  Raises FieldMismatch for an element of another
+        field and ValueError for a code outside [0, q)."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise FieldMismatch(f"{value!r} does not belong to {self.describe()}")
-            return value
+            return value.value
+        code = int(value)
+        if not 0 <= code < self.q:
+            raise ValueError(f"element code {code} outside [0, {self.q})")
+        return code
+
+    def element(self, value) -> "FieldElement":
+        """Wrap an element code (or coefficient sequence) as a FieldElement."""
         if isinstance(value, (list, tuple)):
             value = self.encode(value)
-        value = int(value)
-        if not 0 <= value < self.q:
-            raise ValueError(f"element code {value} outside [0, {self.q})")
-        return FieldElement(self, value)
+        return FieldElement(self, self.code_of(value))
 
     def elements(self) -> Iterator["FieldElement"]:
         return (FieldElement(self, v) for v in range(self.q))
@@ -188,16 +201,14 @@ class FieldSpec:
 
     def mul(self, a: int, b: int) -> int:
         if self.q <= MAX_TABLE_ORDER:
-            return self.mul_table[a * self.q + b]
+            return (self._tables or self.tables()).mul[a * self.q + b]
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroDivisionError("inverse of zero field element")
         if self.q <= MAX_TABLE_ORDER:
-            if self._inv_table is None:
-                self.mul_table  # builds both tables
-            return self._inv_table[a]
+            return (self._tables or self.tables()).inv[a]
         return self.pow(a, self.q - 2)
 
     def div(self, a: int, b: int) -> int:
@@ -259,29 +270,8 @@ class FieldSpec:
 
     @property
     def mul_table(self) -> bytes:
-        """Flat q*q multiplication table (only for q <= 256)."""
-        require_table_order(self.q)
-        if self._mul_table is None:
-            q = self.q
-            table = bytearray(q * q)
-            for a in range(q):
-                row = a * q
-                for b in range(a, q):
-                    v = self._mul_raw(a, b)
-                    table[row + b] = v
-                    table[b * q + a] = v
-            self._mul_table = bytes(table)
-            inv = [0] * q
-            for a in range(1, q):
-                x, base, e = 1, a, q - 2
-                while e:
-                    if e & 1:
-                        x = self._mul_table[x * q + base]
-                    base = self._mul_table[base * q + base]
-                    e >>= 1
-                inv[a] = x
-            self._inv_table = inv
-        return self._mul_table
+        """Flat q*q multiplication table (only for q <= 256), built once."""
+        return self.tables().mul
 
     @property
     def add_table(self) -> bytes:
@@ -289,7 +279,7 @@ class FieldSpec:
         return self.tables().add
 
     def tables(self) -> FieldTables:
-        """The add, sub, neg and mul tables, built on first use (only for q <= 256)."""
+        """The add, sub, neg, mul and inv tables, built on first use (only for q <= 256)."""
         if self._tables is None:
             require_table_order(self.q)
             q = self.q
@@ -300,7 +290,14 @@ class FieldSpec:
             add = bytes(add_fn(a, b) for a in range(q) for b in range(q))
             neg = bytes(neg_fn(a) for a in range(q))
             sub = bytes(add[a * q + neg[b]] for a in range(q) for b in range(q))
-            self._tables = FieldTables(add, sub, neg, self.mul_table)
+            table = bytearray(q * q)
+            for a in range(q):
+                for b in range(a, q):
+                    table[a * q + b] = table[b * q + a] = self._mul_raw(a, b)
+            mul = bytes(table)
+            # the one b with a*b = 1 in row a
+            inv = bytes([0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
+            self._tables = FieldTables(add, sub, neg, mul, inv)
         return self._tables
 
 
@@ -390,19 +387,23 @@ class Polynomial:
     def __init__(self, spec: FieldSpec, coeffs: Iterable):
         codes = []
         for c in coeffs:
-            if isinstance(c, FieldElement):
-                if c.spec != spec:
-                    raise FieldMismatch("polynomial coefficient from a different field")
-                codes.append(c.value)
-            else:
-                codes.append(int(c) % spec.q if spec.k == 1 else int(c))
+            if spec.k == 1 and not isinstance(c, FieldElement):
+                c = int(c) % spec.q  # plain ints reduce mod p over a prime field
+            codes.append(spec.code_of(c))
         while codes and codes[-1] == 0:
             codes.pop()
-        for c in codes:
-            if not 0 <= c < spec.q:
-                raise ValueError(f"coefficient code {c} outside field of order {spec.q}")
         self.spec = spec
         self.coeffs = tuple(codes)
+
+    @classmethod
+    def _of_codes(cls, spec: FieldSpec, codes: list[int]) -> "Polynomial":
+        """The polynomial of element codes that field arithmetic produced,
+        trimmed but not checked again."""
+        while codes and codes[-1] == 0:
+            codes.pop()
+        out = cls.__new__(cls)
+        out.spec, out.coeffs = spec, tuple(codes)
+        return out
 
     @classmethod
     def zero(cls, spec: FieldSpec) -> "Polynomial":
@@ -446,7 +447,7 @@ class Polynomial:
         out = list(a)
         for i, c in enumerate(b):
             out[i] = f.add(out[i], c)
-        return Polynomial(f, out)
+        return Polynomial._of_codes(f, out)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         other = self._check(other)
@@ -457,7 +458,7 @@ class Polynomial:
             ca = self.coeffs[i] if i < len(self.coeffs) else 0
             cb = other.coeffs[i] if i < len(other.coeffs) else 0
             out[i] = f.sub(ca, cb)
-        return Polynomial(f, out)
+        return Polynomial._of_codes(f, out)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         other = self._check(other)
@@ -470,25 +471,23 @@ class Polynomial:
                 for j, cb in enumerate(other.coeffs):
                     if cb:
                         out[i + j] = f.add(out[i + j], f.mul(ca, cb))
-        return Polynomial(f, out)
+        return Polynomial._of_codes(f, out)
 
     def scale(self, c) -> "Polynomial":
-        code = c.value if isinstance(c, FieldElement) else int(c)
         f = self.spec
-        return Polynomial(f, [f.mul(code, a) for a in self.coeffs])
+        code = f.code_of(c)
+        return Polynomial._of_codes(f, [f.mul(code, a) for a in self.coeffs])
 
-    def __divmod__(self, other: "Polynomial"):
+    def _divide(self, other: "Polynomial") -> tuple[list[int], list[int]]:
+        """Quotient and remainder codes of long division by `other`."""
         other = self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.spec
         rem = list(self.coeffs)
-        dlead = other.coeffs[-1]
-        dlead_inv = f.inv(dlead)
+        dlead_inv = f.inv(other.coeffs[-1])
         dd = len(other.coeffs) - 1
-        if len(rem) - 1 < dd:
-            return Polynomial.zero(f), Polynomial(f, rem)
-        quot = [0] * (len(rem) - dd)
+        quot = [0] * max(len(rem) - dd, 0)
         for i in range(len(rem) - 1, dd - 1, -1):
             c = rem[i]
             if c == 0:
@@ -497,13 +496,17 @@ class Polynomial:
             quot[i - dd] = factor
             for j, dc in enumerate(other.coeffs):
                 rem[i - dd + j] = f.sub(rem[i - dd + j], f.mul(factor, dc))
-        return Polynomial(f, quot), Polynomial(f, rem)
+        return quot, rem
+
+    def __divmod__(self, other: "Polynomial"):
+        quot, rem = self._divide(other)
+        return Polynomial._of_codes(self.spec, quot), Polynomial._of_codes(self.spec, rem)
 
     def __mod__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[1]
+        return Polynomial._of_codes(self.spec, self._divide(other)[1])
 
     def __floordiv__(self, other: "Polynomial") -> "Polynomial":
-        return divmod(self, other)[0]
+        return Polynomial._of_codes(self.spec, self._divide(other)[0])
 
     def gcd(self, other: "Polynomial") -> "Polynomial":
         """Monic greatest common divisor."""
@@ -521,7 +524,7 @@ class Polynomial:
     def __call__(self, x) -> FieldElement:
         """Evaluate by Horner's rule; accepts an element or a raw code."""
         f = self.spec
-        code = x.value if isinstance(x, FieldElement) else int(x)
+        code = f.code_of(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, code), c)
@@ -534,53 +537,24 @@ class Polynomial:
         return "Poly(" + " + ".join(terms) + f" over GF({self.spec.p}^{self.spec.k}))"
 
 
-def _modulus_is_irreducible(p: int, modulus: Sequence[int]) -> bool:
-    base = FieldSpec(p, 1, (0, 1))
-    return is_irreducible(Polynomial(base, modulus))
-
-
-def _smallest_irreducible_modulus(p: int, k: int) -> tuple[int, ...]:
-    if k == 1:
-        return (0, 1)
-    base = FieldSpec(p, 1, (0, 1))
-    for code in range(p**k):
-        coeffs = []
-        v = code
-        for _ in range(k):
-            coeffs.append(v % p)
-            v //= p
-        coeffs.append(1)
-        if is_irreducible(Polynomial(base, coeffs)):
-            return tuple(coeffs)
-    raise AssertionError(f"no irreducible of degree {k} over GF({p})")  # unreachable
-
-
 def is_irreducible(poly: Polynomial) -> bool:
-    """Irreducibility over the coefficient field.
+    """Irreducibility over the coefficient field GF(q), by Ben-Or's test.
 
-    Degree 2 and 3 reduce to a root check; degree >= 4 trial-divides by
-    every monic polynomial of degree up to deg/2.  Intended for the small
-    degrees and field orders used by the code constructions.
+    f of degree r >= 1 is reducible iff it has a monic irreducible factor
+    of some degree i <= r/2, and the monic irreducibles of degree dividing
+    i are the factors of x^(q^i) - x; so f is irreducible iff
+    gcd(f, x^(q^i) - x) = 1 for i = 1, ..., floor(r/2).  Exact at every
+    degree; zero and constants are not irreducible.
     """
     deg = poly.degree
     if deg is NEG_INFINITY or deg == 0:
         return False
-    if deg == 1:
-        return True
-    f = poly.spec
-    if deg <= 3:
-        return all(poly(v).value != 0 for v in range(f.q))
-    for d in range(1, int(deg) // 2 + 1):
-        for code in range(f.q**d):
-            coeffs = []
-            v = code
-            for _ in range(d):
-                coeffs.append(v % f.q)
-                v //= f.q
-            coeffs.append(1)
-            divisor = Polynomial(f, coeffs)
-            if (poly % divisor).is_zero():
-                return False
+    x = Polynomial.x(poly.spec)
+    frobenius = x  # x^(q^i) mod poly
+    for _ in range(int(deg) // 2):
+        frobenius = poly_pow_mod(frobenius, poly.spec.q, poly)
+        if poly.gcd(frobenius - x).degree != 0:
+            return False
     return True
 
 
@@ -598,94 +572,23 @@ def poly_pow_mod(base: Polynomial, exp: int, mod: Polynomial) -> Polynomial:
     return result
 
 
-def _prime_factors(n: int) -> list[int]:
-    out = []
-    f = 2
-    while f * f <= n:
-        if n % f == 0:
-            out.append(f)
-            while n % f == 0:
-                n //= f
-        f += 1
-    if n > 1:
-        out.append(n)
-    return out
+def find_irreducible(spec: FieldSpec, degree: int, exclude: Iterable = ()) -> Polynomial:
+    """The first monic irreducible polynomial of the given degree over
+    `spec` with no root in `exclude`.
 
-
-def _frobenius_irreducible(poly: Polynomial) -> bool:
-    """Exact irreducibility via Frobenius fixed-point structure.
-
-    A monic f of degree r over GF(q) is irreducible iff x^(q^r) = x mod f
-    and gcd(f, x^(q^(r/pi)) - x) = 1 for each prime pi dividing r.  Much
-    faster than the trial division of is_irreducible during candidate
-    scans, and gives the same answers.
-    """
-    spec, r = poly.spec, int(poly.degree)
-    if r == 1:
-        return True
-    x = Polynomial.x(spec)
-    for pi in _prime_factors(r):
-        h = poly_pow_mod(x, spec.q ** (r // pi), poly) - x
-        if poly.gcd(h).coeffs != (1,):
-            return False
-    return poly_pow_mod(x, spec.q**r, poly) == x % poly
-
-
-def find_irreducible(
-    spec: FieldSpec,
-    degree: int,
-    strategy: str = "lex",
-    seed: int | None = None,
-    exclude: Iterable = (),
-) -> Polynomial:
-    """Find a monic irreducible polynomial of the given degree over `spec`.
-
-    strategy "lex" scans candidates in increasing coefficient-code order
-    and is deterministic; "random" draws coefficient vectors from a
-    seeded generator.  Candidates vanishing at any point of `exclude`
-    (element codes or FieldElements) are skipped, which matters only for
-    degree 1 since higher-degree irreducibles have no roots in the field.
-    Raises ValueError if the exclusion set rules out every candidate.
+    Candidates are scanned in increasing coefficient-code order
+    ``c_0 + c_1*q + ... + c_{degree-1}*q^(degree-1)`` of their
+    coefficients below the leading 1, so the result is deterministic.
+    `exclude` holds element codes or elements of `spec`; only degree 1
+    can be ruled out by it, since higher-degree irreducibles have no roots
+    in the field.  Raises ValueError if the exclusion set rules out every
+    candidate.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
-    excl = {e.value if isinstance(e, FieldElement) else int(e) for e in exclude}
-
-    def admissible(candidate: Polynomial) -> bool:
-        if any(candidate(v).value == 0 for v in excl):
-            return False
-        if degree <= 3:
-            return is_irreducible(candidate)
-        # a root is a cheap reject before the Frobenius test
-        if any(candidate(v).value == 0 for v in range(spec.q)):
-            return False
-        return _frobenius_irreducible(candidate)
-
-    if strategy in ("lex", "lexicographic-smallest"):
-        for code in range(spec.q**degree):
-            coeffs = []
-            v = code
-            for _ in range(degree):
-                coeffs.append(v % spec.q)
-                v //= spec.q
-            coeffs.append(1)
-            candidate = Polynomial(spec, coeffs)
-            if admissible(candidate):
-                return candidate
-        raise ValueError(
-            f"no monic irreducible of degree {degree} over {spec.describe()} avoids the exclusion set"
-        )
-    if strategy in ("random", "seeded-random"):
-        rng = random.Random(seed)
-        attempts = 0
-        limit = 64 * spec.q**degree
-        while attempts < limit:
-            coeffs = [rng.randrange(spec.q) for _ in range(degree)] + [1]
-            candidate = Polynomial(spec, coeffs)
-            if admissible(candidate):
-                return candidate
-            attempts += 1
-        raise ValueError(
-            f"no monic irreducible of degree {degree} over {spec.describe()} avoids the exclusion set"
-        )
-    raise ValueError(f"unknown strategy {strategy!r}")
+    excl = {spec.code_of(e) for e in exclude}
+    for high in itertools.product(range(spec.q), repeat=degree):
+        candidate = Polynomial(spec, (*reversed(high), 1))
+        if all(candidate(v) for v in excl) and is_irreducible(candidate):
+            return candidate
+    raise ValueError(f"no monic irreducible of degree {degree} over {spec.describe()} avoids the exclusion set")

@@ -26,7 +26,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
 from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET, effective_budget
 from .codes import LabeledCode, code_from_text, code_to_text, labelweight
@@ -446,7 +446,8 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     share_all_secrets and protocol.simulate produce, has its share list
     read as it is; any other fragment is read by key in that order.  The
     first share missing, in (instance, slot, subset) order, raises
-    MissingShare, whatever the other shares of its products are.
+    MissingShare, whatever the other shares of its products are; a share
+    that is not an element code in 0..q-1 raises ParameterOutOfRange.
     """
     params = scheme.params
     if not 1 <= j <= params.s:
@@ -457,7 +458,7 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     if j not in scheme._tensors:
         scheme._tensors[j] = _build_tensors(scheme, j)
     held, tensors = scheme._tensors[j]
-    slots = _slot_vectors(views, held, params.ell, chosen, j)
+    slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec.q)
     contract = _contract_planes if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
     return contract(params.spec, tensors, slots, len(held))
 
@@ -494,9 +495,13 @@ def _build_tensors(scheme: HssScheme, j: int):
     return held, tensors
 
 
-def _slot_vectors(views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int) -> list[list[Sequence]]:
+def _slot_vectors(
+    views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int, q: int
+) -> list[list[Sequence[int]]]:
     """Per instance, the share vectors of its d product slots, aligned
-    with `held`."""
+    with `held`: bytes when q <= 256, lists of ints above, every share
+    checked to be an element code in 0..q-1."""
+    convert = bytes if q <= MAX_TABLE_ORDER else lambda shares: list(map(operator.index, shares))
     vectors: dict[tuple[int, int], Sequence[int]] = {}
     for key in ((i, v) for i in range(1, ell + 1) for v in chosen):
         if key in vectors:
@@ -504,13 +509,32 @@ def _slot_vectors(views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...]
         try:
             fragment = views[key]
             if isinstance(fragment, ShareVector) and fragment.subsets is held:
-                vectors[key] = fragment.shares
+                shares = fragment.shares
             else:
-                vectors[key] = [fragment[T] for T in held]
+                shares = [fragment[T] for T in held]
         except KeyError as exc:
             T = next(T for T in held if T not in views.get(key, {}))
             raise MissingShare(f"server {j} lacks share {T} of secret {key}") from exc
+        try:
+            vectors[key] = convert(shares)
+        except (TypeError, ValueError):
+            _share_outside(shares, q, j, key)
+    if not _all_codes(vectors.values(), q):
+        key = next(key for key, vector in vectors.items() if not _all_codes([vector], q))
+        _share_outside(vectors[key], q, j, key)
     return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
+
+
+def _all_codes(vectors: Iterable[Sequence[int]], q: int) -> bool:
+    """Whether every entry of the vectors (bytes when q <= 256) is in 0..q-1."""
+    if q <= MAX_TABLE_ORDER:
+        return not b"".join(vectors).translate(None, bytes(range(q)))
+    return all(0 <= v < q for v in itertools.chain.from_iterable(vectors))
+
+
+def _share_outside(shares: Sequence, q: int, j: int, key: tuple[int, int]) -> NoReturn:
+    bad = next(v for v in shares if not (isinstance(v, int) and 0 <= v < q))
+    raise ParameterOutOfRange(f"server {j}: share {bad!r} of secret {key} is outside 0..{q - 1} (q={q})")
 
 
 class _PlaneTables(NamedTuple):
@@ -568,7 +592,7 @@ def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: 
     width, lanes = tables.width, tables.lanes
     strings = []
     for s in range(0, len(tensors), lanes):
-        packed = sum(int.from_bytes(bytes(t), "little") << l * width for l, t in enumerate(tensors[s : s + lanes]))
+        packed = sum(int.from_bytes(t, "little") << l * width for l, t in enumerate(tensors[s : s + lanes]))
         strings.append(packed.to_bytes(size, "little"))
     return strings
 

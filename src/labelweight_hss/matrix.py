@@ -47,6 +47,14 @@ class MatrixF:
         self.data = rows
 
     @classmethod
+    def _of_codes(cls, spec: FieldSpec, data: list[list[int]], cols: int) -> "MatrixF":
+        """The matrix of `cols`-wide rows of element codes that field
+        arithmetic or a checked matrix produced, not checked again."""
+        out = cls.__new__(cls)
+        out.spec, out.rows, out.cols, out.data = spec, len(data), cols, data
+        return out
+
+    @classmethod
     def identity(cls, spec: FieldSpec, n: int) -> "MatrixF":
         return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -65,10 +73,7 @@ class MatrixF:
 
     def select_columns(self, idx: Sequence[int]) -> "MatrixF":
         """The columns listed in `idx`, in that order; cells are copied unchecked."""
-        out = MatrixF.__new__(MatrixF)
-        out.spec, out.rows, out.cols = self.spec, self.rows, len(idx)
-        out.data = [[row[j] for j in idx] for row in self.data]
-        return out
+        return MatrixF._of_codes(self.spec, [[row[j] for j in idx] for row in self.data], len(idx))
 
     def matvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
@@ -168,7 +173,7 @@ def rref(A: MatrixF) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
     work = A.copy_data()
     pivots = _eliminate(A.spec, work, A.cols)
-    return RrefResult(MatrixF(A.spec, work), tuple(pivots), len(pivots))
+    return RrefResult(MatrixF._of_codes(A.spec, work, A.cols), tuple(pivots), len(pivots))
 
 
 def rank(A: MatrixF) -> int:

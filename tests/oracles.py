@@ -4,9 +4,13 @@ These are the per-element versions that the lookup-table hot loops in
 ``galois``, ``matrix`` and ``hss`` replaced: base-p digit-loop addition and
 negation, Gaussian elimination through one field call per cell, Eval
 synthesis scattered monomial by monomial, and server evaluation through
-``FieldSpec`` method calls.  The wire path keeps CNF sharing with one
-fragment scan per server and secret, the frame codec packing one element
-per ``int.to_bytes`` call, and the simulation that orders each server's
+``FieldSpec`` method calls.  Irreducibility keeps its root check (degree
+<= 3) and trial division by every monic polynomial up to half the degree,
+which Ben-Or's test replaced, and the Hermitian basis its one-monomial-
+at-a-time reduction against normalised rows, which one ``rref``
+replaced.  The wire path keeps CNF sharing with one fragment scan per
+server and secret, the frame codec packing one element per
+``int.to_bytes`` call, and the simulation that orders each server's
 payload by an explicit (instance, variable, subset) list.  The optimised
 code must agree with them exactly, on values and on the errors raised.
 The enumeration kernel keeps its depth-first walk over unpacked
@@ -26,7 +30,7 @@ from typing import NamedTuple, Sequence
 
 from labelweight_hss import hss, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
-from labelweight_hss.codes import LabeledCode, code_to_text, labelweight
+from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, hermitian_points, labelweight
 from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
@@ -35,7 +39,7 @@ from labelweight_hss.errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import MAX_TABLE_ORDER, FieldElement, FieldSpec
+from labelweight_hss.galois import MAX_TABLE_ORDER, NEG_INFINITY, FieldElement, FieldSpec, Polynomial
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
@@ -82,6 +86,86 @@ def neg(spec: FieldSpec, a: int) -> int:
 
 def sub(spec: FieldSpec, a: int, b: int) -> int:
     return add(spec, a, neg(spec, b))
+
+
+# -- field: irreducibility by roots and trial division ----------------------------
+
+
+def _monic(spec: FieldSpec, code: int, degree: int) -> Polynomial:
+    """The monic polynomial of the given degree whose lower coefficients
+    are the base-q digits of `code`, constant term first."""
+    coeffs = []
+    for _ in range(degree):
+        coeffs.append(code % spec.q)
+        code //= spec.q
+    return Polynomial(spec, coeffs + [1])
+
+
+def is_irreducible(poly: Polynomial) -> bool:
+    """Degree 2 and 3 reduce to a root check; degree >= 4 trial-divides by
+    every monic polynomial of degree up to deg/2."""
+    deg = poly.degree
+    if deg is NEG_INFINITY or deg == 0:
+        return False
+    if deg == 1:
+        return True
+    f = poly.spec
+    if deg <= 3:
+        return all(poly(v).value != 0 for v in range(f.q))
+    for d in range(1, int(deg) // 2 + 1):
+        for code in range(f.q**d):
+            if (poly % _monic(f, code, d)).is_zero():
+                return False
+    return True
+
+
+def find_irreducible(spec: FieldSpec, degree: int, exclude=()) -> Polynomial:
+    """The first monic irreducible of `degree` in coefficient-code order
+    with no root in `exclude` (element codes)."""
+    for code in range(spec.q**degree):
+        candidate = _monic(spec, code, degree)
+        if all(candidate(v).value for v in exclude) and is_irreducible(candidate):
+            return candidate
+    raise ValueError(f"no monic irreducible of degree {degree} over {spec.describe()} avoids the exclusion set")
+
+
+def default_modulus(p: int, k: int) -> tuple[int, ...]:
+    """The smallest monic irreducible of degree k over GF(p), by coefficient code."""
+    return (0, 1) if k == 1 else find_irreducible(FieldSpec(p), k).coeffs
+
+
+# -- codes: Hermitian rows by incremental elimination -------------------------------
+
+
+def hermitian_build(q: int, k: int) -> LabeledCode:
+    """Monomials x^a y^b in pole order, each kept when its evaluation row
+    is independent of the rows kept so far (reduced against them one
+    normalised pivot row at a time)."""
+    ext, pts = hermitian_points(q)
+    n = len(pts)
+    if not 1 <= k <= n:
+        raise ParameterOutOfRange(f"need 1 <= k <= {n}, got {k}")
+    monomials = sorted((a * q + b * (q + 1), a, b) for b in range(q) for a in range(q * q + q + 2))
+    rows: list[list[int]] = []
+    reduced: dict[int, list[int]] = {}  # pivot column -> normalized reduced row
+    for _, a, b in monomials:
+        if len(rows) == k:
+            break
+        row = [ext.mul(ext.pow(x, a), ext.pow(y, b)) for x, y in pts]
+        work = row[:]
+        for col, base in sorted(reduced.items()):
+            if work[col]:
+                factor = work[col]
+                work = [ext.sub(wv, ext.mul(factor, bv)) for wv, bv in zip(work, base)]
+        pivot = next((j for j, v in enumerate(work) if v), None)
+        if pivot is None:
+            continue
+        scale = ext.inv(work[pivot])
+        reduced[pivot] = [ext.mul(scale, v) for v in work]
+        rows.append(row)
+    if len(rows) < k:
+        raise ParameterOutOfRange(f"could not collect {k} independent evaluations")
+    return LabeledCode(ext, MatrixF(ext, rows), Labeling.identity(n), {"family": "hermitian", "q": q, "k": k})
 
 
 # -- kernels: depth-first walk over coordinate lists --------------------------------
@@ -404,7 +488,7 @@ def eval_server_lifted(scheme: HssScheme, j: int, views: dict, var_indices: tupl
     params = scheme.params
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     held, tensors = build_byte_tensors(scheme, j)
-    slots = hss._slot_vectors(views, held, params.ell, chosen, j)
+    slots = hss._slot_vectors(views, held, params.ell, chosen, j, params.spec.q)
     return contract(params.spec, tensors, slots, len(held))
 
 

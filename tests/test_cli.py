@@ -239,3 +239,84 @@ def test_generated_run_commands_end_in_an_exit_code_and_one_line(family, data):
         assert err.getvalue().startswith(("error: ", "decode error: "))
     else:
         assert out.getvalue().splitlines()[-1].endswith(" correct")
+
+
+_FRACTIONS = st.sampled_from(["1/20", "1/3", "1/8", "1/2", "0", "1", "2", "-1/10"])
+
+
+def _flags(draw, choices) -> list[str]:
+    """--flag=value for each (flag, strategy), so that negative values
+    parse as values."""
+    return [f"{flag}={draw(values)}" for flag, values in choices]
+
+
+@st.composite
+def _table_argv(draw):
+    servers = st.lists(st.sampled_from([-1, 0, 1, 2, 5, 8, 16, 27, 50, 64]), min_size=1, max_size=3)
+    return ["table", draw(st.sampled_from(["hermitian", "goppa", "gv-example"]))] + _flags(draw, [
+        ("--dt", st.integers(-5, 6)),
+        ("--servers", servers.map(lambda v: ",".join(map(str, v)))),
+        ("--eps", _FRACTIONS),
+        ("--format", st.sampled_from(["csv", "markdown", "text"])),
+    ])
+
+
+@st.composite
+def _code_argv(draw):
+    family = draw(st.sampled_from(sorted(_FAMILY_FLAGS)))
+    argv = ["code", draw(st.sampled_from(["build", "info", "labelweight"])), f"--family={family}"]
+    return argv + _flags(draw, [(flag, st.one_of(st.just(-1), values)) for flag, values in _FAMILY_FLAGS[family].items()])
+
+
+@st.composite
+def _audit_argv(draw):
+    return ["audit-privacy"] + _flags(draw, [
+        ("--s", st.integers(-1, 5)),
+        ("--t", st.integers(-1, 4)),
+        ("--p", st.sampled_from([-1, 0, 1, 2, 3, 4, 5])),
+        ("--k", st.integers(-1, 2)),
+    ])
+
+
+@st.composite
+def _gv_argv(draw):
+    return ["gv-sim"] + _flags(draw, [
+        ("--q", st.integers(-1, 3)),
+        ("--w", st.integers(-1, 2)),
+        ("--s", st.integers(-1, 6)),
+        ("--delta", _FRACTIONS),
+        ("--eps", _FRACTIONS),
+        ("--trials", st.integers(-1, 3)),
+        ("--seed", st.integers(-2, 5)),
+    ])
+
+
+_OTHER_COMMANDS = {"table": _table_argv, "code": _code_argv, "audit-privacy": _audit_argv, "gv-sim": _gv_argv}
+
+
+@pytest.mark.parametrize("command", sorted(_OTHER_COMMANDS))
+@settings(max_examples=150, deadline=None, database=None)
+@given(data=st.data())
+def test_generated_commands_end_in_an_exit_code_and_one_line(command, data):
+    """Every small table, code, audit-privacy or gv-sim invocation (0 and
+    negatives in range for every count) returns 0, 1 or 2 with no
+    exception out of main: output on stdout, or one message line on
+    stderr and nothing on stdout."""
+    argv = data.draw(_OTHER_COMMANDS[command]())
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    if err.getvalue():
+        assert code != 0 and err.getvalue().count("\n") == 1 and out.getvalue() == ""
+        assert err.getvalue().startswith(("error: ", "decode error: "))
+    else:
+        assert out.getvalue()
+
+
+@pytest.mark.parametrize("dt", ["0", "-5"])
+@pytest.mark.parametrize("kind", ["hermitian", "goppa"])
+def test_table_rejects_dt_below_one(capsys, kind, dt):
+    code, out, err = run(capsys, "table", kind, f"--dt={dt}", "--servers=-1,64")
+    assert code == 2 and out == ""
+    assert err == f"error: need dt >= 1, got dt={dt}\n"

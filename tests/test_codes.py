@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from labelweight_hss import codes
 from labelweight_hss.codes import (
     LabeledCode,
     Labeling,
@@ -23,6 +24,7 @@ from labelweight_hss.errors import (
     BadGoppaPolynomial,
     DecodeError,
     EnumerationBudgetExceeded,
+    FieldMismatch,
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import FieldSpec, Polynomial
@@ -73,6 +75,17 @@ def test_word_labelweight_counts_distinct_labels():
     assert word_labelweight(lab, [1, 1, 0, 0]) == 1
     assert word_labelweight(lab, [1, 0, 1, 0]) == 2
     assert word_labelweight(lab, [0, 0, 0, 0]) == 0
+
+
+def test_word_labelweight_reads_words_in_the_code_field():
+    gf4, gf8 = FieldSpec(2, 2), FieldSpec(2, 3)
+    code = LabeledCode(gf4, MatrixF(gf4, [[1, 2, 0, 3]]), Labeling(2, [1, 1, 2, 2]))
+    assert labelweight(code, [gf4.element(v) for v in (0, 2, 0, 0)]) == 1
+    assert labelweight(code, [0, 0, 0, 3]) == 1
+    with pytest.raises(FieldMismatch):
+        labelweight(code, [0, 0, 0, gf8.element(5)])
+    with pytest.raises(ValueError):
+        labelweight(code, [0, 0, 0, 4])
 
 
 def test_single_codeword_code():
@@ -227,6 +240,24 @@ def test_goppa_rejects_reducible():
     lin2 = Polynomial(ext, [3, 1])
     with pytest.raises(BadGoppaPolynomial):
         goppa_build(4, 2, g=lin1 * lin2, points=[0, 1, 4, 5, 6, 7])
+
+
+def test_goppa_support_points_must_belong_to_the_field():
+    ext = FieldSpec(2, 4)
+    same = goppa_build(4, 2, points=[ext.element(v) for v in range(ext.q)])
+    assert code_to_text(same) == code_to_text(goppa_build(4, 2))
+    with pytest.raises(FieldMismatch):
+        goppa_build(4, 2, points=[FieldSpec(2, 3).element(v) for v in range(8)])
+
+
+def test_goppa_tests_irreducibility_only_of_a_supplied_polynomial(monkeypatch):
+    calls = []
+    monkeypatch.setattr(codes, "is_irreducible", lambda g: calls.append(g) or True)
+    goppa_build(4, 2)
+    assert calls == []
+    g = Polynomial(FieldSpec(2, 4), [8, 1, 1])  # the default g of u = 4, r = 2
+    goppa_build(4, 2, g=g)
+    assert calls == [g]
 
 
 # -- Hermitian ----------------------------------------------------------------

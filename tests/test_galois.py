@@ -3,16 +3,17 @@ import random
 
 import pytest
 
+import oracles
 from labelweight_hss.errors import FieldMismatch
 from labelweight_hss.galois import (
     NEG_INFINITY,
+    FieldElement,
     FieldSpec,
     Polynomial,
     find_irreducible,
     is_irreducible,
     parse_field,
     poly_pow_mod,
-    _frobenius_irreducible,
 )
 
 GF2 = FieldSpec(2)
@@ -96,6 +97,18 @@ def test_field_mismatch():
         GF4.element(1) + GF8.element(1)
 
 
+def test_code_of_takes_own_elements_and_codes_only():
+    assert GF8.code_of(GF8.element(5)) == GF8.code_of(5) == 5
+    assert GF8.element(GF8.element(5)) == GF8.element(5)
+    with pytest.raises(FieldMismatch, match="does not belong to GF\\(2\\^3\\)"):
+        GF8.code_of(GF4.element(1))
+    with pytest.raises(FieldMismatch):
+        GF8.element(GF4.element(1))
+    for bad in (-1, 8):
+        with pytest.raises(ValueError, match="outside \\[0, 8\\)"):
+            GF8.code_of(bad)
+
+
 def test_element_coeff_roundtrip():
     for spec in SMALL_FIELDS:
         for v in range(spec.q):
@@ -159,6 +172,30 @@ def test_gcd_divides_both():
         assert d.is_monic()
 
 
+def test_polynomial_reduces_plain_ints_mod_p_over_a_prime_field_only():
+    assert Polynomial(GF5, [7, -1, 5]).coeffs == (2, 4)
+    with pytest.raises(ValueError):
+        Polynomial(GF4, [4, 1])
+    with pytest.raises(FieldMismatch):
+        Polynomial(GF4, [GF8.element(1), 1])
+
+
+def test_polynomial_evaluation_rejects_an_element_of_another_field():
+    f = Polynomial(GF4, [1, 1])
+    assert f(GF4.element(2)) == f(2) == GF4.element(3)
+    with pytest.raises(FieldMismatch):
+        f(FieldElement(GF8, 5))
+    with pytest.raises(ValueError):
+        f(4)
+
+
+def test_polynomial_scale_rejects_an_element_of_another_field():
+    f = Polynomial(GF4, [1, 1])
+    assert f.scale(GF4.element(2)) == f.scale(2) == Polynomial(GF4, [2, 2])
+    with pytest.raises(FieldMismatch):
+        f.scale(GF8.element(5))
+
+
 def test_eval_horner_matches_naive():
     rng = random.Random(3)
     for spec in (GF5, GF9):
@@ -197,12 +234,51 @@ def test_find_irreducible_exhausted_exclusion():
         find_irreducible(GF8, 1, exclude=range(8))
 
 
-def test_find_irreducible_seeded_random_quartic_gf16():
-    g = find_irreducible(GF16, 4, strategy="random", seed=1)
-    assert g.degree == 4 and g.is_monic()
-    assert is_irreducible(g)
-    again = find_irreducible(GF16, 4, strategy="random", seed=1)
-    assert again == g
+def test_find_irreducible_rejects_an_excluded_element_of_another_field():
+    assert find_irreducible(GF4, 1, exclude=[GF4.element(0)]).coeffs == (1, 1)
+    with pytest.raises(FieldMismatch):
+        find_irreducible(GF4, 1, exclude=[GF8.element(1)])
+
+
+@pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF16], ids=["GF4", "GF8", "GF9", "GF16"])
+def test_find_irreducible_matches_the_oracle_scan(spec):
+    """Degrees 1-4, with and without half the field excluded, against the
+    root-check / trial-division scan in code order."""
+    excluded = range(spec.q // 2)
+    for degree in range(1, 5):
+        assert find_irreducible(spec, degree) == oracles.find_irreducible(spec, degree)
+        assert find_irreducible(spec, degree, exclude=excluded) == oracles.find_irreducible(spec, degree, excluded)
+
+
+def test_default_moduli_match_the_oracle_up_to_order_2187():
+    """Every FieldSpec(p, k) with p^k <= 3^7 takes the smallest monic
+    irreducible modulus, as the trial-division scan finds it."""
+    primes = [p for p in range(2, 3**7 + 1) if all(p % f for f in range(2, int(p**0.5) + 1))]
+    checked = 0
+    for p in primes:
+        k = 1
+        while p**k <= 3**7:
+            assert FieldSpec(p, k).modulus == oracles.default_modulus(p, k), (p, k)
+            checked += k > 1
+            k += 1
+    assert checked == 32  # the extension fields: 10 of characteristic 2, 6 of 3, 3 of 5, ...
+
+
+@pytest.mark.parametrize("spec", [GF2, GF3, GF4], ids=["GF2", "GF3", "GF4"])
+def test_is_irreducible_matches_the_oracle_up_to_cubics(spec):
+    """Every monic polynomial of degree 1-3 (quartics: the test below)."""
+    for degree in range(1, 4):
+        for low in itertools.product(range(spec.q), repeat=degree):
+            f = Polynomial(spec, (*low, 1))
+            assert is_irreducible(f) == oracles.is_irreducible(f), f
+
+
+def test_is_irreducible_ignores_the_leading_coefficient_and_rejects_constants():
+    assert not is_irreducible(Polynomial.zero(GF3))
+    assert not is_irreducible(Polynomial(GF3, [2]))
+    for low in itertools.product(range(3), repeat=3):
+        f = Polynomial(GF3, (*low, 1))
+        assert is_irreducible(f.scale(2)) == is_irreducible(f)
 
 
 @pytest.mark.parametrize("spec,degree", [(GF2, 4), (GF4, 3), (GF8, 2), (GF16, 2), (GF64, 4)])
@@ -219,12 +295,12 @@ def test_irreducible_by_frobenius_oracle(spec, degree):
 
 @pytest.mark.parametrize("spec", [GF2, GF3], ids=["GF2", "GF3"])
 def test_frobenius_test_matches_trial_division_on_every_monic_quartic(spec):
-    """find_irreducible trusts the Frobenius test for degree >= 4; trial
-    division (is_irreducible) is the oracle."""
+    """is_irreducible (Ben-Or's test on the Frobenius powers x^(q^i))
+    against trial division (oracles.is_irreducible)."""
     found = 0
     for low in itertools.product(range(spec.q), repeat=4):
         f = Polynomial(spec, (*low, 1))
-        assert _frobenius_irreducible(f) == is_irreducible(f), f
+        assert is_irreducible(f) == oracles.is_irreducible(f), f
         found += is_irreducible(f)
     # monic irreducible quartics: (q^4 - q^2) / 4
     assert found == (spec.q**4 - spec.q**2) // 4

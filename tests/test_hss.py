@@ -321,6 +321,32 @@ def test_missing_share_raises():
         eval_server(scheme, 1, {(1, 1): {}})
 
 
+def _views_with_one_share(scheme, j, value):
+    """Dict views of server j, every share 1 except the second share of
+    secret (2, 1), which is `value`."""
+    held = held_subsets(scheme.params.s, scheme.params.t, j)
+    p = scheme.params
+    views = {(i, v): {T: 1 for T in held} for i in range(1, p.ell + 1) for v in range(1, p.m + 1)}
+    views[(2, 1)][held[1]] = value
+    return views
+
+
+@pytest.mark.parametrize("value", [9, 20, 255, 256, -1, 1.5, FieldElement(FieldSpec(3, 2), 1)])
+def test_eval_server_rejects_shares_outside_the_field(value):
+    scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
+    assert eval_server(scheme, 1, _views_with_one_share(scheme, 1, 8)) is not None
+    with pytest.raises(ParameterOutOfRange, match=r"server 1: share .* of secret \(2, 1\) is outside 0..8"):
+        eval_server(scheme, 1, _views_with_one_share(scheme, 1, value))
+
+
+@pytest.mark.parametrize("value", [257, -1, 2.0])
+def test_eval_server_rejects_shares_outside_a_field_above_256(value):
+    scheme = scheme_for_code(rs_build(257, 5, 2), t=1, d=1)
+    eval_server(scheme, 3, _views_with_one_share(scheme, 3, 256))
+    with pytest.raises(ParameterOutOfRange, match=r"server 3: share .* of secret \(2, 1\) is outside 0..256"):
+        eval_server(scheme, 3, _views_with_one_share(scheme, 3, value))
+
+
 @pytest.mark.parametrize("j", [0, 9, -1])
 def test_server_id_outside_range_raises(j):
     scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2)

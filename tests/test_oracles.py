@@ -1,6 +1,6 @@
-"""Table-driven field arithmetic, elimination, synthesis and server
-evaluation, and the byte-level sharing and wire path, against the
-per-element reference code in ``oracles``."""
+"""Table-driven field arithmetic, the Hermitian and Goppa bases,
+elimination, synthesis and server evaluation, and the byte-level sharing
+and wire path, against the per-element reference code in ``oracles``."""
 
 import copy
 import functools
@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 import oracles
 from labelweight_hss import hss, protocol
-from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
-from labelweight_hss.errors import DecodeError, FieldTooLarge, MissingShare
+from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, rs_build
+from labelweight_hss.errors import DecodeError, FieldTooLarge, MissingShare, ParameterOutOfRange
 from labelweight_hss.galois import MAX_TABLE_ORDER, FieldSpec
 from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
 
@@ -39,6 +39,9 @@ def test_field_tables_match_digit_loops(p, k):
     assert list(tables.sub) == want_sub
     assert [spec.add(a, b) for a in range(q) for b in range(q)] == want_add
     assert [spec.sub(a, b) for a in range(q) for b in range(q)] == want_sub
+    assert len(tables.inv) == q
+    assert [tables.mul[a * q + tables.inv[a]] for a in range(1, q)] == [1] * (q - 1)
+    assert [spec.inv(a) for a in range(1, q)] == list(tables.inv[1:])
 
 
 def test_large_field_falls_back_to_digit_loops():
@@ -51,6 +54,44 @@ def test_large_field_falls_back_to_digit_loops():
         assert spec.neg(a) == oracles.neg(spec, a)
     with pytest.raises(FieldTooLarge, match="729"):
         spec.tables()
+
+
+# -- code constructions ----------------------------------------------------------
+
+HERMITIAN_CASES = [(2, k) for k in range(1, 9)] + [(3, k) for k in range(1, 28)] + [(4, k) for k in (1, 10, 58, 59, 64)]
+
+
+@pytest.mark.parametrize("q,k", HERMITIAN_CASES, ids=lambda v: str(v))
+def test_hermitian_rows_match_incremental_selection(q, k):
+    """One rref of the points x monomials matrix keeps the monomials the
+    one-at-a-time reduction keeps, across the skip threshold
+    q^3 - q(q-1)/2 (24 for q = 3, 58 for q = 4)."""
+    assert code_to_text(hermitian_build(q, k)) == code_to_text(oracles.hermitian_build(q, k))
+
+
+@pytest.mark.parametrize("u", range(2, 7))
+@pytest.mark.parametrize("r", range(1, 4))
+def test_goppa_default_polynomial_matches_the_oracle_scan(u, r):
+    """goppa_build's own g and support, against the code built from the
+    polynomial the root-check / trial-division scan picks (for r = 1 the
+    support loses that polynomial's root)."""
+    ext = FieldSpec(2, u)
+    assert ext.modulus == oracles.default_modulus(2, u)
+    support = list(range(ext.q))
+    try:
+        g = oracles.find_irreducible(ext, r, support)
+    except ValueError:
+        g = oracles.find_irreducible(ext, r)
+        support = [v for v in support if g(v).value]
+    try:
+        want = code_to_text(goppa_build(u, r, g=g, points=support))
+    except ParameterOutOfRange as exc:
+        want = str(exc)
+    try:
+        got = code_to_text(goppa_build(u, r))
+    except ParameterOutOfRange as exc:
+        got = str(exc)
+    assert got == want
 
 
 # -- elimination -----------------------------------------------------------------

@@ -6,18 +6,31 @@ from pathlib import Path
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "labelweight_hss"
 
 
-def test_no_module_imports_numpy():
-    """Importing numpy adds about 11 MB of resident memory, a third of the
-    peak of a small scheme's whole run, so the package keeps to pure
-    Python; only tests and benchmarks may use numpy."""
+def _nodes():
+    """(module file name, node) for every AST node of the package's modules."""
     modules = sorted(PACKAGE.glob("*.py"))
     assert len(modules) > 5
     for path in modules:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            assert all(name.partition(".")[0] != "numpy" for name in names), f"{path.name} imports numpy"
+            yield path.name, node
+
+
+def test_no_module_imports_numpy():
+    """Importing numpy adds about 11 MB of resident memory, a third of the
+    peak of a small scheme's whole run, so the package keeps to pure
+    Python; only tests and benchmarks may use numpy."""
+    for name, node in _nodes():
+        if isinstance(node, ast.Import):
+            imported = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported = [node.module or ""]
+        else:
+            continue
+        assert all(module.partition(".")[0] != "numpy" for module in imported), f"{name} imports numpy"
+
+
+def test_no_module_has_an_assert_statement():
+    """Runtime invariants are explicit checks that raise a package error:
+    ``python -O`` strips assert statements."""
+    for name, node in _nodes():
+        assert not isinstance(node, ast.Assert), f"{name}:{node.lineno} has an assert statement"
