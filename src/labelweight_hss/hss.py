@@ -26,6 +26,7 @@ from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET, effective_budget
@@ -130,6 +131,40 @@ class ShareVector(Mapping):
         return len(self.subsets)
 
 
+@functools.cache
+def secret_positions(ell: int, m: int) -> Mapping[tuple[int, int], int]:
+    """Position n of secret (i, k) in a ServerView: (instance, variable)
+    order.  Computed once per (ell, m), read-only."""
+    return MappingProxyType({key: n for n, key in enumerate(itertools.product(range(1, ell + 1), range(1, m + 1)))})
+
+
+class ServerView(Mapping):
+    """One server's fragments of several secrets in one share sequence:
+    the secret at position n of `positions` has its shares over the h
+    subsets of `held` at shares[n*h : (n+1)*h].  A read-only mapping
+    secret -> ShareVector in position order, equal to the dict of the
+    same items; the sequence is the server's INPUT_SHARES payload, and
+    eval_server slices it without building a ShareVector.
+    """
+
+    __slots__ = ("held", "positions", "shares")
+
+    def __init__(self, held: tuple, positions: Mapping[tuple[int, int], int], shares: Sequence[int]):
+        if len(shares) != len(held) * len(positions):
+            raise DimensionMismatch(f"{len(shares)} shares for {len(positions)} secrets of {len(held)} subsets")
+        self.held, self.positions, self.shares = held, positions, shares
+
+    def __getitem__(self, key: tuple[int, int]) -> ShareVector:
+        n, h = self.positions[key], len(self.held)
+        return ShareVector(self.held, self.shares[n * h : (n + 1) * h])
+
+    def __iter__(self):
+        return iter(self.positions)
+
+    def __len__(self) -> int:
+        return len(self.positions)
+
+
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
     """CNF shares aligned with subsets_of_size: the stream values, then the
     one share that makes the total x."""
@@ -142,15 +177,39 @@ def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
     return shares
 
 
-def _draw_shares(code: int, count: int, spec: FieldSpec, rng: random.Random) -> list[int]:
-    """Shares of one secret over `count` subsets: one rng.randrange(q) per
-    subset but the last, in subset order."""
-    return _share_vector(code, map(rng.randrange, itertools.repeat(spec.q, count - 1)), spec)
+def _randrange_run(rng: random.Random, q: int, count: int) -> Sequence[int]:
+    """The values of `count` successive rng.randrange(q) calls, leaving rng
+    in their state; read in bulk for a plain random.Random and q < 256.
+    randrange(q) repeats getrandbits(k), k = q.bit_length() <= 8, until
+    it is below q, and getrandbits(k) keeps the top k bits of the next
+    32-bit output; getrandbits(32 * n) returns the next n outputs, output
+    i in bits 32i..32i+31.  Asking for as many outputs as values are
+    missing never reads past the last output the calls would read.
+    """
+    if type(rng) is not random.Random or q >= 256:
+        return list(map(rng.randrange, itertools.repeat(q, count)))
+    keep, rejected = _top_bits(q)
+    out = b""
+    while (missing := count - len(out)) > 0:
+        out += rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4].translate(keep, rejected)
+    return out
 
 
-def _secret_code(x, spec: FieldSpec, name: str = "secret") -> int:
-    """The integer code of a secret: an int in 0..q-1 or an element of
-    `spec`.  Anything else would be shared as some other secret."""
+@functools.cache
+def _top_bits(q: int) -> tuple[bytes, bytes]:
+    """Translate table taking a top byte to its top q.bit_length() bits,
+    and the top bytes whose value there is q or more."""
+    shift = 8 - q.bit_length()
+    return bytes(b >> shift for b in range(256)), bytes(b for b in range(256) if b >> shift >= q)
+
+
+def _secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:
+    """The integer code of a secret (the one at `key` of a secret matrix,
+    if given): an int in 0..q-1 or an element of `spec`.  Anything else
+    would be shared as some other secret."""
+    if type(x) is int and 0 <= x < spec.q:
+        return x
+    name = "secret" if key is None else f"secret {key}"
     if isinstance(x, FieldElement):
         if x.spec != spec:
             raise FieldMismatch(f"{name} is an element of {x.spec.describe()}, not {spec.describe()}")
@@ -169,9 +228,7 @@ def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[list[i
     if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
         raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
     spec = params.spec
-    return [
-        [_secret_code(x, spec, f"secret {(i, k)}") for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)
-    ]
+    return [[_secret_code(x, spec, (i, k)) for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)]
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tuple[int, ...], int]:
@@ -185,7 +242,7 @@ def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tu
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     code = _secret_code(x, spec)
     subsets = subsets_of_size(s, t)
-    return dict(zip(subsets, _draw_shares(code, len(subsets), spec, rng)))
+    return dict(zip(subsets, _share_vector(code, _randrange_run(rng, spec.q, len(subsets) - 1), spec)))
 
 
 def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
@@ -442,12 +499,13 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     through FieldSpec calls.  The tensors are built on server j's first
     call and cached on the scheme (see HssScheme).
 
-    A ShareVector over held_subsets(s, t, j) itself, as
-    share_all_secrets and protocol.simulate produce, has its share list
-    read as it is; any other fragment is read by key in that order.  The
-    first share missing, in (instance, slot, subset) order, raises
-    MissingShare, whatever the other shares of its products are; a share
-    that is not an element code in 0..q-1 raises ParameterOutOfRange.
+    A ServerView over held_subsets(s, t, j), as share_all_secrets and
+    protocol.simulate produce, is checked once and sliced, a ShareVector
+    over that tuple has its share list read as it is, and any other
+    fragment is read by key in that order.  The first share missing, in
+    (instance, slot, subset) order, raises MissingShare, whatever the
+    other shares of its products are; a share that is not an element code
+    in 0..q-1 raises ParameterOutOfRange.
     """
     params = scheme.params
     if not 1 <= j <= params.s:
@@ -500,8 +558,17 @@ def _slot_vectors(
 ) -> list[list[Sequence[int]]]:
     """Per instance, the share vectors of its d product slots, aligned
     with `held`: bytes when q <= 256, lists of ints above, every share
-    checked to be an element code in 0..q-1."""
+    checked to be an element code in 0..q-1.  A ServerView over `held` is
+    converted and checked as a whole and sliced; if that fails, it is
+    read key by key like any other view, which names the fault."""
     convert = bytes if q <= MAX_TABLE_ORDER else lambda shares: list(map(operator.index, shares))
+    if isinstance(views, ServerView) and views.held is held:
+        try:
+            whole, at, h = convert(views.shares), views.positions, len(held)
+            if _all_codes([whole], q):
+                return [[whole[at[(i, v)] * h : (at[(i, v)] + 1) * h] for v in chosen] for i in range(1, ell + 1)]
+        except (KeyError, TypeError, ValueError):
+            pass
     vectors: dict[tuple[int, int], Sequence[int]] = {}
     for key in ((i, v) for i in range(1, ell + 1) for v in chosen):
         if key in vectors:
@@ -592,8 +659,8 @@ def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: 
     width, lanes = tables.width, tables.lanes
     strings = []
     for s in range(0, len(tensors), lanes):
-        packed = sum(int.from_bytes(t, "little") << l * width for l, t in enumerate(tensors[s : s + lanes]))
-        strings.append(packed.to_bytes(size, "little"))
+        ints = map(int.from_bytes, tensors[s : s + lanes], itertools.repeat("little"))
+        strings.append(sum(map(operator.lshift, ints, range(0, lanes * width, width))).to_bytes(size, "little"))
     return strings
 
 
@@ -610,18 +677,14 @@ def _bit_planes(tables: _PlaneTables, strings: Sequence[bytes], size: int) -> li
     return planes
 
 
-def _share_products(scale: list[bytes], columns: Sequence[bytes], h: int) -> bytes:
+def _share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:
     """The lane string of the row-major tensors y_1 (x) ... (x) y_d, from
-    the lane strings of the d slot vectors (h shares each): slot by slot,
-    column b of the next level is the tensor so far scaled by that
-    slot's byte b."""
-    product = columns[0]
-    for column in columns[1:]:
-        level = bytearray(len(product) * h)
-        for b, u in enumerate(column):
-            if u:
-                level[b::h] = product.translate(scale[u])
-        product = level
+    the lane strings of the d slot vectors: from the last slot back, the
+    tensor of slots k..d is the tensor of slots k+1..d scaled by each byte
+    of slot k in turn, laid end to end (lane products commute)."""
+    product = columns[-1]
+    for column in reversed(columns[:-1]):
+        product = b"".join(map(product.translate, map(scale.__getitem__, column)))
     return product
 
 
@@ -632,7 +695,7 @@ def _contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
     p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
     d = len(slots[0])
     columns = [_lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(d)]
-    products = [_share_products(tables.scale, lane, h) for lane in zip(*columns)]
+    products = [_share_products(tables.scale, lane) for lane in zip(*columns)]
     shares = _bit_planes(tables, products, h**d)
     out = []
     for coefficients in tensors:
@@ -677,23 +740,33 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     independently in (instance, variable) order, so a fixed seed
     reproduces the exact same share values.  bundles[(i, k)] is the full
     share map of secret (i, k), a ShareVector over subsets_of_size(s, t);
-    views[j][(i, k)] is server j's fragment of it, a ShareVector over
-    held_subsets(s, t, j).  Both iterate in (instance, variable) order:
-    protocol.simulate chains the fragments' share lists into INPUT_SHARES
-    payloads in this order, and eval_server reads those lists as they are.
+    views[j] is server j's ServerView of every secret over
+    held_subsets(s, t, j), its shares bytes when q <= 256.  Both iterate
+    in (instance, variable) order, the order of server j's INPUT_SHARES
+    payload in protocol.simulate.
     """
     grid = _secret_codes(params, secrets)
-    subsets = subsets_of_size(params.s, params.t)
-    # per server: mask over subsets, the subsets it holds, its view
-    holdings = [(held_mask(subsets, j), held_subsets(params.s, params.t, j), {}) for j in range(1, params.s + 1)]
-    bundles = {}
-    for i in range(1, params.ell + 1):
-        for k in range(1, params.m + 1):
-            shares = _draw_shares(grid[i - 1][k - 1], len(subsets), params.spec, rng)
-            bundles[(i, k)] = ShareVector(subsets, shares)
-            for mask, held, view in holdings:
-                view[(i, k)] = ShareVector(held, list(itertools.compress(shares, mask)))
-    return bundles, {j: view for j, (_, _, view) in enumerate(holdings, 1)}
+    spec, subsets = params.spec, subsets_of_size(params.s, params.t)
+    positions = secret_positions(params.ell, params.m)
+    count, free = len(positions), len(subsets) - 1
+    draws = _randrange_run(rng, spec.q, count * free)
+    bundles, every_share = {}, []
+    for n, (i, k) in enumerate(positions):
+        shares = _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
+        bundles[(i, k)] = ShareVector(subsets, shares)
+        every_share += shares
+    small = spec.q <= MAX_TABLE_ORDER
+    every_share = bytes(every_share) if small else every_share
+    join = b"".join if small else lambda parts: list(itertools.chain.from_iterable(parts))
+    # by_subset[c]: subset c's share of every secret, in position order
+    by_subset = [every_share[c :: len(subsets)] for c in range(len(subsets))]
+    views = {}
+    for j in range(1, params.s + 1):
+        held = held_subsets(params.s, params.t, j)
+        # the columns of the subsets j holds, then every count-th entry: one run per secret
+        subset_major = join(itertools.compress(by_subset, held_mask(subsets, j)))
+        views[j] = ServerView(held, positions, join(subset_major[n::count] for n in range(count)))
+    return bundles, views
 
 
 def collect_output_shares(scheme: HssScheme, per_server: dict[int, list[int]]) -> list[int]:

@@ -27,8 +27,8 @@ Server j's INPUT_SHARES payload is its whole view laid end to end: the
 share lists of the ell*m secrets' fragments in (instance, variable)
 order, each one the C(s-1, t) shares y_T with j not in T, in
 hss.held_subsets(s, t, j) order.  The server slices the decoded payload
-into runs of that length and wraps each in a hss.ShareVector over that
-same held tuple, which eval_server reads without building any dict.
+into runs of that length: it wraps the payload in a hss.ServerView over
+that same held tuple, which eval_server slices without building any dict.
 """
 
 from __future__ import annotations
@@ -37,19 +37,19 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from typing import Sequence
 
 from .errors import DecodeError
 from .galois import FieldSpec
 from .hss import (
     HssScheme,
-    ShareVector,
+    ServerView,
     collect_output_shares,
     default_monomial,
     eval_server,
     held_subsets,
     reconstruct,
+    secret_positions,
     share_all_secrets,
 )
 
@@ -175,7 +175,7 @@ def simulate(
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     output_client = params.s + 1
     transcript = Transcript(field_order=spec.q)
-    secret_ids = [(i, k) for i in range(1, params.ell + 1) for k in range(1, params.m + 1)]
+    positions = secret_positions(params.ell, params.m)
 
     def send(message: WireMessage) -> WireMessage:
         frame = encode(message, width)
@@ -187,20 +187,17 @@ def simulate(
     _, views = share_all_secrets(params, secrets, rng)
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
-        view = views[j]
-        payload = tuple(chain.from_iterable(view[key].shares for key in secret_ids))
-        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, payload))
+        # server j's fragments, laid end to end in position order
+        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, tuple(views[j].shares)))
 
     # Servers 1..s in id order: slice each view from the wire, evaluate.
     received: dict[int, list[int]] = {}
     for j in range(1, params.s + 1):
         payload = inboxes[j].payload
         held = held_subsets(params.s, params.t, j)
-        run = len(held)
-        if len(payload) != run * len(secret_ids):
-            raise DecodeError(f"server {j}: expected {run * len(secret_ids)} elements, got {len(payload)}")
-        view = {key: ShareVector(held, payload[n * run : (n + 1) * run]) for n, key in enumerate(secret_ids)}
-        z_j = eval_server(scheme, j, view, chosen)
+        if len(payload) != len(held) * len(positions):
+            raise DecodeError(f"server {j}: expected {len(held) * len(positions)} elements, got {len(payload)}")
+        z_j = eval_server(scheme, j, ServerView(held, positions, payload), chosen)
         delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, tuple(z_j)))
         received[delivered.sender] = list(delivered.payload)
 

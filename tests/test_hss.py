@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from labelweight_hss import hss
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, labelweight, rs_build
 from labelweight_hss.errors import (
     DecodeError,
@@ -21,6 +22,7 @@ from labelweight_hss.hss import (
     HssScheme,
     MonomialId,
     ShareVector,
+    ServerView,
     SolutionBlocks,
     cnf_share,
     enumerate_monomials,
@@ -34,6 +36,7 @@ from labelweight_hss.hss import (
     scheme_from_text,
     scheme_rate,
     scheme_to_text,
+    secret_positions,
     server_fragment,
     share_all_secrets,
     subsets_of_size,
@@ -151,6 +154,85 @@ def test_share_vector_is_a_read_only_positional_mapping():
         del fragment[(1, 2)]
     with pytest.raises(DimensionMismatch):
         ShareVector(subsets, [1, 2])
+
+
+@pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 7, 8, 9, 16, 27, 128, 129, 251, 255, 256, 257, 1000])
+def test_randrange_run_draws_what_randrange_draws(q):
+    """Bulk draws give the values of one randrange(q) call each and leave
+    the generator where those calls leave it."""
+    for seed in range(4):
+        for count in (0, 1, 5, 64, 1000):
+            bulk, one_by_one = random.Random(seed), random.Random(seed)
+            assert list(hss._randrange_run(bulk, q, count)) == [one_by_one.randrange(q) for _ in range(count)]
+            assert bulk.getstate() == one_by_one.getstate()
+
+
+def test_server_view_is_a_read_only_mapping_of_share_vectors():
+    held = held_subsets(4, 1, 2)
+    positions = secret_positions(2, 2)
+    view = ServerView(held, positions, bytes([0, 1, 2, 2, 1, 0, 1, 1, 1, 0, 0, 0]))
+    assert list(view) == [(1, 1), (1, 2), (2, 1), (2, 2)] and len(view) == 4
+    assert view[(1, 2)] == {(1,): 2, (3,): 1, (4,): 0}
+    assert view[(2, 2)].subsets is held and list(view[(2, 2)].shares) == [0, 0, 0]
+    assert view == {key: dict(fragment) for key, fragment in view.items()}
+    with pytest.raises(KeyError):
+        view[(3, 1)]
+    with pytest.raises(TypeError):
+        view[(1, 1)] = ShareVector(held, [0, 0, 0])
+    with pytest.raises(DimensionMismatch):
+        ServerView(held, positions, [0] * 11)
+    with pytest.raises(TypeError):
+        positions[(1, 1)] = 3  # one cached layout, shared by every view
+
+
+def test_share_all_secrets_lays_each_view_out_like_its_fragments():
+    params = HssParams(ell=2, m=3, d=2, t=2, s=5, spec=GF3)
+    bundles, views = share_all_secrets(params, [[1, 2, 0], [0, 1, 2]], random.Random(3))
+    for j, view in views.items():
+        assert type(view) is ServerView and view.held is held_subsets(5, 2, j)
+        assert list(view) == list(bundles) == [(i, k) for i in (1, 2) for k in (1, 2, 3)]
+        assert list(view.shares) == [y for key in view for y in server_fragment(bundles[key], j).values()]
+
+
+def test_eval_server_reads_a_server_view_as_it_reads_dicts():
+    """The one-piece read of a ServerView and the key-by-key read of the
+    same fragments as dicts agree on results and on errors."""
+    scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)  # m = d: every secret is read
+    params, j = scheme.params, 2
+    held, positions = held_subsets(params.s, params.t, j), secret_positions(params.ell, params.m)
+    _, views = share_all_secrets(params, [[1, 2], [3, 4], [5, 6]], random.Random(1))
+
+    def outcome(view):
+        try:
+            return eval_server(scheme, j, view)
+        except (MissingShare, ParameterOutOfRange) as exc:
+            return type(exc), str(exc)
+
+    def as_dicts(view):
+        return {key: dict(fragment) for key, fragment in view.items()}
+
+    assert outcome(views[j]) == outcome(as_dicts(views[j])) == eval_server(scheme, j, views[j])
+    # the wire form: a tuple payload
+    assert outcome(ServerView(held, positions, tuple(views[j].shares))) == outcome(views[j])
+    for at, value in ((7, 9), (0, -1), (20, 300), (5, 1.5)):
+        shares = list(views[j].shares)
+        shares[at] = value
+        bad = ServerView(held, positions, shares)
+        assert outcome(bad) == outcome(as_dicts(bad))
+        assert outcome(bad)[0] is ParameterOutOfRange
+    short = {key: fragment for key, fragment in views[j].items() if key != (2, 1)}
+    assert outcome(short) == (MissingShare, f"server {j} lacks share {held[0]} of secret (2, 1)")
+    # a view of variable 1 only: the product also reads variable 2
+    first = ServerView(held, secret_positions(params.ell, 1), [y for i in (1, 2, 3) for y in views[j][(i, 1)].shares])
+    missing = (MissingShare, f"server {j} lacks share {held[0]} of secret (1, 2)")
+    assert outcome(first) == outcome(as_dicts(first)) == missing
+    # a view with a secret the product does not read, and a bad share in it
+    wider = HssParams(params.s, params.t, params.d, params.ell, params.m + 1, params.spec)
+    _, extra = share_all_secrets(wider, [[1, 2, 0], [3, 4, 0], [5, 6, 0]], random.Random(1))
+    shares = list(extra[j].shares)
+    shares[2 * len(held)] = 9  # secret (1, 3)
+    view = ServerView(held, secret_positions(params.ell, wider.m), shares)
+    assert outcome(view) == outcome(as_dicts(view)) == outcome(extra[j])
 
 
 def test_secrets_outside_the_field_are_rejected():

@@ -360,7 +360,13 @@ def _server_inputs(draw):
 @settings(max_examples=100, deadline=None, database=None)
 def test_eval_server_matches_oracles_on_generated_views(inputs):
     scheme, j, chosen, view = inputs
-    assert hss.eval_server(scheme, j, view, chosen) == _eval_oracles(scheme, j, view, chosen)
+    expected = _eval_oracles(scheme, j, view, chosen)
+    assert hss.eval_server(scheme, j, view, chosen) == expected
+    # the same fragments in one ServerView, read in one piece
+    params, held = scheme.params, next(iter(view.values())).subsets
+    shares = [y for fragment in view.values() for y in fragment.shares]
+    whole = hss.ServerView(held, hss.secret_positions(params.ell, params.m), shares)
+    assert hss.eval_server(scheme, j, whole, chosen) == expected
 
 
 @pytest.mark.parametrize("name", ["goppa", "rs5"])
