@@ -1,0 +1,103 @@
+#!/usr/bin/env python3
+"""Time Eval synthesis on the scheme ladder, for the package's systematic-form
+synthesis and for the per-union elimination it replaced (kept in
+tests/oracles.py as synthesize_blocks).
+
+Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big]
+
+Each row gives the scheme's distinct subset unions, its distinct (L, Q)
+keys (one hss.solve_many call each), and the best-of-N wall time of
+hss.synthesize_eval and of oracles.synthesize_blocks.  Both times cover
+monomial enumeration, block layout and the solves, not the exhaustive
+labelweight check (the package runs with check_budget=1, which skips it).
+The two must give equal SolutionBlocks, or the script exits with status 1.
+--big adds Goppa u=5 r=2 with t=2, d=2 (5.4 M monomials, so it runs under
+HSS_ENUM_BUDGET=8388608) and times the package alone there.
+"""
+
+import argparse
+import os
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import oracles  # noqa: E402
+from labelweight_hss import hss  # noqa: E402
+from labelweight_hss.budget import ENV_VAR  # noqa: E402
+from labelweight_hss.codes import goppa_build, hermitian_build  # noqa: E402
+
+# (row name, code builder, t, d)
+LADDER = [
+    ("goppa u=4 r=2 [16,8] (1, 3)", lambda: goppa_build(4, 2), 1, 3),
+    ("goppa u=4 r=2 [16,8] (4, 1)", lambda: goppa_build(4, 2), 4, 1),
+    ("hermitian q=3 k=10 [27,10] (1, 3)", lambda: hermitian_build(3, 10), 1, 3),
+    ("hermitian q=3 k=10 [27,10] (2, 2)", lambda: hermitian_build(3, 10), 2, 2),
+    ("goppa u=5 r=2 [32,22] (1, 3)", lambda: goppa_build(5, 2), 1, 3),
+]
+BIG = ("goppa u=5 r=2 [32,22] (2, 2)", lambda: goppa_build(5, 2), 2, 2)
+BIG_BUDGET = "8388608"
+
+
+def best_of(repeats, fn):
+    """Best wall time of `repeats` calls, and the last result."""
+    best, value = None, None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        value = fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, value
+
+
+def synthesize_counting_keys(code, params):
+    """hss.synthesize_eval's blocks and the number of hss.solve_many calls it made."""
+    solve_many, calls = hss.solve_many, []
+
+    def counted(*args):
+        calls.append(None)
+        return solve_many(*args)
+
+    hss.solve_many = counted
+    try:
+        return hss.synthesize_eval(code, params, check_budget=1).solutions, len(calls)
+    finally:
+        hss.solve_many = solve_many
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--big", action="store_true", help="add Goppa u=5 (2, 2), package only")
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    runs = [(row, True) for row in LADDER] + ([(BIG, False)] if args.big else [])
+    print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'package':>9} {'oracle':>9} {'speedup':>8}")
+    failures = []
+    for (name, build, t, d), with_oracle in runs:
+        code = build()
+        params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+        if not with_oracle:
+            os.environ[ENV_VAR] = BIG_BUDGET  # the last row, so the override ends with the process
+        fast, (blocks, keys) = best_of(args.repeats, lambda: synthesize_counting_keys(code, params))
+        line = f"{name:<36} {len(blocks.unions):>7,} {keys:>7,} {fast:>8.3f}s"
+        if not with_oracle:
+            print(f"{line} {'-':>9} {'-':>8}", flush=True)
+            continue
+        slow, expected = best_of(args.repeats, lambda: oracles.synthesize_blocks(code, params))
+        if blocks != expected:
+            failures.append(f"{name}: SolutionBlocks differ from oracles.synthesize_blocks")
+        print(f"{line} {slow:>8.3f}s {slow / fast:>7.1f}x", flush=True)
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

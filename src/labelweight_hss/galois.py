@@ -11,7 +11,7 @@ A :class:`FieldSpec` fixes the characteristic ``p``, extension degree
 ``k`` and an explicit monic irreducible modulus polynomial; specs compare
 equal iff all three match.  For field orders up to 256, addition,
 subtraction, negation, multiplication and inversion go through one set
-of flat lookup tables built once per spec (:meth:`FieldSpec.tables`:
+of flat lookup tables built once per field (:meth:`FieldSpec.tables`:
 ``add``, ``sub``, ``neg``, ``mul`` and ``inv``), which the hot loops of
 ``matrix`` and ``hss`` also index directly.  Above 256 they fall back to
 base-p digit loops and direct polynomial reduction.
@@ -68,6 +68,10 @@ class FieldTables(NamedTuple):
     neg: bytes
     mul: bytes
     inv: bytes
+
+
+# (p, k, modulus) -> the tables of that field, shared by all its specs
+_TABLES: dict[tuple, FieldTables] = {}
 
 
 class FieldSpec:
@@ -279,26 +283,44 @@ class FieldSpec:
         return self.tables().add
 
     def tables(self) -> FieldTables:
-        """The add, sub, neg, mul and inv tables, built on first use (only for q <= 256)."""
+        """The add, sub, neg, mul and inv tables (only for q <= 256), built
+        on first use and shared by every spec of the same field."""
         if self._tables is None:
             require_table_order(self.q)
-            q = self.q
-            if self.p == 2 or self.k == 1:
-                add_fn, neg_fn = self.add, self.neg
-            else:
-                add_fn, neg_fn = self._add_digits, self._neg_digits
-            add = bytes(add_fn(a, b) for a in range(q) for b in range(q))
-            neg = bytes(neg_fn(a) for a in range(q))
-            sub = bytes(add[a * q + neg[b]] for a in range(q) for b in range(q))
-            table = bytearray(q * q)
-            for a in range(q):
-                for b in range(a, q):
-                    table[a * q + b] = table[b * q + a] = self._mul_raw(a, b)
-            mul = bytes(table)
-            # the one b with a*b = 1 in row a
-            inv = bytes([0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
-            self._tables = FieldTables(add, sub, neg, mul, inv)
+            key = (self.p, self.k, self.modulus)
+            if key not in _TABLES:
+                _TABLES[key] = self._build_tables()
+            self._tables = _TABLES[key]
         return self._tables
+
+    def _build_tables(self) -> FieldTables:
+        """Rows of add and mul from the rows of smaller codes: with b the
+        largest power of p not above a, a + y = (a - b) + (b + y), and
+        a*y = (a - b)*y + b*y, or x*((b/p)*y) when a = b."""
+        p, q = self.p, self.q
+        powers = [p**j for j in range(self.k)]
+        # y + p^j: digit j of y steps up by one, wrapping from p - 1 to 0
+        step = {b: bytes(y + b if y // b % p < p - 1 else y - (p - 1) * b for y in range(q)) for b in powers}
+        # x*y: the digits of y move up one place, and the top one is reduced by the modulus
+        shifted = [((0,) + d[:-1], d[-1]) for d in map(self.coeffs, range(q))]
+        times_x = [self.encode([c - top * m for c, m in zip(low, self.modulus)]) for low, top in shifted]
+        base = [0] + [max(b for b in powers if b <= a) for a in range(1, q)]
+        add_rows = [bytes(range(q))]
+        for a in range(1, q):
+            add_rows.append(bytes(map(add_rows[a - base[a]].__getitem__, step[base[a]])))
+        add = b"".join(add_rows)
+        mul_rows = [bytes(q), bytes(range(q))]
+        for a in range(2, q):
+            if a == base[a]:
+                mul_rows.append(bytes(map(times_x.__getitem__, mul_rows[a // p])))
+            else:
+                mul_rows.append(bytes(add[u * q + v] for u, v in zip(mul_rows[a - base[a]], mul_rows[base[a]])))
+        mul = b"".join(mul_rows)
+        # the one b with a + b = 0, and with a*b = 1, in row a
+        neg = bytes(add.index(0, a * q, a * q + q) - a * q for a in range(q))
+        inv = bytes([0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
+        sub = bytes(add[a * q + neg[b]] for a in range(q) for b in range(q))
+        return FieldTables(add, sub, neg, mul, inv)
 
 
 def parse_field(text: str) -> FieldSpec:

@@ -8,8 +8,9 @@ server subset T, server j holding every y_T with j not in T).  Every
 product of d secrets expands into monomials y_{1,T_1}*...*y_{d,T_d}; a
 monomial is locally computable by all servers outside union(T_k), and for
 each one a particular solution of G(Lambda) e = u_i scatters coefficients
-onto the output coordinates owned by those servers.  Reconstruction is
-the single matrix product G z.
+onto the output coordinates owned by those servers (all solutions come
+from one elimination per code and one small solve per distinct (L, Q)
+key; see _solve_blocks).  Reconstruction is the single matrix product G z.
 
 Everything is exact field arithmetic; there are no tolerances anywhere in
 this module.  All randomness flows through an explicit seeded generator,
@@ -41,7 +42,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec
-from .matrix import column_indices, solve_many
+from .matrix import MatrixF, _eliminate, _row_ops, column_indices, solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
 
@@ -338,9 +339,10 @@ class SolutionBlocks(NamedTuple):
 
     Block u belongs to unions[u]: coords[u] are the coordinates of the
     servers outside it, and solutions[u] holds the ell solutions of
-    G(Lambda) e = u_i over those coordinates, coordinate-major (bytes
-    when q <= 256, a tuple above): entry pos*ell + i - 1 is the
-    coefficient of instance i at coordinate coords[u][pos].
+    G(Lambda) e = u_i over those coordinates that solve_many would give
+    (see _solve_blocks), coordinate-major (bytes when q <= 256, a tuple
+    above): entry pos*ell + i - 1 is the coefficient of instance i at
+    coordinate coords[u][pos].
     combo_union[c] is the block of subset combo c, in
     itertools.product(subsets_of_size(s, t), repeat=d) order.  Monomial
     (i, combo c) therefore has that coefficient with u = combo_union[c];
@@ -426,13 +428,13 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
 
     Monomials sharing an (instance, subset-union) pair need the same
     linear solve and get the same coefficients, so subset combinations
-    are grouped by union and all ell unit targets are handled in one
-    elimination per union; the solutions are kept as SolutionBlocks.
-    Raises InsufficientLabelweight if the code's labelweight is below
-    d*t + 1: by the exhaustive check when q <= 256 and q^ell fits the
-    budget, otherwise by a rank-deficient column restriction during
-    solving (every d*t servers are the union of d t-subsets, so a code
-    of labelweight at most d*t always leaves one).
+    are grouped by union; the solutions are kept as SolutionBlocks, built
+    from one elimination of the generator (see _solve_blocks).  Raises
+    InsufficientLabelweight if the code's labelweight is below d*t + 1:
+    by the exhaustive check when q <= 256 and q^ell fits the budget,
+    otherwise on the first union in solve order whose columns lack rank
+    (every d*t servers are the union of d t-subsets, so a code of
+    labelweight at most d*t always leaves one).
     """
     if params.spec != code.spec:
         raise ParameterOutOfRange("params and code disagree on the field")
@@ -452,15 +454,65 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
 
     _, local = enumerate_monomials(params)
     blocks = _block_layout(code, params, local.unions)
-    units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
-    pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
-    for union, cols in zip(blocks.unions, blocks.coords):
-        solutions = solve_many(code.generator.select_columns(cols), units)
-        if any(sol is None for sol in solutions):
-            lam = sorted(set(range(1, params.s + 1)) - union)
-            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {params.ell}; labelweight < {need}")
-        blocks.solutions.append(pack(itertools.chain.from_iterable(zip(*solutions))))
+    _solve_blocks(code, params, blocks, need)
     return HssScheme(params, code, blocks, labelweight_verified=verified)
+
+
+def _solve_blocks(code: LabeledCode, params: HssParams, blocks: SolutionBlocks, need: int) -> None:
+    """Append each union's solutions to `blocks`, in solve order.
+
+    One elimination takes [G | I] to [R | E]: R = rref(G) with pivot
+    columns B (one per row: LabeledCode checks that G has full row rank),
+    E = G[:, B]^-1, so G = G[:, B] R and any columns of G and of R have
+    the same leftmost pivots, the ones solve_many picks.  For a union, L
+    are the rows of R whose pivot lies outside its coordinates; every
+    pivot inside stays one, and the non-B coordinates whose projections
+    R[L, c] are independent of the earlier ones' make up Q.  With
+    Y = R[L, Q], the solution rows are Z_Q = Y^-1 E[L] and, for each kept
+    pivot B[j], E[j] - R[j, Q] Z_Q: one r x r solve (r = |L|) per
+    distinct key (L, Q), shared by every union with that key.
+    """
+    spec, ell, n = code.spec, params.ell, code.n
+    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
+    basis = _eliminate(spec, work, n)
+    scale, axpy = _row_ops(spec)
+    free = [c for c in range(n) if c not in basis]
+    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
+    join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
+    zero = pack([0] * ell)
+    keyed: dict[tuple, dict[int, Sequence[int]]] = {}
+    for union, cols in zip(blocks.unions, blocks.coords):
+        inside = set(cols)
+        lost = [j for j, b in enumerate(basis) if b not in inside]
+        chosen: list[int] = []
+        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
+        for c in filter(inside.__contains__, free):
+            if len(chosen) == len(lost):
+                break
+            v = [work[j][c] for j in lost]
+            for lead, w in echelon:
+                if v[lead]:
+                    v = axpy(v[lead], v, w)
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is not None:
+                echelon.append((lead, scale(spec.inv(v[lead]), v)))
+                chosen.append(c)
+        if len(chosen) < len(lost):
+            lam = sorted(set(range(1, params.s + 1)) - union)
+            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
+        key = (tuple(lost), tuple(chosen))
+        rows = keyed.get(key)
+        if rows is None:
+            Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
+            solved = [list(z) for z in zip(*solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
+            rows = keyed[key] = dict(zip(chosen, map(pack, solved)))
+            for j in set(range(ell)).difference(lost):
+                z = work[j][n:]
+                for c, zc in zip(chosen, solved):
+                    if work[j][c]:
+                        z = axpy(work[j][c], z, zc)
+                rows[basis[j]] = pack(z)
+        blocks.solutions.append(join([rows.get(c, zero) for c in cols]))
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:

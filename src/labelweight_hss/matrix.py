@@ -54,27 +54,6 @@ class MatrixF:
         out.spec, out.rows, out.cols, out.data = spec, len(data), cols, data
         return out
 
-    @classmethod
-    def identity(cls, spec: FieldSpec, n: int) -> "MatrixF":
-        return cls(spec, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @classmethod
-    def zeros(cls, spec: FieldSpec, r: int, c: int) -> "MatrixF":
-        return cls(spec, [[0] * c for _ in range(r)])
-
-    def copy_data(self) -> list[list[int]]:
-        return [row[:] for row in self.data]
-
-    def at(self, i: int, j: int) -> FieldElement:
-        return FieldElement(self.spec, self.data[i][j])
-
-    def column(self, j: int) -> list[int]:
-        return [row[j] for row in self.data]
-
-    def select_columns(self, idx: Sequence[int]) -> "MatrixF":
-        """The columns listed in `idx`, in that order; cells are copied unchecked."""
-        return MatrixF._of_codes(self.spec, [[row[j] for j in idx] for row in self.data], len(idx))
-
     def matvec(self, v: Sequence[int]) -> list[int]:
         if len(v) != self.cols:
             raise DimensionMismatch(f"vector length {len(v)} != cols {self.cols}")
@@ -171,7 +150,7 @@ def _eliminate(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
 
 def rref(A: MatrixF) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
-    work = A.copy_data()
+    work = [row[:] for row in A.data]
     pivots = _eliminate(A.spec, work, A.cols)
     return RrefResult(MatrixF._of_codes(A.spec, work, A.cols), tuple(pivots), len(pivots))
 
@@ -224,12 +203,6 @@ def kernel_basis(A: MatrixF) -> list[list[int]]:
             v[col] = f.neg(reduced.data[i][free])
         basis.append(v)
     return basis
-
-
-def restrict_columns(G: MatrixF, labels: Sequence[int], keep: Iterable[int]) -> MatrixF:
-    """Columns of G whose label is in `keep`, original order preserved."""
-    wanted = set(keep)
-    return G.select_columns([j for j in range(G.cols) if labels[j] in wanted])
 
 
 def column_indices(labels: Sequence[int], keep: Iterable[int]) -> list[int]:

@@ -17,7 +17,11 @@ The enumeration kernel keeps its depth-first walk over unpacked
 coordinate lists, one table addition per coordinate, which the bit-packed
 ``kernels.min_labelweight`` replaced; server evaluation keeps the dense
 byte tensors contracted through digit-lifted product tables, which the
-bit-plane popcount contraction of ``hss.eval_server`` replaced.
+bit-plane popcount contraction of ``hss.eval_server`` replaced.  The
+field tables keep their entry-by-entry build (one polynomial product per
+multiplication entry), which the row-by-row build replaced, and the
+solution blocks their one ``solve_many`` elimination per subset union,
+which the systematic-form synthesis of ``hss._solve_blocks`` replaced.
 """
 
 from __future__ import annotations
@@ -28,7 +32,7 @@ import operator
 import random
 from typing import NamedTuple, Sequence
 
-from labelweight_hss import hss, protocol
+from labelweight_hss import hss, matrix, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
 from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, hermitian_points, labelweight
 from labelweight_hss.errors import (
@@ -39,11 +43,20 @@ from labelweight_hss.errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import MAX_TABLE_ORDER, NEG_INFINITY, FieldElement, FieldSpec, Polynomial
+from labelweight_hss.galois import (
+    MAX_TABLE_ORDER,
+    NEG_INFINITY,
+    FieldElement,
+    FieldSpec,
+    FieldTables,
+    Polynomial,
+    require_table_order,
+)
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
     MonomialId,
+    SolutionBlocks,
     collect_output_shares,
     default_monomial,
     reconstruct,
@@ -86,6 +99,28 @@ def neg(spec: FieldSpec, a: int) -> int:
 
 def sub(spec: FieldSpec, a: int, b: int) -> int:
     return add(spec, a, neg(spec, b))
+
+
+def field_tables(spec: FieldSpec) -> FieldTables:
+    """The five tables entry by entry: add and neg through the spec's own
+    operations (digit loops when p is odd and k > 1), mul by one
+    schoolbook product and reduction per pair."""
+    require_table_order(spec.q)
+    q = spec.q
+    if spec.p == 2 or spec.k == 1:
+        add_fn, neg_fn = spec.add, spec.neg
+    else:
+        add_fn, neg_fn = spec._add_digits, spec._neg_digits
+    add_table = bytes(add_fn(a, b) for a in range(q) for b in range(q))
+    neg_table = bytes(neg_fn(a) for a in range(q))
+    sub_table = bytes(add_table[a * q + neg_table[b]] for a in range(q) for b in range(q))
+    table = bytearray(q * q)
+    for a in range(q):
+        for b in range(a, q):
+            table[a * q + b] = table[b * q + a] = spec._mul_raw(a, b)
+    mul = bytes(table)
+    inv = bytes([0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
+    return FieldTables(add_table, sub_table, neg_table, mul, inv)
 
 
 # -- field: irreducibility by roots and trial division ----------------------------
@@ -274,7 +309,7 @@ def eliminate(spec: FieldSpec, a: list[list[int]], aug: list[list[int]] | None) 
 
 
 def rref(A: MatrixF) -> RrefResult:
-    work = A.copy_data()
+    work = [row[:] for row in A.data]
     pivots = eliminate(A.spec, work, None)
     return RrefResult(MatrixF(A.spec, work), tuple(pivots), len(pivots))
 
@@ -283,7 +318,7 @@ def solve_many(A: MatrixF, targets) -> list[list[int] | None]:
     for b in targets:
         if len(b) != A.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
-    work = A.copy_data()
+    work = [row[:] for row in A.data]
     aug = [[int(b[i]) for b in targets] for i in range(A.rows)]
     pivots = eliminate(A.spec, work, aug)
     nrank = len(pivots)
@@ -389,6 +424,25 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> TableScheme:
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> TableScheme:
     params = HssParams(code.s, t, d, code.dim, m if m is not None else d, code.spec)
     return synthesize_eval(code, params)
+
+
+def synthesize_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
+    """The scheme's solution blocks by one solve_many elimination of G
+    restricted to each union's coordinates, union by union in solve order;
+    raises on the first union whose columns lack rank."""
+    _, local = hss.enumerate_monomials(params)
+    blocks = hss._block_layout(code, params, local.unions)
+    need = params.d * params.t + 1
+    units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
+    pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
+    for union, cols in zip(blocks.unions, blocks.coords):
+        restricted = MatrixF(code.spec, [[row[j] for j in cols] for row in code.generator.data])
+        solutions = matrix.solve_many(restricted, units)
+        if any(sol is None for sol in solutions):
+            lam = sorted(set(range(1, params.s + 1)) - union)
+            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {params.ell}; labelweight < {need}")
+        blocks.solutions.append(pack(itertools.chain.from_iterable(zip(*solutions))))
+    return blocks
 
 
 def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:

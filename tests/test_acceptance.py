@@ -43,7 +43,7 @@ from labelweight_hss.hss import (
     scheme_rate,
     verify_block_system,
 )
-from labelweight_hss.matrix import MatrixF, rank, restrict_columns
+from labelweight_hss.matrix import MatrixF, column_indices, rank
 from labelweight_hss.protocol import WireMessage, decode, element_width, encode, simulate
 
 
@@ -164,7 +164,8 @@ def test_criterion_6_restriction_rank(schemes):
             assert code.s <= 16
             assert labelweight(code) >= dt + 1
             for lam in itertools.combinations(range(1, code.s + 1), code.s - dt):
-                sub = restrict_columns(code.generator, code.labeling.map, set(lam))
+                cols = column_indices(code.labeling.map, lam)
+                sub = MatrixF(code.spec, [[row[j] for j in cols] for row in code.generator.data])
                 assert rank(sub) == code.dim, f"{code}: rank deficit at {lam}"
 
 

@@ -43,7 +43,7 @@ from labelweight_hss.hss import (
     synthesize_eval,
     verify_block_system,
 )
-from labelweight_hss.matrix import MatrixF, rank, restrict_columns
+from labelweight_hss.matrix import MatrixF, column_indices, rank
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -558,7 +558,7 @@ def test_scheme_rate_goppa():
 
 def test_scheme_rate_above_ceiling_raises():
     # rate 2/2 against the ceiling (s - dt)/s = 1/2; the blocks are never read
-    code = LabeledCode(GF2, MatrixF.identity(GF2, 2), Labeling.identity(2))
+    code = LabeledCode(GF2, MatrixF(GF2, [[1, 0], [0, 1]]), Labeling.identity(2))
     scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, SolutionBlocks([], [], [], []))
     with pytest.raises(ParameterOutOfRange, match="exceeds linear-scheme ceiling 1/2"):
         scheme_rate(scheme)
@@ -583,7 +583,8 @@ def test_every_large_restriction_full_rank(build):
     dt = dt_plus_1 - 1
     for lam_size in range(code.s - dt, code.s + 1):
         for lam in itertools.combinations(range(1, code.s + 1), lam_size):
-            sub = restrict_columns(code.generator, code.labeling.map, set(lam))
+            cols = column_indices(code.labeling.map, lam)
+            sub = MatrixF(code.spec, [[row[j] for j in cols] for row in code.generator.data])
             assert rank(sub) == code.dim
 
 

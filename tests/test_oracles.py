@@ -16,7 +16,13 @@ from hypothesis import strategies as st
 import oracles
 from labelweight_hss import hss, protocol
 from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, rs_build
-from labelweight_hss.errors import DecodeError, FieldTooLarge, MissingShare, ParameterOutOfRange
+from labelweight_hss.errors import (
+    DecodeError,
+    FieldTooLarge,
+    InsufficientLabelweight,
+    MissingShare,
+    ParameterOutOfRange,
+)
 from labelweight_hss.galois import MAX_TABLE_ORDER, FieldSpec
 from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
 
@@ -42,6 +48,24 @@ def test_field_tables_match_digit_loops(p, k):
     assert len(tables.inv) == q
     assert [tables.mul[a * q + tables.inv[a]] for a in range(1, q)] == [1] * (q - 1)
     assert [spec.inv(a) for a in range(1, q)] == list(tables.inv[1:])
+
+
+# every field of order at most 256 under its default modulus
+DEFAULT_TABLE_FIELDS = [(p, k) for p in range(2, 257) if all(p % f for f in range(2, p)) for k in range(1, 9) if p**k <= 256]
+# x^8 + x^4 + x^3 + x^2 + 1, not the default modulus of GF(2^8)
+OTHER_MODULUS = (2, 8, (1, 0, 1, 1, 1, 0, 0, 0, 1))
+
+
+@pytest.mark.parametrize("p,k,modulus", [(p, k, None) for p, k in DEFAULT_TABLE_FIELDS] + [OTHER_MODULUS], ids=str)
+def test_field_tables_match_entry_by_entry_build(p, k, modulus):
+    spec = FieldSpec(p, k, modulus)
+    assert spec.tables() == oracles.field_tables(FieldSpec(p, k, modulus))
+
+
+def test_field_tables_are_shared_by_every_spec_of_a_field():
+    first, second, other = FieldSpec(2, 8), FieldSpec(2, 8), FieldSpec(*OTHER_MODULUS)
+    assert first is not second and first.tables() is second.tables()
+    assert other.modulus != first.modulus and other.tables().mul != first.tables().mul
 
 
 def test_large_field_falls_back_to_digit_loops():
@@ -428,6 +452,48 @@ def test_tensors_serve_complete_fragments_and_are_built_once(monkeypatch):
             assert hss.run_end_to_end(scheme, secrets, seed).ok
             assert protocol.simulate(scheme, secrets, seed)[1] == hss.run_end_to_end(scheme, secrets, seed).outputs
         assert builds == list(range(1, scheme.params.s + 1))
+
+
+# the codes and (t, d) of the benchmark's goppa-eval, hermitian-setup and goppa-wire workloads
+WORKLOAD_CASES = {
+    "goppa-eval": (lambda: goppa_build(4, 2), 1, 3),
+    "hermitian-setup": (lambda: hermitian_build(3, 10), 1, 3),
+    "goppa-wire": (lambda: goppa_build(4, 2), 4, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
+def test_solution_blocks_match_the_per_union_oracle(name):
+    build, t, d = {**EVAL_CASES, **WORKLOAD_CASES}[name]
+    scheme = hss.scheme_for_code(build(), t=t, d=d)
+    assert scheme.solutions == oracles.synthesize_blocks(scheme.code, scheme.params)
+
+
+# codes whose labelweight is at most d*t, with the first union in solve order that lacks rank
+RANK_DEFICIENT = {
+    "goppa-t3d2": (
+        lambda: goppa_build(4, 2), 3, 2,
+        "columns labeled [5, 6, 7, 8, 10, 11, 12, 13, 15, 16] have rank below 8; labelweight < 7",
+    ),
+    "gf2-110-t1d2": (
+        lambda: LabeledCode(FieldSpec(2), MatrixF(FieldSpec(2), [[1, 1, 0]]), Labeling.identity(3)), 1, 2,
+        "columns labeled [3] have rank below 1; labelweight < 3",
+    ),
+    "gf257-rs-t1d2": (lambda: rs_build(257, 4, 3), 1, 2, "columns labeled [3, 4] have rank below 3; labelweight < 3"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RANK_DEFICIENT))
+def test_rank_deficient_codes_fail_on_the_oracle_union(name):
+    build, t, d, message = RANK_DEFICIENT[name]
+    code = build()
+    params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+    with pytest.raises(InsufficientLabelweight) as want:
+        oracles.synthesize_blocks(code, params)
+    # a budget of 1 skips the exhaustive labelweight check, so the rank test must trip
+    with pytest.raises(InsufficientLabelweight) as got:
+        hss.synthesize_eval(code, params, check_budget=1)
+    assert str(got.value) == str(want.value) == message
 
 
 def test_solution_blocks_reproduce_the_eval_table(schemes):
