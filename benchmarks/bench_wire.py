@@ -10,11 +10,14 @@ Rows, each the best of N calls:
   share     hss.share_all_secrets    vs oracles.share_all_secrets
   eval      hss.eval_server          vs oracles.eval_server, every server
   simulate  protocol.simulate        vs oracles.simulate
+  codec     protocol.encode/decode   vs oracles.encode/decode, on the
+            33 messages of each path's own simulate run
 Each stage calls the functions themselves; the finer breakdown of
 protocol.simulate (encode, decode, the server's own work) is in the
 counters of `perfbench/run.py --workload goppa-wire --trace 1`.  The two
-paths must give equal views, equal server outputs and byte-identical
-transcripts, or the script exits with status 1.
+paths must give equal views, equal server outputs, byte-identical
+transcripts, and from the codec equal frames and equal payload elements,
+or the script exits with status 1.
 """
 
 import argparse
@@ -36,7 +39,11 @@ from labelweight_hss.codes import goppa_build  # noqa: E402
 
 # the package's entry points under the names tests/oracles.py gives them
 package = SimpleNamespace(
-    share_all_secrets=hss.share_all_secrets, eval_server=hss.eval_server, simulate=protocol.simulate
+    share_all_secrets=hss.share_all_secrets,
+    eval_server=hss.eval_server,
+    simulate=protocol.simulate,
+    encode=protocol.encode,
+    decode=protocol.decode,
 )
 
 
@@ -64,6 +71,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     secrets = [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
     servers = range(1, params.s + 1)
+    width, q = protocol.element_width(params.spec), params.spec.q
     protocol.simulate(scheme, secrets, args.seed)  # builds every server's tensors
     scheme.eval_table  # expanded once, for oracles.eval_server
 
@@ -72,10 +80,18 @@ def main() -> int:
         views = share[1][1]
         evaluate = best_of(args.repeats, lambda: [path.eval_server(scheme, j, views[j]) for j in servers])
         run = best_of(args.repeats, lambda: path.simulate(scheme, secrets, args.seed))
-        return {"share": share[0], "eval": evaluate[0], "simulate": run[0]}, (views, evaluate[1], *run[1])
+        messages = run[1][0].messages
 
-    new, (views, outputs, transcript, result) = timed(package)
-    old, (old_views, old_outputs, old_transcript, old_result) = timed(oracles)
+        def codec():
+            frames = [path.encode(message, width) for message in messages]
+            return frames, [path.decode(frame, width, q) for frame in frames]
+
+        coded = best_of(args.repeats, codec)
+        times = {"share": share[0], "eval": evaluate[0], "simulate": run[0], "codec": coded[0]}
+        return times, (views, evaluate[1], *run[1], coded[1])
+
+    new, (views, outputs, transcript, result, (frames, decoded)) = timed(package)
+    old, (old_views, old_outputs, old_transcript, old_result, (old_frames, old_decoded)) = timed(oracles)
     failures = []
     if views != old_views:
         failures.append("share_all_secrets views differ")
@@ -84,6 +100,10 @@ def main() -> int:
     fields = ("frames", "messages", "link_bytes", "downloaded_symbols")
     if result != old_result or any(getattr(transcript, f) != getattr(old_transcript, f) for f in fields):
         failures.append("protocol.simulate and oracles.simulate give different transcripts")
+    if frames != old_frames or frames != transcript.frames:
+        failures.append("protocol.encode and oracles.encode give different frames")
+    if [tuple(m.payload) for m in decoded] != [tuple(m.payload) for m in old_decoded]:
+        failures.append("protocol.decode and oracles.decode give different payload elements")
 
     if failures:
         print("\n".join(failures), file=sys.stderr)

@@ -99,8 +99,14 @@ def held_subsets(s: int, t: int, j: int) -> tuple[tuple[int, ...], ...]:
     """The subsets_of_size(s, t) that server j holds the share of (j not in
     T), in that order.  Computed once per (s, t, j), so a ShareVector laid
     out for server j is recognised by one `is` test."""
-    subsets = subsets_of_size(s, t)
-    return tuple(itertools.compress(subsets, held_mask(subsets, j)))
+    return tuple(itertools.compress(subsets_of_size(s, t), _held_mask(s, t, j)))
+
+
+@functools.cache
+def _held_mask(s: int, t: int, j: int) -> tuple[bool, ...]:
+    """held_mask of subsets_of_size(s, t) for server j, computed once per
+    (s, t, j): held_subsets and share_all_secrets compress by it."""
+    return tuple(held_mask(subsets_of_size(s, t), j))
 
 
 class ShareVector(Mapping):
@@ -144,8 +150,11 @@ class ServerView(Mapping):
     the secret at position n of `positions` has its shares over the h
     subsets of `held` at shares[n*h : (n+1)*h].  A read-only mapping
     secret -> ShareVector in position order, equal to the dict of the
-    same items; the sequence is the server's INPUT_SHARES payload, and
-    eval_server slices it without building a ShareVector.
+    same items.  When q <= 256 the sequence is one bytes object: the
+    dealer's view is sent as the server's INPUT_SHARES payload, and the
+    server wraps the decoded payload bytes as they are, so neither side
+    converts or copies them.  eval_server slices it without building a
+    ShareVector.
     """
 
     __slots__ = ("held", "positions", "shares")
@@ -166,9 +175,14 @@ class ServerView(Mapping):
         return len(self.positions)
 
 
-def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
+def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
     """CNF shares aligned with subsets_of_size: the stream values, then the
-    one share that makes the total x."""
+    one share that makes the total x.  When p = 2 the field sum is XOR of
+    codes; for q <= 256 the shares are bytes and the last one is the XOR
+    of the drawn bytes read as one int and folded in halves."""
+    if spec.p == 2 and spec.q <= MAX_TABLE_ORDER:
+        drawn = bytes(stream)
+        return drawn + bytes((_xor_fold(drawn) ^ x,))
     shares = list(stream)
     if spec.p == 2:
         last = functools.reduce(operator.xor, shares, x)
@@ -176,6 +190,16 @@ def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> list[int]:
         last = spec.sub(x, functools.reduce(spec.add, shares, 0))
     shares.append(last)
     return shares
+
+
+def _xor_fold(codes: bytes) -> int:
+    """The XOR of all the bytes: the int they spell, halved and XORed until
+    one byte is left."""
+    value, n = int.from_bytes(codes, "little"), len(codes)
+    while n > 1:
+        n = (n + 1) // 2
+        value = (value >> 8 * n) ^ (value & ((1 << 8 * n) - 1))
+    return value
 
 
 def _randrange_run(rng: random.Random, q: int, count: int) -> Sequence[int]:
@@ -237,7 +261,7 @@ def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tu
     element of spec).
 
     Returns the full share map {T: y_T}; server j's fragment is every
-    entry with j not in T (see held_mask and server_fragment).
+    entry with j not in T (see held_mask).
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
@@ -254,10 +278,6 @@ def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
     protocol.simulate).
     """
     return [j not in T for T in subsets]
-
-
-def server_fragment(shares: dict, j: int) -> dict:
-    return dict(itertools.compress(shares.items(), held_mask(shares, j)))
 
 
 def enumerate_monomials(params: HssParams, budget: int | None = None):
@@ -793,30 +813,31 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     reproduces the exact same share values.  bundles[(i, k)] is the full
     share map of secret (i, k), a ShareVector over subsets_of_size(s, t);
     views[j] is server j's ServerView of every secret over
-    held_subsets(s, t, j), its shares bytes when q <= 256.  Both iterate
-    in (instance, variable) order, the order of server j's INPUT_SHARES
-    payload in protocol.simulate.
+    held_subsets(s, t, j), its shares one bytes object when q <= 256:
+    protocol.simulate sends that object as server j's INPUT_SHARES
+    payload as it is.  Both iterate in (instance, variable) order.  The
+    subsets server j holds are picked by one mask cached per (s, t, j).
     """
     grid = _secret_codes(params, secrets)
     spec, subsets = params.spec, subsets_of_size(params.s, params.t)
     positions = secret_positions(params.ell, params.m)
     count, free = len(positions), len(subsets) - 1
     draws = _randrange_run(rng, spec.q, count * free)
-    bundles, every_share = {}, []
+    bundles, vectors = {}, []
     for n, (i, k) in enumerate(positions):
         shares = _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
         bundles[(i, k)] = ShareVector(subsets, shares)
-        every_share += shares
+        vectors.append(shares)
     small = spec.q <= MAX_TABLE_ORDER
-    every_share = bytes(every_share) if small else every_share
     join = b"".join if small else lambda parts: list(itertools.chain.from_iterable(parts))
+    every_share = join(map(bytes, vectors) if small else vectors)
     # by_subset[c]: subset c's share of every secret, in position order
     by_subset = [every_share[c :: len(subsets)] for c in range(len(subsets))]
     views = {}
     for j in range(1, params.s + 1):
         held = held_subsets(params.s, params.t, j)
         # the columns of the subsets j holds, then every count-th entry: one run per secret
-        subset_major = join(itertools.compress(by_subset, held_mask(subsets, j)))
+        subset_major = join(itertools.compress(by_subset, _held_mask(params.s, params.t, j)))
         views[j] = ServerView(held, positions, join(subset_major[n::count] for n in range(count)))
     return bundles, views
 

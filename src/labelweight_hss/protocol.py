@@ -21,14 +21,16 @@ Wire frame layout (little-endian):
 The element width depends only on the field order, so frames do not
 self-describe the field; codec calls take the width (or spec) explicitly.
 Every field with q <= 256 has width 1: its payload bytes are the element
-codes themselves, packed and unpacked by one bytes/tuple conversion.
+codes themselves, and a WireMessage holds them as one bytes object, the
+frame body as it is, with no per-element conversion on either side.
 
 Server j's INPUT_SHARES payload is its whole view laid end to end: the
 share lists of the ell*m secrets' fragments in (instance, variable)
 order, each one the C(s-1, t) shares y_T with j not in T, in
-hss.held_subsets(s, t, j) order.  The server slices the decoded payload
-into runs of that length: it wraps the payload in a hss.ServerView over
-that same held tuple, which eval_server slices without building any dict.
+hss.held_subsets(s, t, j) order.  For q <= 256 it is the bytes of the
+dealer's hss.ServerView, sent as they are; the server wraps the decoded
+payload in a ServerView over that same held tuple, which eval_server
+slices without building any dict or copying the shares.
 """
 
 from __future__ import annotations
@@ -72,17 +74,40 @@ def _order_width(q: int) -> int:
     return (max(q - 1, 1).bit_length() + 7) // 8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WireMessage:
+    """One frame's content.  The payload is bytes when the element width
+    is 1 (q <= 256) and a tuple of ints otherwise.  Messages compare and
+    hash by value: two messages with the same kind, ends and element
+    sequence are equal whether either payload is bytes or a tuple."""
+
     kind: int
     sender: int
     receiver: int
-    payload: tuple[int, ...]
+    payload: bytes | tuple[int, ...]
+
+    def _key(self) -> tuple:
+        return self.kind, self.sender, self.receiver, tuple(self.payload)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, WireMessage):
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+
+def _packed(values: Sequence[int], width: int) -> bytes | tuple[int, ...]:
+    """A payload of these element codes: bytes at width 1 (the same object
+    when `values` is already bytes), a tuple otherwise."""
+    return bytes(values) if width == 1 else tuple(values)
 
 
 def encode(message: WireMessage, width: int) -> bytes:
-    """Frame a message; elements are packed little-endian at fixed width.
-    An element that does not fit the width raises OverflowError."""
+    """Frame a message; elements are packed little-endian at fixed width,
+    and a bytes payload at width 1 is the frame body as it is.  An element
+    that does not fit the width raises OverflowError."""
     if message.kind not in _KINDS:
         raise ValueError(f"unknown message kind {message.kind}")
     if width == 1:
@@ -102,7 +127,8 @@ def encode(message: WireMessage, width: int) -> bytes:
 
 
 def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
-    """Parse a frame; any framing defect raises DecodeError."""
+    """Parse a frame; any framing defect raises DecodeError.  At width 1
+    the payload is the frame body, one bytes object."""
     if len(frame) < _HEADER_LEN:
         raise DecodeError(f"frame too short: {len(frame)} bytes")
     if frame[0] != WIRE_VERSION:
@@ -119,7 +145,7 @@ def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
     if length % width:
         raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
     if width == 1:
-        payload = tuple(body)
+        payload = body
         # a byte outside the field is what is left once the codes 0..q-1 are deleted
         outside = q is not None and body.translate(None, bytes(range(min(q, 256))))
     else:
@@ -188,7 +214,7 @@ def simulate(
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
         # server j's fragments, laid end to end in position order
-        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, tuple(views[j].shares)))
+        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, _packed(views[j].shares, width)))
 
     # Servers 1..s in id order: slice each view from the wire, evaluate.
     received: dict[int, list[int]] = {}
@@ -198,12 +224,12 @@ def simulate(
         if len(payload) != len(held) * len(positions):
             raise DecodeError(f"server {j}: expected {len(held) * len(positions)} elements, got {len(payload)}")
         z_j = eval_server(scheme, j, ServerView(held, positions, payload), chosen)
-        delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, tuple(z_j)))
+        delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, _packed(z_j, width)))
         received[delivered.sender] = list(delivered.payload)
 
     # Output client: merge by server id, reconstruct, announce.
     outputs = reconstruct(scheme, collect_output_shares(scheme, received))
-    send(WireMessage(RESULT, output_client, 0, tuple(outputs)))
+    send(WireMessage(RESULT, output_client, 0, _packed(outputs, width)))
     return transcript, outputs
 
 

@@ -59,8 +59,8 @@ from labelweight_hss.hss import (
     SolutionBlocks,
     collect_output_shares,
     default_monomial,
+    held_mask,
     reconstruct,
-    server_fragment,
     subsets_of_size,
 )
 from labelweight_hss.matrix import MatrixF, RrefResult, column_indices
@@ -582,6 +582,11 @@ def _shares_from_stream(x: int, subsets, stream, spec: FieldSpec):
         acc = spec.add(acc, y)
     shares[subsets[-1]] = spec.sub(x, acc)
     return shares
+
+
+def server_fragment(shares, j: int) -> dict:
+    """Server j's fragment of a full share map: every entry with j not in T."""
+    return dict(itertools.compress(shares.items(), held_mask(shares, j)))
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng) -> dict[tuple[int, ...], int]:

@@ -37,13 +37,13 @@ from labelweight_hss.hss import (
     scheme_rate,
     scheme_to_text,
     secret_positions,
-    server_fragment,
     share_all_secrets,
     subsets_of_size,
     synthesize_eval,
     verify_block_system,
 )
 from labelweight_hss.matrix import MatrixF, column_indices, rank
+from oracles import server_fragment
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

@@ -552,7 +552,15 @@ def test_share_all_secrets_matches_oracle(wire_schemes, name):
 
 
 def test_cnf_share_matches_oracle():
-    for spec, s, t in ((FieldSpec(2), 6, 2), (FieldSpec(5), 5, 2), (FieldSpec(3, 2), 4, 1), (FieldSpec(257), 4, 2)):
+    cases = (
+        (FieldSpec(2), 6, 2),
+        (FieldSpec(5), 5, 2),
+        (FieldSpec(3, 2), 4, 1),
+        (FieldSpec(257), 4, 2),
+        (FieldSpec(2, 2), 6, 3),
+        (FieldSpec(2, 8), 5, 2),
+    )
+    for spec, s, t in cases:
         for x in (0, 1, spec.q - 1):
             shares = hss.cnf_share(x, t, s, spec, random.Random(x))
             assert _ordered(shares) == _ordered(oracles.cnf_share(x, t, s, spec, random.Random(x)))
@@ -601,6 +609,52 @@ def test_short_input_payload_is_a_decode_error(wire_schemes, monkeypatch):
     with pytest.raises(DecodeError) as old:
         oracles.simulate(scheme, secrets, 3)
     assert str(new.value) == str(old.value) == "server 1: expected 24 elements, got 23"
+
+
+@pytest.mark.parametrize("name", ["goppa", "hermitian", "goppa-wire", "rs5"])
+def test_width_one_payloads_are_bytes(wire_schemes, name):
+    """A q <= 256 run records every payload as one bytes object, and so
+    does a transcript read back from its text."""
+    scheme = wire_schemes[name]
+    assert protocol.element_width(scheme.params.spec) == 1
+    transcript, _ = protocol.simulate(scheme, _secrets(scheme.params, 5), 2)
+    parsed = protocol.transcript_from_text(protocol.transcript_to_text(transcript))
+    assert all(type(m.payload) is bytes for m in transcript.messages + parsed.messages)
+
+
+def test_servers_evaluate_their_decoded_payload_without_a_copy(wire_schemes, monkeypatch):
+    """The ServerView each server evaluates holds its decoded INPUT_SHARES payload itself."""
+    scheme = wire_schemes["goppa-wire"]
+    decoded, evaluated = {}, {}
+
+    def recording_decode(frame, width, q=None):
+        message = decode(frame, width, q)
+        if message.kind == protocol.INPUT_SHARES:
+            decoded[message.receiver] = message.payload
+        return message
+
+    def recording_eval(scheme, j, views, var_indices=None):
+        evaluated[j] = views
+        return evaluate(scheme, j, views, var_indices)
+
+    decode, evaluate = protocol.decode, protocol.eval_server
+    monkeypatch.setattr(protocol, "decode", recording_decode)
+    monkeypatch.setattr(protocol, "eval_server", recording_eval)
+    protocol.simulate(scheme, _secrets(scheme.params, 3), 3)
+    assert sorted(evaluated) == sorted(decoded) == list(range(1, scheme.params.s + 1))
+    for j, view in evaluated.items():
+        assert type(view) is hss.ServerView and view.shares is decoded[j]
+
+
+def test_wide_field_payloads_stay_tuples_and_match_oracle():
+    """Above q = 256 (element width 2) payloads are tuples of ints, and the
+    run still matches the oracle frame for frame."""
+    scheme = hss.scheme_for_code(rs_build(257, 5, 2), t=1, d=2, m=3)
+    assert protocol.element_width(scheme.params.spec) == 2
+    secrets = _secrets(scheme.params, 7)
+    new = protocol.simulate(scheme, secrets, 4, (3, 1))
+    assert all(type(m.payload) is tuple for m in new[0].messages)
+    _same_runs(new, oracles.simulate(scheme, secrets, 4, (3, 1)))
 
 
 # -- codec properties ------------------------------------------------------------------

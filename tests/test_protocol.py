@@ -64,6 +64,19 @@ def test_gf4_element_bit_packing():
     assert frame[-1:] == b"\x03"
 
 
+def test_bytes_and_tuple_payloads_compare_by_value():
+    packed = WireMessage(OUTPUT_SHARES, 1, 3, bytes((0, 1, 255)))
+    listed = WireMessage(OUTPUT_SHARES, 1, 3, (0, 1, 255))
+    assert packed == listed and listed == packed
+    assert hash(packed) == hash(listed) and len({packed, listed}) == 1
+    assert encode(packed, 1) == encode(listed, 1)
+    changed = WireMessage(OUTPUT_SHARES, 1, 3, (0, 1, 254))
+    assert packed != changed and listed != changed
+    assert hash(packed) != hash(changed)
+    assert packed != WireMessage(OUTPUT_SHARES, 2, 3, (0, 1, 255))
+    assert packed != (OUTPUT_SHARES, 1, 3, (0, 1, 255))
+
+
 def test_roundtrip_fuzz_10k():
     rng = random.Random(77)
     for _ in range(10_000):
