@@ -25,6 +25,7 @@ order.  Specs and polynomials are immutable after construction.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FieldMismatch, FieldTooLarge
@@ -152,13 +153,16 @@ class FieldSpec:
 
     def code_of(self, value) -> int:
         """The element code of `value`, an element of this field or an
-        integer code.  Raises FieldMismatch for an element of another
-        field and ValueError for a code outside [0, q)."""
+        integer code (see _integer).  Raises FieldMismatch for an element
+        of another field and ValueError for any other value or a code
+        outside [0, q)."""
+        if type(value) is int and 0 <= value < self.q:
+            return value
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise FieldMismatch(f"{value!r} does not belong to {self.describe()}")
             return value.value
-        code = int(value)
+        code = _integer(value)
         if not 0 <= code < self.q:
             raise ValueError(f"element code {code} outside [0, {self.q})")
         return code
@@ -339,6 +343,16 @@ def parse_field(text: str) -> FieldSpec:
     return FieldSpec(p, k, modulus)
 
 
+def _integer(value) -> int:
+    """`value` as an int, if operator.index takes it (an int, a bool or
+    another integer type); anything else, such as 1.5 or '3', raises
+    ValueError rather than being truncated or parsed."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{value!r} is not an integer element code") from None
+
+
 class FieldElement:
     """An element of a FieldSpec, identified by its integer code."""
 
@@ -410,7 +424,7 @@ class Polynomial:
         codes = []
         for c in coeffs:
             if spec.k == 1 and not isinstance(c, FieldElement):
-                c = int(c) % spec.q  # plain ints reduce mod p over a prime field
+                c = _integer(c) % spec.q  # integers reduce mod p over a prime field
             codes.append(spec.code_of(c))
         while codes and codes[-1] == 0:
             codes.pop()

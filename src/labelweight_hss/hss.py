@@ -77,10 +77,7 @@ class MonomialId(NamedTuple):
     subsets: tuple[tuple[int, ...], ...]
 
     def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for T in self.subsets:
-            out.update(T)
-        return frozenset(out)
+        return frozenset().union(*self.subsets)
 
 
 @functools.cache
@@ -177,18 +174,14 @@ class ServerView(Mapping):
 
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
     """CNF shares aligned with subsets_of_size: the stream values, then the
-    one share that makes the total x.  When p = 2 the field sum is XOR of
-    codes; for q <= 256 the shares are bytes and the last one is the XOR
+    one share that makes the total x.  When p = 2 and q <= 256 the field
+    sum is XOR of codes, the shares are bytes and the last one is the XOR
     of the drawn bytes read as one int and folded in halves."""
     if spec.p == 2 and spec.q <= MAX_TABLE_ORDER:
         drawn = bytes(stream)
         return drawn + bytes((_xor_fold(drawn) ^ x,))
     shares = list(stream)
-    if spec.p == 2:
-        last = functools.reduce(operator.xor, shares, x)
-    else:
-        last = spec.sub(x, functools.reduce(spec.add, shares, 0))
-    shares.append(last)
+    shares.append(spec.sub(x, functools.reduce(spec.add, shares, 0)))
     return shares
 
 
@@ -281,17 +274,17 @@ def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
 
 
 def enumerate_monomials(params: HssParams, budget: int | None = None):
-    """All product monomials, plus the sublist each server can compute locally.
+    """All product monomials, plus the subset union of each subset combo.
 
     Ordering is instance-major, then lexicographic on the subset tuple.
     The first value is a Monomials sequence, which builds each MonomialId
-    when it is read; the second a LocalMonomials mapping, which builds
-    each server's list on first access.
+    when it is read; the second the list whose entry c is the union of
+    combo c (Monomials.combos[c]), the one pass that computes unions: a
+    monomial is locally computable by exactly the servers outside its
+    combo's union.
     """
     combos = _subset_combos(params, budget)
-    monomials = Monomials(params.ell, combos)
-    unions = [frozenset().union(*combo) for combo in combos]
-    return monomials, LocalMonomials(monomials, unions, params.s)
+    return Monomials(params.ell, combos), [frozenset().union(*combo) for combo in combos]
 
 
 def _subset_combos(params: HssParams, budget: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
@@ -324,33 +317,6 @@ class Monomials(Sequence):
 
     def __iter__(self):
         return itertools.starmap(MonomialId, itertools.product(range(1, self.ell + 1), self.combos))
-
-
-class LocalMonomials(Mapping):
-    """Server j -> the monomials it can compute locally (none of whose
-    subsets contains j), in monomial order; each list is built on first
-    access.  unions[c] is the subset union of combo c, in
-    itertools.product(subsets_of_size(s, t), repeat=d) order."""
-
-    def __init__(self, monomials: Sequence[MonomialId], unions: list[frozenset[int]], s: int):
-        self.monomials, self.unions, self.s = monomials, unions, s
-        self._lists: dict[int, list[MonomialId]] = {}
-
-    def __getitem__(self, j: int) -> list[MonomialId]:
-        local = self._lists.get(j)
-        if local is None:
-            if j not in range(1, self.s + 1):
-                raise KeyError(j)
-            mask = [j not in union for union in self.unions]
-            local = list(itertools.compress(self.monomials, mask * (len(self.monomials) // len(mask))))
-            self._lists[j] = local
-        return local
-
-    def __iter__(self):
-        return iter(range(1, self.s + 1))
-
-    def __len__(self) -> int:
-        return self.s
 
 
 class SolutionBlocks(NamedTuple):
@@ -393,7 +359,7 @@ class HssScheme:
     eval_table[r] maps each monomial to its coefficient in the output
     polynomial z_r computed by server labeling(r), nonzero coefficients
     only.  It is expanded from the blocks on first read and cached; it
-    serves the literal block-system check and inspection, while the v1
+    serves inspection and the benchmark's counters, while the v1
     document and evaluation read the blocks.  eval_server builds, on a
     server's first call, the coefficients of each coordinate it owns from
     the blocks and caches them here: when q <= 256, one int per digit-bit
@@ -472,8 +438,8 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
         verified = True
 
-    _, local = enumerate_monomials(params)
-    blocks = _block_layout(code, params, local.unions)
+    _, unions = enumerate_monomials(params)
+    blocks = _block_layout(code, params, unions)
     _solve_blocks(code, params, blocks, need)
     return HssScheme(params, code, blocks, labelweight_verified=verified)
 
@@ -962,41 +928,6 @@ def privacy_audit(t: int, s: int, spec: FieldSpec, budget: int | None = None) ->
     return PrivacyReport(s, t, spec.describe(), spec.q**free, checks)
 
 
-# -- literal block-system verification -----------------------------------------
-
-
-def verify_block_system(scheme: HssScheme) -> bool:
-    """Materialize the full coefficient system and check it is satisfied.
-
-    Rows are (instance, monomial) pairs, columns are (coordinate,
-    monomial) pairs with the monomial locally computable at that
-    coordinate's server; the row/column entry carries G[instance,
-    coordinate] when the monomials agree.  The synthesized table, read as
-    the flat coefficient vector, must map to the indicator of rows whose
-    two instance indices coincide.
-    """
-    params = scheme.params
-    spec = params.spec
-    G = scheme.code.generator
-    labels = scheme.code.labeling.map
-    monomials, per_server = enumerate_monomials(params)
-    columns = []  # (coordinate r, monomial, coefficient from the table)
-    for r in range(scheme.n):
-        owner = labels[r]
-        for mono in per_server[owner]:
-            columns.append((r, mono, scheme.eval_table[r].get(mono, 0)))
-    for i in range(1, params.ell + 1):
-        for mono in monomials:
-            acc = 0
-            for r, chi, coeff in columns:
-                if chi == mono and coeff:
-                    acc = spec.add(acc, spec.mul(G.data[i - 1][r], coeff))
-            target = 1 if mono.instance == i else 0
-            if acc != target:
-                return False
-    return True
-
-
 # -- serialization --------------------------------------------------------------
 
 
@@ -1070,12 +1001,12 @@ def scheme_from_text(text: str) -> HssScheme:
     code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
     try:
         params = HssParams(code.s, t, d, code.dim, m, code.spec)
-        combos = _subset_combos(params)
+        monomials, unions = enumerate_monomials(params)
     except (ParameterOutOfRange, EnumerationBudgetExceeded) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
 
-    blocks = _block_layout(code, params, [frozenset().union(*combo) for combo in combos])
-    combo_index = {combo: c for c, combo in enumerate(combos)}
+    blocks = _block_layout(code, params, unions)
+    combo_index = {combo: c for c, combo in enumerate(monomials.combos)}
     labels, ell, q = code.labeling.map, params.ell, code.spec.q
     values = [[0] * (len(cols) * ell) for cols in blocks.coords]
     for line in lines[8 + count :]:

@@ -12,39 +12,21 @@ from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import DimensionMismatch, FieldMismatch
-from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec, require_table_order
+from .errors import DimensionMismatch
+from .galois import MAX_TABLE_ORDER, FieldSpec, require_table_order
 
 
 class MatrixF:
-    """r x c matrix over a FieldSpec, cells stored as element codes."""
+    """r x c matrix over a FieldSpec, cells stored as element codes (each read by FieldSpec.code_of)."""
 
     __slots__ = ("spec", "rows", "cols", "data")
 
     def __init__(self, spec: FieldSpec, data: Sequence[Sequence]):
-        rows = []
-        width = None
-        for raw in data:
-            row = []
-            for cell in raw:
-                if isinstance(cell, FieldElement):
-                    if cell.spec != spec:
-                        raise FieldMismatch("matrix cell from a different field")
-                    row.append(cell.value)
-                else:
-                    v = int(cell)
-                    if not 0 <= v < spec.q:
-                        raise ValueError(f"cell code {v} outside field of order {spec.q}")
-                    row.append(v)
-            if width is None:
-                width = len(row)
-            elif len(row) != width:
-                raise DimensionMismatch("ragged rows")
-            rows.append(row)
-        self.spec = spec
-        self.rows = len(rows)
-        self.cols = width if width is not None else 0
-        self.data = rows
+        rows = [list(map(spec.code_of, raw)) for raw in data]
+        width = len(rows[0]) if rows else 0
+        if any(len(row) != width for row in rows):
+            raise DimensionMismatch("ragged rows")
+        self.spec, self.rows, self.cols, self.data = spec, len(rows), width, rows
 
     @classmethod
     def _of_codes(cls, spec: FieldSpec, data: list[list[int]], cols: int) -> "MatrixF":

@@ -22,6 +22,10 @@ field tables keep their entry-by-entry build (one polynomial product per
 multiplication entry), which the row-by-row build replaced, and the
 solution blocks their one ``solve_many`` elimination per subset union,
 which the systematic-form synthesis of ``hss._solve_blocks`` replaced.
+The literal block-system check (``verify_block_system``) materialises
+the whole coefficient system from per-server monomial lists, which the
+package does not keep: ``hss.enumerate_monomials`` returns each subset
+combo's union instead.
 """
 
 from __future__ import annotations
@@ -426,12 +430,44 @@ def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> 
     return synthesize_eval(code, params)
 
 
+def verify_block_system(scheme: HssScheme) -> bool:
+    """Materialize the full coefficient system and check it is satisfied.
+
+    Rows are (instance, monomial) pairs, columns are (coordinate,
+    monomial) pairs with the monomial locally computable at that
+    coordinate's server; the row/column entry carries G[instance,
+    coordinate] when the monomials agree.  The synthesized table, read as
+    the flat coefficient vector, must map to the indicator of rows whose
+    two instance indices coincide.
+    """
+    params = scheme.params
+    spec = params.spec
+    G = scheme.code.generator
+    labels = scheme.code.labeling.map
+    monomials, per_server = enumerate_monomials(params)
+    columns = []  # (coordinate r, monomial, coefficient from the table)
+    for r in range(scheme.n):
+        owner = labels[r]
+        for mono in per_server[owner]:
+            columns.append((r, mono, scheme.eval_table[r].get(mono, 0)))
+    for i in range(1, params.ell + 1):
+        for mono in monomials:
+            acc = 0
+            for r, chi, coeff in columns:
+                if chi == mono and coeff:
+                    acc = spec.add(acc, spec.mul(G.data[i - 1][r], coeff))
+            target = 1 if mono.instance == i else 0
+            if acc != target:
+                return False
+    return True
+
+
 def synthesize_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     """The scheme's solution blocks by one solve_many elimination of G
     restricted to each union's coordinates, union by union in solve order;
     raises on the first union whose columns lack rank."""
-    _, local = hss.enumerate_monomials(params)
-    blocks = hss._block_layout(code, params, local.unions)
+    _, unions = hss.enumerate_monomials(params)
+    blocks = hss._block_layout(code, params, unions)
     need = params.d * params.t + 1
     units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
     pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple

@@ -41,10 +41,10 @@ from labelweight_hss.hss import (
     run_end_to_end,
     scheme_for_code,
     scheme_rate,
-    verify_block_system,
 )
 from labelweight_hss.matrix import MatrixF, column_indices, rank
 from labelweight_hss.protocol import WireMessage, decode, element_width, encode, simulate
+from oracles import verify_block_system
 
 
 @contextmanager

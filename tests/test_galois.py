@@ -4,6 +4,7 @@ import random
 import pytest
 
 import oracles
+from labelweight_hss.codes import labelweight, rs_build
 from labelweight_hss.errors import FieldMismatch
 from labelweight_hss.galois import (
     NEG_INFINITY,
@@ -15,6 +16,7 @@ from labelweight_hss.galois import (
     parse_field,
     poly_pow_mod,
 )
+from labelweight_hss.matrix import MatrixF
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -107,6 +109,24 @@ def test_code_of_takes_own_elements_and_codes_only():
     for bad in (-1, 8):
         with pytest.raises(ValueError, match="outside \\[0, 8\\)"):
             GF8.code_of(bad)
+
+
+def test_element_codes_are_integers_only():
+    """Every reader of element codes takes ints, bools and its field's
+    elements, and raises ValueError for a float or a string instead of
+    truncating or parsing it."""
+    code = rs_build(5, 5, 2)
+    readers = [
+        GF5.code_of,
+        lambda v: MatrixF(GF5, [[1, v]]).data[0][1],
+        lambda v: Polynomial(GF5, [1, v]).coeffs[1],
+        lambda v: labelweight(code, word=[0, 0, v, 0, 0]),
+    ]
+    for read in readers:
+        assert read(3) == read(GF5.element(3)) and read(True) == read(1)
+        for bad in (1.5, "3"):
+            with pytest.raises(ValueError, match="is not an integer"):
+                read(bad)
 
 
 def test_element_coeff_roundtrip():

@@ -40,10 +40,9 @@ from labelweight_hss.hss import (
     share_all_secrets,
     subsets_of_size,
     synthesize_eval,
-    verify_block_system,
 )
 from labelweight_hss.matrix import MatrixF, column_indices, rank
-from oracles import server_fragment
+from oracles import server_fragment, verify_block_system
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -265,18 +264,18 @@ def test_secrets_outside_the_field_are_rejected():
 
 def test_enumerate_monomials_small():
     params = HssParams(2, 1, 1, 1, 1, GF2)
-    monos, per_server = enumerate_monomials(params)
+    monos, unions = enumerate_monomials(params)
     assert list(monos) == [MonomialId(1, ((1,),)), MonomialId(1, ((2,),))]
-    assert per_server[1] == [MonomialId(1, ((2,),))]
-    assert per_server[2] == [MonomialId(1, ((1,),))]
+    assert unions == [{1}, {2}]
 
 
 def test_enumerate_monomials_counts():
     params = HssParams(5, 1, 2, 2, 2, GF5)
-    monos, per_server = enumerate_monomials(params)
-    assert len(monos) == 2 * 25
+    monos, unions = enumerate_monomials(params)
+    assert len(monos) == 2 * 25 and len(unions) == 25
+    # each server is outside the union of 16 of the 25 subset combos
     for j in range(1, 6):
-        assert len(per_server[j]) == 2 * 16
+        assert sum(j not in union for union in unions) == 16
 
 
 def test_enumerate_monomials_builds_each_monomial_when_read():
@@ -290,18 +289,6 @@ def test_enumerate_monomials_builds_each_monomial_when_read():
     for n in (50, -1):
         with pytest.raises(IndexError):
             monos[n]
-
-
-def test_enumerate_monomials_builds_server_lists_on_access():
-    params = HssParams(5, 1, 2, 2, 2, GF5)
-    monos, per_server = enumerate_monomials(params)
-    assert list(per_server) == [1, 2, 3, 4, 5] and len(per_server) == 5
-    assert not per_server._lists
-    assert per_server[3] == [mono for mono in monos if 3 not in mono.union()]
-    assert per_server[3] is per_server[3]
-    assert list(per_server._lists) == [3]
-    with pytest.raises(KeyError):
-        per_server[6]
 
 
 def test_subsets_of_size_is_one_shared_tuple():

@@ -432,11 +432,15 @@ def test_eval_server_reordered_fragment_matches_oracle(wire_schemes, name):
 @pytest.mark.parametrize("s,t,d,ell", [(2, 1, 1, 1), (5, 1, 2, 2), (5, 2, 2, 3), (6, 1, 3, 2)])
 def test_lazy_monomials_match_oracle(s, t, d, ell):
     params = hss.HssParams(s, t, d, ell, d, FieldSpec(3))
-    monomials, local = hss.enumerate_monomials(params)
+    monomials, unions = hss.enumerate_monomials(params)
     old_monomials, old_local = oracles.enumerate_monomials(params)
     assert len(monomials) == len(old_monomials) and list(monomials) == old_monomials
     assert [monomials[n] for n in range(len(monomials))] == old_monomials
-    assert {j: local[j] for j in local} == old_local
+    # unions[c] is the union of every instance's monomial of combo c
+    assert [unions[n % len(unions)] for n in range(len(monomials))] == [mono.union() for mono in old_monomials]
+    # a monomial is local to exactly the servers outside its combo's union
+    local = {j: [mono for n, mono in enumerate(monomials) if j not in unions[n % len(unions)]] for j in old_local}
+    assert local == old_local
 
 
 def test_tensors_serve_complete_fragments_and_are_built_once(monkeypatch):
@@ -559,6 +563,7 @@ def test_cnf_share_matches_oracle():
         (FieldSpec(257), 4, 2),
         (FieldSpec(2, 2), 6, 3),
         (FieldSpec(2, 8), 5, 2),
+        (FieldSpec(2, 9), 4, 1),
     )
     for spec, s, t in cases:
         for x in (0, 1, spec.q - 1):
