@@ -45,7 +45,7 @@ from .errors import (
     NotACube,
     ParameterOutOfRange,
 )
-from .galois import FieldSpec
+from .galois import FieldSpec, randrange_run
 
 CSV_HEADER = "s,baseline_rate,baseline_amort,ours_rate,ours_amort,pct_rate,pct_amort"
 
@@ -357,7 +357,7 @@ def gv_monte_carlo(cfg: GvConfig, trials: int, seed: int) -> GvReport:
     failures = 0
     for index in range(trials):
         rng = random.Random(f"{seed}:{index}")
-        rows = bytes(rng.randrange(cfg.q) for _ in range(k * cfg.n))
+        rows = bytes(randrange_run(rng, cfg.q, k * cfg.n))
         lw = kernels.min_labelweight(rows, k, cfg.n, labels0, add_t, mul_t, cfg.q, cfg.s)
         if lw < cfg.target:
             failures += 1

@@ -14,7 +14,10 @@ subtraction, negation, multiplication and inversion go through one set
 of flat lookup tables built once per field (:meth:`FieldSpec.tables`:
 ``add``, ``sub``, ``neg``, ``mul`` and ``inv``), which the hot loops of
 ``matrix`` and ``hss`` also index directly.  Above 256 they fall back to
-base-p digit loops and direct polynomial reduction.
+base-p digit loops and direct polynomial reduction.  Random element codes
+come from :func:`randrange_run`, the values of successive
+``randrange(q)`` calls read in one bulk draw; CNF sharing and the GV
+Monte Carlo both draw through it.
 
 Irreducibility has one test, Ben-Or's (:func:`is_irreducible`), exact at
 every degree.  The default modulus of a spec is the first monic
@@ -24,8 +27,10 @@ order.  Specs and polynomials are immutable after construction.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
+import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .errors import FieldMismatch, FieldTooLarge
@@ -57,6 +62,32 @@ def require_table_order(q: int) -> None:
         raise FieldTooLarge(
             f"field order {q} exceeds {MAX_TABLE_ORDER}, the largest that byte packing and lookup tables support"
         )
+
+
+def randrange_run(rng: random.Random, q: int, count: int) -> Sequence[int]:
+    """The values of `count` successive rng.randrange(q) calls, leaving rng
+    in their state; read in bulk for a plain random.Random and q < 256.
+    randrange(q) repeats getrandbits(k), k = q.bit_length() <= 8, until
+    it is below q, and getrandbits(k) keeps the top k bits of the next
+    32-bit output; getrandbits(32 * n) returns the next n outputs, output
+    i in bits 32i..32i+31.  Asking for as many outputs as values are
+    missing never reads past the last output the calls would read.
+    """
+    if type(rng) is not random.Random or q >= 256:
+        return list(map(rng.randrange, itertools.repeat(q, count)))
+    keep, rejected = _top_bits(q)
+    out = b""
+    while (missing := count - len(out)) > 0:
+        out += rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4].translate(keep, rejected)
+    return out
+
+
+@functools.cache
+def _top_bits(q: int) -> tuple[bytes, bytes]:
+    """Translate table taking a top byte to its top q.bit_length() bits,
+    and the top bytes whose value there is q or more."""
+    shift = 8 - q.bit_length()
+    return bytes(b >> shift for b in range(256)), bytes(b for b in range(256) if b >> shift >= q)
 
 
 class FieldTables(NamedTuple):
@@ -203,7 +234,9 @@ class FieldSpec:
         return self._neg_digits(a)
 
     def sub(self, a: int, b: int) -> int:
-        if self.p != 2 and self.k > 1 and self.q <= MAX_TABLE_ORDER:
+        if self.p == 2:
+            return a ^ b
+        if self.k > 1 and self.q <= MAX_TABLE_ORDER:
             return (self._tables or self.tables()).sub[a * self.q + b]
         return self.add(a, self.neg(b))
 

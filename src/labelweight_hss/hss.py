@@ -41,7 +41,7 @@ from .errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec
+from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec, randrange_run
 from .matrix import MatrixF, _eliminate, _row_ops, column_indices, solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
@@ -195,32 +195,6 @@ def _xor_fold(codes: bytes) -> int:
     return value
 
 
-def _randrange_run(rng: random.Random, q: int, count: int) -> Sequence[int]:
-    """The values of `count` successive rng.randrange(q) calls, leaving rng
-    in their state; read in bulk for a plain random.Random and q < 256.
-    randrange(q) repeats getrandbits(k), k = q.bit_length() <= 8, until
-    it is below q, and getrandbits(k) keeps the top k bits of the next
-    32-bit output; getrandbits(32 * n) returns the next n outputs, output
-    i in bits 32i..32i+31.  Asking for as many outputs as values are
-    missing never reads past the last output the calls would read.
-    """
-    if type(rng) is not random.Random or q >= 256:
-        return list(map(rng.randrange, itertools.repeat(q, count)))
-    keep, rejected = _top_bits(q)
-    out = b""
-    while (missing := count - len(out)) > 0:
-        out += rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4].translate(keep, rejected)
-    return out
-
-
-@functools.cache
-def _top_bits(q: int) -> tuple[bytes, bytes]:
-    """Translate table taking a top byte to its top q.bit_length() bits,
-    and the top bytes whose value there is q or more."""
-    shift = 8 - q.bit_length()
-    return bytes(b >> shift for b in range(256)), bytes(b for b in range(256) if b >> shift >= q)
-
-
 def _secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:
     """The integer code of a secret (the one at `key` of a secret matrix,
     if given): an int in 0..q-1 or an element of `spec`.  Anything else
@@ -260,7 +234,7 @@ def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tu
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     code = _secret_code(x, spec)
     subsets = subsets_of_size(s, t)
-    return dict(zip(subsets, _share_vector(code, _randrange_run(rng, spec.q, len(subsets) - 1), spec)))
+    return dict(zip(subsets, _share_vector(code, randrange_run(rng, spec.q, len(subsets) - 1), spec)))
 
 
 def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
@@ -788,7 +762,7 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     spec, subsets = params.spec, subsets_of_size(params.s, params.t)
     positions = secret_positions(params.ell, params.m)
     count, free = len(positions), len(subsets) - 1
-    draws = _randrange_run(rng, spec.q, count * free)
+    draws = randrange_run(rng, spec.q, count * free)
     bundles, vectors = {}, []
     for n, (i, k) in enumerate(positions):
         shares = _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)

@@ -14,18 +14,29 @@ into Python ints:
 * **Addition.** In characteristic 2 words add with ``^``.  For odd p the
   fields add in parallel (SWAR): u = w + r, then p is subtracted from
   every field whose guard bit shows u + (2^(dw-1) - p) overflowed.
-* **Labelweight of a word.** Adding LO, all ones below each slot guard,
-  carries into a slot's guard bit exactly when the slot is nonzero, so
-  ``((x + LO) & HI).bit_count()`` counts the labels touched.  Any s
-  works, since the words are unbounded ints.
-* **Walk (meet in the middle).** Scaled rows c*g_i are packed once.  The
-  spans L of the first ceil(k/2) rows and H of the rest are built by
-  doubling.  Each codeword is l - h for exactly one pair (H is closed
-  under negation), and packed words are canonical, so its support is the
-  set of slots where l and h differ: the labelweight of l - h is that of
-  ``l ^ h`` in every characteristic.  Each h takes the minimum over one
-  comprehension across L, and the walk stops once a weight of 1 is seen.
-  Memory is O(q^ceil(k/2)) words, not q^k.
+* **Label-equality planes.** Scaled rows c*g_i are packed once.  The
+  first rows span the low span L, words L[x] for x < |L|, and the rest
+  the high span H.  Each codeword is L[x] - h for exactly one pair (H is
+  closed under negation), and packed words are canonical, so label l of
+  L[x] - h is zero exactly when seg_l(L[x]) == seg_l(h), seg_l being the
+  label's slot.  For each used label l and segment value v one int
+  E[l][v] has bit x set iff seg_l(L[x]) == v.  It is built by doubling
+  across the low rows: block c of the grown span is the old span plus
+  c*g_i, so E'[l][v + seg_l(c*g_i)] |= E[l][v] << c*|old span|.
+* **Walk.** For each high word h, Z_l = E[l][seg_l(h)] marks the x where
+  label l of L[x] - h is zero.  A carry-save adder tree sums the Z_l into
+  the bit-sliced count of zero labels at every x; the x whose every label
+  is zero (the zero word) are dropped, and narrowing from the top count
+  bit down finds the largest count, so the weight is the used labels less
+  that count.  c*w weighs what w does, so only h = 0 and one word of each
+  line of H (leading high digit 1) are walked.  The walk stops once a
+  weight of 1 is seen.
+* **Split.** A row joins the low span while the span stays within
+  LOW_SPAN_CAP positions and tabulating it, (q - 1) times the segment
+  values present (a label of c columns has at most q^c), costs less than
+  the high words it saves, a label's share of one high word costing about
+  TABLE_ENTRIES_PER_LABEL_STEP table entries.  Memory is the tables: at
+  most LOW_SPAN_CAP bits for each (label, value) pair present.
 
 Zero words (from the zero message, or from kernel messages of a
 rank-deficient generator) are skipped, so the result is the labelweight
@@ -35,7 +46,12 @@ back.
 
 from __future__ import annotations
 
+import operator
+from collections import Counter
+
 BACKEND = "pure"
+LOW_SPAN_CAP = 1 << 11
+TABLE_ENTRIES_PER_LABEL_STEP = 3
 
 
 def min_labelweight(
@@ -73,8 +89,6 @@ def min_labelweight(
         filled[label] += digits * dw
     width = max(filled, default=0) + 1
     pos = [label * width + at for label, at in zip(labels0, pos)]
-    guards = sum(1 << (label * width + width - 1) for label in range(s))
-    below = guards - sum(1 << (label * width) for label in range(s))
 
     spread = []  # element code -> its digits, one per field
     for v in range(q):
@@ -84,45 +98,97 @@ def min_labelweight(
             v //= p
         spread.append(x)
     scaled = [
-        [
+        [0]
+        + [
             sum(spread[mul[c * q + rows[i * ncols + j]]] << pos[j] for j in range(ncols))
-            for c in range(q)
+            for c in range(1, q)
         ]
         for i in range(nrows)
     ]
 
     if p == 2:
-
-        def span(multiples: list[list[int]]) -> list[int]:
-            words = [0]
-            for row in multiples:
-                words = [w ^ r for r in row for w in words]
-            return words
-
+        plus = operator.xor
     else:
         shift = dw - 1
-        fields = [1 << (pos[j] + i * dw) for j in range(ncols) for i in range(digits)]
-        field_guards = sum(fields) << shift
-        bias = sum(fields) * ((1 << shift) - p)
+        # every digit field of every slot, used or not: a field that
+        # holds 0 in both words never sets its guard
+        fields = sum(1 << (label * width + i * dw) for label in range(s) for i in range((width - 1) // dw))
+        field_guards = fields << shift
+        bias = fields * ((1 << shift) - p)
 
-        def span(multiples: list[list[int]]) -> list[int]:
-            words = [0]
-            for row in multiples:
-                words = [
-                    u - ((u + bias & field_guards) >> shift) * p
-                    for r in row
-                    for w in words
-                    for u in (w + r,)
-                ]
-            return words
+        def plus(w: int, r: int) -> int:
+            u = w + r
+            return u - ((u + bias & field_guards) >> shift) * p
 
-    half = (nrows + 1) // 2
-    low = span(scaled[:half])
+    # each used label's slot: (offset, mask)
+    used = [(label * width, (1 << filled[label]) - 1) for label in range(s) if filled[label]]
+    # used labels by column count: a label of c columns takes at most q^c values
+    columns = Counter(filled[label] // (digits * dw) for label in range(s) if filled[label])
+    low_rows = 1
+    while low_rows < nrows and q ** (low_rows + 1) <= LOW_SPAN_CAP:
+        low_rows += 1
+    # drop the last low row while its tables cost more than the walk it saves
+    while (
+        low_rows > 1
+        and (q - 1) * sum(n * q ** min(low_rows - 1, c) for c, n in columns.items())
+        >= TABLE_ENTRIES_PER_LABEL_STEP * len(used) * q ** (nrows - low_rows)
+    ):
+        low_rows -= 1
+
+    tables = []  # tables[l][v]: the x with seg_l(L[x]) == v, as bits of one int
+    for off, mask in used:
+        table, size = {0: 1}, 1
+        for row in scaled[:low_rows]:
+            grown = dict(table)
+            for c in range(1, q):
+                t, at = row[c] >> off & mask, c * size
+                for v, bits in table.items():
+                    key = plus(v, t)
+                    grown[key] = grown.get(key, 0) | bits << at
+            table, size = grown, size * q
+        tables.append(table)
+
+    # h = 0 and one word of each line of the high span
+    span, walk = [0], [0]
+    for i in reversed(range(low_rows, nrows)):
+        walk += [plus(w, scaled[i][1]) for w in span]
+        if i > low_rows:
+            span = [plus(w, r) for r in scaled[i] for w in span]
+
+    full = (1 << q**low_rows) - 1
+    nused = len(used)
+    slots = list(zip(used, tables))
     best = s + 1
-    for h in span(scaled[half:]):
-        weight = min(filter(None, [((h ^ w) + below & guards).bit_count() for w in low]), default=best)
-        if weight < best:
-            best = weight
+    for h in walk:
+        # counts[b]: bit b of the number of zero labels of L[x] - h, at bit x
+        level, counts = [table.get(h >> off & mask, 0) for (off, mask), table in slots], []
+        # carry-save adder tree: three planes of one weight become their
+        # sum at that weight and their carry at the next
+        while level:
+            carries = []
+            while len(level) > 2:
+                a, b, c = level.pop(), level.pop(), level.pop()
+                u = a ^ b
+                level.append(u ^ c)
+                carries.append(a & b | u & c)
+            if len(level) == 2:
+                a, b = level
+                level = [a ^ b]
+                carries.append(a & b)
+            counts.append(level[0])
+            level = carries
+        live = 0  # the x whose count is not nused: L[x] != h
+        for b, plane in enumerate(counts):
+            live |= full ^ plane if nused >> b & 1 else plane
+        if not live:
+            continue
+        most = 0
+        for b in reversed(range(len(counts))):
+            if top := live & counts[b]:
+                live = top
+                most |= 1 << b
+        if nused - most < best:
+            best = nused - most
             if best == 1:
                 break
     return best

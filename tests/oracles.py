@@ -15,6 +15,9 @@ payload by an explicit (instance, variable, subset) list.  The optimised
 code must agree with them exactly, on values and on the errors raised.
 The enumeration kernel keeps its depth-first walk over unpacked
 coordinate lists, one table addition per coordinate, which the bit-packed
+kernel replaced, and that packed meet-in-the-middle walk, one
+comprehension over the low half-span per high word
+(``packed_min_labelweight``), which the label-equality planes of
 ``kernels.min_labelweight`` replaced; server evaluation keeps the dense
 byte tensors contracted through digit-lifted product tables, which the
 bit-plane popcount contraction of ``hss.eval_server`` replaced.  The
@@ -207,7 +210,7 @@ def hermitian_build(q: int, k: int) -> LabeledCode:
     return LabeledCode(ext, MatrixF(ext, rows), Labeling.identity(n), {"family": "hermitian", "q": q, "k": k})
 
 
-# -- kernels: depth-first walk over coordinate lists --------------------------------
+# -- kernels: depth-first walk over coordinate lists, then the packed walk ---------
 
 
 def min_labelweight(
@@ -263,6 +266,96 @@ def min_labelweight(
                 descend(level + 1, nxt)
 
     descend(0, [0] * ncols)
+    return best
+
+
+def packed_min_labelweight(
+    rows: bytes,
+    nrows: int,
+    ncols: int,
+    labels0: bytes,
+    add: bytes,
+    mul: bytes,
+    q: int,
+    s: int,
+) -> int:
+    """Minimum labelweight over the nonzero words of the row span.
+
+    `rows` is the row-major generator (nrows x ncols element codes, an
+    element's base-p digits being its polynomial coefficients), `labels0`
+    maps each column to a zero-based label < s, and `mul` is the flat
+    q*q multiplication table.  `add` is not read: addition runs on the
+    packed digits.
+    """
+    if nrows < 1:
+        raise ValueError("generator needs at least one row")
+    p = next(d for d in range(2, q + 1) if q % d == 0)
+    digits = 1
+    while p**digits < q:
+        digits += 1
+    dw = 1 if p == 2 else p.bit_length() + 1  # digit field width
+
+    # column j goes to bit pos[j]: its label's slot, after the label's
+    # earlier columns
+    filled = [0] * s
+    pos = []
+    for label in labels0:
+        pos.append(filled[label])
+        filled[label] += digits * dw
+    width = max(filled, default=0) + 1
+    pos = [label * width + at for label, at in zip(labels0, pos)]
+    guards = sum(1 << (label * width + width - 1) for label in range(s))
+    below = guards - sum(1 << (label * width) for label in range(s))
+
+    spread = []  # element code -> its digits, one per field
+    for v in range(q):
+        x = 0
+        for i in range(digits):
+            x |= (v % p) << (i * dw)
+            v //= p
+        spread.append(x)
+    scaled = [
+        [
+            sum(spread[mul[c * q + rows[i * ncols + j]]] << pos[j] for j in range(ncols))
+            for c in range(q)
+        ]
+        for i in range(nrows)
+    ]
+
+    if p == 2:
+
+        def span(multiples: list[list[int]]) -> list[int]:
+            words = [0]
+            for row in multiples:
+                words = [w ^ r for r in row for w in words]
+            return words
+
+    else:
+        shift = dw - 1
+        fields = [1 << (pos[j] + i * dw) for j in range(ncols) for i in range(digits)]
+        field_guards = sum(fields) << shift
+        bias = sum(fields) * ((1 << shift) - p)
+
+        def span(multiples: list[list[int]]) -> list[int]:
+            words = [0]
+            for row in multiples:
+                words = [
+                    u - ((u + bias & field_guards) >> shift) * p
+                    for r in row
+                    for w in words
+                    for u in (w + r,)
+                ]
+            return words
+
+    half = (nrows + 1) // 2
+    low = span(scaled[:half])
+    best = s + 1
+    for h in span(scaled[half:]):
+        weight = min(filter(None, [((h ^ w) + below & guards).bit_count() for w in low]), default=best)
+        if weight < best:
+            best = weight
+            if best == 1:
+                break
     return best
 
 

@@ -1,5 +1,6 @@
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,13 +20,16 @@ from labelweight_hss.analysis import (
     round_half_away,
     truncate_decimals,
 )
-from labelweight_hss.codes import ball_volume
+from labelweight_hss.codes import Labeling, ball_volume
 from labelweight_hss.errors import (
     ConditionViolated,
     DegenerateDimension,
     NotACube,
     ParameterOutOfRange,
 )
+from labelweight_hss.galois import FieldSpec, randrange_run
+
+import oracles
 
 # The printed reference tables (d*t = 4 throughout).
 GOPPA_TABLE = {
@@ -354,3 +358,29 @@ def test_rate_ceiling_on_exact_rows():
         assert 0 < row.rate_exact <= Fraction(s - 4, s)
     row = hermitian_params(1000, 4, 1)
     assert 0 < row.rate_exact <= Fraction(996, 1000)
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])
+def test_gv_bulk_draw_is_one_randrange_call_per_entry(q):
+    for seed in range(3):
+        for index in range(4):
+            bulk, one_by_one = random.Random(f"{seed}:{index}"), random.Random(f"{seed}:{index}")
+            assert bytes(randrange_run(bulk, q, 15 * 28)) == bytes(one_by_one.randrange(q) for _ in range(15 * 28))
+            assert bulk.getstate() == one_by_one.getstate()
+
+
+def test_gv_monte_carlo_decides_each_per_call_sample():
+    # trial 0 of seed s is the generator drawn entry by entry from
+    # Random(f"{s}:0"), decided by the packed walk the kernel replaced
+    cfg = GvConfig(2, 2, 14, Fraction(5, 14), Fraction(1, 50))  # k = 6, target 5
+    k, spec = gv_dimension(cfg), FieldSpec(2)
+    labels0 = bytes(v - 1 for v in Labeling.balanced(cfg.s, cfg.w).map)
+    outcomes = set()
+    for seed in range(60):
+        rng = random.Random(f"{seed}:0")
+        rows = bytes(rng.randrange(cfg.q) for _ in range(k * cfg.n))
+        lw = oracles.packed_min_labelweight(rows, k, cfg.n, labels0, spec.add_table, spec.mul_table, cfg.q, cfg.s)
+        failed = int(lw < cfg.target)
+        assert gv_monte_carlo(cfg, 1, seed).failures == failed
+        outcomes.add(failed)
+    assert outcomes == {0, 1}

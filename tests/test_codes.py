@@ -161,6 +161,13 @@ def test_goppa_u4_r2_dimensions():
     assert labelweight(code) == brute_labelweight(code)
 
 
+def test_goppa_u5_r2_labelweight_clears_dt_3():
+    # the s = 32 rung: 2^22 messages, labelweight 5 > d*t = 3
+    code = goppa_build(5, 2)
+    assert (code.n, code.dim, code.s) == (32, 22, 32)
+    assert labelweight(code) == 5
+
+
 def test_goppa_u3_r1_support_shrinks():
     code = goppa_build(3, 1)
     assert code.n == 7

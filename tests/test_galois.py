@@ -334,3 +334,9 @@ def test_modulus_rejects_reducible():
 def test_prime_check():
     with pytest.raises(ValueError):
         FieldSpec(4)
+
+
+@pytest.mark.parametrize("spec", [GF2, GF4, FieldSpec(2, 8)], ids=lambda spec: str(spec.q))
+def test_characteristic_two_sub_is_xor(spec):
+    q = spec.q
+    assert [spec.sub(a, b) for a in range(q) for b in range(q)] == [oracles.sub(spec, a, b) for a in range(q) for b in range(q)]

@@ -16,7 +16,7 @@ from labelweight_hss.errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import FieldElement, FieldSpec
+from labelweight_hss.galois import FieldElement, FieldSpec, randrange_run
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
@@ -162,7 +162,7 @@ def test_randrange_run_draws_what_randrange_draws(q):
     for seed in range(4):
         for count in (0, 1, 5, 64, 1000):
             bulk, one_by_one = random.Random(seed), random.Random(seed)
-            assert list(hss._randrange_run(bulk, q, count)) == [one_by_one.randrange(q) for _ in range(count)]
+            assert list(randrange_run(bulk, q, count)) == [one_by_one.randrange(q) for _ in range(count)]
             assert bulk.getstate() == one_by_one.getstate()
 
 

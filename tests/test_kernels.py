@@ -9,6 +9,8 @@ import random
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import labelweight_hss
 from labelweight_hss import kernels
@@ -208,3 +210,67 @@ def test_wide_labels_use_pure_path():
     rows = bytes([1] * 70)
     got = kernels.min_labelweight(rows, 1, ncols, labels0, spec.add_table, spec.mul_table, 2, 70)
     assert got == 70
+
+
+# -- the bit-sliced walk against both oracles ----------------------------------------
+
+KERNEL_FIELDS = FIELDS + [FieldSpec(11), FieldSpec(131), FieldSpec(251)]
+
+
+@st.composite
+def kernel_cases(draw):
+    """A generator, labels and s.  Labels are uneven and interleaved, s
+    reaches past 64 and past the labels that own columns, and the rows may
+    repeat a scaled row, be all zero, or hold a one-column word (labelweight
+    1, where the walk stops early).  q^nrows stays small enough for the
+    depth-first oracle."""
+    spec = draw(st.sampled_from(KERNEL_FIELDS))
+    q = spec.q
+    nrows = draw(st.integers(1, max(k for k in range(1, 13) if q**k <= 4096)))
+    ncols = draw(st.integers(1, 12))
+    s = draw(st.integers(1, 72))
+    labels0 = draw(st.lists(st.integers(0, s - 1), min_size=ncols, max_size=ncols))
+    entry = st.one_of(st.just(0), st.integers(0, q - 1))
+    rows = draw(st.lists(st.lists(entry, min_size=ncols, max_size=ncols), min_size=nrows, max_size=nrows))
+    shape = draw(st.sampled_from(["random", "scaled copy", "zero", "weight one"]))
+    c = draw(st.integers(1, q - 1))
+    if shape == "scaled copy" and nrows > 1:
+        rows[-1] = [spec.mul(c, v) for v in rows[0]]
+    elif shape == "zero":
+        rows = [[0] * ncols for _ in rows]
+    elif shape == "weight one":
+        j = draw(st.integers(0, ncols - 1))
+        rows[draw(st.integers(0, nrows - 1))] = [c if i == j else 0 for i in range(ncols)]
+    return shape, args_for(spec, [v for row in rows for v in row], nrows, ncols, labels0, s)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(kernel_cases())
+def test_sliced_walk_matches_both_oracles(case):
+    shape, args = case
+    got = kernels.min_labelweight(*args)
+    assert got == oracles.packed_min_labelweight(*args) == oracles.min_labelweight(*args)
+    if shape == "zero":
+        assert got == args[-1] + 1
+    elif shape == "weight one":
+        assert got == 1
+
+
+@pytest.mark.parametrize("nrows", range(1, 17))
+def test_every_gf2_dimension_across_the_low_span_cap(nrows):
+    # the low span holds at most 2^11 positions, so k = 12..16 walk
+    # high words and k <= 11 may not
+    spec = FieldSpec(2)
+    rng = random.Random(1600 + nrows)
+    ncols, s = 26, 11
+    labels0 = random_labels(rng, ncols, s)
+    rows = [rng.randrange(2) for _ in range(nrows * ncols)]
+    args = args_for(spec, rows, nrows, ncols, labels0, s)
+    got = kernels.min_labelweight(*args)
+    assert got == oracles.packed_min_labelweight(*args)
+    if nrows <= 12:
+        assert got == oracles.min_labelweight(*args)
+    # a one-column word in the last row: the walk stops early at 1
+    rows[-ncols:] = [0] * (ncols - 1) + [1]
+    args = args_for(spec, rows, nrows, ncols, labels0, s)
+    assert kernels.min_labelweight(*args) == oracles.packed_min_labelweight(*args) == 1
