@@ -1,18 +1,20 @@
 #!/usr/bin/env python3
-"""Time Eval synthesis on the scheme ladder, for the package's systematic-form
-synthesis and for the per-union elimination it replaced (kept in
-tests/oracles.py as synthesize_blocks).
+"""Time Eval synthesis on the scheme ladder, for the package's key-major
+systematic-form synthesis and for the per-union elimination it replaced
+(kept in tests/oracles.py as synthesize_blocks).
 
 Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big]
 
 Each row gives the scheme's distinct subset unions, its distinct (L, Q)
 keys (one hss.solve_many call each), and the best-of-N wall time of
 hss.synthesize_eval and of oracles.synthesize_blocks.  Both times cover
-monomial enumeration, block layout and the solves, not the exhaustive
-labelweight check (the package runs with check_budget=1, which skips it).
-The two must give equal SolutionBlocks, or the script exits with status 1.
---big adds Goppa u=5 r=2 with t=2, d=2 (5.4 M monomials, so it runs under
-HSS_ENUM_BUDGET=8388608) and times the package alone there.
+monomial enumeration, the key or block layout and the solves, not the
+exhaustive labelweight check (the package runs with check_budget=1, which
+skips it).  The package's key rows, projected onto each union's
+coordinates (oracles.project_blocks), must equal the oracle's blocks, or
+the script exits with status 1.  --big adds Goppa u=5 r=2 with t=2, d=2
+(5.4 M monomials, so it runs under HSS_ENUM_BUDGET=8388608) and times
+the package alone there.
 """
 
 import argparse
@@ -54,7 +56,7 @@ def best_of(repeats, fn):
 
 
 def synthesize_counting_keys(code, params):
-    """hss.synthesize_eval's blocks and the number of hss.solve_many calls it made."""
+    """hss.synthesize_eval's scheme and the number of hss.solve_many calls it made."""
     solve_many, calls = hss.solve_many, []
 
     def counted(*args):
@@ -63,7 +65,7 @@ def synthesize_counting_keys(code, params):
 
     hss.solve_many = counted
     try:
-        return hss.synthesize_eval(code, params, check_budget=1).solutions, len(calls)
+        return hss.synthesize_eval(code, params, check_budget=1), len(calls)
     finally:
         hss.solve_many = solve_many
 
@@ -84,14 +86,15 @@ def main() -> int:
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         if not with_oracle:
             os.environ[ENV_VAR] = BIG_BUDGET  # the last row, so the override ends with the process
-        fast, (blocks, keys) = best_of(args.repeats, lambda: synthesize_counting_keys(code, params))
-        line = f"{name:<36} {len(blocks.unions):>7,} {keys:>7,} {fast:>8.3f}s"
+        fast, (scheme, keys) = best_of(args.repeats, lambda: synthesize_counting_keys(code, params))
+        unions = len(set(hss.enumerate_monomials(params)[1]))
+        line = f"{name:<36} {unions:>7,} {keys:>7,} {fast:>8.3f}s"
         if not with_oracle:
             print(f"{line} {'-':>9} {'-':>8}", flush=True)
             continue
         slow, expected = best_of(args.repeats, lambda: oracles.synthesize_blocks(code, params))
-        if blocks != expected:
-            failures.append(f"{name}: SolutionBlocks differ from oracles.synthesize_blocks")
+        if oracles.project_blocks(scheme) != expected:
+            failures.append(f"{name}: key rows projected onto the unions differ from oracles.synthesize_blocks")
         print(f"{line} {slow:>8.3f}s {slow / fast:>7.1f}x", flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)

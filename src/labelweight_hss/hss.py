@@ -10,7 +10,7 @@ monomial is locally computable by all servers outside union(T_k), and for
 each one a particular solution of G(Lambda) e = u_i scatters coefficients
 onto the output coordinates owned by those servers (all solutions come
 from one elimination per code and one small solve per distinct (L, Q)
-key; see _solve_blocks).  Reconstruction is the single matrix product G z.
+key; see _key_search).  Reconstruction is the single matrix product G z.
 
 Everything is exact field arithmetic; there are no tolerances anywhere in
 this module.  All randomness flows through an explicit seeded generator,
@@ -42,7 +42,7 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec, randrange_run
-from .matrix import MatrixF, _eliminate, _row_ops, column_indices, solve_many
+from .matrix import MatrixF, _eliminate, _row_ops, solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
 
@@ -253,12 +253,16 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     Ordering is instance-major, then lexicographic on the subset tuple.
     The first value is a Monomials sequence, which builds each MonomialId
     when it is read; the second the list whose entry c is the union of
-    combo c (Monomials.combos[c]), the one pass that computes unions: a
-    monomial is locally computable by exactly the servers outside its
-    combo's union.
+    combo c (Monomials.combos[c]) as a bitmask, bit v set for server v in
+    it: a monomial is locally computable by exactly the servers outside
+    its combo's union.
     """
     combos = _subset_combos(params, budget)
-    return Monomials(params.ell, combos), [frozenset().union(*combo) for combo in combos]
+    masks = [sum(1 << v for v in T) for T in subsets_of_size(params.s, params.t)]
+    unions = [0]
+    for _ in range(params.d):
+        unions = [union | mask for union in unions for mask in masks]
+    return Monomials(params.ell, combos), unions
 
 
 def _subset_combos(params: HssParams, budget: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
@@ -293,61 +297,46 @@ class Monomials(Sequence):
         return itertools.starmap(MonomialId, itertools.product(range(1, self.ell + 1), self.combos))
 
 
-class SolutionBlocks(NamedTuple):
-    """The Eval coefficients of a scheme, one block per distinct subset
-    union U, in solve order (unions sorted as sorted lists).
+class KeySolutions(NamedTuple):
+    """The Eval coefficients of a scheme: one row set per distinct (L, Q)
+    key (see _key_search), in first-seen solve order.
 
-    Block u belongs to unions[u]: coords[u] are the coordinates of the
-    servers outside it, and solutions[u] holds the ell solutions of
-    G(Lambda) e = u_i over those coordinates that solve_many would give
-    (see _solve_blocks), coordinate-major (bytes when q <= 256, a tuple
-    above): entry pos*ell + i - 1 is the coefficient of instance i at
-    coordinate coords[u][pos].
-    combo_union[c] is the block of subset combo c, in
-    itertools.product(subsets_of_size(s, t), repeat=d) order.  Monomial
-    (i, combo c) therefore has that coefficient with u = combo_union[c];
-    eval_table lists the nonzero ones monomial by monomial.
+    rows[k] maps each coordinate r of key k's support (_support) to the
+    ell coefficients at r, instance i at entry i - 1 (bytes when q <= 256,
+    a tuple above); they are zero off the support, which lies inside the
+    coordinates of every union with key k.  combo_key[c] is the key of
+    subset combo c, in itertools.product(subsets_of_size(s, t), repeat=d)
+    order, so monomial (i, combo c) has coefficient
+    rows[combo_key[c]].get(r, zero)[i - 1] at coordinate r.
     """
 
-    unions: list[frozenset[int]]
-    coords: list[list[int]]
-    solutions: list[Sequence[int]]
-    combo_union: list[int]
-
-
-def _block_layout(code: LabeledCode, params: HssParams, combo_unions: list[frozenset[int]]) -> SolutionBlocks:
-    """Blocks without solutions yet: the distinct unions of combo_unions
-    in solve order, the coordinates outside each, and combo_union."""
-    unions = sorted(set(combo_unions), key=sorted)
-    all_servers = set(range(1, params.s + 1))
-    coords = [column_indices(code.labeling.map, all_servers - union) for union in unions]
-    block_of = {union: u for u, union in enumerate(unions)}
-    return SolutionBlocks(unions, coords, [], list(map(block_of.__getitem__, combo_unions)))
+    rows: list[dict[int, Sequence[int]]]
+    combo_key: list[int]
 
 
 @dataclass
 class HssScheme:
     """A synthesized scheme: code, parameters, and the Eval coefficients
-    as SolutionBlocks (`solutions`), the one stored form.
+    as KeySolutions (`solutions`), the one stored form.
 
     eval_table[r] maps each monomial to its coefficient in the output
     polynomial z_r computed by server labeling(r), nonzero coefficients
-    only.  It is expanded from the blocks on first read and cached; it
+    only.  It is expanded from the keys on first read and cached; it
     serves inspection and the benchmark's counters, while the v1
-    document and evaluation read the blocks.  eval_server builds, on a
+    document and evaluation read the keys.  eval_server builds, on a
     server's first call, the coefficients of each coordinate it owns from
-    the blocks and caches them here: when q <= 256, one int per digit-bit
+    the keys and caches them here: when q <= 256, one int per digit-bit
     plane (bit b of base-p digit e of every coefficient, one byte per
     tensor position, instance i - 1 in bit (i - 1) % 8, groups of 8
     instances concatenated; see eval_server), above, one dense tensor per
     instance.  A scheme is therefore treated as immutable once it has
-    been read or evaluated: editing its blocks afterwards reaches neither
+    been read or evaluated: editing its keys afterwards reaches neither
     the table nor the tensors.
     """
 
     params: HssParams
     code: LabeledCode
-    solutions: SolutionBlocks = field(repr=False)
+    solutions: KeySolutions = field(repr=False)
     labelweight_verified: bool = True
     _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
     # server id -> (held subsets, per owned coordinate: its plane ints, or its tensors by instance)
@@ -360,41 +349,38 @@ class HssScheme:
     @property
     def eval_table(self) -> dict[int, dict[MonomialId, int]]:
         if self._eval_table is None:
-            self._eval_table = _expand_blocks(self.params, self.n, self.solutions)
+            self._eval_table = _expand_keys(self.params, self.n, self.solutions)
         return self._eval_table
 
 
-def _expand_blocks(params: HssParams, n: int, blocks: SolutionBlocks) -> dict[int, dict[MonomialId, int]]:
-    """The per-monomial table of the blocks: block by block, instance by
+def _expand_keys(params: HssParams, n: int, solutions: KeySolutions) -> dict[int, dict[MonomialId, int]]:
+    """The per-monomial table of the keys: key by key, instance by
     instance, each nonzero coefficient stored for every monomial of the
-    (union, instance) group."""
-    members: list[list[tuple]] = [[] for _ in blocks.unions]
+    (key, instance) group."""
+    members: list[list[tuple]] = [[] for _ in solutions.rows]
     combos = itertools.product(subsets_of_size(params.s, params.t), repeat=params.d)
-    for combo, u in zip(combos, blocks.combo_union):
-        members[u].append(combo)
-    ell = params.ell
+    for combo, k in zip(combos, solutions.combo_key):
+        members[k].append(combo)
     table: dict[int, dict[MonomialId, int]] = {r: {} for r in range(n)}
-    for cols, block, group_combos in zip(blocks.coords, blocks.solutions, members):
-        for i in range(1, ell + 1):
+    for rows, group_combos in zip(solutions.rows, members):
+        for i in range(1, params.ell + 1):
             group = [MonomialId(i, combo) for combo in group_combos]
-            for r, coeff in zip(cols, block[i - 1 :: ell]):
-                if coeff:
-                    table[r].update(dict.fromkeys(group, coeff))
+            for r, row in rows.items():
+                if row[i - 1]:
+                    table[r].update(dict.fromkeys(group, row[i - 1]))
     return table
 
 
 def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | None = None) -> HssScheme:
     """Solve the Eval coefficients for the product-of-d-secrets family.
 
-    Monomials sharing an (instance, subset-union) pair need the same
-    linear solve and get the same coefficients, so subset combinations
-    are grouped by union; the solutions are kept as SolutionBlocks, built
-    from one elimination of the generator (see _solve_blocks).  Raises
-    InsufficientLabelweight if the code's labelweight is below d*t + 1:
-    by the exhaustive check when q <= 256 and q^ell fits the budget,
-    otherwise on the first union in solve order whose columns lack rank
-    (every d*t servers are the union of d t-subsets, so a code of
-    labelweight at most d*t always leaves one).
+    Monomials whose subset unions share an (L, Q) key get the same
+    coefficients, kept once per key as KeySolutions (see _key_search).
+    Raises InsufficientLabelweight if the code's labelweight is below
+    d*t + 1: by the exhaustive check when q <= 256 and q^ell fits the
+    budget, otherwise on the first union in solve order whose columns
+    lack rank (every d*t servers are the union of d t-subsets, so a code
+    of labelweight at most d*t always leaves one).
     """
     if params.spec != code.spec:
         raise ParameterOutOfRange("params and code disagree on the field")
@@ -413,40 +399,39 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
         verified = True
 
     _, unions = enumerate_monomials(params)
-    blocks = _block_layout(code, params, unions)
-    _solve_blocks(code, params, blocks, need)
-    return HssScheme(params, code, blocks, labelweight_verified=verified)
+    work, basis, keys, combo_key = _key_search(code, params, unions)
+    rows = _solve_keys(code, work, basis, keys)
+    return HssScheme(params, code, KeySolutions(rows, combo_key), labelweight_verified=verified)
 
 
-def _solve_blocks(code: LabeledCode, params: HssParams, blocks: SolutionBlocks, need: int) -> None:
-    """Append each union's solutions to `blocks`, in solve order.
+def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
+    """One elimination of [G | I], then the (L, Q) key of every union.
 
-    One elimination takes [G | I] to [R | E]: R = rref(G) with pivot
+    The elimination takes [G | I] to [R | E]: R = rref(G) with pivot
     columns B (one per row: LabeledCode checks that G has full row rank),
     E = G[:, B]^-1, so G = G[:, B] R and any columns of G and of R have
     the same leftmost pivots, the ones solve_many picks.  For a union, L
-    are the rows of R whose pivot lies outside its coordinates; every
-    pivot inside stays one, and the non-B coordinates whose projections
-    R[L, c] are independent of the earlier ones' make up Q.  With
-    Y = R[L, Q], the solution rows are Z_Q = Y^-1 E[L] and, for each kept
-    pivot B[j], E[j] - R[j, Q] Z_Q: one r x r solve (r = |L|) per
-    distinct key (L, Q), shared by every union with that key.
+    are the rows of R whose pivot lies at a server in it; every other
+    pivot stays one, and the coordinates outside B and outside the union
+    whose projections R[L, c] are independent of the earlier ones' make
+    up Q.  Returns [R | E], B, the distinct keys (L, Q) in first-seen
+    order and the key index of each entry of `unions`; the unions are
+    walked sorted as sorted member lists, and the first whose coordinates
+    lack rank raises InsufficientLabelweight.
     """
-    spec, ell, n = code.spec, params.ell, code.n
+    spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
     basis = _eliminate(spec, work, n)
     scale, axpy = _row_ops(spec)
     free = [c for c in range(n) if c not in basis]
-    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
-    join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
-    zero = pack([0] * ell)
-    keyed: dict[tuple, dict[int, Sequence[int]]] = {}
-    for union, cols in zip(blocks.unions, blocks.coords):
-        inside = set(cols)
-        lost = [j for j, b in enumerate(basis) if b not in inside]
+    keys: dict[tuple, int] = {}
+    key_of: dict[int, int] = {}
+    # the sort key is the union's servers in increasing order, its binary digits read right to left
+    for union in sorted(set(unions), key=lambda u: [v for v, bit in enumerate(bin(u)[:1:-1]) if bit == "1"]):
+        lost = [j for j, b in enumerate(basis) if union >> labels[b] & 1]
         chosen: list[int] = []
         echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
-        for c in filter(inside.__contains__, free):
+        for c in (c for c in free if not union >> labels[c] & 1):
             if len(chosen) == len(lost):
                 break
             v = [work[j][c] for j in lost]
@@ -458,21 +443,42 @@ def _solve_blocks(code: LabeledCode, params: HssParams, blocks: SolutionBlocks, 
                 echelon.append((lead, scale(spec.inv(v[lead]), v)))
                 chosen.append(c)
         if len(chosen) < len(lost):
-            lam = sorted(set(range(1, params.s + 1)) - union)
+            lam = [v for v in range(1, params.s + 1) if not union >> v & 1]
+            need = params.d * params.t + 1
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
-        key = (tuple(lost), tuple(chosen))
-        rows = keyed.get(key)
-        if rows is None:
-            Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
-            solved = [list(z) for z in zip(*solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
-            rows = keyed[key] = dict(zip(chosen, map(pack, solved)))
-            for j in set(range(ell)).difference(lost):
+        key_of[union] = keys.setdefault((tuple(lost), tuple(chosen)), len(keys))
+    return work, basis, list(keys), list(map(key_of.__getitem__, unions))
+
+
+def _support(basis: list[int], key: tuple[tuple[int, ...], tuple[int, ...]]) -> list[int]:
+    """The coordinates a key's rows are stored at: Q, then the pivot B[j]
+    of each row j outside L."""
+    lost, chosen = key
+    return [*chosen, *(b for j, b in enumerate(basis) if j not in lost)]
+
+
+def _solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:
+    """Each key's rows on its support, from [R | E] = `work`: with
+    Y = R[L, Q], Z_Q = Y^-1 E[L] at Q and E[j] - R[j, Q] Z_Q at each kept
+    pivot B[j], one r x r solve (r = |L|) per key."""
+    spec, n, ell = code.spec, code.n, code.dim
+    _, axpy = _row_ops(spec)
+    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
+    solutions = []
+    for key in keys:
+        lost, chosen = key
+        Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
+        solved = [list(z) for z in zip(*solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
+        kept = []
+        for j in range(ell):
+            if j not in lost:
                 z = work[j][n:]
                 for c, zc in zip(chosen, solved):
                     if work[j][c]:
                         z = axpy(work[j][c], z, zc)
-                rows[basis[j]] = pack(z)
-        blocks.solutions.append(join([rows.get(c, zero) for c in cols]))
+                kept.append(z)
+        solutions.append(dict(zip(_support(basis, key), map(pack, solved + kept))))
+    return solutions
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
@@ -539,27 +545,26 @@ def _build_tensors(scheme: HssScheme, j: int):
 
     T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
     entries, indexed row-major by the d held subsets of a monomial
-    (positions in `held`): every combo of held subsets leaves j out, so
-    its block lists r among its coordinates.  When q <= 256, r's entry is
-    one int per digit-bit plane (_bit_planes of T_{r,1}, ..., T_{r,ell}),
-    k * bit_length(p - 1) of them; above, the list of the ell tensors as
-    tuples.
+    (positions in `held`): entry a is the coefficient of r in the rows of
+    the key of that combo, zero where r is outside the key's support.
+    When q <= 256, r's entry is one int per digit-bit plane (_bit_planes
+    of T_{r,1}, ..., T_{r,ell}), k * bit_length(p - 1) of them; above,
+    the list of the ell tensors as tuples.
     """
-    params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
+    params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
     held = held_subsets(params.s, params.t, j)
-    local = [j not in union for union in blocks.unions]
-    # the block of every combo of held subsets, in product order
-    held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
+    # the key of every combo of held subsets, in product order
+    mask = _held_mask(params.s, params.t, j)
+    held_keys = list(itertools.compress(solutions.combo_key, map(all, itertools.product(mask, repeat=params.d))))
     small = params.spec.q <= MAX_TABLE_ORDER
     join = b"".join if small else lambda parts: tuple(itertools.chain.from_iterable(parts))
-    tables, size = _plane_tables(params.spec) if small else None, len(held_blocks)
+    zero = bytes(ell)
+    tables, size = _plane_tables(params.spec) if small else None, len(held_keys)
     tensors = []
     for r in scheme.code.labeling.coords(j):
-        # r's ell coefficients in each block (those of position 0 in blocks held_blocks never names)
-        at = [cols.index(r) * ell if ok else 0 for cols, ok in zip(blocks.coords, local)]
-        column = [block[start : start + ell] for block, start in zip(blocks.solutions, at)]
+        column = [rows.get(r, zero) for rows in solutions.rows]
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
-        joined = join(map(column.__getitem__, held_blocks))
+        joined = join(map(column.__getitem__, held_keys))
         per_instance = [joined[i::ell] for i in range(ell)]
         tensors.append(_bit_planes(tables, _lane_strings(tables, per_instance, size), size) if small else per_instance)
     return held, tensors
@@ -921,8 +926,8 @@ def scheme_to_text(scheme: HssScheme) -> str:
 def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
     """The lines of scheme_to_text: the header, the code document, then
     one row per nonzero Eval coefficient in (coordinate, instance, subset
-    combo) order, streamed from the blocks without the eval_table."""
-    p, blocks = scheme.params, scheme.solutions
+    combo) order, streamed from the keys without the eval_table."""
+    p, solutions = scheme.params, scheme.solutions
     code_lines = code_to_text(scheme.code).splitlines()
     yield from (
         SCHEME_FORMAT_TAG,
@@ -936,32 +941,29 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
         *code_lines,
     )
     names = [_format_subsets(combo) for combo in _subset_combos(p)]
-    labels, ell = scheme.code.labeling.map, p.ell
+    zero = bytes(p.ell)
     for r in range(scheme.n):
-        # where r's coefficients start in each block, None where its server is in the union
-        at = [
-            cols.index(r) * ell if labels[r] not in union else None for cols, union in zip(blocks.coords, blocks.unions)
-        ]
-        for i in range(ell):
-            coeffs = [0 if start is None else block[start + i] for block, start in zip(blocks.solutions, at)]
-            for name, coeff in zip(names, map(coeffs.__getitem__, blocks.combo_union)):
+        column = [rows.get(r, zero) for rows in solutions.rows]
+        for i in range(p.ell):
+            coeffs = [row[i] for row in column]
+            for name, coeff in zip(names, map(coeffs.__getitem__, solutions.combo_key)):
                 if coeff:
                     yield f"eval {r} {i + 1} {name} {coeff}"
 
 
 def scheme_from_text(text: str) -> HssScheme:
     """Parse a scheme document, reading its eval rows back into the
-    SolutionBlocks they expand to, so that the parsed scheme equals the
-    synthesized one block for block.
+    KeySolutions they expand to, so that the parsed scheme equals the
+    synthesized one key for key.
 
-    Each (union, instance, coordinate) group takes the coefficient of its
-    first row that is in range and whose coordinate belongs to a server
-    outside the union.  The document must then be the canonical text of
-    that scheme: otherwise DecodeError names its first line that differs,
-    such as a header value that disagrees with the code, a row out of
-    range, out of order or repeated, a row that disagrees with its group,
-    or the first row missing from a group that lists only some of its
-    union's subset combos.
+    The keys come from the pivot search alone, with no solves.  Each
+    (key, instance, coordinate) group takes the coefficient of its first
+    row that is in range and lies in the key's support.  The document
+    must then be the canonical text of that scheme: otherwise DecodeError
+    names its first line that differs, such as a header value that
+    disagrees with the code, a row out of range, out of order, repeated,
+    outside its key's support or disagreeing with its group, or the first
+    row missing from a group that lists only some of its combos.
     """
     lines = text.splitlines()
     if not lines or lines[0] != SCHEME_FORMAT_TAG:
@@ -976,26 +978,27 @@ def scheme_from_text(text: str) -> HssScheme:
     try:
         params = HssParams(code.s, t, d, code.dim, m, code.spec)
         monomials, unions = enumerate_monomials(params)
-    except (ParameterOutOfRange, EnumerationBudgetExceeded) as exc:
+        _, basis, keys, combo_key = _key_search(code, params, unions)
+    except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
 
-    blocks = _block_layout(code, params, unions)
     combo_index = {combo: c for c, combo in enumerate(monomials.combos)}
-    labels, ell, q = code.labeling.map, params.ell, code.spec.q
-    values = [[0] * (len(cols) * ell) for cols in blocks.coords]
+    ell, q = params.ell, code.spec.q
+    values = [{r: [0] * ell for r in _support(basis, key)} for key in keys]
     for line in lines[8 + count :]:
         try:
             tag, r, i, subsets, coeff = line.split(" ")
             r, i, c, coeff = int(r), int(i), combo_index.get(_parse_subsets(subsets)), int(coeff)
         except ValueError:
             continue  # not a row of any scheme: the comparison below names it
-        if tag == "eval" and c is not None and 0 <= r < code.n and 1 <= i <= ell and 0 < coeff < q:
-            u = blocks.combo_union[c]
-            if labels[r] not in blocks.unions[u]:
-                entry = blocks.coords[u].index(r) * ell + i - 1
-                values[u][entry] = values[u][entry] or coeff
-    blocks.solutions.extend(map(bytes if q <= MAX_TABLE_ORDER else tuple, values))
-    scheme = HssScheme(params, code, blocks, labelweight_verified=header.get("labelweight-verified") == "1")
+        if tag == "eval" and c is not None and 1 <= i <= ell and 0 < coeff < q:
+            row = values[combo_key[c]].get(r)
+            if row is not None:
+                row[i - 1] = row[i - 1] or coeff
+    pack = bytes if q <= MAX_TABLE_ORDER else tuple
+    rows = [{r: pack(row) for r, row in key_rows.items()} for key_rows in values]
+    verified = header.get("labelweight-verified") == "1"
+    scheme = HssScheme(params, code, KeySolutions(rows, combo_key), labelweight_verified=verified)
     for n, (got, want) in enumerate(itertools.zip_longest(lines, _canonical_lines(scheme)), 1):
         if got != want:
             raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")

@@ -10,7 +10,7 @@ field's flat lookup tables (q <= 256).
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .galois import MAX_TABLE_ORDER, FieldSpec, require_table_order
@@ -185,9 +185,3 @@ def kernel_basis(A: MatrixF) -> list[list[int]]:
             v[col] = f.neg(reduced.data[i][free])
         basis.append(v)
     return basis
-
-
-def column_indices(labels: Sequence[int], keep: Iterable[int]) -> list[int]:
-    """Coordinate indices whose label is in `keep`, in increasing order."""
-    wanted = set(keep)
-    return [j for j in range(len(labels)) if labels[j] in wanted]

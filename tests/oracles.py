@@ -23,8 +23,12 @@ byte tensors contracted through digit-lifted product tables, which the
 bit-plane popcount contraction of ``hss.eval_server`` replaced.  The
 field tables keep their entry-by-entry build (one polynomial product per
 multiplication entry), which the row-by-row build replaced, and the
-solution blocks their one ``solve_many`` elimination per subset union,
-which the systematic-form synthesis of ``hss._solve_blocks`` replaced.
+solution blocks their one ``solve_many`` elimination per subset union
+(``synthesize_blocks``), which the systematic-form synthesis replaced.
+That synthesis stored one block per union (``SolutionBlocks``, laid out
+by ``block_layout`` and solved by ``solve_blocks``), which the key-major
+``hss.KeySolutions`` replaced; ``project_blocks`` reads the blocks back
+from the keys.
 The literal block-system check (``verify_block_system``) materialises
 the whole coefficient system from per-server monomial lists, which the
 package does not keep: ``hss.enumerate_monomials`` returns each subset
@@ -37,7 +41,7 @@ import functools
 import itertools
 import operator
 import random
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from labelweight_hss import hss, matrix, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
@@ -63,14 +67,13 @@ from labelweight_hss.hss import (
     HssParams,
     HssScheme,
     MonomialId,
-    SolutionBlocks,
     collect_output_shares,
     default_monomial,
     held_mask,
     reconstruct,
     subsets_of_size,
 )
-from labelweight_hss.matrix import MatrixF, RrefResult, column_indices
+from labelweight_hss.matrix import MatrixF, RrefResult, _eliminate, _row_ops
 
 # -- field: base-p digit loops ------------------------------------------------
 
@@ -555,12 +558,48 @@ def verify_block_system(scheme: HssScheme) -> bool:
     return True
 
 
+def column_indices(labels: Sequence[int], keep: Iterable[int]) -> list[int]:
+    """Coordinate indices whose label is in `keep`, in increasing order."""
+    wanted = set(keep)
+    return [j for j in range(len(labels)) if labels[j] in wanted]
+
+
+class SolutionBlocks(NamedTuple):
+    """The Eval coefficients of a scheme, one block per distinct subset
+    union U, in solve order (unions sorted as sorted lists).
+
+    Block u belongs to unions[u]: coords[u] are the coordinates of the
+    servers outside it, and solutions[u] holds the ell solutions of
+    G(Lambda) e = u_i over those coordinates that solve_many would give,
+    coordinate-major (bytes when q <= 256, a tuple above): entry
+    pos*ell + i - 1 is the coefficient of instance i at coordinate
+    coords[u][pos].  combo_union[c] is the block of subset combo c, in
+    itertools.product(subsets_of_size(s, t), repeat=d) order.
+    """
+
+    unions: list[frozenset[int]]
+    coords: list[list[int]]
+    solutions: list[Sequence[int]]
+    combo_union: list[int]
+
+
+def block_layout(code: LabeledCode, params: HssParams) -> SolutionBlocks:
+    """Blocks without solutions yet: the distinct unions of the subset
+    combos in solve order, the coordinates outside each, and combo_union."""
+    subsets = subsets_of_size(params.s, params.t)
+    combo_unions = [frozenset().union(*combo) for combo in itertools.product(subsets, repeat=params.d)]
+    unions = sorted(set(combo_unions), key=sorted)
+    all_servers = set(range(1, params.s + 1))
+    coords = [column_indices(code.labeling.map, all_servers - union) for union in unions]
+    block_of = {union: u for u, union in enumerate(unions)}
+    return SolutionBlocks(unions, coords, [], list(map(block_of.__getitem__, combo_unions)))
+
+
 def synthesize_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     """The scheme's solution blocks by one solve_many elimination of G
     restricted to each union's coordinates, union by union in solve order;
     raises on the first union whose columns lack rank."""
-    _, unions = hss.enumerate_monomials(params)
-    blocks = hss._block_layout(code, params, unions)
+    blocks = block_layout(code, params)
     need = params.d * params.t + 1
     units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
     pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
@@ -571,6 +610,74 @@ def synthesize_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
             lam = sorted(set(range(1, params.s + 1)) - union)
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {params.ell}; labelweight < {need}")
         blocks.solutions.append(pack(itertools.chain.from_iterable(zip(*solutions))))
+    return blocks
+
+
+def solve_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
+    """The solution blocks by the systematic form, union by union: one
+    elimination of [G | I] to [R | E], then for each union the rows L of
+    R whose pivot lies outside its coordinates, the coordinates Q that
+    replace those pivots, and one solve of R[L, Q] per distinct (L, Q)
+    key, copied into the block of every union with that key."""
+    blocks = block_layout(code, params)
+    spec, ell, n = code.spec, params.ell, code.n
+    need = params.d * params.t + 1
+    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
+    basis = _eliminate(spec, work, n)
+    scale, axpy = _row_ops(spec)
+    free = [c for c in range(n) if c not in basis]
+    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
+    join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
+    zero = pack([0] * ell)
+    keyed: dict[tuple, dict[int, Sequence[int]]] = {}
+    for union, cols in zip(blocks.unions, blocks.coords):
+        inside = set(cols)
+        lost = [j for j, b in enumerate(basis) if b not in inside]
+        chosen: list[int] = []
+        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
+        for c in filter(inside.__contains__, free):
+            if len(chosen) == len(lost):
+                break
+            v = [work[j][c] for j in lost]
+            for lead, w in echelon:
+                if v[lead]:
+                    v = axpy(v[lead], v, w)
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is not None:
+                echelon.append((lead, scale(spec.inv(v[lead]), v)))
+                chosen.append(c)
+        if len(chosen) < len(lost):
+            lam = sorted(set(range(1, params.s + 1)) - union)
+            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
+        key = (tuple(lost), tuple(chosen))
+        rows = keyed.get(key)
+        if rows is None:
+            Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
+            solved = [list(z) for z in zip(*matrix.solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
+            rows = keyed[key] = dict(zip(chosen, map(pack, solved)))
+            for j in set(range(ell)).difference(lost):
+                z = work[j][n:]
+                for c, zc in zip(chosen, solved):
+                    if work[j][c]:
+                        z = axpy(work[j][c], z, zc)
+                rows[basis[j]] = pack(z)
+        blocks.solutions.append(join([rows.get(c, zero) for c in cols]))
+    return blocks
+
+
+def project_blocks(scheme: HssScheme) -> SolutionBlocks:
+    """The scheme's key rows projected onto each union's coordinates:
+    block u holds, at every coordinate outside unions[u], the row of the
+    key of u's combos there, zero off the key's support."""
+    blocks = block_layout(scheme.code, scheme.params)
+    solutions, ell = scheme.solutions, scheme.params.ell
+    pack = bytes if scheme.params.spec.q <= MAX_TABLE_ORDER else tuple
+    zero = pack([0] * ell)
+    join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
+    key_of = dict(zip(blocks.combo_union, solutions.combo_key))
+    for u, cols in enumerate(blocks.coords):
+        rows = solutions.rows[key_of[u]]
+        blocks.solutions.append(join([rows.get(r, zero) for r in cols]))
     return blocks
 
 
@@ -603,11 +710,12 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
 # -- hss: server evaluation by lifted products, the contraction the bit planes replaced --
 
 
-def build_byte_tensors(scheme: HssScheme, j: int):
+def build_byte_tensors(scheme: HssScheme, blocks: SolutionBlocks, j: int):
     """The subsets server j holds, and for each coordinate r it owns and
     each instance i the dense tensor of z_r's coefficients on instance i
-    (bytes when q <= 256, a tuple above), row-major over the held subsets."""
-    params, blocks, ell = scheme.params, scheme.solutions, scheme.params.ell
+    (bytes when q <= 256, a tuple above), row-major over the held subsets,
+    read from the scheme's per-union `blocks`."""
+    params, ell = scheme.params, scheme.params.ell
     held = hss.held_subsets(params.s, params.t, j)
     local = [j not in union for union in blocks.unions]
     held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
@@ -670,7 +778,7 @@ def eval_server_lifted(scheme: HssScheme, j: int, views: dict, var_indices: tupl
     (q <= 256), built afresh on every call."""
     params = scheme.params
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
-    held, tensors = build_byte_tensors(scheme, j)
+    held, tensors = build_byte_tensors(scheme, project_blocks(scheme), j)
     slots = hss._slot_vectors(views, held, params.ell, chosen, j, params.spec.q)
     return contract(params.spec, tensors, slots, len(held))
 

@@ -42,9 +42,9 @@ from labelweight_hss.hss import (
     scheme_for_code,
     scheme_rate,
 )
-from labelweight_hss.matrix import MatrixF, column_indices, rank
+from labelweight_hss.matrix import MatrixF, rank
 from labelweight_hss.protocol import WireMessage, decode, element_width, encode, simulate
-from oracles import verify_block_system
+from oracles import column_indices, verify_block_system
 
 
 @contextmanager

@@ -4,6 +4,7 @@ files as they are and traces one small scheme through them, so that a
 package change that silently breaks the traced benchmark fails here."""
 
 import importlib.util
+import itertools
 import math
 from pathlib import Path
 
@@ -36,6 +37,8 @@ def test_traced_scheme_run_keeps_the_benchmark_read_contract():
     params = scheme.params
     assert result.ok and outputs == result.outputs
     assert tracer.counters["hss.monomials"] == params.ell * math.comb(params.s, params.t) ** params.d
-    assert workloads.eval_table_stats(scheme)["hss.distinct_unions"] == len(scheme.solutions.unions)
+    combos = itertools.product(hss.subsets_of_size(params.s, params.t), repeat=params.d)
+    unions = {frozenset().union(*combo) for combo in combos}
+    assert workloads.eval_table_stats(scheme)["hss.distinct_unions"] == len(unions)
     assert tracer.counters["protocol.frames"] == 2 * params.s + 1
     assert tracer.by_name()["hss.synthesize_eval"]["calls"] == 1

@@ -1,7 +1,7 @@
 """Property tests for the code, scheme and transcript text documents.
 
 Canonical documents round-trip byte for byte and parse back into the
-synthesized solution blocks.  A document with one line mutated either
+synthesized key rows.  A document with one line mutated either
 raises DecodeError, and no other error, or is itself the canonical
 document of what it parses to; mutations that no valid scheme or code
 can absorb must raise.  Transcripts round-trip frames, messages and byte
@@ -10,6 +10,7 @@ transcript whose frames are the encodings of its messages.
 """
 
 import functools
+import itertools
 import random
 
 import pytest
@@ -18,11 +19,18 @@ from hypothesis import strategies as st
 
 from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, rs_build
 from labelweight_hss.errors import DecodeError
-from labelweight_hss.hss import scheme_for_code, scheme_from_text, scheme_to_text
+from labelweight_hss.hss import (
+    HssScheme,
+    KeySolutions,
+    scheme_for_code,
+    scheme_from_text,
+    scheme_to_text,
+    subsets_of_size,
+)
 from labelweight_hss.protocol import _order_width, encode, simulate, transcript_from_text, transcript_to_text
 
 # (code family and arguments, t, d); the d >= 2 schemes have union groups
-# of several rows, and GF(257) stores its blocks as tuples
+# of several rows, and GF(257) stores its key rows as tuples
 SCHEMES = [
     (("rs", 4, 4, 2), 1, 1),
     (("rs", 5, 5, 2), 1, 2),
@@ -56,6 +64,30 @@ def test_documents_round_trip(case):
     assert parsed.solutions == synthesized.solutions
     assert parsed.params == synthesized.params
     assert parsed.labelweight_verified == synthesized.labelweight_verified
+
+
+def test_rows_outside_the_key_support_are_rejected():
+    """One extra row for every combo of one key, at one coordinate whose
+    server lies in each of those combos' unions but outside the key's
+    support, all with the same coefficient: folded into the key without
+    the support check, they would read back as one more row of the key,
+    whose canonical text is this very document."""
+    synthesized = scheme((("rs", 5, 5, 2), 1, 2))
+    params, solutions, labels = synthesized.params, synthesized.solutions, synthesized.code.labeling.map
+    combos = list(itertools.product(subsets_of_size(params.s, params.t), repeat=params.d))
+    for k, rows in enumerate(solutions.rows):
+        members = [c for c, key in enumerate(solutions.combo_key) if key == k]
+        inside = frozenset.intersection(*(frozenset().union(*combos[c]) for c in members))
+        outside = [r for r in range(synthesized.n) if labels[r] in inside and r not in rows]
+        if outside:
+            break
+    widened = [dict(rows) for rows in solutions.rows]
+    widened[k][outside[0]] = bytes([1]) + bytes(params.ell - 1)
+    doc = scheme_to_text(HssScheme(params, synthesized.code, KeySolutions(widened, solutions.combo_key)))
+    extra = set(doc.splitlines()) - set(scheme_to_text(synthesized).splitlines())
+    assert len(extra) == len(members) and all(line.endswith(" 1") for line in extra)
+    with pytest.raises(DecodeError):
+        scheme_from_text(doc)
 
 
 def _groups(lines):

@@ -20,10 +20,10 @@ from labelweight_hss.galois import FieldElement, FieldSpec, randrange_run
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
+    KeySolutions,
     MonomialId,
     ShareVector,
     ServerView,
-    SolutionBlocks,
     cnf_share,
     enumerate_monomials,
     eval_server,
@@ -41,8 +41,8 @@ from labelweight_hss.hss import (
     subsets_of_size,
     synthesize_eval,
 )
-from labelweight_hss.matrix import MatrixF, column_indices, rank
-from oracles import server_fragment, verify_block_system
+from labelweight_hss.matrix import MatrixF, rank
+from oracles import column_indices, server_fragment, verify_block_system
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -266,7 +266,8 @@ def test_enumerate_monomials_small():
     params = HssParams(2, 1, 1, 1, 1, GF2)
     monos, unions = enumerate_monomials(params)
     assert list(monos) == [MonomialId(1, ((1,),)), MonomialId(1, ((2,),))]
-    assert unions == [{1}, {2}]
+    # bit v of a union is set for server v in it
+    assert unions == [0b10, 0b100]
 
 
 def test_enumerate_monomials_counts():
@@ -275,7 +276,7 @@ def test_enumerate_monomials_counts():
     assert len(monos) == 2 * 25 and len(unions) == 25
     # each server is outside the union of 16 of the 25 subset combos
     for j in range(1, 6):
-        assert sum(j not in union for union in unions) == 16
+        assert sum(not union >> j & 1 for union in unions) == 16
 
 
 def test_enumerate_monomials_builds_each_monomial_when_read():
@@ -544,9 +545,9 @@ def test_scheme_rate_goppa():
 
 
 def test_scheme_rate_above_ceiling_raises():
-    # rate 2/2 against the ceiling (s - dt)/s = 1/2; the blocks are never read
+    # rate 2/2 against the ceiling (s - dt)/s = 1/2; the solutions are never read
     code = LabeledCode(GF2, MatrixF(GF2, [[1, 0], [0, 1]]), Labeling.identity(2))
-    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, SolutionBlocks([], [], [], []))
+    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, KeySolutions([], []))
     with pytest.raises(ParameterOutOfRange, match="exceeds linear-scheme ceiling 1/2"):
         scheme_rate(scheme)
 

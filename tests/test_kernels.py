@@ -90,7 +90,9 @@ def test_backends_match_reference(spec):
     + [(FieldSpec(2, 2), k) for k in range(1, 6)],
 )
 def test_split_of_odd_and_even_dimension(spec, nrows):
-    # the walk pairs the span of the first ceil(k/2) rows with the rest
+    # the split follows LOW_SPAN_CAP: the low span takes rows while it stays
+    # within LOW_SPAN_CAP positions and its tables cost less than the high
+    # words they save; the cases cover both parities of k
     rng = random.Random(nrows * 31 + spec.q)
     ncols, s = 12, 5
     for _ in range(4):

@@ -6,13 +6,13 @@ from labelweight_hss.errors import DimensionMismatch
 from labelweight_hss.galois import FieldSpec
 from labelweight_hss.matrix import (
     MatrixF,
-    column_indices,
     kernel_basis,
     rank,
     rref,
     solve_many,
     solve_particular,
 )
+from oracles import column_indices
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)

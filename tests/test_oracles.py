@@ -172,7 +172,7 @@ def schemes():
 def test_scheme_text_matches_oracle_synthesizer(schemes, name):
     new, old = schemes[name]
     assert new.eval_table == old.eval_table
-    # the rows streamed from the blocks are the sorted rows of the table
+    # the rows streamed from the keys are the sorted rows of the table
     assert hss.scheme_to_text(new) == oracles.scheme_to_text(old) == oracles.scheme_to_text(new)
 
 
@@ -398,7 +398,7 @@ def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name)
     scheme = wire_schemes[name]
     parsed = hss.scheme_from_text(hss.scheme_to_text(scheme))
     assert parsed.solutions == scheme.solutions
-    assert parsed._eval_table is None  # checked against rows streamed from the blocks
+    assert parsed._eval_table is None  # checked against rows streamed from the keys
     secrets = _secrets(scheme.params, 12)
     transcript, outputs = protocol.simulate(scheme, secrets, seed=4)
     parsed_transcript, parsed_outputs = protocol.simulate(parsed, secrets, seed=4)
@@ -436,10 +436,11 @@ def test_lazy_monomials_match_oracle(s, t, d, ell):
     old_monomials, old_local = oracles.enumerate_monomials(params)
     assert len(monomials) == len(old_monomials) and list(monomials) == old_monomials
     assert [monomials[n] for n in range(len(monomials))] == old_monomials
-    # unions[c] is the union of every instance's monomial of combo c
-    assert [unions[n % len(unions)] for n in range(len(monomials))] == [mono.union() for mono in old_monomials]
+    # unions[c] is the union of every instance's monomial of combo c, bit v for server v
+    masks = [sum(1 << v for v in mono.union()) for mono in old_monomials]
+    assert [unions[n % len(unions)] for n in range(len(monomials))] == masks
     # a monomial is local to exactly the servers outside its combo's union
-    local = {j: [mono for n, mono in enumerate(monomials) if j not in unions[n % len(unions)]] for j in old_local}
+    local = {j: [mono for n, mono in enumerate(monomials) if not unions[n % len(unions)] >> j & 1] for j in old_local}
     assert local == old_local
 
 
@@ -466,11 +467,54 @@ WORKLOAD_CASES = {
 }
 
 
+@functools.cache
+def _case_scheme(name):
+    build, t, d = {**EVAL_CASES, **WORKLOAD_CASES}[name]
+    return hss.scheme_for_code(build(), t=t, d=d)
+
+
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
 def test_solution_blocks_match_the_per_union_oracle(name):
-    build, t, d = {**EVAL_CASES, **WORKLOAD_CASES}[name]
-    scheme = hss.scheme_for_code(build(), t=t, d=d)
-    assert scheme.solutions == oracles.synthesize_blocks(scheme.code, scheme.params)
+    """The key rows, projected onto each union's coordinates, are the
+    blocks of both per-union syntheses."""
+    scheme = _case_scheme(name)
+    blocks = oracles.solve_blocks(scheme.code, scheme.params)
+    assert oracles.project_blocks(scheme) == blocks == oracles.synthesize_blocks(scheme.code, scheme.params)
+
+
+# distinct (L, Q) keys of the workloads: one solve_many call each
+WORKLOAD_KEYS = {"goppa-eval": 165, "hermitian-setup": 286, "goppa-wire": 495}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
+def test_key_support_lies_inside_every_union_of_its_key(name):
+    scheme = _case_scheme(name)
+    params, solutions, labels = scheme.params, scheme.solutions, scheme.code.labeling.map
+    combos = itertools.product(hss.subsets_of_size(params.s, params.t), repeat=params.d)
+    unions_of = [set() for _ in solutions.rows]
+    for combo, k in zip(combos, solutions.combo_key):
+        unions_of[k].add(frozenset().union(*combo))
+    assert all(unions_of)
+    for rows, unions in zip(solutions.rows, unions_of):
+        assert len(rows) == params.ell
+        assert all(labels[r] not in union for r in rows for union in unions)
+    if name in WORKLOAD_KEYS:
+        assert len(solutions.rows) == WORKLOAD_KEYS[name]
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
+def test_server_planes_match_the_per_union_blocks(name):
+    scheme = _case_scheme(name)
+    params, blocks = scheme.params, oracles.solve_blocks(scheme.code, scheme.params)
+    small = params.spec.q <= MAX_TABLE_ORDER
+    tables = hss._plane_tables(params.spec) if small else None
+    for j in range(1, params.s + 1):
+        held, tensors = oracles.build_byte_tensors(scheme, blocks, j)
+        if small:
+            size = len(held) ** params.d
+            tensors = [hss._bit_planes(tables, hss._lane_strings(tables, per_instance, size), size)
+                       for per_instance in tensors]
+        assert hss._build_tensors(scheme, j) == (held, tensors)
 
 
 # codes whose labelweight is at most d*t, with the first union in solve order that lacks rank
@@ -501,12 +545,13 @@ def test_rank_deficient_codes_fail_on_the_oracle_union(name):
 
 
 def test_solution_blocks_reproduce_the_eval_table(schemes):
-    """Every monomial's coefficient, read from the blocks, is its table entry (or absent when zero)."""
+    """Every monomial's coefficient, read from the per-union blocks, is its table entry (or absent when zero)."""
     scheme = schemes["hermitian"][0]
-    params, blocks = scheme.params, scheme.solutions
+    params = scheme.params
+    blocks = oracles.solve_blocks(scheme.code, params)
     subsets = hss.subsets_of_size(params.s, params.t)
     combos = list(itertools.product(subsets, repeat=params.d))
-    assert len(blocks.combo_union) == len(combos)
+    assert len(blocks.combo_union) == len(scheme.solutions.combo_key) == len(combos)
     rebuilt = {r: {} for r in range(scheme.n)}
     for combo, u in zip(combos, blocks.combo_union):
         assert blocks.unions[u] == frozenset().union(*combo)
