@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Time hss.eval_server per server on the goppa-eval, hermitian-setup and
+goppa-wire shapes, with the package's share planes (hss._bit_planes, one
+translate per lane string and packed table) and with the per-plane
+builder they replaced (oracles.bit_planes, one translate per lane string
+and plane, kept in tests/oracles.py).
+
+Usage:  python3 benchmarks/bench_eval.py [--repeats N] [--seed S]
+
+For each shape the row gives the number of servers, how many of them are
+always zero (no key carries a nonzero coefficient at any coordinate they
+own, so eval_server checks their views and returns zeros), and the mean
+time per server of eval_server over every server, each the best of N
+rounds, for both plane builders.  Each server's tensors are built before
+timing.  The two builders must give equal outputs on every server, or
+the script exits with status 1.
+"""
+
+import argparse
+import random
+import sys
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "tests"))
+
+import oracles  # noqa: E402
+from labelweight_hss import hss  # noqa: E402
+from labelweight_hss.codes import goppa_build, hermitian_build  # noqa: E402
+
+# (code, t, d, m) of each benchmark workload's scheme
+SHAPES = {
+    "goppa-eval": (lambda: goppa_build(4, 2), 1, 3, 3),
+    "hermitian-setup": (lambda: hermitian_build(3, 10), 1, 3, 3),
+    "goppa-wire": (lambda: goppa_build(4, 2), 4, 1, 4),
+}
+
+
+def best_of(repeats, fn):
+    """Best wall time of `repeats` calls, and the last result."""
+    best, value = None, None
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        value = fn()
+        dt = time.perf_counter() - t0
+        best = dt if best is None else min(best, dt)
+    return best, value
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser()
+    parser.add_argument("--repeats", type=int, default=7)
+    parser.add_argument("--seed", type=int, default=1)
+    args = parser.parse_args()
+    if args.repeats < 1:
+        parser.error("--repeats must be at least 1")
+
+    package_planes = hss._bit_planes
+    failures, rows = [], []
+    for name, (build, t, d, m) in SHAPES.items():
+        scheme = hss.scheme_for_code(build(), t=t, d=d, m=m)
+        params = scheme.params
+        rng = random.Random(args.seed)
+        secrets = [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
+        views = hss.share_all_secrets(params, secrets, random.Random(args.seed))[1]
+        servers = range(1, params.s + 1)
+
+        def every_server():
+            return [hss.eval_server(scheme, j, views[j]) for j in servers]
+
+        every_server()  # builds every server's tensors
+        zero = sum(not live for _, _, live in scheme._tensors.values())
+        new, outputs = best_of(args.repeats, every_server)
+        hss._bit_planes = lambda tables, strings, size: oracles.bit_planes(params.spec, strings, size)
+        try:
+            old, old_outputs = best_of(args.repeats, every_server)
+        finally:
+            hss._bit_planes = package_planes
+        if outputs != old_outputs:
+            failures.append(f"{name}: eval_server outputs differ between the package and the oracle planes")
+        rows.append((name, params.s, zero, new / params.s, old / params.s))
+
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        return 1
+    print(f"eval_server per server, mean over every server, best of {args.repeats}")
+    print(f"{'shape':<16} {'servers':>7} {'zero':>5} {'package':>11} {'oracle':>11} {'ratio':>7}")
+    for name, s, zero, new, old in rows:
+        print(f"{name:<16} {s:>7} {zero:>5} {new * 1e3:>9.3f}ms {old * 1e3:>9.3f}ms {old / new:>6.2f}x")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -339,7 +339,8 @@ class HssScheme:
     solutions: KeySolutions = field(repr=False)
     labelweight_verified: bool = True
     _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
-    # server id -> (held subsets, per owned coordinate: its plane ints, or its tensors by instance)
+    # server id -> (held subsets, per owned coordinate: its plane ints, or its tensors by instance,
+    # whether any coefficient is nonzero)
     _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -513,9 +514,13 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
         z_r = sum_{e,f} alpha^(e+f) * ((sum_{b,g} 2^(b+g) *
               popcount(T_{e,b} & W_{f,g})) mod p),
 
-    every count an exact integer.  Fields above 256 contract the tensors
-    through FieldSpec calls.  The tensors are built on server j's first
-    call and cached on the scheme (see HssScheme).
+    every count an exact integer; the share planes come from one
+    translate per lane string through a packed table (_bit_planes).
+    Fields above 256 contract the tensors through FieldSpec calls.  The
+    tensors are built on server j's first call and cached on the scheme
+    (see HssScheme).  If no key carries a nonzero coefficient at any
+    coordinate server j owns, every z_r is always 0: the views are still
+    checked as below, then zeros are returned without share products.
 
     A ServerView over held_subsets(s, t, j), as share_all_secrets and
     protocol.simulate produce, is checked once and sliced, a ShareVector
@@ -531,11 +536,16 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
+    small = params.spec.q <= MAX_TABLE_ORDER
     if j not in scheme._tensors:
-        scheme._tensors[j] = _build_tensors(scheme, j)
-    held, tensors = scheme._tensors[j]
+        held, tensors = _build_tensors(scheme, j)
+        entries = itertools.chain.from_iterable(tensors)  # plane ints, or per-instance tensors above 256
+        scheme._tensors[j] = held, tensors, any(entries) if small else any(map(any, entries))
+    held, tensors, live = scheme._tensors[j]
     slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec.q)
-    contract = _contract_planes if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
+    if not live:
+        return [0] * len(tensors)
+    contract = _contract_planes if small else _contract_by_field
     return contract(params.spec, tensors, slots, len(held))
 
 
@@ -549,20 +559,32 @@ def _build_tensors(scheme: HssScheme, j: int):
     the key of that combo, zero where r is outside the key's support.
     When q <= 256, r's entry is one int per digit-bit plane (_bit_planes
     of T_{r,1}, ..., T_{r,ell}), k * bit_length(p - 1) of them; above,
-    the list of the ell tensors as tuples.
+    the list of the ell tensors as tuples.  A coordinate that no key
+    carries a nonzero coefficient at is always zero: it gets zero planes
+    (zero tensors above 256) without a join or a plane build.
     """
     params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
     held = held_subsets(params.s, params.t, j)
-    # the key of every combo of held subsets, in product order
-    mask = _held_mask(params.s, params.t, j)
-    held_keys = list(itertools.compress(solutions.combo_key, map(all, itertools.product(mask, repeat=params.d))))
+    # the key of every combo of held subsets, in product order: the held
+    # entries of each row of combos whose first d - 1 subsets are held
+    mask, row = _held_mask(params.s, params.t, j), len(subsets_of_size(params.s, params.t))
+    offsets = list(itertools.compress(range(0, row * row, row), mask))  # a * row for each held subset a
+    starts = [0]
+    for _ in range(params.d - 1):
+        starts = [start * row + offset for start in starts for offset in offsets]
+    held_rows = (itertools.compress(solutions.combo_key[start : start + row], mask) for start in starts)
+    held_keys = list(itertools.chain.from_iterable(held_rows))
     small = params.spec.q <= MAX_TABLE_ORDER
     join = b"".join if small else lambda parts: tuple(itertools.chain.from_iterable(parts))
     zero = bytes(ell)
     tables, size = _plane_tables(params.spec) if small else None, len(held_keys)
+    zeros = [0] * len(tables.planes) if small else [(0,) * size] * ell
     tensors = []
     for r in scheme.code.labeling.coords(j):
         column = [rows.get(r, zero) for rows in solutions.rows]
+        if not any(map(any, column)):
+            tensors.append(zeros)
+            continue
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
         joined = join(map(column.__getitem__, held_keys))
         per_instance = [joined[i::ell] for i in range(ell)]
@@ -628,14 +650,18 @@ class _PlaneTables(NamedTuple):
     into planes: entry a of instance s * lanes + l sits in bits
     l * width .. (l + 1) * width - 1 of byte a of lane string s, with
     width = bit_length(q - 1) and lanes the largest power of two with
-    lanes * width <= 8 (8 for GF(2), 2 for GF(9), 1 above 16).
+    lanes * width <= 8 (8 for GF(2), 2 for GF(9), 1 above 16).  A byte of
+    a lane string translates, by packed[c], into the bits of up to
+    8 // lanes planes at once: plane c * (8 // lanes) + m's bit of lane l
+    in bit m * lanes + l.  One table covers every field but GF(125) and
+    GF(243), whose planes times lanes exceed 8.
     """
 
     planes: list[tuple[int, int]]  # (digit e, bit b) of each plane
     width: int
     lanes: int
     scale: list[bytes]  # scale[u] multiplies lane l of a byte by lane l of u
-    bits: list[list[bytes]]  # bits[s][n]: plane n's bit of lane l, moved to bit s * lanes + l
+    packed: list[bytes]  # packed[c][u]: the bits of planes c * (8 // lanes) onward of byte u
     powers: list[int]  # alpha^m for m = 0..2k-2
 
 
@@ -660,14 +686,19 @@ def _plane_tables(spec: FieldSpec) -> _PlaneTables:
     ]
     scale = [sum(scaled[l][u >> l * width & mask] for l in range(lanes)).to_bytes(256, "little") for u in range(256)]
     digit_bits = [bytes(y // p**e % p >> b & 1 for y in range(q)) for e, b in planes]
-    bits = [
-        [sum(by_lane(l, column, s * lanes + l) for l in range(lanes)).to_bytes(256, "little") for column in digit_bits]
-        for s in range(8 // lanes)
+    per_byte = 8 // lanes
+    packed = [
+        sum(
+            by_lane(l, column, m * lanes + l)
+            for m, column in enumerate(digit_bits[first : first + per_byte])
+            for l in range(lanes)
+        ).to_bytes(256, "little")
+        for first in range(0, len(planes), per_byte)
     ]
     powers = [1]
     for _ in range(2 * k - 2):
         powers.append(mul[powers[-1] * q + p])  # times alpha, whose code is p
-    return _PlaneTables(planes, width, lanes, scale, bits, powers)
+    return _PlaneTables(planes, width, lanes, scale, packed, powers)
 
 
 def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: int) -> list[bytes]:
@@ -684,14 +715,34 @@ def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: 
 def _bit_planes(tables: _PlaneTables, strings: Sequence[bytes], size: int) -> list[int]:
     """One int per digit-bit plane n of lane strings of `size` bytes:
     bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit of entry a of
-    instance i (counted from 0)."""
-    per_group = 8 // tables.lanes
-    planes = [0] * len(tables.planes)
+    instance i (counted from 0).  Each string is translated once per
+    packed table (see _PlaneTables); a plane's bits then come out of the
+    result with a mask (none for GF(2), where lanes == 8) and a shift
+    into the string's lanes of its group's bytes."""
+    lanes, count = tables.lanes, len(tables.planes)
+    per_byte = 8 // lanes  # planes per packed byte, and lane strings per group of 8 instances
+    masks = _lane_masks(lanes, size) if lanes < 8 else None
+    planes = [0] * count
     for s, string in enumerate(strings):
-        offset = 8 * size * (s // per_group)
-        for n, table in enumerate(tables.bits[s % per_group]):
-            planes[n] |= int.from_bytes(string.translate(table), "little") << offset
+        offset = 8 * size * (s // per_byte) + s % per_byte * lanes  # where the string's lanes go
+        for c, table in enumerate(tables.packed):
+            word = int.from_bytes(string.translate(table), "little")
+            if masks is None:  # GF(2): one plane, its lanes in place
+                planes[0] |= word << offset
+                continue
+            first = c * per_byte
+            for m, mask in enumerate(masks[: count - first]):
+                bits, shift = word & mask, offset - m * lanes
+                planes[first + m] |= bits << shift if shift >= 0 else bits >> -shift
     return planes
+
+
+@functools.lru_cache(maxsize=4)
+def _lane_masks(lanes: int, size: int) -> tuple[int, ...]:
+    """masks[m]: bits m * lanes .. (m + 1) * lanes - 1 of each of `size`
+    bytes, as one int."""
+    low = (1 << lanes) - 1
+    return tuple(int.from_bytes(bytes([low << m * lanes]) * size, "little") for m in range(8 // lanes))
 
 
 def _share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:

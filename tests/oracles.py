@@ -783,6 +783,41 @@ def eval_server_lifted(scheme: HssScheme, j: int, views: dict, var_indices: tupl
     return contract(params.spec, tensors, slots, len(held))
 
 
+@functools.cache
+def plane_bits(spec: FieldSpec) -> list[list[bytes]]:
+    """bits[s][n]: the translate table that moves plane n's bit of lane l
+    of a byte (a lane string of hss._PlaneTables) to bit s * lanes + l,
+    one table per plane and per string of a group of 8 // lanes."""
+    p, q = spec.p, spec.q
+    planes = [(e, b) for e in range(spec.k) for b in range((p - 1).bit_length())]
+    width = (q - 1).bit_length()
+    lanes = 1 << ((8 // width).bit_length() - 1)
+    mask = (1 << width) - 1
+    lane = [bytes(u >> l * width & mask for u in range(256)) for l in range(lanes)]
+
+    def by_lane(l: int, column: bytes, shift: int) -> int:
+        return int.from_bytes(lane[l].translate(column.ljust(256, b"\0")), "little") << shift
+
+    digit_bits = [bytes(y // p**e % p >> b & 1 for y in range(q)) for e, b in planes]
+    return [
+        [sum(by_lane(l, column, s * lanes + l) for l in range(lanes)).to_bytes(256, "little") for column in digit_bits]
+        for s in range(8 // lanes)
+    ]
+
+
+def bit_planes(spec: FieldSpec, strings: Sequence[bytes], size: int) -> list[int]:
+    """hss._bit_planes by one translate and one int.from_bytes per lane
+    string and plane, through plane_bits."""
+    bits = plane_bits(spec)
+    per_group = len(bits)
+    planes = [0] * len(bits[0])
+    for s, string in enumerate(strings):
+        offset = 8 * size * (s // per_group)
+        for n, table in enumerate(bits[s % per_group]):
+            planes[n] |= int.from_bytes(string.translate(table), "little") << offset
+    return planes
+
+
 def scheme_to_text(scheme) -> str:
     """The v1 scheme document rendered from the per-monomial eval_table,
     every row collected and sorted (a scheme or a TableScheme)."""

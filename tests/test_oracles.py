@@ -517,6 +517,114 @@ def test_server_planes_match_the_per_union_blocks(name):
         assert hss._build_tensors(scheme, j) == (held, tensors)
 
 
+# every field with tables, as (p, k)
+TABLE_FIELDS = [
+    (p, k)
+    for p in range(2, MAX_TABLE_ORDER + 1)
+    if all(p % f for f in range(2, p))
+    for k in range(1, 9)
+    if p**k <= MAX_TABLE_ORDER
+]
+
+
+def test_packed_plane_tables_need_a_second_table_only_above_eight_bits():
+    two = [(p, k) for p, k in TABLE_FIELDS if len(hss._plane_tables(FieldSpec(p, k)).packed) == 2]
+    assert two == [(3, 5), (5, 3)]  # GF(243) and GF(125): planes times lanes exceed 8
+    assert all(len(hss._plane_tables(FieldSpec(p, k)).packed) <= 2 for p, k in TABLE_FIELDS)
+
+
+@st.composite
+def _lane_inputs(draw):
+    """A field with tables, and lane strings of 1 to 17 instances (so
+    across the boundary of a group of 8) of `size` >= 1 entries."""
+    spec = FieldSpec(*draw(st.sampled_from(TABLE_FIELDS)))
+    instances, size = draw(st.integers(1, 17)), draw(st.integers(1, 40))
+    raw = draw(st.binary(min_size=instances * size, max_size=instances * size))
+    tensors = [bytes(b % spec.q for b in raw[i * size : (i + 1) * size]) for i in range(instances)]
+    return spec, hss._lane_strings(hss._plane_tables(spec), tensors, size), size
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_lane_inputs())
+@example((FieldSpec(5, 3), [bytes(range(0, 250, 2)), bytes(range(1, 251, 2))], 125))
+@example((FieldSpec(3, 5), [bytes(range(243))] * 9, 243))
+@example((FieldSpec(2), [bytes([255])] * 3, 1))
+def test_packed_bit_planes_match_the_per_plane_oracle(case):
+    spec, strings, size = case
+    assert hss._bit_planes(hss._plane_tables(spec), strings, size) == oracles.bit_planes(spec, strings, size)
+
+
+# servers none of whose coordinates any key carries a nonzero coefficient at
+ZERO_SERVERS = {"goppa-eval": [16], "hermitian-setup": list(range(17, 28)), "goppa-wire": []}
+
+
+def _zero_servers(scheme):
+    labels = scheme.code.labeling.map
+    carried = {labels[r] for rows in scheme.solutions.rows for r, row in rows.items() if any(row)}
+    return [j for j in range(1, scheme.params.s + 1) if j not in carried]
+
+
+def _contractions(monkeypatch):
+    """The coefficient planes of every _contract_planes call from now on."""
+    calls = []
+    contract = hss._contract_planes
+    monkeypatch.setattr(hss, "_contract_planes", lambda *args: calls.append(args[1]) or contract(*args))
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ZERO_SERVERS))
+def test_always_zero_servers_output_zeros_without_a_contraction(name, monkeypatch):
+    scheme = _case_scheme(name)
+    params, coords = scheme.params, scheme.code.labeling.coords
+    assert _zero_servers(scheme) == ZERO_SERVERS[name]
+    calls = _contractions(monkeypatch)
+    for seed in range(2):
+        views = _views(scheme, seed)
+        for j in range(1, params.s + 1):
+            calls.clear()
+            out = hss.eval_server(scheme, j, views[j])
+            if j in ZERO_SERVERS[name]:
+                assert out == [0] * len(coords(j)) and not calls
+                assert scheme._tensors[j][1] == [[0] * len(hss._plane_tables(params.spec).planes)] * len(coords(j))
+            else:
+                assert len(calls) == 1
+    secrets = _secrets(params, 3)
+    assert hss.run_end_to_end(scheme, secrets, 3).ok
+
+
+def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
+    scheme = hss.scheme_for_code(hermitian_build(3, 10), t=2, d=2)
+    zero = _zero_servers(scheme)
+    assert zero == list(range(18, 28))
+    calls = _contractions(monkeypatch)
+    views = _views(scheme, 0)
+    for j in zero:
+        assert hss.eval_server(scheme, j, views[j]) == [0] * len(scheme.code.labeling.coords(j))
+    assert not calls
+    assert hss.eval_server(scheme, 1, views[1]) == oracles.eval_server_lifted(scheme, 1, views[1]) and calls
+
+
+def test_always_zero_server_checks_its_views_as_before():
+    """The view of a server that outputs zeros is checked share by share
+    like any other, with the same errors."""
+    scheme = _case_scheme("hermitian-setup")
+    params, j = scheme.params, 27
+    held = hss.held_subsets(params.s, params.t, j)
+    views = _views(scheme, 1)
+    as_dicts = {key: dict(fragment) for key, fragment in views[j].items()}
+    assert hss.eval_server(scheme, j, views[j]) == hss.eval_server(scheme, j, as_dicts) == [0]
+    short = {key: fragment for key, fragment in as_dicts.items() if key != (2, 1)}
+    with pytest.raises(MissingShare) as missing:
+        hss.eval_server(scheme, j, short)
+    assert str(missing.value) == f"server {j} lacks share {held[0]} of secret (2, 1)"
+    shares = list(views[j].shares)
+    shares[views[j].positions[(2, 1)] * len(held) + 3] = 9
+    for bad in (hss.ServerView(held, views[j].positions, shares), {**as_dicts, (2, 1): {**as_dicts[(2, 1)], held[3]: 9}}):
+        with pytest.raises(ParameterOutOfRange) as outside:
+            hss.eval_server(scheme, j, bad)
+        assert str(outside.value) == f"server {j}: share 9 of secret (2, 1) is outside 0..8 (q=9)"
+
+
 # codes whose labelweight is at most d*t, with the first union in solve order that lacks rank
 RANK_DEFICIENT = {
     "goppa-t3d2": (
