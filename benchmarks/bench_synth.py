@@ -3,7 +3,7 @@
 systematic-form synthesis and for the per-union elimination it replaced
 (kept in tests/oracles.py as synthesize_blocks).
 
-Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big]
+Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read]
 
 Each row gives the scheme's distinct subset unions, its distinct (L, Q)
 keys (one hss.solve_many call each), and the best-of-N wall time of
@@ -15,6 +15,14 @@ coordinates (oracles.project_blocks), must equal the oracle's blocks, or
 the script exits with status 1.  --big adds Goppa u=5 r=2 with t=2, d=2
 (5.4 M monomials, so it runs under HSS_ENUM_BUDGET=8388608) and times
 the package alone there.
+
+--read times reading scheme documents instead, on the goppa-eval,
+hermitian-setup and goppa-wire shapes: the best-of-N wall time of
+hss.scheme_from_text, which synthesizes the scheme a document names, and
+of oracles.fold_scheme_text, which folds the document's eval rows into
+the keys (the reader it replaced).  Both must read the synthesized
+scheme (the same key rows, parameters and labelweight flag), or the
+script exits with status 1.
 """
 
 import argparse
@@ -41,6 +49,12 @@ LADDER = [
     ("goppa u=5 r=2 [32,22] (1, 3)", lambda: goppa_build(5, 2), 1, 3),
 ]
 BIG = ("goppa u=5 r=2 [32,22] (2, 2)", lambda: goppa_build(5, 2), 2, 2)
+# the scheme documents of the benchmark's scheme workloads, for --read
+READ = [
+    ("goppa-eval [16,8] (1, 3)", lambda: goppa_build(4, 2), 1, 3),
+    ("hermitian-setup [27,10] (1, 3)", lambda: hermitian_build(3, 10), 1, 3),
+    ("goppa-wire [16,8] (4, 1)", lambda: goppa_build(4, 2), 4, 1),
+]
 BIG_BUDGET = "8388608"
 
 
@@ -70,13 +84,39 @@ def synthesize_counting_keys(code, params):
         hss.solve_many = solve_many
 
 
+def read_documents(repeats: int) -> int:
+    """The --read table; 1 if either reader misreads a document."""
+    print(f"{'document (t, d)':<32} {'lines':>10} {'synthesis':>10} {'folding':>9}")
+    failures = []
+    for name, build, t, d in READ:
+        scheme = hss.scheme_for_code(build(), t=t, d=d)
+        doc = hss.scheme_to_text(scheme)
+        lines = doc.count("\n")
+        want = (scheme.solutions, scheme.params, scheme.labelweight_verified)
+        times = []
+        for read in (hss.scheme_from_text, oracles.fold_scheme_text):
+            elapsed, parsed = best_of(repeats, lambda: read(doc))
+            times.append(elapsed)
+            if (parsed.solutions, parsed.params, parsed.labelweight_verified) != want:
+                failures.append(f"{name}: {read.__module__}.{read.__name__} differs from the synthesized scheme")
+        print(f"{name:<32} {lines:>10,} {times[0]:>9.3f}s {times[1]:>8.3f}s", flush=True)
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=3)
-    parser.add_argument("--big", action="store_true", help="add Goppa u=5 (2, 2), package only")
+    group = parser.add_mutually_exclusive_group()
+    group.add_argument("--big", action="store_true", help="add Goppa u=5 (2, 2), package only")
+    group.add_argument("--read", action="store_true", help="time the two scheme document readers instead")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.read:
+        return read_documents(args.repeats)
 
     runs = [(row, True) for row in LADDER] + ([(BIG, False)] if args.big else [])
     print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'package':>9} {'oracle':>9} {'speedup':>8}")

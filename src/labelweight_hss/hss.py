@@ -255,7 +255,7 @@ def enumerate_monomials(params: HssParams, budget: int | None = None):
     when it is read; the second the list whose entry c is the union of
     combo c (Monomials.combos[c]) as a bitmask, bit v set for server v in
     it: a monomial is locally computable by exactly the servers outside
-    its combo's union.
+    its combo's union.  _synthesize reads only the unions.
     """
     combos = _subset_combos(params, budget)
     masks = [sum(1 << v for v in T) for T in subsets_of_size(params.s, params.t)]
@@ -298,10 +298,10 @@ class Monomials(Sequence):
 
 
 class KeySolutions(NamedTuple):
-    """The Eval coefficients of a scheme: one row set per distinct (L, Q)
-    key (see _key_search), in first-seen solve order.
+    """The Eval coefficients of a scheme from _synthesize: one row set per
+    distinct (L, Q) key (see _key_search), in first-seen solve order.
 
-    rows[k] maps each coordinate r of key k's support (_support) to the
+    rows[k] maps each coordinate r of key k's support (_solve_keys) to the
     ell coefficients at r, instance i at entry i - 1 (bytes when q <= 256,
     a tuple above); they are zero off the support, which lies inside the
     coordinates of every union with key k.  combo_key[c] is the key of
@@ -392,17 +392,19 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
 
     need = params.d * params.t + 1
     limit = effective_budget(LABELWEIGHT_BUDGET) if check_budget is None else check_budget
-    verified = False
-    if code.spec.q <= MAX_TABLE_ORDER and code.spec.q**code.dim <= limit:
+    verified = code.spec.q <= MAX_TABLE_ORDER and code.spec.q**code.dim <= limit
+    if verified:
         lw = labelweight(code, budget=limit)
         if lw < need:
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
-        verified = True
+    return HssScheme(params, code, _synthesize(code, params), labelweight_verified=verified)
 
+
+def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
+    """The KeySolutions of `params` over `code`, for synthesize_eval and scheme_from_text alike."""
     _, unions = enumerate_monomials(params)
     work, basis, keys, combo_key = _key_search(code, params, unions)
-    rows = _solve_keys(code, work, basis, keys)
-    return HssScheme(params, code, KeySolutions(rows, combo_key), labelweight_verified=verified)
+    return KeySolutions(_solve_keys(code, work, basis, keys), combo_key)
 
 
 def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
@@ -451,34 +453,27 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
     return work, basis, list(keys), list(map(key_of.__getitem__, unions))
 
 
-def _support(basis: list[int], key: tuple[tuple[int, ...], tuple[int, ...]]) -> list[int]:
-    """The coordinates a key's rows are stored at: Q, then the pivot B[j]
-    of each row j outside L."""
-    lost, chosen = key
-    return [*chosen, *(b for j, b in enumerate(basis) if j not in lost)]
-
-
 def _solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:
-    """Each key's rows on its support, from [R | E] = `work`: with
-    Y = R[L, Q], Z_Q = Y^-1 E[L] at Q and E[j] - R[j, Q] Z_Q at each kept
-    pivot B[j], one r x r solve (r = |L|) per key."""
+    """Each key's rows on its support, Q and then each kept pivot B[j]
+    (j not in L), from [R | E] = `work`: Z_Q = Y^-1 E[L] with Y = R[L, Q],
+    and E[j] - R[j, Q] Z_Q at B[j]; one r x r solve (r = |L|) per key."""
     spec, n, ell = code.spec, code.n, code.dim
     _, axpy = _row_ops(spec)
     pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
     solutions = []
-    for key in keys:
-        lost, chosen = key
+    for lost, chosen in keys:
         Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
         solved = [list(z) for z in zip(*solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
-        kept = []
+        support, kept = list(chosen), []
         for j in range(ell):
             if j not in lost:
                 z = work[j][n:]
                 for c, zc in zip(chosen, solved):
                     if work[j][c]:
                         z = axpy(work[j][c], z, zc)
+                support.append(basis[j])
                 kept.append(z)
-        solutions.append(dict(zip(_support(basis, key), map(pack, solved + kept))))
+        solutions.append(dict(zip(support, map(pack, solved + kept))))
     return solutions
 
 
@@ -965,10 +960,6 @@ def _format_subsets(subsets: tuple[tuple[int, ...], ...]) -> str:
     return "/".join(",".join(str(v) for v in T) for T in subsets)
 
 
-def _parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in part.split(",")) for part in text.split("/"))
-
-
 def scheme_to_text(scheme: HssScheme) -> str:
     """Canonical textual form; round-trips byte-identically."""
     return "\n".join(_canonical_lines(scheme)) + "\n"
@@ -1003,18 +994,15 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
 
 
 def scheme_from_text(text: str) -> HssScheme:
-    """Parse a scheme document, reading its eval rows back into the
-    KeySolutions they expand to, so that the parsed scheme equals the
-    synthesized one key for key.
+    """Read a scheme document by synthesizing the scheme it names.
 
-    The keys come from the pivot search alone, with no solves.  Each
-    (key, instance, coordinate) group takes the coefficient of its first
-    row that is in range and lies in the key's support.  The document
-    must then be the canonical text of that scheme: otherwise DecodeError
-    names its first line that differs, such as a header value that
-    disagrees with the code, a row out of range, out of order, repeated,
-    outside its key's support or disagreeing with its group, or the first
-    row missing from a group that lists only some of its combos.
+    The Eval is fixed by the embedded code and (t, d, m): the reader
+    builds it by _synthesize, as synthesize_eval does, takes the
+    labelweight-verified flag from the header and parses no eval row.
+    The document must be that scheme's canonical text, or DecodeError
+    names its first line that differs: a header value, a code line or an
+    eval row, even one of another valid Eval.  Parameters that admit no
+    scheme raise DecodeError("bad scheme parameters: ...").
     """
     lines = text.splitlines()
     if not lines or lines[0] != SCHEME_FORMAT_TAG:
@@ -1028,29 +1016,11 @@ def scheme_from_text(text: str) -> HssScheme:
     code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
     try:
         params = HssParams(code.s, t, d, code.dim, m, code.spec)
-        monomials, unions = enumerate_monomials(params)
-        _, basis, keys, combo_key = _key_search(code, params, unions)
+        solutions = _synthesize(code, params)
     except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
-
-    combo_index = {combo: c for c, combo in enumerate(monomials.combos)}
-    ell, q = params.ell, code.spec.q
-    values = [{r: [0] * ell for r in _support(basis, key)} for key in keys]
-    for line in lines[8 + count :]:
-        try:
-            tag, r, i, subsets, coeff = line.split(" ")
-            r, i, c, coeff = int(r), int(i), combo_index.get(_parse_subsets(subsets)), int(coeff)
-        except ValueError:
-            continue  # not a row of any scheme: the comparison below names it
-        if tag == "eval" and c is not None and 1 <= i <= ell and 0 < coeff < q:
-            row = values[combo_key[c]].get(r)
-            if row is not None:
-                row[i - 1] = row[i - 1] or coeff
-    pack = bytes if q <= MAX_TABLE_ORDER else tuple
-    rows = [{r: pack(row) for r, row in key_rows.items()} for key_rows in values]
-    verified = header.get("labelweight-verified") == "1"
-    scheme = HssScheme(params, code, KeySolutions(rows, combo_key), labelweight_verified=verified)
+    scheme = HssScheme(params, code, solutions, labelweight_verified=header.get("labelweight-verified") == "1")
     for n, (got, want) in enumerate(itertools.zip_longest(lines, _canonical_lines(scheme)), 1):
         if got != want:
-            raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")
+            raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the synthesized scheme")
     return scheme

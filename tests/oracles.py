@@ -28,7 +28,8 @@ solution blocks their one ``solve_many`` elimination per subset union
 That synthesis stored one block per union (``SolutionBlocks``, laid out
 by ``block_layout`` and solved by ``solve_blocks``), which the key-major
 ``hss.KeySolutions`` replaced; ``project_blocks`` reads the blocks back
-from the keys.
+from the keys.  The v1 scheme reader keeps its fold of every eval row
+into its key (``fold_scheme_text``), which reading by synthesis replaced.
 The literal block-system check (``verify_block_system``) materialises
 the whole coefficient system from per-server monomial lists, which the
 package does not keep: ``hss.enumerate_monomials`` returns each subset
@@ -45,7 +46,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from labelweight_hss import hss, matrix, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
-from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, hermitian_points, labelweight
+from labelweight_hss.codes import LabeledCode, Labeling, code_from_text, code_to_text, hermitian_points, labelweight
 from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
@@ -842,6 +843,63 @@ def scheme_to_text(scheme) -> str:
     for r, inst, subsets, coeff in entries:
         lines.append(f"eval {r} {inst} {hss._format_subsets(subsets)} {coeff}")
     return "\n".join(lines) + "\n"
+
+
+def _parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
+    return tuple(tuple(int(v) for v in part.split(",")) for part in text.split("/"))
+
+
+def fold_scheme_text(text: str) -> HssScheme:
+    """The v1 reader that folds the eval rows into the keys, which reading
+    by synthesis replaced.
+
+    The keys come from the pivot search alone, with no solves.  Each
+    (key, instance, coordinate) group takes the coefficient of its first
+    row that is in range and lies in the key's support (Q, then the pivot
+    of each row outside L).  The document must then be the canonical text
+    of that scheme, or DecodeError names its first line that differs.
+    Self-consistent rows that are not a valid Eval pass this reader.
+    """
+    lines = text.splitlines()
+    if not lines or lines[0] != hss.SCHEME_FORMAT_TAG:
+        raise DecodeError(f"missing {hss.SCHEME_FORMAT_TAG} header")
+    header = dict(line.partition(" ")[::2] for line in lines[1:8])
+    try:
+        t, d, m, count = (int(header[key]) for key in ("t", "d", "m", "code-lines"))
+    except (KeyError, ValueError) as exc:
+        raise DecodeError(f"bad scheme header: {exc}") from exc
+    code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
+    try:
+        params = HssParams(code.s, t, d, code.dim, m, code.spec)
+        monomials, unions = hss.enumerate_monomials(params)
+        _, basis, keys, combo_key = hss._key_search(code, params, unions)
+    except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
+        raise DecodeError(f"bad scheme parameters: {exc}") from exc
+
+    combo_index = {combo: c for c, combo in enumerate(monomials.combos)}
+    ell, q = params.ell, code.spec.q
+    values = []
+    for lost, chosen in keys:
+        support = [*chosen, *(b for j, b in enumerate(basis) if j not in lost)]
+        values.append({r: [0] * ell for r in support})
+    for line in lines[8 + count :]:
+        try:
+            tag, r, i, subsets, coeff = line.split(" ")
+            r, i, c, coeff = int(r), int(i), combo_index.get(_parse_subsets(subsets)), int(coeff)
+        except ValueError:
+            continue  # not a row of any scheme: the comparison below names it
+        if tag == "eval" and c is not None and 1 <= i <= ell and 0 < coeff < q:
+            row = values[combo_key[c]].get(r)
+            if row is not None:
+                row[i - 1] = row[i - 1] or coeff
+    pack = bytes if q <= MAX_TABLE_ORDER else tuple
+    rows = [{r: pack(row) for r, row in key_rows.items()} for key_rows in values]
+    verified = header.get("labelweight-verified") == "1"
+    scheme = HssScheme(params, code, hss.KeySolutions(rows, combo_key), labelweight_verified=verified)
+    for n, (got, want) in enumerate(itertools.zip_longest(lines, hss._canonical_lines(scheme)), 1):
+        if got != want:
+            raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")
+    return scheme
 
 # -- sharing: one fragment scan per server and secret -------------------------------
 

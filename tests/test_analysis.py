@@ -20,7 +20,7 @@ from labelweight_hss.analysis import (
     round_half_away,
     truncate_decimals,
 )
-from labelweight_hss.codes import Labeling, ball_volume
+from labelweight_hss.codes import Labeling, ball_volume, goppa_build, hermitian_build
 from labelweight_hss.errors import (
     ConditionViolated,
     DegenerateDimension,
@@ -28,6 +28,7 @@ from labelweight_hss.errors import (
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import FieldSpec, randrange_run
+from labelweight_hss.hss import run_end_to_end, scheme_for_code, scheme_rate
 
 import oracles
 
@@ -358,6 +359,53 @@ def test_rate_ceiling_on_exact_rows():
         assert 0 < row.rate_exact <= Fraction(s - 4, s)
     row = hermitian_params(1000, 4, 1)
     assert 0 < row.rate_exact <= Fraction(996, 1000)
+
+
+# -- built rungs against their table rows --------------------------------------------
+#
+# A built rung's ell and rate come from the code it runs on (hss.scheme_rate,
+# ell/n); the table side comes from the closed forms, which stay as printed.
+# * hermitian_params charges q(q+1)/2 symbols in the rate but the genus
+#   q(q-1)/2 in the amortization (q = s^(1/3)): the built code meets the
+#   amortization and beats the rate.
+# * goppa_params charges u*dt redundant symbols, but a binary Goppa code of
+#   degree r = ceil(dt/2) already has distance 2r + 1 > dt, so the built code
+#   has u*r.
+
+
+def _runs(scheme):
+    params = scheme.params
+    secrets = [[(i + k) % params.spec.q for k in range(params.m)] for i in range(params.ell)]
+    return run_end_to_end(scheme, secrets, seed=1).ok
+
+
+def test_hermitian_64_56_rung_against_its_row():
+    # checked at code level: synthesizing the (1, 2) scheme takes about 2 s
+    code = hermitian_build(4, 56)
+    row = hermitian_params(64, 2, 1)
+    assert (code.n, code.dim, code.s, code.spec.q) == (64, 56, 64, 16)
+    assert Fraction(code.dim, code.n) == Fraction(7, 8) <= Fraction(64 - 2, 64)
+    assert (row.rate_exact, row.rate_printed) == (Fraction(13, 16), "0.81")
+    assert row.amort_exact == row.amort_printed == code.dim == 56
+
+
+def test_hermitian_27_22_rung_against_its_row():
+    scheme = scheme_for_code(hermitian_build(3, 22), t=1, d=2)
+    row = hermitian_params(27, 2, 1)
+    assert scheme.params.ell == 22 and scheme_rate(scheme) == Fraction(22, 27)
+    assert (row.rate_exact, row.rate_printed) == (Fraction(19, 27), "0.70")
+    assert row.amort_exact == row.amort_printed == 22
+    assert _runs(scheme)
+
+
+def test_goppa_32_22_rung_against_its_rows():
+    scheme = scheme_for_code(goppa_build(5, 2), t=1, d=3)
+    threshold, exact = goppa_params(32, 3, 1, "threshold"), goppa_params(32, 3, 1, "exact")
+    assert scheme.params.ell == 22 and scheme_rate(scheme) == Fraction(11, 16)
+    assert scheme.n - scheme.params.ell == 5 * 2  # u * ceil(dt/2), against u * dt = 15
+    assert (threshold.rate_printed, threshold.amort_printed) == ("0.55", 18)
+    assert (exact.rate_exact, exact.rate_printed, exact.amort_exact) == (Fraction(17, 32), "0.53", 17)
+    assert _runs(scheme)
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 7, 8, 9, 16])

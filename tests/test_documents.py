@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, rs_build
 from labelweight_hss.errors import DecodeError
 from labelweight_hss.hss import (
@@ -151,6 +152,63 @@ def test_mutated_scheme_document_raises_only_decode_error(data):
     synthesized = scheme(data.draw(st.sampled_from(SCHEMES)))
     lines = scheme_to_text(synthesized).splitlines()
     _check(scheme_from_text, scheme_to_text, data.draw(mutated(lines, synthesized.params.spec.q)))
+
+
+def _same_scheme(got, want):
+    return (got.solutions, got.params, got.labelweight_verified) == (want.solutions, want.params, want.labelweight_verified)
+
+
+@pytest.mark.parametrize("case", SCHEMES, ids=str)
+def test_both_readers_read_the_canonical_document_as_synthesized(case):
+    synthesized = scheme(case)
+    doc = scheme_to_text(synthesized)
+    assert _same_scheme(scheme_from_text(doc), synthesized)
+    assert _same_scheme(oracles.fold_scheme_text(doc), synthesized)
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def test_mutated_scheme_document_read_by_synthesis_is_read_alike_by_folding(data):
+    """Reading by synthesis accepts no document that folding the rows
+    into the keys (oracles.fold_scheme_text) rejects or reads otherwise."""
+    synthesized = scheme(data.draw(st.sampled_from(SCHEMES)))
+    lines = scheme_to_text(synthesized).splitlines()
+    doc, _ = data.draw(mutated(lines, synthesized.params.spec.q))
+    try:
+        parsed = scheme_from_text(doc)
+    except DecodeError:
+        return
+    assert _same_scheme(oracles.fold_scheme_text(doc), parsed)
+
+
+# (code family and arguments, t, d) whose documents folding the rows reads
+# wrong: with one eval row dropped or one coefficient changed, the rows of
+# some keys still agree with each other but are no valid Eval
+HOLE_SCHEMES = [(("goppa", 3, 1), 1, 1), (("rs", 4, 4, 2), 1, 1)]
+
+
+def _one_row_edits(lines, q):
+    """Every document with one eval row dropped or its coefficient changed
+    to another element."""
+    for at, line in enumerate(lines):
+        if line.startswith("eval "):
+            yield lines[:at] + lines[at + 1 :]
+            head, _, coeff = line.rpartition(" ")
+            for new in range(q):
+                if new != int(coeff):
+                    yield lines[:at] + [f"{head} {new}"] + lines[at + 1 :]
+
+
+@pytest.mark.parametrize("case", HOLE_SCHEMES, ids=str)
+def test_scheme_document_with_one_eval_row_dropped_or_changed_is_rejected(case):
+    synthesized = scheme(case)
+    lines = scheme_to_text(synthesized).splitlines()
+    edits = 0
+    for edited in _one_row_edits(lines, synthesized.params.spec.q):
+        edits += 1
+        with pytest.raises(DecodeError):
+            scheme_from_text("\n".join(edited) + "\n")
+    assert edits == sum(line.startswith("eval ") for line in lines) * synthesized.params.spec.q
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -503,6 +503,18 @@ def test_key_support_lies_inside_every_union_of_its_key(name):
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
+def test_scheme_document_reads_alike_by_synthesis_and_by_folding(name):
+    """The canonical document read by synthesis and by folding its rows
+    into the keys (the reader it replaced) gives the synthesized scheme."""
+    scheme = _case_scheme(name)
+    doc = hss.scheme_to_text(scheme)
+    for parsed in (hss.scheme_from_text(doc), oracles.fold_scheme_text(doc)):
+        assert parsed.solutions == scheme.solutions
+        assert parsed.params == scheme.params
+        assert parsed.labelweight_verified == scheme.labelweight_verified
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
 def test_server_planes_match_the_per_union_blocks(name):
     scheme = _case_scheme(name)
     params, blocks = scheme.params, oracles.solve_blocks(scheme.code, scheme.params)
