@@ -7,10 +7,10 @@ Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read]
 
 Each row gives the scheme's distinct subset unions, its distinct (L, Q)
 keys (one hss.solve_many call each), and the best-of-N wall time of
-hss.synthesize_eval and of oracles.synthesize_blocks.  Both times cover
+hss._synthesize and of oracles.synthesize_blocks.  Both times cover
 monomial enumeration, the key or block layout and the solves, not the
-exhaustive labelweight check (the package runs with check_budget=1, which
-skips it).  The package's key rows, projected onto each union's
+exhaustive labelweight check (hss._synthesize is hss.synthesize_eval
+without it).  The package's key rows, projected onto each union's
 coordinates (oracles.project_blocks), must equal the oracle's blocks, or
 the script exits with status 1.  --big adds Goppa u=5 r=2 with t=2, d=2
 (5.4 M monomials, so it runs under HSS_ENUM_BUDGET=8388608) and times
@@ -18,9 +18,10 @@ the package alone there.
 
 --read times reading scheme documents instead, on the goppa-eval,
 hermitian-setup and goppa-wire shapes: the best-of-N wall time of
-hss.scheme_from_text, which synthesizes the scheme a document names, and
-of oracles.fold_scheme_text, which folds the document's eval rows into
-the keys (the reader it replaced).  Both must read the synthesized
+hss.scheme_from_text, which synthesizes the scheme a document names
+(exhaustive labelweight check included), and of
+oracles.fold_scheme_text, which folds the document's eval rows into the
+keys (the reader it replaced).  Both must read the synthesized
 scheme (the same key rows, parameters and labelweight flag), or the
 script exits with status 1.
 """
@@ -70,7 +71,7 @@ def best_of(repeats, fn):
 
 
 def synthesize_counting_keys(code, params):
-    """hss.synthesize_eval's scheme and the number of hss.solve_many calls it made."""
+    """The scheme of hss._synthesize's key rows and the number of hss.solve_many calls it made."""
     solve_many, calls = hss.solve_many, []
 
     def counted(*args):
@@ -79,7 +80,7 @@ def synthesize_counting_keys(code, params):
 
     hss.solve_many = counted
     try:
-        return hss.synthesize_eval(code, params, check_budget=1), len(calls)
+        return hss.HssScheme(params, code, hss._synthesize(code, params)), len(calls)
     finally:
         hss.solve_many = solve_many
 

@@ -128,22 +128,20 @@ def word_labelweight(labeling: Labeling, word: Sequence[int]) -> int:
     return len({label for label, v in zip(labeling.map, word) if int(v)})
 
 
-def labelweight(code: LabeledCode, word: Sequence | None = None, budget: int | None = None) -> int:
+def labelweight(code: LabeledCode, word: Sequence | None = None) -> int:
     """Labelweight of one word, or of the whole code when `word` is None.
 
     The word's entries are elements of the code's field or their codes
     (FieldSpec.code_of).  The whole-code form enumerates every nonzero
     message exhaustively; the number of messages q^dim must fit the
-    enumeration budget.
+    enumeration budget, which only HSS_ENUM_BUDGET overrides.
     """
     if word is not None:
         return word_labelweight(code.labeling, [code.spec.code_of(v) for v in word])
-    limit = effective_budget(LABELWEIGHT_BUDGET) if budget is None else budget
+    limit = effective_budget(LABELWEIGHT_BUDGET)
     total = code.spec.q**code.dim
     if total > limit:
-        raise EnumerationBudgetExceeded(
-            f"{total} messages exceed budget {limit}; raise {'HSS_ENUM_BUDGET' if budget is None else 'budget'} to force"
-        )
+        raise EnumerationBudgetExceeded(f"{total} messages exceed budget {limit}; raise HSS_ENUM_BUDGET to force")
     spec = code.spec
     labels0 = bytes(v - 1 for v in code.labeling.map)
     return kernels.min_labelweight(
@@ -158,10 +156,10 @@ def labelweight(code: LabeledCode, word: Sequence | None = None, budget: int | N
     )
 
 
-def min_distance(code: LabeledCode, budget: int | None = None) -> int:
+def min_distance(code: LabeledCode) -> int:
     """Brute-force minimum Hamming distance (labelweight under identity labels)."""
     identity = LabeledCode(code.spec, code.generator, Labeling.identity(code.n))
-    return labelweight(identity, budget=budget)
+    return labelweight(identity)
 
 
 def ball_volume(s: int, w: int, q: int, r: int) -> int:

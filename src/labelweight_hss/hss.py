@@ -23,6 +23,7 @@ import functools
 import itertools
 import operator
 import random
+import re
 from collections import Counter
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
@@ -247,54 +248,49 @@ def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
     return [j not in T for T in subsets]
 
 
-def enumerate_monomials(params: HssParams, budget: int | None = None):
+def enumerate_monomials(params: HssParams):
     """All product monomials, plus the subset union of each subset combo.
 
     Ordering is instance-major, then lexicographic on the subset tuple.
     The first value is a Monomials sequence, which builds each MonomialId
     when it is read; the second the list whose entry c is the union of
-    combo c (Monomials.combos[c]) as a bitmask, bit v set for server v in
-    it: a monomial is locally computable by exactly the servers outside
-    its combo's union.  _synthesize reads only the unions.
+    combo c (itertools.product order) as a bitmask, bit v set for server
+    v in it: a monomial is locally computable by exactly the servers
+    outside its combo's union.  _synthesize reads only the unions.  Past
+    the monomial budget, raises EnumerationBudgetExceeded.
     """
-    combos = _subset_combos(params, budget)
-    masks = [sum(1 << v for v in T) for T in subsets_of_size(params.s, params.t)]
+    subsets = subsets_of_size(params.s, params.t)
+    monomials = Monomials(params.ell, subsets, params.d)
+    limit = effective_budget(MONOMIAL_BUDGET)
+    if len(monomials) > limit:
+        raise EnumerationBudgetExceeded(f"{len(monomials)} monomials exceed budget {limit}")
+    masks = [sum(1 << v for v in T) for T in subsets]
     unions = [0]
     for _ in range(params.d):
         unions = [union | mask for union in unions for mask in masks]
-    return Monomials(params.ell, combos), unions
-
-
-def _subset_combos(params: HssParams, budget: int | None = None) -> list[tuple[tuple[int, ...], ...]]:
-    """Every d-tuple of share subsets, in itertools.product order; raises
-    EnumerationBudgetExceeded when ell times their count exceeds the
-    monomial budget."""
-    subsets = subsets_of_size(params.s, params.t)
-    total = params.ell * len(subsets) ** params.d
-    limit = effective_budget(MONOMIAL_BUDGET) if budget is None else budget
-    if total > limit:
-        raise EnumerationBudgetExceeded(f"{total} monomials exceed budget {limit}")
-    return list(itertools.product(subsets, repeat=params.d))
+    return monomials, unions
 
 
 class Monomials(Sequence):
-    """MonomialId(i, combo) for every instance i in 1..ell and subset combo,
-    instance-major, each built when it is read."""
+    """MonomialId(i, combo) for every instance i in 1..ell and d-tuple
+    combo of `subsets` (itertools.product order), instance-major, each
+    built when it is read; no combo is held."""
 
-    def __init__(self, ell: int, combos: list[tuple[tuple[int, ...], ...]]):
-        self.ell, self.combos = ell, combos
+    def __init__(self, ell: int, subsets: Sequence[tuple[int, ...]], d: int):
+        self.ell, self.subsets, self.d = ell, subsets, d
 
     def __len__(self) -> int:
-        return self.ell * len(self.combos)
+        return self.ell * len(self.subsets) ** self.d
 
     def __getitem__(self, n: int) -> MonomialId:
         if not 0 <= n < len(self):
             raise IndexError(n)
-        i, c = divmod(n, len(self.combos))
-        return MonomialId(i + 1, self.combos[c])
+        c = len(self.subsets)  # n = (i - 1) * c^d + the combo's subset positions as d base-c digits
+        return MonomialId(n // c**self.d + 1, tuple(self.subsets[n // c**e % c] for e in reversed(range(self.d))))
 
     def __iter__(self):
-        return itertools.starmap(MonomialId, itertools.product(range(1, self.ell + 1), self.combos))
+        ell, subsets, d = self.ell, self.subsets, self.d
+        return (MonomialId(i, combo) for i in range(1, ell + 1) for combo in itertools.product(subsets, repeat=d))
 
 
 class KeySolutions(NamedTuple):
@@ -372,7 +368,7 @@ def _expand_keys(params: HssParams, n: int, solutions: KeySolutions) -> dict[int
     return table
 
 
-def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | None = None) -> HssScheme:
+def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
     """Solve the Eval coefficients for the product-of-d-secrets family.
 
     Monomials whose subset unions share an (L, Q) key get the same
@@ -381,7 +377,8 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
     d*t + 1: by the exhaustive check when q <= 256 and q^ell fits the
     budget, otherwise on the first union in solve order whose columns
     lack rank (every d*t servers are the union of d t-subsets, so a code
-    of labelweight at most d*t always leaves one).
+    of labelweight at most d*t always leaves one).  labelweight_verified
+    records whether the exhaustive check ran.
     """
     if params.spec != code.spec:
         raise ParameterOutOfRange("params and code disagree on the field")
@@ -391,17 +388,16 @@ def synthesize_eval(code: LabeledCode, params: HssParams, check_budget: int | No
         raise ParameterOutOfRange(f"s={params.s} must equal labeling server count {code.s}")
 
     need = params.d * params.t + 1
-    limit = effective_budget(LABELWEIGHT_BUDGET) if check_budget is None else check_budget
-    verified = code.spec.q <= MAX_TABLE_ORDER and code.spec.q**code.dim <= limit
+    verified = code.spec.q <= MAX_TABLE_ORDER and code.spec.q**code.dim <= effective_budget(LABELWEIGHT_BUDGET)
     if verified:
-        lw = labelweight(code, budget=limit)
+        lw = labelweight(code)
         if lw < need:
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
     return HssScheme(params, code, _synthesize(code, params), labelweight_verified=verified)
 
 
 def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
-    """The KeySolutions of `params` over `code`, for synthesize_eval and scheme_from_text alike."""
+    """The KeySolutions of `params` over `code`: synthesize_eval without its checks."""
     _, unions = enumerate_monomials(params)
     work, basis, keys, combo_key = _key_search(code, params, unions)
     return KeySolutions(_solve_keys(code, work, basis, keys), combo_key)
@@ -914,20 +910,21 @@ class PrivacyReport:
         return all(c.equal for c in self.checks)
 
 
-def privacy_audit(t: int, s: int, spec: FieldSpec, budget: int | None = None) -> PrivacyReport:
+def privacy_audit(t: int, s: int, spec: FieldSpec) -> PrivacyReport:
     """Exhaustive distribution-equality audit of the sharing stage.
 
     For every size-t server subset T and every secret pair (x, x'), walk
     the entire randomness space and compare the exact multisets of T's
     joint views.  Sharing is per-secret independent, so a single-secret
-    audit covers every batch size and product degree.
+    audit covers every batch size and product degree.  Past the privacy
+    budget, raises EnumerationBudgetExceeded.
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     subsets = subsets_of_size(s, t)
     free = len(subsets) - 1
     total = spec.q**free * spec.q
-    limit = effective_budget(PRIVACY_BUDGET) if budget is None else budget
+    limit = effective_budget(PRIVACY_BUDGET)
     if total > limit:
         raise EnumerationBudgetExceeded(f"{total} share assignments exceed budget {limit}")
 
@@ -982,7 +979,7 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
         f"code-lines {len(code_lines)}",
         *code_lines,
     )
-    names = [_format_subsets(combo) for combo in _subset_combos(p)]
+    names = [_format_subsets(combo) for combo in itertools.product(subsets_of_size(p.s, p.t), repeat=p.d)]
     zero = bytes(p.ell)
     for r in range(scheme.n):
         column = [rows.get(r, zero) for rows in solutions.rows]
@@ -996,31 +993,34 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
 def scheme_from_text(text: str) -> HssScheme:
     """Read a scheme document by synthesizing the scheme it names.
 
-    The Eval is fixed by the embedded code and (t, d, m): the reader
-    builds it by _synthesize, as synthesize_eval does, takes the
-    labelweight-verified flag from the header and parses no eval row.
-    The document must be that scheme's canonical text, or DecodeError
-    names its first line that differs: a header value, a code line or an
-    eval row, even one of another valid Eval.  Parameters that admit no
-    scheme raise DecodeError("bad scheme parameters: ...").
+    The Eval and the labelweight-verified flag are fixed by the embedded
+    code and (t, d, m): the reader builds the scheme by synthesize_eval,
+    as the writer did, and parses no eval row and no flag, so a document
+    reads back under the enumeration budget it was written with.  The
+    document must be that scheme's canonical text, or DecodeError names
+    its first line that differs: a header value, the flag, a code line or
+    an eval row, even one of another valid Eval; lines are compared as
+    the text is scanned.  Parameters that admit no scheme raise
+    DecodeError("bad scheme parameters: ...").
     """
-    lines = text.splitlines()
-    if not lines or lines[0] != SCHEME_FORMAT_TAG:
-        raise DecodeError(f"missing {SCHEME_FORMAT_TAG} header")
+    lines = (line.group().removesuffix("\n").removesuffix("\r") for line in re.finditer(r".*\n|.+", text))
     # the tag and seven header lines, then code-lines lines of code document, then the rows
-    header = dict(line.partition(" ")[::2] for line in lines[1:8])
+    head = list(itertools.islice(lines, 8))
+    if not head or head[0] != SCHEME_FORMAT_TAG:
+        raise DecodeError(f"missing {SCHEME_FORMAT_TAG} header")
+    header = dict(line.partition(" ")[::2] for line in head[1:])
     try:
         t, d, m, count = (int(header[key]) for key in ("t", "d", "m", "code-lines"))
+        code_lines = list(itertools.islice(lines, count))
     except (KeyError, ValueError) as exc:
         raise DecodeError(f"bad scheme header: {exc}") from exc
-    code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
+    code = code_from_text("\n".join(code_lines) + "\n")
     try:
-        params = HssParams(code.s, t, d, code.dim, m, code.spec)
-        solutions = _synthesize(code, params)
+        scheme = synthesize_eval(code, HssParams(code.s, t, d, code.dim, m, code.spec))
     except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
-    scheme = HssScheme(params, code, solutions, labelweight_verified=header.get("labelweight-verified") == "1")
-    for n, (got, want) in enumerate(itertools.zip_longest(lines, _canonical_lines(scheme)), 1):
+    document = itertools.chain(head, code_lines, lines)
+    for n, (got, want) in enumerate(itertools.zip_longest(document, _canonical_lines(scheme)), 1):
         if got != want:
             raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the synthesized scheme")
     return scheme

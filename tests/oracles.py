@@ -487,7 +487,7 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> TableScheme:
     limit = effective_budget(LABELWEIGHT_BUDGET)
     verified = False
     if code.spec.q**code.dim <= limit:
-        lw = labelweight(code, budget=limit)
+        lw = labelweight(code)
         if lw < need:
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
         verified = True
@@ -871,12 +871,13 @@ def fold_scheme_text(text: str) -> HssScheme:
     code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
     try:
         params = HssParams(code.s, t, d, code.dim, m, code.spec)
-        monomials, unions = hss.enumerate_monomials(params)
+        _, unions = hss.enumerate_monomials(params)
         _, basis, keys, combo_key = hss._key_search(code, params, unions)
     except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
 
-    combo_index = {combo: c for c, combo in enumerate(monomials.combos)}
+    combos = itertools.product(hss.subsets_of_size(params.s, params.t), repeat=params.d)
+    combo_index = {combo: c for c, combo in enumerate(combos)}
     ell, q = params.ell, code.spec.q
     values = []
     for lost, chosen in keys:

@@ -105,16 +105,10 @@ def test_identity_labeling_equals_hamming_distance():
         assert labelweight(code) == min_distance(code) == brute_labelweight(code)
 
 
-def test_labelweight_budget_guard():
-    code = rs_build(5, 5, 2)
-    with pytest.raises(EnumerationBudgetExceeded):
-        labelweight(code, budget=10)
-
-
 def test_budget_env_override(monkeypatch):
     code = rs_build(5, 5, 2)
     monkeypatch.setenv("HSS_ENUM_BUDGET", "10")
-    with pytest.raises(EnumerationBudgetExceeded):
+    with pytest.raises(EnumerationBudgetExceeded, match="25 messages exceed budget 10; raise HSS_ENUM_BUDGET to force"):
         labelweight(code)
     monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
     assert labelweight(code) == 4

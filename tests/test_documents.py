@@ -18,7 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, rs_build
+from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import DecodeError
 from labelweight_hss.hss import (
     HssScheme,
@@ -65,6 +65,7 @@ def test_documents_round_trip(case):
     assert parsed.solutions == synthesized.solutions
     assert parsed.params == synthesized.params
     assert parsed.labelweight_verified == synthesized.labelweight_verified
+    assert _same_scheme(scheme_from_text(doc.replace("\n", "\r\n")), synthesized)
 
 
 def test_rows_outside_the_key_support_are_rejected():
@@ -209,6 +210,45 @@ def test_scheme_document_with_one_eval_row_dropped_or_changed_is_rejected(case):
         with pytest.raises(DecodeError):
             scheme_from_text("\n".join(edited) + "\n")
     assert edits == sum(line.startswith("eval ") for line in lines) * synthesized.params.spec.q
+
+
+@pytest.mark.parametrize("count", [-1, -100, 10**6, 2**63])
+def test_scheme_document_with_a_negative_or_oversized_code_line_count_is_rejected(count):
+    lines = scheme_to_text(scheme((("rs", 5, 5, 2), 1, 2))).splitlines()
+    lines[7] = f"code-lines {count}"
+    with pytest.raises(DecodeError):
+        scheme_from_text("\n".join(lines) + "\n")
+
+
+# (code builder, t, d) whose labelweight-verified flag is fixed by the code:
+# 9^22 messages of hermitian [27,22] exceed the labelweight budget, so no
+# exhaustive check runs (0); the 256 of goppa [16,8] fit it (1)
+FLAG_CASES = {
+    "hermitian_build(3, 22)": (lambda: hermitian_build(3, 22), 1, 2),
+    "goppa_build(4, 2)": (lambda: goppa_build(4, 2), 1, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FLAG_CASES))
+def test_scheme_document_with_its_flag_flipped_is_rejected_on_line_7(name):
+    build, t, d = FLAG_CASES[name]
+    doc = scheme_to_text(scheme_for_code(build(), t=t, d=d))
+    flag = doc.splitlines()[6]
+    flipped = f"labelweight-verified {1 - int(flag.split()[1])}"
+    with pytest.raises(DecodeError, match=f"^line 7: '{flipped}' is not '{flag}'"):
+        scheme_from_text(doc.replace(flag, flipped, 1))
+
+
+def test_scheme_document_reads_back_under_the_budget_it_was_written_with(monkeypatch):
+    # 7^3 = 343 messages exceed a budget of 100, the 18 monomials fit it
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
+    written = scheme_for_code(rs_build(7, 6, 3), t=1, d=1)
+    doc = scheme_to_text(written)
+    assert doc.splitlines()[6] == "labelweight-verified 0"
+    assert _same_scheme(scheme_from_text(doc), written)
+    monkeypatch.delenv("HSS_ENUM_BUDGET")
+    with pytest.raises(DecodeError, match="^line 7: 'labelweight-verified 0' is not 'labelweight-verified 1'"):
+        scheme_from_text(doc)
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -307,10 +307,11 @@ def test_monomial_union_complement():
     assert lam == {3, 4, 5}
 
 
-def test_enumerate_budget():
+def test_enumerate_budget(monkeypatch):
     params = HssParams(5, 1, 2, 2, 2, GF5)
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "10")
     with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_monomials(params, budget=10)
+        enumerate_monomials(params)
 
 
 # -- synthesis -------------------------------------------------------------------
@@ -350,11 +351,11 @@ def test_insufficient_labelweight_detected_by_check():
 
 
 def test_insufficient_labelweight_detected_by_rank():
-    # Force the brute-force check to be skipped; the rank failure must trip instead.
+    # _synthesize skips the brute-force check; the rank failure must trip instead.
     code = LabeledCode(GF2, MatrixF(GF2, [[1, 1, 0]]), Labeling.identity(3))
     params = HssParams(3, 1, 2, 1, 2, GF2)
     with pytest.raises(InsufficientLabelweight):
-        synthesize_eval(code, params, check_budget=1)
+        hss._synthesize(code, params)
 
 
 def test_fields_above_256_skip_the_exhaustive_check():
@@ -366,12 +367,12 @@ def test_fields_above_256_skip_the_exhaustive_check():
         scheme_for_code(rs_build(257, 4, 3), t=1, d=2)
 
 
-def test_unverified_flag_when_budget_too_small():
-    code = rs_build(5, 5, 2)
-    params = HssParams(5, 1, 2, 2, 2, GF5)
-    scheme = synthesize_eval(code, params, check_budget=1)
+def test_unverified_flag_when_budget_too_small(monkeypatch):
+    # 7^3 = 343 messages exceed the budget, the 18 monomials fit it
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
+    scheme = scheme_for_code(rs_build(7, 6, 3), t=1, d=1)
     assert not scheme.labelweight_verified
-    assert run_end_to_end(scheme, [[1, 2], [3, 4]], seed=0).ok
+    assert run_end_to_end(scheme, [[1], [2], [3]], seed=0).ok
 
 
 def test_scheme_param_mismatches():
@@ -627,9 +628,10 @@ def test_privacy_s4_t2_f3():
     assert report.randomness_space == 3**5
 
 
-def test_privacy_budget_guard():
+def test_privacy_budget_guard(monkeypatch):
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetExceeded):
-        privacy_audit(2, 10, GF3, budget=100)
+        privacy_audit(2, 10, GF3)
 
 
 def test_privacy_detects_broken_sharing():

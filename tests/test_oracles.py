@@ -658,9 +658,9 @@ def test_rank_deficient_codes_fail_on_the_oracle_union(name):
     params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
     with pytest.raises(InsufficientLabelweight) as want:
         oracles.synthesize_blocks(code, params)
-    # a budget of 1 skips the exhaustive labelweight check, so the rank test must trip
+    # _synthesize skips the exhaustive labelweight check, so the rank test must trip
     with pytest.raises(InsufficientLabelweight) as got:
-        hss.synthesize_eval(code, params, check_budget=1)
+        hss._synthesize(code, params)
     assert str(got.value) == str(want.value) == message
 
 
