@@ -33,7 +33,7 @@ import random
 from dataclasses import dataclass
 from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import kernels
 from .budget import LABELWEIGHT_BUDGET, effective_budget
@@ -46,8 +46,6 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .galois import FieldSpec, randrange_run
-
-CSV_HEADER = "s,baseline_rate,baseline_amort,ours_rate,ours_amort,pct_rate,pct_amort"
 
 
 # -- printing helpers -----------------------------------------------------------
@@ -380,12 +378,55 @@ def gv_monte_carlo(cfg: GvConfig, trials: int, seed: int) -> GvReport:
 # -- tables ---------------------------------------------------------------------
 
 
+class Column(NamedTuple):
+    """One table column: its row key (also its csv and text heading), its
+    markdown heading, and the text a markdown cell ends with."""
+
+    key: str
+    heading: str
+    suffix: str = ""
+
+
+_RATE_COLUMNS = (
+    Column("s", "# Servers"),
+    Column("baseline_rate", "DL Rate"),
+    Column("baseline_amort", "Amortize"),
+    Column("ours_rate", "DL Rate"),
+    Column("ours_amort", "Amortize"),
+    Column("pct_rate", "% DL Rate", "%"),
+    Column("pct_amort", "% Amortize", "%"),
+)
+_GV_COLUMNS = (
+    Column("s", "s"),
+    Column("w", "w"),
+    Column("n", "n"),
+    Column("k_gv", "k"),
+    Column("rate_gv", "rate"),
+    Column("amort_lower_bound", "amortization lower bound"),
+)
+
+
 @dataclass
 class TableResult:
     kind: str
     rows: list[dict]
-    csv: str
-    markdown: str
+    columns: tuple[Column, ...]
+
+    def render(self, fmt: str) -> str:
+        """The table as "csv", "markdown" or "text" (every column padded
+        to its widest cell, two spaces apart)."""
+        head = [column.key for column in self.columns]
+        cells = [[str(row[key]) for key in head] for row in self.rows]
+        if fmt == "csv":
+            lines = [",".join(line) for line in [head, *cells]]
+        elif fmt == "markdown":
+            lines = ["| " + " | ".join(column.heading for column in self.columns) + " |", "|" + "---|" * len(head)]
+            for line in cells:
+                lines.append("| " + " | ".join(c + column.suffix for c, column in zip(line, self.columns)) + " |")
+        else:
+            widths = [max(map(len, column)) for column in zip(head, *cells)]
+            lines = ["  ".join(c.ljust(width) for c, width in zip(line, widths)) for line in [head, *cells]]
+        return "\n".join(lines) + "\n"
 
 
 def emit_table(kind: str, dt: int, servers: Sequence[int], eps: Fraction = Fraction(1, 20)) -> TableResult:
@@ -418,22 +459,7 @@ def emit_table(kind: str, dt: int, servers: Sequence[int], eps: Fraction = Fract
                 "pct_amort": _pct_amort(ours.amort_printed, base.amort_printed),
             }
         )
-    csv_lines = [CSV_HEADER]
-    for r in rows:
-        csv_lines.append(
-            f"{r['s']},{r['baseline_rate']},{r['baseline_amort']},{r['ours_rate']},"
-            f"{r['ours_amort']},{r['pct_rate']},{r['pct_amort']}"
-        )
-    md_lines = [
-        "| # Servers | DL Rate | Amortize | DL Rate | Amortize | % DL Rate | % Amortize |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for r in rows:
-        md_lines.append(
-            f"| {r['s']} | {r['baseline_rate']} | {r['baseline_amort']} | {r['ours_rate']} "
-            f"| {r['ours_amort']} | {r['pct_rate']}% | {r['pct_amort']}% |"
-        )
-    return TableResult(kind, rows, "\n".join(csv_lines) + "\n", "\n".join(md_lines) + "\n")
+    return TableResult(kind, rows, _RATE_COLUMNS)
 
 
 def _gv_example_table(dt: int, servers: Sequence[int], eps: Fraction) -> TableResult:
@@ -459,15 +485,4 @@ def _gv_example_table(dt: int, servers: Sequence[int], eps: Fraction) -> TableRe
                 "amort_lower_bound": round_half_away(lower, 2),
             }
         )
-    header = "s,w,n,k_gv,rate_gv,amort_lower_bound"
-    csv_lines = [header] + [
-        f"{r['s']},{r['w']},{r['n']},{r['k_gv']},{r['rate_gv']},{r['amort_lower_bound']}" for r in rows
-    ]
-    md_lines = [
-        "| s | w | n | k | rate | amortization lower bound |",
-        "|---|---|---|---|---|---|",
-    ] + [
-        f"| {r['s']} | {r['w']} | {r['n']} | {r['k_gv']} | {r['rate_gv']} | {r['amort_lower_bound']} |"
-        for r in rows
-    ]
-    return TableResult("gv-example", rows, "\n".join(csv_lines) + "\n", "\n".join(md_lines) + "\n")
+    return TableResult("gv-example", rows, _GV_COLUMNS)

@@ -143,25 +143,9 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _table_text(table) -> str:
-    header = table.csv.splitlines()[0].split(",")
-    rows = [line.split(",") for line in table.csv.splitlines()[1:]]
-    widths = [max(len(h), *(len(r[i]) for r in rows)) for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(widths[i]) for i, h in enumerate(header))]
-    for r in rows:
-        lines.append("  ".join(r[i].ljust(widths[i]) for i in range(len(header))))
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_table(args) -> int:
     servers = [int(v) for v in args.servers.split(",") if v]
-    table = emit_table(args.kind, args.dt, servers, eps=Fraction(args.eps))
-    if args.format == "csv":
-        _emit(args, table.csv)
-    elif args.format == "markdown":
-        _emit(args, table.markdown)
-    else:
-        _emit(args, _table_text(table))
+    _emit(args, emit_table(args.kind, args.dt, servers, eps=Fraction(args.eps)).render(args.format))
     return 0
 
 
@@ -182,10 +166,9 @@ def _cmd_code(args) -> int:
             lines.append("meta " + " ".join(f"{k}={v}" for k, v in sorted(code.meta.items())))
         _emit(args, "\n".join(lines) + "\n")
         return 0
-    if args.action == "labelweight":
-        _emit(args, f"{labelweight(code)}\n")
-        return 0
-    raise AssertionError(args.action)
+    # the one action left: labelweight
+    _emit(args, f"{labelweight(code)}\n")
+    return 0
 
 
 def _check_trials(trials: int) -> None:
@@ -302,6 +285,16 @@ def _cmd_gv(args) -> int:
     return 0 if report.within_bound and report.ball_bound_ok else VERIFY_ERROR
 
 
+_COMMANDS = {
+    "table": _cmd_table,
+    "code": _cmd_code,
+    "demo": _cmd_demo,
+    "simulate": _cmd_simulate,
+    "audit-privacy": _cmd_audit,
+    "gv-sim": _cmd_gv,
+}
+
+
 def main(argv=None) -> int:
     parser = _parser()
     try:
@@ -309,19 +302,7 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else USAGE_ERROR
     try:
-        if args.command == "table":
-            return _cmd_table(args)
-        if args.command == "code":
-            return _cmd_code(args)
-        if args.command == "demo":
-            return _cmd_demo(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args)
-        if args.command == "audit-privacy":
-            return _cmd_audit(args)
-        if args.command == "gv-sim":
-            return _cmd_gv(args)
-        parser.error(f"unknown command {args.command}")
+        return _COMMANDS[args.command](args)
     except (ParameterOutOfRange, ValueError, ZeroDivisionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
@@ -334,7 +315,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    return USAGE_ERROR
 
 
 if __name__ == "__main__":

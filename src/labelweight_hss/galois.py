@@ -191,11 +191,11 @@ class FieldSpec:
             return value
         if isinstance(value, FieldElement):
             if value.spec != self:
-                raise FieldMismatch(f"{value!r} does not belong to {self.describe()}")
+                raise FieldMismatch(f"value {value!r} does not belong to {self.describe()}")
             return value.value
-        code = _integer(value)
+        code = _integer(value, self.q)
         if not 0 <= code < self.q:
-            raise ValueError(f"element code {code} outside [0, {self.q})")
+            raise ValueError(f"value {code} is outside 0..{self.q - 1} (q={self.q})")
         return code
 
     def element(self, value) -> "FieldElement":
@@ -288,24 +288,19 @@ class FieldSpec:
         return out
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Coefficient-vector product reduced modulo the modulus polynomial."""
-        p, k = self.p, self.k
-        if k == 1:
-            return (a * b) % p
-        da, db = self.coeffs(a), self.coeffs(b)
-        prod = [0] * (2 * k - 1)
-        for i, ca in enumerate(da):
-            if ca:
-                for j, cb in enumerate(db):
-                    prod[i + j] = (prod[i + j] + ca * cb) % p
-        mod = self.modulus
-        for d in range(2 * k - 2, k - 1, -1):
-            c = prod[d]
-            if c:
-                prod[d] = 0
-                for j in range(k):
-                    prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
-        return self.encode(prod[:k])
+        """Product of the residue polynomials over GF(p), reduced modulo the
+        modulus polynomial."""
+        if self.k == 1:
+            return a * b % self.p
+        modulus = self._modulus_poly
+        base = modulus.spec
+        product = Polynomial._of_codes(base, list(self.coeffs(a))) * Polynomial._of_codes(base, list(self.coeffs(b)))
+        return self.encode((product % modulus).coeffs)
+
+    @functools.cached_property
+    def _modulus_poly(self) -> "Polynomial":
+        """The modulus as a polynomial over GF(p) (k > 1 only)."""
+        return Polynomial._of_codes(FieldSpec(self.p), list(self.modulus))
 
     # -- lookup tables ---------------------------------------------------
 
@@ -376,14 +371,26 @@ def parse_field(text: str) -> FieldSpec:
     return FieldSpec(p, k, modulus)
 
 
-def _integer(value) -> int:
+def first_outside(values: Sequence, q: int):
+    """The first of `values` that is not an element code of GF(q), an int
+    in 0..q-1, or None if every one is.  Bytes take one translate, which
+    deletes the codes and leaves the values outside in order.  This is the
+    range check of every element code that enters the package as a
+    sequence: server views and wire payloads."""
+    if isinstance(values, bytes):
+        outside = values.translate(None, bytes(range(min(q, 256))))
+        return outside[0] if outside else None
+    return next((v for v in values if not (isinstance(v, int) and 0 <= v < q)), None)
+
+
+def _integer(value, q: int) -> int:
     """`value` as an int, if operator.index takes it (an int, a bool or
     another integer type); anything else, such as 1.5 or '3', raises
     ValueError rather than being truncated or parsed."""
     try:
         return operator.index(value)
     except TypeError:
-        raise ValueError(f"{value!r} is not an integer element code") from None
+        raise ValueError(f"value {value!r} is not an integer in 0..{q - 1} (q={q})") from None
 
 
 class FieldElement:
@@ -457,7 +464,7 @@ class Polynomial:
         codes = []
         for c in coeffs:
             if spec.k == 1 and not isinstance(c, FieldElement):
-                c = _integer(c) % spec.q  # integers reduce mod p over a prime field
+                c = _integer(c, spec.q) % spec.q  # integers reduce mod p over a prime field
             codes.append(spec.code_of(c))
         while codes and codes[-1] == 0:
             codes.pop()

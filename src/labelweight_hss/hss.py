@@ -42,7 +42,7 @@ from .errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from .galois import MAX_TABLE_ORDER, FieldElement, FieldSpec, randrange_run
+from .galois import MAX_TABLE_ORDER, FieldSpec, first_outside, randrange_run
 from .matrix import MatrixF, _eliminate, _row_ops, solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
@@ -196,32 +196,25 @@ def _xor_fold(codes: bytes) -> int:
     return value
 
 
-def _secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:
-    """The integer code of a secret (the one at `key` of a secret matrix,
-    if given): an int in 0..q-1 or an element of `spec`.  Anything else
-    would be shared as some other secret."""
-    if type(x) is int and 0 <= x < spec.q:
-        return x
-    name = "secret" if key is None else f"secret {key}"
-    if isinstance(x, FieldElement):
-        if x.spec != spec:
-            raise FieldMismatch(f"{name} is an element of {x.spec.describe()}, not {spec.describe()}")
-        x = x.value
+def _code_of_secret(spec: FieldSpec, x, key: tuple[int, int] | None = None) -> int:
+    """spec.code_of(x), its error prefixed with "secret" and the secret's
+    (instance, variable) `key`, if given: a value that is no code of the
+    field raises ParameterOutOfRange, an element of another field
+    FieldMismatch."""
     try:
-        code = operator.index(x)
-    except TypeError:
-        raise ParameterOutOfRange(f"{name} value {x!r} is not an integer in 0..{spec.q - 1} (q={spec.q})") from None
-    if not 0 <= code < spec.q:
-        raise ParameterOutOfRange(f"{name} value {code} is outside 0..{spec.q - 1} (q={spec.q})")
-    return code
+        return spec.code_of(x)
+    except (ValueError, FieldMismatch) as exc:
+        kind = FieldMismatch if isinstance(exc, FieldMismatch) else ParameterOutOfRange
+        raise kind(f"secret {exc}" if key is None else f"secret {key} {exc}") from None
 
 
 def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[list[int]]:
-    """The ell x m secret matrix as integer codes, each checked by _secret_code."""
+    """The ell x m secret matrix as element codes, each named by its
+    (instance, variable) if it is rejected."""
     if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
         raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
     spec = params.spec
-    return [[_secret_code(x, spec, (i, k)) for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)]
+    return [[_code_of_secret(spec, x, (i, k)) for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)]
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tuple[int, ...], int]:
@@ -233,7 +226,7 @@ def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tu
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
-    code = _secret_code(x, spec)
+    code = _code_of_secret(spec, x)
     subsets = subsets_of_size(s, t)
     return dict(zip(subsets, _share_vector(code, randrange_run(rng, spec.q, len(subsets) - 1), spec)))
 
@@ -595,7 +588,7 @@ def _slot_vectors(
     if isinstance(views, ServerView) and views.held is held:
         try:
             whole, at, h = convert(views.shares), views.positions, len(held)
-            if _all_codes([whole], q):
+            if first_outside(whole, q) is None:
                 return [[whole[at[(i, v)] * h : (at[(i, v)] + 1) * h] for v in chosen] for i in range(1, ell + 1)]
         except (KeyError, TypeError, ValueError):
             pass
@@ -616,21 +609,14 @@ def _slot_vectors(
             vectors[key] = convert(shares)
         except (TypeError, ValueError):
             _share_outside(shares, q, j, key)
-    if not _all_codes(vectors.values(), q):
-        key = next(key for key, vector in vectors.items() if not _all_codes([vector], q))
-        _share_outside(vectors[key], q, j, key)
+    for key, vector in vectors.items():
+        if first_outside(vector, q) is not None:
+            _share_outside(vector, q, j, key)
     return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
 
 
-def _all_codes(vectors: Iterable[Sequence[int]], q: int) -> bool:
-    """Whether every entry of the vectors (bytes when q <= 256) is in 0..q-1."""
-    if q <= MAX_TABLE_ORDER:
-        return not b"".join(vectors).translate(None, bytes(range(q)))
-    return all(0 <= v < q for v in itertools.chain.from_iterable(vectors))
-
-
 def _share_outside(shares: Sequence, q: int, j: int, key: tuple[int, int]) -> NoReturn:
-    bad = next(v for v in shares if not (isinstance(v, int) and 0 <= v < q))
+    bad = first_outside(shares, q)
     raise ParameterOutOfRange(f"server {j}: share {bad!r} of secret {key} is outside 0..{q - 1} (q={q})")
 
 

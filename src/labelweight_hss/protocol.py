@@ -30,7 +30,8 @@ order, each one the C(s-1, t) shares y_T with j not in T, in
 hss.held_subsets(s, t, j) order.  For q <= 256 it is the bytes of the
 dealer's hss.ServerView, sent as they are; the server wraps the decoded
 payload in a ServerView over that same held tuple, which eval_server
-slices without building any dict or copying the shares.
+range-checks once and slices without building any dict or copying the
+shares.
 """
 
 from __future__ import annotations
@@ -42,7 +43,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DecodeError
-from .galois import FieldSpec
+from .galois import FieldSpec, first_outside
 from .hss import (
     HssScheme,
     ServerView,
@@ -128,7 +129,9 @@ def encode(message: WireMessage, width: int) -> bytes:
 
 def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
     """Parse a frame; any framing defect raises DecodeError.  At width 1
-    the payload is the frame body, one bytes object."""
+    the payload is the frame body, one bytes object.  Given q, an element
+    outside 0..q-1 raises DecodeError too (transcript_from_text passes
+    it; simulate does not, see there)."""
     if len(frame) < _HEADER_LEN:
         raise DecodeError(f"frame too short: {len(frame)} bytes")
     if frame[0] != WIRE_VERSION:
@@ -146,12 +149,9 @@ def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
         raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
     if width == 1:
         payload = body
-        # a byte outside the field is what is left once the codes 0..q-1 are deleted
-        outside = q is not None and body.translate(None, bytes(range(min(q, 256))))
     else:
         payload = tuple(int.from_bytes(body[i : i + width], "little") for i in range(0, length, width))
-        outside = q is not None and payload and max(payload) >= q
-    if outside:
+    if q is not None and first_outside(payload, q) is not None:
         raise DecodeError("payload element outside the field")
     return WireMessage(kind, sender, receiver, payload)
 
@@ -193,7 +193,10 @@ def simulate(
 
     Sharing consumes the seeded generator exactly as the monolithic driver
     does, so outputs match run_end_to_end(scheme, secrets, seed) exactly.
-    Every payload makes a real encode/decode round trip.
+    Every payload makes a real encode/decode round trip.  Frames are
+    decoded without q: the server's read of its view (eval_server) is the
+    one range check of each INPUT_SHARES payload, and the other payloads
+    are the package's own element codes.
     """
     params = scheme.params
     spec = params.spec
@@ -206,7 +209,7 @@ def simulate(
     def send(message: WireMessage) -> WireMessage:
         frame = encode(message, width)
         transcript.record(message, frame, output_client)
-        return decode(frame, width, spec.q)
+        return decode(frame, width)
 
     # Input client (id 0): share everything, send each server its view.
     rng = random.Random(seed)

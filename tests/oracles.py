@@ -11,8 +11,11 @@ at-a-time reduction against normalised rows, which one ``rref``
 replaced.  The wire path keeps CNF sharing with one fragment scan per
 server and secret, the frame codec packing one element per
 ``int.to_bytes`` call, and the simulation that orders each server's
-payload by an explicit (instance, variable, subset) list.  The optimised
-code must agree with them exactly, on values and on the errors raised.
+payload by an explicit (instance, variable, subset) list; the sharing
+keeps its own check of each secret (``secret_code``), which reading
+secrets by ``FieldSpec.code_of`` replaced.  The optimised code must
+agree with them exactly, on values and on the errors raised (with
+``secret_code``, on their types: the wording is now ``code_of``'s).
 The enumeration kernel keeps its depth-first walk over unpacked
 coordinate lists, one table addition per coordinate, which the bit-packed
 kernel replaced, and that packed meet-in-the-middle walk, one
@@ -21,8 +24,10 @@ comprehension over the low half-span per high word
 ``kernels.min_labelweight`` replaced; server evaluation keeps the dense
 byte tensors contracted through digit-lifted product tables, which the
 bit-plane popcount contraction of ``hss.eval_server`` replaced.  The
-field tables keep their entry-by-entry build (one polynomial product per
-multiplication entry), which the row-by-row build replaced, and the
+field tables keep their entry-by-entry build, which the row-by-row build
+replaced, from the digit loops and one schoolbook product per entry
+(``mul``, the product ``FieldSpec._mul_raw`` computed by ``Polynomial``
+arithmetic replaced above 256), and the
 solution blocks their one ``solve_many`` elimination per subset union
 (``synthesize_blocks``), which the systematic-form synthesis replaced.
 That synthesis stored one block per union (``SolutionBlocks``, laid out
@@ -51,6 +56,7 @@ from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
+    FieldMismatch,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
@@ -112,26 +118,43 @@ def sub(spec: FieldSpec, a: int, b: int) -> int:
     return add(spec, a, neg(spec, b))
 
 
+def mul(spec: FieldSpec, a: int, b: int) -> int:
+    """Schoolbook product of the base-p digit vectors, reduced modulo the
+    modulus polynomial one top coefficient at a time."""
+    p, k = spec.p, spec.k
+    if k == 1:
+        return (a * b) % p
+    da, db = [a // p**i % p for i in range(k)], [b // p**i % p for i in range(k)]
+    prod = [0] * (2 * k - 1)
+    for i, ca in enumerate(da):
+        if ca:
+            for j, cb in enumerate(db):
+                prod[i + j] = (prod[i + j] + ca * cb) % p
+    mod = spec.modulus
+    for d in range(2 * k - 2, k - 1, -1):
+        c = prod[d]
+        if c:
+            prod[d] = 0
+            for j in range(k):
+                prod[d - k + j] = (prod[d - k + j] - c * mod[j]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:k]))
+
+
 def field_tables(spec: FieldSpec) -> FieldTables:
-    """The five tables entry by entry: add and neg through the spec's own
-    operations (digit loops when p is odd and k > 1), mul by one
-    schoolbook product and reduction per pair."""
+    """The five tables entry by entry from the digit loops above: add and
+    neg, and mul by one schoolbook product and reduction per pair."""
     require_table_order(spec.q)
     q = spec.q
-    if spec.p == 2 or spec.k == 1:
-        add_fn, neg_fn = spec.add, spec.neg
-    else:
-        add_fn, neg_fn = spec._add_digits, spec._neg_digits
-    add_table = bytes(add_fn(a, b) for a in range(q) for b in range(q))
-    neg_table = bytes(neg_fn(a) for a in range(q))
+    add_table = bytes(add(spec, a, b) for a in range(q) for b in range(q))
+    neg_table = bytes(neg(spec, a) for a in range(q))
     sub_table = bytes(add_table[a * q + neg_table[b]] for a in range(q) for b in range(q))
     table = bytearray(q * q)
     for a in range(q):
         for b in range(a, q):
-            table[a * q + b] = table[b * q + a] = spec._mul_raw(a, b)
-    mul = bytes(table)
-    inv = bytes([0] + [mul.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
-    return FieldTables(add_table, sub_table, neg_table, mul, inv)
+            table[a * q + b] = table[b * q + a] = mul(spec, a, b)
+    mul_table = bytes(table)
+    inv = bytes([0] + [mul_table.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
+    return FieldTables(add_table, sub_table, neg_table, mul_table, inv)
 
 
 # -- field: irreducibility by roots and trial division ----------------------------
@@ -918,6 +941,26 @@ def _shares_from_stream(x: int, subsets, stream, spec: FieldSpec):
 def server_fragment(shares, j: int) -> dict:
     """Server j's fragment of a full share map: every entry with j not in T."""
     return dict(itertools.compress(shares.items(), held_mask(shares, j)))
+
+
+def secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:
+    """The integer code of a secret (the one at `key` of a secret matrix,
+    if given): an int in 0..q-1 or an element of `spec`.  Anything else
+    would be shared as some other secret."""
+    if type(x) is int and 0 <= x < spec.q:
+        return x
+    name = "secret" if key is None else f"secret {key}"
+    if isinstance(x, FieldElement):
+        if x.spec != spec:
+            raise FieldMismatch(f"{name} is an element of {x.spec.describe()}, not {spec.describe()}")
+        x = x.value
+    try:
+        code = operator.index(x)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} value {x!r} is not an integer in 0..{spec.q - 1} (q={spec.q})") from None
+    if not 0 <= code < spec.q:
+        raise ParameterOutOfRange(f"{name} value {code} is outside 0..{spec.q - 1} (q={spec.q})")
+    return code
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng) -> dict[tuple[int, ...], int]:

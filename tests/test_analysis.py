@@ -186,7 +186,7 @@ def test_hermitian_table_reproduction():
 
 def test_table_csv_schema():
     table = emit_table("goppa", 4, [64, 128])
-    lines = table.csv.splitlines()
+    lines = table.render("csv").splitlines()
     assert lines[0] == "s,baseline_rate,baseline_amort,ours_rate,ours_amort,pct_rate,pct_amort"
     assert lines[1].startswith("64,0.93,360,0.65,42,")
 

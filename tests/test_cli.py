@@ -1,5 +1,7 @@
 import contextlib
 import io
+import os
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -33,6 +35,88 @@ def test_hermitian_table_markdown(capsys):
     assert code == 0
     assert "| 50 | 0.92 | 69 | 0.75 | 42 | -18% | -39% |" in out
     assert "| 1000 | 0.99 | 1494 | 0.94 | 951 | -5% | -36% |" in out
+
+
+# the output of `table <kind> --dt 4 --servers 64,128,1024 --format <format>`, line by line
+TABLE_OUTPUT = {
+    ("goppa", "csv"): [
+        "s,baseline_rate,baseline_amort,ours_rate,ours_amort,pct_rate,pct_amort",
+        "64,0.93,360,0.65,42,-31,-88",
+        "128,0.96,868,0.82,106,-15,-88",
+        "1024,0.99,10200,0.98,1002,-1.8,-90",
+    ],
+    ("goppa", "markdown"): [
+        "| # Servers | DL Rate | Amortize | DL Rate | Amortize | % DL Rate | % Amortize |",
+        "|---|---|---|---|---|---|---|",
+        "| 64 | 0.93 | 360 | 0.65 | 42 | -31% | -88% |",
+        "| 128 | 0.96 | 868 | 0.82 | 106 | -15% | -88% |",
+        "| 1024 | 0.99 | 10200 | 0.98 | 1002 | -1.8% | -90% |",
+    ],
+    ("goppa", "text"): [
+        "s     baseline_rate  baseline_amort  ours_rate  ours_amort  pct_rate  pct_amort",
+        "64    0.93           360             0.65       42          -31       -88      ",
+        "128   0.96           868             0.82       106         -15       -88      ",
+        "1024  0.99           10200           0.98       1002        -1.8      -90      ",
+    ],
+    ("hermitian", "csv"): [
+        "s,baseline_rate,baseline_amort,ours_rate,ours_amort,pct_rate,pct_amort",
+        "64,0.93,90,0.78,54,-16,-40",
+        "128,0.96,186,0.85,114,-12,-39",
+        "1024,0.99,1530,0.94,975,-5,-36",
+    ],
+    ("hermitian", "markdown"): [
+        "| # Servers | DL Rate | Amortize | DL Rate | Amortize | % DL Rate | % Amortize |",
+        "|---|---|---|---|---|---|---|",
+        "| 64 | 0.93 | 90 | 0.78 | 54 | -16% | -40% |",
+        "| 128 | 0.96 | 186 | 0.85 | 114 | -12% | -39% |",
+        "| 1024 | 0.99 | 1530 | 0.94 | 975 | -5% | -36% |",
+    ],
+    ("hermitian", "text"): [
+        "s     baseline_rate  baseline_amort  ours_rate  ours_amort  pct_rate  pct_amort",
+        "64    0.93           90              0.78       54          -16       -40      ",
+        "128   0.96           186             0.85       114         -12       -39      ",
+        "1024  0.99           1530            0.94       975         -5        -36      ",
+    ],
+    ("gv-example", "csv"): [
+        "s,w,n,k_gv,rate_gv,amort_lower_bound",
+        "64,6,384,309,0.8047,270.80",
+        "128,7,896,785,0.8761,688.20",
+        "1024,10,10240,9632,0.9406,8654.00",
+    ],
+    ("gv-example", "markdown"): [
+        "| s | w | n | k | rate | amortization lower bound |",
+        "|---|---|---|---|---|---|",
+        "| 64 | 6 | 384 | 309 | 0.8047 | 270.80 |",
+        "| 128 | 7 | 896 | 785 | 0.8761 | 688.20 |",
+        "| 1024 | 10 | 10240 | 9632 | 0.9406 | 8654.00 |",
+    ],
+    ("gv-example", "text"): [
+        "s     w   n      k_gv  rate_gv  amort_lower_bound",
+        "64    6   384    309   0.8047   270.80           ",
+        "128   7   896    785   0.8761   688.20           ",
+        "1024  10  10240  9632  0.9406   8654.00          ",
+    ],
+}
+
+
+@pytest.mark.parametrize("kind, fmt", sorted(TABLE_OUTPUT))
+def test_table_output_is_pinned(capsys, kind, fmt):
+    code, out, err = run(capsys, "table", kind, "--dt", "4", "--servers", "64,128,1024", "--format", fmt)
+    assert (code, err) == (0, "")
+    assert out == "\n".join(TABLE_OUTPUT[(kind, fmt)]) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "markdown", "text"])
+def test_table_of_no_servers_is_its_heading(capsys, fmt):
+    code, out, err = run(capsys, "table", "goppa", "--dt", "4", "--servers", ",", "--format", fmt)
+    assert (code, err) == (0, "")
+    columns = TABLE_OUTPUT[("goppa", "csv")][0].split(",")
+    heading = {
+        "csv": [",".join(columns)],
+        "markdown": TABLE_OUTPUT[("goppa", "markdown")][:2],
+        "text": ["  ".join(columns)],
+    }
+    assert out.splitlines() == heading[fmt]
 
 
 def test_demo_exact_spec_invocation(capsys):
@@ -252,7 +336,7 @@ def _flags(draw, choices) -> list[str]:
 
 @st.composite
 def _table_argv(draw):
-    servers = st.lists(st.sampled_from([-1, 0, 1, 2, 5, 8, 16, 27, 50, 64]), min_size=1, max_size=3)
+    servers = st.lists(st.sampled_from([-1, 0, 1, 2, 5, 8, 16, 27, 50, 64]), max_size=3)
     return ["table", draw(st.sampled_from(["hermitian", "goppa", "gv-example"]))] + _flags(draw, [
         ("--dt", st.integers(-5, 6)),
         ("--servers", servers.map(lambda v: ",".join(map(str, v)))),
@@ -293,6 +377,10 @@ def _gv_argv(draw):
 
 _OTHER_COMMANDS = {"table": _table_argv, "code": _code_argv, "audit-privacy": _audit_argv, "gv-sim": _gv_argv}
 
+# HSS_ENUM_BUDGET for the generated audits: small enough that none runs
+# long, large enough that some finish (exit 0) and others exceed it (exit 1)
+_AUDIT_BUDGET = {"HSS_ENUM_BUDGET": "1024"}
+
 
 @pytest.mark.parametrize("command", sorted(_OTHER_COMMANDS))
 @settings(max_examples=150, deadline=None, database=None)
@@ -304,7 +392,8 @@ def test_generated_commands_end_in_an_exit_code_and_one_line(command, data):
     stderr and nothing on stdout."""
     argv = data.draw(_OTHER_COMMANDS[command]())
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    budget = _AUDIT_BUDGET if command == "audit-privacy" else {}
+    with mock.patch.dict(os.environ, budget), contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
     assert code in (0, 1, 2)
     if err.getvalue():
@@ -312,6 +401,22 @@ def test_generated_commands_end_in_an_exit_code_and_one_line(command, data):
         assert err.getvalue().startswith(("error: ", "decode error: "))
     else:
         assert out.getvalue()
+
+
+@pytest.mark.parametrize(
+    "argv, exit_code",
+    [(["--s=5", "--t=2", "--p=2"], 0), (["--s=4", "--t=1", "--p=3", "--k=2"], 1)],
+)
+def test_audit_budget_of_the_generated_commands_leaves_both_exits(capsys, argv, exit_code):
+    """Under the budget the generated audits run with, the largest audit
+    that fits it (2^10 share assignments) finishes and a larger one exits 1."""
+    with mock.patch.dict(os.environ, _AUDIT_BUDGET):
+        code, out, err = run(capsys, "audit-privacy", *argv)
+    assert code == exit_code
+    if exit_code == 0:
+        assert out.splitlines()[-1] == "all-equal" and err == ""
+    else:
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("dt", ["0", "-5"])

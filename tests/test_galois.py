@@ -12,6 +12,7 @@ from labelweight_hss.galois import (
     FieldSpec,
     Polynomial,
     find_irreducible,
+    first_outside,
     is_irreducible,
     parse_field,
     poly_pow_mod,
@@ -107,8 +108,26 @@ def test_code_of_takes_own_elements_and_codes_only():
     with pytest.raises(FieldMismatch):
         GF8.element(GF4.element(1))
     for bad in (-1, 8):
-        with pytest.raises(ValueError, match="outside \\[0, 8\\)"):
+        with pytest.raises(ValueError, match=r"value -?\d is outside 0\.\.7 \(q=8\)"):
             GF8.code_of(bad)
+
+
+@pytest.mark.parametrize(
+    "values, q, first",
+    [
+        (bytes([0, 4, 7, 5, 9]), 5, 7),
+        (bytes([0, 4, 1]), 5, None),
+        (bytes([255, 0]), 256, None),
+        (b"", 2, None),
+        ([0, 256, 257, -1], 257, 257),
+        ((3, -1), 257, -1),
+        ([1, 1.5, 9], 5, 1.5),
+        ([True, 0], 2, None),
+        ([2, GF5.element(1)], 5, GF5.element(1)),
+    ],
+)
+def test_first_outside_is_the_first_value_that_is_no_code(values, q, first):
+    assert first_outside(values, q) == first
 
 
 def test_element_codes_are_integers_only():

@@ -241,7 +241,7 @@ def test_secrets_outside_the_field_are_rejected():
         run_end_to_end(scheme, [[7, 1, 1], [1, 1, 1]], 3)
     with pytest.raises(ParameterOutOfRange, match=r"secret \(2, 3\) value -1 is outside"):
         share_all_secrets(scheme.params, [[1, 1, 1], [1, 1, -1]], random.Random(0))
-    with pytest.raises(FieldMismatch, match=r"secret \(2, 1\) is an element of GF\(3\^1\)"):
+    with pytest.raises(FieldMismatch, match=r"secret \(2, 1\) value GF\(3\^1\):2 does not belong to GF\(5\^1\)"):
         run_end_to_end(scheme, [[1, 1, 1], [FieldElement(GF3, 2), 1, 1]], 3)
     for x in (5, -1):
         with pytest.raises(ParameterOutOfRange, match=f"secret value {x} is outside 0..4"):

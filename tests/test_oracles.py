@@ -18,6 +18,7 @@ from labelweight_hss import hss, protocol
 from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import (
     DecodeError,
+    FieldMismatch,
     FieldTooLarge,
     InsufficientLabelweight,
     MissingShare,
@@ -66,6 +67,18 @@ def test_field_tables_are_shared_by_every_spec_of_a_field():
     first, second, other = FieldSpec(2, 8), FieldSpec(2, 8), FieldSpec(*OTHER_MODULUS)
     assert first is not second and first.tables() is second.tables()
     assert other.modulus != first.modulus and other.tables().mul != first.tables().mul
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (2, 9), (17, 2)])
+def test_large_field_products_match_the_schoolbook_oracle(p, k):
+    """Above 256, products are Polynomial products reduced by the modulus."""
+    spec = FieldSpec(p, k)
+    rng = random.Random(5)
+    for _ in range(300):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        assert spec.mul(a, b) == oracles.mul(spec, a, b)
+        if a:
+            assert oracles.mul(spec, a, spec.inv(a)) == 1
 
 
 def test_large_field_falls_back_to_digit_loops():
@@ -734,6 +747,68 @@ def test_cnf_share_matches_oracle():
         for x in (0, 1, spec.q - 1):
             shares = hss.cnf_share(x, t, s, spec, random.Random(x))
             assert _ordered(shares) == _ordered(oracles.cnf_share(x, t, s, spec, random.Random(x)))
+
+
+# (the secrets' field, another field whose elements it must reject)
+SECRET_FIELDS = [
+    (FieldSpec(5), FieldSpec(3)),
+    (FieldSpec(3, 2), FieldSpec(3, 2, (2, 2, 1))),
+    (FieldSpec(2, 4), FieldSpec(2)),
+    (FieldSpec(257), FieldSpec(5)),
+]
+
+
+@st.composite
+def _secret_cases(draw):
+    """A field, a value offered as a secret, and the position it takes in
+    a 2 x 2 secret matrix of zeros."""
+    spec, foreign = draw(st.sampled_from(SECRET_FIELDS))
+    value = draw(st.one_of(
+        st.integers(0, spec.q - 1),
+        st.booleans(),
+        st.integers(-2 * spec.q, -1) | st.integers(spec.q, 3 * spec.q),
+        st.floats(),
+        st.text(max_size=3),
+        st.integers(0, spec.q - 1).map(spec.element),
+        st.integers(0, foreign.q - 1).map(foreign.element),
+    ))
+    return spec, value, (draw(st.integers(1, 2)), draw(st.integers(1, 2)))
+
+
+def _outcome(call):
+    try:
+        return "ok", call()
+    except (ParameterOutOfRange, FieldMismatch) as exc:
+        return type(exc), str(exc)
+
+
+@given(_secret_cases())
+@settings(max_examples=200, deadline=None, database=None)
+def test_secrets_are_accepted_as_the_oracle_accepts_them(case):
+    """cnf_share and share_all_secrets take exactly the values the old
+    check took, as the same codes; what it rejected they reject with the
+    same error type, worded by FieldSpec.code_of."""
+    spec, value, (i, k) = case
+    want = _outcome(lambda: oracles.secret_code(value, spec))
+    try:
+        spec.code_of(value)
+        wording = None
+    except (ValueError, FieldMismatch) as exc:
+        wording = str(exc)
+    shared = _outcome(lambda: hss.cnf_share(value, 1, 3, spec, random.Random(1)))
+    params = hss.HssParams(3, 1, 1, 2, 2, spec)
+    secrets = [[0, 0], [0, 0]]
+    secrets[i - 1][k - 1] = value
+    matrix = _outcome(lambda: hss.share_all_secrets(params, secrets, random.Random(1)))
+    if want[0] == "ok":
+        code = want[1]
+        assert wording is None
+        assert _ordered(shared[1]) == _ordered(hss.cnf_share(code, 1, 3, spec, random.Random(1)))
+        secrets[i - 1][k - 1] = code
+        assert _ordered(matrix[1]) == _ordered(hss.share_all_secrets(params, secrets, random.Random(1)))
+    else:
+        assert shared == (want[0], f"secret {wording}")
+        assert matrix == (want[0], f"secret {(i, k)} {wording}")
 
 
 def _same_runs(new, old):

@@ -1,5 +1,6 @@
 import math
 import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from labelweight_hss import protocol
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import DecodeError, FieldMismatch, ParameterOutOfRange
-from labelweight_hss.galois import FieldElement, FieldSpec
+from labelweight_hss.galois import FieldElement, FieldSpec, first_outside
 from labelweight_hss.hss import ShareVector, held_subsets, run_end_to_end, scheme_for_code, scheme_rate
 from labelweight_hss.matrix import MatrixF
 from labelweight_hss.protocol import (
@@ -232,6 +233,42 @@ def test_transcript_text_decodes_each_frame_once(monkeypatch):
     assert calls == transcript.frames
     assert parsed.messages == transcript.messages
     assert parsed.link_bytes == transcript.link_bytes
+
+
+def test_transcript_text_rejects_an_element_outside_the_field():
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2)
+    transcript, _ = simulate(scheme, [[2, 3], [4, 1]], seed=9)
+    lines = transcript_to_text(transcript).splitlines()
+    assert decode(bytes.fromhex(lines[2]), 1).kind == INPUT_SHARES
+    lines[2] = lines[2][:-2] + "05"  # the last share of server 1 becomes 5, outside GF(5)
+    with pytest.raises(DecodeError, match=r"^payload element outside the field$"):
+        transcript_from_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("q", [5, 257])
+def test_simulate_range_checks_each_input_payload_once(monkeypatch, q):
+    """The one check of an INPUT_SHARES payload is the server's read of
+    its view: decode leaves it alone, and eval_server checks it once."""
+    scheme = scheme_for_code(rs_build(q, 5, 2), t=1, d=2, m=3)
+    checked, decoded = [], {}
+
+    def counting(values, q):
+        checked.append(tuple(values))
+        return first_outside(values, q)
+
+    def recording(frame, width, q=None):
+        message = decode(frame, width, q)
+        if message.kind == INPUT_SHARES:
+            decoded[message.receiver] = tuple(message.payload)
+        return message
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("labelweight_hss") and hasattr(module, "first_outside"):
+            monkeypatch.setattr(module, "first_outside", counting)
+    monkeypatch.setattr(protocol, "decode", recording)
+    simulate(scheme, [[1, 2, 3], [4, 0, 1]], seed=5)
+    assert sorted(decoded) == list(range(1, 6))
+    assert [checked.count(payload) for payload in decoded.values()] == [1] * 5
 
 
 def test_identical_seed_identical_transcript():
