@@ -6,24 +6,30 @@ systematic-form synthesis and for the per-union elimination it replaced
 Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read]
 
 Each row gives the scheme's distinct subset unions, its distinct (L, Q)
-keys (one hss.solve_many call each), and the best-of-N wall time of
-hss._synthesize and of oracles.synthesize_blocks.  Both times cover
-monomial enumeration, the key or block layout and the solves, not the
-exhaustive labelweight check (hss._synthesize is hss.synthesize_eval
-without it).  The package's key rows, projected onto each union's
-coordinates (oracles.project_blocks), must equal the oracle's blocks, or
-the script exits with status 1.  --big adds Goppa u=5 r=2 with t=2, d=2
-(5.4 M monomials, so it runs under HSS_ENUM_BUDGET=8388608) and times
-the package alone there.
+keys (one hss.solve_many call each), the bytes of the keys' stored Z_Q
+rows, and the best-of-N wall time of hss._synthesize, of the first
+hss.run_end_to_end on the scheme it gives, and of
+oracles.synthesize_blocks.  The synthesis times cover monomial
+enumeration, the key or block layout and the solves, not the exhaustive
+labelweight check (hss._synthesize is hss.synthesize_eval without it).
+The first run builds every server's planes, and with them the kept-pivot
+rows the keys do not store, so read the two package columns together.
+The package's key rows, projected onto each union's coordinates
+(oracles.project_blocks), must equal the oracle's blocks and every run
+must reconstruct its products, or the script exits with status 1.
+--big adds two rows timed for the package alone, both run under
+HSS_ENUM_BUDGET=8388608: Hermitian [64,56] over GF(16) with t=1, d=2,
+and Goppa u=5 r=2 with t=2, d=2 (5.4 M monomials, past the default
+budget).
 
 --read times reading scheme documents instead, on the goppa-eval,
 hermitian-setup and goppa-wire shapes: the best-of-N wall time of
 hss.scheme_from_text, which synthesizes the scheme a document names
 (exhaustive labelweight check included), and of
 oracles.fold_scheme_text, which folds the document's eval rows into the
-keys (the reader it replaced).  Both must read the synthesized
-scheme (the same key rows, parameters and labelweight flag), or the
-script exits with status 1.
+full key rows (the reader it replaced).  Both must read the synthesized
+scheme (the same keys, parameters and labelweight flag), or the script
+exits with status 1.
 """
 
 import argparse
@@ -49,7 +55,10 @@ LADDER = [
     ("hermitian q=3 k=10 [27,10] (2, 2)", lambda: hermitian_build(3, 10), 2, 2),
     ("goppa u=5 r=2 [32,22] (1, 3)", lambda: goppa_build(5, 2), 1, 3),
 ]
-BIG = ("goppa u=5 r=2 [32,22] (2, 2)", lambda: goppa_build(5, 2), 2, 2)
+BIG = [
+    ("hermitian q=4 k=56 [64,56] (1, 2)", lambda: hermitian_build(4, 56), 1, 2),
+    ("goppa u=5 r=2 [32,22] (2, 2)", lambda: goppa_build(5, 2), 2, 2),
+]
 # the scheme documents of the benchmark's scheme workloads, for --read
 READ = [
     ("goppa-eval [16,8] (1, 3)", lambda: goppa_build(4, 2), 1, 3),
@@ -71,7 +80,7 @@ def best_of(repeats, fn):
 
 
 def synthesize_counting_keys(code, params):
-    """The scheme of hss._synthesize's key rows and the number of hss.solve_many calls it made."""
+    """The scheme of hss._synthesize's keys and the number of hss.solve_many calls it made."""
     solve_many, calls = hss.solve_many, []
 
     def counted(*args):
@@ -85,6 +94,33 @@ def synthesize_counting_keys(code, params):
         hss.solve_many = solve_many
 
 
+def synthesize_and_run(repeats, code, params):
+    """Best-of-`repeats` times of synthesis and of the first run of the
+    scheme it gives, the last scheme, its key count, and whether every
+    run reconstructed its products."""
+    times, ok = [], True
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        scheme, keys = synthesize_counting_keys(code, params)
+        t1 = time.perf_counter()
+        secrets = [[(i + k) % params.spec.q for k in range(params.m)] for i in range(params.ell)]
+        ok &= hss.run_end_to_end(scheme, secrets, 1).ok
+        times.append((t1 - t0, time.perf_counter() - t1))
+    return min(t for t, _ in times), min(t for _, t in times), scheme, keys, ok
+
+
+def key_bytes(scheme) -> int:
+    """Bytes of the stored Z_Q rows of every key ([R | E] is held once besides)."""
+    return sum(len(row) for rows in scheme.solutions.solved for row in rows.values())
+
+
+def what_was_read(scheme):
+    """The keys (full key rows of an oracles.RowScheme), parameters and
+    labelweight flag of a scheme read back from its document."""
+    keys = (scheme.rows, scheme.combo_key) if isinstance(scheme, oracles.RowScheme) else scheme.solutions
+    return keys, scheme.params, scheme.labelweight_verified
+
+
 def read_documents(repeats: int) -> int:
     """The --read table; 1 if either reader misreads a document."""
     print(f"{'document (t, d)':<32} {'lines':>10} {'synthesis':>10} {'folding':>9}")
@@ -93,12 +129,11 @@ def read_documents(repeats: int) -> int:
         scheme = hss.scheme_for_code(build(), t=t, d=d)
         doc = hss.scheme_to_text(scheme)
         lines = doc.count("\n")
-        want = (scheme.solutions, scheme.params, scheme.labelweight_verified)
         times = []
-        for read in (hss.scheme_from_text, oracles.fold_scheme_text):
+        for read, want in ((hss.scheme_from_text, scheme), (oracles.fold_scheme_text, oracles.row_scheme(scheme))):
             elapsed, parsed = best_of(repeats, lambda: read(doc))
             times.append(elapsed)
-            if (parsed.solutions, parsed.params, parsed.labelweight_verified) != want:
+            if what_was_read(parsed) != what_was_read(want):
                 failures.append(f"{name}: {read.__module__}.{read.__name__} differs from the synthesized scheme")
         print(f"{name:<32} {lines:>10,} {times[0]:>9.3f}s {times[1]:>8.3f}s", flush=True)
     if failures:
@@ -119,17 +154,20 @@ def main() -> int:
     if args.read:
         return read_documents(args.repeats)
 
-    runs = [(row, True) for row in LADDER] + ([(BIG, False)] if args.big else [])
-    print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'package':>9} {'oracle':>9} {'speedup':>8}")
+    runs = [(row, True) for row in LADDER] + ([(row, False) for row in BIG] if args.big else [])
+    print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'key bytes':>10} {'package':>9} {'run 1':>8}"
+          f" {'oracle':>9} {'speedup':>8}")
     failures = []
     for (name, build, t, d), with_oracle in runs:
         code = build()
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         if not with_oracle:
-            os.environ[ENV_VAR] = BIG_BUDGET  # the last row, so the override ends with the process
-        fast, (scheme, keys) = best_of(args.repeats, lambda: synthesize_counting_keys(code, params))
+            os.environ[ENV_VAR] = BIG_BUDGET  # the --big rows come last, so the override ends with the process
+        fast, run, scheme, keys, ok = synthesize_and_run(args.repeats, code, params)
+        if not ok:
+            failures.append(f"{name}: run_end_to_end did not reconstruct the products")
         unions = len(set(hss.enumerate_monomials(params)[1]))
-        line = f"{name:<36} {unions:>7,} {keys:>7,} {fast:>8.3f}s"
+        line = f"{name:<36} {unions:>7,} {keys:>7,} {key_bytes(scheme):>10,} {fast:>8.3f}s {run:>7.3f}s"
         if not with_oracle:
             print(f"{line} {'-':>9} {'-':>8}", flush=True)
             continue

@@ -287,20 +287,43 @@ class Monomials(Sequence):
 
 
 class KeySolutions(NamedTuple):
-    """The Eval coefficients of a scheme from _synthesize: one row set per
-    distinct (L, Q) key (see _key_search), in first-seen solve order.
-
-    rows[k] maps each coordinate r of key k's support (_solve_keys) to the
-    ell coefficients at r, instance i at entry i - 1 (bytes when q <= 256,
-    a tuple above); they are zero off the support, which lies inside the
-    coordinates of every union with key k.  combo_key[c] is the key of
-    subset combo c, in itertools.product(subsets_of_size(s, t), repeat=d)
-    order, so monomial (i, combo c) has coefficient
-    rows[combo_key[c]].get(r, zero)[i - 1] at coordinate r.
+    """The Eval coefficients of a scheme from _synthesize: [R | E] = `work`
+    and its pivot columns B = `basis` (see _key_search) once, and per
+    distinct (L, Q) key, in first-seen solve order, its rows L (`lost`)
+    and Z_Q = R[L, Q]^-1 E[L] (`solved`: each coordinate of Q, in order,
+    maps to its ell coefficients, instance i at entry i - 1; bytes when
+    q <= 256, a tuple above).  combo_key[c] is the key of subset combo c,
+    in itertools.product(subsets_of_size(s, t), repeat=d) order, so
+    monomial (i, combo c) has coefficient column(r)[combo_key[c]][i - 1]
+    at coordinate r.
     """
 
-    rows: list[dict[int, Sequence[int]]]
+    spec: FieldSpec
+    work: list[list[int]]
+    basis: list[int]
+    lost: list[tuple[int, ...]]
+    solved: list[dict[int, Sequence[int]]]
     combo_key: list[int]
+
+    def column(self, r: int) -> list[Sequence[int]]:
+        """Every key's ell coefficients at coordinate r: its Z_Q row at r
+        in Q, E[j] - R[j, Q] Z_Q at a kept pivot r = B[j] (j not in L),
+        zero elsewhere; that support lies inside every union of the key."""
+        ell, pack = len(self.work), bytes if self.spec.q <= MAX_TABLE_ORDER else tuple
+        zero = pack(bytes(ell))
+        if r not in self.basis:
+            return [rows.get(r, zero) for rows in self.solved]
+        j = self.basis.index(r)
+        row, axpy = self.work[j], _row_ops(self.spec)[1]
+
+        def kept(rows: dict[int, Sequence[int]]) -> Sequence[int]:
+            z = row[len(row) - ell :]
+            for c, zc in rows.items():
+                if row[c]:
+                    z = axpy(row[c], z, zc)
+            return pack(z)
+
+        return [zero if j in lost else kept(rows) for lost, rows in zip(self.lost, self.solved)]
 
 
 @dataclass
@@ -344,20 +367,19 @@ class HssScheme:
 
 
 def _expand_keys(params: HssParams, n: int, solutions: KeySolutions) -> dict[int, dict[MonomialId, int]]:
-    """The per-monomial table of the keys: key by key, instance by
-    instance, each nonzero coefficient stored for every monomial of the
-    (key, instance) group."""
-    members: list[list[tuple]] = [[] for _ in solutions.rows]
+    """The per-monomial table of the keys, column by column: each nonzero
+    coefficient stored for every monomial of its (key, instance) group."""
+    members: list[list[tuple]] = [[] for _ in solutions.solved]
     combos = itertools.product(subsets_of_size(params.s, params.t), repeat=params.d)
     for combo, k in zip(combos, solutions.combo_key):
         members[k].append(combo)
+    groups = [[[MonomialId(i, combo) for combo in group] for i in range(1, params.ell + 1)] for group in members]
     table: dict[int, dict[MonomialId, int]] = {r: {} for r in range(n)}
-    for rows, group_combos in zip(solutions.rows, members):
-        for i in range(1, params.ell + 1):
-            group = [MonomialId(i, combo) for combo in group_combos]
-            for r, row in rows.items():
-                if row[i - 1]:
-                    table[r].update(dict.fromkeys(group, row[i - 1]))
+    for r in range(n):
+        for row, by_instance in zip(solutions.column(r), groups):
+            for coeff, group in zip(row, by_instance):
+                if coeff:
+                    table[r].update(dict.fromkeys(group, coeff))
     return table
 
 
@@ -390,10 +412,18 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
 
 
 def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
-    """The KeySolutions of `params` over `code`: synthesize_eval without its checks."""
+    """The KeySolutions of `params` over `code`: synthesize_eval without its
+    checks.  Each key's Z_Q = Y^-1 E[L], Y = R[L, Q], is one r x r solve
+    (r = |L|) from [R | E] = `work`, its rows kept by coordinate of Q."""
     _, unions = enumerate_monomials(params)
     work, basis, keys, combo_key = _key_search(code, params, unions)
-    return KeySolutions(_solve_keys(code, work, basis, keys), combo_key)
+    spec, n, ell, pack = code.spec, code.n, code.dim, bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
+    solved = []
+    for lost, chosen in keys:
+        Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
+        z = solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)])
+        solved.append(dict(zip(chosen, map(pack, zip(*z)))))
+    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, combo_key)
 
 
 def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
@@ -440,30 +470,6 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
         key_of[union] = keys.setdefault((tuple(lost), tuple(chosen)), len(keys))
     return work, basis, list(keys), list(map(key_of.__getitem__, unions))
-
-
-def _solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:
-    """Each key's rows on its support, Q and then each kept pivot B[j]
-    (j not in L), from [R | E] = `work`: Z_Q = Y^-1 E[L] with Y = R[L, Q],
-    and E[j] - R[j, Q] Z_Q at B[j]; one r x r solve (r = |L|) per key."""
-    spec, n, ell = code.spec, code.n, code.dim
-    _, axpy = _row_ops(spec)
-    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
-    solutions = []
-    for lost, chosen in keys:
-        Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
-        solved = [list(z) for z in zip(*solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
-        support, kept = list(chosen), []
-        for j in range(ell):
-            if j not in lost:
-                z = work[j][n:]
-                for c, zc in zip(chosen, solved):
-                    if work[j][c]:
-                        z = axpy(work[j][c], z, zc)
-                support.append(basis[j])
-                kept.append(z)
-        solutions.append(dict(zip(support, map(pack, solved + kept))))
-    return solutions
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
@@ -539,13 +545,13 @@ def _build_tensors(scheme: HssScheme, j: int):
 
     T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
     entries, indexed row-major by the d held subsets of a monomial
-    (positions in `held`): entry a is the coefficient of r in the rows of
-    the key of that combo, zero where r is outside the key's support.
-    When q <= 256, r's entry is one int per digit-bit plane (_bit_planes
-    of T_{r,1}, ..., T_{r,ell}), k * bit_length(p - 1) of them; above,
-    the list of the ell tensors as tuples.  A coordinate that no key
-    carries a nonzero coefficient at is always zero: it gets zero planes
-    (zero tensors above 256) without a join or a plane build.
+    (positions in `held`): entry a is the coefficient at r of the key of
+    that combo (KeySolutions.column).  When q <= 256, r's entry is one
+    int per digit-bit plane (_bit_planes of T_{r,1}, ..., T_{r,ell}),
+    k * bit_length(p - 1) of them; above, the list of the ell tensors as
+    tuples.  A coordinate that no key carries a nonzero coefficient at is
+    always zero: it gets zero planes (zero tensors above 256) without a
+    join or a plane build.
     """
     params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
     held = held_subsets(params.s, params.t, j)
@@ -560,12 +566,11 @@ def _build_tensors(scheme: HssScheme, j: int):
     held_keys = list(itertools.chain.from_iterable(held_rows))
     small = params.spec.q <= MAX_TABLE_ORDER
     join = b"".join if small else lambda parts: tuple(itertools.chain.from_iterable(parts))
-    zero = bytes(ell)
     tables, size = _plane_tables(params.spec) if small else None, len(held_keys)
     zeros = [0] * len(tables.planes) if small else [(0,) * size] * ell
     tensors = []
     for r in scheme.code.labeling.coords(j):
-        column = [rows.get(r, zero) for rows in solutions.rows]
+        column = solutions.column(r)
         if not any(map(any, column)):
             tensors.append(zeros)
             continue
@@ -583,7 +588,8 @@ def _slot_vectors(
     with `held`: bytes when q <= 256, lists of ints above, every share
     checked to be an element code in 0..q-1.  A ServerView over `held` is
     converted and checked as a whole and sliced; if that fails, it is
-    read key by key like any other view, which names the fault."""
+    read key by key like any other view, every fragment before any
+    check, which names the fault in eval_server's order."""
     convert = bytes if q <= MAX_TABLE_ORDER else lambda shares: list(map(operator.index, shares))
     if isinstance(views, ServerView) and views.held is held:
         try:
@@ -592,26 +598,24 @@ def _slot_vectors(
                 return [[whole[at[(i, v)] * h : (at[(i, v)] + 1) * h] for v in chosen] for i in range(1, ell + 1)]
         except (KeyError, TypeError, ValueError):
             pass
-    vectors: dict[tuple[int, int], Sequence[int]] = {}
-    for key in ((i, v) for i in range(1, ell + 1) for v in chosen):
-        if key in vectors:
-            continue
+    vectors: dict[tuple[int, int], Sequence] = {}
+    for key in dict.fromkeys((i, v) for i in range(1, ell + 1) for v in chosen):
         try:
             fragment = views[key]
             if isinstance(fragment, ShareVector) and fragment.subsets is held:
-                shares = fragment.shares
+                vectors[key] = fragment.shares
             else:
-                shares = [fragment[T] for T in held]
+                vectors[key] = [fragment[T] for T in held]
         except KeyError as exc:
             T = next(T for T in held if T not in views.get(key, {}))
             raise MissingShare(f"server {j} lacks share {T} of secret {key}") from exc
+    for key, shares in vectors.items():
         try:
             vectors[key] = convert(shares)
         except (TypeError, ValueError):
             _share_outside(shares, q, j, key)
-    for key, vector in vectors.items():
-        if first_outside(vector, q) is not None:
-            _share_outside(vector, q, j, key)
+        if first_outside(vectors[key], q) is not None:
+            _share_outside(vectors[key], q, j, key)
     return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
 
 
@@ -951,7 +955,7 @@ def scheme_to_text(scheme: HssScheme) -> str:
 def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
     """The lines of scheme_to_text: the header, the code document, then
     one row per nonzero Eval coefficient in (coordinate, instance, subset
-    combo) order, streamed from the keys without the eval_table."""
+    combo) order, streamed from the keys' columns without the eval_table."""
     p, solutions = scheme.params, scheme.solutions
     code_lines = code_to_text(scheme.code).splitlines()
     yield from (
@@ -966,9 +970,8 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
         *code_lines,
     )
     names = [_format_subsets(combo) for combo in itertools.product(subsets_of_size(p.s, p.t), repeat=p.d)]
-    zero = bytes(p.ell)
     for r in range(scheme.n):
-        column = [rows.get(r, zero) for rows in solutions.rows]
+        column = solutions.column(r)
         for i in range(p.ell):
             coeffs = [row[i] for row in column]
             for name, coeff in zip(names, map(coeffs.__getitem__, solutions.combo_key)):

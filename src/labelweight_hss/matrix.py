@@ -144,25 +144,22 @@ def rank(A: MatrixF) -> int:
 def solve_many(A: MatrixF, targets: Sequence[Sequence[int]]) -> list[list[int] | None]:
     """Particular solutions of A x = b for several right-hand sides b.
 
-    One elimination serves all targets.  Free variables are set to zero;
-    inconsistent targets yield None.
+    One elimination serves all targets, augmented as columns (the targets
+    transposed once).  Free variables are set to zero; inconsistent
+    targets, those nonzero in a row below the rank, yield None.
     """
     for b in targets:
         if len(b) != A.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
-    work = [row + [int(b[i]) for b in targets] for i, row in enumerate(A.data)]
-    pivots = _eliminate(A.spec, work, A.cols)
+    cols = A.cols
+    work = [row + list(b) for row, b in zip(A.data, zip(*targets) if targets else [()] * A.rows)]
+    pivots = _eliminate(A.spec, work, cols)
     nrank = len(pivots)
-    out: list[list[int] | None] = []
-    for idx in range(A.cols, A.cols + len(targets)):
-        if any(work[i][idx] for i in range(nrank, A.rows)):
-            out.append(None)
-            continue
-        x = [0] * A.cols
-        for i, col in enumerate(pivots):
-            x[col] = work[i][idx]
-        out.append(x)
-    return out
+    inconsistent = {idx for row in work[nrank:] for idx, v in enumerate(row[cols:]) if v}
+    solved = zip(*(row[cols:] for row in work[:nrank])) if nrank else [()] * len(targets)
+    if nrank < cols:  # the free variables are zero
+        solved = ([dict(zip(pivots, column)).get(c, 0) for c in range(cols)] for column in solved)
+    return [None if idx in inconsistent else list(x) for idx, x in enumerate(solved)]
 
 
 def solve_particular(A: MatrixF, b: Sequence[int]) -> list[int] | None:

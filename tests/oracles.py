@@ -33,8 +33,12 @@ solution blocks their one ``solve_many`` elimination per subset union
 That synthesis stored one block per union (``SolutionBlocks``, laid out
 by ``block_layout`` and solved by ``solve_blocks``), which the key-major
 ``hss.KeySolutions`` replaced; ``project_blocks`` reads the blocks back
-from the keys.  The v1 scheme reader keeps its fold of every eval row
-into its key (``fold_scheme_text``), which reading by synthesis replaced.
+from the keys.  The key store first held one full row per key at each
+kept pivot as well as at Q (``solve_keys``), which keeping Z_Q alone and
+deriving the kept-pivot rows in ``KeySolutions.column`` replaced;
+``row_scheme`` expands the keys back to that form through the reader.
+The v1 scheme reader keeps its fold of every eval row into its key
+(``fold_scheme_text``), which reading by synthesis replaced.
 The literal block-system check (``verify_block_system``) materialises
 the whole coefficient system from per-server monomial lists, which the
 package does not keep: ``hss.enumerate_monomials`` returns each subset
@@ -689,18 +693,94 @@ def solve_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     return blocks
 
 
+def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:
+    """Each key's rows on its support, Q and then each kept pivot B[j]
+    (j not in L), from [R | E] = `work`: Z_Q = Y^-1 E[L] with Y = R[L, Q],
+    and E[j] - R[j, Q] Z_Q at B[j]; one r x r solve (r = |L|) per key."""
+    spec, n, ell = code.spec, code.n, code.dim
+    _, axpy = _row_ops(spec)
+    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
+    solutions = []
+    for lost, chosen in keys:
+        Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
+        solved = [list(z) for z in zip(*matrix.solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
+        support, kept = list(chosen), []
+        for j in range(ell):
+            if j not in lost:
+                z = work[j][n:]
+                for c, zc in zip(chosen, solved):
+                    if work[j][c]:
+                        z = axpy(work[j][c], z, zc)
+                support.append(basis[j])
+                kept.append(z)
+        solutions.append(dict(zip(support, map(pack, solved + kept))))
+    return solutions
+
+
+class RowScheme(NamedTuple):
+    """A scheme with its keys in full-row form, as solve_keys gives them:
+    rows[k] maps each coordinate of key k's support (Q, then each kept
+    pivot) to the ell coefficients there; zero off the support."""
+
+    params: HssParams
+    code: LabeledCode
+    rows: list[dict[int, Sequence[int]]]
+    combo_key: list[int]
+    labelweight_verified: bool
+
+
+def row_scheme(scheme: HssScheme) -> RowScheme:
+    """The scheme's keys expanded to full-row form, each support row read
+    through KeySolutions.column."""
+    solutions = scheme.solutions
+    columns = [solutions.column(r) for r in range(scheme.n)]
+    rows = [
+        {r: columns[r][k] for r in [*z_rows, *(b for j, b in enumerate(solutions.basis) if j not in lost)]}
+        for k, (lost, z_rows) in enumerate(zip(solutions.lost, solutions.solved))
+    ]
+    return RowScheme(scheme.params, scheme.code, rows, solutions.combo_key, scheme.labelweight_verified)
+
+
+def row_lines(scheme: RowScheme) -> Iterable[str]:
+    """The canonical scheme document's lines of full key rows: the header,
+    the code document, then one row per nonzero coefficient in
+    (coordinate, instance, subset combo) order."""
+    p = scheme.params
+    code_lines = code_to_text(scheme.code).splitlines()
+    yield from (
+        hss.SCHEME_FORMAT_TAG,
+        f"s {p.s}",
+        f"t {p.t}",
+        f"d {p.d}",
+        f"l {p.ell}",
+        f"m {p.m}",
+        f"labelweight-verified {1 if scheme.labelweight_verified else 0}",
+        f"code-lines {len(code_lines)}",
+        *code_lines,
+    )
+    names = [hss._format_subsets(combo) for combo in itertools.product(subsets_of_size(p.s, p.t), repeat=p.d)]
+    zero = bytes(p.ell)
+    for r in range(scheme.code.n):
+        column = [rows.get(r, zero) for rows in scheme.rows]
+        for i in range(p.ell):
+            coeffs = [row[i] for row in column]
+            for name, coeff in zip(names, map(coeffs.__getitem__, scheme.combo_key)):
+                if coeff:
+                    yield f"eval {r} {i + 1} {name} {coeff}"
+
+
 def project_blocks(scheme: HssScheme) -> SolutionBlocks:
     """The scheme's key rows projected onto each union's coordinates:
     block u holds, at every coordinate outside unions[u], the row of the
     key of u's combos there, zero off the key's support."""
     blocks = block_layout(scheme.code, scheme.params)
-    solutions, ell = scheme.solutions, scheme.params.ell
+    key_rows, ell = row_scheme(scheme).rows, scheme.params.ell
     pack = bytes if scheme.params.spec.q <= MAX_TABLE_ORDER else tuple
     zero = pack([0] * ell)
     join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
-    key_of = dict(zip(blocks.combo_union, solutions.combo_key))
+    key_of = dict(zip(blocks.combo_union, scheme.solutions.combo_key))
     for u, cols in enumerate(blocks.coords):
-        rows = solutions.rows[key_of[u]]
+        rows = key_rows[key_of[u]]
         blocks.solutions.append(join([rows.get(r, zero) for r in cols]))
     return blocks
 
@@ -872,7 +952,7 @@ def _parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
     return tuple(tuple(int(v) for v in part.split(",")) for part in text.split("/"))
 
 
-def fold_scheme_text(text: str) -> HssScheme:
+def fold_scheme_text(text: str) -> RowScheme:
     """The v1 reader that folds the eval rows into the keys, which reading
     by synthesis replaced.
 
@@ -880,8 +960,9 @@ def fold_scheme_text(text: str) -> HssScheme:
     (key, instance, coordinate) group takes the coefficient of its first
     row that is in range and lies in the key's support (Q, then the pivot
     of each row outside L).  The document must then be the canonical text
-    of that scheme, or DecodeError names its first line that differs.
-    Self-consistent rows that are not a valid Eval pass this reader.
+    of those full key rows (row_lines), or DecodeError names its first
+    line that differs.  Self-consistent rows that are not a valid Eval
+    pass this reader.
     """
     lines = text.splitlines()
     if not lines or lines[0] != hss.SCHEME_FORMAT_TAG:
@@ -919,11 +1000,12 @@ def fold_scheme_text(text: str) -> HssScheme:
     pack = bytes if q <= MAX_TABLE_ORDER else tuple
     rows = [{r: pack(row) for r, row in key_rows.items()} for key_rows in values]
     verified = header.get("labelweight-verified") == "1"
-    scheme = HssScheme(params, code, hss.KeySolutions(rows, combo_key), labelweight_verified=verified)
-    for n, (got, want) in enumerate(itertools.zip_longest(lines, hss._canonical_lines(scheme)), 1):
+    scheme = RowScheme(params, code, rows, combo_key, verified)
+    for n, (got, want) in enumerate(itertools.zip_longest(lines, row_lines(scheme)), 1):
         if got != want:
             raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")
     return scheme
+
 
 # -- sharing: one fragment scan per server and secret -------------------------------
 

@@ -389,6 +389,26 @@ def test_hermitian_64_56_rung_against_its_row():
     assert row.amort_exact == row.amort_printed == code.dim == 56
 
 
+def test_hermitian_125_113_rung_against_its_row():
+    # checked at code level: synthesizing the (1, 2) scheme takes about 30 s
+    code = hermitian_build(5, 113)
+    row = hermitian_params(125, 2, 1)
+    assert (code.n, code.dim, code.s, code.spec.q) == (125, 113, 125, 25)
+    assert Fraction(code.dim, code.n) == Fraction(113, 125) <= Fraction(125 - 2, 125)
+    assert (row.rate_exact, row.rate_printed) == (Fraction(108, 125), "0.86")
+    assert row.amort_exact == row.amort_printed == code.dim == 113
+
+
+def test_hermitian_64_55_rung_against_its_row():
+    # checked at code level: the (1, 3) scheme has 14,417,920 monomials, past the default budget
+    code = hermitian_build(4, 55)
+    row = hermitian_params(64, 3, 1)
+    assert (code.n, code.dim, code.s, code.spec.q) == (64, 55, 64, 16)
+    assert Fraction(code.dim, code.n) == Fraction(55, 64) <= Fraction(64 - 3, 64)
+    assert (row.rate_exact, row.rate_printed) == (Fraction(51, 64), "0.80")
+    assert row.amort_exact == row.amort_printed == code.dim == 55
+
+
 def test_hermitian_27_22_rung_against_its_row():
     scheme = scheme_for_code(hermitian_build(3, 22), t=1, d=2)
     row = hermitian_params(27, 2, 1)

@@ -21,8 +21,6 @@ import oracles
 from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import DecodeError
 from labelweight_hss.hss import (
-    HssScheme,
-    KeySolutions,
     scheme_for_code,
     scheme_from_text,
     scheme_to_text,
@@ -75,17 +73,18 @@ def test_rows_outside_the_key_support_are_rejected():
     the support check, they would read back as one more row of the key,
     whose canonical text is this very document."""
     synthesized = scheme((("rs", 5, 5, 2), 1, 2))
-    params, solutions, labels = synthesized.params, synthesized.solutions, synthesized.code.labeling.map
+    params, labels = synthesized.params, synthesized.code.labeling.map
+    expanded = oracles.row_scheme(synthesized)
     combos = list(itertools.product(subsets_of_size(params.s, params.t), repeat=params.d))
-    for k, rows in enumerate(solutions.rows):
-        members = [c for c, key in enumerate(solutions.combo_key) if key == k]
+    for k, rows in enumerate(expanded.rows):
+        members = [c for c, key in enumerate(expanded.combo_key) if key == k]
         inside = frozenset.intersection(*(frozenset().union(*combos[c]) for c in members))
         outside = [r for r in range(synthesized.n) if labels[r] in inside and r not in rows]
         if outside:
             break
-    widened = [dict(rows) for rows in solutions.rows]
+    widened = [dict(rows) for rows in expanded.rows]
     widened[k][outside[0]] = bytes([1]) + bytes(params.ell - 1)
-    doc = scheme_to_text(HssScheme(params, synthesized.code, KeySolutions(widened, solutions.combo_key)))
+    doc = "\n".join(oracles.row_lines(expanded._replace(rows=widened))) + "\n"
     extra = set(doc.splitlines()) - set(scheme_to_text(synthesized).splitlines())
     assert len(extra) == len(members) and all(line.endswith(" 1") for line in extra)
     with pytest.raises(DecodeError):
@@ -159,12 +158,21 @@ def _same_scheme(got, want):
     return (got.solutions, got.params, got.labelweight_verified) == (want.solutions, want.params, want.labelweight_verified)
 
 
+def _folds_to(doc, want):
+    """Whether folding the rows of `doc` into the keys gives the full key
+    rows, parameters and flag of the scheme `want`."""
+    got, expanded = oracles.fold_scheme_text(doc), oracles.row_scheme(want)
+    return (got.rows, got.combo_key, got.params, got.labelweight_verified) == (
+        expanded.rows, expanded.combo_key, expanded.params, expanded.labelweight_verified
+    )
+
+
 @pytest.mark.parametrize("case", SCHEMES, ids=str)
 def test_both_readers_read_the_canonical_document_as_synthesized(case):
     synthesized = scheme(case)
     doc = scheme_to_text(synthesized)
     assert _same_scheme(scheme_from_text(doc), synthesized)
-    assert _same_scheme(oracles.fold_scheme_text(doc), synthesized)
+    assert _folds_to(doc, synthesized)
 
 
 @settings(max_examples=300, deadline=None, database=None)
@@ -179,7 +187,7 @@ def test_mutated_scheme_document_read_by_synthesis_is_read_alike_by_folding(data
         parsed = scheme_from_text(doc)
     except DecodeError:
         return
-    assert _same_scheme(oracles.fold_scheme_text(doc), parsed)
+    assert _folds_to(doc, parsed)
 
 
 # (code family and arguments, t, d) whose documents folding the rows reads

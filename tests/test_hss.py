@@ -234,6 +234,27 @@ def test_eval_server_reads_a_server_view_as_it_reads_dicts():
     assert outcome(view) == outcome(as_dicts(view)) == outcome(extra[j])
 
 
+@pytest.mark.parametrize("bad", [9, 300])
+def test_a_missing_share_is_reported_before_a_bad_share_whatever_its_value(bad):
+    """Server 1's view with the first share of secret (1, 1) outside GF(9)
+    and secret (2, 1) missing: every fragment is read before any share is
+    checked, so the missing share raises whether bytes() converts the bad
+    share (9) or not (300); with (2, 1) present the bad share raises."""
+    scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
+    params, j = scheme.params, 1
+    held = held_subsets(params.s, params.t, j)
+    _, views = share_all_secrets(params, [[1, 2], [3, 4], [5, 6]], random.Random(1))
+    view = {key: dict(fragment) for key, fragment in views[j].items()}
+    view[(1, 1)][held[0]] = bad
+    with pytest.raises(ParameterOutOfRange) as outside:
+        eval_server(scheme, j, view)
+    assert str(outside.value) == f"server {j}: share {bad} of secret (1, 1) is outside 0..8 (q=9)"
+    del view[(2, 1)]
+    with pytest.raises(MissingShare) as missing:
+        eval_server(scheme, j, view)
+    assert str(missing.value) == f"server {j} lacks share {held[0]} of secret (2, 1)"
+
+
 def test_secrets_outside_the_field_are_rejected():
     scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
     # shared as 7 mod 5 these would reconstruct [2, 1], not the products [4, 1]
@@ -548,7 +569,7 @@ def test_scheme_rate_goppa():
 def test_scheme_rate_above_ceiling_raises():
     # rate 2/2 against the ceiling (s - dt)/s = 1/2; the solutions are never read
     code = LabeledCode(GF2, MatrixF(GF2, [[1, 0], [0, 1]]), Labeling.identity(2))
-    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, KeySolutions([], []))
+    scheme = HssScheme(HssParams(2, 1, 1, 2, 1, GF2), code, KeySolutions(GF2, [], [], [], [], []))
     with pytest.raises(ParameterOutOfRange, match="exceeds linear-scheme ceiling 1/2"):
         scheme_rate(scheme)
 

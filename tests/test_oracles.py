@@ -502,17 +502,44 @@ WORKLOAD_KEYS = {"goppa-eval": 165, "hermitian-setup": 286, "goppa-wire": 495}
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
 def test_key_support_lies_inside_every_union_of_its_key(name):
     scheme = _case_scheme(name)
-    params, solutions, labels = scheme.params, scheme.solutions, scheme.code.labeling.map
+    params, labels = scheme.params, scheme.code.labeling.map
+    expanded = oracles.row_scheme(scheme)
     combos = itertools.product(hss.subsets_of_size(params.s, params.t), repeat=params.d)
-    unions_of = [set() for _ in solutions.rows]
-    for combo, k in zip(combos, solutions.combo_key):
+    unions_of = [set() for _ in expanded.rows]
+    for combo, k in zip(combos, expanded.combo_key):
         unions_of[k].add(frozenset().union(*combo))
     assert all(unions_of)
-    for rows, unions in zip(solutions.rows, unions_of):
+    for rows, unions in zip(expanded.rows, unions_of):
         assert len(rows) == params.ell
         assert all(labels[r] not in union for r in rows for union in unions)
     if name in WORKLOAD_KEYS:
-        assert len(solutions.rows) == WORKLOAD_KEYS[name]
+        assert len(expanded.rows) == WORKLOAD_KEYS[name]
+
+
+# beyond EVAL_CASES and the workloads: goppa u=5 [32,22] (1, 3) and hermitian [27,10] (2, 2)
+LADDER_CASES = {
+    "goppa-u5-t1d3": (lambda: goppa_build(5, 2), 1, 3),
+    "hermitian-27-t2d2": (lambda: hermitian_build(3, 10), 2, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
+def test_derived_key_rows_match_the_stored_rows_they_replaced(name):
+    """Z_Q alone, read through KeySolutions.column, expands key by key to
+    the full rows the synthesis stored before (oracles.solve_keys), and
+    the scheme document streamed from it is the one those rows render."""
+    build, t, d = {**EVAL_CASES, **WORKLOAD_CASES, **LADDER_CASES}[name]
+    code = build()
+    params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+    scheme = hss.HssScheme(params, code, hss._synthesize(code, params))
+    work, basis, keys, combo_key = hss._key_search(code, params, hss.enumerate_monomials(params)[1])
+    expanded = oracles.row_scheme(scheme)
+    stored = oracles.solve_keys(code, work, basis, keys)
+    assert len(expanded.rows) == len(stored)
+    for k, (got, want) in enumerate(zip(expanded.rows, stored)):
+        assert got == want, f"key {k}"
+    assert (expanded.combo_key, scheme.solutions.work, scheme.solutions.basis) == (combo_key, work, basis)
+    assert "\n".join(oracles.row_lines(expanded)) + "\n" == hss.scheme_to_text(scheme)
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
@@ -521,10 +548,12 @@ def test_scheme_document_reads_alike_by_synthesis_and_by_folding(name):
     into the keys (the reader it replaced) gives the synthesized scheme."""
     scheme = _case_scheme(name)
     doc = hss.scheme_to_text(scheme)
-    for parsed in (hss.scheme_from_text(doc), oracles.fold_scheme_text(doc)):
-        assert parsed.solutions == scheme.solutions
-        assert parsed.params == scheme.params
-        assert parsed.labelweight_verified == scheme.labelweight_verified
+    parsed, folded, expanded = hss.scheme_from_text(doc), oracles.fold_scheme_text(doc), oracles.row_scheme(scheme)
+    assert parsed.solutions == scheme.solutions
+    assert (folded.rows, folded.combo_key) == (expanded.rows, expanded.combo_key)
+    for read in (parsed, folded):
+        assert read.params == scheme.params
+        assert read.labelweight_verified == scheme.labelweight_verified
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
@@ -585,7 +614,7 @@ ZERO_SERVERS = {"goppa-eval": [16], "hermitian-setup": list(range(17, 28)), "gop
 
 def _zero_servers(scheme):
     labels = scheme.code.labeling.map
-    carried = {labels[r] for rows in scheme.solutions.rows for r, row in rows.items() if any(row)}
+    carried = {labels[r] for rows in oracles.row_scheme(scheme).rows for r, row in rows.items() if any(row)}
     return [j for j in range(1, scheme.params.s + 1) if j not in carried]
 
 
