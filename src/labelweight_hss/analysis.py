@@ -35,17 +35,9 @@ from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from . import kernels
-from .budget import LABELWEIGHT_BUDGET, effective_budget
-from .codes import Labeling, ball_volume, prime_power
-from .errors import (
-    ConditionViolated,
-    DegenerateDimension,
-    EnumerationBudgetExceeded,
-    NotACube,
-    ParameterOutOfRange,
-)
-from .galois import FieldSpec, randrange_run
+from .codes import Labeling, ball_volume, span_labelweight
+from .errors import ConditionViolated, DegenerateDimension, NotACube, ParameterOutOfRange
+from .galois import FieldSpec, prime_power, randrange_run
 
 
 # -- printing helpers -----------------------------------------------------------
@@ -331,33 +323,28 @@ class GvReport:
 def gv_monte_carlo(cfg: GvConfig, trials: int, seed: int) -> GvReport:
     """Sample uniform generator matrices and measure the labelweight miss rate.
 
-    A trial fails when some nonzero message maps to a word touching fewer
-    than delta*s blocks (rank-deficient samples count as failures).  The
-    observed fraction is compared against q^(-eps*n) plus a three-sigma
-    binomial allowance.  Trial i draws from a generator seeded with
-    (seed, i), so any subset of trials is reproducible in isolation.
-    Each trial enumerates q^k messages, which must fit the labelweight
-    enumeration budget.
+    A trial fails when some nonzero codeword of the sampled generator's
+    span touches fewer than delta*s blocks.  A rank-deficient sample is
+    judged by the code it does span: the zero words of its kernel
+    messages are skipped, so it fails only if that code misses the
+    target.  The observed fraction is compared against q^(-eps*n) plus a
+    three-sigma binomial allowance.  Trial i draws from a generator
+    seeded with (seed, i), so any subset of trials is reproducible in
+    isolation.  Each trial enumerates q^k messages through
+    span_labelweight, whose labelweight budget refuses an oversized k
+    at trial 0.
     """
     if trials < 1:
         raise ParameterOutOfRange("need at least one trial")
     p, e = prime_power(cfg.q)
     spec = FieldSpec(p, e)
     k = gv_dimension(cfg)
-    limit, total = effective_budget(LABELWEIGHT_BUDGET), cfg.q**k
-    if total > limit:
-        raise EnumerationBudgetExceeded(
-            f"{total} messages per trial (dimension {k}) exceed budget {limit}; raise HSS_ENUM_BUDGET to force"
-        )
     lab = Labeling.balanced(cfg.s, cfg.w)
-    labels0 = bytes(v - 1 for v in lab.map)
-    add_t, mul_t = spec.add_table, spec.mul_table
     failures = 0
     for index in range(trials):
         rng = random.Random(f"{seed}:{index}")
-        rows = bytes(randrange_run(rng, cfg.q, k * cfg.n))
-        lw = kernels.min_labelweight(rows, k, cfg.n, labels0, add_t, mul_t, cfg.q, cfg.s)
-        if lw < cfg.target:
+        rows = spec.codes(randrange_run(rng, cfg.q, k * cfg.n))
+        if span_labelweight(spec, rows, k, lab) < cfg.target:
             failures += 1
     fraction = failures / trials
     bound = min(1.0, float(cfg.q) ** (-float(cfg.eps) * cfg.n))

@@ -5,6 +5,8 @@ labeling of its coordinates onto servers.  The labelweight of a word is
 the number of distinct labels its support touches; the labelweight of a
 code is the minimum over nonzero codewords, computed here by exhaustive
 enumeration (the brute-force oracle the rest of the package leans on).
+``span_labelweight`` is the one entry to the enumeration kernel: every
+such count, a code's or a random generator's, goes through it.
 
 Constructions:
 
@@ -25,16 +27,10 @@ from __future__ import annotations
 import math
 from typing import Sequence
 
-from . import kernels
-from .budget import LABELWEIGHT_BUDGET, effective_budget
-from .errors import (
-    BadGoppaPolynomial,
-    DecodeError,
-    DimensionMismatch,
-    EnumerationBudgetExceeded,
-    ParameterOutOfRange,
-)
-from .galois import FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field
+from . import budget, kernels
+from .budget import LABELWEIGHT_BUDGET
+from .errors import BadGoppaPolynomial, DecodeError, DimensionMismatch, ParameterOutOfRange
+from .galois import FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field, prime_power
 from .matrix import MatrixF, kernel_basis, rank, rref
 
 CODE_FORMAT_TAG = "labelweight-code/v1"
@@ -133,33 +129,31 @@ def labelweight(code: LabeledCode, word: Sequence | None = None) -> int:
 
     The word's entries are elements of the code's field or their codes
     (FieldSpec.code_of).  The whole-code form enumerates every nonzero
-    message exhaustively; the number of messages q^dim must fit the
-    enumeration budget, which only HSS_ENUM_BUDGET overrides.
+    message exhaustively (span_labelweight).
     """
     if word is not None:
         return word_labelweight(code.labeling, [code.spec.code_of(v) for v in word])
-    limit = effective_budget(LABELWEIGHT_BUDGET)
-    total = code.spec.q**code.dim
-    if total > limit:
-        raise EnumerationBudgetExceeded(f"{total} messages exceed budget {limit}; raise HSS_ENUM_BUDGET to force")
-    spec = code.spec
-    labels0 = bytes(v - 1 for v in code.labeling.map)
-    return kernels.min_labelweight(
-        code.generator.to_bytes(),
-        code.dim,
-        code.n,
-        labels0,
-        spec.add_table,
-        spec.mul_table,
-        spec.q,
-        code.s,
-    )
+    return span_labelweight(code.spec, code.generator.to_bytes(), code.dim, code.labeling)
 
 
 def min_distance(code: LabeledCode) -> int:
     """Brute-force minimum Hamming distance (labelweight under identity labels)."""
-    identity = LabeledCode(code.spec, code.generator, Labeling.identity(code.n))
-    return labelweight(identity)
+    return span_labelweight(code.spec, code.generator.to_bytes(), code.dim, Labeling.identity(code.n))
+
+
+def span_labelweight(spec: FieldSpec, rows: Sequence[int], k: int, labeling: Labeling) -> int:
+    """Minimum labelweight over the nonzero words of the span of `rows`,
+    k x labeling.n element codes of `spec` in row-major order (as
+    FieldSpec.codes gives them), by enumeration in
+    kernels.min_labelweight.  The q^k messages must fit the labelweight
+    budget, which only HSS_ENUM_BUDGET overrides.  Rows need not be
+    independent: the zero words of kernel messages are skipped, and a
+    span with no nonzero word gives labeling.s + 1.  Fields above 256
+    raise FieldTooLarge.
+    """
+    budget.check(spec.q**k, LABELWEIGHT_BUDGET, "messages")
+    labels0 = bytes(v - 1 for v in labeling.map)
+    return kernels.min_labelweight(rows, k, labeling.n, labels0, spec.add_table, spec.mul_table, spec.q, labeling.s)
 
 
 def ball_volume(s: int, w: int, q: int, r: int) -> int:
@@ -331,23 +325,6 @@ def rs_build(q: int, n: int, k: int) -> LabeledCode:
     generator = MatrixF(spec, rows)
     meta = {"family": "rs", "q": q, "n": n, "k": k}
     return LabeledCode(spec, generator, Labeling.identity(n), meta)
-
-
-def prime_power(q: int) -> tuple[int, int]:
-    if q < 2:
-        raise ParameterOutOfRange(f"{q} is not a prime power")
-    p = q
-    for cand in range(2, int(q**0.5) + 1):
-        if q % cand == 0:
-            p = cand
-            break
-    e, m = 0, q
-    while m % p == 0:
-        m //= p
-        e += 1
-    if m != 1:
-        raise ParameterOutOfRange(f"{q} is not a prime power")
-    return p, e
 
 
 # -- serialization ---------------------------------------------------------

@@ -13,11 +13,15 @@ equal iff all three match.  For field orders up to 256, addition,
 subtraction, negation, multiplication and inversion go through one set
 of flat lookup tables built once per field (:meth:`FieldSpec.tables`:
 ``add``, ``sub``, ``neg``, ``mul`` and ``inv``), which the hot loops of
-``matrix`` and ``hss`` also index directly.  Above 256 they fall back to
-base-p digit loops and direct polynomial reduction.  Random element codes
-come from :func:`randrange_run`, the values of successive
-``randrange(q)`` calls read in one bulk draw; CNF sharing and the GV
-Monte Carlo both draw through it.
+``matrix`` and ``hss`` also index directly.  Above 256 addition and
+negation work on the digits of :meth:`FieldSpec.coeffs` and
+:meth:`FieldSpec.encode`, and multiplication by direct polynomial
+reduction.  A sequence of element codes takes one form per field:
+:meth:`FieldSpec.codes` and :meth:`FieldSpec.concat` give bytes up to
+256 and tuples above.  Random element codes come from
+:func:`randrange_run`, the values of successive ``randrange(q)`` calls
+read in one bulk draw; CNF sharing and the GV Monte Carlo both draw
+through it.  :func:`prime_power` splits a field order into p and k.
 
 Irreducibility has one test, Ben-Or's (:func:`is_irreducible`), exact at
 every degree.  The default modulus of a spec is the first monic
@@ -33,7 +37,7 @@ import operator
 import random
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .errors import FieldMismatch, FieldTooLarge
+from .errors import FieldMismatch, FieldTooLarge, ParameterOutOfRange
 
 MAX_TABLE_ORDER = 256
 
@@ -41,19 +45,24 @@ MAX_TABLE_ORDER = 256
 NEG_INFINITY = float("-inf")
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    f = 3
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+def _least_factor(n: int) -> int:
+    """The smallest factor of n >= 2 above 1, by trial division: n itself
+    exactly when n is prime."""
+    return next((f for f in range(2, int(n**0.5) + 1) if n % f == 0), n)
+
+
+def prime_power(q: int) -> tuple[int, int]:
+    """(p, e) with p prime and p**e == q; ParameterOutOfRange if q is no
+    prime power."""
+    if q < 2:
+        raise ParameterOutOfRange(f"{q} is not a prime power")
+    p, e, m = _least_factor(q), 0, q
+    while m % p == 0:
+        m //= p
+        e += 1
+    if m != 1:
+        raise ParameterOutOfRange(f"{q} is not a prime power")
+    return p, e
 
 
 def require_table_order(q: int) -> None:
@@ -123,7 +132,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
-        if not _is_prime(p):
+        if p < 2 or _least_factor(p) != p:
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:
             raise ValueError(f"extension degree must be >= 1, got {k}")
@@ -182,6 +191,17 @@ class FieldSpec:
             code //= self.p
         return tuple(out)
 
+    def codes(self, values: Iterable[int]) -> Sequence[int]:
+        """`values`, element codes of this field, as one sequence: bytes
+        when q <= 256 (the same object when `values` is bytes), a tuple
+        above.  Every stored or sent run of codes takes this form."""
+        return bytes(values) if self.q <= MAX_TABLE_ORDER else tuple(values)
+
+    def concat(self, parts: Iterable[Sequence[int]]) -> Sequence[int]:
+        """The code sequences `parts`, each in the form of codes(), laid
+        end to end in that form."""
+        return b"".join(parts) if self.q <= MAX_TABLE_ORDER else tuple(itertools.chain.from_iterable(parts))
+
     def code_of(self, value) -> int:
         """The element code of `value`, an element of this field or an
         integer code (see _integer).  Raises FieldMismatch for an element
@@ -222,7 +242,7 @@ class FieldSpec:
             return (a + b) % self.p
         if self.q <= MAX_TABLE_ORDER:
             return (self._tables or self.tables()).add[a * self.q + b]
-        return self._add_digits(a, b)
+        return self.encode(map(operator.add, self.coeffs(a), self.coeffs(b)))
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -231,7 +251,7 @@ class FieldSpec:
             return (-a) % self.p
         if self.q <= MAX_TABLE_ORDER:
             return (self._tables or self.tables()).neg[a]
-        return self._neg_digits(a)
+        return self.encode(map(operator.neg, self.coeffs(a)))
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
@@ -266,26 +286,6 @@ class FieldSpec:
             base = self.mul(base, base)
             e >>= 1
         return result
-
-    def _add_digits(self, a: int, b: int) -> int:
-        """Digit-wise sum of the base-p coefficient vectors."""
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
-
-    def _neg_digits(self, a: int) -> int:
-        p = self.p
-        out, mult = 0, 1
-        for _ in range(self.k):
-            out += ((-a) % p) * mult
-            a //= p
-            mult *= p
-        return out
 
     def _mul_raw(self, a: int, b: int) -> int:
         """Product of the residue polynomials over GF(p), reduced modulo the
@@ -514,27 +514,17 @@ class Polynomial:
     def __hash__(self) -> int:
         return hash((self.spec, self.coeffs))
 
+    def _termwise(self, other: "Polynomial", op) -> "Polynomial":
+        """The polynomial whose coefficient i is op of the two coefficients
+        i, a missing one being 0."""
+        pairs = itertools.zip_longest(self.coeffs, self._check(other).coeffs, fillvalue=0)
+        return Polynomial._of_codes(self.spec, list(itertools.starmap(op, pairs)))
+
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        other = self._check(other)
-        f = self.spec
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = f.add(out[i], c)
-        return Polynomial._of_codes(f, out)
+        return self._termwise(other, self.spec.add)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        other = self._check(other)
-        f = self.spec
-        n = max(len(self.coeffs), len(other.coeffs))
-        out = [0] * n
-        for i in range(n):
-            ca = self.coeffs[i] if i < len(self.coeffs) else 0
-            cb = other.coeffs[i] if i < len(other.coeffs) else 0
-            out[i] = f.sub(ca, cb)
-        return Polynomial._of_codes(f, out)
+        return self._termwise(other, self.spec.sub)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         other = self._check(other)

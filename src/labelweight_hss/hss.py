@@ -31,7 +31,8 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
-from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET, effective_budget
+from . import budget
+from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET
 from .codes import LabeledCode, code_from_text, code_to_text, labelweight
 from .errors import (
     DecodeError,
@@ -174,16 +175,15 @@ class ServerView(Mapping):
 
 
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
-    """CNF shares aligned with subsets_of_size: the stream values, then the
-    one share that makes the total x.  When p = 2 and q <= 256 the field
-    sum is XOR of codes, the shares are bytes and the last one is the XOR
-    of the drawn bytes read as one int and folded in halves."""
-    if spec.p == 2 and spec.q <= MAX_TABLE_ORDER:
-        drawn = bytes(stream)
+    """CNF shares aligned with subsets_of_size, in the form of spec.codes:
+    the stream values, then the one share that makes the total x.  When
+    p = 2 and the shares are bytes the field sum is XOR of codes, and the
+    last share is the XOR of the drawn bytes read as one int and folded in
+    halves."""
+    drawn = spec.codes(stream)
+    if spec.p == 2 and isinstance(drawn, bytes):
         return drawn + bytes((_xor_fold(drawn) ^ x,))
-    shares = list(stream)
-    shares.append(spec.sub(x, functools.reduce(spec.add, shares, 0)))
-    return shares
+    return drawn + spec.codes((spec.sub(x, functools.reduce(spec.add, drawn, 0)),))
 
 
 def _xor_fold(codes: bytes) -> int:
@@ -254,9 +254,7 @@ def enumerate_monomials(params: HssParams):
     """
     subsets = subsets_of_size(params.s, params.t)
     monomials = Monomials(params.ell, subsets, params.d)
-    limit = effective_budget(MONOMIAL_BUDGET)
-    if len(monomials) > limit:
-        raise EnumerationBudgetExceeded(f"{len(monomials)} monomials exceed budget {limit}")
+    budget.check(len(monomials), MONOMIAL_BUDGET, "monomials")
     masks = [sum(1 << v for v in T) for T in subsets]
     unions = [0]
     for _ in range(params.d):
@@ -291,8 +289,8 @@ class KeySolutions(NamedTuple):
     and its pivot columns B = `basis` (see _key_search) once, and per
     distinct (L, Q) key, in first-seen solve order, its rows L (`lost`)
     and Z_Q = R[L, Q]^-1 E[L] (`solved`: each coordinate of Q, in order,
-    maps to its ell coefficients, instance i at entry i - 1; bytes when
-    q <= 256, a tuple above).  combo_key[c] is the key of subset combo c,
+    maps to its ell coefficients, instance i at entry i - 1, in the form
+    of FieldSpec.codes).  combo_key[c] is the key of subset combo c,
     in itertools.product(subsets_of_size(s, t), repeat=d) order, so
     monomial (i, combo c) has coefficient column(r)[combo_key[c]][i - 1]
     at coordinate r.
@@ -309,8 +307,8 @@ class KeySolutions(NamedTuple):
         """Every key's ell coefficients at coordinate r: its Z_Q row at r
         in Q, E[j] - R[j, Q] Z_Q at a kept pivot r = B[j] (j not in L),
         zero elsewhere; that support lies inside every union of the key."""
-        ell, pack = len(self.work), bytes if self.spec.q <= MAX_TABLE_ORDER else tuple
-        zero = pack(bytes(ell))
+        ell = len(self.work)
+        zero = self.spec.codes(bytes(ell))
         if r not in self.basis:
             return [rows.get(r, zero) for rows in self.solved]
         j = self.basis.index(r)
@@ -321,7 +319,7 @@ class KeySolutions(NamedTuple):
             for c, zc in rows.items():
                 if row[c]:
                     z = axpy(row[c], z, zc)
-            return pack(z)
+            return self.spec.codes(z)
 
         return [zero if j in lost else kept(rows) for lost, rows in zip(self.lost, self.solved)]
 
@@ -403,7 +401,7 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
         raise ParameterOutOfRange(f"s={params.s} must equal labeling server count {code.s}")
 
     need = params.d * params.t + 1
-    verified = code.spec.q <= MAX_TABLE_ORDER and code.spec.q**code.dim <= effective_budget(LABELWEIGHT_BUDGET)
+    verified = code.spec.q <= MAX_TABLE_ORDER and budget.fits(code.spec.q**code.dim, LABELWEIGHT_BUDGET)
     if verified:
         lw = labelweight(code)
         if lw < need:
@@ -417,12 +415,12 @@ def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
     (r = |L|) from [R | E] = `work`, its rows kept by coordinate of Q."""
     _, unions = enumerate_monomials(params)
     work, basis, keys, combo_key = _key_search(code, params, unions)
-    spec, n, ell, pack = code.spec, code.n, code.dim, bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
+    spec, n, ell = code.spec, code.n, code.dim
     solved = []
     for lost, chosen in keys:
         Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
         z = solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)])
-        solved.append(dict(zip(chosen, map(pack, zip(*z)))))
+        solved.append(dict(zip(chosen, map(spec.codes, zip(*z)))))
     return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, combo_key)
 
 
@@ -565,7 +563,6 @@ def _build_tensors(scheme: HssScheme, j: int):
     held_rows = (itertools.compress(solutions.combo_key[start : start + row], mask) for start in starts)
     held_keys = list(itertools.chain.from_iterable(held_rows))
     small = params.spec.q <= MAX_TABLE_ORDER
-    join = b"".join if small else lambda parts: tuple(itertools.chain.from_iterable(parts))
     tables, size = _plane_tables(params.spec) if small else None, len(held_keys)
     zeros = [0] * len(tables.planes) if small else [(0,) * size] * ell
     tensors = []
@@ -575,7 +572,7 @@ def _build_tensors(scheme: HssScheme, j: int):
             tensors.append(zeros)
             continue
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
-        joined = join(map(column.__getitem__, held_keys))
+        joined = params.spec.concat(map(column.__getitem__, held_keys))
         per_instance = [joined[i::ell] for i in range(ell)]
         tensors.append(_bit_planes(tables, _lane_strings(tables, per_instance, size), size) if small else per_instance)
     return held, tensors
@@ -805,17 +802,15 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
         shares = _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
         bundles[(i, k)] = ShareVector(subsets, shares)
         vectors.append(shares)
-    small = spec.q <= MAX_TABLE_ORDER
-    join = b"".join if small else lambda parts: list(itertools.chain.from_iterable(parts))
-    every_share = join(map(bytes, vectors) if small else vectors)
+    every_share = spec.concat(vectors)
     # by_subset[c]: subset c's share of every secret, in position order
     by_subset = [every_share[c :: len(subsets)] for c in range(len(subsets))]
     views = {}
     for j in range(1, params.s + 1):
         held = held_subsets(params.s, params.t, j)
         # the columns of the subsets j holds, then every count-th entry: one run per secret
-        subset_major = join(itertools.compress(by_subset, _held_mask(params.s, params.t, j)))
-        views[j] = ServerView(held, positions, join(subset_major[n::count] for n in range(count)))
+        subset_major = spec.concat(itertools.compress(by_subset, _held_mask(params.s, params.t, j)))
+        views[j] = ServerView(held, positions, spec.concat(subset_major[n::count] for n in range(count)))
     return bundles, views
 
 
@@ -913,10 +908,7 @@ def privacy_audit(t: int, s: int, spec: FieldSpec) -> PrivacyReport:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     subsets = subsets_of_size(s, t)
     free = len(subsets) - 1
-    total = spec.q**free * spec.q
-    limit = effective_budget(PRIVACY_BUDGET)
-    if total > limit:
-        raise EnumerationBudgetExceeded(f"{total} share assignments exceed budget {limit}")
+    budget.check(spec.q**free * spec.q, PRIVACY_BUDGET, "share assignments")
 
     # distributions[x][T] counts the view tuples T observes across all randomness
     distributions: list[dict[tuple[int, ...], Counter]] = []

@@ -49,6 +49,8 @@ from __future__ import annotations
 import operator
 from collections import Counter
 
+from .galois import prime_power
+
 BACKEND = "pure"
 LOW_SPAN_CAP = 1 << 11
 TABLE_ENTRIES_PER_LABEL_STEP = 3
@@ -74,10 +76,7 @@ def min_labelweight(
     """
     if nrows < 1:
         raise ValueError("generator needs at least one row")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    digits = 1
-    while p**digits < q:
-        digits += 1
+    p, digits = prime_power(q)
     dw = 1 if p == 2 else p.bit_length() + 1  # digit field width
 
     # column j goes to bit pos[j]: its label's slot, after the label's
@@ -90,13 +89,8 @@ def min_labelweight(
     width = max(filled, default=0) + 1
     pos = [label * width + at for label, at in zip(labels0, pos)]
 
-    spread = []  # element code -> its digits, one per field
-    for v in range(q):
-        x = 0
-        for i in range(digits):
-            x |= (v % p) << (i * dw)
-            v //= p
-        spread.append(x)
+    # element code -> its digits, one per field
+    spread = [sum(v // p**i % p << i * dw for i in range(digits)) for v in range(q)]
     scaled = [
         [0]
         + [

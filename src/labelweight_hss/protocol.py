@@ -99,12 +99,6 @@ class WireMessage:
         return hash(self._key())
 
 
-def _packed(values: Sequence[int], width: int) -> bytes | tuple[int, ...]:
-    """A payload of these element codes: bytes at width 1 (the same object
-    when `values` is already bytes), a tuple otherwise."""
-    return bytes(values) if width == 1 else tuple(values)
-
-
 def encode(message: WireMessage, width: int) -> bytes:
     """Frame a message; elements are packed little-endian at fixed width,
     and a bytes payload at width 1 is the frame body as it is.  An element
@@ -217,7 +211,7 @@ def simulate(
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
         # server j's fragments, laid end to end in position order
-        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, _packed(views[j].shares, width)))
+        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, spec.codes(views[j].shares)))
 
     # Servers 1..s in id order: slice each view from the wire, evaluate.
     received: dict[int, list[int]] = {}
@@ -227,12 +221,12 @@ def simulate(
         if len(payload) != len(held) * len(positions):
             raise DecodeError(f"server {j}: expected {len(held) * len(positions)} elements, got {len(payload)}")
         z_j = eval_server(scheme, j, ServerView(held, positions, payload), chosen)
-        delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, _packed(z_j, width)))
+        delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, spec.codes(z_j)))
         received[delivered.sender] = list(delivered.payload)
 
     # Output client: merge by server id, reconstruct, announce.
     outputs = reconstruct(scheme, collect_output_shares(scheme, received))
-    send(WireMessage(RESULT, output_client, 0, _packed(outputs, width)))
+    send(WireMessage(RESULT, output_client, 0, spec.codes(outputs)))
     return transcript, outputs
 
 

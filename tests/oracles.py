@@ -2,7 +2,10 @@
 
 These are the per-element versions that the lookup-table hot loops in
 ``galois``, ``matrix`` and ``hss`` replaced: base-p digit-loop addition and
-negation, Gaussian elimination through one field call per cell, Eval
+negation (above 256 replaced by arithmetic on ``FieldSpec.coeffs`` and
+``FieldSpec.encode``), polynomial sums and differences by a loop each
+(``poly_add``, ``poly_sub``, which one termwise helper replaced), Gaussian
+elimination through one field call per cell, Eval
 synthesis scattered monomial by monomial, and server evaluation through
 ``FieldSpec`` method calls.  Irreducibility keeps its root check (degree
 <= 3) and trial division by every monic polynomial up to half the degree,
@@ -159,6 +162,28 @@ def field_tables(spec: FieldSpec) -> FieldTables:
     mul_table = bytes(table)
     inv = bytes([0] + [mul_table.index(1, a * q, a * q + q) - a * q for a in range(1, q)])
     return FieldTables(add_table, sub_table, neg_table, mul_table, inv)
+
+
+def poly_add(a: Polynomial, b: Polynomial) -> Polynomial:
+    """The longer coefficient list with the shorter one added in."""
+    spec, x, y = a.spec, a.coeffs, b.coeffs
+    if len(x) < len(y):
+        x, y = y, x
+    out = list(x)
+    for i, c in enumerate(y):
+        out[i] = add(spec, out[i], c)
+    return Polynomial(spec, out)
+
+
+def poly_sub(a: Polynomial, b: Polynomial) -> Polynomial:
+    """Coefficient i of a less coefficient i of b, a missing one being 0."""
+    spec, n = a.spec, max(len(a.coeffs), len(b.coeffs))
+    out = [0] * n
+    for i in range(n):
+        ca = a.coeffs[i] if i < len(a.coeffs) else 0
+        cb = b.coeffs[i] if i < len(b.coeffs) else 0
+        out[i] = sub(spec, ca, cb)
+    return Polynomial(spec, out)
 
 
 # -- field: irreducibility by roots and trial division ----------------------------

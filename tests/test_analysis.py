@@ -20,7 +20,7 @@ from labelweight_hss.analysis import (
     round_half_away,
     truncate_decimals,
 )
-from labelweight_hss.codes import Labeling, ball_volume, goppa_build, hermitian_build
+from labelweight_hss.codes import Labeling, ball_volume, goppa_build, hermitian_build, span_labelweight
 from labelweight_hss.errors import (
     ConditionViolated,
     DegenerateDimension,
@@ -29,6 +29,7 @@ from labelweight_hss.errors import (
 )
 from labelweight_hss.galois import FieldSpec, randrange_run
 from labelweight_hss.hss import run_end_to_end, scheme_for_code, scheme_rate
+from labelweight_hss.matrix import MatrixF, rank
 
 import oracles
 
@@ -324,6 +325,21 @@ def test_gv_monte_carlo_labelweight_one_never_fails():
     report = gv_monte_carlo(cfg, trials=50, seed=1)
     assert report.failures == 0
     assert report.within_bound
+
+
+def test_gv_monte_carlo_rank_deficient_sample_meeting_the_target_is_not_a_failure():
+    # trials 39 and 47 of seed 1 draw rank-2 generators for k = 3; the
+    # codes they span still touch a block with every nonzero word
+    cfg = GvConfig(2, 2, 4, Fraction(1, 4), Fraction(0))
+    k, spec, labeling = gv_dimension(cfg), FieldSpec(2), Labeling.balanced(cfg.s, cfg.w)
+    deficient = []
+    for index in range(50):
+        rows = bytes(randrange_run(random.Random(f"1:{index}"), cfg.q, k * cfg.n))
+        if rank(MatrixF(spec, [list(rows[i * cfg.n : (i + 1) * cfg.n]) for i in range(k)])) < k:
+            deficient.append(index)
+            assert span_labelweight(spec, rows, k, labeling) >= cfg.target
+    assert deficient == [39, 47]
+    assert gv_monte_carlo(cfg, trials=50, seed=1).failures == 0
 
 
 def test_gv_monte_carlo_bound():

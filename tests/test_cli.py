@@ -229,7 +229,8 @@ def test_gv_sim(capsys):
 
 
 def test_gv_sim_over_enumeration_budget(capsys, monkeypatch):
-    # k = 48 here: 2^48 messages per trial are refused before any draw
+    # k = 48 here: span_labelweight refuses trial 0's 2^48 messages before
+    # the kernel runs, so no trial is decided
     monkeypatch.delenv("HSS_ENUM_BUDGET", raising=False)
     code, out, err = run(
         capsys, "gv-sim", "--q", "2", "--w", "2", "--s", "40",

@@ -18,6 +18,7 @@ from labelweight_hss.codes import (
     labelweight,
     min_distance,
     rs_build,
+    span_labelweight,
     word_labelweight,
 )
 from labelweight_hss.errors import (
@@ -25,12 +26,14 @@ from labelweight_hss.errors import (
     DecodeError,
     EnumerationBudgetExceeded,
     FieldMismatch,
+    FieldTooLarge,
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import FieldSpec, Polynomial
 from labelweight_hss.matrix import MatrixF, rank
 
 GF2 = FieldSpec(2)
+GF3 = FieldSpec(3)
 
 
 def brute_labelweight(code):
@@ -331,6 +334,47 @@ def test_rs_bad_params():
 def test_every_construction_full_rank():
     for code in [goppa_build(3, 1), goppa_build(4, 2), hermitian_build(2, 5), rs_build(5, 5, 2)]:
         assert rank(code.generator) == code.dim
+
+
+# -- the kernel entry -----------------------------------------------------------
+
+SPAN_CASES = {
+    "goppa-3-1": lambda: goppa_build(3, 1),
+    "goppa-4-2": lambda: goppa_build(4, 2),
+    "hermitian-2-5": lambda: hermitian_build(2, 5),
+    "rs-5-5-2": lambda: rs_build(5, 5, 2),
+    "gf3-balanced": lambda: LabeledCode(GF3, MatrixF(GF3, [[1, 0, 2, 1, 0, 1], [0, 1, 1, 0, 2, 2]]), Labeling.balanced(3, 2)),
+}
+
+
+@pytest.mark.parametrize("build", SPAN_CASES.values(), ids=SPAN_CASES.keys())
+def test_span_labelweight_is_the_labelweight_and_min_distance_of_a_code(build):
+    code = build()
+    rows = code.generator.to_bytes()
+    assert span_labelweight(code.spec, rows, code.dim, code.labeling) == labelweight(code) == brute_labelweight(code)
+    assert span_labelweight(code.spec, rows, code.dim, Labeling.identity(code.n)) == min_distance(code)
+
+
+def test_min_distance_checks_no_rank_again(monkeypatch):
+    code = rs_build(5, 4, 2)
+    monkeypatch.setattr(codes, "rank", lambda *args: pytest.fail("rank recomputed"))
+    assert min_distance(code) == 3
+
+
+def test_span_labelweight_of_an_all_zero_span_is_the_sentinel():
+    labeling = Labeling.balanced(3, 2)
+    assert span_labelweight(FieldSpec(3), bytes(2 * 6), 2, labeling) == labeling.s + 1 == 4
+
+
+def test_span_labelweight_refuses_fields_above_256():
+    with pytest.raises(FieldTooLarge, match="field order 257 exceeds 256"):
+        span_labelweight(FieldSpec(257), (1, 2, 3, 256), 1, Labeling.identity(4))
+
+
+def test_span_labelweight_gates_the_budget_before_the_kernel(monkeypatch):
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "8")
+    with pytest.raises(EnumerationBudgetExceeded, match="9 messages exceed budget 8; raise HSS_ENUM_BUDGET to force"):
+        span_labelweight(FieldSpec(3), bytes(2 * 4), 2, Labeling.identity(4))
 
 
 # -- serialization ------------------------------------------------------------

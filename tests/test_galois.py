@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from labelweight_hss.codes import labelweight, rs_build
-from labelweight_hss.errors import FieldMismatch
+from labelweight_hss.errors import FieldMismatch, ParameterOutOfRange
 from labelweight_hss.galois import (
     NEG_INFINITY,
     FieldElement,
@@ -16,6 +16,7 @@ from labelweight_hss.galois import (
     is_irreducible,
     parse_field,
     poly_pow_mod,
+    prime_power,
 )
 from labelweight_hss.matrix import MatrixF
 
@@ -359,3 +360,31 @@ def test_prime_check():
 def test_characteristic_two_sub_is_xor(spec):
     q = spec.q
     assert [spec.sub(a, b) for a in range(q) for b in range(q)] == [oracles.sub(spec, a, b) for a in range(q) for b in range(q)]
+
+
+@pytest.mark.parametrize("spec,form", [(GF2, bytes), (GF9, bytes), (FieldSpec(2, 8), bytes), (FieldSpec(257), tuple)], ids=repr)
+def test_code_sequences_are_bytes_up_to_256_and_tuples_above(spec, form):
+    values = [0, 1, spec.q - 1, 1]
+    codes = spec.codes(values)
+    assert type(codes) is form and list(codes) == values
+    assert spec.codes(codes) is codes
+    joined = spec.concat([codes, spec.codes([]), spec.codes(values[:2])])
+    assert type(joined) is form and list(joined) == values + values[:2]
+    assert spec.concat([]) == form()
+
+
+@pytest.mark.parametrize("q,split", [(2, (2, 1)), (9, (3, 2)), (256, (2, 8)), (257, (257, 1)), (289, (17, 2))])
+def test_prime_power_splits_a_field_order(q, split):
+    assert prime_power(q) == split
+
+
+@pytest.mark.parametrize("q", [0, 1, 6, 12, 1000])
+def test_prime_power_rejects_other_orders(q):
+    with pytest.raises(ParameterOutOfRange, match=f"{q} is not a prime power"):
+        prime_power(q)
+
+
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 25, 221])
+def test_characteristic_must_be_prime(p):
+    with pytest.raises(ValueError, match=f"characteristic {p} is not prime"):
+        FieldSpec(p)

@@ -24,7 +24,7 @@ from labelweight_hss.errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import MAX_TABLE_ORDER, FieldSpec
+from labelweight_hss.galois import MAX_TABLE_ORDER, FieldSpec, Polynomial
 from labelweight_hss.matrix import MatrixF, kernel_basis, rref, solve_many
 
 TABLE_ORDERS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2), (2, 4), (5, 2), (3, 3),
@@ -91,6 +91,43 @@ def test_large_field_falls_back_to_digit_loops():
         assert spec.neg(a) == oracles.neg(spec, a)
     with pytest.raises(FieldTooLarge, match="729"):
         spec.tables()
+
+
+def test_large_field_digit_arithmetic_matches_the_digit_loops_on_every_pair_of_gf17_2():
+    """Above 256, add and neg work on coeffs/encode; GF(17^2), q = 289,
+    is the smallest such field with odd p and k > 1, small enough to check
+    whole."""
+    spec = FieldSpec(17, 2)
+    q = spec.q
+    assert [spec.neg(a) for a in range(q)] == [oracles.neg(spec, a) for a in range(q)]
+    assert [spec.add(a, b) for a in range(q) for b in range(q)] == [oracles.add(spec, a, b) for a in range(q) for b in range(q)]
+    assert [spec.sub(a, b) for a in range(q) for b in range(q)] == [oracles.sub(spec, a, b) for a in range(q) for b in range(q)]
+
+
+@pytest.mark.parametrize("p,k", [(3, 6), (2, 9)])
+def test_large_field_digit_arithmetic_matches_the_digit_loops_on_random_pairs(p, k):
+    spec = FieldSpec(p, k)
+    rng = random.Random(17)
+    for _ in range(10_000):
+        a, b = rng.randrange(spec.q), rng.randrange(spec.q)
+        assert (spec.add(a, b), spec.sub(a, b), spec.neg(a)) == (
+            oracles.add(spec, a, b),
+            oracles.sub(spec, a, b),
+            oracles.neg(spec, a),
+        )
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(2), FieldSpec(7), FieldSpec(3, 2), FieldSpec(17, 2)], ids=repr)
+def test_polynomial_sums_and_differences_match_the_coefficient_loops(spec):
+    """Unequal lengths either way round, equal lengths, a zero operand,
+    and a leading term that cancels (the result is trimmed)."""
+    rng = random.Random(29)
+    for _ in range(300):
+        a, b = (Polynomial(spec, [rng.randrange(spec.q) for _ in range(rng.randrange(7))]) for _ in range(2))
+        same_lead = Polynomial(spec, [rng.randrange(spec.q) for _ in a.coeffs[:-1]] + list(a.coeffs[-1:]))
+        for x, y in ((a, b), (b, a), (a, a), (a, same_lead), (a, Polynomial.zero(spec))):
+            assert (x + y).coeffs == oracles.poly_add(x, y).coeffs
+            assert (x - y).coeffs == oracles.poly_sub(x, y).coeffs
 
 
 # -- code constructions ----------------------------------------------------------

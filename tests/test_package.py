@@ -34,3 +34,23 @@ def test_no_module_has_an_assert_statement():
     ``python -O`` strips assert statements."""
     for name, node in _nodes():
         assert not isinstance(node, ast.Assert), f"{name}:{node.lineno} has an assert statement"
+
+
+def _name(node) -> str | None:
+    """The name a Name or Attribute node reads, else None."""
+    return node.id if isinstance(node, ast.Name) else node.attr if isinstance(node, ast.Attribute) else None
+
+
+def test_only_the_budget_module_raises_the_budget_error():
+    """Every enumeration gate is budget.check: one message, one override."""
+    for name, node in _nodes():
+        if isinstance(node, ast.Call) and _name(node.func) == "EnumerationBudgetExceeded":
+            assert name == "budget.py", f"{name}:{node.lineno} constructs EnumerationBudgetExceeded"
+
+
+def test_only_codes_calls_the_enumeration_kernel():
+    """codes.span_labelweight is the one entry to kernels.min_labelweight,
+    so the budget gate and the label layout have one home."""
+    for name, node in _nodes():
+        if _name(node) == "min_labelweight" or isinstance(node, ast.alias) and node.name == "min_labelweight":
+            assert name in ("codes.py", "kernels.py"), f"{name}:{node.lineno} references min_labelweight"
