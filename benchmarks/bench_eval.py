@@ -1,19 +1,20 @@
 #!/usr/bin/env python3
 """Time hss.eval_server per server on the goppa-eval, hermitian-setup and
-goppa-wire shapes, with the package's share planes (hss._bit_planes, one
-translate per lane string and packed table) and with the per-plane
-builder they replaced (oracles.bit_planes, one translate per lane string
-and plane, kept in tests/oracles.py).
+goppa-wire shapes, with the package's contraction (hss._contract_planes:
+one popcount per fold class of plane pairs, share planes translated once)
+and with the one it replaced (oracles.contract_planes: one popcount per
+plane pair, a second translate of each share product, kept in
+tests/oracles.py).
 
 Usage:  python3 benchmarks/bench_eval.py [--repeats N] [--seed S]
 
 For each shape the row gives the number of servers, how many of them are
 always zero (no key carries a nonzero coefficient at any coordinate they
-own, so eval_server checks their views and returns zeros), and the mean
-time per server of eval_server over every server, each the best of N
-rounds, for both plane builders.  Each server's tensors are built before
-timing.  The two builders must give equal outputs on every server, or
-the script exits with status 1.
+own, so eval_server checks their views and returns zeros), the popcounts
+per owned coordinate of both contractions, and the mean time per server
+of eval_server over every server, each the best of N rounds.  Each
+server's tensors are built before timing.  The two contractions must
+give equal outputs on every server, or the script exits with status 1.
 """
 
 import argparse
@@ -57,7 +58,7 @@ def main() -> int:
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
 
-    package_planes = hss._bit_planes
+    package_contract = hss._contract_planes
     failures, rows = [], []
     for name, (build, t, d, m) in SHAPES.items():
         scheme = hss.scheme_for_code(build(), t=t, d=d, m=m)
@@ -72,23 +73,25 @@ def main() -> int:
 
         every_server()  # builds every server's tensors
         zero = sum(not live for _, _, live in scheme._tensors.values())
+        tables = hss._plane_tables(params.spec)
         new, outputs = best_of(args.repeats, every_server)
-        hss._bit_planes = lambda tables, strings, size: oracles.bit_planes(params.spec, strings, size)
+        hss._contract_planes = oracles.contract_planes
         try:
             old, old_outputs = best_of(args.repeats, every_server)
         finally:
-            hss._bit_planes = package_planes
+            hss._contract_planes = package_contract
         if outputs != old_outputs:
-            failures.append(f"{name}: eval_server outputs differ between the package and the oracle planes")
-        rows.append((name, params.s, zero, new / params.s, old / params.s))
+            failures.append(f"{name}: eval_server outputs differ between the package and the oracle contraction")
+        counts = f"{len(tables.classes)}/{len(tables.planes) ** 2}"
+        rows.append((name, params.s, zero, counts, new / params.s, old / params.s))
 
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
     print(f"eval_server per server, mean over every server, best of {args.repeats}")
-    print(f"{'shape':<16} {'servers':>7} {'zero':>5} {'package':>11} {'oracle':>11} {'ratio':>7}")
-    for name, s, zero, new, old in rows:
-        print(f"{name:<16} {s:>7} {zero:>5} {new * 1e3:>9.3f}ms {old * 1e3:>9.3f}ms {old / new:>6.2f}x")
+    print(f"{'shape':<16} {'servers':>7} {'zero':>5} {'popcounts':>9} {'package':>11} {'oracle':>11} {'ratio':>7}")
+    for name, s, zero, counts, new, old in rows:
+        print(f"{name:<16} {s:>7} {zero:>5} {counts:>9} {new * 1e3:>9.3f}ms {old * 1e3:>9.3f}ms {old / new:>6.2f}x")
     return 0
 
 

@@ -497,13 +497,15 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     base-p digit e; W_{f,g} likewise) packed one position per byte,
     instance i - 1 in bit (i - 1) % 8 and groups of 8 instances
     concatenated, so that with alpha = x, the generator of the
-    polynomial basis,
+    polynomial basis, and the fold classes (m, w, P) of _PlaneTables,
 
-        z_r = sum_{e,f} alpha^(e+f) * ((sum_{b,g} 2^(b+g) *
-              popcount(T_{e,b} & W_{f,g})) mod p),
+        z_r = sum_m alpha^m * ((sum over classes (m, w, P) of
+              w * popcount(XOR of T_{e,b} & W_{f,g} over P)) mod p),
 
-    every count an exact integer; the share planes come from one
-    translate per lane string through a packed table (_bit_planes).
+    P holding plane pairs with e + f = m and 2^(b+g) = w mod p: the
+    popcount of their XOR is the sum of their counts mod p (for p = 2 only
+    its parity).  The share planes come from one translate per lane
+    string and packed table (_plane_bytes).
     Fields above 256 contract the tensors through FieldSpec calls.  The
     tensors are built on server j's first call and cached on the scheme
     (see HssScheme).  If no key carries a nonzero coefficient at any
@@ -574,7 +576,10 @@ def _build_tensors(scheme: HssScheme, j: int):
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
         joined = params.spec.concat(map(column.__getitem__, held_keys))
         per_instance = [joined[i::ell] for i in range(ell)]
-        tensors.append(_bit_planes(tables, _lane_strings(tables, per_instance, size), size) if small else per_instance)
+        if small:
+            strings = _lane_strings(tables, per_instance, size)
+            per_instance = _bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size)
+        tensors.append(per_instance)
     return held, tensors
 
 
@@ -632,7 +637,12 @@ class _PlaneTables(NamedTuple):
     a lane string translates, by packed[c], into the bits of up to
     8 // lanes planes at once: plane c * (8 // lanes) + m's bit of lane l
     in bit m * lanes + l.  One table covers every field but GF(125) and
-    GF(243), whose planes times lanes exceed 8.
+    GF(243), whose planes times lanes exceed 8.  composed[c][u] is scale[u]
+    then packed[c], so a share product's last step writes plane bytes.
+    A fold class (m, weight, pairs) XORs the ANDs of its plane pairs (n, o)
+    before one popcount, as counts matter mod p: one class per alpha^m for
+    p = 2 (XOR keeps parity), per digit pair and weight for p = 3 (one-hot
+    digit bit planes make the XORed planes disjoint), per pair for p >= 5.
     """
 
     planes: list[tuple[int, int]]  # (digit e, bit b) of each plane
@@ -640,6 +650,8 @@ class _PlaneTables(NamedTuple):
     lanes: int
     scale: list[bytes]  # scale[u] multiplies lane l of a byte by lane l of u
     packed: list[bytes]  # packed[c][u]: the bits of planes c * (8 // lanes) onward of byte u
+    composed: list[list[bytes]]  # composed[c][u]: scale[u], then packed[c]
+    classes: list[tuple[int, int, list[tuple[int, int]]]]  # (m, weight, plane pairs (n, o)) of each fold class
     powers: list[int]  # alpha^m for m = 0..2k-2
 
 
@@ -673,10 +685,15 @@ def _plane_tables(spec: FieldSpec) -> _PlaneTables:
         ).to_bytes(256, "little")
         for first in range(0, len(planes), per_byte)
     ]
+    classes: dict[tuple, tuple[int, int, list]] = {}
+    for (n, (e, b)), (o, (f, g)) in itertools.product(enumerate(planes), repeat=2):
+        fold = (e + f,) if p == 2 else (e, f, (b + g) % 2) if p == 3 else (n, o)
+        classes.setdefault(fold, (e + f, pow(2, b + g, p), []))[2].append((n, o))
     powers = [1]
     for _ in range(2 * k - 2):
         powers.append(mul[powers[-1] * q + p])  # times alpha, whose code is p
-    return _PlaneTables(planes, width, lanes, scale, packed, powers)
+    composed = [[row.translate(table) for row in scale] for table in packed]
+    return _PlaneTables(planes, width, lanes, scale, packed, composed, list(classes.values()), powers)
 
 
 def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: int) -> list[bytes]:
@@ -690,21 +707,21 @@ def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: 
     return strings
 
 
-def _bit_planes(tables: _PlaneTables, strings: Sequence[bytes], size: int) -> list[int]:
-    """One int per digit-bit plane n of lane strings of `size` bytes:
-    bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit of entry a of
-    instance i (counted from 0).  Each string is translated once per
-    packed table (see _PlaneTables); a plane's bits then come out of the
-    result with a mask (none for GF(2), where lanes == 8) and a shift
-    into the string's lanes of its group's bytes."""
+def _bit_planes(tables: _PlaneTables, strings: Sequence[Sequence[bytes]], size: int) -> list[int]:
+    """One int per digit-bit plane n of lane strings of `size` bytes, each
+    given as its plane bytes, one translate per packed table
+    (_plane_bytes): bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit
+    of entry a of instance i (counted from 0).  A plane's bits come out of
+    the plane bytes with a mask (none for GF(2), where lanes == 8) and a
+    shift into the string's lanes of its group's bytes."""
     lanes, count = tables.lanes, len(tables.planes)
     per_byte = 8 // lanes  # planes per packed byte, and lane strings per group of 8 instances
     masks = _lane_masks(lanes, size) if lanes < 8 else None
     planes = [0] * count
-    for s, string in enumerate(strings):
+    for s, translated in enumerate(strings):
         offset = 8 * size * (s // per_byte) + s % per_byte * lanes  # where the string's lanes go
-        for c, table in enumerate(tables.packed):
-            word = int.from_bytes(string.translate(table), "little")
+        for c, plane_bytes in enumerate(translated):
+            word = int.from_bytes(plane_bytes, "little")
             if masks is None:  # GF(2): one plane, its lanes in place
                 planes[0] |= word << offset
                 continue
@@ -723,33 +740,38 @@ def _lane_masks(lanes: int, size: int) -> tuple[int, ...]:
     return tuple(int.from_bytes(bytes([low << m * lanes]) * size, "little") for m in range(8 // lanes))
 
 
-def _share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:
-    """The lane string of the row-major tensors y_1 (x) ... (x) y_d, from
-    the lane strings of the d slot vectors: from the last slot back, the
-    tensor of slots k..d is the tensor of slots k+1..d scaled by each byte
-    of slot k in turn, laid end to end (lane products commute)."""
+def _plane_bytes(tables: _PlaneTables, columns: Sequence[bytes]) -> list[bytes]:
+    """The lane string of the row-major tensor y_1 (x) ... (x) y_d of the
+    d slot vectors' lane strings, translated by each packed table: from the
+    last slot back, the tensor of slots k..d is that of slots k+1..d scaled
+    by each byte of slot k in turn, laid end to end (lane products commute),
+    slot 1 by the composed tables.  A lone column is translated as it is."""
     product = columns[-1]
-    for column in reversed(columns[:-1]):
-        product = b"".join(map(product.translate, map(scale.__getitem__, column)))
-    return product
+    if len(columns) == 1:
+        return [product.translate(table) for table in tables.packed]
+    for column in reversed(columns[1:-1]):
+        product = b"".join(map(product.translate, map(tables.scale.__getitem__, column)))
+    return [b"".join(map(product.translate, map(rows.__getitem__, columns[0]))) for rows in tables.composed]
 
 
 def _contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
     """z_r for each owned coordinate, by the popcount identity of
-    eval_server: AND each coefficient plane with each share-product plane."""
+    eval_server: one popcount per fold class of plane pairs."""
     tables = _plane_tables(spec)
     p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
     d = len(slots[0])
     columns = [_lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(d)]
-    products = [_share_products(tables.scale, lane) for lane in zip(*columns)]
-    shares = _bit_planes(tables, products, h**d)
+    shares = _bit_planes(tables, [_plane_bytes(tables, lane) for lane in zip(*columns)], h**d)
     out = []
     for coefficients in tensors:
-        sums = [0] * len(tables.powers)  # sums[m]: the integer coefficient of alpha^m
-        for (e, b), t in zip(tables.planes, coefficients):
-            if t:
-                for (f, g), w in zip(tables.planes, shares):
-                    sums[e + f] += (t & w).bit_count() << (b + g)
+        sums = [0] * len(tables.powers)  # sums[m]: the coefficient of alpha^m, mod p
+        for m, weight, pairs in tables.classes:
+            folded = 0
+            for n, o in pairs:
+                if coefficients[n]:
+                    folded ^= coefficients[n] & shares[o]
+            if folded:
+                sums[m] += folded.bit_count() * weight
         z = 0
         for total, power in zip(sums, tables.powers):
             z = add[z * q + mul[total % p * q + power]]

@@ -26,9 +26,13 @@ comprehension over the low half-span per high word
 (``packed_min_labelweight``), which the label-equality planes of
 ``kernels.min_labelweight`` replaced; server evaluation keeps the dense
 byte tensors contracted through digit-lifted product tables, which the
-bit-plane popcount contraction of ``hss.eval_server`` replaced.  The
-field tables keep their entry-by-entry build, which the row-by-row build
-replaced, from the digit loops and one schoolbook product per entry
+bit-plane popcount contraction of ``hss.eval_server`` replaced, and that
+contraction's first form: one popcount per plane pair, with share planes
+from ``share_products`` and a second translate per packed table
+(``contract_planes``), which the fold classes and composed tables of
+``hss._PlaneTables`` replaced.  The field tables keep their
+entry-by-entry build, which the row-by-row build replaced, from the
+digit loops and one schoolbook product per entry
 (``mul``, the product ``FieldSpec._mul_raw`` computed by ``Polynomial``
 arithmetic replaced above 256), and the
 solution blocks their one ``solve_many`` elimination per subset union
@@ -945,6 +949,46 @@ def bit_planes(spec: FieldSpec, strings: Sequence[bytes], size: int) -> list[int
         for n, table in enumerate(bits[s % per_group]):
             planes[n] |= int.from_bytes(string.translate(table), "little") << offset
     return planes
+
+
+def share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:
+    """The lane string of the row-major tensors y_1 (x) ... (x) y_d, from
+    the lane strings of the d slot vectors: from the last slot back, the
+    tensor of slots k..d is the tensor of slots k+1..d scaled by each byte
+    of slot k in turn, laid end to end (lane products commute)."""
+    product = columns[-1]
+    for column in reversed(columns[:-1]):
+        product = b"".join(map(product.translate, map(scale.__getitem__, column)))
+    return product
+
+
+def contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+    """hss._contract_planes by one popcount per (coefficient plane, share
+    plane) pair, every count an exact integer:
+
+        z_r = sum_{e,f} alpha^(e+f) * ((sum_{b,g} 2^(b+g) *
+              popcount(T_{e,b} & W_{f,g})) mod p),
+
+    with the share planes built from share_products and then a translate
+    of each product per packed table."""
+    tables = hss._plane_tables(spec)
+    p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
+    d = len(slots[0])
+    columns = [hss._lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(d)]
+    products = [share_products(tables.scale, lane) for lane in zip(*columns)]
+    shares = hss._bit_planes(tables, [[product.translate(table) for table in tables.packed] for product in products], h**d)
+    out = []
+    for coefficients in tensors:
+        sums = [0] * len(tables.powers)  # sums[m]: the integer coefficient of alpha^m
+        for (e, b), t in zip(tables.planes, coefficients):
+            if t:
+                for (f, g), w in zip(tables.planes, shares):
+                    sums[e + f] += (t & w).bit_count() << (b + g)
+        z = 0
+        for total, power in zip(sums, tables.powers):
+            z = add[z * q + mul[total % p * q + power]]
+        out.append(z)
+    return out
 
 
 def scheme_to_text(scheme) -> str:

@@ -1,0 +1,18 @@
+"""The benchmark scripts under benchmarks/ still run."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def test_eval_benchmark_runs_and_its_contractions_agree():
+    """bench_eval.py exits 0 only if the package's contraction and the one
+    it replaced give equal outputs on every server of every shape."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_eval.py"), "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "hermitian-setup" in run.stdout

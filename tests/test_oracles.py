@@ -603,7 +603,7 @@ def test_server_planes_match_the_per_union_blocks(name):
         held, tensors = oracles.build_byte_tensors(scheme, blocks, j)
         if small:
             size = len(held) ** params.d
-            tensors = [hss._bit_planes(tables, hss._lane_strings(tables, per_instance, size), size)
+            tensors = [oracles.bit_planes(params.spec, hss._lane_strings(tables, per_instance, size), size)
                        for per_instance in tensors]
         assert hss._build_tensors(scheme, j) == (held, tensors)
 
@@ -642,7 +642,68 @@ def _lane_inputs(draw):
 @example((FieldSpec(2), [bytes([255])] * 3, 1))
 def test_packed_bit_planes_match_the_per_plane_oracle(case):
     spec, strings, size = case
-    assert hss._bit_planes(hss._plane_tables(spec), strings, size) == oracles.bit_planes(spec, strings, size)
+    tables = hss._plane_tables(spec)
+    translated = [hss._plane_bytes(tables, (string,)) for string in strings]
+    assert translated == [[string.translate(table) for table in tables.packed] for string in strings]
+    assert hss._bit_planes(tables, translated, size) == oracles.bit_planes(spec, strings, size)
+
+
+# popcounts per owned coordinate: the number of fold classes of each field
+FOLD_CLASSES = {(2, 1): 1, (2, 2): 3, (2, 3): 5, (2, 4): 7, (2, 8): 15, (3, 1): 2, (3, 2): 8, (3, 3): 18,
+                (5, 1): 9, (5, 2): 36, (251, 1): 64}
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS, ids=lambda v: str(v))
+def test_fold_classes_cover_every_plane_pair_once(p, k):
+    spec = FieldSpec(p, k)
+    tables = hss._plane_tables(spec)
+    planes = tables.planes
+    pairs = [pair for _, _, members in tables.classes for pair in members]
+    assert sorted(pairs) == list(itertools.product(range(len(planes)), repeat=2))
+    for m, weight, members in tables.classes:
+        for n, o in members:
+            (e, b), (f, g) = planes[n], planes[o]
+            assert (e + f, 2 ** (b + g) % p) == (m, weight)
+        # a class of more than one pair is a parity (p = 2) or a union of one-hot digit planes (p = 3)
+        assert len(members) == 1 or p in (2, 3)
+        if p == 3:
+            assert len({(planes[n][0], planes[o][0]) for n, o in members}) == 1
+    if (p, k) in FOLD_CLASSES:
+        assert len(tables.classes) == FOLD_CLASSES[(p, k)]
+    # composed[c][u] is scale[u] followed by packed[c]
+    assert tables.composed == [[row.translate(table) for row in tables.scale] for table in tables.packed]
+
+
+def _random_codes(rng, spec, size, density):
+    """`size` codes of spec, each nonzero with probability `density`."""
+    return bytes(rng.randrange(1, spec.q) if rng.random() < density else 0 for _ in range(size))
+
+
+@pytest.mark.parametrize("p,k", TABLE_FIELDS, ids=lambda v: str(v))
+def test_folded_contraction_matches_one_popcount_per_plane_pair(p, k):
+    """The fold-class contraction and its composed share planes against
+    oracles.contract_planes on random slot vectors and coefficient planes:
+    d = 1, 2, 3 and ell = 1, 3, 10, 11 (groups of 8 instances cut short),
+    with all-zero, sparse and dense coefficient tensors."""
+    spec = FieldSpec(p, k)
+    tables = hss._plane_tables(spec)
+    rng = random.Random(p * 1000 + k)
+    for d, ell in itertools.product((1, 2, 3), (1, 3, 10, 11)):
+        h = rng.randint(1, 4 if d < 3 else 3)
+        size = h**d
+        slots = [[_random_codes(rng, spec, h, rng.choice((0.0, 0.5, 1.0))) for _ in range(d)] for _ in range(ell)]
+        tensors = [
+            oracles.bit_planes(spec, hss._lane_strings(tables, [_random_codes(rng, spec, size, density)
+                                                                for _ in range(ell)], size), size)
+            for density in (0.0, 0.2, 1.0)
+        ]
+        assert tensors[0] == [0] * len(tables.planes)
+        got = hss._contract_planes(spec, tensors, slots, h)
+        assert got == oracles.contract_planes(spec, tensors, slots, h), (d, ell)
+        assert got[0] == 0
+        for lane in zip(*[hss._lane_strings(tables, [vectors[n] for vectors in slots], h) for n in range(d)]):
+            product = oracles.share_products(tables.scale, lane)
+            assert hss._plane_bytes(tables, lane) == [product.translate(table) for table in tables.packed]
 
 
 # servers none of whose coordinates any key carries a nonzero coefficient at
