@@ -3,7 +3,7 @@
 systematic-form synthesis and for the per-union elimination it replaced
 (kept in tests/oracles.py as synthesize_blocks).
 
-Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read]
+Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read | --keys]
 
 Each row gives the scheme's distinct subset unions, its distinct (L, Q)
 keys (one hss.solve_many call each), the bytes of the keys' stored Z_Q
@@ -30,6 +30,14 @@ oracles.fold_scheme_text, which folds the document's eval rows into the
 full key rows (the reader it replaced).  Both must read the synthesized
 scheme (the same keys, parameters and labelweight flag), or the script
 exits with status 1.
+
+--keys times the pivot search alone on the ladder: the best-of-N wall
+time of hss._key_search, which scans for Q once per lost-row set L, and
+of oracles.key_search, which scans once per union (the search it
+replaced), with the distinct unions, lost-row sets and keys.  Both take
+the same unions and include the elimination of [G | I].  Their four
+return values must be equal, key order included, or the script exits
+with status 1.
 """
 
 import argparse
@@ -142,17 +150,41 @@ def read_documents(repeats: int) -> int:
     return 0
 
 
+def search_keys(repeats: int) -> int:
+    """The --keys table; 1 if the two key searches differ on a rung."""
+    print(f"{'scheme (t, d)':<36} {'unions':>7} {'L sets':>7} {'keys':>7} {'package':>9} {'oracle':>9} {'speedup':>8}")
+    failures = []
+    for name, build, t, d in LADDER:
+        code = build()
+        params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+        unions = hss.enumerate_monomials(params)[1]
+        fast, got = best_of(repeats, lambda: hss._key_search(code, params, unions))
+        slow, want = best_of(repeats, lambda: oracles.key_search(code, params, unions))
+        if got != want:
+            failures.append(f"{name}: hss._key_search differs from oracles.key_search")
+        keys = got[2]
+        print(f"{name:<36} {len(set(unions)):>7,} {len({lost for lost, _ in keys}):>7,} {len(keys):>7,}"
+              f" {fast:>8.4f}s {slow:>8.4f}s {slow / fast:>7.1f}x", flush=True)
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=3)
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--big", action="store_true", help="add Goppa u=5 (2, 2), package only")
     group.add_argument("--read", action="store_true", help="time the two scheme document readers instead")
+    group.add_argument("--keys", action="store_true", help="time the two pivot searches instead")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
     if args.read:
         return read_documents(args.repeats)
+    if args.keys:
+        return search_keys(args.repeats)
 
     runs = [(row, True) for row in LADDER] + ([(row, False) for row in BIG] if args.big else [])
     print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'key bytes':>10} {'package':>9} {'run 1':>8}"

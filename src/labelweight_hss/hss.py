@@ -9,8 +9,9 @@ product of d secrets expands into monomials y_{1,T_1}*...*y_{d,T_d}; a
 monomial is locally computable by all servers outside union(T_k), and for
 each one a particular solution of G(Lambda) e = u_i scatters coefficients
 onto the output coordinates owned by those servers (all solutions come
-from one elimination per code and one small solve per distinct (L, Q)
-key; see _key_search).  Reconstruction is the single matrix product G z.
+from one elimination per code, one pivot scan per set L of lost rows and
+one small solve per distinct (L, Q) key; see _key_search).  Reconstruction
+is the single matrix product G z.
 
 Everything is exact field arithmetic; there are no tolerances anywhere in
 this module.  All randomness flows through an explicit seeded generator,
@@ -436,24 +437,27 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
     whose projections R[L, c] are independent of the earlier ones' make
     up Q.  Returns [R | E], B, the distinct keys (L, Q) in first-seen
     order and the key index of each entry of `unions`; the unions are
-    walked sorted as sorted member lists, and the first whose coordinates
-    lack rank raises InsufficientLabelweight.
+    walked in union_order, and the first whose coordinates lack rank
+    raises InsufficientLabelweight.  L depends only on the union's pivot
+    servers, so Q is scanned once per L with nothing excluded (L = () not
+    at all), noting the servers whose columns the scan read before it
+    stopped: a union holding none of them would pick the same Q, and only
+    a union holding one scans again.
     """
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
     basis = _eliminate(spec, work, n)
     scale, axpy = _row_ops(spec)
     free = [c for c in range(n) if c not in basis]
-    keys: dict[tuple, int] = {}
-    key_of: dict[int, int] = {}
-    # the sort key is the union's servers in increasing order, its binary digits read right to left
-    for union in sorted(set(unions), key=lambda u: [v for v, bit in enumerate(bin(u)[:1:-1]) if bit == "1"]):
-        lost = [j for j, b in enumerate(basis) if union >> labels[b] & 1]
-        chosen: list[int] = []
+
+    def scan(at: int, union: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        lost = tuple(j for j, b in enumerate(basis) if at >> labels[b] & 1)
+        chosen, read = [], 0
         echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
         for c in (c for c in free if not union >> labels[c] & 1):
             if len(chosen) == len(lost):
                 break
+            read |= 1 << labels[c]
             v = [work[j][c] for j in lost]
             for lead, w in echelon:
                 if v[lead]:
@@ -462,12 +466,33 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
             if lead is not None:
                 echelon.append((lead, scale(spec.inv(v[lead]), v)))
                 chosen.append(c)
+        return lost, tuple(chosen), read
+
+    pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
+    scans = {0: ((), (), 0)}  # a union's pivot servers -> L, Q with nothing excluded, the servers read
+    keys: dict[tuple, int] = {}
+    key_of: dict[int, int] = {}
+    for union in sorted(set(unions), key=union_order):
+        at = union & pivot_servers
+        lost, chosen, read = scans.get(at) or scans.setdefault(at, scan(at, 0))
+        if union & read:
+            chosen = scan(at, union)[1]
         if len(chosen) < len(lost):
             lam = [v for v in range(1, params.s + 1) if not union >> v & 1]
             need = params.d * params.t + 1
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
-        key_of[union] = keys.setdefault((tuple(lost), tuple(chosen)), len(keys))
+        key_of[union] = keys.setdefault((lost, chosen), len(keys))
     return work, basis, list(keys), list(map(key_of.__getitem__, unions))
+
+
+_MEMBERS_FIRST = str.maketrans("01", "10")
+
+
+def union_order(union: int) -> str:
+    """Sort key of a union bitmask in the order of its sorted member list:
+    character v is "0" for a member v and "1" otherwise, up to the highest
+    member, so the first member decides and a prefix sorts first."""
+    return bin(union)[:1:-1].translate(_MEMBERS_FIRST)
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:

@@ -44,6 +44,9 @@ from the keys.  The key store first held one full row per key at each
 kept pivot as well as at Q (``solve_keys``), which keeping Z_Q alone and
 deriving the kept-pivot rows in ``KeySolutions.column`` replaced;
 ``row_scheme`` expands the keys back to that form through the reader.
+The pivot search keeps its greedy scan for Q once per union, the unions
+walked sorted by their member lists (``key_search``), which one scan per
+lost-row set and the string key ``hss.union_order`` replaced.
 The v1 scheme reader keeps its fold of every eval row into its key
 (``fold_scheme_text``), which reading by synthesis replaced.
 The literal block-system check (``verify_block_system``) materialises
@@ -720,6 +723,47 @@ def solve_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
                 rows[basis[j]] = pack(z)
         blocks.solutions.append(join([rows.get(c, zero) for c in cols]))
     return blocks
+
+
+def key_search(code: LabeledCode, params: HssParams, unions: list[int]):
+    """hss._key_search with one greedy scan for Q per union, the unions
+    walked sorted by their member lists, which one scan per lost-row set
+    L and the string key hss.union_order replaced: one elimination of
+    [G | I] to [R | E], then for each union its rows L of R with a pivot
+    at a server in it, and the first coordinates Q outside B and outside
+    the union whose columns R[L, c] are independent of the earlier ones'.
+    Returns [R | E], B, the distinct keys (L, Q) in first-seen order and
+    the key index of each entry of `unions`; the first union whose
+    coordinates lack rank raises InsufficientLabelweight."""
+    spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
+    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
+    basis = _eliminate(spec, work, n)
+    scale, axpy = _row_ops(spec)
+    free = [c for c in range(n) if c not in basis]
+    keys: dict[tuple, int] = {}
+    key_of: dict[int, int] = {}
+    # the sort key is the union's servers in increasing order, its binary digits read right to left
+    for union in sorted(set(unions), key=lambda u: [v for v, bit in enumerate(bin(u)[:1:-1]) if bit == "1"]):
+        lost = [j for j, b in enumerate(basis) if union >> labels[b] & 1]
+        chosen: list[int] = []
+        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
+        for c in (c for c in free if not union >> labels[c] & 1):
+            if len(chosen) == len(lost):
+                break
+            v = [work[j][c] for j in lost]
+            for lead, w in echelon:
+                if v[lead]:
+                    v = axpy(v[lead], v, w)
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is not None:
+                echelon.append((lead, scale(spec.inv(v[lead]), v)))
+                chosen.append(c)
+        if len(chosen) < len(lost):
+            lam = [v for v in range(1, params.s + 1) if not union >> v & 1]
+            need = params.d * params.t + 1
+            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
+        key_of[union] = keys.setdefault((tuple(lost), tuple(chosen)), len(keys))
+    return work, basis, list(keys), list(map(key_of.__getitem__, unions))
 
 
 def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:

@@ -16,3 +16,15 @@ def test_eval_benchmark_runs_and_its_contractions_agree():
     )
     assert run.returncode == 0, run.stderr
     assert "hermitian-setup" in run.stdout
+
+
+def test_synth_benchmark_key_searches_agree():
+    """bench_synth.py --keys exits 0 only if the package's key search and
+    the per-union scan it replaced return the same [R | E], B, keys and
+    combo keys on every rung of the ladder."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_synth.py"), "--keys", "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "hermitian q=3 k=10 [27,10] (1, 3)" in run.stdout

@@ -4,6 +4,8 @@ import re
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from labelweight_hss import hss
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, labelweight, rs_build
@@ -326,6 +328,21 @@ def test_monomial_union_complement():
     assert mono.union() == {1, 2}
     lam = set(range(1, 6)) - mono.union()
     assert lam == {3, 4, 5}
+
+
+@given(st.lists(st.lists(st.integers(1, 125), unique=True), max_size=8))
+@example([])
+@example([[1, 2, 3], [1, 2], [1, 3], [2], [125], [1, 125], list(range(1, 126))])
+def test_union_order_sorts_unions_as_their_sorted_member_lists(members):
+    """union_order sorts bitmasks of servers 1..125 as their sorted member
+    lists do, ties only between equal lists; the empty union and every
+    prefix of each list are in the draw."""
+    lists = [sorted(m) for m in members]
+    lists += [[]] + [m[:k] for m in lists for k in range(1, len(m))]
+    masks = [sum(1 << v for v in m) for m in lists]
+    assert [[v for v in range(126) if u >> v & 1] for u in sorted(masks, key=hss.union_order)] == sorted(lists)
+    keys = list(map(hss.union_order, masks))
+    assert all((keys[a] < keys[b]) == (lists[a] < lists[b]) for a in range(len(lists)) for b in range(len(lists)))
 
 
 def test_enumerate_budget(monkeypatch):

@@ -7,6 +7,7 @@ import functools
 import hashlib
 import itertools
 import random
+import re
 from collections.abc import Mapping
 
 import pytest
@@ -579,6 +580,38 @@ def test_derived_key_rows_match_the_stored_rows_they_replaced(name):
     assert "\n".join(oracles.row_lines(expanded)) + "\n" == hss.scheme_to_text(scheme)
 
 
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
+def test_key_search_matches_the_per_union_scan(name):
+    """One Q scan per lost-row set L, rerun only for unions holding a
+    server whose column it read, and the walk in union_order give the
+    per-union scan's [R | E], B, keys in the same first-seen order and
+    combo keys.  The workloads and LADDER_CASES are the rungs of
+    bench_synth.py's LADDER."""
+    build, t, d = {**EVAL_CASES, **WORKLOAD_CASES, **LADDER_CASES}[name]
+    code = build()
+    params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+    unions = hss.enumerate_monomials(params)[1]
+    assert hss._key_search(code, params, unions) == oracles.key_search(code, params, unions)
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES))
+def test_unions_of_servers_without_pivots_key_as_the_oracle_does(name):
+    """A union that holds no pivot's server, the empty one included, loses
+    no row: its key is ((), ()), the one key of all such unions."""
+    build, t, d = EVAL_CASES[name]
+    code = build()
+    params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+    labels = code.labeling.map
+    pivot_servers = {labels[b] for b in rref(code.generator).pivots}
+    free = [v for v in range(1, code.s + 1) if v not in pivot_servers]
+    unions = [0] + [sum(1 << v for v in servers) for size in (1, 2) for servers in itertools.combinations(free, size)]
+    work, basis, keys, combo_key = hss._key_search(code, params, unions)
+    assert (work, basis, keys, combo_key) == oracles.key_search(code, params, unions)
+    assert (keys, combo_key) == ([((), ())], [0] * len(unions))
+    # L stays the key's tuple through synthesis, into KeySolutions
+    assert all(type(lost) is tuple for lost in _case_scheme(name).solutions.lost)
+
+
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
 def test_scheme_document_reads_alike_by_synthesis_and_by_folding(name):
     """The canonical document read by synthesis and by folding its rows
@@ -777,7 +810,17 @@ def test_always_zero_server_checks_its_views_as_before():
         assert str(outside.value) == f"server {j}: share 9 of secret (2, 1) is outside 0..8 (q=9)"
 
 
-# codes whose labelweight is at most d*t, with the first union in solve order that lacks rank
+GF257 = FieldSpec(257)
+
+
+def _gf257(rows):
+    return LabeledCode(GF257, MatrixF(GF257, rows), Labeling.identity(len(rows[0])))
+
+
+# codes whose labelweight is at most d*t, with the first union in solve order
+# that lacks rank; over GF(257) synthesize_eval has no exhaustive check, so it
+# too must fail on that union: [1 1 0] fails at {1, 2} on the lost-row set
+# that {1} scanned first, [1 0 0; 0 1 1] on the scan with nothing excluded
 RANK_DEFICIENT = {
     "goppa-t3d2": (
         lambda: goppa_build(4, 2), 3, 2,
@@ -788,6 +831,10 @@ RANK_DEFICIENT = {
         "columns labeled [3] have rank below 1; labelweight < 3",
     ),
     "gf257-rs-t1d2": (lambda: rs_build(257, 4, 3), 1, 2, "columns labeled [3, 4] have rank below 3; labelweight < 3"),
+    "gf257-110-t1d2": (lambda: _gf257([[1, 1, 0]]), 1, 2, "columns labeled [3] have rank below 1; labelweight < 3"),
+    "gf257-100-011-t1d1": (
+        lambda: _gf257([[1, 0, 0], [0, 1, 1]]), 1, 1, "columns labeled [2, 3] have rank below 2; labelweight < 2",
+    ),
 }
 
 
@@ -798,10 +845,40 @@ def test_rank_deficient_codes_fail_on_the_oracle_union(name):
     params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
     with pytest.raises(InsufficientLabelweight) as want:
         oracles.synthesize_blocks(code, params)
+    with pytest.raises(InsufficientLabelweight) as searched:
+        oracles.key_search(code, params, hss.enumerate_monomials(params)[1])
     # _synthesize skips the exhaustive labelweight check, so the rank test must trip
     with pytest.raises(InsufficientLabelweight) as got:
         hss._synthesize(code, params)
-    assert str(got.value) == str(want.value) == message
+    assert str(got.value) == str(want.value) == str(searched.value) == message
+    if code.spec.q > MAX_TABLE_ORDER:
+        with pytest.raises(InsufficientLabelweight) as checked:
+            hss.synthesize_eval(code, params)
+        assert str(checked.value) == message
+
+
+def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again():
+    """[1 1 0]: {1} scans L = (0,) with nothing excluded and takes Q = (1,)
+    from server 2; {1, 3} reuses it, {1, 2} holds server 2, scans again
+    past it and finds no column."""
+    code = _gf257([[1, 1, 0]])
+    params = hss.HssParams(3, 1, 2, 1, 2, GF257)
+    assert hss._key_search(code, params, [0b0010, 0b1010])[2:] == ([((0,), (1,))], [0, 0])
+    with pytest.raises(InsufficientLabelweight, match=re.escape(RANK_DEFICIENT["gf257-110-t1d2"][3])):
+        hss._key_search(code, params, [0b0010, 0b0110])
+
+
+@pytest.mark.parametrize("name", ["gf257-rs-t1d2", "gf257-110-t1d2"])
+def test_documents_of_codes_below_the_labelweight_fail_to_read(name):
+    """The document of a valid d = 1 scheme, its header raised to d = 2,
+    names a code of labelweight at most d*t over GF(257): DecodeError with
+    the rank message of the first union that lacks rank."""
+    build, t, d, message = RANK_DEFICIENT[name]
+    doc = hss.scheme_to_text(hss.scheme_for_code(build(), t=t, d=1, m=d))
+    assert "\nd 1\n" in doc
+    with pytest.raises(DecodeError) as got:
+        hss.scheme_from_text(doc.replace("\nd 1\n", f"\nd {d}\n", 1))
+    assert str(got.value) == f"bad scheme parameters: {message}"
 
 
 def test_solution_blocks_reproduce_the_eval_table(schemes):
