@@ -6,10 +6,9 @@ systematic-form synthesis and for the per-union elimination it replaced
 Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read | --keys]
 
 Each row gives the scheme's distinct subset unions, its distinct (L, Q)
-keys (one hss.solve_many call each), the bytes of the keys' stored Z_Q
-rows, and the best-of-N wall time of hss._synthesize, of the first
-hss.run_end_to_end on the scheme it gives, and of
-oracles.synthesize_blocks.  The synthesis times cover monomial
+keys, the bytes of the keys' stored Z_Q rows, and the best-of-N wall
+time of hss._synthesize, of the first hss.run_end_to_end on the scheme
+it gives, and of oracles.synthesize_blocks.  The synthesis times cover monomial
 enumeration, the key or block layout and the solves, not the exhaustive
 labelweight check (hss._synthesize is hss.synthesize_eval without it).
 The first run builds every server's planes, and with them the kept-pivot
@@ -31,13 +30,16 @@ full key rows (the reader it replaced).  Both must read the synthesized
 scheme (the same keys, parameters and labelweight flag), or the script
 exits with status 1.
 
---keys times the pivot search alone on the ladder: the best-of-N wall
-time of hss._key_search, which scans for Q once per lost-row set L, and
-of oracles.key_search, which scans once per union (the search it
-replaced), with the distinct unions, lost-row sets and keys.  Both take
-the same unions and include the elimination of [G | I].  Their four
-return values must be equal, key order included, or the script exits
-with status 1.
+--keys times the key search and its solves on the ladder: the best-of-N
+wall time of hss._key_search, whose scans each row-reduce [R[L] | E[L]]
+and so give each key's Z_Q as they find Q, and of
+oracles.synthesize_keys, the search it replaced (one scan per lost-row
+set L, rescans for unions holding a server it read) followed by one
+hss.solve_many call per key, with the distinct unions, lost-row sets,
+keys and the package's scans (eliminations after the one of [G | I]).
+Both take the same unions and include the elimination of [G | I].
+Their KeySolutions must be equal, key order and the order of each Q
+included, or the script exits with status 1.
 """
 
 import argparse
@@ -87,34 +89,34 @@ def best_of(repeats, fn):
     return best, value
 
 
-def synthesize_counting_keys(code, params):
-    """The scheme of hss._synthesize's keys and the number of hss.solve_many calls it made."""
-    solve_many, calls = hss.solve_many, []
+def counting_eliminations(fn):
+    """fn's result and the number of matrix._eliminate calls hss made in it."""
+    eliminate, calls = hss._eliminate, []
 
     def counted(*args):
         calls.append(None)
-        return solve_many(*args)
+        return eliminate(*args)
 
-    hss.solve_many = counted
+    hss._eliminate = counted
     try:
-        return hss.HssScheme(params, code, hss._synthesize(code, params)), len(calls)
+        return fn(), len(calls)
     finally:
-        hss.solve_many = solve_many
+        hss._eliminate = eliminate
 
 
 def synthesize_and_run(repeats, code, params):
     """Best-of-`repeats` times of synthesis and of the first run of the
-    scheme it gives, the last scheme, its key count, and whether every
-    run reconstructed its products."""
+    scheme it gives, the last scheme, and whether every run reconstructed
+    its products."""
     times, ok = [], True
     for _ in range(repeats):
         t0 = time.perf_counter()
-        scheme, keys = synthesize_counting_keys(code, params)
+        scheme = hss.HssScheme(params, code, hss._synthesize(code, params))
         t1 = time.perf_counter()
         secrets = [[(i + k) % params.spec.q for k in range(params.m)] for i in range(params.ell)]
         ok &= hss.run_end_to_end(scheme, secrets, 1).ok
         times.append((t1 - t0, time.perf_counter() - t1))
-    return min(t for t, _ in times), min(t for _, t in times), scheme, keys, ok
+    return min(t for t, _ in times), min(t for _, t in times), scheme, ok
 
 
 def key_bytes(scheme) -> int:
@@ -150,20 +152,27 @@ def read_documents(repeats: int) -> int:
     return 0
 
 
+def in_order(solutions):
+    """KeySolutions with each Z_Q listed in the order of Q, so that
+    equality covers that order too."""
+    return solutions._replace(solved=[list(rows.items()) for rows in solutions.solved])
+
+
 def search_keys(repeats: int) -> int:
     """The --keys table; 1 if the two key searches differ on a rung."""
-    print(f"{'scheme (t, d)':<36} {'unions':>7} {'L sets':>7} {'keys':>7} {'package':>9} {'oracle':>9} {'speedup':>8}")
+    print(f"{'scheme (t, d)':<36} {'unions':>7} {'L sets':>7} {'keys':>7} {'scans':>7} {'package':>9} {'oracle':>9}"
+          f" {'speedup':>8}")
     failures = []
     for name, build, t, d in LADDER:
         code = build()
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         unions = hss.enumerate_monomials(params)[1]
-        fast, got = best_of(repeats, lambda: hss._key_search(code, params, unions))
-        slow, want = best_of(repeats, lambda: oracles.key_search(code, params, unions))
-        if got != want:
-            failures.append(f"{name}: hss._key_search differs from oracles.key_search")
-        keys = got[2]
-        print(f"{name:<36} {len(set(unions)):>7,} {len({lost for lost, _ in keys}):>7,} {len(keys):>7,}"
+        got, eliminations = counting_eliminations(lambda: hss._key_search(code, params, unions))
+        fast, _ = best_of(repeats, lambda: hss._key_search(code, params, unions))
+        slow, want = best_of(repeats, lambda: oracles.synthesize_keys(code, params, unions))
+        if in_order(got) != in_order(want):
+            failures.append(f"{name}: hss._key_search differs from oracles.synthesize_keys")
+        print(f"{name:<36} {len(set(unions)):>7,} {len(set(got.lost)):>7,} {len(got.lost):>7,} {eliminations - 1:>7,}"
               f" {fast:>8.4f}s {slow:>8.4f}s {slow / fast:>7.1f}x", flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)
@@ -177,7 +186,7 @@ def main() -> int:
     group = parser.add_mutually_exclusive_group()
     group.add_argument("--big", action="store_true", help="add Goppa u=5 (2, 2), package only")
     group.add_argument("--read", action="store_true", help="time the two scheme document readers instead")
-    group.add_argument("--keys", action="store_true", help="time the two pivot searches instead")
+    group.add_argument("--keys", action="store_true", help="time the two key searches and their solves instead")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
@@ -195,11 +204,11 @@ def main() -> int:
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         if not with_oracle:
             os.environ[ENV_VAR] = BIG_BUDGET  # the --big rows come last, so the override ends with the process
-        fast, run, scheme, keys, ok = synthesize_and_run(args.repeats, code, params)
+        fast, run, scheme, ok = synthesize_and_run(args.repeats, code, params)
         if not ok:
             failures.append(f"{name}: run_end_to_end did not reconstruct the products")
         unions = len(set(hss.enumerate_monomials(params)[1]))
-        line = f"{name:<36} {unions:>7,} {keys:>7,} {key_bytes(scheme):>10,} {fast:>8.3f}s {run:>7.3f}s"
+        line = f"{name:<36} {unions:>7,} {len(scheme.solutions.solved):>7,} {key_bytes(scheme):>10,} {fast:>8.3f}s {run:>7.3f}s"
         if not with_oracle:
             print(f"{line} {'-':>9} {'-':>8}", flush=True)
             continue

@@ -9,9 +9,9 @@ product of d secrets expands into monomials y_{1,T_1}*...*y_{d,T_d}; a
 monomial is locally computable by all servers outside union(T_k), and for
 each one a particular solution of G(Lambda) e = u_i scatters coefficients
 onto the output coordinates owned by those servers (all solutions come
-from one elimination per code, one pivot scan per set L of lost rows and
-one small solve per distinct (L, Q) key; see _key_search).  Reconstruction
-is the single matrix product G z.
+from one elimination per code and one small elimination per scan for
+the pivots Q of a set L of lost rows, which solves for them as it finds
+them; see _key_search).  Reconstruction is the single matrix product G z.
 
 Everything is exact field arithmetic; there are no tolerances anywhere in
 this module.  All randomness flows through an explicit seeded generator,
@@ -45,7 +45,8 @@ from .errors import (
     ParameterOutOfRange,
 )
 from .galois import MAX_TABLE_ORDER, FieldSpec, first_outside, randrange_run
-from .matrix import MatrixF, _eliminate, _row_ops, solve_many
+from .matrix import _eliminate, _row_ops
+from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py patches hss.solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
 
@@ -288,7 +289,7 @@ class Monomials(Sequence):
 class KeySolutions(NamedTuple):
     """The Eval coefficients of a scheme from _synthesize: [R | E] = `work`
     and its pivot columns B = `basis` (see _key_search) once, and per
-    distinct (L, Q) key, in first-seen solve order, its rows L (`lost`)
+    distinct (L, Q) key, in first-seen order, its rows L (`lost`)
     and Z_Q = R[L, Q]^-1 E[L] (`solved`: each coordinate of Q, in order,
     maps to its ell coefficients, instance i at entry i - 1, in the form
     of FieldSpec.codes).  combo_key[c] is the key of subset combo c,
@@ -411,78 +412,69 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
 
 
 def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
-    """The KeySolutions of `params` over `code`: synthesize_eval without its
-    checks.  Each key's Z_Q = Y^-1 E[L], Y = R[L, Q], is one r x r solve
-    (r = |L|) from [R | E] = `work`, its rows kept by coordinate of Q."""
-    _, unions = enumerate_monomials(params)
-    work, basis, keys, combo_key = _key_search(code, params, unions)
-    spec, n, ell = code.spec, code.n, code.dim
-    solved = []
-    for lost, chosen in keys:
-        Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
-        z = solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)])
-        solved.append(dict(zip(chosen, map(spec.codes, zip(*z)))))
-    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, combo_key)
+    """The KeySolutions of `params` over `code`: synthesize_eval without its checks."""
+    return _key_search(code, params, enumerate_monomials(params)[1])
 
 
-def _key_search(code: LabeledCode, params: HssParams, unions: list[int]):
-    """One elimination of [G | I], then the (L, Q) key of every union.
+def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeySolutions:
+    """The KeySolutions of `unions`: one elimination of [G | I], then one
+    small elimination per scan, which finds a union's key (L, Q) and
+    solves for its Z_Q.
 
     The elimination takes [G | I] to [R | E]: R = rref(G) with pivot
     columns B (one per row: LabeledCode checks that G has full row rank),
     E = G[:, B]^-1, so G = G[:, B] R and any columns of G and of R have
-    the same leftmost pivots, the ones solve_many picks.  For a union, L
-    are the rows of R whose pivot lies at a server in it; every other
-    pivot stays one, and the coordinates outside B and outside the union
-    whose projections R[L, c] are independent of the earlier ones' make
-    up Q.  Returns [R | E], B, the distinct keys (L, Q) in first-seen
-    order and the key index of each entry of `unions`; the unions are
-    walked in union_order, and the first whose coordinates lack rank
-    raises InsufficientLabelweight.  L depends only on the union's pivot
-    servers, so Q is scanned once per L with nothing excluded (L = () not
-    at all), noting the servers whose columns the scan read before it
-    stopped: a union holding none of them would pick the same Q, and only
-    a union holding one scans again.
+    the same leftmost pivots.  For a union, L are the rows of R whose
+    pivot lies at a server in it (looked up by `union & pivot servers`);
+    every other pivot stays one.  A scan row-reduces [R[L, free] | E[L]]
+    over the free coordinates (those outside B) outside the union, in
+    increasing order, until every row holds a pivot.  Its pivot columns
+    are Q, the first coordinates whose projections R[L, c] are
+    independent of the earlier ones', and its E part is then
+    Z_Q = R[L, Q]^-1 E[L].  A scan notes the servers `seen` of every free
+    coordinate up to its last pivot, read or skipped: a later union with
+    the same L that holds the same of them (union & seen) would take the
+    same path, so it takes that key without a scan.  The unions are
+    walked in union_order, the keys numbered in first-seen order, and the
+    first union whose coordinates lack rank raises InsufficientLabelweight.
     """
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
-    basis = _eliminate(spec, work, n)
-    scale, axpy = _row_ops(spec)
+    basis = _eliminate(spec, work, range(n))
     free = [c for c in range(n) if c not in basis]
+    owners = [labels[c] for c in free]
+    projected = [[row[c] for c in free] + row[n:] for row in work]  # [R[j, free] | E[j]]
+    reach = list(itertools.accumulate((1 << v for v in owners), operator.or_))  # the servers of free[: i + 1]
 
-    def scan(at: int, union: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    def scan(at: int, union: int) -> tuple[int, tuple, dict[int, Sequence[int]]]:
         lost = tuple(j for j, b in enumerate(basis) if at >> labels[b] & 1)
-        chosen, read = [], 0
-        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
-        for c in (c for c in free if not union >> labels[c] & 1):
-            if len(chosen) == len(lost):
-                break
-            read |= 1 << labels[c]
-            v = [work[j][c] for j in lost]
-            for lead, w in echelon:
-                if v[lead]:
-                    v = axpy(v[lead], v, w)
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is not None:
-                echelon.append((lead, scale(spec.inv(v[lead]), v)))
-                chosen.append(c)
-        return lost, tuple(chosen), read
-
-    pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
-    scans = {0: ((), (), 0)}  # a union's pivot servers -> L, Q with nothing excluded, the servers read
-    keys: dict[tuple, int] = {}
-    key_of: dict[int, int] = {}
-    for union in sorted(set(unions), key=union_order):
-        at = union & pivot_servers
-        lost, chosen, read = scans.get(at) or scans.setdefault(at, scan(at, 0))
-        if union & read:
-            chosen = scan(at, union)[1]
-        if len(chosen) < len(lost):
+        rows = [projected[j] for j in lost]
+        pivots = _eliminate(spec, rows, (i for i, v in enumerate(owners) if not union >> v & 1))
+        if len(pivots) < len(lost):
             lam = [v for v in range(1, params.s + 1) if not union >> v & 1]
             need = params.d * params.t + 1
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
-        key_of[union] = keys.setdefault((lost, chosen), len(keys))
-    return work, basis, list(keys), list(map(key_of.__getitem__, unions))
+        chosen = tuple(free[i] for i in pivots)
+        z_rows = dict(zip(chosen, (spec.codes(row[len(free) :]) for row in rows)))
+        return reach[pivots[-1]] if pivots else 0, (lost, chosen), z_rows
+
+    pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
+    scans: dict[int, list[tuple[int, int, int]]] = {}  # a union's pivot servers -> per scan: seen, union & seen, key
+    keys: dict[tuple, tuple[int, dict[int, Sequence[int]]]] = {}  # (L, Q) -> its index and Z_Q
+    key_of: dict[int, int] = {}
+    for union in sorted(set(unions), key=union_order):
+        at = union & pivot_servers
+        paths = scans.setdefault(at, [])
+        for seen, excluded, k in paths:
+            if union & seen == excluded:
+                break
+        else:
+            seen, key, z_rows = scan(at, union)
+            k = keys.setdefault(key, (len(keys), z_rows))[0]
+            paths.append((seen, union & seen, k))
+        key_of[union] = k
+    solved = [z_rows for _, z_rows in keys.values()]
+    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, list(map(key_of.__getitem__, unions)))
 
 
 _MEMBERS_FIRST = str.maketrans("01", "10")

@@ -2,15 +2,15 @@
 
 Matrices store raw element codes (see galois) in row-major nested lists.
 Everything here is deterministic: pivots are chosen leftmost column
-first, topmost row first, and particular solutions zero all free
-variables.  All operations are pure; matrices are never mutated after
-construction.  Elimination rewrites whole rows at a time through the
-field's flat lookup tables (q <= 256).
+first (in the order given to _eliminate), topmost row first, and
+particular solutions zero all free variables.  All operations are pure;
+matrices are never mutated after construction.  Elimination rewrites
+whole rows at a time through the field's flat lookup tables (q <= 256).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
 from .galois import MAX_TABLE_ORDER, FieldSpec, require_table_order
@@ -101,21 +101,26 @@ def _row_ops(spec: FieldSpec):
     return scale, axpy
 
 
-def _eliminate(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
-    """In-place reduced row echelon form of the first `ncols` columns of `rows`.
+def _eliminate(spec: FieldSpec, rows: list[list[int]], cols: Iterable[int]) -> list[int]:
+    """In-place reduced row echelon form of `rows` over the columns `cols`,
+    taken in the order given until every row holds a pivot.
 
-    Columns past `ncols` (augmented right-hand sides) take the same row
-    operations but never hold a pivot.  Returns the pivot column list.
+    Other columns (augmented right-hand sides, columns left out) take the
+    same row operations but never hold a pivot.  Rows are replaced, never
+    edited, so `rows` may share its row lists with other matrices.
+    Returns the pivot column list.
     """
     scale, axpy = _row_ops(spec)
     nrows = len(rows)
     pivots: list[int] = []
-    for col in range(ncols):
+    for col in cols:
         piv_row = len(pivots)
         if piv_row == nrows:
             break
-        hit = next((i for i in range(piv_row, nrows) if rows[i][col]), None)
-        if hit is None:
+        for hit in range(piv_row, nrows):
+            if rows[hit][col]:
+                break
+        else:
             continue
         rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
         lead = rows[piv_row][col]
@@ -133,7 +138,7 @@ def _eliminate(spec: FieldSpec, rows: list[list[int]], ncols: int) -> list[int]:
 def rref(A: MatrixF) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
     work = [row[:] for row in A.data]
-    pivots = _eliminate(A.spec, work, A.cols)
+    pivots = _eliminate(A.spec, work, range(A.cols))
     return RrefResult(MatrixF._of_codes(A.spec, work, A.cols), tuple(pivots), len(pivots))
 
 
@@ -153,7 +158,7 @@ def solve_many(A: MatrixF, targets: Sequence[Sequence[int]]) -> list[list[int] |
             raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
     cols = A.cols
     work = [row + list(b) for row, b in zip(A.data, zip(*targets) if targets else [()] * A.rows)]
-    pivots = _eliminate(A.spec, work, cols)
+    pivots = _eliminate(A.spec, work, range(cols))
     nrank = len(pivots)
     inconsistent = {idx for row in work[nrank:] for idx, v in enumerate(row[cols:]) if v}
     solved = zip(*(row[cols:] for row in work[:nrank])) if nrank else [()] * len(targets)

@@ -46,7 +46,10 @@ deriving the kept-pivot rows in ``KeySolutions.column`` replaced;
 ``row_scheme`` expands the keys back to that form through the reader.
 The pivot search keeps its greedy scan for Q once per union, the unions
 walked sorted by their member lists (``key_search``), which one scan per
-lost-row set and the string key ``hss.union_order`` replaced.
+lost-row set and the string key ``hss.union_order`` replaced, and that
+per-L scan (``lost_set_key_search``) followed by one ``solve_many`` of
+R[L, Q] per key (``synthesize_keys``), which row-reducing [R[L] | E[L]]
+in each scan, with Z_Q read off its E part, replaced.
 The v1 scheme reader keeps its fold of every eval row into its key
 (``fold_scheme_text``), which reading by synthesis replaced.
 The literal block-system check (``verify_block_system``) materialises
@@ -683,7 +686,7 @@ def solve_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     spec, ell, n = code.spec, params.ell, code.n
     need = params.d * params.t + 1
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
-    basis = _eliminate(spec, work, n)
+    basis = _eliminate(spec, work, range(n))
     scale, axpy = _row_ops(spec)
     free = [c for c in range(n) if c not in basis]
     pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
@@ -737,7 +740,7 @@ def key_search(code: LabeledCode, params: HssParams, unions: list[int]):
     coordinates lack rank raises InsufficientLabelweight."""
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
-    basis = _eliminate(spec, work, n)
+    basis = _eliminate(spec, work, range(n))
     scale, axpy = _row_ops(spec)
     free = [c for c in range(n) if c not in basis]
     keys: dict[tuple, int] = {}
@@ -764,6 +767,76 @@ def key_search(code: LabeledCode, params: HssParams, unions: list[int]):
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
         key_of[union] = keys.setdefault((tuple(lost), tuple(chosen)), len(keys))
     return work, basis, list(keys), list(map(key_of.__getitem__, unions))
+
+
+def lost_set_key_search(code: LabeledCode, params: HssParams, unions: list[int]):
+    """hss._key_search before its scans solved: one elimination of
+    [G | I] to [R | E], then one greedy scan for Q per lost-row set L
+    (looked up by `union & pivot servers`) with nothing excluded, noting
+    the servers whose columns it read before it stopped; a union holding
+    none of them takes that Q, any other scans again with its own servers
+    excluded (L = () takes ((), ()) without a scan).  The unions are
+    walked in hss.union_order.  Returns [R | E], B, the distinct keys
+    (L, Q) in first-seen order and the key index of each entry of
+    `unions`; the first union whose coordinates lack rank raises
+    InsufficientLabelweight."""
+    spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
+    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
+    basis = _eliminate(spec, work, range(n))
+    scale, axpy = _row_ops(spec)
+    free = [c for c in range(n) if c not in basis]
+
+    def scan(at: int, union: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+        lost = tuple(j for j, b in enumerate(basis) if at >> labels[b] & 1)
+        chosen, read = [], 0
+        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
+        for c in (c for c in free if not union >> labels[c] & 1):
+            if len(chosen) == len(lost):
+                break
+            read |= 1 << labels[c]
+            v = [work[j][c] for j in lost]
+            for lead, w in echelon:
+                if v[lead]:
+                    v = axpy(v[lead], v, w)
+            lead = next((i for i, x in enumerate(v) if x), None)
+            if lead is not None:
+                echelon.append((lead, scale(spec.inv(v[lead]), v)))
+                chosen.append(c)
+        return lost, tuple(chosen), read
+
+    pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
+    scans = {0: ((), (), 0)}  # a union's pivot servers -> L, Q with nothing excluded, the servers read
+    keys: dict[tuple, int] = {}
+    key_of: dict[int, int] = {}
+    for union in sorted(set(unions), key=hss.union_order):
+        at = union & pivot_servers
+        lost, chosen, read = scans.get(at) or scans.setdefault(at, scan(at, 0))
+        if union & read:
+            chosen = scan(at, union)[1]
+        if len(chosen) < len(lost):
+            lam = [v for v in range(1, params.s + 1) if not union >> v & 1]
+            need = params.d * params.t + 1
+            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
+        key_of[union] = keys.setdefault((lost, chosen), len(keys))
+    return work, basis, list(keys), list(map(key_of.__getitem__, unions))
+
+
+def synthesize_keys(code: LabeledCode, params: HssParams, unions: list[int] | None = None) -> hss.KeySolutions:
+    """hss._key_search as the per-L search (lost_set_key_search) and then
+    one solve_many of Y = R[L, Q] per key for Z_Q = Y^-1 E[L], which
+    taking Z_Q from the E part of each scan's elimination replaced.
+    `unions` defaults to those of hss.enumerate_monomials(params), so the
+    default gives hss._synthesize(code, params)."""
+    if unions is None:
+        unions = hss.enumerate_monomials(params)[1]
+    work, basis, keys, combo_key = lost_set_key_search(code, params, unions)
+    spec, n, ell = code.spec, code.n, code.dim
+    solved = []
+    for lost, chosen in keys:
+        Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
+        z = matrix.solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)])
+        solved.append(dict(zip(chosen, map(spec.codes, zip(*z)))))
+    return hss.KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, combo_key)
 
 
 def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:
@@ -1089,7 +1162,7 @@ def fold_scheme_text(text: str) -> RowScheme:
     try:
         params = HssParams(code.s, t, d, code.dim, m, code.spec)
         _, unions = hss.enumerate_monomials(params)
-        _, basis, keys, combo_key = hss._key_search(code, params, unions)
+        _, basis, keys, combo_key = lost_set_key_search(code, params, unions)
     except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
 

@@ -20,8 +20,9 @@ def test_eval_benchmark_runs_and_its_contractions_agree():
 
 def test_synth_benchmark_key_searches_agree():
     """bench_synth.py --keys exits 0 only if the package's key search and
-    the per-union scan it replaced return the same [R | E], B, keys and
-    combo keys on every rung of the ladder."""
+    the per-L search with one solve per key that it replaced give the
+    same KeySolutions, key order and each Q's order included, on every
+    rung of the ladder."""
     run = subprocess.run(
         [sys.executable, str(ROOT / "benchmarks" / "bench_synth.py"), "--keys", "--repeats", "1"],
         capture_output=True, text=True, timeout=300,

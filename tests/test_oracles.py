@@ -11,11 +11,11 @@ import re
 from collections.abc import Mapping
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from labelweight_hss import hss, protocol
+from labelweight_hss import hss, matrix, protocol
 from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import (
     DecodeError,
@@ -533,7 +533,7 @@ def test_solution_blocks_match_the_per_union_oracle(name):
     assert oracles.project_blocks(scheme) == blocks == oracles.synthesize_blocks(scheme.code, scheme.params)
 
 
-# distinct (L, Q) keys of the workloads: one solve_many call each
+# distinct (L, Q) keys of the workloads, each Z_Q from the elimination of the scan that found it
 WORKLOAD_KEYS = {"goppa-eval": 165, "hermitian-setup": 286, "goppa-wire": 495}
 
 
@@ -570,28 +570,77 @@ def test_derived_key_rows_match_the_stored_rows_they_replaced(name):
     code = build()
     params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
     scheme = hss.HssScheme(params, code, hss._synthesize(code, params))
-    work, basis, keys, combo_key = hss._key_search(code, params, hss.enumerate_monomials(params)[1])
+    work, basis, keys, combo_key = oracles.lost_set_key_search(code, params, hss.enumerate_monomials(params)[1])
     expanded = oracles.row_scheme(scheme)
     stored = oracles.solve_keys(code, work, basis, keys)
     assert len(expanded.rows) == len(stored)
     for k, (got, want) in enumerate(zip(expanded.rows, stored)):
         assert got == want, f"key {k}"
     assert (expanded.combo_key, scheme.solutions.work, scheme.solutions.basis) == (combo_key, work, basis)
+    assert _keys_of(scheme.solutions) == keys
     assert "\n".join(oracles.row_lines(expanded)) + "\n" == hss.scheme_to_text(scheme)
+
+
+def _keys_of(solutions):
+    """The (L, Q) keys of KeySolutions in their order, Q in its order."""
+    return [(lost, tuple(rows)) for lost, rows in zip(solutions.lost, solutions.solved)]
+
+
+def _key_form(solutions):
+    """KeySolutions with each key's Z_Q rows listed in the order of Q, so
+    that equality covers that order too (dicts compare without it)."""
+    return solutions._replace(solved=[list(rows.items()) for rows in solutions.solved])
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
 def test_key_search_matches_the_per_union_scan(name):
-    """One Q scan per lost-row set L, rerun only for unions holding a
-    server whose column it read, and the walk in union_order give the
-    per-union scan's [R | E], B, keys in the same first-seen order and
-    combo keys.  The workloads and LADDER_CASES are the rungs of
+    """One scan per path through the free coordinates, its key taken by
+    every later union that holds the same of the servers it saw, and the
+    walk in union_order give the per-union scan's [R | E], B, keys in the
+    same first-seen order and combo keys, and the per-key solves' Z_Q
+    (oracles.synthesize_keys): work, basis, lost, solved with each Q in
+    order, combo_key.  The workloads and LADDER_CASES are the rungs of
     bench_synth.py's LADDER."""
     build, t, d = {**EVAL_CASES, **WORKLOAD_CASES, **LADDER_CASES}[name]
     code = build()
     params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
     unions = hss.enumerate_monomials(params)[1]
-    assert hss._key_search(code, params, unions) == oracles.key_search(code, params, unions)
+    got = hss._synthesize(code, params)
+    assert _key_form(got) == _key_form(oracles.synthesize_keys(code, params))
+    assert (got.work, got.basis, _keys_of(got), got.combo_key) == oracles.key_search(code, params, unions)
+    assert all(type(lost) is tuple for lost in got.lost)
+
+
+# eliminations in one _synthesize of the workloads: [G | I], then one per
+# scan, the first scan of L = () included
+WORKLOAD_ELIMINATIONS = {"goppa-eval": 186, "hermitian-setup": 319, "goppa-wire": 601}
+
+
+def _counting_eliminations(monkeypatch) -> list:
+    """Count every matrix._eliminate call, by hss or inside matrix (rref,
+    solve_many), from here on."""
+    calls, eliminate = [], matrix._eliminate
+
+    def counted(*args):
+        calls.append(None)
+        return eliminate(*args)
+
+    monkeypatch.setattr(hss, "_eliminate", counted)
+    monkeypatch.setattr(matrix, "_eliminate", counted)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(WORKLOAD_CASES))
+def test_workload_synthesis_eliminates_once_per_scan(name, monkeypatch):
+    """Each key's Z_Q comes out of the scan that found it: no solve after
+    the search, and no rescan of a path a scan already took."""
+    build, t, d = WORKLOAD_CASES[name]
+    code = build()
+    params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+    calls = _counting_eliminations(monkeypatch)
+    solutions = hss._synthesize(code, params)
+    assert len(calls) == WORKLOAD_ELIMINATIONS[name]
+    assert len(solutions.solved) == WORKLOAD_KEYS[name]
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES))
@@ -605,9 +654,10 @@ def test_unions_of_servers_without_pivots_key_as_the_oracle_does(name):
     pivot_servers = {labels[b] for b in rref(code.generator).pivots}
     free = [v for v in range(1, code.s + 1) if v not in pivot_servers]
     unions = [0] + [sum(1 << v for v in servers) for size in (1, 2) for servers in itertools.combinations(free, size)]
-    work, basis, keys, combo_key = hss._key_search(code, params, unions)
-    assert (work, basis, keys, combo_key) == oracles.key_search(code, params, unions)
-    assert (keys, combo_key) == ([((), ())], [0] * len(unions))
+    got = hss._key_search(code, params, unions)
+    assert _key_form(got) == _key_form(oracles.synthesize_keys(code, params, unions))
+    assert (got.work, got.basis, _keys_of(got), got.combo_key) == oracles.key_search(code, params, unions)
+    assert (got.lost, got.solved, got.combo_key) == ([()], [{}], [0] * len(unions))
     # L stays the key's tuple through synthesis, into KeySolutions
     assert all(type(lost) is tuple for lost in _case_scheme(name).solutions.lost)
 
@@ -819,8 +869,9 @@ def _gf257(rows):
 
 # codes whose labelweight is at most d*t, with the first union in solve order
 # that lacks rank; over GF(257) synthesize_eval has no exhaustive check, so it
-# too must fail on that union: [1 1 0] fails at {1, 2} on the lost-row set
-# that {1} scanned first, [1 0 0; 0 1 1] on the scan with nothing excluded
+# too must fail on that union: [1 1 0] fails at {1, 2}, whose lost-row set
+# {1} scanned first through server 2's column, [1 0 0; 0 1 1] at the first
+# scan of its lost-row set
 RANK_DEFICIENT = {
     "goppa-t3d2": (
         lambda: goppa_build(4, 2), 3, 2,
@@ -847,25 +898,91 @@ def test_rank_deficient_codes_fail_on_the_oracle_union(name):
         oracles.synthesize_blocks(code, params)
     with pytest.raises(InsufficientLabelweight) as searched:
         oracles.key_search(code, params, hss.enumerate_monomials(params)[1])
+    with pytest.raises(InsufficientLabelweight) as solved:
+        oracles.synthesize_keys(code, params)
     # _synthesize skips the exhaustive labelweight check, so the rank test must trip
     with pytest.raises(InsufficientLabelweight) as got:
         hss._synthesize(code, params)
-    assert str(got.value) == str(want.value) == str(searched.value) == message
+    assert str(got.value) == str(want.value) == str(searched.value) == str(solved.value) == message
     if code.spec.q > MAX_TABLE_ORDER:
         with pytest.raises(InsufficientLabelweight) as checked:
             hss.synthesize_eval(code, params)
         assert str(checked.value) == message
 
 
-def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again():
-    """[1 1 0]: {1} scans L = (0,) with nothing excluded and takes Q = (1,)
-    from server 2; {1, 3} reuses it, {1, 2} holds server 2, scans again
-    past it and finds no column."""
+def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again(monkeypatch):
+    """[1 1 0]: {1} scans L = (0,) and takes Q = (1,) from server 2, so it
+    saw server 2 alone; {1, 3} holds none of it and takes that key without
+    a scan, {1, 2} holds server 2, scans again past it and finds no
+    column."""
     code = _gf257([[1, 1, 0]])
     params = hss.HssParams(3, 1, 2, 1, 2, GF257)
-    assert hss._key_search(code, params, [0b0010, 0b1010])[2:] == ([((0,), (1,))], [0, 0])
+    calls = _counting_eliminations(monkeypatch)
+    got = hss._key_search(code, params, [0b0010, 0b1010])
+    assert (got.lost, got.solved, got.combo_key) == ([(0,)], [{1: (1,)}], [0, 0])
+    assert len(calls) == 2  # [G | I] and the scan of {1}
+    assert got == oracles.synthesize_keys(code, params, [0b0010, 0b1010])
     with pytest.raises(InsufficientLabelweight, match=re.escape(RANK_DEFICIENT["gf257-110-t1d2"][3])):
         hss._key_search(code, params, [0b0010, 0b0110])
+
+
+def test_a_union_holding_the_servers_a_scan_skipped_takes_its_key(monkeypatch):
+    """[1 1 1 1], each coordinate its own server, L = (0,) for every union
+    holding server 1.  {1, 2} skips server 2's column and takes Q = (2,)
+    at server 3, so it saw servers 2 and 3 and held server 2.  {1, 2, 4}
+    holds the same of them and takes that key without a scan.  {1, 2, 3}
+    also holds server 3, and {1, 4} lacks server 2: each scans its own
+    path, to Q = (3,) and Q = (1,)."""
+    code = _gf257([[1, 1, 1, 1]])
+    params = hss.HssParams(4, 1, 2, 1, 2, GF257)
+    unions = [0b00110, 0b10110, 0b10010, 0b01110]  # {1, 2}, {1, 2, 4}, {1, 4}, {1, 2, 3}
+    calls = _counting_eliminations(monkeypatch)
+    got = hss._key_search(code, params, unions)
+    assert len(calls) == 4  # [G | I] and the scans of {1, 2}, {1, 2, 3} and {1, 4}
+    assert _keys_of(got) == [((0,), (2,)), ((0,), (3,)), ((0,), (1,))]
+    assert got.combo_key == [0, 0, 2, 1]
+    assert got == oracles.synthesize_keys(code, params, unions)
+
+
+KEY_SEARCH_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), GF257]
+
+
+@st.composite
+def _key_search_inputs(draw):
+    """A full-row-rank generator over a small field or GF(257), a random
+    labeling onto s servers, and a list of unions (bitmasks of servers
+    1..s, duplicates allowed, in any order)."""
+    spec = draw(st.sampled_from(KEY_SEARCH_FIELDS))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 10))
+    s = draw(st.integers(2, n))
+    # every server owns a coordinate, the rest are labeled at random
+    labels = draw(st.permutations(list(range(1, s + 1)) + draw(st.lists(st.integers(1, s), min_size=n - s, max_size=n - s))))
+    cell = st.one_of(st.just(0), st.integers(0, spec.q - 1))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=k, max_size=k))
+    generator = MatrixF(spec, rows)
+    assume(rref(generator).rank == k)
+    servers = st.sets(st.integers(1, s), max_size=max(1, s // 2))
+    unions = draw(st.lists(servers.map(lambda members: sum(1 << v for v in members)), min_size=1, max_size=24))
+    return LabeledCode(spec, generator, Labeling(s, labels)), unions
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(_key_search_inputs())
+def test_key_search_matches_the_per_key_solves_on_random_codes(inputs):
+    """Any code, labeling and union list: hss._key_search gives the per-L
+    search and per-key solves' KeySolutions (key order and each Q's order
+    included) or raises their InsufficientLabelweight message."""
+    code, unions = inputs
+    params = hss.HssParams(code.s, 1, 1, code.dim, 1, code.spec)
+    try:
+        want = _key_form(oracles.synthesize_keys(code, params, unions))
+    except InsufficientLabelweight as exc:
+        with pytest.raises(InsufficientLabelweight) as got:
+            hss._key_search(code, params, unions)
+        assert str(got.value) == str(exc)
+    else:
+        assert _key_form(hss._key_search(code, params, unions)) == want
 
 
 @pytest.mark.parametrize("name", ["gf257-rs-t1d2", "gf257-110-t1d2"])
