@@ -5,12 +5,14 @@ systematic-form synthesis and for the per-union elimination it replaced
 
 Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read | --keys]
 
-Each row gives the scheme's distinct subset unions, its distinct (L, Q)
-keys, the bytes of the keys' stored Z_Q rows, and the best-of-N wall
-time of hss._synthesize, of the first hss.run_end_to_end on the scheme
-it gives, and of oracles.synthesize_blocks.  The synthesis times cover monomial
-enumeration, the key or block layout and the solves, not the exhaustive
-labelweight check (hss._synthesize is hss.synthesize_eval without it).
+Each row gives the scheme's distinct subset unions (the server sets of
+hss.server_sets), its distinct (L, Q) keys, the bytes of the keys'
+stored Z_Q rows, and the best-of-N wall time of hss._synthesize, of the
+first hss.run_end_to_end on the scheme it gives, and of
+oracles.synthesize_blocks.  The synthesis times cover monomial
+enumeration, the key or block layout and the solves; the package's key
+search is also its labelweight proof (hss._synthesize is
+hss.synthesize_eval without its parameter checks).
 The first run builds every server's planes, and with them the kept-pivot
 rows the keys do not store, so read the two package columns together.
 The package's key rows, projected onto each union's coordinates
@@ -23,12 +25,11 @@ budget).
 
 --read times reading scheme documents instead, on the goppa-eval,
 hermitian-setup and goppa-wire shapes: the best-of-N wall time of
-hss.scheme_from_text, which synthesizes the scheme a document names
-(exhaustive labelweight check included), and of
-oracles.fold_scheme_text, which folds the document's eval rows into the
-full key rows (the reader it replaced).  Both must read the synthesized
-scheme (the same keys, parameters and labelweight flag), or the script
-exits with status 1.
+hss.scheme_from_text, which synthesizes the scheme a document names,
+and of oracles.fold_scheme_text, which folds the document's eval rows
+into the full key rows (the reader it replaced).  Both must read the
+synthesized scheme (the same keys and parameters), or the script exits
+with status 1.
 
 --keys times the key search and its solves on the ladder: the best-of-N
 wall time of hss._key_search, whose scans each row-reduce [R[L] | E[L]]
@@ -37,7 +38,8 @@ oracles.synthesize_keys, the search it replaced (one scan per lost-row
 set L, rescans for unions holding a server it read) followed by one
 hss.solve_many call per key, with the distinct unions, lost-row sets,
 keys and the package's scans (eliminations after the one of [G | I]).
-Both take the same unions and include the elimination of [G | I].
+Both take the same unions, the walk of hss.server_sets, and include
+the elimination of [G | I].
 Their KeySolutions must be equal, key order and the order of each Q
 included, or the script exits with status 1.
 """
@@ -125,10 +127,10 @@ def key_bytes(scheme) -> int:
 
 
 def what_was_read(scheme):
-    """The keys (full key rows of an oracles.RowScheme), parameters and
-    labelweight flag of a scheme read back from its document."""
+    """The keys (full key rows of an oracles.RowScheme) and parameters of
+    a scheme read back from its document."""
     keys = (scheme.rows, scheme.combo_key) if isinstance(scheme, oracles.RowScheme) else scheme.solutions
-    return keys, scheme.params, scheme.labelweight_verified
+    return keys, scheme.params
 
 
 def read_documents(repeats: int) -> int:
@@ -166,13 +168,13 @@ def search_keys(repeats: int) -> int:
     for name, build, t, d in LADDER:
         code = build()
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
-        unions = hss.enumerate_monomials(params)[1]
+        unions = hss.server_sets(params.s, params.t, params.d)
         got, eliminations = counting_eliminations(lambda: hss._key_search(code, params, unions))
         fast, _ = best_of(repeats, lambda: hss._key_search(code, params, unions))
         slow, want = best_of(repeats, lambda: oracles.synthesize_keys(code, params, unions))
         if in_order(got) != in_order(want):
             failures.append(f"{name}: hss._key_search differs from oracles.synthesize_keys")
-        print(f"{name:<36} {len(set(unions)):>7,} {len(set(got.lost)):>7,} {len(got.lost):>7,} {eliminations - 1:>7,}"
+        print(f"{name:<36} {len(unions):>7,} {len(set(got.lost)):>7,} {len(got.lost):>7,} {eliminations - 1:>7,}"
               f" {fast:>8.4f}s {slow:>8.4f}s {slow / fast:>7.1f}x", flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)
@@ -207,7 +209,7 @@ def main() -> int:
         fast, run, scheme, ok = synthesize_and_run(args.repeats, code, params)
         if not ok:
             failures.append(f"{name}: run_end_to_end did not reconstruct the products")
-        unions = len(set(hss.enumerate_monomials(params)[1]))
+        unions = len(hss.server_sets(params.s, params.t, params.d))
         line = f"{name:<36} {unions:>7,} {len(scheme.solutions.solved):>7,} {key_bytes(scheme):>10,} {fast:>8.3f}s {run:>7.3f}s"
         if not with_oracle:
             print(f"{line} {'-':>9} {'-':>8}", flush=True)

@@ -4,7 +4,7 @@ Exhaustive loops (codeword enumeration, monomial tables, privacy audits)
 are guarded by a budget on the number of enumerated objects.  Each call
 site has its own default; the HSS_ENUM_BUDGET environment variable, when
 set, overrides every default at once.  :func:`check` is the one gate that
-refuses a loop, and :func:`fits` the same rule as a question.
+refuses a loop.
 """
 
 import os
@@ -32,13 +32,9 @@ def effective_budget(default: int) -> int:
     return value
 
 
-def fits(count: int, default: int) -> bool:
-    """Whether enumerating `count` objects stays within the budget."""
-    return count <= effective_budget(default)
-
-
 def check(count: int, default: int, what: str) -> None:
     """Raise EnumerationBudgetExceeded, naming `count` and what is
     counted (`what`), unless `count` objects fit the budget."""
-    if not fits(count, default):
-        raise EnumerationBudgetExceeded(f"{count} {what} exceed budget {effective_budget(default)}; raise {ENV_VAR} to force")
+    limit = effective_budget(default)
+    if count > limit:
+        raise EnumerationBudgetExceeded(f"{count} {what} exceed budget {limit}; raise {ENV_VAR} to force")

@@ -4,7 +4,7 @@ A LabeledCode pairs a full-row-rank generator matrix with a surjective
 labeling of its coordinates onto servers.  The labelweight of a word is
 the number of distinct labels its support touches; the labelweight of a
 code is the minimum over nonzero codewords, computed here by exhaustive
-enumeration (the brute-force oracle the rest of the package leans on).
+enumeration (scheme synthesis proves its bound by rank checks instead).
 ``span_labelweight`` is the one entry to the enumeration kernel: every
 such count, a code's or a random generator's, goes through it.
 

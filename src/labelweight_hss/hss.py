@@ -33,8 +33,9 @@ from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 from . import budget
-from .budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, PRIVACY_BUDGET
-from .codes import LabeledCode, code_from_text, code_to_text, labelweight
+from .budget import MONOMIAL_BUDGET, PRIVACY_BUDGET
+from .codes import LabeledCode, code_from_text, code_to_text
+from .codes import labelweight  # noqa: F401  unused, but perfbench/tracing.py patches hss.labelweight
 from .errors import (
     DecodeError,
     DimensionMismatch,
@@ -48,7 +49,7 @@ from .galois import MAX_TABLE_ORDER, FieldSpec, first_outside, randrange_run
 from .matrix import _eliminate, _row_ops
 from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py patches hss.solve_many
 
-SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v1"
+SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v2"
 
 
 @dataclass(frozen=True)
@@ -334,7 +335,7 @@ class HssScheme:
     eval_table[r] maps each monomial to its coefficient in the output
     polynomial z_r computed by server labeling(r), nonzero coefficients
     only.  It is expanded from the keys on first read and cached; it
-    serves inspection and the benchmark's counters, while the v1
+    serves inspection and the benchmark's counters, while the scheme
     document and evaluation read the keys.  eval_server builds, on a
     server's first call, the coefficients of each coordinate it owns from
     the keys and caches them here: when q <= 256, one int per digit-bit
@@ -349,7 +350,6 @@ class HssScheme:
     params: HssParams
     code: LabeledCode
     solutions: KeySolutions = field(repr=False)
-    labelweight_verified: bool = True
     _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
     # server id -> (held subsets, per owned coordinate: its plane ints, or its tensors by instance,
     # whether any coefficient is nonzero)
@@ -388,12 +388,10 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
 
     Monomials whose subset unions share an (L, Q) key get the same
     coefficients, kept once per key as KeySolutions (see _key_search).
-    Raises InsufficientLabelweight if the code's labelweight is below
-    d*t + 1: by the exhaustive check when q <= 256 and q^ell fits the
-    budget, otherwise on the first union in solve order whose columns
-    lack rank (every d*t servers are the union of d t-subsets, so a code
-    of labelweight at most d*t always leaves one).  labelweight_verified
-    records whether the exhaustive check ran.
+    The key search is the labelweight proof (the paper's
+    characterization): G has rank ell outside every set of t..d*t
+    servers, as it checks, exactly when the labelweight exceeds d*t, so
+    a weaker code raises its InsufficientLabelweight.
     """
     if params.spec != code.spec:
         raise ParameterOutOfRange("params and code disagree on the field")
@@ -401,25 +399,38 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
         raise ParameterOutOfRange(f"ell={params.ell} must equal code dimension {code.dim}")
     if params.s != code.s:
         raise ParameterOutOfRange(f"s={params.s} must equal labeling server count {code.s}")
-
-    need = params.d * params.t + 1
-    verified = code.spec.q <= MAX_TABLE_ORDER and budget.fits(code.spec.q**code.dim, LABELWEIGHT_BUDGET)
-    if verified:
-        lw = labelweight(code)
-        if lw < need:
-            raise InsufficientLabelweight(f"labelweight {lw} < {need}")
-    return HssScheme(params, code, _synthesize(code, params), labelweight_verified=verified)
+    return HssScheme(params, code, _synthesize(code, params))
 
 
 def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
-    """The KeySolutions of `params` over `code`: synthesize_eval without its checks."""
-    return _key_search(code, params, enumerate_monomials(params)[1])
+    """synthesize_eval without its parameter checks: the keys of the
+    server_sets, each subset combo taking the key of its union."""
+    combos = enumerate_monomials(params)[1]
+    unions = server_sets(params.s, params.t, params.d)
+    solutions = _key_search(code, params, unions)
+    key_of = dict(zip(unions, solutions.combo_key))
+    return solutions._replace(combo_key=list(map(key_of.__getitem__, combos)))
+
+
+def server_sets(s: int, t: int, d: int) -> list[int]:
+    """The sets of t..d*t of the servers 1..s, bit v for server v, walked
+    depth-first in the order of their sorted member lists: the distinct
+    unions of d size-t subsets, as any such set is the union of d of its
+    own t-subsets."""
+    sets, stack = [], [(0, 0, 0)]  # (set, its size, its highest server)
+    while stack:
+        union, size, last = stack.pop()
+        if size >= t:
+            sets.append(union)
+        if size < d * t:
+            stack.extend([(union | 1 << v, size + 1, v) for v in range(s, last, -1)])  # lowest server on top
+    return sets
 
 
 def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeySolutions:
-    """The KeySolutions of `unions`: one elimination of [G | I], then one
-    small elimination per scan, which finds a union's key (L, Q) and
-    solves for its Z_Q.
+    """The KeySolutions of `unions`, combo_key[c] being the key of
+    unions[c]: one elimination of [G | I], then one small elimination per
+    scan, which finds a union's key (L, Q) and solves for its Z_Q.
 
     The elimination takes [G | I] to [R | E]: R = rref(G) with pivot
     columns B (one per row: LabeledCode checks that G has full row rank),
@@ -434,9 +445,9 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
     Z_Q = R[L, Q]^-1 E[L].  A scan notes the servers `seen` of every free
     coordinate up to its last pivot, read or skipped: a later union with
     the same L that holds the same of them (union & seen) would take the
-    same path, so it takes that key without a scan.  The unions are
-    walked in union_order, the keys numbered in first-seen order, and the
-    first union whose coordinates lack rank raises InsufficientLabelweight.
+    same path, so it takes that key without a scan.  The keys are
+    numbered in the order the unions first reach them, and the first
+    union whose coordinates lack rank raises InsufficientLabelweight.
     """
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
@@ -461,8 +472,8 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
     pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
     scans: dict[int, list[tuple[int, int, int]]] = {}  # a union's pivot servers -> per scan: seen, union & seen, key
     keys: dict[tuple, tuple[int, dict[int, Sequence[int]]]] = {}  # (L, Q) -> its index and Z_Q
-    key_of: dict[int, int] = {}
-    for union in sorted(set(unions), key=union_order):
+    union_key = []
+    for union in unions:
         at = union & pivot_servers
         paths = scans.setdefault(at, [])
         for seen, excluded, k in paths:
@@ -472,19 +483,9 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
             seen, key, z_rows = scan(at, union)
             k = keys.setdefault(key, (len(keys), z_rows))[0]
             paths.append((seen, union & seen, k))
-        key_of[union] = k
+        union_key.append(k)
     solved = [z_rows for _, z_rows in keys.values()]
-    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, list(map(key_of.__getitem__, unions)))
-
-
-_MEMBERS_FIRST = str.maketrans("01", "10")
-
-
-def union_order(union: int) -> str:
-    """Sort key of a union bitmask in the order of its sorted member list:
-    character v is "0" for a member v and "1" otherwise, up to the highest
-    member, so the first member decides and a prefix sorts first."""
-    return bin(union)[:1:-1].translate(_MEMBERS_FIRST)
+    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, union_key)
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
@@ -996,7 +997,6 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
         f"d {p.d}",
         f"l {p.ell}",
         f"m {p.m}",
-        f"labelweight-verified {1 if scheme.labelweight_verified else 0}",
         f"code-lines {len(code_lines)}",
         *code_lines,
     )
@@ -1013,19 +1013,19 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
 def scheme_from_text(text: str) -> HssScheme:
     """Read a scheme document by synthesizing the scheme it names.
 
-    The Eval and the labelweight-verified flag are fixed by the embedded
-    code and (t, d, m): the reader builds the scheme by synthesize_eval,
-    as the writer did, and parses no eval row and no flag, so a document
-    reads back under the enumeration budget it was written with.  The
-    document must be that scheme's canonical text, or DecodeError names
-    its first line that differs: a header value, the flag, a code line or
-    an eval row, even one of another valid Eval; lines are compared as
-    the text is scanned.  Parameters that admit no scheme raise
-    DecodeError("bad scheme parameters: ...").
+    The Eval is fixed by the embedded code and (t, d, m): the reader
+    builds the scheme by synthesize_eval, as the writer did, and parses
+    no eval row, so a document reads back under any enumeration budget
+    that fits its monomials.  The document must be that scheme's
+    canonical text, or DecodeError names its first line that differs: a
+    header value, a code line or an eval row, even one of another valid
+    Eval; lines are compared as the text is scanned.  A document without
+    the v2 tag (a v1 document among them) raises DecodeError, and so do
+    parameters that admit no scheme ("bad scheme parameters: ...").
     """
     lines = (line.group().removesuffix("\n").removesuffix("\r") for line in re.finditer(r".*\n|.+", text))
-    # the tag and seven header lines, then code-lines lines of code document, then the rows
-    head = list(itertools.islice(lines, 8))
+    # the tag and six header lines, then code-lines lines of code document, then the rows
+    head = list(itertools.islice(lines, 7))
     if not head or head[0] != SCHEME_FORMAT_TAG:
         raise DecodeError(f"missing {SCHEME_FORMAT_TAG} header")
     header = dict(line.partition(" ")[::2] for line in head[1:])

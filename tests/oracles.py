@@ -46,11 +46,14 @@ deriving the kept-pivot rows in ``KeySolutions.column`` replaced;
 ``row_scheme`` expands the keys back to that form through the reader.
 The pivot search keeps its greedy scan for Q once per union, the unions
 walked sorted by their member lists (``key_search``), which one scan per
-lost-row set and the string key ``hss.union_order`` replaced, and that
-per-L scan (``lost_set_key_search``) followed by one ``solve_many`` of
-R[L, Q] per key (``synthesize_keys``), which row-reducing [R[L] | E[L]]
-in each scan, with Z_Q read off its E part, replaced.
-The v1 scheme reader keeps its fold of every eval row into its key
+lost-row set replaced, and that per-L scan (``lost_set_key_search``)
+followed by one ``solve_many`` of R[L, Q] per key (``synthesize_keys``),
+which row-reducing [R[L] | E[L]] in each scan, with Z_Q read off its E
+part, replaced.  Both take the unions of the subset combos, deduplicated
+and sorted by the string key ``union_order`` (``distinct_unions``, the
+unions of every combo by ``product_unions``), which the walk of
+``hss.server_sets`` over the server sets of size t..dt replaced.
+The scheme reader keeps its fold of every eval row into its key
 (``fold_scheme_text``), which reading by synthesis replaced.
 The literal block-system check (``verify_block_system``) materialises
 the whole coefficient system from per-server monomial lists, which the
@@ -536,23 +539,22 @@ def enumerate_monomials(params: HssParams):
 
 class TableScheme(NamedTuple):
     """What the per-monomial synthesizer returns: the scheme's parameters,
-    code and flag, and its Eval table, monomial by monomial."""
+    code and its Eval table, monomial by monomial."""
 
     params: HssParams
     code: LabeledCode
     eval_table: dict[int, dict[MonomialId, int]]
-    labelweight_verified: bool
 
 
 def synthesize_eval(code: LabeledCode, params: HssParams) -> TableScheme:
+    """The per-monomial synthesis, with the exhaustive labelweight check
+    that the rank check of hss._key_search replaced run first whenever
+    the q^ell messages fit the labelweight budget."""
     need = params.d * params.t + 1
-    limit = effective_budget(LABELWEIGHT_BUDGET)
-    verified = False
-    if code.spec.q**code.dim <= limit:
+    if code.spec.q**code.dim <= effective_budget(LABELWEIGHT_BUDGET):
         lw = labelweight(code)
         if lw < need:
             raise InsufficientLabelweight(f"labelweight {lw} < {need}")
-        verified = True
 
     monomials, _ = enumerate_monomials(params)
     by_union: dict[frozenset, list[MonomialId]] = {}
@@ -581,7 +583,7 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> TableScheme:
                 if sol[pos]:
                     table[r][mono] = sol[pos]
 
-    return TableScheme(params, code, table, verified)
+    return TableScheme(params, code, table)
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> TableScheme:
@@ -728,13 +730,40 @@ def solve_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     return blocks
 
 
+_MEMBERS_FIRST = str.maketrans("01", "10")
+
+
+def union_order(union: int) -> str:
+    """Sort key of a union bitmask in the order of its sorted member list:
+    character v is "0" for a member v and "1" otherwise, up to the highest
+    member, so the first member decides and a prefix sorts first."""
+    return bin(union)[:1:-1].translate(_MEMBERS_FIRST)
+
+
+def distinct_unions(unions: Iterable[int]) -> list[int]:
+    """The distinct unions sorted by union_order, the walk of
+    hss._key_search before hss.server_sets gave it."""
+    return sorted(set(unions), key=union_order)
+
+
+def product_unions(s: int, t: int, d: int) -> set[int]:
+    """The union of every d-tuple of size-t subsets of servers 1..s, as
+    bitmasks: the unions of hss.enumerate_monomials, deduplicated after
+    each of the d products so that any s <= 12 stays small."""
+    masks = [sum(1 << v for v in T) for T in itertools.combinations(range(1, s + 1), t)]
+    unions = {0}
+    for _ in range(d):
+        unions = {union | mask for union in unions for mask in masks}
+    return unions
+
+
 def key_search(code: LabeledCode, params: HssParams, unions: list[int]):
     """hss._key_search with one greedy scan for Q per union, the unions
     walked sorted by their member lists, which one scan per lost-row set
-    L and the string key hss.union_order replaced: one elimination of
-    [G | I] to [R | E], then for each union its rows L of R with a pivot
-    at a server in it, and the first coordinates Q outside B and outside
-    the union whose columns R[L, c] are independent of the earlier ones'.
+    L replaced: one elimination of [G | I] to [R | E], then for each
+    union its rows L of R with a pivot at a server in it, and the first
+    coordinates Q outside B and outside the union whose columns R[L, c]
+    are independent of the earlier ones'.
     Returns [R | E], B, the distinct keys (L, Q) in first-seen order and
     the key index of each entry of `unions`; the first union whose
     coordinates lack rank raises InsufficientLabelweight."""
@@ -776,9 +805,9 @@ def lost_set_key_search(code: LabeledCode, params: HssParams, unions: list[int])
     the servers whose columns it read before it stopped; a union holding
     none of them takes that Q, any other scans again with its own servers
     excluded (L = () takes ((), ()) without a scan).  The unions are
-    walked in hss.union_order.  Returns [R | E], B, the distinct keys
-    (L, Q) in first-seen order and the key index of each entry of
-    `unions`; the first union whose coordinates lack rank raises
+    walked in union_order (distinct_unions).  Returns [R | E], B, the
+    distinct keys (L, Q) in first-seen order and the key index of each
+    entry of `unions`; the first union whose coordinates lack rank raises
     InsufficientLabelweight."""
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
@@ -808,7 +837,7 @@ def lost_set_key_search(code: LabeledCode, params: HssParams, unions: list[int])
     scans = {0: ((), (), 0)}  # a union's pivot servers -> L, Q with nothing excluded, the servers read
     keys: dict[tuple, int] = {}
     key_of: dict[int, int] = {}
-    for union in sorted(set(unions), key=hss.union_order):
+    for union in distinct_unions(unions):
         at = union & pivot_servers
         lost, chosen, read = scans.get(at) or scans.setdefault(at, scan(at, 0))
         if union & read:
@@ -872,7 +901,6 @@ class RowScheme(NamedTuple):
     code: LabeledCode
     rows: list[dict[int, Sequence[int]]]
     combo_key: list[int]
-    labelweight_verified: bool
 
 
 def row_scheme(scheme: HssScheme) -> RowScheme:
@@ -884,7 +912,7 @@ def row_scheme(scheme: HssScheme) -> RowScheme:
         {r: columns[r][k] for r in [*z_rows, *(b for j, b in enumerate(solutions.basis) if j not in lost)]}
         for k, (lost, z_rows) in enumerate(zip(solutions.lost, solutions.solved))
     ]
-    return RowScheme(scheme.params, scheme.code, rows, solutions.combo_key, scheme.labelweight_verified)
+    return RowScheme(scheme.params, scheme.code, rows, solutions.combo_key)
 
 
 def row_lines(scheme: RowScheme) -> Iterable[str]:
@@ -900,7 +928,6 @@ def row_lines(scheme: RowScheme) -> Iterable[str]:
         f"d {p.d}",
         f"l {p.ell}",
         f"m {p.m}",
-        f"labelweight-verified {1 if scheme.labelweight_verified else 0}",
         f"code-lines {len(code_lines)}",
         *code_lines,
     )
@@ -1109,7 +1136,7 @@ def contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
 
 
 def scheme_to_text(scheme) -> str:
-    """The v1 scheme document rendered from the per-monomial eval_table,
+    """The scheme document rendered from the per-monomial eval_table,
     every row collected and sorted (a scheme or a TableScheme)."""
     p = scheme.params
     code_lines = code_to_text(scheme.code).splitlines()
@@ -1120,7 +1147,6 @@ def scheme_to_text(scheme) -> str:
         f"d {p.d}",
         f"l {p.ell}",
         f"m {p.m}",
-        f"labelweight-verified {1 if scheme.labelweight_verified else 0}",
         f"code-lines {len(code_lines)}",
         *code_lines,
     ]
@@ -1139,7 +1165,7 @@ def _parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
 
 
 def fold_scheme_text(text: str) -> RowScheme:
-    """The v1 reader that folds the eval rows into the keys, which reading
+    """The reader that folds the eval rows into the keys, which reading
     by synthesis replaced.
 
     The keys come from the pivot search alone, with no solves.  Each
@@ -1153,12 +1179,12 @@ def fold_scheme_text(text: str) -> RowScheme:
     lines = text.splitlines()
     if not lines or lines[0] != hss.SCHEME_FORMAT_TAG:
         raise DecodeError(f"missing {hss.SCHEME_FORMAT_TAG} header")
-    header = dict(line.partition(" ")[::2] for line in lines[1:8])
+    header = dict(line.partition(" ")[::2] for line in lines[1:7])
     try:
         t, d, m, count = (int(header[key]) for key in ("t", "d", "m", "code-lines"))
     except (KeyError, ValueError) as exc:
         raise DecodeError(f"bad scheme header: {exc}") from exc
-    code = code_from_text("\n".join(lines[8 : 8 + count]) + "\n")
+    code = code_from_text("\n".join(lines[7 : 7 + count]) + "\n")
     try:
         params = HssParams(code.s, t, d, code.dim, m, code.spec)
         _, unions = hss.enumerate_monomials(params)
@@ -1173,7 +1199,7 @@ def fold_scheme_text(text: str) -> RowScheme:
     for lost, chosen in keys:
         support = [*chosen, *(b for j, b in enumerate(basis) if j not in lost)]
         values.append({r: [0] * ell for r in support})
-    for line in lines[8 + count :]:
+    for line in lines[7 + count :]:
         try:
             tag, r, i, subsets, coeff = line.split(" ")
             r, i, c, coeff = int(r), int(i), combo_index.get(_parse_subsets(subsets)), int(coeff)
@@ -1185,8 +1211,7 @@ def fold_scheme_text(text: str) -> RowScheme:
                 row[i - 1] = row[i - 1] or coeff
     pack = bytes if q <= MAX_TABLE_ORDER else tuple
     rows = [{r: pack(row) for r, row in key_rows.items()} for key_rows in values]
-    verified = header.get("labelweight-verified") == "1"
-    scheme = RowScheme(params, code, rows, combo_key, verified)
+    scheme = RowScheme(params, code, rows, combo_key)
     for n, (got, want) in enumerate(itertools.zip_longest(lines, row_lines(scheme)), 1):
         if got != want:
             raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")

@@ -134,6 +134,13 @@ def test_demo_parameter_out_of_range(capsys):
     assert "error" in err
 
 
+def test_demo_of_a_code_below_the_labelweight_names_the_servers_lacking_rank(capsys):
+    # RS [5,4] has labelweight 2; t=1, d=2 needs 3, and the servers 3, 4, 5 outside {1, 2} lack rank 4
+    code, out, err = run(capsys, "demo", "--code", "rs", "--q", "5", "--n", "5", "--k", "4", "--t", "1", "--d", "2")
+    assert (code, out) == (1, "")
+    assert err == "error: columns labeled [3, 4, 5] have rank below 4; labelweight < 3\n"
+
+
 def test_demo_bad_flag_usage(capsys):
     code, _, _ = run(capsys, "demo", "--code", "goppa", "--u", "3")
     assert code == 2

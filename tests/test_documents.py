@@ -18,9 +18,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, hermitian_build, rs_build
+from labelweight_hss.codes import code_from_text, code_to_text, goppa_build, rs_build
 from labelweight_hss.errors import DecodeError
 from labelweight_hss.hss import (
+    run_end_to_end,
     scheme_for_code,
     scheme_from_text,
     scheme_to_text,
@@ -62,7 +63,6 @@ def test_documents_round_trip(case):
     assert scheme_to_text(parsed) == doc
     assert parsed.solutions == synthesized.solutions
     assert parsed.params == synthesized.params
-    assert parsed.labelweight_verified == synthesized.labelweight_verified
     assert _same_scheme(scheme_from_text(doc.replace("\n", "\r\n")), synthesized)
 
 
@@ -155,16 +155,14 @@ def test_mutated_scheme_document_raises_only_decode_error(data):
 
 
 def _same_scheme(got, want):
-    return (got.solutions, got.params, got.labelweight_verified) == (want.solutions, want.params, want.labelweight_verified)
+    return (got.solutions, got.params) == (want.solutions, want.params)
 
 
 def _folds_to(doc, want):
     """Whether folding the rows of `doc` into the keys gives the full key
-    rows, parameters and flag of the scheme `want`."""
+    rows and parameters of the scheme `want`."""
     got, expanded = oracles.fold_scheme_text(doc), oracles.row_scheme(want)
-    return (got.rows, got.combo_key, got.params, got.labelweight_verified) == (
-        expanded.rows, expanded.combo_key, expanded.params, expanded.labelweight_verified
-    )
+    return (got.rows, got.combo_key, got.params) == (expanded.rows, expanded.combo_key, expanded.params)
 
 
 @pytest.mark.parametrize("case", SCHEMES, ids=str)
@@ -223,40 +221,28 @@ def test_scheme_document_with_one_eval_row_dropped_or_changed_is_rejected(case):
 @pytest.mark.parametrize("count", [-1, -100, 10**6, 2**63])
 def test_scheme_document_with_a_negative_or_oversized_code_line_count_is_rejected(count):
     lines = scheme_to_text(scheme((("rs", 5, 5, 2), 1, 2))).splitlines()
-    lines[7] = f"code-lines {count}"
+    lines[6] = f"code-lines {count}"
     with pytest.raises(DecodeError):
         scheme_from_text("\n".join(lines) + "\n")
 
 
-# (code builder, t, d) whose labelweight-verified flag is fixed by the code:
-# 9^22 messages of hermitian [27,22] exceed the labelweight budget, so no
-# exhaustive check runs (0); the 256 of goppa [16,8] fit it (1)
-FLAG_CASES = {
-    "hermitian_build(3, 22)": (lambda: hermitian_build(3, 22), 1, 2),
-    "goppa_build(4, 2)": (lambda: goppa_build(4, 2), 1, 3),
-}
-
-
-@pytest.mark.parametrize("name", sorted(FLAG_CASES))
-def test_scheme_document_with_its_flag_flipped_is_rejected_on_line_7(name):
-    build, t, d = FLAG_CASES[name]
-    doc = scheme_to_text(scheme_for_code(build(), t=t, d=d))
-    flag = doc.splitlines()[6]
-    flipped = f"labelweight-verified {1 - int(flag.split()[1])}"
-    with pytest.raises(DecodeError, match=f"^line 7: '{flipped}' is not '{flag}'"):
-        scheme_from_text(doc.replace(flag, flipped, 1))
-
-
-def test_scheme_document_reads_back_under_the_budget_it_was_written_with(monkeypatch):
-    # 7^3 = 343 messages exceed a budget of 100, the 18 monomials fit it
+def test_scheme_document_reads_back_under_any_budget_that_fits_its_monomials(monkeypatch):
+    # 7^3 = 343 messages of the code exceed a budget of 100, the 18 monomials fit it
     monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
     written = scheme_for_code(rs_build(7, 6, 3), t=1, d=1)
+    assert run_end_to_end(written, [[1], [2], [3]], seed=0).ok
     doc = scheme_to_text(written)
-    assert doc.splitlines()[6] == "labelweight-verified 0"
-    assert _same_scheme(scheme_from_text(doc), written)
     monkeypatch.delenv("HSS_ENUM_BUDGET")
-    with pytest.raises(DecodeError, match="^line 7: 'labelweight-verified 0' is not 'labelweight-verified 1'"):
-        scheme_from_text(doc)
+    assert _same_scheme(scheme_from_text(doc), written)
+    assert scheme_to_text(scheme_for_code(rs_build(7, 6, 3), t=1, d=1)) == doc
+
+
+def test_v1_scheme_document_is_refused_by_its_tag():
+    """A v1 document: the v1 tag, and line 7 the labelweight-verified flag."""
+    lines = scheme_to_text(scheme((("rs", 5, 5, 2), 1, 2))).splitlines()
+    v1 = ["labelweight-hss-scheme/v1", *lines[1:6], "labelweight-verified 1", *lines[6:]]
+    with pytest.raises(DecodeError, match="^missing labelweight-hss-scheme/v2 header$"):
+        scheme_from_text("\n".join(v1) + "\n")
 
 
 @settings(max_examples=150, deadline=None, database=None)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 import re
 from fractions import Fraction
@@ -44,6 +45,7 @@ from labelweight_hss.hss import (
     synthesize_eval,
 )
 from labelweight_hss.matrix import MatrixF, rank
+import oracles
 from oracles import column_indices, server_fragment, verify_block_system
 
 GF2 = FieldSpec(2)
@@ -334,15 +336,40 @@ def test_monomial_union_complement():
 @example([])
 @example([[1, 2, 3], [1, 2], [1, 3], [2], [125], [1, 125], list(range(1, 126))])
 def test_union_order_sorts_unions_as_their_sorted_member_lists(members):
-    """union_order sorts bitmasks of servers 1..125 as their sorted member
-    lists do, ties only between equal lists; the empty union and every
-    prefix of each list are in the draw."""
+    """oracles.union_order sorts bitmasks of servers 1..125 as their
+    sorted member lists do, ties only between equal lists; the empty
+    union and every prefix of each list are in the draw."""
     lists = [sorted(m) for m in members]
     lists += [[]] + [m[:k] for m in lists for k in range(1, len(m))]
     masks = [sum(1 << v for v in m) for m in lists]
-    assert [[v for v in range(126) if u >> v & 1] for u in sorted(masks, key=hss.union_order)] == sorted(lists)
-    keys = list(map(hss.union_order, masks))
+    assert [[v for v in range(126) if u >> v & 1] for u in sorted(masks, key=oracles.union_order)] == sorted(lists)
+    keys = list(map(oracles.union_order, masks))
     assert all((keys[a] < keys[b]) == (lists[a] < lists[b]) for a in range(len(lists)) for b in range(len(lists)))
+
+
+@pytest.mark.parametrize("s", range(2, 13))
+def test_server_sets_are_the_sorted_distinct_unions_of_the_subset_combos(s):
+    """For every t and d with dt < s: the server sets of size t..dt, in
+    the order of their sorted member lists, are the distinct unions of d
+    size-t subsets in that order, Σ C(s, k) for k = t..dt of them."""
+    for t, d in ((t, d) for t in range(1, s) for d in range(1, s) if d * t < s):
+        walk = hss.server_sets(s, t, d)
+        assert walk == oracles.distinct_unions(oracles.product_unions(s, t, d)), (t, d)
+        assert len(walk) == sum(math.comb(s, k) for k in range(t, d * t + 1)), (t, d)
+
+
+# (s, t, d) of goppa-eval, hermitian-setup, goppa-wire, hermitian [27,10] (2, 2)
+# and goppa u=5 [32,22] (2, 2), and their distinct unions
+WALK_COUNTS = {(16, 1, 3): 696, (27, 1, 3): 3_303, (16, 4, 1): 1_820, (27, 2, 2): 20_826, (32, 2, 2): 41_416}
+
+
+@pytest.mark.parametrize("shape", sorted(WALK_COUNTS), ids=str)
+def test_server_sets_walk_the_distinct_unions_of_the_monomials(shape):
+    s, t, d = shape
+    walk = hss.server_sets(s, t, d)
+    assert len(walk) == WALK_COUNTS[shape]
+    # one instance, so that C(s, t)^d monomials fit the default budget
+    assert walk == oracles.distinct_unions(enumerate_monomials(HssParams(s, t, d, 1, d, GF2))[1])
 
 
 def test_enumerate_budget(monkeypatch):
@@ -384,12 +411,13 @@ def test_eval_table_locality():
 def test_insufficient_labelweight_detected_by_check():
     code = LabeledCode(GF2, MatrixF(GF2, [[1, 1, 0]]), Labeling.identity(3))
     assert labelweight(code) == 2
-    with pytest.raises(InsufficientLabelweight):
-        scheme_for_code(code, t=1, d=2)  # needs labelweight 3
+    # needs labelweight 3: the complement {3} of the servers {1, 2} lacks rank
+    with pytest.raises(InsufficientLabelweight, match=r"^columns labeled \[3\] have rank below 1; labelweight < 3$"):
+        scheme_for_code(code, t=1, d=2)
 
 
 def test_insufficient_labelweight_detected_by_rank():
-    # _synthesize skips the brute-force check; the rank failure must trip instead.
+    # _synthesize, synthesize_eval without its parameter checks, refuses it too
     code = LabeledCode(GF2, MatrixF(GF2, [[1, 1, 0]]), Labeling.identity(3))
     params = HssParams(3, 1, 2, 1, 2, GF2)
     with pytest.raises(InsufficientLabelweight):
@@ -397,20 +425,11 @@ def test_insufficient_labelweight_detected_by_rank():
 
 
 def test_fields_above_256_skip_the_exhaustive_check():
-    # the kernel needs q <= 256; the rank check still rejects labelweight <= d*t
+    # the kernel needs q <= 256, synthesis none: its rank check rejects labelweight <= d*t
     scheme = scheme_for_code(rs_build(257, 5, 2), t=1, d=1)
-    assert not scheme.labelweight_verified
     assert run_end_to_end(scheme, [[3], [256]], seed=1).ok
     with pytest.raises(InsufficientLabelweight):
         scheme_for_code(rs_build(257, 4, 3), t=1, d=2)
-
-
-def test_unverified_flag_when_budget_too_small(monkeypatch):
-    # 7^3 = 343 messages exceed the budget, the 18 monomials fit it
-    monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
-    scheme = scheme_for_code(rs_build(7, 6, 3), t=1, d=1)
-    assert not scheme.labelweight_verified
-    assert run_end_to_end(scheme, [[1], [2], [3]], seed=0).ok
 
 
 def test_scheme_param_mismatches():

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import oracles
 from labelweight_hss import hss, matrix, protocol
-from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, rs_build
+from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, labelweight, rs_build
 from labelweight_hss.errors import (
     DecodeError,
     FieldMismatch,
@@ -592,11 +592,20 @@ def _key_form(solutions):
     return solutions._replace(solved=[list(rows.items()) for rows in solutions.solved])
 
 
+def _key_search(code, params, unions):
+    """hss._key_search of the distinct `unions` in union_order, the walk
+    _synthesize hands it, with combo_key read back for each of `unions`."""
+    walk = oracles.distinct_unions(unions)
+    solutions = hss._key_search(code, params, walk)
+    key_of = dict(zip(walk, solutions.combo_key))
+    return solutions._replace(combo_key=[key_of[union] for union in unions])
+
+
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
 def test_key_search_matches_the_per_union_scan(name):
     """One scan per path through the free coordinates, its key taken by
     every later union that holds the same of the servers it saw, and the
-    walk in union_order give the per-union scan's [R | E], B, keys in the
+    walk of server_sets give the per-union scan's [R | E], B, keys in the
     same first-seen order and combo keys, and the per-key solves' Z_Q
     (oracles.synthesize_keys): work, basis, lost, solved with each Q in
     order, combo_key.  The workloads and LADDER_CASES are the rungs of
@@ -654,7 +663,7 @@ def test_unions_of_servers_without_pivots_key_as_the_oracle_does(name):
     pivot_servers = {labels[b] for b in rref(code.generator).pivots}
     free = [v for v in range(1, code.s + 1) if v not in pivot_servers]
     unions = [0] + [sum(1 << v for v in servers) for size in (1, 2) for servers in itertools.combinations(free, size)]
-    got = hss._key_search(code, params, unions)
+    got = _key_search(code, params, unions)
     assert _key_form(got) == _key_form(oracles.synthesize_keys(code, params, unions))
     assert (got.work, got.basis, _keys_of(got), got.combo_key) == oracles.key_search(code, params, unions)
     assert (got.lost, got.solved, got.combo_key) == ([()], [{}], [0] * len(unions))
@@ -671,9 +680,7 @@ def test_scheme_document_reads_alike_by_synthesis_and_by_folding(name):
     parsed, folded, expanded = hss.scheme_from_text(doc), oracles.fold_scheme_text(doc), oracles.row_scheme(scheme)
     assert parsed.solutions == scheme.solutions
     assert (folded.rows, folded.combo_key) == (expanded.rows, expanded.combo_key)
-    for read in (parsed, folded):
-        assert read.params == scheme.params
-        assert read.labelweight_verified == scheme.labelweight_verified
+    assert parsed.params == folded.params == scheme.params
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
@@ -868,8 +875,8 @@ def _gf257(rows):
 
 
 # codes whose labelweight is at most d*t, with the first union in solve order
-# that lacks rank; over GF(257) synthesize_eval has no exhaustive check, so it
-# too must fail on that union: [1 1 0] fails at {1, 2}, whose lost-row set
+# that lacks rank, on which synthesize_eval must fail too: the rank check is
+# its labelweight proof.  [1 1 0] fails at {1, 2}, whose lost-row set
 # {1} scanned first through server 2's column, [1 0 0; 0 1 1] at the first
 # scan of its lost-row set
 RANK_DEFICIENT = {
@@ -900,14 +907,12 @@ def test_rank_deficient_codes_fail_on_the_oracle_union(name):
         oracles.key_search(code, params, hss.enumerate_monomials(params)[1])
     with pytest.raises(InsufficientLabelweight) as solved:
         oracles.synthesize_keys(code, params)
-    # _synthesize skips the exhaustive labelweight check, so the rank test must trip
     with pytest.raises(InsufficientLabelweight) as got:
         hss._synthesize(code, params)
+    with pytest.raises(InsufficientLabelweight) as checked:
+        hss.synthesize_eval(code, params)
     assert str(got.value) == str(want.value) == str(searched.value) == str(solved.value) == message
-    if code.spec.q > MAX_TABLE_ORDER:
-        with pytest.raises(InsufficientLabelweight) as checked:
-            hss.synthesize_eval(code, params)
-        assert str(checked.value) == message
+    assert str(checked.value) == message
 
 
 def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again(monkeypatch):
@@ -918,12 +923,12 @@ def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again(monkeypatc
     code = _gf257([[1, 1, 0]])
     params = hss.HssParams(3, 1, 2, 1, 2, GF257)
     calls = _counting_eliminations(monkeypatch)
-    got = hss._key_search(code, params, [0b0010, 0b1010])
+    got = _key_search(code, params, [0b0010, 0b1010])
     assert (got.lost, got.solved, got.combo_key) == ([(0,)], [{1: (1,)}], [0, 0])
     assert len(calls) == 2  # [G | I] and the scan of {1}
     assert got == oracles.synthesize_keys(code, params, [0b0010, 0b1010])
     with pytest.raises(InsufficientLabelweight, match=re.escape(RANK_DEFICIENT["gf257-110-t1d2"][3])):
-        hss._key_search(code, params, [0b0010, 0b0110])
+        _key_search(code, params, [0b0010, 0b0110])
 
 
 def test_a_union_holding_the_servers_a_scan_skipped_takes_its_key(monkeypatch):
@@ -937,7 +942,7 @@ def test_a_union_holding_the_servers_a_scan_skipped_takes_its_key(monkeypatch):
     params = hss.HssParams(4, 1, 2, 1, 2, GF257)
     unions = [0b00110, 0b10110, 0b10010, 0b01110]  # {1, 2}, {1, 2, 4}, {1, 4}, {1, 2, 3}
     calls = _counting_eliminations(monkeypatch)
-    got = hss._key_search(code, params, unions)
+    got = _key_search(code, params, unions)
     assert len(calls) == 4  # [G | I] and the scans of {1, 2}, {1, 2, 3} and {1, 4}
     assert _keys_of(got) == [((0,), (2,)), ((0,), (3,)), ((0,), (1,))]
     assert got.combo_key == [0, 0, 2, 1]
@@ -970,19 +975,61 @@ def _key_search_inputs(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(_key_search_inputs())
 def test_key_search_matches_the_per_key_solves_on_random_codes(inputs):
-    """Any code, labeling and union list: hss._key_search gives the per-L
-    search and per-key solves' KeySolutions (key order and each Q's order
-    included) or raises their InsufficientLabelweight message."""
+    """Any code, labeling and union list: hss._key_search of its distinct
+    unions in union_order gives the per-L search and per-key solves'
+    KeySolutions (key order and each Q's order included) or raises their
+    InsufficientLabelweight message."""
     code, unions = inputs
     params = hss.HssParams(code.s, 1, 1, code.dim, 1, code.spec)
     try:
         want = _key_form(oracles.synthesize_keys(code, params, unions))
     except InsufficientLabelweight as exc:
         with pytest.raises(InsufficientLabelweight) as got:
-            hss._key_search(code, params, unions)
+            _key_search(code, params, unions)
         assert str(got.value) == str(exc)
     else:
-        assert _key_form(hss._key_search(code, params, unions)) == want
+        assert _key_form(_key_search(code, params, unions)) == want
+
+
+# every field of order at most 16, whose q^k messages (k <= 4) fit the labelweight budget
+SMALL_FIELDS = [FieldSpec(p, k) for p, k in TABLE_ORDERS if p**k <= 16]
+
+
+@st.composite
+def _small_codes(draw):
+    """A full-row-rank generator of k <= 4 rows and n <= 9 columns over a
+    field of order at most 16, and a random labeling onto s servers."""
+    spec = draw(st.sampled_from(SMALL_FIELDS))
+    k = draw(st.integers(1, 4))
+    n = draw(st.integers(k + 1, 9))
+    s = draw(st.integers(2, n))
+    labels = draw(st.permutations(list(range(1, s + 1)) + draw(st.lists(st.integers(1, s), min_size=n - s, max_size=n - s))))
+    cell = st.one_of(st.just(0), st.integers(0, spec.q - 1))
+    rows = draw(st.lists(st.lists(cell, min_size=n, max_size=n), min_size=k, max_size=k))
+    generator = MatrixF(spec, rows)
+    assume(rref(generator).rank == k)
+    return LabeledCode(spec, generator, Labeling(s, labels))
+
+
+@settings(max_examples=150, deadline=None, database=None)
+@given(_small_codes())
+def test_synthesis_succeeds_exactly_when_the_labelweight_exceeds_dt(code):
+    """The paper's characterization, for every t and d <= 3 with dt < s:
+    synthesize_eval gives the per-key solves' keys when labelweight(code)
+    > dt, and raises their InsufficientLabelweight message otherwise."""
+    lw = labelweight(code)
+    for t, d in ((t, d) for t in range(1, code.s) for d in (1, 2, 3) if d * t < code.s):
+        params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
+        try:
+            want = _key_form(oracles.synthesize_keys(code, params))
+        except InsufficientLabelweight as exc:
+            assert lw <= d * t, (t, d)
+            with pytest.raises(InsufficientLabelweight) as got:
+                hss.synthesize_eval(code, params)
+            assert str(got.value) == str(exc)
+        else:
+            assert lw > d * t, (t, d)
+            assert _key_form(hss.synthesize_eval(code, params).solutions) == want
 
 
 @pytest.mark.parametrize("name", ["gf257-rs-t1d2", "gf257-110-t1d2"])
