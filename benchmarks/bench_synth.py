@@ -3,7 +3,7 @@
 systematic-form synthesis and for the per-union elimination it replaced
 (kept in tests/oracles.py as synthesize_blocks).
 
-Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big | --read | --keys]
+Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big] [--read | --keys]
 
 Each row gives the scheme's distinct subset unions (the server sets of
 hss.server_sets), its distinct (L, Q) keys, the bytes of the keys'
@@ -24,10 +24,10 @@ and Goppa u=5 r=2 with t=2, d=2 (5.4 M monomials, past the default
 budget).
 
 --read times reading scheme documents instead, on the goppa-eval,
-hermitian-setup and goppa-wire shapes: the best-of-N wall time of
-hss.scheme_from_text, which synthesizes the scheme a document names,
-and of oracles.fold_scheme_text, which folds the document's eval rows
-into the full key rows (the reader it replaced).  Both must read the
+hermitian-setup and goppa-wire shapes (and the --big rows with --big):
+the lines and bytes of each scheme's document (the tag, the header and
+the code document) and the best-of-N wall time of hss.scheme_from_text,
+which synthesizes the scheme the document names.  It must read the
 synthesized scheme (the same keys and parameters), or the script exits
 with status 1.
 
@@ -126,28 +126,17 @@ def key_bytes(scheme) -> int:
     return sum(len(row) for rows in scheme.solutions.solved for row in rows.values())
 
 
-def what_was_read(scheme):
-    """The keys (full key rows of an oracles.RowScheme) and parameters of
-    a scheme read back from its document."""
-    keys = (scheme.rows, scheme.combo_key) if isinstance(scheme, oracles.RowScheme) else scheme.solutions
-    return keys, scheme.params
-
-
-def read_documents(repeats: int) -> int:
-    """The --read table; 1 if either reader misreads a document."""
-    print(f"{'document (t, d)':<32} {'lines':>10} {'synthesis':>10} {'folding':>9}")
+def read_documents(repeats: int, rows) -> int:
+    """The --read table over `rows`; 1 if a document reads as another scheme."""
+    print(f"{'document (t, d)':<36} {'lines':>6} {'bytes':>7} {'read':>9}")
     failures = []
-    for name, build, t, d in READ:
+    for name, build, t, d in rows:
         scheme = hss.scheme_for_code(build(), t=t, d=d)
         doc = hss.scheme_to_text(scheme)
-        lines = doc.count("\n")
-        times = []
-        for read, want in ((hss.scheme_from_text, scheme), (oracles.fold_scheme_text, oracles.row_scheme(scheme))):
-            elapsed, parsed = best_of(repeats, lambda: read(doc))
-            times.append(elapsed)
-            if what_was_read(parsed) != what_was_read(want):
-                failures.append(f"{name}: {read.__module__}.{read.__name__} differs from the synthesized scheme")
-        print(f"{name:<32} {lines:>10,} {times[0]:>9.3f}s {times[1]:>8.3f}s", flush=True)
+        elapsed, parsed = best_of(repeats, lambda: hss.scheme_from_text(doc))
+        if (parsed.solutions, parsed.params) != (scheme.solutions, scheme.params):
+            failures.append(f"{name}: hss.scheme_from_text differs from the synthesized scheme")
+        print(f"{name:<36} {len(doc.splitlines()):>6,} {len(doc):>7,} {elapsed:>8.3f}s", flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
@@ -185,17 +174,21 @@ def search_keys(repeats: int) -> int:
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument("--big", action="store_true", help="add hermitian [64,56] (1, 2) and Goppa u=5 (2, 2)")
     group = parser.add_mutually_exclusive_group()
-    group.add_argument("--big", action="store_true", help="add Goppa u=5 (2, 2), package only")
-    group.add_argument("--read", action="store_true", help="time the two scheme document readers instead")
+    group.add_argument("--read", action="store_true", help="time reading scheme documents instead")
     group.add_argument("--keys", action="store_true", help="time the two key searches and their solves instead")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
-    if args.read:
-        return read_documents(args.repeats)
     if args.keys:
+        if args.big:
+            parser.error("--big adds rows to the ladder or to --read, not to --keys")
         return search_keys(args.repeats)
+    if args.read:
+        if args.big:
+            os.environ[ENV_VAR] = BIG_BUDGET  # a document reads the same under any budget that fits it
+        return read_documents(args.repeats, READ + (BIG if args.big else []))
 
     runs = [(row, True) for row in LADDER] + ([(row, False) for row in BIG] if args.big else [])
     print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'key bytes':>10} {'package':>9} {'run 1':>8}"

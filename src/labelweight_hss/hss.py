@@ -26,7 +26,7 @@ import operator
 import random
 import re
 from collections import Counter
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from types import MappingProxyType
@@ -49,7 +49,7 @@ from .galois import MAX_TABLE_ORDER, FieldSpec, first_outside, randrange_run
 from .matrix import _eliminate, _row_ops
 from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py patches hss.solve_many
 
-SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v2"
+SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v3"
 
 
 @dataclass(frozen=True)
@@ -536,7 +536,8 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     fragment is read by key in that order.  The first share missing, in
     (instance, slot, subset) order, raises MissingShare, whatever the
     other shares of its products are; a share that is not an element code
-    in 0..q-1 raises ParameterOutOfRange.
+    in 0..q-1 raises ParameterOutOfRange.  A view holds what
+    FieldSpec.codes keeps: byte values when q <= 256, ints above.
     """
     params = scheme.params
     if not 1 <= j <= params.s:
@@ -550,7 +551,7 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
         entries = itertools.chain.from_iterable(tensors)  # plane ints, or per-instance tensors above 256
         scheme._tensors[j] = held, tensors, any(entries) if small else any(map(any, entries))
     held, tensors, live = scheme._tensors[j]
-    slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec.q)
+    slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec)
     if not live:
         return [0] * len(tensors)
     contract = _contract_planes if small else _contract_by_field
@@ -602,18 +603,19 @@ def _build_tensors(scheme: HssScheme, j: int):
 
 
 def _slot_vectors(
-    views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int, q: int
+    views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int, spec: FieldSpec
 ) -> list[list[Sequence[int]]]:
     """Per instance, the share vectors of its d product slots, aligned
-    with `held`: bytes when q <= 256, lists of ints above, every share
-    checked to be an element code in 0..q-1.  A ServerView over `held` is
-    converted and checked as a whole and sliced; if that fails, it is
-    read key by key like any other view, every fragment before any
-    check, which names the fault in eval_server's order."""
-    convert = bytes if q <= MAX_TABLE_ORDER else lambda shares: list(map(operator.index, shares))
+    with `held`, in the form FieldSpec.codes keeps (bytes when q <= 256,
+    tuples of ints above, as on the wire), every share checked to be an
+    element code in 0..q-1.  A ServerView over `held` is converted and
+    checked as a whole and sliced; if that fails, it is read key by key
+    like any other view, every fragment before any check, which names the
+    fault in eval_server's order."""
+    q = spec.q
     if isinstance(views, ServerView) and views.held is held:
         try:
-            whole, at, h = convert(views.shares), views.positions, len(held)
+            whole, at, h = spec.codes(views.shares), views.positions, len(held)
             if first_outside(whole, q) is None:
                 return [[whole[at[(i, v)] * h : (at[(i, v)] + 1) * h] for v in chosen] for i in range(1, ell + 1)]
         except (KeyError, TypeError, ValueError):
@@ -631,7 +633,7 @@ def _slot_vectors(
             raise MissingShare(f"server {j} lacks share {T} of secret {key}") from exc
     for key, shares in vectors.items():
         try:
-            vectors[key] = convert(shares)
+            vectors[key] = spec.codes(shares)
         except (TypeError, ValueError):
             _share_outside(shares, q, j, key)
         if first_outside(vectors[key], q) is not None:
@@ -730,19 +732,16 @@ def _bit_planes(tables: _PlaneTables, strings: Sequence[Sequence[bytes]], size: 
     given as its plane bytes, one translate per packed table
     (_plane_bytes): bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit
     of entry a of instance i (counted from 0).  A plane's bits come out of
-    the plane bytes with a mask (none for GF(2), where lanes == 8) and a
-    shift into the string's lanes of its group's bytes."""
+    the plane bytes with a mask (the whole byte for GF(2), where
+    lanes == 8) and a shift into the string's lanes of its group's bytes."""
     lanes, count = tables.lanes, len(tables.planes)
     per_byte = 8 // lanes  # planes per packed byte, and lane strings per group of 8 instances
-    masks = _lane_masks(lanes, size) if lanes < 8 else None
+    masks = _lane_masks(lanes, size)
     planes = [0] * count
     for s, translated in enumerate(strings):
         offset = 8 * size * (s // per_byte) + s % per_byte * lanes  # where the string's lanes go
         for c, plane_bytes in enumerate(translated):
             word = int.from_bytes(plane_bytes, "little")
-            if masks is None:  # GF(2): one plane, its lanes in place
-                planes[0] |= word << offset
-                continue
             first = c * per_byte
             for m, mask in enumerate(masks[: count - first]):
                 bits, shift = word & mask, offset - m * lanes
@@ -975,22 +974,19 @@ def privacy_audit(t: int, s: int, spec: FieldSpec) -> PrivacyReport:
 # -- serialization --------------------------------------------------------------
 
 
-def _format_subsets(subsets: tuple[tuple[int, ...], ...]) -> str:
-    return "/".join(",".join(str(v) for v in T) for T in subsets)
-
-
 def scheme_to_text(scheme: HssScheme) -> str:
-    """Canonical textual form; round-trips byte-identically."""
+    """Canonical textual form: the tag, the header and the code document.
+    The scheme is fixed by its code and (t, d, m), so no Eval row is
+    written (see scheme_from_text); round-trips byte-identically."""
     return "\n".join(_canonical_lines(scheme)) + "\n"
 
 
-def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
-    """The lines of scheme_to_text: the header, the code document, then
-    one row per nonzero Eval coefficient in (coordinate, instance, subset
-    combo) order, streamed from the keys' columns without the eval_table."""
-    p, solutions = scheme.params, scheme.solutions
+def _canonical_lines(scheme: HssScheme) -> list[str]:
+    """The lines of scheme_to_text: the tag, six header lines, then the
+    code-lines lines of the code document."""
+    p = scheme.params
     code_lines = code_to_text(scheme.code).splitlines()
-    yield from (
+    return [
         SCHEME_FORMAT_TAG,
         f"s {p.s}",
         f"t {p.t}",
@@ -999,32 +995,23 @@ def _canonical_lines(scheme: HssScheme) -> Iterator[str]:
         f"m {p.m}",
         f"code-lines {len(code_lines)}",
         *code_lines,
-    )
-    names = [_format_subsets(combo) for combo in itertools.product(subsets_of_size(p.s, p.t), repeat=p.d)]
-    for r in range(scheme.n):
-        column = solutions.column(r)
-        for i in range(p.ell):
-            coeffs = [row[i] for row in column]
-            for name, coeff in zip(names, map(coeffs.__getitem__, solutions.combo_key)):
-                if coeff:
-                    yield f"eval {r} {i + 1} {name} {coeff}"
+    ]
 
 
 def scheme_from_text(text: str) -> HssScheme:
     """Read a scheme document by synthesizing the scheme it names.
 
     The Eval is fixed by the embedded code and (t, d, m): the reader
-    builds the scheme by synthesize_eval, as the writer did, and parses
-    no eval row, so a document reads back under any enumeration budget
-    that fits its monomials.  The document must be that scheme's
-    canonical text, or DecodeError names its first line that differs: a
-    header value, a code line or an eval row, even one of another valid
-    Eval; lines are compared as the text is scanned.  A document without
-    the v2 tag (a v1 document among them) raises DecodeError, and so do
-    parameters that admit no scheme ("bad scheme parameters: ...").
+    builds the scheme by synthesize_eval, as the writer did, so a document
+    reads back under any enumeration budget that fits its monomials.  The
+    document must be that scheme's canonical text, or DecodeError names
+    its first line that differs: a header value, a code line, or any line
+    after the code document.  A document without the v3 tag (a v1 or v2
+    document among them) raises DecodeError, and so do parameters that
+    admit no scheme ("bad scheme parameters: ...").
     """
     lines = (line.group().removesuffix("\n").removesuffix("\r") for line in re.finditer(r".*\n|.+", text))
-    # the tag and six header lines, then code-lines lines of code document, then the rows
+    # the tag and six header lines, then code-lines lines of code document
     head = list(itertools.islice(lines, 7))
     if not head or head[0] != SCHEME_FORMAT_TAG:
         raise DecodeError(f"missing {SCHEME_FORMAT_TAG} header")

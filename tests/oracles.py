@@ -53,8 +53,6 @@ part, replaced.  Both take the unions of the subset combos, deduplicated
 and sorted by the string key ``union_order`` (``distinct_unions``, the
 unions of every combo by ``product_unions``), which the walk of
 ``hss.server_sets`` over the server sets of size t..dt replaced.
-The scheme reader keeps its fold of every eval row into its key
-(``fold_scheme_text``), which reading by synthesis replaced.
 The literal block-system check (``verify_block_system``) materialises
 the whole coefficient system from per-server monomial lists, which the
 package does not keep: ``hss.enumerate_monomials`` returns each subset
@@ -71,7 +69,7 @@ from typing import Iterable, NamedTuple, Sequence
 
 from labelweight_hss import hss, matrix, protocol
 from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
-from labelweight_hss.codes import LabeledCode, Labeling, code_from_text, code_to_text, hermitian_points, labelweight
+from labelweight_hss.codes import LabeledCode, Labeling, hermitian_points, labelweight
 from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
@@ -915,33 +913,6 @@ def row_scheme(scheme: HssScheme) -> RowScheme:
     return RowScheme(scheme.params, scheme.code, rows, solutions.combo_key)
 
 
-def row_lines(scheme: RowScheme) -> Iterable[str]:
-    """The canonical scheme document's lines of full key rows: the header,
-    the code document, then one row per nonzero coefficient in
-    (coordinate, instance, subset combo) order."""
-    p = scheme.params
-    code_lines = code_to_text(scheme.code).splitlines()
-    yield from (
-        hss.SCHEME_FORMAT_TAG,
-        f"s {p.s}",
-        f"t {p.t}",
-        f"d {p.d}",
-        f"l {p.ell}",
-        f"m {p.m}",
-        f"code-lines {len(code_lines)}",
-        *code_lines,
-    )
-    names = [hss._format_subsets(combo) for combo in itertools.product(subsets_of_size(p.s, p.t), repeat=p.d)]
-    zero = bytes(p.ell)
-    for r in range(scheme.code.n):
-        column = [rows.get(r, zero) for rows in scheme.rows]
-        for i in range(p.ell):
-            coeffs = [row[i] for row in column]
-            for name, coeff in zip(names, map(coeffs.__getitem__, scheme.combo_key)):
-                if coeff:
-                    yield f"eval {r} {i + 1} {name} {coeff}"
-
-
 def project_blocks(scheme: HssScheme) -> SolutionBlocks:
     """The scheme's key rows projected onto each union's coordinates:
     block u holds, at every coordinate outside unions[u], the row of the
@@ -1056,7 +1027,7 @@ def eval_server_lifted(scheme: HssScheme, j: int, views: dict, var_indices: tupl
     params = scheme.params
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     held, tensors = build_byte_tensors(scheme, project_blocks(scheme), j)
-    slots = hss._slot_vectors(views, held, params.ell, chosen, j, params.spec.q)
+    slots = hss._slot_vectors(views, held, params.ell, chosen, j, params.spec)
     return contract(params.spec, tensors, slots, len(held))
 
 
@@ -1133,89 +1104,6 @@ def contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
             z = add[z * q + mul[total % p * q + power]]
         out.append(z)
     return out
-
-
-def scheme_to_text(scheme) -> str:
-    """The scheme document rendered from the per-monomial eval_table,
-    every row collected and sorted (a scheme or a TableScheme)."""
-    p = scheme.params
-    code_lines = code_to_text(scheme.code).splitlines()
-    lines = [
-        hss.SCHEME_FORMAT_TAG,
-        f"s {p.s}",
-        f"t {p.t}",
-        f"d {p.d}",
-        f"l {p.ell}",
-        f"m {p.m}",
-        f"code-lines {len(code_lines)}",
-        *code_lines,
-    ]
-    entries = []
-    for r in sorted(scheme.eval_table):
-        for mono, coeff in scheme.eval_table[r].items():
-            entries.append((r, mono.instance, mono.subsets, coeff))
-    entries.sort()
-    for r, inst, subsets, coeff in entries:
-        lines.append(f"eval {r} {inst} {hss._format_subsets(subsets)} {coeff}")
-    return "\n".join(lines) + "\n"
-
-
-def _parse_subsets(text: str) -> tuple[tuple[int, ...], ...]:
-    return tuple(tuple(int(v) for v in part.split(",")) for part in text.split("/"))
-
-
-def fold_scheme_text(text: str) -> RowScheme:
-    """The reader that folds the eval rows into the keys, which reading
-    by synthesis replaced.
-
-    The keys come from the pivot search alone, with no solves.  Each
-    (key, instance, coordinate) group takes the coefficient of its first
-    row that is in range and lies in the key's support (Q, then the pivot
-    of each row outside L).  The document must then be the canonical text
-    of those full key rows (row_lines), or DecodeError names its first
-    line that differs.  Self-consistent rows that are not a valid Eval
-    pass this reader.
-    """
-    lines = text.splitlines()
-    if not lines or lines[0] != hss.SCHEME_FORMAT_TAG:
-        raise DecodeError(f"missing {hss.SCHEME_FORMAT_TAG} header")
-    header = dict(line.partition(" ")[::2] for line in lines[1:7])
-    try:
-        t, d, m, count = (int(header[key]) for key in ("t", "d", "m", "code-lines"))
-    except (KeyError, ValueError) as exc:
-        raise DecodeError(f"bad scheme header: {exc}") from exc
-    code = code_from_text("\n".join(lines[7 : 7 + count]) + "\n")
-    try:
-        params = HssParams(code.s, t, d, code.dim, m, code.spec)
-        _, unions = hss.enumerate_monomials(params)
-        _, basis, keys, combo_key = lost_set_key_search(code, params, unions)
-    except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
-        raise DecodeError(f"bad scheme parameters: {exc}") from exc
-
-    combos = itertools.product(hss.subsets_of_size(params.s, params.t), repeat=params.d)
-    combo_index = {combo: c for c, combo in enumerate(combos)}
-    ell, q = params.ell, code.spec.q
-    values = []
-    for lost, chosen in keys:
-        support = [*chosen, *(b for j, b in enumerate(basis) if j not in lost)]
-        values.append({r: [0] * ell for r in support})
-    for line in lines[7 + count :]:
-        try:
-            tag, r, i, subsets, coeff = line.split(" ")
-            r, i, c, coeff = int(r), int(i), combo_index.get(_parse_subsets(subsets)), int(coeff)
-        except ValueError:
-            continue  # not a row of any scheme: the comparison below names it
-        if tag == "eval" and c is not None and 1 <= i <= ell and 0 < coeff < q:
-            row = values[combo_key[c]].get(r)
-            if row is not None:
-                row[i - 1] = row[i - 1] or coeff
-    pack = bytes if q <= MAX_TABLE_ORDER else tuple
-    rows = [{r: pack(row) for r, row in key_rows.items()} for key_rows in values]
-    scheme = RowScheme(params, code, rows, combo_key)
-    for n, (got, want) in enumerate(itertools.zip_longest(lines, row_lines(scheme)), 1):
-        if got != want:
-            raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the scheme the rows describe")
-    return scheme
 
 
 # -- sharing: one fragment scan per server and secret -------------------------------

@@ -1,5 +1,6 @@
 """The benchmark scripts under benchmarks/ still run."""
 
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -29,3 +30,15 @@ def test_synth_benchmark_key_searches_agree():
     )
     assert run.returncode == 0, run.stderr
     assert "hermitian q=3 k=10 [27,10] (1, 3)" in run.stdout
+
+
+def test_synth_benchmark_reads_each_document_as_synthesized():
+    """bench_synth.py --read exits 0 only if every document reads back as
+    the scheme it was written from; the hermitian-setup document is its
+    tag, six header lines and 16 lines of code document."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_synth.py"), "--read", "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.search(r"^hermitian-setup \[27,10\] \(1, 3\) +23 ", run.stdout, re.M)

@@ -223,8 +223,6 @@ def schemes():
 def test_scheme_text_matches_oracle_synthesizer(schemes, name):
     new, old = schemes[name]
     assert new.eval_table == old.eval_table
-    # the rows streamed from the keys are the sorted rows of the table
-    assert hss.scheme_to_text(new) == oracles.scheme_to_text(old) == oracles.scheme_to_text(new)
 
 
 def _views(scheme, seed):
@@ -449,7 +447,7 @@ def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name)
     scheme = wire_schemes[name]
     parsed = hss.scheme_from_text(hss.scheme_to_text(scheme))
     assert parsed.solutions == scheme.solutions
-    assert parsed._eval_table is None  # checked against rows streamed from the keys
+    assert parsed._eval_table is None  # read by synthesis, no table expanded
     secrets = _secrets(scheme.params, 12)
     transcript, outputs = protocol.simulate(scheme, secrets, seed=4)
     parsed_transcript, parsed_outputs = protocol.simulate(parsed, secrets, seed=4)
@@ -564,8 +562,7 @@ LADDER_CASES = {
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
 def test_derived_key_rows_match_the_stored_rows_they_replaced(name):
     """Z_Q alone, read through KeySolutions.column, expands key by key to
-    the full rows the synthesis stored before (oracles.solve_keys), and
-    the scheme document streamed from it is the one those rows render."""
+    the full rows the synthesis stored before (oracles.solve_keys)."""
     build, t, d = {**EVAL_CASES, **WORKLOAD_CASES, **LADDER_CASES}[name]
     code = build()
     params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
@@ -578,7 +575,6 @@ def test_derived_key_rows_match_the_stored_rows_they_replaced(name):
         assert got == want, f"key {k}"
     assert (expanded.combo_key, scheme.solutions.work, scheme.solutions.basis) == (combo_key, work, basis)
     assert _keys_of(scheme.solutions) == keys
-    assert "\n".join(oracles.row_lines(expanded)) + "\n" == hss.scheme_to_text(scheme)
 
 
 def _keys_of(solutions):
@@ -671,16 +667,32 @@ def test_unions_of_servers_without_pivots_key_as_the_oracle_does(name):
     assert all(type(lost) is tuple for lost in _case_scheme(name).solutions.lost)
 
 
-@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
-def test_scheme_document_reads_alike_by_synthesis_and_by_folding(name):
-    """The canonical document read by synthesis and by folding its rows
-    into the keys (the reader it replaced) gives the synthesized scheme."""
-    scheme = _case_scheme(name)
-    doc = hss.scheme_to_text(scheme)
-    parsed, folded, expanded = hss.scheme_from_text(doc), oracles.fold_scheme_text(doc), oracles.row_scheme(scheme)
-    assert parsed.solutions == scheme.solutions
-    assert (folded.rows, folded.combo_key) == (expanded.rows, expanded.combo_key)
-    assert parsed.params == folded.params == scheme.params
+# beyond the cases above, for the document alone: the s = 64 rung hermitian [64,56] (1, 2)
+DOCUMENT_CASES = {"hermitian-64-t1d2": (lambda: hermitian_build(4, 56), 1, 2)}
+# lines of scheme documents: the tag, six header lines and the code document
+DOCUMENT_LINES = {"goppa-eval": 21, "hermitian-setup": 23, "goppa-wire": 21, "hermitian-64-t1d2": 69}
+
+
+@pytest.mark.parametrize(
+    "name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES) + sorted(DOCUMENT_CASES)
+)
+def test_scheme_document_round_trips_by_synthesis(name):
+    """The document is the v3 tag, the header and the code document, and
+    nothing after them; read back by synthesis, with \\n or \\r\\n line
+    endings, it gives the same keys and parameters, and is written again
+    byte for byte."""
+    build, t, d = {**EVAL_CASES, **WORKLOAD_CASES, **LADDER_CASES, **DOCUMENT_CASES}[name]
+    scheme = hss.scheme_for_code(build(), t=t, d=d)
+    doc, p = hss.scheme_to_text(scheme), scheme.params
+    code_lines = code_to_text(scheme.code).splitlines()
+    header = [f"s {p.s}", f"t {p.t}", f"d {p.d}", f"l {p.ell}", f"m {p.m}", f"code-lines {len(code_lines)}"]
+    assert doc.splitlines() == ["labelweight-hss-scheme/v3", *header, *code_lines]
+    if name in DOCUMENT_LINES:
+        assert len(doc.splitlines()) == DOCUMENT_LINES[name]
+    for text in (doc, doc.replace("\n", "\r\n")):
+        parsed = hss.scheme_from_text(text)
+        assert (parsed.solutions, parsed.params) == (scheme.solutions, scheme.params)
+        assert hss.scheme_to_text(parsed) == doc
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
