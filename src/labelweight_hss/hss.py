@@ -309,7 +309,7 @@ class KeySolutions(NamedTuple):
     def column(self, r: int) -> list[Sequence[int]]:
         """Every key's ell coefficients at coordinate r: its Z_Q row at r
         in Q, E[j] - R[j, Q] Z_Q at a kept pivot r = B[j] (j not in L),
-        zero elsewhere; that support lies inside every union of the key."""
+        zero elsewhere; that support lies outside every union of the key."""
         ell = len(self.work)
         zero = self.spec.codes(bytes(ell))
         if r not in self.basis:
@@ -545,22 +545,19 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
-    small = params.spec.q <= MAX_TABLE_ORDER
     if j not in scheme._tensors:
-        held, tensors = _build_tensors(scheme, j)
-        entries = itertools.chain.from_iterable(tensors)  # plane ints, or per-instance tensors above 256
-        scheme._tensors[j] = held, tensors, any(entries) if small else any(map(any, entries))
+        scheme._tensors[j] = _build_tensors(scheme, j)
     held, tensors, live = scheme._tensors[j]
     slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec)
     if not live:
         return [0] * len(tensors)
-    contract = _contract_planes if small else _contract_by_field
+    contract = _contract_planes if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
     return contract(params.spec, tensors, slots, len(held))
 
 
 def _build_tensors(scheme: HssScheme, j: int):
-    """The subsets server j holds, and for each coordinate r it owns the
-    coefficients of z_r.
+    """The subsets server j holds, for each coordinate r it owns the
+    coefficients of z_r, and whether any of them is nonzero.
 
     T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
     entries, indexed row-major by the d held subsets of a monomial
@@ -586,12 +583,13 @@ def _build_tensors(scheme: HssScheme, j: int):
     small = params.spec.q <= MAX_TABLE_ORDER
     tables, size = _plane_tables(params.spec) if small else None, len(held_keys)
     zeros = [0] * len(tables.planes) if small else [(0,) * size] * ell
-    tensors = []
+    tensors, live = [], False
     for r in scheme.code.labeling.coords(j):
         column = solutions.column(r)
         if not any(map(any, column)):
             tensors.append(zeros)
             continue
+        live = True  # j lies outside every union of a key nonzero at r, so held combos take that key
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
         joined = params.spec.concat(map(column.__getitem__, held_keys))
         per_instance = [joined[i::ell] for i in range(ell)]
@@ -599,7 +597,7 @@ def _build_tensors(scheme: HssScheme, j: int):
             strings = _lane_strings(tables, per_instance, size)
             per_instance = _bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size)
         tensors.append(per_instance)
-    return held, tensors
+    return held, tensors, live
 
 
 def _slot_vectors(
@@ -1026,8 +1024,11 @@ def scheme_from_text(text: str) -> HssScheme:
         scheme = synthesize_eval(code, HssParams(code.s, t, d, code.dim, m, code.spec))
     except (ParameterOutOfRange, EnumerationBudgetExceeded, InsufficientLabelweight) as exc:
         raise DecodeError(f"bad scheme parameters: {exc}") from exc
-    document = itertools.chain(head, code_lines, lines)
-    for n, (got, want) in enumerate(itertools.zip_longest(document, _canonical_lines(scheme)), 1):
+    document, canonical = itertools.chain(head, code_lines, lines), _canonical_lines(scheme)
+    for n, (got, want) in enumerate(itertools.zip_longest(document, canonical), 1):
+        if want is None:
+            end = f"is past the end of the scheme document, which ends at line {len(canonical)}"
+            raise DecodeError(f"line {n}: {got!r} {end}")
         if got != want:
             raise DecodeError(f"line {n}: {got!r} is not {want!r}, the canonical line of the synthesized scheme")
     return scheme

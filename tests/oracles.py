@@ -1,62 +1,59 @@
-"""Reference implementations kept as test oracles for the table-driven code.
+"""Reference implementations kept as test oracles, one entry per layer.
 
-These are the per-element versions that the lookup-table hot loops in
-``galois``, ``matrix`` and ``hss`` replaced: base-p digit-loop addition and
-negation (above 256 replaced by arithmetic on ``FieldSpec.coeffs`` and
-``FieldSpec.encode``), polynomial sums and differences by a loop each
-(``poly_add``, ``poly_sub``, which one termwise helper replaced), Gaussian
-elimination through one field call per cell, Eval
-synthesis scattered monomial by monomial, and server evaluation through
-``FieldSpec`` method calls.  Irreducibility keeps its root check (degree
-<= 3) and trial division by every monic polynomial up to half the degree,
-which Ben-Or's test replaced, and the Hermitian basis its one-monomial-
-at-a-time reduction against normalised rows, which one ``rref``
-replaced.  The wire path keeps CNF sharing with one fragment scan per
-server and secret, the frame codec packing one element per
-``int.to_bytes`` call, and the simulation that orders each server's
-payload by an explicit (instance, variable, subset) list; the sharing
-keeps its own check of each secret (``secret_code``), which reading
-secrets by ``FieldSpec.code_of`` replaced.  The optimised code must
-agree with them exactly, on values and on the errors raised (with
-``secret_code``, on their types: the wording is now ``code_of``'s).
-The enumeration kernel keeps its depth-first walk over unpacked
-coordinate lists, one table addition per coordinate, which the bit-packed
-kernel replaced, and that packed meet-in-the-middle walk, one
-comprehension over the low half-span per high word
-(``packed_min_labelweight``), which the label-equality planes of
-``kernels.min_labelweight`` replaced; server evaluation keeps the dense
-byte tensors contracted through digit-lifted product tables, which the
-bit-plane popcount contraction of ``hss.eval_server`` replaced, and that
-contraction's first form: one popcount per plane pair, with share planes
-from ``share_products`` and a second translate per packed table
-(``contract_planes``), which the fold classes and composed tables of
-``hss._PlaneTables`` replaced.  The field tables keep their
-entry-by-entry build, which the row-by-row build replaced, from the
-digit loops and one schoolbook product per entry
-(``mul``, the product ``FieldSpec._mul_raw`` computed by ``Polynomial``
-arithmetic replaced above 256), and the
-solution blocks their one ``solve_many`` elimination per subset union
-(``synthesize_blocks``), which the systematic-form synthesis replaced.
-That synthesis stored one block per union (``SolutionBlocks``, laid out
-by ``block_layout`` and solved by ``solve_blocks``), which the key-major
-``hss.KeySolutions`` replaced; ``project_blocks`` reads the blocks back
-from the keys.  The key store first held one full row per key at each
-kept pivot as well as at Q (``solve_keys``), which keeping Z_Q alone and
-deriving the kept-pivot rows in ``KeySolutions.column`` replaced;
-``row_scheme`` expands the keys back to that form through the reader.
-The pivot search keeps its greedy scan for Q once per union, the unions
-walked sorted by their member lists (``key_search``), which one scan per
-lost-row set replaced, and that per-L scan (``lost_set_key_search``)
-followed by one ``solve_many`` of R[L, Q] per key (``synthesize_keys``),
-which row-reducing [R[L] | E[L]] in each scan, with Z_Q read off its E
-part, replaced.  Both take the unions of the subset combos, deduplicated
-and sorted by the string key ``union_order`` (``distinct_unions``, the
-unions of every combo by ``product_unions``), which the walk of
-``hss.server_sets`` over the server sets of size t..dt replaced.
-The literal block-system check (``verify_block_system``) materialises
-the whole coefficient system from per-server monomial lists, which the
-package does not keep: ``hss.enumerate_monomials`` returns each subset
-combo's union instead.
+The package must agree with them exactly, on values and on the errors
+raised.  Per layer this module keeps the plainest reference and the one
+the package replaced last, and drops a link between them once the
+package is pinned straight to a kept one on the same cases.  Each entry
+gives the package code, the plainest reference and, after a semicolon,
+the last replaced (one list where the two coincide).
+
+- Field arithmetic (``FieldSpec.tables`` built row by row; above 256,
+  ``coeffs`` / ``encode`` digits, ``Polynomial`` products, one termwise
+  helper): the digit loops ``add``, ``neg``, ``sub`` and the schoolbook
+  ``mul``; the entry-by-entry ``field_tables``, ``poly_add``, ``poly_sub``.
+- Irreducibility and moduli (Ben-Or's test, one scan in coefficient-code
+  order): root check up to degree 3, else trial division by every monic
+  polynomial up to half the degree (``is_irreducible``,
+  ``find_irreducible``, ``default_modulus``).
+- Hermitian basis (the first k pivots of one ``rref``): one monomial at a
+  time reduced against normalised rows (``hermitian_build``).
+- Labelweight kernel (``kernels.min_labelweight``): the depth-first walk
+  over coordinate lists (``min_labelweight``); the packed
+  meet-in-the-middle walk (``packed_min_labelweight``).
+- Elimination (``matrix.rref``, ``solve_many``, ``kernel_basis``): the
+  same three names here, over ``eliminate``, one field call per cell.
+- Monomials (``hss.enumerate_monomials``): the list of every monomial
+  and each server's local ones (``enumerate_monomials``).
+- Union walk (``hss.server_sets``): the union of every subset combo
+  (``product_unions``), deduplicated and sorted by the string key
+  ``union_order`` (``distinct_unions``).
+- Synthesis (``hss.synthesize_eval``): the per-monomial table after the
+  exhaustive labelweight check (``synthesize_eval``, ``scheme_for_code``,
+  ``TableScheme``) and, per union, one ``solve_many`` of G restricted to
+  the coordinates outside it (``synthesize_blocks`` into
+  ``SolutionBlocks`` laid out by ``block_layout``); the literal check of
+  the whole coefficient system (``verify_block_system``).
+- Key search (``hss._key_search``, Z_Q from each scan's elimination): one
+  scan per lost-row set L (``lost_set_key_search``), then one
+  ``solve_many`` per key (``synthesize_keys``).
+- Key store (``hss.KeySolutions``, kept-pivot rows derived by ``column``):
+  full rows at Q and at each kept pivot (``solve_keys``); ``row_scheme``
+  reads the keys back into that form through ``column``, and
+  ``project_blocks`` onto each union's coordinates.
+- Server planes (``hss._build_tensors``): dense tensors read from the
+  per-union blocks (``build_byte_tensors``), split one plane at a time
+  (``bit_planes`` through ``plane_bits``).
+- Evaluation (``hss.eval_server``, one popcount per fold class): the
+  per-monomial sum over the table (``eval_server``); one popcount per
+  plane pair, share planes from ``share_products`` (``contract_planes``).
+- Sharing (``hss.cnf_share``, ``share_all_secrets``): one fragment scan
+  per server and secret (``cnf_share``, ``share_all_secrets``,
+  ``server_fragment``); the secret check ``secret_code`` (errors agree in
+  type, the wording is ``FieldSpec.code_of``'s).
+- Wire (``protocol.encode``, ``decode``, ``simulate``): one
+  ``int.to_bytes`` / ``int.from_bytes`` per element (``encode``,
+  ``decode``); the run that orders each payload by an explicit
+  (instance, variable, subset) list (``simulate``).
 """
 
 from __future__ import annotations
@@ -676,58 +673,6 @@ def synthesize_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     return blocks
 
 
-def solve_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
-    """The solution blocks by the systematic form, union by union: one
-    elimination of [G | I] to [R | E], then for each union the rows L of
-    R whose pivot lies outside its coordinates, the coordinates Q that
-    replace those pivots, and one solve of R[L, Q] per distinct (L, Q)
-    key, copied into the block of every union with that key."""
-    blocks = block_layout(code, params)
-    spec, ell, n = code.spec, params.ell, code.n
-    need = params.d * params.t + 1
-    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
-    basis = _eliminate(spec, work, range(n))
-    scale, axpy = _row_ops(spec)
-    free = [c for c in range(n) if c not in basis]
-    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
-    join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
-    zero = pack([0] * ell)
-    keyed: dict[tuple, dict[int, Sequence[int]]] = {}
-    for union, cols in zip(blocks.unions, blocks.coords):
-        inside = set(cols)
-        lost = [j for j, b in enumerate(basis) if b not in inside]
-        chosen: list[int] = []
-        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
-        for c in filter(inside.__contains__, free):
-            if len(chosen) == len(lost):
-                break
-            v = [work[j][c] for j in lost]
-            for lead, w in echelon:
-                if v[lead]:
-                    v = axpy(v[lead], v, w)
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is not None:
-                echelon.append((lead, scale(spec.inv(v[lead]), v)))
-                chosen.append(c)
-        if len(chosen) < len(lost):
-            lam = sorted(set(range(1, params.s + 1)) - union)
-            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
-        key = (tuple(lost), tuple(chosen))
-        rows = keyed.get(key)
-        if rows is None:
-            Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
-            solved = [list(z) for z in zip(*matrix.solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)]))]
-            rows = keyed[key] = dict(zip(chosen, map(pack, solved)))
-            for j in set(range(ell)).difference(lost):
-                z = work[j][n:]
-                for c, zc in zip(chosen, solved):
-                    if work[j][c]:
-                        z = axpy(work[j][c], z, zc)
-                rows[basis[j]] = pack(z)
-        blocks.solutions.append(join([rows.get(c, zero) for c in cols]))
-    return blocks
-
-
 _MEMBERS_FIRST = str.maketrans("01", "10")
 
 
@@ -753,47 +698,6 @@ def product_unions(s: int, t: int, d: int) -> set[int]:
     for _ in range(d):
         unions = {union | mask for union in unions for mask in masks}
     return unions
-
-
-def key_search(code: LabeledCode, params: HssParams, unions: list[int]):
-    """hss._key_search with one greedy scan for Q per union, the unions
-    walked sorted by their member lists, which one scan per lost-row set
-    L replaced: one elimination of [G | I] to [R | E], then for each
-    union its rows L of R with a pivot at a server in it, and the first
-    coordinates Q outside B and outside the union whose columns R[L, c]
-    are independent of the earlier ones'.
-    Returns [R | E], B, the distinct keys (L, Q) in first-seen order and
-    the key index of each entry of `unions`; the first union whose
-    coordinates lack rank raises InsufficientLabelweight."""
-    spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
-    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
-    basis = _eliminate(spec, work, range(n))
-    scale, axpy = _row_ops(spec)
-    free = [c for c in range(n) if c not in basis]
-    keys: dict[tuple, int] = {}
-    key_of: dict[int, int] = {}
-    # the sort key is the union's servers in increasing order, its binary digits read right to left
-    for union in sorted(set(unions), key=lambda u: [v for v, bit in enumerate(bin(u)[:1:-1]) if bit == "1"]):
-        lost = [j for j, b in enumerate(basis) if union >> labels[b] & 1]
-        chosen: list[int] = []
-        echelon: list[tuple[int, list[int]]] = []  # (lead, projection scaled to 1 there)
-        for c in (c for c in free if not union >> labels[c] & 1):
-            if len(chosen) == len(lost):
-                break
-            v = [work[j][c] for j in lost]
-            for lead, w in echelon:
-                if v[lead]:
-                    v = axpy(v[lead], v, w)
-            lead = next((i for i, x in enumerate(v) if x), None)
-            if lead is not None:
-                echelon.append((lead, scale(spec.inv(v[lead]), v)))
-                chosen.append(c)
-        if len(chosen) < len(lost):
-            lam = [v for v in range(1, params.s + 1) if not union >> v & 1]
-            need = params.d * params.t + 1
-            raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
-        key_of[union] = keys.setdefault((tuple(lost), tuple(chosen)), len(keys))
-    return work, basis, list(keys), list(map(key_of.__getitem__, unions))
 
 
 def lost_set_key_search(code: LabeledCode, params: HssParams, unions: list[int]):
@@ -954,8 +858,7 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     return out
 
 
-
-# -- hss: server evaluation by lifted products, the contraction the bit planes replaced --
+# -- hss: dense tensors split one plane at a time, one popcount per plane pair --------
 
 
 def build_byte_tensors(scheme: HssScheme, blocks: SolutionBlocks, j: int):
@@ -975,60 +878,6 @@ def build_byte_tensors(scheme: HssScheme, blocks: SolutionBlocks, j: int):
         joined = join(map(column.__getitem__, held_blocks))
         tensors.append([joined[i::ell] for i in range(ell)])
     return held, tensors
-
-
-def contract(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
-    """Sum over instances i of tensor(r, i) contracted with the slot vectors.
-
-    Slots 1..d-1 expand into the rows of the last slot that have no zero
-    share, each with w, the product of its shares.  The last slot is a
-    C-level dot product per row: entry c at a position whose share is y
-    adds (w*y)*c, read from a product table that keeps each base-p digit
-    in its own bit field, so integer sums add digit by digit without
-    carries (in every characteristic, XOR included).  Each output is
-    reduced digit by digit mod p once, at the end.
-    """
-    p, q, mul = spec.p, spec.q, spec.tables().mul
-    bits = ((p - 1) * len(slots) * h ** len(slots[0])).bit_length()
-    products = lifted_products(spec, bits)
-    acc = [0] * len(tensors)
-    for i, vectors in enumerate(slots):
-        rows = [(0, 1)]  # (row of the last slot, product of its shares in slots 1..d-1)
-        for vector in vectors[:-1]:
-            nonzero = [(a, y) for a, y in enumerate(vector) if y]
-            rows = [(row * h + a, mul[w * q + y]) for row, w in rows for a, y in nonzero]
-        last = vectors[-1]
-        scaled = {w: list(map(products[w * q : (w + 1) * q].__getitem__, last)) for w in {w for _, w in rows}}
-        rows = [(row * h, scaled[w]) for row, w in rows]
-        for n, per_instance in enumerate(tensors):
-            tensor = per_instance[i]
-            acc[n] += sum(
-                itertools.chain.from_iterable(
-                    map(operator.getitem, terms, tensor[start : start + h]) for start, terms in rows
-                )
-            )
-    mask = (1 << bits) - 1
-    return [sum((total >> (bits * e) & mask) % p * p**e for e in range(spec.k)) for total in acc]
-
-
-@functools.cache
-def lifted_products(spec: FieldSpec, bits: int) -> tuple[tuple[int, ...], ...]:
-    """Entry a*q + b lists the products (a*b)*c, c = 0..q-1, with each
-    base-p digit moved into its own `bits`-bit field."""
-    p, q, mul = spec.p, spec.q, spec.tables().mul
-    lift = [sum(c // p**e % p << (bits * e) for e in range(spec.k)) for c in range(q)]
-    rows = [tuple(lift[c] for c in mul[a * q : (a + 1) * q]) for a in range(q)]
-    return tuple(rows[ab] for ab in mul)
-
-
-def eval_server_lifted(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
-    """hss.eval_server on byte tensors contracted by lifted products
-    (q <= 256), built afresh on every call."""
-    params = scheme.params
-    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
-    held, tensors = build_byte_tensors(scheme, project_blocks(scheme), j)
-    slots = hss._slot_vectors(views, held, params.ell, chosen, j, params.spec)
-    return contract(params.spec, tensors, slots, len(held))
 
 
 @functools.cache

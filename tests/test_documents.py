@@ -193,12 +193,13 @@ def test_v2_scheme_document_is_refused_by_its_tag():
 @pytest.mark.parametrize("extra", ["eval 0 1 2 1", "", "row 0,1,2,3", "labelweight-hss-scheme/v3"])
 def test_a_line_after_the_code_document_is_rejected_by_name(extra):
     """No line follows the code document, a v2 eval row least of all: the
-    first one is named by its number."""
+    first one is named by its number, with the line the document ends at."""
     doc = scheme_to_text(scheme((("rs", 4, 4, 2), 1, 1)))
-    with pytest.raises(DecodeError, match=f"^line 16: {re.escape(repr(extra))} is not None"):
+    end = "is past the end of the scheme document, which ends at line 15$"
+    with pytest.raises(DecodeError, match=f"^line 16: {re.escape(repr(extra))} {end}"):
         scheme_from_text(doc + extra + "\n")
     v2_rows_under_v3_tag = V2_DOCUMENT.replace("/v2\n", "/v3\n", 1)
-    with pytest.raises(DecodeError, match="^line 16: 'eval 0 1 2 1' is not None"):
+    with pytest.raises(DecodeError, match=f"^line 16: 'eval 0 1 2 1' {end}"):
         scheme_from_text(v2_rows_under_v3_tag)
 
 

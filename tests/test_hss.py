@@ -754,7 +754,7 @@ def test_scheme_text_is_read_without_expanding_the_table():
     # a document cut short ends inside its code document; one run on names its first extra line
     with pytest.raises(DecodeError, match="^code document dimensions are inconsistent$"):
         scheme_from_text("\n".join(lines[:-1]) + "\n")
-    with pytest.raises(DecodeError, match=f"^line {len(lines) + 1}: 'eval 9' is not None"):
+    with pytest.raises(DecodeError, match=f"^line {len(lines) + 1}: 'eval 9' is past the end .* at line {len(lines)}$"):
         scheme_from_text(doc + "eval 9\n")
 
 

@@ -54,3 +54,30 @@ def test_only_codes_calls_the_enumeration_kernel():
     for name, node in _nodes():
         if _name(node) == "min_labelweight" or isinstance(node, ast.alias) and node.name == "min_labelweight":
             assert name in ("codes.py", "kernels.py"), f"{name}:{node.lineno} references min_labelweight"
+
+
+TESTS = Path(__file__).resolve().parent
+BENCHMARKS = TESTS.parent / "benchmarks"
+
+
+def test_every_oracle_is_reachable_from_a_test_or_a_benchmark():
+    """Every top-level function and class of tests/oracles.py is read as
+    ``oracles.<name>`` or imported by name in a test module or a
+    benchmarks/ script, or named by another oracle that is, so a
+    retired reference cannot linger as a link that nothing reads."""
+    tree = ast.parse((TESTS / "oracles.py").read_text(encoding="utf-8"))
+    defs = {node.name: node for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))}
+    reached = set()
+    for path in [*TESTS.glob("test_*.py"), *BENCHMARKS.glob("*.py")]:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "oracles":
+                reached.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "oracles":
+                reached.update(alias.name for alias in node.names)
+    todo = list(reached & defs.keys())
+    while todo:
+        for node in ast.walk(defs[todo.pop()]):
+            if isinstance(node, ast.Name) and node.id in defs and node.id not in reached:
+                reached.add(node.id)
+                todo.append(node.id)
+    assert sorted(defs.keys() - reached) == []
