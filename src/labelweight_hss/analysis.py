@@ -35,7 +35,7 @@ from decimal import ROUND_DOWN, ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
-from .codes import Labeling, ball_volume, span_labelweight
+from .codes import Labeling, ball_volume, check_span, span_labelweight
 from .errors import ConditionViolated, DegenerateDimension, NotACube, ParameterOutOfRange
 from .galois import FieldSpec, prime_power, randrange_run
 
@@ -91,15 +91,14 @@ class ParamRow:
 # -- closed-form families ----------------------------------------------------------
 
 
-def _integer_log(base: int, value: int) -> int | None:
-    """j with base**j == value, if one exists."""
-    if base < 2:
-        return None
+def _ceil_log(base: int, value: int) -> int:
+    """The least j with base**j >= value (base >= 2): log_base(value)
+    exactly when base**j == value."""
     j, acc = 0, 1
     while acc < value:
         acc *= base
         j += 1
-    return j if acc == value else None
+    return j
 
 
 def _servers_above_dt(s, d: int, t: int) -> int:
@@ -123,7 +122,7 @@ def baseline_params(s: int, d: int, t: int, log_base) -> ParamRow:
     dt = _servers_above_dt(s, d, t)
     rate = Fraction(s - dt, s)
     j: object
-    if isinstance(log_base, int) and (exact := _integer_log(log_base, s)) is not None:
+    if isinstance(log_base, int) and log_base >= 2 and log_base ** (exact := _ceil_log(log_base, s)) == s:
         j = exact
     elif math.isclose(float(log_base) ** 1.5, s, rel_tol=1e-9):
         j = Fraction(3, 2)
@@ -145,15 +144,7 @@ def baseline_amort_lower(s: int, d: int, t: int, q: int) -> int:
     """Lower bound on baseline amortization:
     (s-dt) * ceil(max(log_q(s-dt+1), log_q(dt+1)))."""
     dt = _servers_above_dt(s, d, t)
-
-    def ceil_log(x: int) -> int:
-        j, acc = 0, 1
-        while acc < x:
-            acc *= q
-            j += 1
-        return j
-
-    return (s - dt) * max(ceil_log(s - dt + 1), ceil_log(dt + 1))
+    return (s - dt) * max(_ceil_log(q, s - dt + 1), _ceil_log(q, dt + 1))
 
 
 def hermitian_params(s, d: int, t: int, exact: bool = False) -> ParamRow:
@@ -201,8 +192,8 @@ def goppa_params(s: int, d: int, t: int, mode: str = "exact") -> ParamRow:
     dt = _servers_above_dt(s, d, t)
     threshold = goppa_u_threshold(dt)
     if mode == "exact":
-        u = _integer_log(2, s)
-        if u is None:
+        u = _ceil_log(2, s)
+        if 2**u != s:
             raise ParameterOutOfRange(f"exact mode needs s a power of two, got {s}")
         if not u > threshold:
             raise ConditionViolated(f"u={u} does not exceed the threshold {threshold:.4f}")
@@ -331,8 +322,8 @@ def gv_monte_carlo(cfg: GvConfig, trials: int, seed: int) -> GvReport:
     three-sigma binomial allowance.  Trial i draws from a generator
     seeded with (seed, i), so any subset of trials is reproducible in
     isolation.  Each trial enumerates q^k messages through
-    span_labelweight, whose labelweight budget refuses an oversized k
-    at trial 0.
+    span_labelweight, so an oversized k is refused by its budget
+    (check_span) before the first generator is drawn.
     """
     if trials < 1:
         raise ParameterOutOfRange("need at least one trial")
@@ -340,6 +331,7 @@ def gv_monte_carlo(cfg: GvConfig, trials: int, seed: int) -> GvReport:
     spec = FieldSpec(p, e)
     k = gv_dimension(cfg)
     lab = Labeling.balanced(cfg.s, cfg.w)
+    check_span(cfg.q, k)
     failures = 0
     for index in range(trials):
         rng = random.Random(f"{seed}:{index}")
@@ -455,8 +447,8 @@ def _gv_example_table(dt: int, servers: Sequence[int], eps: Fraction) -> TableRe
     (1-eps) s log2(s) - s - (dt+1) log2(s)."""
     rows = []
     for s in servers:
-        w = _integer_log(2, s)
-        if w is None:
+        w = _ceil_log(2, s)
+        if 2**w != s:
             raise ParameterOutOfRange(f"gv-example needs s a power of two, got {s}")
         cfg = GvConfig(2, w, s, Fraction(dt + 1, s), eps)
         k = gv_dimension(cfg)

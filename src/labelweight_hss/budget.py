@@ -32,9 +32,20 @@ def effective_budget(default: int) -> int:
     return value
 
 
-def check(count: int, default: int, what: str) -> None:
-    """Raise EnumerationBudgetExceeded, naming `count` and what is
-    counted (`what`), unless `count` objects fit the budget."""
+def check(count: int | tuple[int, int], default: int, what: str) -> None:
+    """Raise EnumerationBudgetExceeded, naming the count and what is
+    counted (`what`), unless `count` objects fit the budget.  A count
+    (base, exponent), base >= 2, is base**exponent, built only if the
+    exponent is within the budget's bit length (past it, the power cannot
+    fit and is named as base^exponent); an int count past 256 bits is
+    named by the power of two it reaches, so every count prints."""
     limit = effective_budget(default)
-    if count > limit:
-        raise EnumerationBudgetExceeded(f"{count} {what} exceed budget {limit}; raise {ENV_VAR} to force")
+    if isinstance(count, tuple) and count[1] <= limit.bit_length():
+        count = count[0] ** count[1]
+    if isinstance(count, tuple):
+        shown = "{}^{}".format(*count)
+    elif count > limit:
+        shown = f"{count}" if count.bit_length() <= 256 else f"at least 2^{count.bit_length() - 1}"
+    else:
+        return
+    raise EnumerationBudgetExceeded(f"{shown} {what} exceed budget {limit}; raise {ENV_VAR} to force")

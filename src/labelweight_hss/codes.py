@@ -146,14 +146,19 @@ def span_labelweight(spec: FieldSpec, rows: Sequence[int], k: int, labeling: Lab
     k x labeling.n element codes of `spec` in row-major order (as
     FieldSpec.codes gives them), by enumeration in
     kernels.min_labelweight.  The q^k messages must fit the labelweight
-    budget, which only HSS_ENUM_BUDGET overrides.  Rows need not be
-    independent: the zero words of kernel messages are skipped, and a
-    span with no nonzero word gives labeling.s + 1.  Fields above 256
-    raise FieldTooLarge.
+    budget (check_span).  Rows need not be independent: the zero words
+    of kernel messages are skipped, and a span with no nonzero word gives
+    labeling.s + 1.  Fields above 256 raise FieldTooLarge.
     """
-    budget.check(spec.q**k, LABELWEIGHT_BUDGET, "messages")
+    check_span(spec.q, k)
     labels0 = bytes(v - 1 for v in labeling.map)
     return kernels.min_labelweight(rows, k, labeling.n, labels0, spec.add_table, spec.mul_table, spec.q, labeling.s)
+
+
+def check_span(q: int, k: int) -> None:
+    """Refuse a span of k rows over GF(q) whose q^k messages exceed the
+    labelweight budget, which only HSS_ENUM_BUDGET overrides."""
+    budget.check((q, k), LABELWEIGHT_BUDGET, "messages")
 
 
 def ball_volume(s: int, w: int, q: int, r: int) -> int:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 import operator
 import random
 import re
@@ -244,47 +245,26 @@ def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
     return [j not in T for T in subsets]
 
 
-def enumerate_monomials(params: HssParams):
-    """All product monomials, plus the subset union of each subset combo.
+def enumerate_monomials(params: HssParams) -> tuple[range, list[int]]:
+    """All product monomials, as their indices, plus the subset union of
+    each subset combo.
 
-    Ordering is instance-major, then lexicographic on the subset tuple.
-    The first value is a Monomials sequence, which builds each MonomialId
-    when it is read; the second the list whose entry c is the union of
-    combo c (itertools.product order) as a bitmask, bit v set for server
-    v in it: a monomial is locally computable by exactly the servers
-    outside its combo's union.  _synthesize reads only the unions.  Past
-    the monomial budget, raises EnumerationBudgetExceeded.
+    The ell * C(s, t)^d monomials are checked against the monomial budget
+    before any subset is built (past it, EnumerationBudgetExceeded).
+    Monomial n is MonomialId(n // C(s, t)^d + 1, combo n % C(s, t)^d):
+    instance-major, the d-tuples of subsets_of_size(s, t) in
+    itertools.product order.  The second value is the list whose entry c
+    is the union of combo c as a bitmask, bit v set for server v in it: a
+    monomial is locally computable by exactly the servers outside its
+    combo's union.  _synthesize reads only the unions.
     """
-    subsets = subsets_of_size(params.s, params.t)
-    monomials = Monomials(params.ell, subsets, params.d)
-    budget.check(len(monomials), MONOMIAL_BUDGET, "monomials")
-    masks = [sum(1 << v for v in T) for T in subsets]
+    count = params.ell * math.comb(params.s, params.t) ** params.d
+    budget.check(count, MONOMIAL_BUDGET, "monomials")
+    masks = [sum(1 << v for v in T) for T in subsets_of_size(params.s, params.t)]
     unions = [0]
     for _ in range(params.d):
         unions = [union | mask for union in unions for mask in masks]
-    return monomials, unions
-
-
-class Monomials(Sequence):
-    """MonomialId(i, combo) for every instance i in 1..ell and d-tuple
-    combo of `subsets` (itertools.product order), instance-major, each
-    built when it is read; no combo is held."""
-
-    def __init__(self, ell: int, subsets: Sequence[tuple[int, ...]], d: int):
-        self.ell, self.subsets, self.d = ell, subsets, d
-
-    def __len__(self) -> int:
-        return self.ell * len(self.subsets) ** self.d
-
-    def __getitem__(self, n: int) -> MonomialId:
-        if not 0 <= n < len(self):
-            raise IndexError(n)
-        c = len(self.subsets)  # n = (i - 1) * c^d + the combo's subset positions as d base-c digits
-        return MonomialId(n // c**self.d + 1, tuple(self.subsets[n // c**e % c] for e in reversed(range(self.d))))
-
-    def __iter__(self):
-        ell, subsets, d = self.ell, self.subsets, self.d
-        return (MonomialId(i, combo) for i in range(1, ell + 1) for combo in itertools.product(subsets, repeat=d))
+    return range(count), unions
 
 
 class KeySolutions(NamedTuple):
@@ -494,17 +474,22 @@ def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> 
     return synthesize_eval(code, params)
 
 
-def default_monomial(params: HssParams) -> tuple[int, ...]:
-    """Variable indices of the canonical product: the first d of m variables."""
-    return tuple(range(1, params.d + 1))
+def product_variables(params: HssParams, var_indices: Iterable[int] | None = None) -> tuple[int, ...]:
+    """The variables that feed the d product slots: var_indices
+    (repetition allowed), by default the first d of the m variables.
+    Anything but d indices in 1..m raises ParameterOutOfRange."""
+    chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
+    if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
+        raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
+    return chosen
 
 
 def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
     """Server j's output shares, one per coordinate it owns.
 
     `views` maps (instance, variable) to that secret's fragment, a
-    mapping {T: y_T with j not in T}; var_indices picks which of the m
-    variables feed the d product slots (repetition allowed).
+    mapping {T: y_T with j not in T}; var_indices picks the variables
+    that feed the d product slots (see product_variables).
 
     Each output share z_r is a fixed d-linear form in the shares:
     z_r = sum over instances i and held-subset tuples (a_1, ..., a_d) of
@@ -542,9 +527,7 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     params = scheme.params
     if not 1 <= j <= params.s:
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
-    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
-    if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
-        raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
+    chosen = product_variables(params, var_indices)
     if j not in scheme._tensors:
         scheme._tensors[j] = _build_tensors(scheme, j)
     held, tensors, live = scheme._tensors[j]
@@ -881,7 +864,7 @@ def run_end_to_end(
     computed products.  Correctness is exact: ok is plain equality."""
     params = scheme.params
     spec = params.spec
-    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
+    chosen = product_variables(params, var_indices)
     rng = random.Random(seed)
     grid = _secret_codes(params, secrets)
     _, views = share_all_secrets(params, grid, rng)
@@ -943,9 +926,9 @@ def privacy_audit(t: int, s: int, spec: FieldSpec) -> PrivacyReport:
     """
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
+    free = math.comb(s, t) - 1
+    budget.check((spec.q, free + 1), PRIVACY_BUDGET, "share assignments")
     subsets = subsets_of_size(s, t)
-    free = len(subsets) - 1
-    budget.check(spec.q**free * spec.q, PRIVACY_BUDGET, "share assignments")
 
     # distributions[x][T] counts the view tuples T observes across all randomness
     distributions: list[dict[tuple[int, ...], Counter]] = []

@@ -161,10 +161,13 @@ def solve_many(A: MatrixF, targets: Sequence[Sequence[int]]) -> list[list[int] |
     pivots = _eliminate(A.spec, work, range(cols))
     nrank = len(pivots)
     inconsistent = {idx for row in work[nrank:] for idx, v in enumerate(row[cols:]) if v}
-    solved = zip(*(row[cols:] for row in work[:nrank])) if nrank else [()] * len(targets)
-    if nrank < cols:  # the free variables are zero
-        solved = ([dict(zip(pivots, column)).get(c, 0) for c in range(cols)] for column in solved)
-    return [None if idx in inconsistent else list(x) for idx, x in enumerate(solved)]
+    solutions: list[list[int] | None] = []
+    for idx, column in enumerate(zip(*(row[cols:] for row in work[:nrank])) if nrank else [()] * len(targets)):
+        x = [0] * cols  # the free variables are zero
+        for c, v in zip(pivots, column):
+            x[c] = v
+        solutions.append(None if idx in inconsistent else x)
+    return solutions
 
 
 def solve_particular(A: MatrixF, b: Sequence[int]) -> list[int] | None:

@@ -48,9 +48,9 @@ from .hss import (
     HssScheme,
     ServerView,
     collect_output_shares,
-    default_monomial,
     eval_server,
     held_subsets,
+    product_variables,
     reconstruct,
     secret_positions,
     share_all_secrets,
@@ -195,7 +195,7 @@ def simulate(
     params = scheme.params
     spec = params.spec
     width = element_width(spec)
-    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
+    chosen = product_variables(params, var_indices)
     output_client = params.s + 1
     transcript = Transcript(field_order=spec.q)
     positions = secret_positions(params.ell, params.m)

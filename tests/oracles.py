@@ -22,8 +22,9 @@ the last replaced (one list where the two coincide).
   meet-in-the-middle walk (``packed_min_labelweight``).
 - Elimination (``matrix.rref``, ``solve_many``, ``kernel_basis``): the
   same three names here, over ``eliminate``, one field call per cell.
-- Monomials (``hss.enumerate_monomials``): the list of every monomial
-  and each server's local ones (``enumerate_monomials``).
+- Monomials (``hss.enumerate_monomials``, the count ell * C(s, t)^d as
+  a range of indices): the list of every MonomialId and each server's
+  local ones (``enumerate_monomials``).
 - Union walk (``hss.server_sets``): the union of every subset combo
   (``product_unions``), deduplicated and sorted by the string key
   ``union_order`` (``distinct_unions``).
@@ -90,7 +91,6 @@ from labelweight_hss.hss import (
     HssScheme,
     MonomialId,
     collect_output_shares,
-    default_monomial,
     held_mask,
     reconstruct,
     subsets_of_size,
@@ -836,7 +836,7 @@ def project_blocks(scheme: HssScheme) -> SolutionBlocks:
 def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
     params = scheme.params
     spec = params.spec
-    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
+    chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
     if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
     out = []
@@ -1064,7 +1064,7 @@ def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indi
     params = scheme.params
     spec = params.spec
     width = protocol.element_width(spec)
-    chosen = default_monomial(params) if var_indices is None else tuple(var_indices)
+    chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
     output_client = params.s + 1
     transcript = protocol.Transcript(field_order=spec.q)
 

@@ -427,6 +427,24 @@ def test_audit_budget_of_the_generated_commands_leaves_both_exits(capsys, argv, 
         assert out == "" and err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gv-sim", "--q=2", "--w=4", "--s=3000", "--delta=1/3000", "--eps=1/100", "--trials=1"],
+        ["audit-privacy", "--s=60", "--t=3", "--p=2"],
+    ],
+    ids=["gv-sim", "audit-privacy"],
+)
+def test_oversized_enumerations_exit_1_by_their_count(capsys, argv):
+    """A span of 2^11,863 messages (k = 11,863, n = 12,000) is refused
+    before a generator is drawn, and 2^34,220 share assignments are named
+    without printing the count in full."""
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.endswith("raise HSS_ENUM_BUDGET to force\n")
+
+
 @pytest.mark.parametrize("dt", ["0", "-5"])
 @pytest.mark.parametrize("kind", ["hermitian", "goppa"])
 def test_table_rejects_dt_below_one(capsys, kind, dt):

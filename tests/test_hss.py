@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
-from labelweight_hss import hss
+from labelweight_hss import budget, hss
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, labelweight, rs_build
 from labelweight_hss.errors import (
     DecodeError,
@@ -290,7 +290,7 @@ def test_secrets_outside_the_field_are_rejected():
 def test_enumerate_monomials_small():
     params = HssParams(2, 1, 1, 1, 1, GF2)
     monos, unions = enumerate_monomials(params)
-    assert list(monos) == [MonomialId(1, ((1,),)), MonomialId(1, ((2,),))]
+    assert monos == range(2)
     # bit v of a union is set for server v in it
     assert unions == [0b10, 0b100]
 
@@ -302,19 +302,6 @@ def test_enumerate_monomials_counts():
     # each server is outside the union of 16 of the 25 subset combos
     for j in range(1, 6):
         assert sum(not union >> j & 1 for union in unions) == 16
-
-
-def test_enumerate_monomials_builds_each_monomial_when_read():
-    params = HssParams(5, 1, 2, 2, 2, GF5)
-    monos, _ = enumerate_monomials(params)
-    eager = [MonomialId(i, combo) for i in (1, 2) for combo in itertools.product(subsets_of_size(5, 1), repeat=2)]
-    assert not isinstance(monos, list) and len(monos) == 50
-    assert list(monos) == eager
-    assert [monos[n] for n in range(50)] == eager
-    assert monos.index(eager[31]) == 31
-    for n in (50, -1):
-        with pytest.raises(IndexError):
-            monos[n]
 
 
 def test_subsets_of_size_is_one_shared_tuple():
@@ -377,6 +364,33 @@ def test_enumerate_budget(monkeypatch):
     monkeypatch.setenv("HSS_ENUM_BUDGET", "10")
     with pytest.raises(EnumerationBudgetExceeded):
         enumerate_monomials(params)
+
+
+def _no_subsets(s, t):
+    raise AssertionError(f"subsets_of_size({s}, {t}) built")
+
+
+def test_monomial_budget_refuses_before_building_a_subset(monkeypatch):
+    """Synthesis at s = 1000, t = 3, d = 3 is refused by its count of
+    C(1000, 3)^3 monomials, none of the 166,167,000 subsets built."""
+    code = rs_build(1009, 1000, 1)
+    monkeypatch.setattr(hss, "subsets_of_size", _no_subsets)
+    with pytest.raises(EnumerationBudgetExceeded, match="^4588115449379463000000000 monomials exceed budget"):
+        scheme_for_code(code, t=3, d=3)
+
+
+def test_budget_names_every_count(monkeypatch):
+    """A power past the budget is named as base^exponent without being
+    built, one that fits is built and compared, and an int count past
+    256 bits is named by the power of two it reaches."""
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "10")
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^2\^40000 things exceed budget 10; raise HSS_ENUM_BUDGET"):
+        budget.check((2, 40000), 1, "things")
+    with pytest.raises(EnumerationBudgetExceeded, match="^16 things exceed budget 10;"):
+        budget.check((2, 4), 1, "things")
+    budget.check((3, 2), 1, "things")
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^at least 2\^31699 things exceed budget 10;"):
+        budget.check(3**20000, 1, "things")
 
 
 # -- synthesis -------------------------------------------------------------------
@@ -716,6 +730,14 @@ def test_privacy_budget_guard(monkeypatch):
     monkeypatch.setenv("HSS_ENUM_BUDGET", "100")
     with pytest.raises(EnumerationBudgetExceeded):
         privacy_audit(2, 10, GF3)
+
+
+def test_privacy_budget_refuses_before_building_a_subset(monkeypatch):
+    """An audit at s = 1000, t = 3 is refused by its count q^C(1000, 3),
+    neither the subsets nor that power built."""
+    monkeypatch.setattr(hss, "subsets_of_size", _no_subsets)
+    with pytest.raises(EnumerationBudgetExceeded, match=r"^2\^166167000 share assignments exceed budget"):
+        privacy_audit(3, 1000, GF2)
 
 
 def test_privacy_detects_broken_sharing():

@@ -478,13 +478,12 @@ def test_lazy_monomials_match_oracle(s, t, d, ell):
     params = hss.HssParams(s, t, d, ell, d, FieldSpec(3))
     monomials, unions = hss.enumerate_monomials(params)
     old_monomials, old_local = oracles.enumerate_monomials(params)
-    assert len(monomials) == len(old_monomials) and list(monomials) == old_monomials
-    assert [monomials[n] for n in range(len(monomials))] == old_monomials
+    assert monomials == range(len(old_monomials))
     # unions[c] is the union of every instance's monomial of combo c, bit v for server v
     masks = [sum(1 << v for v in mono.union()) for mono in old_monomials]
-    assert [unions[n % len(unions)] for n in range(len(monomials))] == masks
+    assert [unions[n % len(unions)] for n in monomials] == masks
     # a monomial is local to exactly the servers outside its combo's union
-    local = {j: [mono for n, mono in enumerate(monomials) if not unions[n % len(unions)] >> j & 1] for j in old_local}
+    local = {j: [old_monomials[n] for n in monomials if not unions[n % len(unions)] >> j & 1] for j in old_local}
     assert local == old_local
 
 
@@ -869,7 +868,7 @@ def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
         assert hss.eval_server(scheme, j, views[j]) == [0] * len(scheme.code.labeling.coords(j))
     assert not calls
     held, planes, _ = _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
-    slots = hss._slot_vectors(views[1], held, params.ell, hss.default_monomial(params), 1, params.spec)
+    slots = hss._slot_vectors(views[1], held, params.ell, hss.product_variables(params), 1, params.spec)
     assert hss.eval_server(scheme, 1, views[1]) == oracles.contract_planes(params.spec, planes, slots, len(held))
     assert calls
 
