@@ -92,8 +92,10 @@ class ParamRow:
 
 
 def _ceil_log(base: int, value: int) -> int:
-    """The least j with base**j >= value (base >= 2): log_base(value)
-    exactly when base**j == value."""
+    """The least j with base**j >= value (the base is a field size q >= 2,
+    else ParameterOutOfRange): log_base(value) exactly when base**j == value."""
+    if base < 2:
+        raise ParameterOutOfRange(f"need q >= 2, got q={base}")
     j, acc = 0, 1
     while acc < value:
         acc *= base

@@ -1,10 +1,10 @@
 """Enumeration budget handling.
 
-Exhaustive loops (codeword enumeration, monomial tables, privacy audits)
-are guarded by a budget on the number of enumerated objects.  Each call
-site has its own default; the HSS_ENUM_BUDGET environment variable, when
-set, overrides every default at once.  :func:`check` is the one gate that
-refuses a loop.
+Exhaustive loops (codeword enumeration, monomial tables, privacy audits,
+share draws) are guarded by a budget on the number of enumerated objects.
+Each call site has its own default; the HSS_ENUM_BUDGET environment
+variable, when set, overrides every default at once.  :func:`check` is
+the one gate that refuses a loop.
 """
 
 import os
@@ -16,6 +16,7 @@ ENV_VAR = "HSS_ENUM_BUDGET"
 LABELWEIGHT_BUDGET = 2**24
 MONOMIAL_BUDGET = 2**22
 PRIVACY_BUDGET = 2**20
+SHARE_BUDGET = 2**24
 
 
 def effective_budget(default: int) -> int:

@@ -21,7 +21,8 @@ reduction.  A sequence of element codes takes one form per field:
 256 and tuples above.  Random element codes come from
 :func:`randrange_run`, the values of successive ``randrange(q)`` calls
 read in one bulk draw; CNF sharing and the GV Monte Carlo both draw
-through it.  :func:`prime_power` splits a field order into p and k.
+through it.  :func:`prime_power` splits a field order into p and k;
+:func:`digit_layout` packs digits for ``kernels`` and ``matrix``.
 
 Irreducibility has one test, Ben-Or's (:func:`is_irreducible`), exact at
 every degree.  The default modulus of a spec is the first monic
@@ -63,6 +64,16 @@ def prime_power(q: int) -> tuple[int, int]:
     if m != 1:
         raise ParameterOutOfRange(f"{q} is not a prime power")
     return p, e
+
+
+@functools.cache
+def digit_layout(q: int) -> tuple[int, list[int]]:
+    """(w, spread): digit i of a GF(q) code packed in bits [i*w, (i+1)*w),
+    w being 1 when p = 2, else p.bit_length() value bits under one guard
+    bit (two digits sum without a carry out); spread[v] packs code v."""
+    p, e = prime_power(q)
+    width = 1 if p == 2 else p.bit_length() + 1
+    return width, [sum(v // p**i % p << i * width for i in range(e)) for v in range(q)]
 
 
 def require_table_order(q: int) -> None:

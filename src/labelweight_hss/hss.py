@@ -34,7 +34,7 @@ from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 from . import budget
-from .budget import MONOMIAL_BUDGET, PRIVACY_BUDGET
+from .budget import MONOMIAL_BUDGET, PRIVACY_BUDGET, SHARE_BUDGET
 from .codes import LabeledCode, code_from_text, code_to_text
 from .codes import labelweight  # noqa: F401  unused, but perfbench/tracing.py patches hss.labelweight
 from .errors import (
@@ -272,15 +272,16 @@ class KeySolutions(NamedTuple):
     and its pivot columns B = `basis` (see _key_search) once, and per
     distinct (L, Q) key, in first-seen order, its rows L (`lost`)
     and Z_Q = R[L, Q]^-1 E[L] (`solved`: each coordinate of Q, in order,
-    maps to its ell coefficients, instance i at entry i - 1, in the form
-    of FieldSpec.codes).  combo_key[c] is the key of subset combo c,
+    maps to its ell coefficients, instance i at entry i - 1; these rows
+    and those of `work` in the form of FieldSpec.codes, as matrix takes
+    them).  combo_key[c] is the key of subset combo c,
     in itertools.product(subsets_of_size(s, t), repeat=d) order, so
     monomial (i, combo c) has coefficient column(r)[combo_key[c]][i - 1]
     at coordinate r.
     """
 
     spec: FieldSpec
-    work: list[list[int]]
+    work: list[Sequence[int]]
     basis: list[int]
     lost: list[tuple[int, ...]]
     solved: list[dict[int, Sequence[int]]]
@@ -289,22 +290,15 @@ class KeySolutions(NamedTuple):
     def column(self, r: int) -> list[Sequence[int]]:
         """Every key's ell coefficients at coordinate r: its Z_Q row at r
         in Q, E[j] - R[j, Q] Z_Q at a kept pivot r = B[j] (j not in L),
-        zero elsewhere; that support lies outside every union of the key."""
+        zero elsewhere (a kept row is one matrix._row_ops derive); that
+        support lies outside every union of the key."""
         ell = len(self.work)
         zero = self.spec.codes(bytes(ell))
         if r not in self.basis:
             return [rows.get(r, zero) for rows in self.solved]
-        j = self.basis.index(r)
-        row, axpy = self.work[j], _row_ops(self.spec)[1]
-
-        def kept(rows: dict[int, Sequence[int]]) -> Sequence[int]:
-            z = row[len(row) - ell :]
-            for c, zc in rows.items():
-                if row[c]:
-                    z = axpy(row[c], z, zc)
-            return self.spec.codes(z)
-
-        return [zero if j in lost else kept(rows) for lost, rows in zip(self.lost, self.solved)]
+        row, derive = self.work[j := self.basis.index(r)], _row_ops(self.spec)[2]
+        e = row[len(row) - ell :]  # E[j]
+        return [zero if j in lost else derive(e, row, rows.items()) for lost, rows in zip(self.lost, self.solved)]
 
 
 @dataclass
@@ -430,11 +424,11 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
     union whose coordinates lack rank raises InsufficientLabelweight.
     """
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
-    work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
+    work = [spec.codes(row + [int(i == j) for j in range(ell)]) for i, row in enumerate(code.generator.data)]
     basis = _eliminate(spec, work, range(n))
     free = [c for c in range(n) if c not in basis]
     owners = [labels[c] for c in free]
-    projected = [[row[c] for c in free] + row[n:] for row in work]  # [R[j, free] | E[j]]
+    projected = [spec.codes([*map(row.__getitem__, free), *row[n:]]) for row in work]  # [R[j, free] | E[j]]
     reach = list(itertools.accumulate((1 << v for v in owners), operator.or_))  # the servers of free[: i + 1]
 
     def scan(at: int, union: int) -> tuple[int, tuple, dict[int, Sequence[int]]]:
@@ -446,7 +440,7 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
             need = params.d * params.t + 1
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {ell}; labelweight < {need}")
         chosen = tuple(free[i] for i in pivots)
-        z_rows = dict(zip(chosen, (spec.codes(row[len(free) :]) for row in rows)))
+        z_rows = dict(zip(chosen, (row[len(free) :] for row in rows)))
         return reach[pivots[-1]] if pivots else 0, (lost, chosen), z_rows
 
     pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
@@ -477,11 +471,12 @@ def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> 
 def product_variables(params: HssParams, var_indices: Iterable[int] | None = None) -> tuple[int, ...]:
     """The variables that feed the d product slots: var_indices
     (repetition allowed), by default the first d of the m variables.
-    Anything but d indices in 1..m raises ParameterOutOfRange."""
+    Anything but d indices in 1..m, each read by operator.index as secrets
+    are (a bool is an int), raises ParameterOutOfRange."""
     chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
-    if len(chosen) != params.d or any(not 1 <= v <= params.m for v in chosen):
+    if len(chosen) != params.d or any(not (hasattr(v, "__index__") and 1 <= v <= params.m) for v in chosen):
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
-    return chosen
+    return tuple(map(operator.index, chosen))
 
 
 def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
@@ -811,11 +806,12 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     protocol.simulate sends that object as server j's INPUT_SHARES
     payload as it is.  Both iterate in (instance, variable) order.  The
     subsets server j holds are picked by one mask cached per (s, t, j).
-    """
+    Past the share budget (ell * m * (C(s, t) - 1) draws) none is drawn."""
     grid = _secret_codes(params, secrets)
     spec, subsets = params.spec, subsets_of_size(params.s, params.t)
     positions = secret_positions(params.ell, params.m)
     count, free = len(positions), len(subsets) - 1
+    budget.check(count * free, SHARE_BUDGET, "share draws")
     draws = randrange_run(rng, spec.q, count * free)
     bundles, vectors = {}, []
     for n, (i, k) in enumerate(positions):

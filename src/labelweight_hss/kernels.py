@@ -7,10 +7,10 @@ into Python ints:
 * **Layout.** The columns are regrouped by label, which does not change
   any labelweight.  Label l owns the bit slot [l*W, (l+1)*W), and its
   columns sit side by side at the bottom of it.  A coordinate of GF(p^e)
-  is e base-p digit fields: one bit each when p = 2, otherwise
-  p.bit_length() value bits under one guard bit, so that two digits sum
-  without carrying into the next field.  W is the widest label group
-  plus one more guard bit at the top of the slot.
+  is e base-p digit fields in the form of galois.digit_layout (the one
+  matrix's row operations use): one bit each when p = 2, otherwise
+  p.bit_length() value bits under one guard bit.  W is the widest label
+  group plus one more guard bit at the top of the slot.
 * **Addition.** In characteristic 2 words add with ``^``.  For odd p the
   fields add in parallel (SWAR): u = w + r, then p is subtracted from
   every field whose guard bit shows u + (2^(dw-1) - p) overflowed.
@@ -49,7 +49,7 @@ from __future__ import annotations
 import operator
 from collections import Counter
 
-from .galois import prime_power
+from .galois import digit_layout, prime_power
 
 BACKEND = "pure"
 LOW_SPAN_CAP = 1 << 11
@@ -76,8 +76,7 @@ def min_labelweight(
     """
     if nrows < 1:
         raise ValueError("generator needs at least one row")
-    p, digits = prime_power(q)
-    dw = 1 if p == 2 else p.bit_length() + 1  # digit field width
+    (p, digits), (dw, spread) = prime_power(q), digit_layout(q)  # dw: digit field width; spread: code -> digits
 
     # column j goes to bit pos[j]: its label's slot, after the label's
     # earlier columns
@@ -89,8 +88,6 @@ def min_labelweight(
     width = max(filled, default=0) + 1
     pos = [label * width + at for label, at in zip(labels0, pos)]
 
-    # element code -> its digits, one per field
-    spread = [sum(v // p**i % p << i * dw for i in range(digits)) for v in range(q)]
     scaled = [
         [0]
         + [

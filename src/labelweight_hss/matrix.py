@@ -5,15 +5,16 @@ Everything here is deterministic: pivots are chosen leftmost column
 first (in the order given to _eliminate), topmost row first, and
 particular solutions zero all free variables.  All operations are pure;
 matrices are never mutated after construction.  Elimination rewrites
-whole rows at a time through the field's flat lookup tables (q <= 256).
+whole rows in the form of FieldSpec.codes at a time (see _row_ops).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+import functools
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
-from .galois import MAX_TABLE_ORDER, FieldSpec, require_table_order
+from .galois import MAX_TABLE_ORDER, FieldSpec, digit_layout, require_table_order
 
 
 class MatrixF:
@@ -52,17 +53,10 @@ class MatrixF:
     def to_bytes(self) -> bytes:
         """Row-major cell codes; valid only for field orders <= 256."""
         require_table_order(self.spec.q)
-        out = bytearray()
-        for row in self.data:
-            out.extend(row)
-        return bytes(out)
+        return b"".join(map(bytes, self.data))
 
     def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MatrixF)
-            and other.spec == self.spec
-            and other.data == self.data
-        )
+        return isinstance(other, MatrixF) and other.spec == self.spec and other.data == self.data
 
     def __repr__(self) -> str:
         return f"MatrixF({self.rows}x{self.cols} over GF({self.spec.p}^{self.spec.k}))"
@@ -74,43 +68,72 @@ class RrefResult(NamedTuple):
     rank: int
 
 
-def _row_ops(spec: FieldSpec):
-    """``scale(c, row) = c*row`` and ``axpy(c, dst, src) = dst - c*src`` on
-    element-code rows, each returning a new list."""
-    q = spec.q
+@functools.cache
+def _row_ops(spec: FieldSpec) -> tuple[Callable, ...]:
+    """(scale, axpy, derive) on rows in the form of FieldSpec.codes: c*row,
+    dst - c*src, and derive(row, coeffs, items), the row less coeffs[c]*src
+    for each (c, src) of `items`.  For q <= 256 a product is one translate
+    through a multiplication row and derive adds on one int: the bytes when
+    p = 2 (by XOR), for odd p the digits of galois.digit_layout, p leaving
+    each field whose guard bit shows it reached p; wider layouts and q > 256
+    go element by element."""
+    q, p = spec.q, spec.p
     if q > MAX_TABLE_ORDER:
         mul, sub = spec.mul, spec.sub
-        return (
-            lambda c, row: [mul(c, v) for v in row],
-            lambda c, dst, src: [sub(d, mul(c, s)) for d, s in zip(dst, src)],
-        )
-    tables = spec.tables()
-    mul, sub = tables.mul, tables.sub
-    char2 = spec.p == 2
+        axpy = lambda c, dst, src: tuple([sub(d, mul(c, s)) for d, s in zip(dst, src)])  # noqa: E731
+        return lambda c, row: tuple([mul(c, v) for v in row]), axpy, functools.partial(_by_element, axpy)
+    tables, (width, spread) = spec.tables(), digit_layout(q)
+    times = [tables.mul[c * q : c * q + q].ljust(256, b"\0") for c in range(q)]  # translate tables v -> c*v
+    scale = lambda c, row: row.translate(times[c])  # noqa: E731
+    if width * spec.k > 8:  # the digit fields of an element take more than a byte
+        sub = tables.sub
+        axpy = lambda c, dst, src: bytes([sub[d * q + s] for d, s in zip(dst, src.translate(times[c]))])  # noqa: E731
+        return scale, axpy, functools.partial(_by_element, axpy)
+    if p == 2:
+        def derive(row, coeffs, items):
+            z = int.from_bytes(row, "big")
+            for c, src in items:
+                if a := coeffs[c]:
+                    z ^= int.from_bytes(src.translate(times[a]), "big")
+            return z.to_bytes(len(row), "big")
 
-    def scale(c, row):
-        mrow = mul[c * q : c * q + q]
-        return [mrow[v] for v in row]
+    else:
+        into, back = bytes(spread).ljust(256, b"\0"), bytes(spread.index(b) if b in spread else 0 for b in range(256))
+        minus = [times[m].translate(into) for m in tables.neg]  # translate tables v -> -c*v, packed
+        shift, lows = width - 1, bytes([sum(1 << i * width for i in range(spec.k))])  # the low bit of each field
 
-    def axpy(c, dst, src):
-        if c == 1 and char2:  # dst - src is dst XOR src
-            return [d ^ s for d, s in zip(dst, src)]
-        mrow = mul[c * q : c * q + q]
-        return [sub[d * q + mrow[s]] for d, s in zip(dst, src)]
+        @functools.cache
+        def masks(n: int) -> tuple[int, int]:  # the bias 2^shift - p and the guard bit of every field, n bytes
+            ones = int.from_bytes(lows * n, "big")
+            return ones * ((1 << shift) - p), ones << shift
 
-    return scale, axpy
+        def derive(row, coeffs, items):
+            z, (bias, guards) = int.from_bytes(row.translate(into), "big"), masks(len(row))
+            for c, src in items:
+                if a := coeffs[c]:
+                    u = z + int.from_bytes(src.translate(minus[a]), "big")
+                    z = u - ((u + bias & guards) >> shift) * p
+            return z.to_bytes(len(row), "big").translate(back)
+
+    return scale, lambda c, dst, src: derive(dst, (c,), ((0, src),)), derive
 
 
-def _eliminate(spec: FieldSpec, rows: list[list[int]], cols: Iterable[int]) -> list[int]:
-    """In-place reduced row echelon form of `rows` over the columns `cols`,
-    taken in the order given until every row holds a pivot.
+def _by_element(axpy: Callable, row: Sequence[int], coeffs: Sequence[int], items) -> Sequence[int]:
+    """_row_ops' derive for rows that add element by element."""
+    for c, src in items:
+        row = axpy(coeffs[c], row, src)
+    return row
+
+
+def _eliminate(spec: FieldSpec, rows: list[Sequence[int]], cols: Iterable[int]) -> list[int]:
+    """In-place reduced row echelon form of `rows` (each in the form of
+    FieldSpec.codes) over the columns `cols`, taken in the order given
+    until every row holds a pivot.
 
     Other columns (augmented right-hand sides, columns left out) take the
-    same row operations but never hold a pivot.  Rows are replaced, never
-    edited, so `rows` may share its row lists with other matrices.
-    Returns the pivot column list.
+    same row operations but never hold a pivot.  Returns the pivot column list.
     """
-    scale, axpy = _row_ops(spec)
+    scale, axpy = _row_ops(spec)[:2]
     nrows = len(rows)
     pivots: list[int] = []
     for col in cols:
@@ -137,13 +160,13 @@ def _eliminate(spec: FieldSpec, rows: list[list[int]], cols: Iterable[int]) -> l
 
 def rref(A: MatrixF) -> RrefResult:
     """Reduced row echelon form with pivot columns and rank."""
-    work = [row[:] for row in A.data]
+    work = list(map(A.spec.codes, A.data))
     pivots = _eliminate(A.spec, work, range(A.cols))
-    return RrefResult(MatrixF._of_codes(A.spec, work, A.cols), tuple(pivots), len(pivots))
+    return RrefResult(MatrixF._of_codes(A.spec, list(map(list, work)), A.cols), tuple(pivots), len(pivots))
 
 
 def rank(A: MatrixF) -> int:
-    return rref(A).rank
+    return len(_eliminate(A.spec, list(map(A.spec.codes, A.data)), range(A.cols)))
 
 
 def solve_many(A: MatrixF, targets: Sequence[Sequence[int]]) -> list[list[int] | None]:
@@ -157,7 +180,7 @@ def solve_many(A: MatrixF, targets: Sequence[Sequence[int]]) -> list[list[int] |
         if len(b) != A.rows:
             raise DimensionMismatch(f"rhs length {len(b)} != rows {A.rows}")
     cols = A.cols
-    work = [row + list(b) for row, b in zip(A.data, zip(*targets) if targets else [()] * A.rows)]
+    work = [A.spec.codes(row + list(b)) for row, b in zip(A.data, zip(*targets) if targets else [()] * A.rows)]
     pivots = _eliminate(A.spec, work, range(cols))
     nrank = len(pivots)
     inconsistent = {idx for row in work[nrank:] for idx, v in enumerate(row[cols:]) if v}
@@ -177,16 +200,6 @@ def solve_particular(A: MatrixF, b: Sequence[int]) -> list[int] | None:
 
 def kernel_basis(A: MatrixF) -> list[list[int]]:
     """Basis of the right kernel, one vector per free column in increasing order."""
-    reduced, pivots, nrank = rref(A)
-    f = A.spec
-    pivot_set = set(pivots)
-    basis = []
-    for free in range(A.cols):
-        if free in pivot_set:
-            continue
-        v = [0] * A.cols
-        v[free] = 1
-        for i, col in enumerate(pivots):
-            v[col] = f.neg(reduced.data[i][free])
-        basis.append(v)
-    return basis
+    reduced, pivots, _ = rref(A)
+    row, neg, cols = dict(zip(pivots, reduced.data)), A.spec.neg, range(A.cols)  # row[c]: the row of pivot c
+    return [[neg(row[c][free]) if c in row else int(c == free) for c in cols] for free in cols if free not in row]

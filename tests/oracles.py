@@ -20,8 +20,10 @@ the last replaced (one list where the two coincide).
 - Labelweight kernel (``kernels.min_labelweight``): the depth-first walk
   over coordinate lists (``min_labelweight``); the packed
   meet-in-the-middle walk (``packed_min_labelweight``).
-- Elimination (``matrix.rref``, ``solve_many``, ``kernel_basis``): the
-  same three names here, over ``eliminate``, one field call per cell.
+- Elimination (``matrix.rref``, ``solve_many``, ``kernel_basis`` over
+  ``matrix._eliminate`` on packed rows): the same three names here, over
+  ``eliminate``, one field call per cell; list rows, one table lookup per
+  element (``row_ops``, ``eliminate_rows``).
 - Monomials (``hss.enumerate_monomials``, the count ell * C(s, t)^d as
   a range of indices): the list of every MonomialId and each server's
   local ones (``enumerate_monomials``).
@@ -35,10 +37,12 @@ the last replaced (one list where the two coincide).
   ``SolutionBlocks`` laid out by ``block_layout``); the literal check of
   the whole coefficient system (``verify_block_system``).
 - Key search (``hss._key_search``, Z_Q from each scan's elimination): one
-  scan per lost-row set L (``lost_set_key_search``), then one
-  ``solve_many`` per key (``synthesize_keys``).
-- Key store (``hss.KeySolutions``, kept-pivot rows derived by ``column``):
-  full rows at Q and at each kept pivot (``solve_keys``); ``row_scheme``
+  scan per lost-row set L on list rows (``lost_set_key_search``, through
+  ``eliminate_rows`` and ``row_ops``), then one ``solve_many`` per key
+  (``synthesize_keys``).
+- Key store (``hss.KeySolutions``, kept-pivot rows derived by ``column``
+  in the packed domain): full rows at Q and at each kept pivot, one
+  ``row_ops`` axpy per step (``solve_keys``); ``row_scheme``
   reads the keys back into that form through ``column``, and
   ``project_blocks`` onto each union's coordinates.
 - Server planes (``hss._build_tensors``): dense tensors read from the
@@ -95,7 +99,7 @@ from labelweight_hss.hss import (
     reconstruct,
     subsets_of_size,
 )
-from labelweight_hss.matrix import MatrixF, RrefResult, _eliminate, _row_ops
+from labelweight_hss.matrix import MatrixF, RrefResult
 
 # -- field: base-p digit loops ------------------------------------------------
 
@@ -423,7 +427,7 @@ def packed_min_labelweight(
     return best
 
 
-# -- matrix: one field call per cell ---------------------------------------------
+# -- matrix: list rows, and one field call per cell -------------------------------
 
 
 def eliminate(spec: FieldSpec, a: list[list[int]], aug: list[list[int]] | None) -> list[int]:
@@ -466,6 +470,64 @@ def eliminate(spec: FieldSpec, a: list[list[int]], aug: list[list[int]] | None) 
                             dstb[j] = sub(spec, dstb[j], spec.mul(factor, srcb[j]))
         pivots.append(col)
         piv_row += 1
+    return pivots
+
+
+def row_ops(spec: FieldSpec):
+    """matrix._row_ops before packed rows: ``scale(c, row) = c*row`` and
+    ``axpy(c, dst, src) = dst - c*src`` on element-code rows, each
+    returning a new list, one table lookup per element (q <= 256)."""
+    q = spec.q
+    if q > MAX_TABLE_ORDER:
+        mul, sub = spec.mul, spec.sub
+        return (
+            lambda c, row: [mul(c, v) for v in row],
+            lambda c, dst, src: [sub(d, mul(c, s)) for d, s in zip(dst, src)],
+        )
+    tables = spec.tables()
+    mul, sub = tables.mul, tables.sub
+    char2 = spec.p == 2
+
+    def scale(c, row):
+        mrow = mul[c * q : c * q + q]
+        return [mrow[v] for v in row]
+
+    def axpy(c, dst, src):
+        if c == 1 and char2:  # dst - src is dst XOR src
+            return [d ^ s for d, s in zip(dst, src)]
+        mrow = mul[c * q : c * q + q]
+        return [sub[d * q + mrow[s]] for d, s in zip(dst, src)]
+
+    return scale, axpy
+
+
+def eliminate_rows(spec: FieldSpec, rows: list[list[int]], cols: Iterable[int]) -> list[int]:
+    """matrix._eliminate before packed rows, on lists through row_ops:
+    in-place reduced row echelon form of `rows` over the columns `cols`,
+    taken in the order given until every row holds a pivot; returns the
+    pivot columns."""
+    scale, axpy = row_ops(spec)
+    nrows = len(rows)
+    pivots: list[int] = []
+    for col in cols:
+        piv_row = len(pivots)
+        if piv_row == nrows:
+            break
+        for hit in range(piv_row, nrows):
+            if rows[hit][col]:
+                break
+        else:
+            continue
+        rows[piv_row], rows[hit] = rows[hit], rows[piv_row]
+        lead = rows[piv_row][col]
+        if lead != 1:
+            rows[piv_row] = scale(spec.inv(lead), rows[piv_row])
+        src = rows[piv_row]
+        for i in range(nrows):
+            factor = rows[i][col]
+            if factor and i != piv_row:
+                rows[i] = axpy(factor, rows[i], src)
+        pivots.append(col)
     return pivots
 
 
@@ -713,8 +775,8 @@ def lost_set_key_search(code: LabeledCode, params: HssParams, unions: list[int])
     InsufficientLabelweight."""
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
     work = [row + [int(i == j) for j in range(ell)] for i, row in enumerate(code.generator.data)]
-    basis = _eliminate(spec, work, range(n))
-    scale, axpy = _row_ops(spec)
+    basis = eliminate_rows(spec, work, range(n))
+    scale, axpy = row_ops(spec)
     free = [c for c in range(n) if c not in basis]
 
     def scan(at: int, union: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
@@ -767,7 +829,7 @@ def synthesize_keys(code: LabeledCode, params: HssParams, unions: list[int] | No
         Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
         z = matrix.solve_many(Y, [[work[j][n + i] for j in lost] for i in range(ell)])
         solved.append(dict(zip(chosen, map(spec.codes, zip(*z)))))
-    return hss.KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, combo_key)
+    return hss.KeySolutions(spec, list(map(spec.codes, work)), basis, [lost for lost, _ in keys], solved, combo_key)
 
 
 def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys: list[tuple]) -> list[dict]:
@@ -775,7 +837,7 @@ def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys:
     (j not in L), from [R | E] = `work`: Z_Q = Y^-1 E[L] with Y = R[L, Q],
     and E[j] - R[j, Q] Z_Q at B[j]; one r x r solve (r = |L|) per key."""
     spec, n, ell = code.spec, code.n, code.dim
-    _, axpy = _row_ops(spec)
+    _, axpy = row_ops(spec)
     pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
     solutions = []
     for lost, chosen in keys:

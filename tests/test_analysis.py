@@ -85,6 +85,14 @@ def test_bw23_lower_bound():
     assert baseline_amort_lower(10, 2, 2, 101) == 6
 
 
+@pytest.mark.parametrize("q", [1, 0])
+def test_bw23_lower_bound_refuses_a_field_below_two(q):
+    """No power of q < 2 reaches s - dt + 1, so the logarithm is refused
+    rather than searched for forever."""
+    with pytest.raises(ParameterOutOfRange, match=f"^need q >= 2, got q={q}$"):
+        baseline_amort_lower(10, 2, 2, q)
+
+
 # -- hermitian family -------------------------------------------------------------
 
 

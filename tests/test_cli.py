@@ -141,6 +141,13 @@ def test_demo_of_a_code_below_the_labelweight_names_the_servers_lacking_rank(cap
     assert err == "error: columns labeled [3, 4, 5] have rank below 4; labelweight < 3\n"
 
 
+def test_demo_past_the_share_budget_exits_1_before_drawing(capsys):
+    # 8 instances x 20,000 variables x (C(16, 4) - 1) share draws, past the 2^24 default
+    code, out, err = run(capsys, "demo", "--code", "goppa", "--u", "4", "--r", "2", "--t", "4", "--d", "1", "--m", "20000")
+    assert (code, out) == (1, "")
+    assert err == "error: 291040000 share draws exceed budget 16777216; raise HSS_ENUM_BUDGET to force\n"
+
+
 def test_demo_bad_flag_usage(capsys):
     code, _, _ = run(capsys, "demo", "--code", "goppa", "--u", "3")
     assert code == 2

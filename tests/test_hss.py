@@ -607,6 +607,21 @@ def test_repeated_variable_monomial():
     assert result.outputs == [GF5.mul(2, 2), GF5.mul(4, 4)]
 
 
+def test_variable_indices_are_read_as_integers():
+    """product_variables reads each index through operator.index, as
+    secrets are read: 1.5 is refused before any share is drawn, and a
+    bool is the int it stands for."""
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=2)
+    with pytest.raises(ParameterOutOfRange, match=r"^need d=2 variable indices in 1\.\.2$"):
+        run_end_to_end(scheme, [[1, 2], [3, 4]], 0, var_indices=(1.5, 1))
+    with pytest.raises(ParameterOutOfRange, match="^need d=2 variable indices"):
+        hss.product_variables(scheme.params, ("1", 1))
+    assert hss.product_variables(scheme.params, (True, 2)) == (1, 2)
+    assert run_end_to_end(scheme, [[1, 2], [3, 4]], 0, var_indices=(True, 2)) == run_end_to_end(
+        scheme, [[1, 2], [3, 4]], 0, var_indices=(1, 2)
+    )
+
+
 def test_degree_one_scaling_linearity():
     scheme = repetition_scheme()
 
@@ -724,6 +739,22 @@ def test_privacy_s4_t2_f3():
     assert report.all_equal
     assert len({c.subset for c in report.checks}) == 6
     assert report.randomness_space == 3**5
+
+
+def test_share_budget_refuses_before_drawing(monkeypatch):
+    """share_all_secrets checks its ell * m * (C(s, t) - 1) draws against
+    the share budget before it draws one: the generator is never read."""
+    params = HssParams(5, 2, 1, 2, 3, GF5)  # 2 * 3 * (C(5, 2) - 1) = 54 draws
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "53")
+    rng = random.Random(1)
+    state = rng.getstate()
+    with pytest.raises(EnumerationBudgetExceeded, match="^54 share draws exceed budget 53; raise HSS_ENUM_BUDGET"):
+        share_all_secrets(params, [[0] * 3] * 2, rng)
+    assert rng.getstate() == state
+    monkeypatch.setenv("HSS_ENUM_BUDGET", "54")
+    bundles, _ = share_all_secrets(params, [[0] * 3] * 2, rng)
+    assert len(bundles) == 6
+    assert budget.SHARE_BUDGET == 2**24
 
 
 def test_privacy_budget_guard(monkeypatch):

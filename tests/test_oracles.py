@@ -171,8 +171,12 @@ def test_goppa_default_polynomial_matches_the_oracle_scan(u, r):
 
 # -- elimination -----------------------------------------------------------------
 
-# GF(257) has no tables and takes the per-element fallback of the row operations.
-ELIMINATION_FIELDS = [FieldSpec(2), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(5), FieldSpec(257)]
+# GF(27) and GF(251) have digit layouts wider than a byte, and GF(257) no
+# tables: they add element by element in the row operations.
+ELIMINATION_FIELDS = [
+    FieldSpec(2), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(5), FieldSpec(2, 4), FieldSpec(5, 2),
+    FieldSpec(3, 3), FieldSpec(7, 2), FieldSpec(251), FieldSpec(257),
+]
 GF9 = FieldSpec(3, 2)
 # rank 1 over GF(9): the second row is x times the first (x has code 3)
 DEPENDENT = MatrixF(GF9, [[1, 4, 7], [GF9.mul(3, v) for v in (1, 4, 7)]])
@@ -198,6 +202,30 @@ def test_elimination_matches_oracle(system):
     assert rref(A) == oracles.rref(A)
     assert kernel_basis(A) == oracles.kernel_basis(A)
     assert solve_many(A, targets) == oracles.solve_many(A, targets)
+
+
+@pytest.mark.parametrize("p,k", DEFAULT_TABLE_FIELDS, ids=lambda v: str(v))
+@settings(max_examples=5, deadline=None, database=None)
+@given(data=st.data())
+def test_packed_row_operations_match_the_list_rows(p, k, data):
+    """matrix._row_ops on bytes rows gives the bytes of oracles.row_ops on
+    lists for every factor c, and derive gives the row of one axpy per
+    (c, src) in turn; rows of 0 to 130 elements, over every field of
+    order at most 256 (digit layouts of one byte and wider)."""
+    spec = FieldSpec(p, k)
+    q, n = spec.q, data.draw(st.integers(0, 130), label="n")
+    rows = data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=n, max_size=n), min_size=2, max_size=5))
+    dst, src = rows[0], rows[1]
+    scale, axpy, derive = matrix._row_ops(spec)
+    want_scale, want_axpy = oracles.row_ops(spec)
+    for c in range(q):
+        assert scale(c, bytes(src)) == bytes(want_scale(c, src))
+        assert axpy(c, bytes(dst), bytes(src)) == bytes(want_axpy(c, dst, src))
+    coeffs = data.draw(st.lists(st.integers(0, q - 1), min_size=len(rows), max_size=len(rows)), label="coeffs")
+    want = dst
+    for c, row in enumerate(rows[1:], 1):
+        want = want_axpy(coeffs[c], want, row)
+    assert derive(bytes(dst), coeffs, [(c, bytes(row)) for c, row in enumerate(rows[1:], 1)]) == bytes(want)
 
 
 def test_elimination_example_covers_rank_deficiency_and_inconsistency():
