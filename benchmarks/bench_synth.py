@@ -43,6 +43,13 @@ Both take the same unions, the walk of hss.server_sets, and include
 the elimination of [G | I].
 Their KeySolutions must be equal, key order and the order of each Q
 included, or the script exits with status 1.
+
+The host's speed can move by more than half between runs made minutes
+apart, so absolute seconds from two runs do not compare.  Before each
+row the script times a fixed pure-Python reference loop (best of 5),
+prints that time in milliseconds as the row's `ref` column, and prints
+each time of the row twice: in seconds, and in units of that reference
+time (the `/ref` value after it), which runs made apart do compare in.
 """
 
 import argparse
@@ -79,6 +86,26 @@ READ = [
     ("goppa-wire [16,8] (4, 1)", lambda: goppa_build(4, 2), 4, 1),
 ]
 BIG_BUDGET = "8388608"
+
+
+def reference_loop() -> int:
+    """A fixed pure-Python workload: list reads, XORs and dict stores."""
+    table, seen, acc = list(range(256)), {}, 0
+    for i in range(20_000):
+        acc = table[(acc + i) & 255] ^ i
+        seen[i & 1023] = acc
+    return acc
+
+
+def reference_time() -> float:
+    """The best of 5 timings of reference_loop, in seconds: the unit of
+    host speed that each row of the tables is also given in."""
+    return best_of(5, reference_loop)[0]
+
+
+def in_units(times, ref: float, digits: int = 3) -> str:
+    """Each time in seconds and then in units of the reference time `ref`."""
+    return " ".join(f"{t:>{digits + 5}.{digits}f}s {t / ref:>7.1f}" for t in times)
 
 
 def best_of(repeats, fn):
@@ -129,15 +156,17 @@ def key_bytes(scheme) -> int:
 
 def read_documents(repeats: int, rows) -> int:
     """The --read table over `rows`; 1 if a document reads as another scheme."""
-    print(f"{'document (t, d)':<36} {'lines':>6} {'bytes':>7} {'read':>9}")
+    print(f"{'document (t, d)':<36} {'lines':>6} {'bytes':>7} {'ref ms':>7} {'read':>9} {'/ref':>7}")
     failures = []
     for name, build, t, d in rows:
         scheme = hss.scheme_for_code(build(), t=t, d=d)
         doc = hss.scheme_to_text(scheme)
+        ref = reference_time()
         elapsed, parsed = best_of(repeats, lambda: hss.scheme_from_text(doc))
         if (parsed.solutions, parsed.params) != (scheme.solutions, scheme.params):
             failures.append(f"{name}: hss.scheme_from_text differs from the synthesized scheme")
-        print(f"{name:<36} {len(doc.splitlines()):>6,} {len(doc):>7,} {elapsed:>8.3f}s", flush=True)
+        print(f"{name:<36} {len(doc.splitlines()):>6,} {len(doc):>7,} {ref * 1e3:>7.2f} {in_units([elapsed], ref)}",
+              flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
@@ -152,20 +181,21 @@ def in_order(solutions):
 
 def search_keys(repeats: int) -> int:
     """The --keys table; 1 if the two key searches differ on a rung."""
-    print(f"{'scheme (t, d)':<36} {'unions':>7} {'L sets':>7} {'keys':>7} {'scans':>7} {'package':>9} {'oracle':>9}"
-          f" {'speedup':>8}")
+    print(f"{'scheme (t, d)':<36} {'unions':>7} {'L sets':>7} {'keys':>7} {'scans':>7} {'ref ms':>7}"
+          f" {'package':>10} {'/ref':>7} {'oracle':>10} {'/ref':>7} {'speedup':>8}")
     failures = []
     for name, build, t, d in LADDER:
         code = build()
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         unions = hss.server_sets(params.s, params.t, params.d)
         got, eliminations = counting_eliminations(lambda: hss._key_search(code, params, unions))
+        ref = reference_time()
         fast, _ = best_of(repeats, lambda: hss._key_search(code, params, unions))
         slow, want = best_of(repeats, lambda: oracles.synthesize_keys(code, params, unions))
         if in_order(got) != in_order(want):
             failures.append(f"{name}: hss._key_search differs from oracles.synthesize_keys")
         print(f"{name:<36} {len(unions):>7,} {len(set(got.lost)):>7,} {len(got.lost):>7,} {eliminations - 1:>7,}"
-              f" {fast:>8.4f}s {slow:>8.4f}s {slow / fast:>7.1f}x", flush=True)
+              f" {ref * 1e3:>7.2f} {in_units([fast, slow], ref, 4)} {slow / fast:>7.1f}x", flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1
@@ -192,10 +222,11 @@ def main() -> int:
         return read_documents(args.repeats, READ + (BIG if args.big else []))
 
     runs = [(row, True) for row in LADDER] + ([(row, False) for row in BIG] if args.big else [])
-    print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'key bytes':>10} {'build':>8} {'package':>9}"
-          f" {'run 1':>8} {'oracle':>9} {'speedup':>8}")
+    print(f"{'scheme (t, d)':<36} {'unions':>7} {'keys':>7} {'key bytes':>10} {'ref ms':>7} {'build':>9} {'/ref':>7}"
+          f" {'package':>9} {'/ref':>7} {'run 1':>9} {'/ref':>7} {'oracle':>9} {'/ref':>7} {'speedup':>8}")
     failures = []
     for (name, build, t, d), with_oracle in runs:
+        ref = reference_time()
         built, code = best_of(args.repeats, build)
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         if not with_oracle:
@@ -204,15 +235,15 @@ def main() -> int:
         if not ok:
             failures.append(f"{name}: run_end_to_end did not reconstruct the products")
         unions = len(hss.server_sets(params.s, params.t, params.d))
-        line = (f"{name:<36} {unions:>7,} {len(scheme.solutions.solved):>7,} {key_bytes(scheme):>10,} {built:>7.3f}s"
-                f" {fast:>8.3f}s {run:>7.3f}s")
+        line = (f"{name:<36} {unions:>7,} {len(scheme.solutions.solved):>7,} {key_bytes(scheme):>10,}"
+                f" {ref * 1e3:>7.2f} {in_units([built, fast, run], ref)}")
         if not with_oracle:
-            print(f"{line} {'-':>9} {'-':>8}", flush=True)
+            print(f"{line} {'-':>9} {'-':>7} {'-':>8}", flush=True)
             continue
         slow, expected = best_of(args.repeats, lambda: oracles.synthesize_blocks(code, params))
         if oracles.project_blocks(scheme) != expected:
             failures.append(f"{name}: key rows projected onto the unions differ from oracles.synthesize_blocks")
-        print(f"{line} {slow:>8.3f}s {slow / fast:>7.1f}x", flush=True)
+        print(f"{line} {in_units([slow], ref)} {slow / fast:>7.1f}x", flush=True)
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1

@@ -71,7 +71,7 @@ def main() -> int:
     rng = random.Random(args.seed)
     secrets = [[rng.randrange(params.spec.q) for _ in range(params.m)] for _ in range(params.ell)]
     servers = range(1, params.s + 1)
-    width, q = protocol.element_width(params.spec), params.spec.q
+    q = params.spec.q
     protocol.simulate(scheme, secrets, args.seed)  # builds every server's tensors
     scheme.eval_table  # expanded once, for oracles.eval_server
 
@@ -83,8 +83,8 @@ def main() -> int:
         messages = run[1][0].messages
 
         def codec():
-            frames = [path.encode(message, width) for message in messages]
-            return frames, [path.decode(frame, width, q) for frame in frames]
+            frames = list(map(path.encode, messages))
+            return frames, [path.decode(frame, q) for frame in frames]
 
         coded = best_of(args.repeats, codec)
         times = {"share": share[0], "eval": evaluate[0], "simulate": run[0], "codec": coded[0]}

@@ -10,8 +10,10 @@ Subcommands map one-to-one onto the package's artifact classes:
 * ``gv-sim``         random-code labelweight Monte Carlo
 
 Exit codes: 0 success, 1 verification failure, a malformed input
-document or a limit of the implementation (such as field order > 256
-where bytes are packed), 2 bad usage or parameters.
+document or a limit of the implementation, 2 bad usage or parameters.
+The one limit is the field: elements are stored and sent one byte each,
+so a field order above 256 exits 1 (Goppa codes compute over GF(2^u) at
+any u, to build a binary code).
 The randomized commands (demo, simulate, gv-sim) take --seed and are
 byte-reproducible from it; the HSS_ENUM_BUDGET environment variable
 overrides enumeration budgets.

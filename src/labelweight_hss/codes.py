@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import budget, kernels
 from .budget import LABELWEIGHT_BUDGET
-from .errors import BadGoppaPolynomial, DecodeError, DimensionMismatch, ParameterOutOfRange
+from .errors import BadGoppaPolynomial, DecodeError, DimensionMismatch, FieldTooLarge, ParameterOutOfRange
 from .galois import FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field, prime_power
 from .matrix import MatrixF, kernel_basis, rank, rref
 
@@ -353,7 +353,8 @@ def code_to_text(code: LabeledCode) -> str:
 def code_from_text(text: str) -> LabeledCode:
     """Parse a code document.  Raises DecodeError for a missing, repeated
     or unknown header line, inconsistent dimensions, a cell outside the
-    field, and a labeling or generator that LabeledCode rejects."""
+    field, a field above 256, and a labeling or generator that LabeledCode
+    rejects."""
     lines = text.splitlines()
     if not lines or lines[0] != CODE_FORMAT_TAG:
         raise DecodeError(f"missing {CODE_FORMAT_TAG} header")
@@ -378,5 +379,5 @@ def code_from_text(text: str) -> LabeledCode:
         if len(labels) != n or len(rows) != dim or any(len(r) != n for r in rows):
             raise DecodeError("code document dimensions are inconsistent")
         return LabeledCode(spec, MatrixF(spec, rows), Labeling(s, labels))
-    except (KeyError, ValueError, ParameterOutOfRange) as exc:
+    except (KeyError, ValueError, ParameterOutOfRange, FieldTooLarge) as exc:
         raise DecodeError(f"bad code document: {exc}") from exc

@@ -16,9 +16,10 @@ of flat lookup tables built once per field (:meth:`FieldSpec.tables`:
 ``matrix`` and ``hss`` also index directly.  Above 256 addition and
 negation work on the digits of :meth:`FieldSpec.coeffs` and
 :meth:`FieldSpec.encode`, and multiplication by direct polynomial
-reduction.  A sequence of element codes takes one form per field:
-:meth:`FieldSpec.codes` and :meth:`FieldSpec.concat` give bytes up to
-256 and tuples above.  Random element codes come from
+reduction.  A sequence of element codes takes one form, bytes:
+:meth:`FieldSpec.codes` and :meth:`FieldSpec.concat` give it, and refuse
+a field above 256 (FieldTooLarge), which is the one limit of the package
+(:func:`require_table_order`).  Random element codes come from
 :func:`randrange_run`, the values of successive ``randrange(q)`` calls
 read in one bulk draw; CNF sharing and the GV Monte Carlo both draw
 through it.  :func:`prime_power` splits a field order into p and k;
@@ -202,16 +203,18 @@ class FieldSpec:
             code //= self.p
         return tuple(out)
 
-    def codes(self, values: Iterable[int]) -> Sequence[int]:
-        """`values`, element codes of this field, as one sequence: bytes
-        when q <= 256 (the same object when `values` is bytes), a tuple
-        above.  Every stored or sent run of codes takes this form."""
-        return bytes(values) if self.q <= MAX_TABLE_ORDER else tuple(values)
+    def codes(self, values: Iterable[int]) -> bytes:
+        """`values`, element codes of this field, as one bytes object (the
+        same object when `values` is bytes).  Every stored or sent run of
+        codes takes this form, so a field above 256 raises FieldTooLarge."""
+        require_table_order(self.q)
+        return bytes(values)
 
-    def concat(self, parts: Iterable[Sequence[int]]) -> Sequence[int]:
+    def concat(self, parts: Iterable[bytes]) -> bytes:
         """The code sequences `parts`, each in the form of codes(), laid
-        end to end in that form."""
-        return b"".join(parts) if self.q <= MAX_TABLE_ORDER else tuple(itertools.chain.from_iterable(parts))
+        end to end; FieldTooLarge above 256, as codes()."""
+        require_table_order(self.q)
+        return b"".join(parts)
 
     def code_of(self, value) -> int:
         """The element code of `value`, an element of this field or an

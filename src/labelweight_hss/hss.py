@@ -46,7 +46,7 @@ from .errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from .galois import MAX_TABLE_ORDER, FieldSpec, first_outside, randrange_run
+from .galois import FieldSpec, first_outside, randrange_run
 from .matrix import _eliminate, _row_ops
 from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py patches hss.solve_many
 
@@ -153,11 +153,10 @@ class ServerView(Mapping):
     the secret at position n of `positions` has its shares over the h
     subsets of `held` at shares[n*h : (n+1)*h].  A read-only mapping
     secret -> ShareVector in position order, equal to the dict of the
-    same items.  When q <= 256 the sequence is one bytes object: the
-    dealer's view is sent as the server's INPUT_SHARES payload, and the
-    server wraps the decoded payload bytes as they are, so neither side
-    converts or copies them.  eval_server slices it without building a
-    ShareVector.
+    same items.  The dealer's sequence is one bytes object, sent as the
+    server's INPUT_SHARES payload, and the server wraps the decoded
+    payload bytes as they are, so neither side converts or copies them.
+    eval_server slices it without building a ShareVector.
     """
 
     __slots__ = ("held", "positions", "shares")
@@ -181,11 +180,10 @@ class ServerView(Mapping):
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
     """CNF shares aligned with subsets_of_size, in the form of spec.codes:
     the stream values, then the one share that makes the total x.  When
-    p = 2 and the shares are bytes the field sum is XOR of codes, and the
-    last share is the XOR of the drawn bytes read as one int and folded in
-    halves."""
+    p = 2 the field sum is XOR of codes, and the last share is the XOR of
+    the drawn bytes read as one int and folded in halves."""
     drawn = spec.codes(stream)
-    if spec.p == 2 and isinstance(drawn, bytes):
+    if spec.p == 2:
         return drawn + bytes((_xor_fold(drawn) ^ x,))
     return drawn + spec.codes((spec.sub(x, functools.reduce(spec.add, drawn, 0)),))
 
@@ -273,9 +271,9 @@ class KeySolutions(NamedTuple):
     distinct (L, Q) key, in first-seen order, its rows L (`lost`)
     and Z_Q = R[L, Q]^-1 E[L] (`solved`: each coordinate of Q, in order,
     maps to its ell coefficients, instance i at entry i - 1; these rows
-    and those of `work` in the form of FieldSpec.codes, as matrix takes
-    them).  combo_key[c] is the key of subset combo c,
-    in itertools.product(subsets_of_size(s, t), repeat=d) order, so
+    and those of `work` are bytes, as matrix takes them).  combo_key[c]
+    is the key of subset combo c, in
+    itertools.product(subsets_of_size(s, t), repeat=d) order, so
     monomial (i, combo c) has coefficient column(r)[combo_key[c]][i - 1]
     at coordinate r.
     """
@@ -293,7 +291,7 @@ class KeySolutions(NamedTuple):
         zero elsewhere (a kept row is one matrix._row_ops derive); that
         support lies outside every union of the key."""
         ell = len(self.work)
-        zero = self.spec.codes(bytes(ell))
+        zero = bytes(ell)
         if r not in self.basis:
             return [rows.get(r, zero) for rows in self.solved]
         row, derive = self.work[j := self.basis.index(r)], _row_ops(self.spec)[2]
@@ -312,21 +310,19 @@ class HssScheme:
     serves inspection and the benchmark's counters, while the scheme
     document and evaluation read the keys.  eval_server builds, on a
     server's first call, the coefficients of each coordinate it owns from
-    the keys and caches them here: when q <= 256, one int per digit-bit
-    plane (bit b of base-p digit e of every coefficient, one byte per
-    tensor position, instance i - 1 in bit (i - 1) % 8, groups of 8
-    instances concatenated; see eval_server), above, one dense tensor per
-    instance.  A scheme is therefore treated as immutable once it has
-    been read or evaluated: editing its keys afterwards reaches neither
-    the table nor the tensors.
+    the keys and caches them here: one int per digit-bit plane (bit b of
+    base-p digit e of every coefficient, one byte per tensor position,
+    instance i - 1 in bit (i - 1) % 8, groups of 8 instances
+    concatenated; see eval_server).  A scheme is therefore treated as
+    immutable once it has been read or evaluated: editing its keys
+    afterwards reaches neither the table nor the tensors.
     """
 
     params: HssParams
     code: LabeledCode
     solutions: KeySolutions = field(repr=False)
     _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
-    # server id -> (held subsets, per owned coordinate: its plane ints, or its tensors by instance,
-    # whether any coefficient is nonzero)
+    # server id -> (held subsets, per owned coordinate: its plane ints, whether any coefficient is nonzero)
     _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
@@ -490,9 +486,9 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     z_r = sum over instances i and held-subset tuples (a_1, ..., a_d) of
     T_{r,i}[a] * W_i[a], where W_i[a] = y_{i,1}[a_1] * ... * y_{i,d}[a_d]
     is the share-product tensor and T_{r,i} the coefficient tensor of
-    _build_tensors, both row-major over held_subsets(s, t, j).  When
-    q <= 256 both sides are split into digit-bit planes (T_{e,b}: bit b of
-    base-p digit e; W_{f,g} likewise) packed one position per byte,
+    _build_tensors, both row-major over held_subsets(s, t, j).  Both
+    sides are split into digit-bit planes (T_{e,b}: bit b of base-p
+    digit e; W_{f,g} likewise) packed one position per byte,
     instance i - 1 in bit (i - 1) % 8 and groups of 8 instances
     concatenated, so that with alpha = x, the generator of the
     polynomial basis, and the fold classes (m, w, P) of _PlaneTables,
@@ -503,12 +499,11 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     P holding plane pairs with e + f = m and 2^(b+g) = w mod p: the
     popcount of their XOR is the sum of their counts mod p (for p = 2 only
     its parity).  The share planes come from one translate per lane
-    string and packed table (_plane_bytes).
-    Fields above 256 contract the tensors through FieldSpec calls.  The
-    tensors are built on server j's first call and cached on the scheme
-    (see HssScheme).  If no key carries a nonzero coefficient at any
-    coordinate server j owns, every z_r is always 0: the views are still
-    checked as below, then zeros are returned without share products.
+    string and packed table (_plane_bytes).  The tensors are built on
+    server j's first call and cached on the scheme (see HssScheme).  If
+    no key carries a nonzero coefficient at any coordinate server j owns,
+    every z_r is always 0: the views are still checked as below, then
+    zeros are returned without share products.
 
     A ServerView over held_subsets(s, t, j), as share_all_secrets and
     protocol.simulate produce, is checked once and sliced, a ShareVector
@@ -517,7 +512,7 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     (instance, slot, subset) order, raises MissingShare, whatever the
     other shares of its products are; a share that is not an element code
     in 0..q-1 raises ParameterOutOfRange.  A view holds what
-    FieldSpec.codes keeps: byte values when q <= 256, ints above.
+    FieldSpec.codes keeps: byte values.
     """
     params = scheme.params
     if not 1 <= j <= params.s:
@@ -529,8 +524,7 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec)
     if not live:
         return [0] * len(tensors)
-    contract = _contract_planes if params.spec.q <= MAX_TABLE_ORDER else _contract_by_field
-    return contract(params.spec, tensors, slots, len(held))
+    return _contract_planes(params.spec, tensors, slots, len(held))
 
 
 def _build_tensors(scheme: HssScheme, j: int):
@@ -540,12 +534,10 @@ def _build_tensors(scheme: HssScheme, j: int):
     T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
     entries, indexed row-major by the d held subsets of a monomial
     (positions in `held`): entry a is the coefficient at r of the key of
-    that combo (KeySolutions.column).  When q <= 256, r's entry is one
-    int per digit-bit plane (_bit_planes of T_{r,1}, ..., T_{r,ell}),
-    k * bit_length(p - 1) of them; above, the list of the ell tensors as
-    tuples.  A coordinate that no key carries a nonzero coefficient at is
-    always zero: it gets zero planes (zero tensors above 256) without a
-    join or a plane build.
+    that combo (KeySolutions.column).  r's entry is one int per digit-bit
+    plane (_bit_planes of T_{r,1}, ..., T_{r,ell}), k * bit_length(p - 1)
+    of them.  A coordinate that no key carries a nonzero coefficient at
+    is always zero: it gets zero planes without a join or a plane build.
     """
     params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
     held = held_subsets(params.s, params.t, j)
@@ -558,10 +550,8 @@ def _build_tensors(scheme: HssScheme, j: int):
         starts = [start * row + offset for start in starts for offset in offsets]
     held_rows = (itertools.compress(solutions.combo_key[start : start + row], mask) for start in starts)
     held_keys = list(itertools.chain.from_iterable(held_rows))
-    small = params.spec.q <= MAX_TABLE_ORDER
-    tables, size = _plane_tables(params.spec) if small else None, len(held_keys)
-    zeros = [0] * len(tables.planes) if small else [(0,) * size] * ell
-    tensors, live = [], False
+    tables, size = _plane_tables(params.spec), len(held_keys)
+    zeros, tensors, live = [0] * len(tables.planes), [], False
     for r in scheme.code.labeling.coords(j):
         column = solutions.column(r)
         if not any(map(any, column)):
@@ -570,11 +560,8 @@ def _build_tensors(scheme: HssScheme, j: int):
         live = True  # j lies outside every union of a key nonzero at r, so held combos take that key
         # combo-major, instance-minor: instance i's tensor is every ell-th entry
         joined = params.spec.concat(map(column.__getitem__, held_keys))
-        per_instance = [joined[i::ell] for i in range(ell)]
-        if small:
-            strings = _lane_strings(tables, per_instance, size)
-            per_instance = _bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size)
-        tensors.append(per_instance)
+        strings = _lane_strings(tables, [joined[i::ell] for i in range(ell)], size)
+        tensors.append(_bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size))
     return held, tensors, live
 
 
@@ -582,12 +569,12 @@ def _slot_vectors(
     views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int, spec: FieldSpec
 ) -> list[list[Sequence[int]]]:
     """Per instance, the share vectors of its d product slots, aligned
-    with `held`, in the form FieldSpec.codes keeps (bytes when q <= 256,
-    tuples of ints above, as on the wire), every share checked to be an
-    element code in 0..q-1.  A ServerView over `held` is converted and
-    checked as a whole and sliced; if that fails, it is read key by key
-    like any other view, every fragment before any check, which names the
-    fault in eval_server's order."""
+    with `held`, in the form FieldSpec.codes keeps (bytes, as on the
+    wire), every share checked to be an element code in 0..q-1.  A
+    ServerView over `held` is converted and checked as a whole and
+    sliced; if that fails, it is read key by key like any other view,
+    every fragment before any check, which names the fault in
+    eval_server's order."""
     q = spec.q
     if isinstance(views, ServerView) and views.held is held:
         try:
@@ -623,7 +610,7 @@ def _share_outside(shares: Sequence, q: int, j: int, key: tuple[int, int]) -> No
 
 
 class _PlaneTables(NamedTuple):
-    """Translate tables of the digit-bit planes of a field with q <= 256.
+    """Translate tables of the digit-bit planes of a field.
 
     Tensors are packed `lanes` instances to a byte before they are split
     into planes: entry a of instance s * lanes + l sits in bits
@@ -692,10 +679,13 @@ def _plane_tables(spec: FieldSpec) -> _PlaneTables:
     return _PlaneTables(planes, width, lanes, scale, packed, composed, list(classes.values()), powers)
 
 
-def _lane_strings(tables: _PlaneTables, tensors: Sequence[Sequence[int]], size: int) -> list[bytes]:
+def _lane_strings(tables: _PlaneTables, tensors: Sequence[bytes], size: int) -> Sequence[bytes]:
     """The tensors of `size` entries each (one per instance, in order),
-    packed tables.lanes to a byte (see _PlaneTables)."""
+    packed tables.lanes to a byte (see _PlaneTables): with one lane to a
+    byte (q > 16) the tensors as they are."""
     width, lanes = tables.width, tables.lanes
+    if lanes == 1:
+        return tensors
     strings = []
     for s in range(0, len(tensors), lanes):
         ints = map(int.from_bytes, tensors[s : s + lanes], itertools.repeat("little"))
@@ -772,20 +762,6 @@ def _contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
     return out
 
 
-def _contract_by_field(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
-    """z_r through FieldSpec calls, for fields too large to tabulate:
-    entry c of tensor(r, i) at row-major position (a_1, ..., a_d) adds
-    c * y_1[a_1] * ... * y_d[a_d]."""
-    acc = [0] * len(tensors)
-    for i, vectors in enumerate(slots):
-        for index, shares in enumerate(itertools.product(*vectors)):
-            w = functools.reduce(spec.mul, shares)
-            if w:
-                for n, per_instance in enumerate(tensors):
-                    acc[n] = spec.add(acc[n], spec.mul(w, per_instance[i][index]))
-    return acc
-
-
 def reconstruct(scheme: HssScheme, z: Sequence[int]) -> list[int]:
     """G z: the ell recovered outputs from the concatenated output shares."""
     if len(z) != scheme.n:
@@ -802,7 +778,7 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     reproduces the exact same share values.  bundles[(i, k)] is the full
     share map of secret (i, k), a ShareVector over subsets_of_size(s, t);
     views[j] is server j's ServerView of every secret over
-    held_subsets(s, t, j), its shares one bytes object when q <= 256:
+    held_subsets(s, t, j), its shares one bytes object:
     protocol.simulate sends that object as server j's INPUT_SHARES
     payload as it is.  Both iterate in (instance, variable) order.  The
     subsets server j holds are picked by one mask cached per (s, t, j).

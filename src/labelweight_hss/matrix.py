@@ -14,7 +14,7 @@ import functools
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 from .errors import DimensionMismatch
-from .galois import MAX_TABLE_ORDER, FieldSpec, digit_layout, require_table_order
+from .galois import FieldSpec, digit_layout
 
 
 class MatrixF:
@@ -51,9 +51,8 @@ class MatrixF:
         return out
 
     def to_bytes(self) -> bytes:
-        """Row-major cell codes; valid only for field orders <= 256."""
-        require_table_order(self.spec.q)
-        return b"".join(map(bytes, self.data))
+        """Row-major cell codes, in the form of FieldSpec.codes."""
+        return self.spec.concat(map(self.spec.codes, self.data))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, MatrixF) and other.spec == self.spec and other.data == self.data
@@ -72,16 +71,12 @@ class RrefResult(NamedTuple):
 def _row_ops(spec: FieldSpec) -> tuple[Callable, ...]:
     """(scale, axpy, derive) on rows in the form of FieldSpec.codes: c*row,
     dst - c*src, and derive(row, coeffs, items), the row less coeffs[c]*src
-    for each (c, src) of `items`.  For q <= 256 a product is one translate
-    through a multiplication row and derive adds on one int: the bytes when
-    p = 2 (by XOR), for odd p the digits of galois.digit_layout, p leaving
-    each field whose guard bit shows it reached p; wider layouts and q > 256
-    go element by element."""
+    for each (c, src) of `items`.  A product is one translate through a
+    multiplication row and derive adds on one int: the bytes when p = 2
+    (by XOR), for odd p the digits of galois.digit_layout, p leaving each
+    field whose guard bit shows it reached p; layouts wider than a byte go
+    element by element."""
     q, p = spec.q, spec.p
-    if q > MAX_TABLE_ORDER:
-        mul, sub = spec.mul, spec.sub
-        axpy = lambda c, dst, src: tuple([sub(d, mul(c, s)) for d, s in zip(dst, src)])  # noqa: E731
-        return lambda c, row: tuple([mul(c, v) for v in row]), axpy, functools.partial(_by_element, axpy)
     tables, (width, spread) = spec.tables(), digit_layout(q)
     times = [tables.mul[c * q : c * q + q].ljust(256, b"\0") for c in range(q)]  # translate tables v -> c*v
     scale = lambda c, row: row.translate(times[c])  # noqa: E731

@@ -16,19 +16,18 @@ Wire frame layout (little-endian):
     sender   2 bytes
     receiver 2 bytes
     length   4 bytes  payload byte count
-    payload  field elements, fixed width ceil(log2(q)/8) bytes each
+    payload  field elements, one byte each
 
-The element width depends only on the field order, so frames do not
-self-describe the field; codec calls take the width (or spec) explicitly.
-Every field with q <= 256 has width 1: its payload bytes are the element
-codes themselves, and a WireMessage holds them as one bytes object, the
-frame body as it is, with no per-element conversion on either side.
+Frames do not self-describe the field.  Every field fits a byte (the
+package refuses q > 256): payload bytes are the element codes
+themselves, and a WireMessage holds them as one bytes object, the frame
+body as it is, with no per-element conversion on either side.
 
 Server j's INPUT_SHARES payload is its whole view laid end to end: the
 share lists of the ell*m secrets' fragments in (instance, variable)
 order, each one the C(s-1, t) shares y_T with j not in T, in
-hss.held_subsets(s, t, j) order.  For q <= 256 it is the bytes of the
-dealer's hss.ServerView, sent as they are; the server wraps the decoded
+hss.held_subsets(s, t, j) order.  It is the bytes of the dealer's
+hss.ServerView, sent as they are; the server wraps the decoded
 payload in a ServerView over that same held tuple, which eval_server
 range-checks once and slices without building any dict or copying the
 shares.
@@ -42,8 +41,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DecodeError
-from .galois import FieldSpec, first_outside
+from .errors import DecodeError, FieldTooLarge
+from .galois import first_outside, require_table_order
 from .hss import (
     HssScheme,
     ServerView,
@@ -66,52 +65,25 @@ _KINDS = (INPUT_SHARES, OUTPUT_SHARES, RESULT)
 _HEADER_LEN = 10  # 1 version + 1 kind + 2 sender + 2 receiver + 4 length
 
 
-def element_width(spec: FieldSpec) -> int:
-    """Bytes per element: ceil(log2(q) / 8)."""
-    return _order_width(spec.q)
-
-
-def _order_width(q: int) -> int:
-    return (max(q - 1, 1).bit_length() + 7) // 8
-
-
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class WireMessage:
-    """One frame's content.  The payload is bytes when the element width
-    is 1 (q <= 256) and a tuple of ints otherwise.  Messages compare and
-    hash by value: two messages with the same kind, ends and element
-    sequence are equal whether either payload is bytes or a tuple."""
+    """One frame's content; the payload is the element codes as bytes."""
 
     kind: int
     sender: int
     receiver: int
-    payload: bytes | tuple[int, ...]
-
-    def _key(self) -> tuple:
-        return self.kind, self.sender, self.receiver, tuple(self.payload)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, WireMessage):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
+    payload: bytes
 
 
-def encode(message: WireMessage, width: int) -> bytes:
-    """Frame a message; elements are packed little-endian at fixed width,
-    and a bytes payload at width 1 is the frame body as it is.  An element
-    that does not fit the width raises OverflowError."""
+def encode(message: WireMessage) -> bytes:
+    """Frame a message; a bytes payload is the frame body as it is.  An
+    element outside 0..255 raises OverflowError."""
     if message.kind not in _KINDS:
         raise ValueError(f"unknown message kind {message.kind}")
-    if width == 1:
-        try:
-            body = bytes(message.payload)
-        except ValueError as exc:
-            raise OverflowError(f"payload element does not fit in 1 byte: {exc}") from None
-    else:
-        body = b"".join(v.to_bytes(width, "little") for v in message.payload)
+    try:
+        body = bytes(message.payload)
+    except ValueError as exc:
+        raise OverflowError(f"payload element does not fit in 1 byte: {exc}") from None
     return (
         bytes((WIRE_VERSION, message.kind))
         + message.sender.to_bytes(2, "little")
@@ -121,11 +93,11 @@ def encode(message: WireMessage, width: int) -> bytes:
     )
 
 
-def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
-    """Parse a frame; any framing defect raises DecodeError.  At width 1
-    the payload is the frame body, one bytes object.  Given q, an element
-    outside 0..q-1 raises DecodeError too (transcript_from_text passes
-    it; simulate does not, see there)."""
+def decode(frame: bytes, q: int | None = None) -> WireMessage:
+    """Parse a frame; any framing defect raises DecodeError.  The payload
+    is the frame body, one bytes object.  Given q, an element outside
+    0..q-1 raises DecodeError too (transcript_from_text passes it;
+    simulate does not, see there)."""
     if len(frame) < _HEADER_LEN:
         raise DecodeError(f"frame too short: {len(frame)} bytes")
     if frame[0] != WIRE_VERSION:
@@ -139,15 +111,9 @@ def decode(frame: bytes, width: int, q: int | None = None) -> WireMessage:
     body = frame[_HEADER_LEN:]
     if len(body) != length:
         raise DecodeError(f"length field {length} != payload bytes {len(body)}")
-    if length % width:
-        raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
-    if width == 1:
-        payload = body
-    else:
-        payload = tuple(int.from_bytes(body[i : i + width], "little") for i in range(0, length, width))
-    if q is not None and first_outside(payload, q) is not None:
+    if q is not None and first_outside(body, q) is not None:
         raise DecodeError("payload element outside the field")
-    return WireMessage(kind, sender, receiver, payload)
+    return WireMessage(kind, sender, receiver, body)
 
 
 @dataclass
@@ -194,16 +160,15 @@ def simulate(
     """
     params = scheme.params
     spec = params.spec
-    width = element_width(spec)
     chosen = product_variables(params, var_indices)
     output_client = params.s + 1
     transcript = Transcript(field_order=spec.q)
     positions = secret_positions(params.ell, params.m)
 
     def send(message: WireMessage) -> WireMessage:
-        frame = encode(message, width)
+        frame = encode(message)
         transcript.record(message, frame, output_client)
-        return decode(frame, width)
+        return decode(frame)
 
     # Input client (id 0): share everything, send each server its view.
     rng = random.Random(seed)
@@ -211,7 +176,7 @@ def simulate(
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
         # server j's fragments, laid end to end in position order
-        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, spec.codes(views[j].shares)))
+        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, views[j].shares))
 
     # Servers 1..s in id order: slice each view from the wire, evaluate.
     received: dict[int, list[int]] = {}
@@ -249,14 +214,17 @@ def transcript_from_text(text: str) -> Transcript:
         raise DecodeError(f"bad field order line {lines[1]!r}") from exc
     if q < 2:
         raise DecodeError(f"field order {q} is below 2")
-    width = _order_width(q)
+    try:
+        require_table_order(q)
+    except FieldTooLarge as exc:
+        raise DecodeError(str(exc)) from None
     frames = []
     for line in lines[2:]:
         try:
             frames.append(bytes.fromhex(line))
         except ValueError as exc:
             raise DecodeError(f"bad hex frame: {exc}") from exc
-    messages = [decode(frame, width, q) for frame in frames]
+    messages = [decode(frame, q) for frame in frames]
     # the output client is the sender of the (last) RESULT frame
     output_client = -1
     for message in messages:

@@ -82,7 +82,6 @@ from labelweight_hss.errors import (
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import (
-    MAX_TABLE_ORDER,
     NEG_INFINITY,
     FieldElement,
     FieldSpec,
@@ -476,14 +475,8 @@ def eliminate(spec: FieldSpec, a: list[list[int]], aug: list[list[int]] | None) 
 def row_ops(spec: FieldSpec):
     """matrix._row_ops before packed rows: ``scale(c, row) = c*row`` and
     ``axpy(c, dst, src) = dst - c*src`` on element-code rows, each
-    returning a new list, one table lookup per element (q <= 256)."""
+    returning a new list, one table lookup per element."""
     q = spec.q
-    if q > MAX_TABLE_ORDER:
-        mul, sub = spec.mul, spec.sub
-        return (
-            lambda c, row: [mul(c, v) for v in row],
-            lambda c, dst, src: [sub(d, mul(c, s)) for d, s in zip(dst, src)],
-        )
     tables = spec.tables()
     mul, sub = tables.mul, tables.sub
     char2 = spec.p == 2
@@ -693,7 +686,7 @@ class SolutionBlocks(NamedTuple):
     Block u belongs to unions[u]: coords[u] are the coordinates of the
     servers outside it, and solutions[u] holds the ell solutions of
     G(Lambda) e = u_i over those coordinates that solve_many would give,
-    coordinate-major (bytes when q <= 256, a tuple above): entry
+    coordinate-major (bytes): entry
     pos*ell + i - 1 is the coefficient of instance i at coordinate
     coords[u][pos].  combo_union[c] is the block of subset combo c, in
     itertools.product(subsets_of_size(s, t), repeat=d) order.
@@ -724,14 +717,13 @@ def synthesize_blocks(code: LabeledCode, params: HssParams) -> SolutionBlocks:
     blocks = block_layout(code, params)
     need = params.d * params.t + 1
     units = [[1 if i == target else 0 for i in range(params.ell)] for target in range(params.ell)]
-    pack = bytes if code.spec.q <= MAX_TABLE_ORDER else tuple
     for union, cols in zip(blocks.unions, blocks.coords):
         restricted = MatrixF(code.spec, [[row[j] for j in cols] for row in code.generator.data])
         solutions = matrix.solve_many(restricted, units)
         if any(sol is None for sol in solutions):
             lam = sorted(set(range(1, params.s + 1)) - union)
             raise InsufficientLabelweight(f"columns labeled {lam} have rank below {params.ell}; labelweight < {need}")
-        blocks.solutions.append(pack(itertools.chain.from_iterable(zip(*solutions))))
+        blocks.solutions.append(bytes(itertools.chain.from_iterable(zip(*solutions))))
     return blocks
 
 
@@ -838,7 +830,6 @@ def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys:
     and E[j] - R[j, Q] Z_Q at B[j]; one r x r solve (r = |L|) per key."""
     spec, n, ell = code.spec, code.n, code.dim
     _, axpy = row_ops(spec)
-    pack = bytes if spec.q <= MAX_TABLE_ORDER else tuple
     solutions = []
     for lost, chosen in keys:
         Y = MatrixF._of_codes(spec, [[work[j][c] for c in chosen] for j in lost], len(lost))
@@ -852,7 +843,7 @@ def solve_keys(code: LabeledCode, work: list[list[int]], basis: list[int], keys:
                         z = axpy(work[j][c], z, zc)
                 support.append(basis[j])
                 kept.append(z)
-        solutions.append(dict(zip(support, map(pack, solved + kept))))
+        solutions.append(dict(zip(support, map(bytes, solved + kept))))
     return solutions
 
 
@@ -884,14 +875,11 @@ def project_blocks(scheme: HssScheme) -> SolutionBlocks:
     block u holds, at every coordinate outside unions[u], the row of the
     key of u's combos there, zero off the key's support."""
     blocks = block_layout(scheme.code, scheme.params)
-    key_rows, ell = row_scheme(scheme).rows, scheme.params.ell
-    pack = bytes if scheme.params.spec.q <= MAX_TABLE_ORDER else tuple
-    zero = pack([0] * ell)
-    join = b"".join if pack is bytes else lambda rows: tuple(itertools.chain.from_iterable(rows))
+    key_rows, zero = row_scheme(scheme).rows, bytes(scheme.params.ell)
     key_of = dict(zip(blocks.combo_union, scheme.solutions.combo_key))
     for u, cols in enumerate(blocks.coords):
         rows = key_rows[key_of[u]]
-        blocks.solutions.append(join([rows.get(r, zero) for r in cols]))
+        blocks.solutions.append(b"".join([rows.get(r, zero) for r in cols]))
     return blocks
 
 
@@ -926,18 +914,16 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
 def build_byte_tensors(scheme: HssScheme, blocks: SolutionBlocks, j: int):
     """The subsets server j holds, and for each coordinate r it owns and
     each instance i the dense tensor of z_r's coefficients on instance i
-    (bytes when q <= 256, a tuple above), row-major over the held subsets,
-    read from the scheme's per-union `blocks`."""
+    (bytes), row-major over the held subsets, read from the scheme's per-union `blocks`."""
     params, ell = scheme.params, scheme.params.ell
     held = hss.held_subsets(params.s, params.t, j)
     local = [j not in union for union in blocks.unions]
     held_blocks = list(itertools.compress(blocks.combo_union, map(local.__getitem__, blocks.combo_union)))
-    join = b"".join if params.spec.q <= MAX_TABLE_ORDER else lambda parts: tuple(itertools.chain.from_iterable(parts))
     tensors = []
     for r in scheme.code.labeling.coords(j):
         at = [cols.index(r) * ell if ok else 0 for cols, ok in zip(blocks.coords, local)]
         column = [block[start : start + ell] for block, start in zip(blocks.solutions, at)]
-        joined = join(map(column.__getitem__, held_blocks))
+        joined = b"".join(map(column.__getitem__, held_blocks))
         tensors.append([joined[i::ell] for i in range(ell)])
     return held, tensors
 
@@ -1081,10 +1067,10 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng):
 # -- protocol: one int.to_bytes / int.from_bytes per element --------------------------
 
 
-def encode(message, width: int) -> bytes:
+def encode(message) -> bytes:
     if message.kind not in protocol._KINDS:
         raise ValueError(f"unknown message kind {message.kind}")
-    body = b"".join(v.to_bytes(width, "little") for v in message.payload)
+    body = b"".join(v.to_bytes(1, "little") for v in message.payload)
     return (
         bytes((protocol.WIRE_VERSION, message.kind))
         + message.sender.to_bytes(2, "little")
@@ -1094,7 +1080,7 @@ def encode(message, width: int) -> bytes:
     )
 
 
-def decode(frame: bytes, width: int, q: int | None = None):
+def decode(frame: bytes, q: int | None = None):
     if len(frame) < protocol._HEADER_LEN:
         raise DecodeError(f"frame too short: {len(frame)} bytes")
     if frame[0] != protocol.WIRE_VERSION:
@@ -1108,9 +1094,7 @@ def decode(frame: bytes, width: int, q: int | None = None):
     body = frame[protocol._HEADER_LEN :]
     if len(body) != length:
         raise DecodeError(f"length field {length} != payload bytes {len(body)}")
-    if length % width:
-        raise DecodeError(f"payload of {length} bytes not a multiple of element width {width}")
-    payload = tuple(int.from_bytes(body[i : i + width], "little") for i in range(0, length, width))
+    payload = bytes(int.from_bytes(body[i : i + 1], "little") for i in range(length))
     if q is not None and any(v >= q for v in payload):
         raise DecodeError("payload element outside the field")
     return protocol.WireMessage(kind, sender, receiver, payload)
@@ -1125,15 +1109,14 @@ def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indi
     """The protocol run of ``protocol.simulate``, with server evaluation taken from ``hss``."""
     params = scheme.params
     spec = params.spec
-    width = protocol.element_width(spec)
     chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
     output_client = params.s + 1
     transcript = protocol.Transcript(field_order=spec.q)
 
     def send(message):
-        frame = encode(message, width)
+        frame = encode(message)
         transcript.record(message, frame, output_client)
-        return decode(frame, width, spec.q)
+        return decode(frame, spec.q)
 
     rng = random.Random(seed)
     grid = [[int(v) if not hasattr(v, "value") else v.value for v in row] for row in secrets]
@@ -1141,7 +1124,7 @@ def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indi
     inboxes = {}
     for j in range(1, params.s + 1):
         order = _fragment_order(params, j)
-        payload = tuple(views[j][(i, k)][T] for i, k, T in order)
+        payload = bytes(views[j][(i, k)][T] for i, k, T in order)
         inboxes[j] = send(protocol.WireMessage(protocol.INPUT_SHARES, 0, j, payload))
 
     received: dict[int, list[int]] = {}
@@ -1154,9 +1137,9 @@ def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indi
         for (i, k, T), value in zip(order, message.payload):
             view.setdefault((i, k), {})[T] = value
         z_j = hss.eval_server(scheme, j, view, chosen)
-        delivered = send(protocol.WireMessage(protocol.OUTPUT_SHARES, j, output_client, tuple(z_j)))
+        delivered = send(protocol.WireMessage(protocol.OUTPUT_SHARES, j, output_client, bytes(z_j)))
         received[delivered.sender] = list(delivered.payload)
 
     outputs = reconstruct(scheme, collect_output_shares(scheme, received))
-    send(protocol.WireMessage(protocol.RESULT, output_client, 0, tuple(outputs)))
+    send(protocol.WireMessage(protocol.RESULT, output_client, 0, bytes(outputs)))
     return transcript, outputs

@@ -43,7 +43,7 @@ from labelweight_hss.hss import (
     scheme_rate,
 )
 from labelweight_hss.matrix import MatrixF, rank
-from labelweight_hss.protocol import WireMessage, decode, element_width, encode, simulate
+from labelweight_hss.protocol import WireMessage, decode, encode, simulate
 from oracles import column_indices, verify_block_system
 
 
@@ -237,27 +237,23 @@ def test_criterion_10_gv_monte_carlo():
 def test_criterion_11_protocol_equivalence(schemes):
     with criterion(11, "protocol outputs byte-identical to monolith; wire fuzz lossless"):
         for name, scheme in schemes.items():
-            width = element_width(scheme.params.spec)
             rng = random.Random(len(name))
             for trial in range(25):
                 secrets = _seeded_secrets(scheme, rng)
                 transcript, sim_out = simulate(scheme, secrets, seed=trial)
                 mono = run_end_to_end(scheme, secrets, seed=trial)
                 assert mono.ok
-                sim_bytes = b"".join(v.to_bytes(width, "little") for v in sim_out)
-                mono_bytes = b"".join(v.to_bytes(width, "little") for v in mono.outputs)
-                assert sim_bytes == mono_bytes
+                assert bytes(sim_out) == bytes(mono.outputs)
                 assert transcript.download_rate(scheme.params.ell) == scheme_rate(scheme)
         fuzz = random.Random(4096)
         for _ in range(10_000):
-            w = fuzz.choice([1, 2])
             message = WireMessage(
                 fuzz.choice([1, 2, 3]),
                 fuzz.randrange(2**16),
                 fuzz.randrange(2**16),
-                tuple(fuzz.randrange(256**w) for _ in range(fuzz.randrange(12))),
+                bytes(fuzz.randrange(256) for _ in range(fuzz.randrange(12))),
             )
-            assert decode(encode(message, w), w) == message
+            assert decode(encode(message)) == message
 
 
 def test_asymptotic_scaling_property():

@@ -423,6 +423,18 @@ def test_hermitian_125_113_rung_against_its_row():
     assert row.amort_exact == row.amort_printed == code.dim == 113
 
 
+def test_hermitian_343_320_rung_against_its_row():
+    # checked at code level: the largest rung the table lists, over GF(49),
+    # is held in bytes like every other; its (1, 2) scheme needs a budget override
+    code = hermitian_build(7, 320)
+    row = hermitian_params(343, 2, 1)
+    assert (code.n, code.dim, code.s, code.spec.q) == (343, 320, 343, 49)
+    assert type(code.generator.to_bytes()) is bytes
+    assert Fraction(code.dim, code.n) == Fraction(320, 343) <= Fraction(343 - 2, 343)
+    assert (row.rate_exact, row.rate_printed) == (Fraction(313, 343), "0.91")
+    assert row.amort_exact == row.amort_printed == code.dim == 320
+
+
 def test_hermitian_64_55_rung_against_its_row():
     # checked at code level: the (1, 3) scheme has 14,417,920 monomials, past the default budget
     code = hermitian_build(4, 55)

@@ -272,8 +272,24 @@ def test_unknown_subcommand(capsys):
 
 def test_demo_over_a_field_above_256(capsys):
     code, out, err = run(capsys, "demo", "--code", "rs", "--q", "257", "--n", "5", "--k", "2", "--t", "1", "--d", "1")
-    assert code == 0 and err == ""
-    assert "1/1 correct" in out
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: field order 257 exceeds 256")
+
+
+def test_shares_and_transcripts_over_a_field_above_256_are_refused(capsys, tmp_path):
+    """An audit shares over its field, and a transcript names its field
+    in its q line: past 256 both exit 1 with one line."""
+    code, out, err = run(capsys, "audit-privacy", "--s", "2", "--t", "1", "--p", "257")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: field order 257 exceeds 256")
+    dump = tmp_path / "transcript.txt"
+    assert run(capsys, "simulate", "--code", "rs", "--q", "5", "--n", "5", "--k", "2", "--t", "1", "--d", "1",
+               "--dump-transcript", str(dump))[0] == 0
+    assert run(capsys, "simulate", "--replay", str(dump))[0] == 0
+    dump.write_text(dump.read_text().replace("\nq 5\n", "\nq 257\n", 1))
+    code, out, err = run(capsys, "simulate", "--replay", str(dump))
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("decode error: field order 257 exceeds 256")
 
 
 @pytest.mark.parametrize(

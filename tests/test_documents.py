@@ -25,10 +25,10 @@ from labelweight_hss.hss import (
     scheme_from_text,
     scheme_to_text,
 )
-from labelweight_hss.protocol import _order_width, encode, simulate, transcript_from_text, transcript_to_text
+from labelweight_hss.protocol import encode, simulate, transcript_from_text, transcript_to_text
 
 # (code family and arguments, t, d); the d >= 2 schemes have union groups
-# of several rows, and GF(257) stores its key rows as tuples
+# of several rows
 SCHEMES = [
     (("rs", 4, 4, 2), 1, 1),
     (("rs", 5, 5, 2), 1, 2),
@@ -37,7 +37,6 @@ SCHEMES = [
     (("rs", 9, 5, 2), 1, 3),
     (("goppa", 3, 1), 1, 1),
     (("goppa", 3, 1), 1, 2),
-    (("rs", 257, 5, 2), 1, 2),
 ]
 JUNK = ("", "x", "#", "-", "1.5")
 # header lines whose value no other valid value can replace: the code fixes
@@ -63,6 +62,18 @@ def test_documents_round_trip(case):
     assert parsed.solutions == synthesized.solutions
     assert parsed.params == synthesized.params
     assert _same_scheme(scheme_from_text(doc.replace("\n", "\r\n")), synthesized)
+
+
+def test_documents_over_a_field_above_256_are_refused():
+    """A code document over GF(257), alone or in a scheme document, is
+    refused by its field: DecodeError naming the limit.  The RS [5,2]
+    generator reads the same over GF(251) and GF(257)."""
+    code_doc = code_to_text(rs_build(251, 5, 2))
+    scheme_doc = scheme_to_text(scheme_for_code(rs_build(251, 5, 2), t=1, d=2))
+    for read, doc in ((code_from_text, code_doc), (scheme_from_text, scheme_doc)):
+        assert read(doc) is not None
+        with pytest.raises(DecodeError, match=r"field order 257 exceeds 256"):
+            read(doc.replace("field GF(251^1)/", "field GF(257^1)/"))
 
 
 @st.composite
@@ -275,8 +286,9 @@ def mutated_transcript(draw, lines):
         must = bool(lines[at]) or at < 2  # blank lines are skipped
     else:
         at = 1
-        lines[at] = f"q {draw(st.integers(-3, 70_000))}"
-        must = False
+        q = draw(st.integers(-3, 70_000))
+        lines[at] = f"q {q}"
+        must = not 2 <= q <= 256  # past 256 no field fits a byte
     return "\n".join(lines) + "\n", must
 
 
@@ -291,7 +303,7 @@ def test_mutated_transcript_raises_only_decode_error(data):
         return
     assert not must, "a mutation no transcript absorbs was accepted"
     q = parsed.field_order
-    assert q >= 2
-    assert [encode(message, _order_width(q)) for message in parsed.messages] == parsed.frames
+    assert 2 <= q <= 256
+    assert list(map(encode, parsed.messages)) == parsed.frames
     assert sum(parsed.link_bytes.values()) == sum(map(len, parsed.frames))
     assert _fields(transcript_from_text(transcript_to_text(parsed))) == _fields(parsed)

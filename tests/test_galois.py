@@ -5,7 +5,7 @@ import pytest
 
 import oracles
 from labelweight_hss.codes import labelweight, rs_build
-from labelweight_hss.errors import FieldMismatch, ParameterOutOfRange
+from labelweight_hss.errors import FieldMismatch, FieldTooLarge, ParameterOutOfRange
 from labelweight_hss.galois import (
     NEG_INFINITY,
     FieldElement,
@@ -362,15 +362,25 @@ def test_characteristic_two_sub_is_xor(spec):
     assert [spec.sub(a, b) for a in range(q) for b in range(q)] == [oracles.sub(spec, a, b) for a in range(q) for b in range(q)]
 
 
-@pytest.mark.parametrize("spec,form", [(GF2, bytes), (GF9, bytes), (FieldSpec(2, 8), bytes), (FieldSpec(257), tuple)], ids=repr)
-def test_code_sequences_are_bytes_up_to_256_and_tuples_above(spec, form):
+@pytest.mark.parametrize("spec", [GF2, GF9, FieldSpec(2, 8)], ids=repr)
+def test_code_sequences_are_bytes(spec):
     values = [0, 1, spec.q - 1, 1]
     codes = spec.codes(values)
-    assert type(codes) is form and list(codes) == values
+    assert type(codes) is bytes and list(codes) == values
     assert spec.codes(codes) is codes
     joined = spec.concat([codes, spec.codes([]), spec.codes(values[:2])])
-    assert type(joined) is form and list(joined) == values + values[:2]
-    assert spec.concat([]) == form()
+    assert type(joined) is bytes and list(joined) == values + values[:2]
+    assert spec.concat([]) == b""
+
+
+@pytest.mark.parametrize("spec", [FieldSpec(257), FieldSpec(2, 9)], ids=repr)
+def test_code_sequences_above_256_are_refused(spec):
+    """No run of element codes is kept over a field past a byte, though
+    its element arithmetic works."""
+    assert spec.mul(2, spec.inv(2)) == 1
+    for build in (lambda: spec.codes([0, 1]), lambda: spec.concat([b"\x00"])):
+        with pytest.raises(FieldTooLarge, match=f"^field order {spec.q} exceeds 256"):
+            build()
 
 
 @pytest.mark.parametrize("q,split", [(2, (2, 1)), (9, (3, 2)), (256, (2, 8)), (257, (257, 1)), (289, (17, 2))])

@@ -15,6 +15,7 @@ from labelweight_hss.errors import (
     DimensionMismatch,
     EnumerationBudgetExceeded,
     FieldMismatch,
+    FieldTooLarge,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
@@ -215,7 +216,7 @@ def test_eval_server_reads_a_server_view_as_it_reads_dicts():
         return {key: dict(fragment) for key, fragment in view.items()}
 
     assert outcome(views[j]) == outcome(as_dicts(views[j])) == eval_server(scheme, j, views[j])
-    # the wire form: a tuple payload
+    # a ServerView over a tuple of ints, not the bytes the wire carries
     assert outcome(ServerView(held, positions, tuple(views[j].shares))) == outcome(views[j])
     for at, value in ((7, 9), (0, -1), (20, 300), (5, 1.5)):
         shares = list(views[j].shares)
@@ -372,8 +373,9 @@ def _no_subsets(s, t):
 
 def test_monomial_budget_refuses_before_building_a_subset(monkeypatch):
     """Synthesis at s = 1000, t = 3, d = 3 is refused by its count of
-    C(1000, 3)^3 monomials, none of the 166,167,000 subsets built."""
-    code = rs_build(1009, 1000, 1)
+    C(1000, 3)^3 monomials, none of the 166,167,000 subsets built: the
+    [1000, 1] repetition code over GF(2)."""
+    code = LabeledCode(GF2, MatrixF(GF2, [[1] * 1000]), Labeling.identity(1000))
     monkeypatch.setattr(hss, "subsets_of_size", _no_subsets)
     with pytest.raises(EnumerationBudgetExceeded, match="^4588115449379463000000000 monomials exceed budget"):
         scheme_for_code(code, t=3, d=3)
@@ -438,12 +440,18 @@ def test_insufficient_labelweight_detected_by_rank():
         hss._synthesize(code, params)
 
 
-def test_fields_above_256_skip_the_exhaustive_check():
-    # the kernel needs q <= 256, synthesis none: its rank check rejects labelweight <= d*t
-    scheme = scheme_for_code(rs_build(257, 5, 2), t=1, d=1)
-    assert run_end_to_end(scheme, [[3], [256]], seed=1).ok
-    with pytest.raises(InsufficientLabelweight):
-        scheme_for_code(rs_build(257, 4, 3), t=1, d=2)
+@pytest.mark.parametrize("spec", [FieldSpec(257), FieldSpec(2, 9)], ids=lambda spec: str(spec.q))
+def test_codes_and_shares_above_256_are_refused(spec):
+    """Every run of element codes is bytes, so a code over a field past a
+    byte is refused at its rank check, and so are its shares."""
+    for build in (
+        lambda: LabeledCode(spec, MatrixF(spec, [[1, 2, 3, 4, 5], [0, 1, 2, 3, 4]]), Labeling.identity(5)),
+        lambda: cnf_share(1, 1, 3, spec, random.Random(1)),
+        lambda: share_all_secrets(HssParams(3, 1, 1, 1, 1, spec), [[1]], random.Random(1)),
+        lambda: privacy_audit(1, 2, spec),
+    ):
+        with pytest.raises(FieldTooLarge, match=f"^field order {spec.q} exceeds 256"):
+            build()
 
 
 def test_scheme_param_mismatches():
@@ -481,14 +489,6 @@ def test_eval_server_rejects_shares_outside_the_field(value):
         eval_server(scheme, 1, _views_with_one_share(scheme, 1, value))
 
 
-@pytest.mark.parametrize("value", [257, -1, 2.0])
-def test_eval_server_rejects_shares_outside_a_field_above_256(value):
-    scheme = scheme_for_code(rs_build(257, 5, 2), t=1, d=1)
-    eval_server(scheme, 3, _views_with_one_share(scheme, 3, 256))
-    with pytest.raises(ParameterOutOfRange, match=r"server 3: share .* of secret \(2, 1\) is outside 0..256"):
-        eval_server(scheme, 3, _views_with_one_share(scheme, 3, value))
-
-
 class _IndexOnly:
     """An integer-like share that is not an int: it has only __index__."""
 
@@ -500,20 +500,14 @@ class _IndexOnly:
 
 
 def test_a_view_holds_what_field_codes_keep():
-    """Byte values when q <= 256, so an __index__ share reads as its value
-    there; ints above, as on the wire, so over GF(257) it is refused and
-    named, in a dict view and in a ServerView alike."""
-    small = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
-    assert eval_server(small, 1, _views_with_one_share(small, 1, _IndexOnly())) == eval_server(
-        small, 1, _views_with_one_share(small, 1, 1)
-    )
-    scheme = scheme_for_code(rs_build(257, 5, 2), t=1, d=1)
-    views = _views_with_one_share(scheme, 3, _IndexOnly())
-    held, positions = held_subsets(5, 1, 3), secret_positions(scheme.params.ell, scheme.params.m)
+    """Byte values, so an __index__ share reads as its value, in a dict
+    view and in a ServerView alike."""
+    scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
+    views = _views_with_one_share(scheme, 1, _IndexOnly())
+    held, positions = held_subsets(6, 1, 1), secret_positions(scheme.params.ell, scheme.params.m)
     whole = ServerView(held, positions, [views[key][T] for key in positions for T in held])
-    for view in (views, whole):
-        with pytest.raises(ParameterOutOfRange, match=r"^server 3: share _IndexOnly\(\) of secret \(2, 1\) is outside"):
-            eval_server(scheme, 3, view)
+    want = eval_server(scheme, 1, _views_with_one_share(scheme, 1, 1))
+    assert eval_server(scheme, 1, views) == eval_server(scheme, 1, whole) == want
 
 
 @pytest.mark.parametrize("j", [0, 9, -1])

@@ -171,11 +171,11 @@ def test_goppa_default_polynomial_matches_the_oracle_scan(u, r):
 
 # -- elimination -----------------------------------------------------------------
 
-# GF(27) and GF(251) have digit layouts wider than a byte, and GF(257) no
-# tables: they add element by element in the row operations.
+# GF(27) and GF(251) have digit layouts wider than a byte: they add
+# element by element in the row operations.
 ELIMINATION_FIELDS = [
     FieldSpec(2), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(5), FieldSpec(2, 4), FieldSpec(5, 2),
-    FieldSpec(3, 3), FieldSpec(7, 2), FieldSpec(251), FieldSpec(257),
+    FieldSpec(3, 3), FieldSpec(7, 2), FieldSpec(251),
 ]
 GF9 = FieldSpec(3, 2)
 # rank 1 over GF(9): the second row is x times the first (x has code 3)
@@ -363,8 +363,8 @@ def _copies(spec, ell, copies):
 
 # (code, t, d); servers own several coordinates in the "pairs" and "copies"
 # cases, the "copies" cases put ell = 8, 9 and 17 instances across the
-# groups of 8 that the bit planes pack into a byte, and GF(257) has no
-# tables, so its tensors are contracted through FieldSpec calls
+# groups of 8 that the bit planes pack into a byte, and GF(251), whose
+# digit layout is wider than a byte, packs one instance to a lane string
 EVAL_CASES = {
     "gf2-goppa-t1d1": (lambda: goppa_build(3, 1), 1, 1),
     "gf2-goppa-t1d2": (lambda: goppa_build(3, 1), 1, 2),
@@ -402,12 +402,12 @@ EVAL_CASES = {
     "gf27-rs-t1d3": (lambda: rs_build(27, 6, 2), 1, 3),
     "gf251-rs-t1d2": (lambda: rs_build(251, 7, 4), 1, 2),
     "gf251-rs-t1d3": (lambda: rs_build(251, 6, 2), 1, 3),
+    "gf251-rs-k3-t1d1": (lambda: rs_build(251, 5, 3), 1, 1),
+    "gf251-rs-k3-t1d2": (lambda: rs_build(251, 5, 3), 1, 2),
+    "gf251-rs-k3-t1d3": (lambda: rs_build(251, 6, 3), 1, 3),
+    "gf251-rs-k3-t2d2": (lambda: rs_build(251, 7, 3), 2, 2),
     "gf251-copies-l9-t1d2": (lambda: _copies(FieldSpec(251), 9, 3), 1, 2),
     "gf256-rs-t1d2": (lambda: rs_build(256, 7, 4), 1, 2),
-    "gf257-rs-t1d1": (lambda: rs_build(257, 5, 3), 1, 1),
-    "gf257-rs-t1d2": (lambda: rs_build(257, 5, 3), 1, 2),
-    "gf257-rs-t1d3": (lambda: rs_build(257, 6, 3), 1, 3),
-    "gf257-rs-t2d2": (lambda: rs_build(257, 7, 3), 2, 2),
 }
 
 
@@ -727,13 +727,11 @@ def _oracle_planes(scheme, blocks, j):
     """hss._build_tensors(scheme, j) by the references: server j's held
     subsets; per owned coordinate its dense tensors read from the
     per-union `blocks` (oracles.build_byte_tensors), split into digit-bit
-    planes by oracles.bit_planes when q <= 256; and whether any of those
-    tensors has a nonzero entry."""
+    planes by oracles.bit_planes; and whether any of those tensors has a
+    nonzero entry."""
     params = scheme.params
     held, dense = oracles.build_byte_tensors(scheme, blocks, j)
     live = any(any(tensor) for per_instance in dense for tensor in per_instance)
-    if params.spec.q > MAX_TABLE_ORDER:
-        return held, dense, live
     tables, size = hss._plane_tables(params.spec), len(held) ** params.d
     planes = [oracles.bit_planes(params.spec, hss._lane_strings(tables, per_instance, size), size)
               for per_instance in dense]
@@ -922,11 +920,11 @@ def test_always_zero_server_checks_its_views_as_before():
         assert str(outside.value) == f"server {j}: share 9 of secret (2, 1) is outside 0..8 (q=9)"
 
 
-GF257 = FieldSpec(257)
+GF251 = FieldSpec(251)
 
 
-def _gf257(rows):
-    return LabeledCode(GF257, MatrixF(GF257, rows), Labeling.identity(len(rows[0])))
+def _gf251(rows):
+    return LabeledCode(GF251, MatrixF(GF251, rows), Labeling.identity(len(rows[0])))
 
 
 # codes whose labelweight is at most d*t, with the first union in solve order
@@ -943,10 +941,10 @@ RANK_DEFICIENT = {
         lambda: LabeledCode(FieldSpec(2), MatrixF(FieldSpec(2), [[1, 1, 0]]), Labeling.identity(3)), 1, 2,
         "columns labeled [3] have rank below 1; labelweight < 3",
     ),
-    "gf257-rs-t1d2": (lambda: rs_build(257, 4, 3), 1, 2, "columns labeled [3, 4] have rank below 3; labelweight < 3"),
-    "gf257-110-t1d2": (lambda: _gf257([[1, 1, 0]]), 1, 2, "columns labeled [3] have rank below 1; labelweight < 3"),
-    "gf257-100-011-t1d1": (
-        lambda: _gf257([[1, 0, 0], [0, 1, 1]]), 1, 1, "columns labeled [2, 3] have rank below 2; labelweight < 2",
+    "gf251-rs-k3-t1d2": (lambda: rs_build(251, 4, 3), 1, 2, "columns labeled [3, 4] have rank below 3; labelweight < 3"),
+    "gf251-110-t1d2": (lambda: _gf251([[1, 1, 0]]), 1, 2, "columns labeled [3] have rank below 1; labelweight < 3"),
+    "gf251-100-011-t1d1": (
+        lambda: _gf251([[1, 0, 0], [0, 1, 1]]), 1, 1, "columns labeled [2, 3] have rank below 2; labelweight < 2",
     ),
 }
 
@@ -973,14 +971,14 @@ def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again(monkeypatc
     saw server 2 alone; {1, 3} holds none of it and takes that key without
     a scan, {1, 2} holds server 2, scans again past it and finds no
     column."""
-    code = _gf257([[1, 1, 0]])
-    params = hss.HssParams(3, 1, 2, 1, 2, GF257)
+    code = _gf251([[1, 1, 0]])
+    params = hss.HssParams(3, 1, 2, 1, 2, GF251)
     calls = _counting_eliminations(monkeypatch)
     got = _key_search(code, params, [0b0010, 0b1010])
-    assert (got.lost, got.solved, got.combo_key) == ([(0,)], [{1: (1,)}], [0, 0])
+    assert (got.lost, got.solved, got.combo_key) == ([(0,)], [{1: b"\x01"}], [0, 0])
     assert len(calls) == 2  # [G | I] and the scan of {1}
     assert got == oracles.synthesize_keys(code, params, [0b0010, 0b1010])
-    with pytest.raises(InsufficientLabelweight, match=re.escape(RANK_DEFICIENT["gf257-110-t1d2"][3])):
+    with pytest.raises(InsufficientLabelweight, match=re.escape(RANK_DEFICIENT["gf251-110-t1d2"][3])):
         _key_search(code, params, [0b0010, 0b0110])
 
 
@@ -991,8 +989,8 @@ def test_a_union_holding_the_servers_a_scan_skipped_takes_its_key(monkeypatch):
     holds the same of them and takes that key without a scan.  {1, 2, 3}
     also holds server 3, and {1, 4} lacks server 2: each scans its own
     path, to Q = (3,) and Q = (1,)."""
-    code = _gf257([[1, 1, 1, 1]])
-    params = hss.HssParams(4, 1, 2, 1, 2, GF257)
+    code = _gf251([[1, 1, 1, 1]])
+    params = hss.HssParams(4, 1, 2, 1, 2, GF251)
     unions = [0b00110, 0b10110, 0b10010, 0b01110]  # {1, 2}, {1, 2, 4}, {1, 4}, {1, 2, 3}
     calls = _counting_eliminations(monkeypatch)
     got = _key_search(code, params, unions)
@@ -1002,12 +1000,12 @@ def test_a_union_holding_the_servers_a_scan_skipped_takes_its_key(monkeypatch):
     assert got == oracles.synthesize_keys(code, params, unions)
 
 
-KEY_SEARCH_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), GF257]
+KEY_SEARCH_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), GF251]
 
 
 @st.composite
 def _key_search_inputs(draw):
-    """A full-row-rank generator over a small field or GF(257), a random
+    """A full-row-rank generator over a small field or GF(251), a random
     labeling onto s servers, and a list of unions (bitmasks of servers
     1..s, duplicates allowed, in any order)."""
     spec = draw(st.sampled_from(KEY_SEARCH_FIELDS))
@@ -1085,10 +1083,10 @@ def test_synthesis_succeeds_exactly_when_the_labelweight_exceeds_dt(code):
             assert _key_form(hss.synthesize_eval(code, params).solutions) == want
 
 
-@pytest.mark.parametrize("name", ["gf257-rs-t1d2", "gf257-110-t1d2"])
+@pytest.mark.parametrize("name", ["gf251-rs-k3-t1d2", "gf251-110-t1d2"])
 def test_documents_of_codes_below_the_labelweight_fail_to_read(name):
     """The document of a valid d = 1 scheme, its header raised to d = 2,
-    names a code of labelweight at most d*t over GF(257): DecodeError with
+    names a code of labelweight at most d*t over GF(251): DecodeError with
     the rank message of the first union that lacks rank."""
     build, t, d, message = RANK_DEFICIENT[name]
     doc = hss.scheme_to_text(hss.scheme_for_code(build(), t=t, d=1, m=d))
@@ -1141,10 +1139,9 @@ def test_cnf_share_matches_oracle():
         (FieldSpec(2), 6, 2),
         (FieldSpec(5), 5, 2),
         (FieldSpec(3, 2), 4, 1),
-        (FieldSpec(257), 4, 2),
+        (FieldSpec(251), 4, 2),
         (FieldSpec(2, 2), 6, 3),
         (FieldSpec(2, 8), 5, 2),
-        (FieldSpec(2, 9), 4, 1),
     )
     for spec, s, t in cases:
         for x in (0, 1, spec.q - 1):
@@ -1157,7 +1154,7 @@ SECRET_FIELDS = [
     (FieldSpec(5), FieldSpec(3)),
     (FieldSpec(3, 2), FieldSpec(3, 2, (2, 2, 1))),
     (FieldSpec(2, 4), FieldSpec(2)),
-    (FieldSpec(257), FieldSpec(5)),
+    (FieldSpec(251), FieldSpec(5)),
 ]
 
 
@@ -1242,8 +1239,8 @@ def test_short_input_payload_is_a_decode_error(wire_schemes, monkeypatch):
     secrets = _secrets(scheme.params, 1)
 
     def short(decode):
-        def patched(frame, width, q=None):
-            message = decode(frame, width, q)
+        def patched(frame, q=None):
+            message = decode(frame, q)
             if message.kind == protocol.INPUT_SHARES:
                 message = protocol.WireMessage(message.kind, message.sender, message.receiver, message.payload[:-1])
             return message
@@ -1261,10 +1258,9 @@ def test_short_input_payload_is_a_decode_error(wire_schemes, monkeypatch):
 
 @pytest.mark.parametrize("name", ["goppa", "hermitian", "goppa-wire", "rs5"])
 def test_width_one_payloads_are_bytes(wire_schemes, name):
-    """A q <= 256 run records every payload as one bytes object, and so
+    """A run records every payload as one bytes object, and so
     does a transcript read back from its text."""
     scheme = wire_schemes[name]
-    assert protocol.element_width(scheme.params.spec) == 1
     transcript, _ = protocol.simulate(scheme, _secrets(scheme.params, 5), 2)
     parsed = protocol.transcript_from_text(protocol.transcript_to_text(transcript))
     assert all(type(m.payload) is bytes for m in transcript.messages + parsed.messages)
@@ -1275,8 +1271,8 @@ def test_servers_evaluate_their_decoded_payload_without_a_copy(wire_schemes, mon
     scheme = wire_schemes["goppa-wire"]
     decoded, evaluated = {}, {}
 
-    def recording_decode(frame, width, q=None):
-        message = decode(frame, width, q)
+    def recording_decode(frame, q=None):
+        message = decode(frame, q)
         if message.kind == protocol.INPUT_SHARES:
             decoded[message.receiver] = message.payload
         return message
@@ -1294,66 +1290,50 @@ def test_servers_evaluate_their_decoded_payload_without_a_copy(wire_schemes, mon
         assert type(view) is hss.ServerView and view.shares is decoded[j]
 
 
-def test_wide_field_payloads_stay_tuples_and_match_oracle():
-    """Above q = 256 (element width 2) payloads are tuples of ints, and the
-    run still matches the oracle frame for frame."""
-    scheme = hss.scheme_for_code(rs_build(257, 5, 2), t=1, d=2, m=3)
-    assert protocol.element_width(scheme.params.spec) == 2
-    secrets = _secrets(scheme.params, 7)
-    new = protocol.simulate(scheme, secrets, 4, (3, 1))
-    assert all(type(m.payload) is tuple for m in new[0].messages)
-    _same_runs(new, oracles.simulate(scheme, secrets, 4, (3, 1)))
-
-
 # -- codec properties ------------------------------------------------------------------
 
-CODEC_WIDTHS = (1, 2, 3)
 KINDS = (protocol.INPUT_SHARES, protocol.OUTPUT_SHARES, protocol.RESULT)
 
 
 @st.composite
-def messages(draw, width=None):
-    width = draw(st.sampled_from(CODEC_WIDTHS)) if width is None else width
-    payload = draw(st.lists(st.integers(0, 256**width - 1), max_size=24))
-    message = protocol.WireMessage(
-        draw(st.sampled_from(KINDS)), draw(st.integers(0, 2**16 - 1)), draw(st.integers(0, 2**16 - 1)), tuple(payload)
+def messages(draw):
+    return protocol.WireMessage(
+        draw(st.sampled_from(KINDS)), draw(st.integers(0, 2**16 - 1)), draw(st.integers(0, 2**16 - 1)),
+        draw(st.binary(max_size=24)),
     )
-    return width, message
 
 
 @st.composite
 def damaged_frames(draw):
     """A valid frame cut short, extended, or with one byte flipped; or arbitrary bytes."""
-    width, message = draw(messages())
-    frame = oracles.encode(message, width)
+    frame = oracles.encode(draw(messages()))
     how = draw(st.sampled_from(["intact", "truncate", "extend", "flip", "arbitrary"]))
     if how == "truncate":
         frame = frame[: draw(st.integers(0, len(frame) - 1))]
     elif how == "extend":
-        frame += draw(st.binary(min_size=1, max_size=2 * width + 1))
+        frame += draw(st.binary(min_size=1, max_size=3))
     elif how == "flip":
         at = draw(st.integers(0, len(frame) - 1))
         frame = frame[:at] + bytes([frame[at] ^ draw(st.integers(1, 255))]) + frame[at + 1 :]
     elif how == "arbitrary":
         frame = draw(st.binary(max_size=40))
-    q = draw(st.none() | st.integers(2, 256**width))
-    return frame, width, q
+    q = draw(st.none() | st.integers(2, 256))
+    return frame, q
 
 
-def _decoded(decode, frame, width, q):
+def _decoded(decode, frame, q):
     try:
-        return "ok", decode(frame, width, q)
+        return "ok", decode(frame, q)
     except DecodeError as exc:
         return "decode error", str(exc)
 
 
 @settings(max_examples=200, deadline=None, database=None)
 @given(messages())
-def test_encode_matches_oracle(case):
-    width, message = case
-    frame = protocol.encode(message, width)
-    assert frame == oracles.encode(message, width)
-    assert protocol.decode(frame, width) == message
+def test_encode_matches_oracle(message):
+    frame = protocol.encode(message)
+    assert frame == oracles.encode(message)
+    assert protocol.decode(frame) == message
 
 
 @settings(max_examples=400, deadline=None, database=None)
@@ -1361,20 +1341,20 @@ def test_encode_matches_oracle(case):
 def test_decode_matches_oracle_on_damaged_frames(case):
     """decode raises nothing but DecodeError, exactly when the oracle does,
     with the same message; otherwise both return the same WireMessage."""
-    frame, width, q = case
-    assert _decoded(protocol.decode, frame, width, q) == _decoded(oracles.decode, frame, width, q)
+    frame, q = case
+    assert _decoded(protocol.decode, frame, q) == _decoded(oracles.decode, frame, q)
 
 
 @settings(max_examples=100, deadline=None, database=None)
 @given(st.data())
 def test_encode_rejects_elements_wider_than_the_width(data):
-    width = data.draw(st.sampled_from((1, 2)))
-    _, message = data.draw(messages(width))
-    bad = data.draw(st.integers(256**width, 256**width * 4) | st.integers(-(256**width), -1))
+    """An element outside 0..255 does not fit the one-byte element width."""
+    message = data.draw(messages())
+    bad = data.draw(st.integers(256, 1024) | st.integers(-256, -1))
     at = data.draw(st.integers(0, len(message.payload)))
-    payload = message.payload[:at] + (bad,) + message.payload[at:]
+    payload = (*message.payload[:at], bad, *message.payload[at:])
     message = protocol.WireMessage(message.kind, message.sender, message.receiver, payload)
     with pytest.raises(OverflowError):
-        oracles.encode(message, width)
+        oracles.encode(message)
     with pytest.raises(OverflowError):
-        protocol.encode(message, width)
+        protocol.encode(message)

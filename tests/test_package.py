@@ -56,6 +56,15 @@ def test_only_codes_calls_the_enumeration_kernel():
             assert name in ("codes.py", "kernels.py"), f"{name}:{node.lineno} references min_labelweight"
 
 
+def test_only_galois_reads_the_field_order_limit():
+    """galois.require_table_order is the one test of q against 256, which
+    FieldSpec.codes and FieldSpec.concat apply to every run of element
+    codes, so the limit has one home."""
+    for name, node in _nodes():
+        if _name(node) == "MAX_TABLE_ORDER" or isinstance(node, ast.alias) and node.name == "MAX_TABLE_ORDER":
+            assert name == "galois.py", f"{name}:{node.lineno} reads MAX_TABLE_ORDER"
+
+
 TESTS = Path(__file__).resolve().parent
 BENCHMARKS = TESTS.parent / "benchmarks"
 

@@ -18,7 +18,6 @@ from labelweight_hss.protocol import (
     Transcript,
     WireMessage,
     decode,
-    element_width,
     encode,
     simulate,
     transcript_from_text,
@@ -38,22 +37,13 @@ def repetition_scheme():
 # -- codec ----------------------------------------------------------------------
 
 
-def test_element_widths():
-    assert element_width(GF2) == 1
-    assert element_width(GF4) == 1
-    assert element_width(GF5) == 1
-    assert element_width(FieldSpec(2, 8)) == 1
-    assert element_width(FieldSpec(2, 9)) == 2
-    assert element_width(FieldSpec(257)) == 2
-
-
 def test_empty_result_frame_is_header_only():
-    frame = encode(WireMessage(RESULT, 3, 0, ()), width=1)
+    frame = encode(WireMessage(RESULT, 3, 0, b""))
     assert len(frame) == 10  # 1 version + 1 kind + 2 sender + 2 receiver + 4 length
 
 
 def test_f2_element_single_byte():
-    frame = encode(WireMessage(OUTPUT_SHARES, 1, 3, (1,)), width=element_width(GF2))
+    frame = encode(WireMessage(OUTPUT_SHARES, 1, 3, GF2.codes([1])))
     assert frame[-1:] == b"\x01"
 
 
@@ -61,60 +51,46 @@ def test_gf4_element_bit_packing():
     # coefficients (1, 1) pack low-to-high into 0b11
     value = GF4.encode([1, 1])
     assert value == 3
-    frame = encode(WireMessage(OUTPUT_SHARES, 1, 3, (value,)), width=element_width(GF4))
+    frame = encode(WireMessage(OUTPUT_SHARES, 1, 3, GF4.codes([value])))
     assert frame[-1:] == b"\x03"
-
-
-def test_bytes_and_tuple_payloads_compare_by_value():
-    packed = WireMessage(OUTPUT_SHARES, 1, 3, bytes((0, 1, 255)))
-    listed = WireMessage(OUTPUT_SHARES, 1, 3, (0, 1, 255))
-    assert packed == listed and listed == packed
-    assert hash(packed) == hash(listed) and len({packed, listed}) == 1
-    assert encode(packed, 1) == encode(listed, 1)
-    changed = WireMessage(OUTPUT_SHARES, 1, 3, (0, 1, 254))
-    assert packed != changed and listed != changed
-    assert hash(packed) != hash(changed)
-    assert packed != WireMessage(OUTPUT_SHARES, 2, 3, (0, 1, 255))
-    assert packed != (OUTPUT_SHARES, 1, 3, (0, 1, 255))
 
 
 def test_roundtrip_fuzz_10k():
     rng = random.Random(77)
     for _ in range(10_000):
-        width = rng.choice([1, 2])
         kind = rng.choice([INPUT_SHARES, OUTPUT_SHARES, RESULT])
         sender = rng.randrange(2**16)
         receiver = rng.randrange(2**16)
-        payload = tuple(rng.randrange(256**width) for _ in range(rng.randrange(0, 20)))
+        payload = bytes(rng.randrange(256) for _ in range(rng.randrange(0, 20)))
         message = WireMessage(kind, sender, receiver, payload)
-        frame = encode(message, width)
-        assert decode(frame, width) == message
+        assert decode(encode(message)) == message
 
 
 def test_decode_rejects_any_one_byte_truncation():
-    message = WireMessage(INPUT_SHARES, 0, 2, (1, 0, 1))
-    frame = encode(message, 1)
+    message = WireMessage(INPUT_SHARES, 0, 2, bytes((1, 0, 1)))
+    frame = encode(message)
     for cut in range(1, len(frame) + 1):
         with pytest.raises(DecodeError):
-            decode(frame[:-cut], 1)
+            decode(frame[:-cut])
 
 
 def test_decode_rejects_bad_version_and_kind():
-    frame = bytearray(encode(WireMessage(RESULT, 1, 0, (1,)), 1))
+    frame = bytearray(encode(WireMessage(RESULT, 1, 0, b"\x01")))
     bad_version = bytes([0x02]) + bytes(frame[1:])
     with pytest.raises(DecodeError):
-        decode(bad_version, 1)
+        decode(bad_version)
     bad_kind = bytes([frame[0], 9]) + bytes(frame[2:])
     with pytest.raises(DecodeError):
-        decode(bad_kind, 1)
+        decode(bad_kind)
 
 
-def test_decode_rejects_width_mismatch_and_field_overflow():
-    frame = encode(WireMessage(RESULT, 1, 0, (1, 2, 3)), 1)
-    with pytest.raises(DecodeError):
-        decode(frame, 2)
-    with pytest.raises(DecodeError):
-        decode(frame, 1, q=2)
+def test_decode_rejects_a_length_mismatch_and_field_overflow():
+    frame = encode(WireMessage(RESULT, 1, 0, bytes((1, 2, 3))))
+    assert decode(frame, q=4).payload == bytes((1, 2, 3))
+    with pytest.raises(DecodeError, match=r"^length field 3 != payload bytes 4$"):
+        decode(frame + b"\x00")
+    with pytest.raises(DecodeError, match=r"^payload element outside the field$"):
+        decode(frame, q=2)
 
 
 # -- simulation ------------------------------------------------------------------
@@ -224,9 +200,9 @@ def test_transcript_text_decodes_each_frame_once(monkeypatch):
     text = transcript_to_text(transcript)
     calls = []
 
-    def counting(frame, width, q=None):
+    def counting(frame, q=None):
         calls.append(frame)
-        return decode(frame, width, q)
+        return decode(frame, q)
 
     monkeypatch.setattr(protocol, "decode", counting)
     parsed = transcript_from_text(text)
@@ -239,13 +215,13 @@ def test_transcript_text_rejects_an_element_outside_the_field():
     scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2)
     transcript, _ = simulate(scheme, [[2, 3], [4, 1]], seed=9)
     lines = transcript_to_text(transcript).splitlines()
-    assert decode(bytes.fromhex(lines[2]), 1).kind == INPUT_SHARES
+    assert decode(bytes.fromhex(lines[2])).kind == INPUT_SHARES
     lines[2] = lines[2][:-2] + "05"  # the last share of server 1 becomes 5, outside GF(5)
     with pytest.raises(DecodeError, match=r"^payload element outside the field$"):
         transcript_from_text("\n".join(lines) + "\n")
 
 
-@pytest.mark.parametrize("q", [5, 257])
+@pytest.mark.parametrize("q", [5, 251])
 def test_simulate_range_checks_each_input_payload_once(monkeypatch, q):
     """The one check of an INPUT_SHARES payload is the server's read of
     its view: decode leaves it alone, and eval_server checks it once."""
@@ -256,8 +232,8 @@ def test_simulate_range_checks_each_input_payload_once(monkeypatch, q):
         checked.append(tuple(values))
         return first_outside(values, q)
 
-    def recording(frame, width, q=None):
-        message = decode(frame, width, q)
+    def recording(frame, q=None):
+        message = decode(frame, q)
         if message.kind == INPUT_SHARES:
             decoded[message.receiver] = tuple(message.payload)
         return message
