@@ -91,7 +91,7 @@ def main() -> int:
 
     print(f"{'case':<34} {'messages':>10} {'kernel ms':>10} {'msg/s':>10} {'oracle ms':>10} {'msg/s':>10} {'speedup':>8}")
     for (name, spec, rows, k, n, labels0, s), with_oracle in runs:
-        call = (rows, k, n, labels0, spec.add_table, spec.mul_table, spec.q, s)
+        call = (rows, k, n, labels0, spec.add_table, spec.tables().mul, spec.q, s)
         messages = spec.q**k
         fast, value = best_time(kernels.min_labelweight, call, args.repeats)
         line = f"{name:<34} {messages:>10} {fast * 1e3:>10.3f} {messages / fast:>10.3g}"

@@ -12,12 +12,14 @@ Rows, each the best of N calls:
   simulate  protocol.simulate        vs oracles.simulate
   codec     protocol.encode/decode   vs oracles.encode/decode, on the
             33 messages of each path's own simulate run
-Each stage calls the functions themselves; the finer breakdown of
-protocol.simulate (encode, decode, the server's own work) is in the
-counters of `perfbench/run.py --workload goppa-wire --trace 1`.  The two
-paths must give equal views, equal server outputs, byte-identical
-transcripts, and from the codec equal frames and equal payload elements,
-or the script exits with status 1.
+Each stage calls the functions themselves, and each path's eval_server
+reads that path's own views (the package's bytes, the oracle's dicts);
+the finer breakdown of protocol.simulate (encode, decode, the server's
+own work) is in the counters of
+`perfbench/run.py --workload goppa-wire --trace 1`.  The two paths must
+give equal views (the package's read through oracles.view_dicts), equal
+server outputs, byte-identical transcripts, and from the codec equal
+frames and equal payload elements, or the script exits with status 1.
 """
 
 import argparse
@@ -93,7 +95,7 @@ def main() -> int:
     new, (views, outputs, transcript, result, (frames, decoded)) = timed(package)
     old, (old_views, old_outputs, old_transcript, old_result, (old_frames, old_decoded)) = timed(oracles)
     failures = []
-    if views != old_views:
+    if {j: oracles.view_dicts(params, j, view) for j, view in views.items()} != old_views:
         failures.append("share_all_secrets views differ")
     if outputs != old_outputs:
         failures.append("eval_server outputs differ")

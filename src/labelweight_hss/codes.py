@@ -31,6 +31,7 @@ from . import budget, kernels
 from .budget import LABELWEIGHT_BUDGET
 from .errors import BadGoppaPolynomial, DecodeError, DimensionMismatch, FieldTooLarge, ParameterOutOfRange
 from .galois import FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field, prime_power
+from .galois import require_table_order
 from .matrix import MatrixF, kernel_basis, rank, rref
 
 CODE_FORMAT_TAG = "labelweight-code/v1"
@@ -152,7 +153,7 @@ def span_labelweight(spec: FieldSpec, rows: Sequence[int], k: int, labeling: Lab
     """
     check_span(spec.q, k)
     labels0 = bytes(v - 1 for v in labeling.map)
-    return kernels.min_labelweight(rows, k, labeling.n, labels0, spec.add_table, spec.mul_table, spec.q, labeling.s)
+    return kernels.min_labelweight(rows, k, labeling.n, labels0, spec.add_table, spec.tables().mul, spec.q, labeling.s)
 
 
 def check_span(q: int, k: int) -> None:
@@ -265,9 +266,12 @@ def hermitian_points(q: int) -> tuple[FieldSpec, list[tuple[int, int]]]:
     """The q^3 affine points of y^q + y = x^(q+1) over GF(q^2).
 
     Points are ordered by their (x, y) element codes.  Returns the field
-    together with the point list.
+    together with the point list.  A q that is no prime power raises
+    ParameterOutOfRange, and a field GF(q^2) above 256 FieldTooLarge,
+    before any point is built.
     """
     p, e = prime_power(q)
+    require_table_order(q * q)
     ext = FieldSpec(p, 2 * e)
     trace = [ext.add(ext.pow(y, q), y) for y in range(ext.q)]
     pts = []

@@ -42,7 +42,7 @@ class InsufficientLabelweight(HssError):
 
 
 class MissingShare(HssError):
-    """A server view lacks a share needed by its output polynomial."""
+    """A server's output vector is missing or short at reconstruction."""
 
 
 class FieldTooLarge(HssError):

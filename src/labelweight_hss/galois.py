@@ -319,11 +319,6 @@ class FieldSpec:
     # -- lookup tables ---------------------------------------------------
 
     @property
-    def mul_table(self) -> bytes:
-        """Flat q*q multiplication table (only for q <= 256), built once."""
-        return self.tables().mul
-
-    @property
     def add_table(self) -> bytes:
         """Flat q*q addition table (only for q <= 256), built once."""
         return self.tables().add
@@ -624,10 +619,14 @@ def is_irreducible(poly: Polynomial) -> bool:
     of some degree i <= r/2, and the monic irreducibles of degree dividing
     i are the factors of x^(q^i) - x; so f is irreducible iff
     gcd(f, x^(q^i) - x) = 1 for i = 1, ..., floor(r/2).  Exact at every
-    degree; zero and constants are not irreducible.
+    degree; zero and constants are not irreducible.  An f whose terms all
+    have exponents divisible by p (f' = 0) is a p-th power over the
+    perfect field GF(q), so reducible, and is refused before any power.
     """
     deg = poly.degree
     if deg is NEG_INFINITY or deg == 0:
+        return False
+    if not any(c for e, c in enumerate(poly.coeffs) if e % poly.spec.p):
         return False
     x = Polynomial.x(poly.spec)
     frobenius = x  # x^(q^i) mod poly
@@ -661,14 +660,15 @@ def find_irreducible(spec: FieldSpec, degree: int, exclude: Iterable = ()) -> Po
     coefficients below the leading 1, so the result is deterministic.
     `exclude` holds element codes or elements of `spec`; only degree 1
     can be ruled out by it, since higher-degree irreducibles have no roots
-    in the field.  Raises ValueError if the exclusion set rules out every
-    candidate.
+    in the field, so each candidate is tested for irreducibility first and
+    its roots are scanned at degree 1 only.  Raises ValueError if the
+    exclusion set rules out every candidate.
     """
     if degree < 1:
         raise ValueError(f"degree must be >= 1, got {degree}")
     excl = {spec.code_of(e) for e in exclude}
     for high in itertools.product(range(spec.q), repeat=degree):
         candidate = Polynomial(spec, (*reversed(high), 1))
-        if all(candidate(v) for v in excl) and is_irreducible(candidate):
+        if is_irreducible(candidate) and (degree > 1 or all(candidate(v) for v in excl)):
             return candidate
     raise ValueError(f"no monic irreducible of degree {degree} over {spec.describe()} avoids the exclusion set")

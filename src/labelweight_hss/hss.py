@@ -27,11 +27,10 @@ import operator
 import random
 import re
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
-from types import MappingProxyType
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 from . import budget
 from .budget import MONOMIAL_BUDGET, PRIVACY_BUDGET, SHARE_BUDGET
@@ -90,9 +89,8 @@ class MonomialId(NamedTuple):
 def subsets_of_size(s: int, t: int) -> tuple[tuple[int, ...], ...]:
     """All size-t subsets of servers 1..s as sorted tuples, ordered lexicographically.
 
-    Computed once per (s, t): sharing, protocol.simulate and eval_server
-    then hold the very same subset objects, so comparing fragment keys
-    against a server's held subsets is a pointer comparison.
+    Computed once per (s, t): the order of every secret's shares, as
+    share_all_secrets lays them out.
     """
     return tuple(itertools.combinations(range(1, s + 1), t))
 
@@ -100,8 +98,8 @@ def subsets_of_size(s: int, t: int) -> tuple[tuple[int, ...], ...]:
 @functools.cache
 def held_subsets(s: int, t: int, j: int) -> tuple[tuple[int, ...], ...]:
     """The subsets_of_size(s, t) that server j holds the share of (j not in
-    T), in that order.  Computed once per (s, t, j), so a ShareVector laid
-    out for server j is recognised by one `is` test."""
+    T), in that order: the order of each secret's shares in server j's
+    view.  Computed once per (s, t, j)."""
     return tuple(itertools.compress(subsets_of_size(s, t), _held_mask(s, t, j)))
 
 
@@ -110,71 +108,6 @@ def _held_mask(s: int, t: int, j: int) -> tuple[bool, ...]:
     """held_mask of subsets_of_size(s, t) for server j, computed once per
     (s, t, j): held_subsets and share_all_secrets compress by it."""
     return tuple(held_mask(subsets_of_size(s, t), j))
-
-
-class ShareVector(Mapping):
-    """Shares of one secret held positionally: shares[n] is y_T for T =
-    subsets[n].
-
-    A read-only mapping T -> y_T that iterates its subsets in order and
-    equals the dict of the same items.  Looking a share up by key builds
-    an index on first use; sharing, the wire and eval_server pass the
-    share list through without one.
-    """
-
-    __slots__ = ("subsets", "shares", "_index")
-
-    def __init__(self, subsets: Sequence[tuple[int, ...]], shares: Sequence[int]):
-        if len(subsets) != len(shares):
-            raise DimensionMismatch(f"{len(shares)} shares for {len(subsets)} subsets")
-        self.subsets, self.shares, self._index = subsets, shares, None
-
-    def __getitem__(self, T: tuple[int, ...]) -> int:
-        if self._index is None:
-            self._index = {U: n for n, U in enumerate(self.subsets)}
-        return self.shares[self._index[T]]
-
-    def __iter__(self):
-        return iter(self.subsets)
-
-    def __len__(self) -> int:
-        return len(self.subsets)
-
-
-@functools.cache
-def secret_positions(ell: int, m: int) -> Mapping[tuple[int, int], int]:
-    """Position n of secret (i, k) in a ServerView: (instance, variable)
-    order.  Computed once per (ell, m), read-only."""
-    return MappingProxyType({key: n for n, key in enumerate(itertools.product(range(1, ell + 1), range(1, m + 1)))})
-
-
-class ServerView(Mapping):
-    """One server's fragments of several secrets in one share sequence:
-    the secret at position n of `positions` has its shares over the h
-    subsets of `held` at shares[n*h : (n+1)*h].  A read-only mapping
-    secret -> ShareVector in position order, equal to the dict of the
-    same items.  The dealer's sequence is one bytes object, sent as the
-    server's INPUT_SHARES payload, and the server wraps the decoded
-    payload bytes as they are, so neither side converts or copies them.
-    eval_server slices it without building a ShareVector.
-    """
-
-    __slots__ = ("held", "positions", "shares")
-
-    def __init__(self, held: tuple, positions: Mapping[tuple[int, int], int], shares: Sequence[int]):
-        if len(shares) != len(held) * len(positions):
-            raise DimensionMismatch(f"{len(shares)} shares for {len(positions)} secrets of {len(held)} subsets")
-        self.held, self.positions, self.shares = held, positions, shares
-
-    def __getitem__(self, key: tuple[int, int]) -> ShareVector:
-        n, h = self.positions[key], len(self.held)
-        return ShareVector(self.held, self.shares[n * h : (n + 1) * h])
-
-    def __iter__(self):
-        return iter(self.positions)
-
-    def __len__(self) -> int:
-        return len(self.positions)
 
 
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
@@ -475,12 +408,17 @@ def product_variables(params: HssParams, var_indices: Iterable[int] | None = Non
     return tuple(map(operator.index, chosen))
 
 
-def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, ...] | None = None) -> list[int]:
+def eval_server(
+    scheme: HssScheme, j: int, view: Sequence[int], var_indices: tuple[int, ...] | None = None
+) -> list[int]:
     """Server j's output shares, one per coordinate it owns.
 
-    `views` maps (instance, variable) to that secret's fragment, a
-    mapping {T: y_T with j not in T}; var_indices picks the variables
-    that feed the d product slots (see product_variables).
+    `view` is server j's share sequence, as share_all_secrets gives it
+    and protocol.simulate decodes it from the INPUT_SHARES payload: for
+    each secret (i, k) in (instance, variable) order, its shares y_T over
+    held_subsets(s, t, j), ell * m * C(s - 1, t) codes in all.
+    var_indices picks the variables that feed the d product slots (see
+    product_variables).
 
     Each output share z_r is a fixed d-linear form in the shares:
     z_r = sum over instances i and held-subset tuples (a_1, ..., a_d) of
@@ -502,26 +440,23 @@ def eval_server(scheme: HssScheme, j: int, views: dict, var_indices: tuple[int, 
     string and packed table (_plane_bytes).  The tensors are built on
     server j's first call and cached on the scheme (see HssScheme).  If
     no key carries a nonzero coefficient at any coordinate server j owns,
-    every z_r is always 0: the views are still checked as below, then
+    every z_r is always 0: the view is still checked as below, then
     zeros are returned without share products.
 
-    A ServerView over held_subsets(s, t, j), as share_all_secrets and
-    protocol.simulate produce, is checked once and sliced, a ShareVector
-    over that tuple has its share list read as it is, and any other
-    fragment is read by key in that order.  The first share missing, in
-    (instance, slot, subset) order, raises MissingShare, whatever the
-    other shares of its products are; a share that is not an element code
-    in 0..q-1 raises ParameterOutOfRange.  A view holds what
-    FieldSpec.codes keeps: byte values.
+    The whole view is checked before any share is read or any tensor is
+    built: a view of another length raises DimensionMismatch, and a share
+    that is not an element code in 0..q-1, in a secret the product reads
+    or not, raises ParameterOutOfRange naming it and its secret.  A view
+    holds what FieldSpec.codes keeps: byte values.
     """
     params = scheme.params
     if not 1 <= j <= params.s:
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = product_variables(params, var_indices)
+    slots = _slot_vectors(view, held_subsets(params.s, params.t, j), params, chosen, j)
     if j not in scheme._tensors:
         scheme._tensors[j] = _build_tensors(scheme, j)
     held, tensors, live = scheme._tensors[j]
-    slots = _slot_vectors(views, held, params.ell, chosen, j, params.spec)
     if not live:
         return [0] * len(tensors)
     return _contract_planes(params.spec, tensors, slots, len(held))
@@ -566,47 +501,28 @@ def _build_tensors(scheme: HssScheme, j: int):
 
 
 def _slot_vectors(
-    views: Mapping, held: tuple, ell: int, chosen: tuple[int, ...], j: int, spec: FieldSpec
-) -> list[list[Sequence[int]]]:
-    """Per instance, the share vectors of its d product slots, aligned
-    with `held`, in the form FieldSpec.codes keeps (bytes, as on the
-    wire), every share checked to be an element code in 0..q-1.  A
-    ServerView over `held` is converted and checked as a whole and
-    sliced; if that fails, it is read key by key like any other view,
-    every fragment before any check, which names the fault in
-    eval_server's order."""
-    q = spec.q
-    if isinstance(views, ServerView) and views.held is held:
-        try:
-            whole, at, h = spec.codes(views.shares), views.positions, len(held)
-            if first_outside(whole, q) is None:
-                return [[whole[at[(i, v)] * h : (at[(i, v)] + 1) * h] for v in chosen] for i in range(1, ell + 1)]
-        except (KeyError, TypeError, ValueError):
-            pass
-    vectors: dict[tuple[int, int], Sequence] = {}
-    for key in dict.fromkeys((i, v) for i in range(1, ell + 1) for v in chosen):
-        try:
-            fragment = views[key]
-            if isinstance(fragment, ShareVector) and fragment.subsets is held:
-                vectors[key] = fragment.shares
-            else:
-                vectors[key] = [fragment[T] for T in held]
-        except KeyError as exc:
-            T = next(T for T in held if T not in views.get(key, {}))
-            raise MissingShare(f"server {j} lacks share {T} of secret {key}") from exc
-    for key, shares in vectors.items():
-        try:
-            vectors[key] = spec.codes(shares)
-        except (TypeError, ValueError):
-            _share_outside(shares, q, j, key)
-        if first_outside(vectors[key], q) is not None:
-            _share_outside(vectors[key], q, j, key)
-    return [[vectors[(i, v)] for v in chosen] for i in range(1, ell + 1)]
-
-
-def _share_outside(shares: Sequence, q: int, j: int, key: tuple[int, int]) -> NoReturn:
-    bad = first_outside(shares, q)
-    raise ParameterOutOfRange(f"server {j}: share {bad!r} of secret {key} is outside 0..{q - 1} (q={q})")
+    view: Sequence[int], held: tuple, params: HssParams, chosen: tuple[int, ...], j: int
+) -> list[list[bytes]]:
+    """Per instance, the share vectors of its d product slots, slices of
+    the view aligned with `held`, once the whole view is checked: its
+    length is ell * m * len(held) (else DimensionMismatch), and every
+    share is an element code in 0..q-1 as FieldSpec.codes keeps it (else
+    ParameterOutOfRange, naming the first bad share and its secret)."""
+    spec, q, m, h = params.spec, params.spec.q, params.m, len(held)
+    if len(view) != params.ell * m * h:
+        layout = f"{params.ell * m} secrets x {h} held subsets"
+        raise DimensionMismatch(f"server {j}: view holds {len(view)} shares, not {params.ell * m * h} ({layout})")
+    try:
+        whole = spec.codes(view)
+    except (TypeError, ValueError):  # a share that no byte holds
+        whole = list(view)
+    if first_outside(whole, q) is not None:
+        n = next(n for n, y in enumerate(whole) if first_outside((y,), q) is not None)
+        i, k = divmod(n // h, m)
+        raise ParameterOutOfRange(
+            f"server {j}: share {whole[n]!r} of secret {(i + 1, k + 1)} is outside 0..{q - 1} (q={q})"
+        )
+    return [[whole[(i * m + v - 1) * h : (i * m + v) * h] for v in chosen] for i in range(params.ell)]
 
 
 class _PlaneTables(NamedTuple):
@@ -775,34 +691,32 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     Each secret is an int in 0..q-1 or an element of the scheme's field;
     any other value raises before a share is drawn.  Secrets are shared
     independently in (instance, variable) order, so a fixed seed
-    reproduces the exact same share values.  bundles[(i, k)] is the full
-    share map of secret (i, k), a ShareVector over subsets_of_size(s, t);
-    views[j] is server j's ServerView of every secret over
-    held_subsets(s, t, j), its shares one bytes object:
-    protocol.simulate sends that object as server j's INPUT_SHARES
-    payload as it is.  Both iterate in (instance, variable) order.  The
-    subsets server j holds are picked by one mask cached per (s, t, j).
-    Past the share budget (ell * m * (C(s, t) - 1) draws) none is drawn."""
+    reproduces the exact same share values.  bundles[(i, k)] is the
+    bytes of secret (i, k)'s C(s, t) shares, in subsets_of_size(s, t)
+    order; views[j] is server j's view, the bytes of every secret's shares
+    over held_subsets(s, t, j) laid end to end in (instance, variable)
+    order (see eval_server): protocol.simulate sends that object as server
+    j's INPUT_SHARES payload as it is.  The subsets server j holds are
+    picked by one mask cached per (s, t, j).  Past the share budget
+    (ell * m * (C(s, t) - 1) draws) none is drawn."""
     grid = _secret_codes(params, secrets)
     spec, subsets = params.spec, subsets_of_size(params.s, params.t)
-    positions = secret_positions(params.ell, params.m)
-    count, free = len(positions), len(subsets) - 1
+    keys = list(itertools.product(range(1, params.ell + 1), range(1, params.m + 1)))
+    count, free = len(keys), len(subsets) - 1
     budget.check(count * free, SHARE_BUDGET, "share draws")
     draws = randrange_run(rng, spec.q, count * free)
-    bundles, vectors = {}, []
-    for n, (i, k) in enumerate(positions):
-        shares = _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
-        bundles[(i, k)] = ShareVector(subsets, shares)
-        vectors.append(shares)
-    every_share = spec.concat(vectors)
-    # by_subset[c]: subset c's share of every secret, in position order
+    bundles = {
+        (i, k): _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
+        for n, (i, k) in enumerate(keys)
+    }
+    every_share = spec.concat(bundles.values())
+    # by_subset[c]: subset c's share of every secret, in (instance, variable) order
     by_subset = [every_share[c :: len(subsets)] for c in range(len(subsets))]
     views = {}
     for j in range(1, params.s + 1):
-        held = held_subsets(params.s, params.t, j)
         # the columns of the subsets j holds, then every count-th entry: one run per secret
         subset_major = spec.concat(itertools.compress(by_subset, _held_mask(params.s, params.t, j)))
-        views[j] = ServerView(held, positions, spec.concat(subset_major[n::count] for n in range(count)))
+        views[j] = spec.concat(subset_major[n::count] for n in range(count))
     return bundles, views
 
 

@@ -26,11 +26,10 @@ body as it is, with no per-element conversion on either side.
 Server j's INPUT_SHARES payload is its whole view laid end to end: the
 share lists of the ell*m secrets' fragments in (instance, variable)
 order, each one the C(s-1, t) shares y_T with j not in T, in
-hss.held_subsets(s, t, j) order.  It is the bytes of the dealer's
-hss.ServerView, sent as they are; the server wraps the decoded
-payload in a ServerView over that same held tuple, which eval_server
-range-checks once and slices without building any dict or copying the
-shares.
+hss.held_subsets(s, t, j) order.  It is the dealer's view bytes
+(hss.share_all_secrets), sent as they are, and the server passes the
+decoded payload to hss.eval_server as it is, which range-checks it once
+and slices it without building any dict or copying the shares.
 """
 
 from __future__ import annotations
@@ -45,13 +44,10 @@ from .errors import DecodeError, FieldTooLarge
 from .galois import first_outside, require_table_order
 from .hss import (
     HssScheme,
-    ServerView,
     collect_output_shares,
     eval_server,
-    held_subsets,
     product_variables,
     reconstruct,
-    secret_positions,
     share_all_secrets,
 )
 
@@ -163,7 +159,6 @@ def simulate(
     chosen = product_variables(params, var_indices)
     output_client = params.s + 1
     transcript = Transcript(field_order=spec.q)
-    positions = secret_positions(params.ell, params.m)
 
     def send(message: WireMessage) -> WireMessage:
         frame = encode(message)
@@ -175,17 +170,17 @@ def simulate(
     _, views = share_all_secrets(params, secrets, rng)
     inboxes: dict[int, WireMessage] = {}
     for j in range(1, params.s + 1):
-        # server j's fragments, laid end to end in position order
-        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, views[j].shares))
+        # server j's fragments, laid end to end in (instance, variable) order
+        inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, views[j]))
 
-    # Servers 1..s in id order: slice each view from the wire, evaluate.
+    # Servers 1..s in id order: evaluate each view as it came off the wire.
     received: dict[int, list[int]] = {}
+    size = params.ell * params.m * math.comb(params.s - 1, params.t)  # a view's shares
     for j in range(1, params.s + 1):
         payload = inboxes[j].payload
-        held = held_subsets(params.s, params.t, j)
-        if len(payload) != len(held) * len(positions):
-            raise DecodeError(f"server {j}: expected {len(held) * len(positions)} elements, got {len(payload)}")
-        z_j = eval_server(scheme, j, ServerView(held, positions, payload), chosen)
+        if len(payload) != size:
+            raise DecodeError(f"server {j}: expected {size} elements, got {len(payload)}")
+        z_j = eval_server(scheme, j, payload, chosen)
         delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, spec.codes(z_j)))
         received[delivered.sender] = list(delivered.payload)
 

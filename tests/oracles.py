@@ -48,13 +48,17 @@ the last replaced (one list where the two coincide).
 - Server planes (``hss._build_tensors``): dense tensors read from the
   per-union blocks (``build_byte_tensors``), split one plane at a time
   (``bit_planes`` through ``plane_bits``).
-- Evaluation (``hss.eval_server``, one popcount per fold class): the
-  per-monomial sum over the table (``eval_server``); one popcount per
-  plane pair, share planes from ``share_products`` (``contract_planes``).
-- Sharing (``hss.cnf_share``, ``share_all_secrets``): one fragment scan
-  per server and secret (``cnf_share``, ``share_all_secrets``,
-  ``server_fragment``); the secret check ``secret_code`` (errors agree in
-  type, the wording is ``FieldSpec.code_of``'s).
+- Evaluation (``hss.eval_server``, one popcount per fold class, on a
+  view's share sequence): the per-monomial sum over the table
+  (``eval_server``, on the dict form ``view_dicts`` of the view); one
+  popcount per plane pair, share planes from ``share_products``
+  (``contract_planes``).
+- Sharing (``hss.cnf_share``, ``share_all_secrets``, views as bytes):
+  one fragment scan per server and secret (``cnf_share``,
+  ``share_all_secrets``, ``server_fragment``; its views are dicts, the
+  form ``view_dicts`` gives a package view); the secret check
+  ``secret_code`` (errors agree in type, the wording is
+  ``FieldSpec.code_of``'s).
 - Wire (``protocol.encode``, ``decode``, ``simulate``): one
   ``int.to_bytes`` / ``int.from_bytes`` per element (``encode``,
   ``decode``); the run that orders each payload by an explicit
@@ -1016,6 +1020,15 @@ def _shares_from_stream(x: int, subsets, stream, spec: FieldSpec):
     return shares
 
 
+def view_dicts(params: HssParams, j: int, view) -> dict:
+    """Server j's view, the share sequence of hss.share_all_secrets, in
+    the dict form eval_server reads: (instance, variable) -> {T: y_T}."""
+    fragments: dict[tuple[int, int], dict] = {}
+    for (i, k, T), y in zip(_fragment_order(params, j), view, strict=True):
+        fragments.setdefault((i, k), {})[T] = y
+    return fragments
+
+
 def server_fragment(shares, j: int) -> dict:
     """Server j's fragment of a full share map: every entry with j not in T."""
     return dict(itertools.compress(shares.items(), held_mask(shares, j)))
@@ -1133,10 +1146,7 @@ def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indi
         order = _fragment_order(params, j)
         if len(message.payload) != len(order):
             raise DecodeError(f"server {j}: expected {len(order)} elements, got {len(message.payload)}")
-        view: dict[tuple[int, int], dict] = {}
-        for (i, k, T), value in zip(order, message.payload):
-            view.setdefault((i, k), {})[T] = value
-        z_j = hss.eval_server(scheme, j, view, chosen)
+        z_j = hss.eval_server(scheme, j, message.payload, chosen)
         delivered = send(protocol.WireMessage(protocol.OUTPUT_SHARES, j, output_client, bytes(z_j)))
         received[delivered.sender] = list(delivered.payload)
 

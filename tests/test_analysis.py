@@ -483,7 +483,7 @@ def test_gv_monte_carlo_decides_each_per_call_sample():
     for seed in range(60):
         rng = random.Random(f"{seed}:0")
         rows = bytes(rng.randrange(cfg.q) for _ in range(k * cfg.n))
-        lw = oracles.packed_min_labelweight(rows, k, cfg.n, labels0, spec.add_table, spec.mul_table, cfg.q, cfg.s)
+        lw = oracles.packed_min_labelweight(rows, k, cfg.n, labels0, spec.add_table, spec.tables().mul, cfg.q, cfg.s)
         failed = int(lw < cfg.target)
         assert gv_monte_carlo(cfg, 1, seed).failures == failed
         outcomes.add(failed)

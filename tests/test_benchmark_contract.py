@@ -41,4 +41,6 @@ def test_traced_scheme_run_keeps_the_benchmark_read_contract():
     unions = {frozenset().union(*combo) for combo in combos}
     assert workloads.eval_table_stats(scheme)["hss.distinct_unions"] == len(unions)
     assert tracer.counters["protocol.frames"] == 2 * params.s + 1
+    # one share_all_secrets call each in run_end_to_end and simulate, C(s, t) shares per secret
+    assert tracer.counters["hss.shares"] == 2 * params.ell * params.m * math.comb(params.s, params.t)
     assert tracer.by_name()["hss.synthesize_eval"]["calls"] == 1

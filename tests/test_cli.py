@@ -276,6 +276,13 @@ def test_demo_over_a_field_above_256(capsys):
     assert err.count("\n") == 1 and err.startswith("error: field order 257 exceeds 256")
 
 
+def test_hermitian_code_over_a_field_above_256_is_refused_before_its_points(capsys):
+    """q = 17 names GF(289): refused at once, not after building 4,913 points."""
+    code, out, err = run(capsys, "code", "build", "--family", "hermitian", "--q", "17", "--k", "2")
+    assert code == 1 and out == ""
+    assert err.count("\n") == 1 and err.startswith("error: field order 289 exceeds 256, ")
+
+
 def test_shares_and_transcripts_over_a_field_above_256_are_refused(capsys, tmp_path):
     """An audit shares over its field, and a transcript names its field
     in its q line: past 256 both exit 1 with one line."""

@@ -267,6 +267,16 @@ def test_goppa_tests_irreducibility_only_of_a_supplied_polynomial(monkeypatch):
 # -- Hermitian ----------------------------------------------------------------
 
 
+def test_hermitian_field_above_256_is_refused_before_its_points():
+    """GF(q^2) above 256 raises FieldTooLarge at once; a q that is no
+    prime power is refused as such first."""
+    for q in (17, 19, 25):
+        with pytest.raises(FieldTooLarge, match=f"field order {q * q} exceeds 256"):
+            hermitian_build(q, 2)
+    with pytest.raises(ParameterOutOfRange, match="-17 is not a prime power"):
+        hermitian_build(-17, 2)
+
+
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hermitian_point_count(q):
     _, pts = hermitian_points(q)

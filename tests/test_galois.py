@@ -290,6 +290,30 @@ def test_find_irreducible_matches_the_oracle_scan(spec):
         assert find_irreducible(spec, degree, exclude=excluded) == oracles.find_irreducible(spec, degree, excluded)
 
 
+def test_find_irreducible_scans_roots_only_at_degree_1():
+    """Irreducibility first, roots at degree 1 only: the same polynomial
+    (or the same ValueError) as the scan that checked every excluded
+    root first, over GF(2^u) for u <= 6 at degrees 1-3, with and without
+    the whole field excluded."""
+
+    def roots_first(spec, degree, exclude):
+        for high in itertools.product(range(spec.q), repeat=degree):
+            candidate = Polynomial(spec, (*reversed(high), 1))
+            if all(candidate(v) for v in exclude) and is_irreducible(candidate):
+                return candidate
+        return None
+
+    for u in range(1, 7):
+        spec = FieldSpec(2, u)
+        for degree, exclude in itertools.product((1, 2, 3), ((), range(spec.q))):
+            want = roots_first(spec, degree, exclude)
+            if want is None:
+                with pytest.raises(ValueError, match="avoids the exclusion set"):
+                    find_irreducible(spec, degree, exclude)
+            else:
+                assert find_irreducible(spec, degree, exclude) == want
+
+
 def test_default_moduli_match_the_oracle_up_to_order_2187():
     """Every FieldSpec(p, k) with p^k <= 3^7 takes the smallest monic
     irreducible modulus, as the trial-division scan finds it."""

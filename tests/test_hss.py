@@ -17,7 +17,6 @@ from labelweight_hss.errors import (
     FieldMismatch,
     FieldTooLarge,
     InsufficientLabelweight,
-    MissingShare,
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import FieldElement, FieldSpec, randrange_run
@@ -26,8 +25,6 @@ from labelweight_hss.hss import (
     HssScheme,
     KeySolutions,
     MonomialId,
-    ShareVector,
-    ServerView,
     cnf_share,
     enumerate_monomials,
     eval_server,
@@ -40,7 +37,6 @@ from labelweight_hss.hss import (
     scheme_from_text,
     scheme_rate,
     scheme_to_text,
-    secret_positions,
     share_all_secrets,
     subsets_of_size,
     synthesize_eval,
@@ -133,31 +129,10 @@ def test_held_mask_orders_fragments_and_views():
         held = list(itertools.compress(subsets, held_mask(subsets, j)))
         assert held == [T for T in subsets if j not in T]
         assert held_subsets(params.s, params.t, j) == tuple(held)
-        for key, shares in bundles.items():
-            assert list(views[j][key]) == held
-            assert list(server_fragment(shares, j)) == held
-            assert views[j][key] == server_fragment(shares, j)
-            # laid out over the one cached tuple per server, which eval_server tests with `is`
-            assert views[j][key].subsets is held_subsets(params.s, params.t, j)
-            assert shares.subsets is subsets
-
-
-def test_share_vector_is_a_read_only_positional_mapping():
-    subsets = subsets_of_size(4, 2)
-    fragment = ShareVector(subsets, [3, 1, 4, 1, 5, 9])
-    assert fragment == dict(zip(subsets, [3, 1, 4, 1, 5, 9])) == dict(fragment)
-    assert list(fragment) == list(subsets) and len(fragment) == 6
-    assert fragment[(3, 4)] == 9 and fragment[(2, 4)] == 5 and fragment[(1, 2)] == 3
-    assert (2, 4) in fragment and (4, 5) not in fragment
-    for foreign in ((4, 5), (2,), (1, 2, 3)):
-        with pytest.raises(KeyError):
-            fragment[foreign]
-    with pytest.raises(TypeError):
-        fragment[(1, 2)] = 0
-    with pytest.raises(TypeError):
-        del fragment[(1, 2)]
-    with pytest.raises(DimensionMismatch):
-        ShareVector(subsets, [1, 2])
+        fragments = {key: server_fragment(dict(zip(subsets, shares)), j) for key, shares in bundles.items()}
+        assert all(list(fragment) == held for fragment in fragments.values())
+        # the view is the fragments' shares laid end to end, in held order
+        assert oracles.view_dicts(params, j, views[j]) == fragments
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 7, 8, 9, 16, 27, 128, 129, 251, 255, 256, 257, 1000])
@@ -171,93 +146,74 @@ def test_randrange_run_draws_what_randrange_draws(q):
             assert bulk.getstate() == one_by_one.getstate()
 
 
-def test_server_view_is_a_read_only_mapping_of_share_vectors():
-    held = held_subsets(4, 1, 2)
-    positions = secret_positions(2, 2)
-    view = ServerView(held, positions, bytes([0, 1, 2, 2, 1, 0, 1, 1, 1, 0, 0, 0]))
-    assert list(view) == [(1, 1), (1, 2), (2, 1), (2, 2)] and len(view) == 4
-    assert view[(1, 2)] == {(1,): 2, (3,): 1, (4,): 0}
-    assert view[(2, 2)].subsets is held and list(view[(2, 2)].shares) == [0, 0, 0]
-    assert view == {key: dict(fragment) for key, fragment in view.items()}
-    with pytest.raises(KeyError):
-        view[(3, 1)]
-    with pytest.raises(TypeError):
-        view[(1, 1)] = ShareVector(held, [0, 0, 0])
-    with pytest.raises(DimensionMismatch):
-        ServerView(held, positions, [0] * 11)
-    with pytest.raises(TypeError):
-        positions[(1, 1)] = 3  # one cached layout, shared by every view
-
-
 def test_share_all_secrets_lays_each_view_out_like_its_fragments():
     params = HssParams(ell=2, m=3, d=2, t=2, s=5, spec=GF3)
     bundles, views = share_all_secrets(params, [[1, 2, 0], [0, 1, 2]], random.Random(3))
+    subsets = subsets_of_size(5, 2)
+    assert list(bundles) == [(i, k) for i in (1, 2) for k in (1, 2, 3)]
+    assert all(type(shares) is bytes and len(shares) == len(subsets) for shares in bundles.values())
     for j, view in views.items():
-        assert type(view) is ServerView and view.held is held_subsets(5, 2, j)
-        assert list(view) == list(bundles) == [(i, k) for i in (1, 2) for k in (1, 2, 3)]
-        assert list(view.shares) == [y for key in view for y in server_fragment(bundles[key], j).values()]
+        assert type(view) is bytes and len(view) == 6 * math.comb(4, 2)
+        fragments = [server_fragment(dict(zip(subsets, bundles[key])), j) for key in bundles]
+        assert list(view) == [y for fragment in fragments for y in fragment.values()]
 
 
 def test_eval_server_reads_a_server_view_as_it_reads_dicts():
-    """The one-piece read of a ServerView and the key-by-key read of the
-    same fragments as dicts agree on results and on errors."""
-    scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)  # m = d: every secret is read
+    """A view as bytes, a list or a tuple evaluates as the per-monomial
+    oracle evaluates the dicts of its fragments; a view of another length,
+    a dict view among them, or with a share outside GF(9), read by the
+    product or not, is refused whole, naming server j."""
+    scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2, m=3)  # the product reads variables 1 and 2
     params, j = scheme.params, 2
-    held, positions = held_subsets(params.s, params.t, j), secret_positions(params.ell, params.m)
-    _, views = share_all_secrets(params, [[1, 2], [3, 4], [5, 6]], random.Random(1))
+    _, views = share_all_secrets(params, [[1, 2, 0], [3, 4, 0], [5, 6, 0]], random.Random(1))
+    view = views[j]  # 9 secrets x 5 held subsets
+    want = oracles.eval_server(scheme, j, oracles.view_dicts(params, j, view))
+    for form in (bytes, list, tuple):
+        assert eval_server(scheme, j, form(view)) == want
 
-    def outcome(view):
-        try:
-            return eval_server(scheme, j, view)
-        except (MissingShare, ParameterOutOfRange) as exc:
-            return type(exc), str(exc)
+    def refused(view):
+        with pytest.raises((DimensionMismatch, ParameterOutOfRange)) as exc:
+            eval_server(scheme, j, view)
+        return type(exc.value), str(exc.value)
 
-    def as_dicts(view):
-        return {key: dict(fragment) for key, fragment in view.items()}
-
-    assert outcome(views[j]) == outcome(as_dicts(views[j])) == eval_server(scheme, j, views[j])
-    # a ServerView over a tuple of ints, not the bytes the wire carries
-    assert outcome(ServerView(held, positions, tuple(views[j].shares))) == outcome(views[j])
-    for at, value in ((7, 9), (0, -1), (20, 300), (5, 1.5)):
-        shares = list(views[j].shares)
-        shares[at] = value
-        bad = ServerView(held, positions, shares)
-        assert outcome(bad) == outcome(as_dicts(bad))
-        assert outcome(bad)[0] is ParameterOutOfRange
-    short = {key: fragment for key, fragment in views[j].items() if key != (2, 1)}
-    assert outcome(short) == (MissingShare, f"server {j} lacks share {held[0]} of secret (2, 1)")
-    # a view of variable 1 only: the product also reads variable 2
-    first = ServerView(held, secret_positions(params.ell, 1), [y for i in (1, 2, 3) for y in views[j][(i, 1)].shares])
-    missing = (MissingShare, f"server {j} lacks share {held[0]} of secret (1, 2)")
-    assert outcome(first) == outcome(as_dicts(first)) == missing
-    # a view with a secret the product does not read, and a bad share in it
-    wider = HssParams(params.s, params.t, params.d, params.ell, params.m + 1, params.spec)
-    _, extra = share_all_secrets(wider, [[1, 2, 0], [3, 4, 0], [5, 6, 0]], random.Random(1))
-    shares = list(extra[j].shares)
-    shares[2 * len(held)] = 9  # secret (1, 3)
-    view = ServerView(held, secret_positions(params.ell, wider.m), shares)
-    assert outcome(view) == outcome(as_dicts(view)) == outcome(extra[j])
+    for short in (view[:-1], list(view) + [0], (), oracles.view_dicts(params, j, view)):
+        message = f"server {j}: view holds {len(short)} shares, not 45 (9 secrets x 5 held subsets)"
+        assert refused(short) == (DimensionMismatch, message)
+    # (offset, value, its secret): offset n is share n % 5 of secret n // 5 in (instance, variable) order
+    cases = [(7, 9, (1, 2)), (0, -1, (1, 1)), (20, 300, (2, 2)), (5, 1.5, (1, 2)),
+             (3, FieldElement(FieldSpec(3, 2), 1), (1, 1)), (12, 9, (1, 3))]
+    for at, value, key in cases:
+        for form in (list, tuple):
+            shares = list(view)
+            shares[at] = value
+            message = f"server {j}: share {value!r} of secret {key} is outside 0..8 (q=9)"
+            assert refused(form(shares)) == (ParameterOutOfRange, message)
+    # a bad byte in secret (1, 3), which the product does not read
+    message = f"server {j}: share 9 of secret (1, 3) is outside 0..8 (q=9)"
+    assert refused(view[:12] + bytes([9]) + view[13:]) == (ParameterOutOfRange, message)
+    # a dict of the right length: its keys are read as the shares
+    flat = dict(zip(oracles._fragment_order(params, j), view))
+    message = f"server {j}: share (1, 1, (1,)) of secret (1, 1) is outside 0..8 (q=9)"
+    assert refused(flat) == (ParameterOutOfRange, message)
 
 
 @pytest.mark.parametrize("bad", [9, 300])
 def test_a_missing_share_is_reported_before_a_bad_share_whatever_its_value(bad):
-    """Server 1's view with the first share of secret (1, 1) outside GF(9)
-    and secret (2, 1) missing: every fragment is read before any share is
-    checked, so the missing share raises whether bytes() converts the bad
-    share (9) or not (300); with (2, 1) present the bad share raises."""
+    """Server 1's view with the first share of secret (1, 1) outside GF(9):
+    the bad share raises, but with the shares of secret (2, 1) missing the
+    short view raises first, whether bytes() converts the bad share (9)
+    or not (300)."""
     scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
     params, j = scheme.params, 1
-    held = held_subsets(params.s, params.t, j)
     _, views = share_all_secrets(params, [[1, 2], [3, 4], [5, 6]], random.Random(1))
-    view = {key: dict(fragment) for key, fragment in views[j].items()}
-    view[(1, 1)][held[0]] = bad
+    view = [bad, *views[j][1:]]
     with pytest.raises(ParameterOutOfRange) as outside:
         eval_server(scheme, j, view)
     assert str(outside.value) == f"server {j}: share {bad} of secret (1, 1) is outside 0..8 (q=9)"
-    del view[(2, 1)]
-    with pytest.raises(MissingShare) as missing:
+    del view[10:15]  # secret (2, 1), the third in (instance, variable) order
+    with pytest.raises(DimensionMismatch) as missing:
         eval_server(scheme, j, view)
-    assert str(missing.value) == f"server {j} lacks share {held[0]} of secret (2, 1)"
+    assert str(missing.value) == f"server {j}: view holds 25 shares, not 30 (6 secrets x 5 held subsets)"
 
 
 def test_secrets_outside_the_field_are_rejected():
@@ -409,8 +365,9 @@ def test_repetition_scheme_matches_hand_solution():
             return 0
 
     shares = cnf_share(1, 1, 2, GF2, Zero())
-    z1 = eval_server(scheme, 1, {(1, 1): server_fragment(shares, 1)})
-    z2 = eval_server(scheme, 2, {(1, 1): server_fragment(shares, 2)})
+    # each server's view is its fragment's shares, in held order
+    z1 = eval_server(scheme, 1, list(server_fragment(shares, 1).values()))
+    z2 = eval_server(scheme, 2, list(server_fragment(shares, 2).values()))
     assert z1 == [1] and z2 == [0]
     assert reconstruct(scheme, [z1[0], z2[0]]) == [1]
 
@@ -466,27 +423,34 @@ def test_scheme_param_mismatches():
 
 
 def test_missing_share_raises():
-    scheme = repetition_scheme()
-    with pytest.raises(MissingShare):
+    """A missing share makes a short view, refused by its length; the dict
+    of fragments the view once was is refused too, never read by key."""
+    scheme = repetition_scheme()  # one secret, one held subset per server
+    for view in (b"", [], (), [1, 0]):
+        with pytest.raises(DimensionMismatch, match=rf"^server 1: view holds {len(view)} shares, not 1 "):
+            eval_server(scheme, 1, view)
+    with pytest.raises(ParameterOutOfRange, match=r"^server 1: share \(1, 1\) of secret \(1, 1\) is outside"):
         eval_server(scheme, 1, {(1, 1): {}})
+    assert scheme._tensors == {}  # each view was refused before the server's planes were built
 
 
-def _views_with_one_share(scheme, j, value):
-    """Dict views of server j, every share 1 except the second share of
+def _view_with_one_share(scheme, j, value):
+    """A list view of server j, every share 1 except the second share of
     secret (2, 1), which is `value`."""
-    held = held_subsets(scheme.params.s, scheme.params.t, j)
     p = scheme.params
-    views = {(i, v): {T: 1 for T in held} for i in range(1, p.ell + 1) for v in range(1, p.m + 1)}
-    views[(2, 1)][held[1]] = value
-    return views
+    h = len(held_subsets(p.s, p.t, j))
+    view = [1] * (p.ell * p.m * h)
+    view[p.m * h + 1] = value  # secret (2, 1) is the (m + 1)-th
+    return view
 
 
 @pytest.mark.parametrize("value", [9, 20, 255, 256, -1, 1.5, FieldElement(FieldSpec(3, 2), 1)])
 def test_eval_server_rejects_shares_outside_the_field(value):
     scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
-    assert eval_server(scheme, 1, _views_with_one_share(scheme, 1, 8)) is not None
-    with pytest.raises(ParameterOutOfRange, match=r"server 1: share .* of secret \(2, 1\) is outside 0..8"):
-        eval_server(scheme, 1, _views_with_one_share(scheme, 1, value))
+    assert eval_server(scheme, 1, _view_with_one_share(scheme, 1, 8)) is not None
+    for form in (list, tuple):
+        with pytest.raises(ParameterOutOfRange, match=r"server 1: share .* of secret \(2, 1\) is outside 0..8"):
+            eval_server(scheme, 1, form(_view_with_one_share(scheme, 1, value)))
 
 
 class _IndexOnly:
@@ -500,14 +464,12 @@ class _IndexOnly:
 
 
 def test_a_view_holds_what_field_codes_keep():
-    """Byte values, so an __index__ share reads as its value, in a dict
-    view and in a ServerView alike."""
+    """Byte values, so an __index__ share reads as its value, in a list
+    view and in a tuple view alike."""
     scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
-    views = _views_with_one_share(scheme, 1, _IndexOnly())
-    held, positions = held_subsets(6, 1, 1), secret_positions(scheme.params.ell, scheme.params.m)
-    whole = ServerView(held, positions, [views[key][T] for key in positions for T in held])
-    want = eval_server(scheme, 1, _views_with_one_share(scheme, 1, 1))
-    assert eval_server(scheme, 1, views) == eval_server(scheme, 1, whole) == want
+    view = _view_with_one_share(scheme, 1, _IndexOnly())
+    want = eval_server(scheme, 1, bytes(_view_with_one_share(scheme, 1, 1)))
+    assert eval_server(scheme, 1, view) == eval_server(scheme, 1, tuple(view)) == want
 
 
 @pytest.mark.parametrize("j", [0, 9, -1])
@@ -627,7 +589,7 @@ def test_degree_one_scaling_linearity():
             return self.vals.pop(0)
 
     shares = cnf_share(1, 1, 2, GF2, Fixed([1]))
-    views = {j: {(1, 1): server_fragment(shares, j)} for j in (1, 2)}
+    views = {j: list(server_fragment(shares, j).values()) for j in (1, 2)}  # one secret: a view is its fragment
     z = [eval_server(scheme, j, views[j])[0] for j in (1, 2)]
     assert reconstruct(scheme, z) == [1]
 

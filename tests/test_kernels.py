@@ -45,7 +45,7 @@ def reference(rows, nrows, ncols, labels0, spec):
 
 
 def args_for(spec, rows, nrows, ncols, labels0, s):
-    return (bytes(rows), nrows, ncols, bytes(labels0), spec.add_table, spec.mul_table, spec.q, s)
+    return (bytes(rows), nrows, ncols, bytes(labels0), spec.add_table, spec.tables().mul, spec.q, s)
 
 
 def random_labels(rng, ncols, s):
@@ -159,7 +159,7 @@ def test_packed_matches_oracle_on_goppa_code():
         code.n,
         bytes(v - 1 for v in code.labeling.map),
         spec.add_table,
-        spec.mul_table,
+        spec.tables().mul,
         spec.q,
         code.s,
     )
@@ -169,7 +169,7 @@ def test_packed_matches_oracle_on_goppa_code():
 def test_no_rows_raise():
     spec = FieldSpec(2)
     with pytest.raises(ValueError):
-        kernels.min_labelweight(b"", 0, 2, bytes([0, 1]), spec.add_table, spec.mul_table, 2, 2)
+        kernels.min_labelweight(b"", 0, 2, bytes([0, 1]), spec.add_table, spec.tables().mul, 2, 2)
 
 
 def test_walk_holds_half_spans_not_the_whole_span():
@@ -178,7 +178,7 @@ def test_walk_holds_half_spans_not_the_whole_span():
     nrows, ncols = 16, 32
     rng = random.Random(16)
     rows = bytes(rng.randrange(2) for _ in range(nrows * ncols))
-    args = (rows, nrows, ncols, bytes(range(ncols)), spec.add_table, spec.mul_table, 2, ncols)
+    args = (rows, nrows, ncols, bytes(range(ncols)), spec.add_table, spec.tables().mul, 2, ncols)
     tracemalloc.start()
     try:
         got = kernels.min_labelweight(*args)
@@ -193,14 +193,14 @@ def test_rank_deficient_rows_are_skipped_not_zero():
     # two equal rows over GF(2): the span is {00, 11}; labelweight 2
     spec = FieldSpec(2)
     rows = bytes([1, 1, 1, 1])
-    got = kernels.min_labelweight(rows, 2, 2, bytes([0, 1]), spec.add_table, spec.mul_table, 2, 2)
+    got = kernels.min_labelweight(rows, 2, 2, bytes([0, 1]), spec.add_table, spec.tables().mul, 2, 2)
     assert got == 2
 
 
 def test_zero_generator_returns_sentinel():
     spec = FieldSpec(2)
     rows = bytes([0, 0])
-    got = kernels.min_labelweight(rows, 1, 2, bytes([0, 1]), spec.add_table, spec.mul_table, 2, 2)
+    got = kernels.min_labelweight(rows, 1, 2, bytes([0, 1]), spec.add_table, spec.tables().mul, 2, 2)
     assert got == 3  # s + 1
 
 
@@ -210,7 +210,7 @@ def test_wide_labels_use_pure_path():
     ncols = 70
     labels0 = bytes(range(70))
     rows = bytes([1] * 70)
-    got = kernels.min_labelweight(rows, 1, ncols, labels0, spec.add_table, spec.mul_table, 2, 70)
+    got = kernels.min_labelweight(rows, 1, ncols, labels0, spec.add_table, spec.tables().mul, 2, 70)
     assert got == 70
 
 

@@ -19,6 +19,7 @@ from labelweight_hss import hss, matrix, protocol
 from labelweight_hss.codes import LabeledCode, Labeling, code_to_text, goppa_build, hermitian_build, labelweight, rs_build
 from labelweight_hss.errors import (
     DecodeError,
+    DimensionMismatch,
     FieldMismatch,
     FieldTooLarge,
     InsufficientLabelweight,
@@ -38,7 +39,6 @@ def test_field_tables_match_digit_loops(p, k):
     q = spec.q
     tables = spec.tables()
     assert spec.add_table is tables.add
-    assert tables.mul == spec.mul_table
     assert list(tables.neg) == [oracles.neg(spec, a) for a in range(q)]
     assert [spec.neg(a) for a in range(q)] == list(tables.neg)
     want_add = [oracles.add(spec, a, b) for a in range(q) for b in range(q)]
@@ -260,13 +260,6 @@ def _views(scheme, seed):
     return hss.share_all_secrets(params, secrets, random.Random(seed + 1))[1]
 
 
-def _as_dicts(view):
-    """A server's view as plain dicts, the form the per-monomial oracle
-    reads share by share (a ServerView would wrap each fragment anew on
-    every lookup)."""
-    return {key: dict(fragment) for key, fragment in view.items()}
-
-
 @pytest.mark.parametrize("name", ["goppa", "hermitian"])
 def test_eval_server_matches_oracle(schemes, name):
     scheme = schemes[name][0]
@@ -276,24 +269,30 @@ def test_eval_server_matches_oracle(schemes, name):
         for chosen in (None, (d,) * d):
             for j in range(1, scheme.params.s + 1):
                 assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(
-                    scheme, j, _as_dicts(views[j]), chosen
+                    scheme, j, oracles.view_dicts(scheme.params, j, views[j]), chosen
                 )
 
 
 def _raised(fn, *args):
     try:
         return "ok", fn(*args)
-    except MissingShare as exc:
-        return "missing", str(exc), type(exc.__cause__)
+    except (MissingShare, DimensionMismatch) as exc:
+        return type(exc).__name__, str(exc)
 
 
 @pytest.mark.parametrize("name", ["goppa", "hermitian"])
 def test_eval_server_missing_share_matches_oracle(schemes, name):
+    """A view with shares missing is refused by both: the oracle's dicts
+    raise MissingShare at the first monomial that reads a missing share,
+    and the package's share sequence, short by the missing shares, is
+    refused by its length before any product is formed, so a zero slot
+    hides nothing."""
     scheme = schemes[name][0]
     params = scheme.params
     j = 2
+    order = oracles._fragment_order(params, j)
     # plain dicts, which the cases below edit
-    base = {key: dict(fragment) for key, fragment in _views(scheme, 7)[j].items()}
+    base = oracles.view_dicts(params, j, _views(scheme, 7)[j])
     inst = params.ell  # the last instance, so earlier monomials evaluate first
     T = next(iter(base[(inst, 2)]))
     cases = []
@@ -310,12 +309,15 @@ def test_eval_server_missing_share_matches_oracle(schemes, name):
     view[(inst, 1)] = dict.fromkeys(view[(inst, 1)], 0)
     del view[(inst, 2)][T]
     cases.append(view)
-    results = [_raised(hss.eval_server, scheme, j, view) for view in cases]
-    assert results[:2] == [_raised(oracles.eval_server, scheme, j, view) for view in cases[:2]]
-    # every share is read before any product is formed, so the zero slot hides nothing
-    assert [r[0] for r in results] == ["missing", "missing", "missing"]
-    assert results[2][1] == f"server {j} lacks share {T} of secret {(inst, 2)}"
-    assert _raised(oracles.eval_server, scheme, j, cases[2])[0] == "ok"
+    old = [_raised(oracles.eval_server, scheme, j, view) for view in cases]
+    assert [r[0] for r in old] == ["MissingShare", "MissingShare", "ok"]
+    assert old[0][1] == f"server {j} lacks share {T} of secret {(inst, 2)}"
+    layout = f"{params.ell * params.m} secrets x {len(base[(1, 1)])} held subsets"
+    for view in cases:
+        # the view's shares that are left, in the package's order
+        shares = bytes(view[(i, k)][U] for i, k, U in order if U in view.get((i, k), {}))
+        message = f"server {j}: view holds {len(shares)} shares, not {len(order)} ({layout})"
+        assert _raised(hss.eval_server, scheme, j, shares) == ("DimensionMismatch", message)
 
 
 @pytest.mark.parametrize("name", ["goppa", "hermitian"])
@@ -329,7 +331,7 @@ def test_simulate_transcript_matches_oracle(schemes, name, monkeypatch):
         return hashlib.sha256(b"".join(transcript.frames)).hexdigest()
 
     def oracle_eval(scheme, j, view, chosen):
-        return oracles.eval_server(scheme, j, _as_dicts(view), chosen)
+        return oracles.eval_server(scheme, j, oracles.view_dicts(scheme.params, j, view), chosen)
 
     transcript, outputs = protocol.simulate(scheme, secrets, seed=5)
     monkeypatch.setattr(protocol, "eval_server", oracle_eval)
@@ -419,11 +421,8 @@ def test_eval_server_matches_oracle_across_fields(name):
         views = _views(scheme, seed)
         for chosen in (None, (params.m,) * params.d):
             for j in range(1, params.s + 1):
-                positional = hss.eval_server(scheme, j, views[j], chosen)
-                # the share vectors read as they are and dicts read by key agree
-                as_dicts = _as_dicts(views[j])
-                assert positional == oracles.eval_server(scheme, j, as_dicts, chosen)
-                assert positional == hss.eval_server(scheme, j, as_dicts, chosen)
+                got = hss.eval_server(scheme, j, views[j], chosen)
+                assert got == oracles.eval_server(scheme, j, oracles.view_dicts(params, j, views[j]), chosen)
     # the tensors ran in every field
     assert sorted(scheme._tensors) == list(range(1, params.s + 1))
 
@@ -447,8 +446,7 @@ def _server_inputs(draw):
         st.lists(element, min_size=len(held), max_size=len(held)),
         st.lists(st.sampled_from([0, 0, 0, 1, params.spec.q - 1]), min_size=len(held), max_size=len(held)),
     )
-    keys = [(i, v) for i in range(1, params.ell + 1) for v in range(1, params.m + 1)]
-    view = {key: hss.ShareVector(held, draw(vector)) for key in keys}
+    view = b"".join(bytes(draw(vector)) for _ in range(params.ell * params.m))
     return scheme, j, chosen, view
 
 
@@ -456,13 +454,10 @@ def _server_inputs(draw):
 @settings(max_examples=100, deadline=None, database=None)
 def test_eval_server_matches_oracles_on_generated_views(inputs):
     scheme, j, chosen, view = inputs
-    expected = oracles.eval_server(scheme, j, view, chosen)
+    expected = oracles.eval_server(scheme, j, oracles.view_dicts(scheme.params, j, view), chosen)
     assert hss.eval_server(scheme, j, view, chosen) == expected
-    # the same fragments in one ServerView, read in one piece
-    params, held = scheme.params, next(iter(view.values())).subsets
-    shares = [y for fragment in view.values() for y in fragment.shares]
-    whole = hss.ServerView(held, hss.secret_positions(params.ell, params.m), shares)
-    assert hss.eval_server(scheme, j, whole, chosen) == expected
+    # the same shares as a list
+    assert hss.eval_server(scheme, j, list(view), chosen) == expected
 
 
 @pytest.mark.parametrize("name", ["goppa", "rs5"])
@@ -478,27 +473,6 @@ def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name)
     digest = hashlib.sha256(b"".join(transcript.frames)).hexdigest()
     assert hashlib.sha256(b"".join(parsed_transcript.frames)).hexdigest() == digest
     assert sorted(parsed._tensors) == list(range(1, scheme.params.s + 1))
-
-
-@pytest.mark.parametrize("name", ["goppa", "rs5"])
-def test_eval_server_reordered_fragment_matches_oracle(wire_schemes, name):
-    """A fragment with the right keys in another order, as a dict or as a
-    ShareVector over a rotated tuple of subsets, is still read by key."""
-    scheme = wire_schemes[name]
-    views = _views(scheme, 5)
-    for j in (1, scheme.params.s):
-        view, vectors = {}, {}
-        for key, fragment in views[j].items():
-            items = list(fragment.items())
-            items = items[1:] + items[:1]  # rotated by one key
-            view[key] = dict(items)
-            vectors[key] = hss.ShareVector(tuple(T for T, _ in items), [y for _, y in items])
-        assert all(list(view[key]) != list(views[j][key]) for key in view)
-        expected = oracles.eval_server(scheme, j, view)
-        assert hss.eval_server(scheme, j, view) == expected
-        assert hss.eval_server(scheme, j, vectors) == expected
-        # the fragments of the product's variables 1..d were looked up by key
-        assert all(fragment._index is not None for (_, v), fragment in vectors.items() if v <= scheme.params.d)
 
 
 @pytest.mark.parametrize("s,t,d,ell", [(2, 1, 1, 1), (5, 1, 2, 2), (5, 2, 2, 3), (6, 1, 3, 2)])
@@ -894,27 +868,26 @@ def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
         assert hss.eval_server(scheme, j, views[j]) == [0] * len(scheme.code.labeling.coords(j))
     assert not calls
     held, planes, _ = _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
-    slots = hss._slot_vectors(views[1], held, params.ell, hss.product_variables(params), 1, params.spec)
+    slots = hss._slot_vectors(views[1], held, params, hss.product_variables(params), 1)
     assert hss.eval_server(scheme, 1, views[1]) == oracles.contract_planes(params.spec, planes, slots, len(held))
     assert calls
 
 
 def test_always_zero_server_checks_its_views_as_before():
-    """The view of a server that outputs zeros is checked share by share
-    like any other, with the same errors."""
+    """The view of a server that outputs zeros is checked whole like any
+    other, with the same errors."""
     scheme = _case_scheme("hermitian-setup")
     params, j = scheme.params, 27
-    held = hss.held_subsets(params.s, params.t, j)
-    views = _views(scheme, 1)
-    as_dicts = {key: dict(fragment) for key, fragment in views[j].items()}
-    assert hss.eval_server(scheme, j, views[j]) == hss.eval_server(scheme, j, as_dicts) == [0]
-    short = {key: fragment for key, fragment in as_dicts.items() if key != (2, 1)}
-    with pytest.raises(MissingShare) as missing:
-        hss.eval_server(scheme, j, short)
-    assert str(missing.value) == f"server {j} lacks share {held[0]} of secret (2, 1)"
-    shares = list(views[j].shares)
-    shares[views[j].positions[(2, 1)] * len(held) + 3] = 9
-    for bad in (hss.ServerView(held, views[j].positions, shares), {**as_dicts, (2, 1): {**as_dicts[(2, 1)], held[3]: 9}}):
+    h = len(hss.held_subsets(params.s, params.t, j))
+    view = _views(scheme, 1)[j]
+    assert hss.eval_server(scheme, j, view) == hss.eval_server(scheme, j, list(view)) == [0]
+    layout = f"{params.ell * params.m} secrets x {h} held subsets"
+    for short in (view[:-h], oracles.view_dicts(params, j, view)):
+        with pytest.raises(DimensionMismatch) as missing:
+            hss.eval_server(scheme, j, short)
+        assert str(missing.value) == f"server {j}: view holds {len(short)} shares, not {len(view)} ({layout})"
+    at = params.m * h + 3  # share 3 of secret (2, 1)
+    for bad in (view[:at] + bytes([9]) + view[at + 1 :], [*view[:at], 9, *view[at + 1 :]]):
         with pytest.raises(ParameterOutOfRange) as outside:
             hss.eval_server(scheme, j, bad)
         assert str(outside.value) == f"server {j}: share 9 of secret (2, 1) is outside 0..8 (q=9)"
@@ -1130,8 +1103,10 @@ def test_share_all_secrets_matches_oracle(wire_schemes, name):
     secrets = _secrets(params, 4)
     bundles, views = hss.share_all_secrets(params, secrets, random.Random(9))
     old_bundles, old_views = oracles.share_all_secrets(params, secrets, random.Random(9))
-    assert _ordered(bundles) == _ordered(old_bundles)
-    assert _ordered(views) == _ordered(old_views)
+    subsets = hss.subsets_of_size(params.s, params.t)
+    as_maps = {key: dict(zip(subsets, shares, strict=True)) for key, shares in bundles.items()}
+    assert _ordered(as_maps) == _ordered(old_bundles)
+    assert _ordered({j: oracles.view_dicts(params, j, view) for j, view in views.items()}) == _ordered(old_views)
 
 
 def test_cnf_share_matches_oracle():
@@ -1267,7 +1242,7 @@ def test_width_one_payloads_are_bytes(wire_schemes, name):
 
 
 def test_servers_evaluate_their_decoded_payload_without_a_copy(wire_schemes, monkeypatch):
-    """The ServerView each server evaluates holds its decoded INPUT_SHARES payload itself."""
+    """The view each server evaluates is its decoded INPUT_SHARES payload itself."""
     scheme = wire_schemes["goppa-wire"]
     decoded, evaluated = {}, {}
 
@@ -1287,7 +1262,7 @@ def test_servers_evaluate_their_decoded_payload_without_a_copy(wire_schemes, mon
     protocol.simulate(scheme, _secrets(scheme.params, 3), 3)
     assert sorted(evaluated) == sorted(decoded) == list(range(1, scheme.params.s + 1))
     for j, view in evaluated.items():
-        assert type(view) is hss.ServerView and view.shares is decoded[j]
+        assert view is decoded[j]
 
 
 # -- codec properties ------------------------------------------------------------------

@@ -9,7 +9,7 @@ from labelweight_hss import protocol
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
 from labelweight_hss.errors import DecodeError, FieldMismatch, ParameterOutOfRange
 from labelweight_hss.galois import FieldElement, FieldSpec, first_outside
-from labelweight_hss.hss import ShareVector, held_subsets, run_end_to_end, scheme_for_code, scheme_rate
+from labelweight_hss.hss import run_end_to_end, scheme_for_code, scheme_rate
 from labelweight_hss.matrix import MatrixF
 from labelweight_hss.protocol import (
     INPUT_SHARES,
@@ -135,8 +135,8 @@ def test_simulate_rejects_secrets_outside_the_field():
 
 
 def test_servers_read_their_payload_slices_without_dicts(monkeypatch):
-    """Every fragment a server evaluates is a slice of its decoded payload,
-    laid out over the cached held subsets and never looked up by key."""
+    """Every view a server evaluates is its decoded payload, one bytes
+    object, which eval_server slices and never looks up by key."""
     scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
     seen = []
 
@@ -148,10 +148,8 @@ def test_servers_read_their_payload_slices_without_dicts(monkeypatch):
     monkeypatch.setattr(protocol, "eval_server", recording)
     transcript, _ = simulate(scheme, [[1, 2, 3], [4, 0, 1]], seed=6)
     assert [j for j, _ in seen] == [1, 2, 3, 4, 5]
-    for (j, views), message in zip(seen, transcript.messages):
-        held = held_subsets(5, 1, j)
-        assert all(type(f) is ShareVector and f.subsets is held and f._index is None for f in views.values())
-        assert [y for f in views.values() for y in f.shares] == list(message.payload)
+    for (j, view), message in zip(seen, transcript.messages):
+        assert type(view) is bytes and view == message.payload and message.receiver == j
 
 
 def test_hermitian_measured_download_rate():
