@@ -24,7 +24,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 import oracles  # noqa: E402
 from labelweight_hss import kernels  # noqa: E402
 from labelweight_hss.codes import Labeling, goppa_build, hermitian_build  # noqa: E402
-from labelweight_hss.galois import FieldSpec  # noqa: E402
+from labelweight_hss.galois import FieldSpec, prime_power  # noqa: E402
 
 
 def code_case(name, code):
@@ -44,11 +44,7 @@ def random_case(name, q, k, n, seed, labeling=None, unit_row=None):
     """A uniform random generator, identity labels unless `labeling` is
     given; `unit_row` replaces that row by the first unit vector, a word
     of labelweight 1."""
-    p = 2 if q % 2 == 0 else q
-    e = 1
-    while p**e < q:
-        e += 1
-    spec = FieldSpec(p, e)
+    spec = FieldSpec(*prime_power(q))
     rng = random.Random(seed)
     rows = bytearray(rng.randrange(q) for _ in range(k * n))
     if unit_row is not None:
@@ -83,6 +79,7 @@ def main() -> int:
         random_case("random [18,9] GF(4)", 4, 9, 18, seed=2),
         random_case("random [20,10] GF(3)", 3, 10, 20, seed=3),
         random_case("random [14,5] GF(7)", 7, 5, 14, seed=4),
+        random_case("random [10,5] GF(9)", 9, 5, 10, seed=6),
         random_case("random [12,6] GF(5) weight 1", 5, 6, 12, seed=5, unit_row=0),
     ]
     runs = [(case, True) for case in cases]

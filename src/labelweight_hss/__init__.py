@@ -22,7 +22,7 @@ from .codes import (
     min_distance,
     rs_build,
 )
-from .galois import FieldElement, FieldSpec, Polynomial, find_irreducible
+from .galois import FieldSpec, Polynomial, find_irreducible
 from .hss import (
     HssParams,
     HssScheme,
@@ -39,7 +39,6 @@ from .matrix import MatrixF, kernel_basis, rref, solve_particular
 from .protocol import simulate
 
 __all__ = [
-    "FieldElement",
     "FieldSpec",
     "HssParams",
     "HssScheme",

@@ -128,8 +128,8 @@ def word_labelweight(labeling: Labeling, word: Sequence[int]) -> int:
 def labelweight(code: LabeledCode, word: Sequence | None = None) -> int:
     """Labelweight of one word, or of the whole code when `word` is None.
 
-    The word's entries are elements of the code's field or their codes
-    (FieldSpec.code_of).  The whole-code form enumerates every nonzero
+    The word's entries are element codes of the code's field, each read
+    by FieldSpec.code_of.  The whole-code form enumerates every nonzero
     message exhaustively (span_labelweight).
     """
     if word is not None:
@@ -196,8 +196,8 @@ def goppa_build(
     """Binary Goppa code from a degree-r polynomial over GF(2^u).
 
     `g` defaults to the smallest monic irreducible of degree r with no
-    roots on the support (find_irreducible); `points` (element codes or
-    elements of GF(2^u)) default to all of GF(2^u).  For r = 1 every monic
+    roots on the support (find_irreducible); `points` (element codes of
+    GF(2^u)) default to all of GF(2^u).  For r = 1 every monic
     linear polynomial has its root in the full field, so the support
     shrinks by that single root (n = 2^u - 1) instead of failing.  A
     caller-supplied g must be monic, irreducible, of degree r over
@@ -237,7 +237,7 @@ def goppa_build(
     if n == 0:
         raise ParameterOutOfRange("empty support")
 
-    ginv = [ext.inv(g(a).value) for a in support]
+    ginv = [ext.inv(g(a)) for a in support]
     parity = [[ext.mul(ext.pow(a, j), gi) for a, gi in zip(support, ginv)] for j in range(r)]
 
     binary = FieldSpec(2, 1)

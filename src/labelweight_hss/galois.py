@@ -3,9 +3,11 @@
 Field elements are integer codes in ``[0, p**k)``: the base-p digits of a
 code are the coefficients of the residue polynomial, constant term first,
 so code ``c0 + c1*p + ... + c_{k-1}*p^{k-1}`` stands for the coefficient
-vector ``(c0, ..., c_{k-1})``.  All element orderings in this package
-(point enumeration, modulus search, evaluation supports) are the natural
-order of these codes.
+vector ``(c0, ..., c_{k-1})``.  The code is the one form of an element:
+every reader of element values takes it through :meth:`FieldSpec.code_of`,
+and polynomial evaluation returns one.  All element orderings in this
+package (point enumeration, modulus search, evaluation supports) are the
+natural order of these codes.
 
 A :class:`FieldSpec` fixes the characteristic ``p``, extension degree
 ``k`` and an explicit monic irreducible modulus polynomial; specs compare
@@ -37,7 +39,7 @@ import functools
 import itertools
 import operator
 import random
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import FieldMismatch, FieldTooLarge, ParameterOutOfRange
 
@@ -217,35 +219,15 @@ class FieldSpec:
         return b"".join(parts)
 
     def code_of(self, value) -> int:
-        """The element code of `value`, an element of this field or an
-        integer code (see _integer).  Raises FieldMismatch for an element
-        of another field and ValueError for any other value or a code
-        outside [0, q)."""
+        """`value` as an element code of this field: an int in 0..q-1, read
+        by operator.index (see _integer).  Raises ValueError for any other
+        value or a code outside [0, q)."""
         if type(value) is int and 0 <= value < self.q:
             return value
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise FieldMismatch(f"value {value!r} does not belong to {self.describe()}")
-            return value.value
         code = _integer(value, self.q)
         if not 0 <= code < self.q:
             raise ValueError(f"value {code} is outside 0..{self.q - 1} (q={self.q})")
         return code
-
-    def element(self, value) -> "FieldElement":
-        """Wrap an element code (or coefficient sequence) as a FieldElement."""
-        if isinstance(value, (list, tuple)):
-            value = self.encode(value)
-        return FieldElement(self, self.code_of(value))
-
-    def elements(self) -> Iterator["FieldElement"]:
-        return (FieldElement(self, v) for v in range(self.q))
-
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1 % self.q)
 
     # -- raw arithmetic on codes ----------------------------------------
 
@@ -285,9 +267,6 @@ class FieldSpec:
         if self.q <= MAX_TABLE_ORDER:
             return (self._tables or self.tables()).inv[a]
         return self.pow(a, self.q - 2)
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -402,64 +381,6 @@ def _integer(value, q: int) -> int:
         raise ValueError(f"value {value!r} is not an integer in 0..{q - 1} (q={q})") from None
 
 
-class FieldElement:
-    """An element of a FieldSpec, identified by its integer code."""
-
-    __slots__ = ("spec", "value")
-
-    def __init__(self, spec: FieldSpec, value: int):
-        self.spec = spec
-        self.value = value
-
-    @property
-    def coeffs(self) -> tuple[int, ...]:
-        return self.spec.coeffs(self.value)
-
-    def _coerce(self, other) -> int:
-        if not isinstance(other, FieldElement):
-            raise FieldMismatch(f"cannot combine field element with {type(other).__name__}")
-        if other.spec != self.spec:
-            raise FieldMismatch(f"mixed fields: {self.spec.describe()} vs {other.spec.describe()}")
-        return other.value
-
-    def __add__(self, other):
-        return FieldElement(self.spec, self.spec.add(self.value, self._coerce(other)))
-
-    def __sub__(self, other):
-        return FieldElement(self.spec, self.spec.sub(self.value, self._coerce(other)))
-
-    def __mul__(self, other):
-        return FieldElement(self.spec, self.spec.mul(self.value, self._coerce(other)))
-
-    def __truediv__(self, other):
-        return FieldElement(self.spec, self.spec.div(self.value, self._coerce(other)))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.value, e))
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.value))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, FieldElement)
-            and other.spec == self.spec
-            and other.value == self.value
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.spec, self.value))
-
-    def __repr__(self) -> str:
-        return f"GF({self.spec.p}^{self.spec.k}):{self.value}"
-
-
 class Polynomial:
     """Polynomial over one FieldSpec; coefficients constant-term first.
 
@@ -470,11 +391,10 @@ class Polynomial:
     __slots__ = ("spec", "coeffs")
 
     def __init__(self, spec: FieldSpec, coeffs: Iterable):
-        codes = []
-        for c in coeffs:
-            if spec.k == 1 and not isinstance(c, FieldElement):
-                c = _integer(c, spec.q) % spec.q  # integers reduce mod p over a prime field
-            codes.append(spec.code_of(c))
+        if spec.k == 1:  # integers reduce mod p over a prime field
+            codes = [_integer(c, spec.q) % spec.q for c in coeffs]
+        else:
+            codes = list(map(spec.code_of, coeffs))
         while codes and codes[-1] == 0:
             codes.pop()
         self.spec = spec
@@ -596,14 +516,14 @@ class Polynomial:
             return self
         return self.scale(self.spec.inv(self.coeffs[-1]))
 
-    def __call__(self, x) -> FieldElement:
-        """Evaluate by Horner's rule; accepts an element or a raw code."""
+    def __call__(self, x) -> int:
+        """The code of the value at the element code x, by Horner's rule."""
         f = self.spec
         code = f.code_of(x)
         acc = 0
         for c in reversed(self.coeffs):
             acc = f.add(f.mul(acc, code), c)
-        return FieldElement(f, acc)
+        return acc
 
     def __repr__(self) -> str:
         if self.is_zero():
@@ -658,7 +578,7 @@ def find_irreducible(spec: FieldSpec, degree: int, exclude: Iterable = ()) -> Po
     Candidates are scanned in increasing coefficient-code order
     ``c_0 + c_1*q + ... + c_{degree-1}*q^(degree-1)`` of their
     coefficients below the leading 1, so the result is deterministic.
-    `exclude` holds element codes or elements of `spec`; only degree 1
+    `exclude` holds element codes of `spec`; only degree 1
     can be ruled out by it, since higher-degree irreducibles have no roots
     in the field, so each candidate is tested for irreducibility first and
     its roots are scanned at degree 1 only.  Raises ValueError if the

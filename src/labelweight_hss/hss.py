@@ -40,7 +40,6 @@ from .errors import (
     DecodeError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
-    FieldMismatch,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
@@ -52,10 +51,21 @@ from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py p
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v3"
 
 
+def _integer_parameter(name: str, value) -> int:
+    """The integer parameter `name`, read by operator.index as secrets and
+    product_variables read theirs (a bool is an int); anything else, such
+    as 1.5 or 1.0, raises ParameterOutOfRange naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class HssParams:
     """Scheme parameters: s servers, t privacy, degree d, amortization ell,
-    m variables per instance, over the given field."""
+    m variables per instance, over the given field.  Each count is read by
+    _integer_parameter and stored as that int."""
 
     s: int
     t: int
@@ -65,6 +75,8 @@ class HssParams:
     spec: FieldSpec
 
     def __post_init__(self):
+        for name in ("s", "t", "d", "ell", "m"):
+            object.__setattr__(self, name, _integer_parameter(name, getattr(self, name)))
         if self.t < 1 or self.d < 1:
             raise ParameterOutOfRange(f"t and d must both be >= 1, got t={self.t}, d={self.d}")
         if self.s - self.d * self.t <= 0:
@@ -132,15 +144,13 @@ def _xor_fold(codes: bytes) -> int:
 
 
 def _code_of_secret(spec: FieldSpec, x, key: tuple[int, int] | None = None) -> int:
-    """spec.code_of(x), its error prefixed with "secret" and the secret's
-    (instance, variable) `key`, if given: a value that is no code of the
-    field raises ParameterOutOfRange, an element of another field
-    FieldMismatch."""
+    """spec.code_of(x), its ValueError raised as ParameterOutOfRange
+    prefixed with "secret" and the secret's (instance, variable) `key`, if
+    given."""
     try:
         return spec.code_of(x)
-    except (ValueError, FieldMismatch) as exc:
-        kind = FieldMismatch if isinstance(exc, FieldMismatch) else ParameterOutOfRange
-        raise kind(f"secret {exc}" if key is None else f"secret {key} {exc}") from None
+    except ValueError as exc:
+        raise ParameterOutOfRange(f"secret {exc}" if key is None else f"secret {key} {exc}") from None
 
 
 def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[list[int]]:
@@ -153,12 +163,12 @@ def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[list[i
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tuple[int, ...], int]:
-    """Replicated t-private sharing of one secret (an int in 0..q-1 or an
-    element of spec).
+    """Replicated t-private sharing of one secret, an element code of spec.
 
     Returns the full share map {T: y_T}; server j's fragment is every
     entry with j not in T (see held_mask).
     """
+    t, s = _integer_parameter("t", t), _integer_parameter("s", s)
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     code = _code_of_secret(spec, x)
@@ -450,6 +460,7 @@ def eval_server(
     holds what FieldSpec.codes keeps: byte values.
     """
     params = scheme.params
+    j = _integer_parameter("j", j)
     if not 1 <= j <= params.s:
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = product_variables(params, var_indices)
@@ -688,8 +699,8 @@ def reconstruct(scheme: HssScheme, z: Sequence[int]) -> list[int]:
 def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: random.Random):
     """CNF-share an ell x m secret matrix; returns (bundles, per-server views).
 
-    Each secret is an int in 0..q-1 or an element of the scheme's field;
-    any other value raises before a share is drawn.  Secrets are shared
+    Each secret is an element code of the scheme's field; any other value
+    raises before a share is drawn.  Secrets are shared
     independently in (instance, variable) order, so a fixed seed
     reproduces the exact same share values.  bundles[(i, k)] is the
     bytes of secret (i, k)'s C(s, t) shares, in subsets_of_size(s, t)
@@ -810,6 +821,7 @@ def privacy_audit(t: int, s: int, spec: FieldSpec) -> PrivacyReport:
     audit covers every batch size and product degree.  Past the privacy
     budget, raises EnumerationBudgetExceeded.
     """
+    t, s = _integer_parameter("t", t), _integer_parameter("s", s)
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     free = math.comb(s, t) - 1

@@ -18,7 +18,7 @@ from .galois import FieldSpec, digit_layout
 
 
 class MatrixF:
-    """r x c matrix over a FieldSpec, cells stored as element codes (each read by FieldSpec.code_of)."""
+    """r x c matrix over a FieldSpec; each cell is an element code, read by FieldSpec.code_of."""
 
     __slots__ = ("spec", "rows", "cols", "data")
 

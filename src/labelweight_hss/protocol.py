@@ -40,8 +40,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence
 
-from .errors import DecodeError, FieldTooLarge
-from .galois import first_outside, require_table_order
+from .errors import DecodeError, FieldTooLarge, ParameterOutOfRange
+from .galois import first_outside, prime_power, require_table_order
 from .hss import (
     HssScheme,
     collect_output_shares,
@@ -197,7 +197,9 @@ def transcript_to_text(transcript: Transcript) -> str:
 
 
 def transcript_from_text(text: str) -> Transcript:
-    """Rebuild a transcript from its hex dump (for replay / inspection)."""
+    """Rebuild a transcript from its hex dump (for replay / inspection).
+    The q line must name a field the package takes, a prime power up to
+    256, and every frame must decode over it; else DecodeError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != TRANSCRIPT_FORMAT_TAG:
         raise DecodeError(f"missing {TRANSCRIPT_FORMAT_TAG} header")
@@ -207,11 +209,10 @@ def transcript_from_text(text: str) -> Transcript:
         q = int(lines[1][2:])
     except ValueError as exc:
         raise DecodeError(f"bad field order line {lines[1]!r}") from exc
-    if q < 2:
-        raise DecodeError(f"field order {q} is below 2")
     try:
-        require_table_order(q)
-    except FieldTooLarge as exc:
+        require_table_order(q)  # first, so prime_power never trial-divides a large q
+        prime_power(q)
+    except (FieldTooLarge, ParameterOutOfRange) as exc:
         raise DecodeError(str(exc)) from None
     frames = []
     for line in lines[2:]:

@@ -80,14 +80,12 @@ from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
-    FieldMismatch,
     InsufficientLabelweight,
     MissingShare,
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import (
     NEG_INFINITY,
-    FieldElement,
     FieldSpec,
     FieldTables,
     Polynomial,
@@ -224,7 +222,7 @@ def is_irreducible(poly: Polynomial) -> bool:
         return True
     f = poly.spec
     if deg <= 3:
-        return all(poly(v).value != 0 for v in range(f.q))
+        return all(poly(v) != 0 for v in range(f.q))
     for d in range(1, int(deg) // 2 + 1):
         for code in range(f.q**d):
             if (poly % _monic(f, code, d)).is_zero():
@@ -237,7 +235,7 @@ def find_irreducible(spec: FieldSpec, degree: int, exclude=()) -> Polynomial:
     with no root in `exclude` (element codes)."""
     for code in range(spec.q**degree):
         candidate = _monic(spec, code, degree)
-        if all(candidate(v).value for v in exclude) and is_irreducible(candidate):
+        if all(candidate(v) for v in exclude) and is_irreducible(candidate):
             return candidate
     raise ValueError(f"no monic irreducible of degree {degree} over {spec.describe()} avoids the exclusion set")
 
@@ -1036,15 +1034,11 @@ def server_fragment(shares, j: int) -> dict:
 
 def secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:
     """The integer code of a secret (the one at `key` of a secret matrix,
-    if given): an int in 0..q-1 or an element of `spec`.  Anything else
-    would be shared as some other secret."""
+    if given): an int in 0..q-1.  Anything else would be shared as some
+    other secret."""
     if type(x) is int and 0 <= x < spec.q:
         return x
     name = "secret" if key is None else f"secret {key}"
-    if isinstance(x, FieldElement):
-        if x.spec != spec:
-            raise FieldMismatch(f"{name} is an element of {x.spec.describe()}, not {spec.describe()}")
-        x = x.value
     try:
         code = operator.index(x)
     except TypeError:
@@ -1057,7 +1051,7 @@ def secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng) -> dict[tuple[int, ...], int]:
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
-    code = x.value if isinstance(x, FieldElement) else int(x)
+    code = int(x)
     subsets = subsets_of_size(s, t)
     stream = [rng.randrange(spec.q) for _ in range(len(subsets) - 1)]  # was spec.rand(rng)
     return _shares_from_stream(code, subsets, stream, spec)
@@ -1132,7 +1126,7 @@ def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indi
         return decode(frame, spec.q)
 
     rng = random.Random(seed)
-    grid = [[int(v) if not hasattr(v, "value") else v.value for v in row] for row in secrets]
+    grid = [[int(v) for v in row] for row in secrets]
     _, views = share_all_secrets(params, grid, rng)
     inboxes = {}
     for j in range(1, params.s + 1):

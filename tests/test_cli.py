@@ -197,7 +197,7 @@ def test_simulate_with_transcript_dump_and_replay(capsys, tmp_path):
     assert "downloaded-symbols 5" in out
 
 
-@pytest.mark.parametrize("q_line", ["q x", "q 0", "q 1", "q -5", "q 2.5"])
+@pytest.mark.parametrize("q_line", ["q x", "q 0", "q 1", "q -5", "q 2.5", "q 6", "q 100"])
 def test_replay_rejects_a_bad_field_order_line(capsys, tmp_path, q_line):
     path = tmp_path / "transcript.txt"
     path.write_text(f"labelweight-hss-transcript/v1\n{q_line}\n")

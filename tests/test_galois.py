@@ -1,14 +1,16 @@
+import functools
 import itertools
 import random
+from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from labelweight_hss.codes import labelweight, rs_build
+from labelweight_hss.codes import goppa_build, labelweight, rs_build
 from labelweight_hss.errors import FieldMismatch, FieldTooLarge, ParameterOutOfRange
 from labelweight_hss.galois import (
     NEG_INFINITY,
-    FieldElement,
     FieldSpec,
     Polynomial,
     find_irreducible,
@@ -18,7 +20,9 @@ from labelweight_hss.galois import (
     poly_pow_mod,
     prime_power,
 )
+from labelweight_hss.hss import cnf_share, run_end_to_end, scheme_for_code
 from labelweight_hss.matrix import MatrixF
+from labelweight_hss.protocol import simulate
 
 GF2 = FieldSpec(2)
 GF3 = FieldSpec(3)
@@ -40,20 +44,18 @@ def test_default_moduli_are_the_classical_ones():
 
 
 def test_mod5_addition():
-    assert (GF5.element(2) + GF5.element(4)).value == 1
+    assert GF5.add(2, 4) == 1
 
 
 def test_inverse_axiom_gf8():
-    one = GF8.one()
-    for x in GF8.elements():
-        if x.value:
-            assert x * x.inv() == one
+    for x in range(1, GF8.q):
+        assert GF8.mul(x, GF8.inv(x)) == 1
 
 
 def test_gf4_generator_square():
     # alpha * alpha = alpha + 1 under modulus x^2 + x + 1
-    alpha = GF4.element([0, 1])
-    assert (alpha * alpha).value == GF4.encode([1, 1])
+    alpha = GF4.encode([0, 1])
+    assert GF4.mul(alpha, alpha) == GF4.encode([1, 1])
 
 
 @pytest.mark.parametrize("spec", SMALL_FIELDS)
@@ -93,23 +95,23 @@ def test_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         GF4.inv(0)
     with pytest.raises(ZeroDivisionError):
-        GF5.element(3) / GF5.element(0)
+        GF5.pow(0, -1)
+    with pytest.raises(ZeroDivisionError):
+        FieldSpec(2, 9).inv(0)
 
 
 def test_field_mismatch():
-    with pytest.raises(FieldMismatch):
-        GF4.element(1) + GF8.element(1)
+    """Only polynomials carry a field, so only they can mix two."""
+    with pytest.raises(FieldMismatch, match="polynomials over different fields"):
+        Polynomial(GF4, [1]) + Polynomial(GF8, [1])
 
 
 def test_code_of_takes_own_elements_and_codes_only():
-    assert GF8.code_of(GF8.element(5)) == GF8.code_of(5) == 5
-    assert GF8.element(GF8.element(5)) == GF8.element(5)
-    with pytest.raises(FieldMismatch, match="does not belong to GF\\(2\\^3\\)"):
-        GF8.code_of(GF4.element(1))
-    with pytest.raises(FieldMismatch):
-        GF8.element(GF4.element(1))
-    for bad in (-1, 8):
-        with pytest.raises(ValueError, match=r"value -?\d is outside 0\.\.7 \(q=8\)"):
+    """An element of GF(8) is its code, an int in 0..7: the codes of
+    GF(16) above 7 are refused as any int outside the range is."""
+    assert GF8.code_of(5) == 5 and type(GF8.code_of(True)) is int
+    for bad in (-1, 8, 15):
+        with pytest.raises(ValueError, match=r"value -?\d+ is outside 0\.\.7 \(q=8\)"):
             GF8.code_of(bad)
 
 
@@ -124,7 +126,7 @@ def test_code_of_takes_own_elements_and_codes_only():
         ((3, -1), 257, -1),
         ([1, 1.5, 9], 5, 1.5),
         ([True, 0], 2, None),
-        ([2, GF5.element(1)], 5, GF5.element(1)),
+        ([2, Fraction(1, 2)], 5, Fraction(1, 2)),
     ],
 )
 def test_first_outside_is_the_first_value_that_is_no_code(values, q, first):
@@ -132,9 +134,9 @@ def test_first_outside_is_the_first_value_that_is_no_code(values, q, first):
 
 
 def test_element_codes_are_integers_only():
-    """Every reader of element codes takes ints, bools and its field's
-    elements, and raises ValueError for a float or a string instead of
-    truncating or parsing it."""
+    """Every reader of element codes takes ints and bools, and raises
+    ValueError for a float or a string instead of truncating or parsing
+    it."""
     code = rs_build(5, 5, 2)
     readers = [
         GF5.code_of,
@@ -143,10 +145,46 @@ def test_element_codes_are_integers_only():
         lambda v: labelweight(code, word=[0, 0, v, 0, 0]),
     ]
     for read in readers:
-        assert read(3) == read(GF5.element(3)) and read(True) == read(1)
+        assert read(True) == read(1)
         for bad in (1.5, "3"):
             with pytest.raises(ValueError, match="is not an integer"):
                 read(bad)
+
+
+@functools.cache
+def _rs5_scheme():
+    return scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
+
+
+# reader -> (its field, the prefix of its message, a call that reads one value)
+CODE_READERS = {
+    "code_of": (GF5, "", GF5.code_of),
+    "Polynomial": (GF5, "", lambda v: Polynomial(GF5, [1, v])),
+    "Polynomial.scale": (GF5, "", lambda v: Polynomial(GF5, [1, 1]).scale(v)),
+    "Polynomial.__call__": (GF5, "", lambda v: Polynomial(GF5, [1, 1])(v)),
+    "MatrixF": (GF5, "", lambda v: MatrixF(GF5, [[1, v]])),
+    "labelweight": (GF5, "", lambda v: labelweight(rs_build(5, 5, 2), word=[0, 0, v, 0, 0])),
+    "goppa_build": (GF16, "", lambda v: goppa_build(4, 2, points=[0, v])),
+    "find_irreducible": (GF5, "", lambda v: find_irreducible(GF5, 1, exclude=[v])),
+    "cnf_share": (GF5, "secret ", lambda v: cnf_share(v, 1, 3, GF5, random.Random(0))),
+    "run_end_to_end": (GF5, "secret (1, 2) ", lambda v: run_end_to_end(_rs5_scheme(), [[1, v, 1], [1, 1, 1]], 3)),
+    "simulate": (GF5, "secret (1, 2) ", lambda v: simulate(_rs5_scheme(), [[1, v, 1], [1, 1, 1]], seed=3)),
+}
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), "3", SimpleNamespace(value=3)], ids=["Fraction", "str", "value"])
+@pytest.mark.parametrize("reader", list(CODE_READERS))
+def test_every_reader_refuses_a_non_integer_in_the_words_of_code_of(reader, value):
+    """Every reader of element values takes codes only, and refuses
+    anything else with code_of's ValueError; a secret's is prefixed with
+    "secret" and its (i, k), as ParameterOutOfRange."""
+    spec, prefix, read = CODE_READERS[reader]
+    with pytest.raises(ValueError) as wording:
+        spec.code_of(value)
+    kind = ParameterOutOfRange if prefix else ValueError
+    with pytest.raises(kind) as refused:
+        read(value)
+    assert type(refused.value) is kind and str(refused.value) == prefix + str(wording.value)
 
 
 def test_element_coeff_roundtrip():
@@ -183,7 +221,7 @@ def test_char2_square():
 def test_goppa_style_vanishing():
     # x^2+x+1 vanishes exactly on the two elements of GF(4) outside GF(2).
     g = Polynomial(GF4, [1, 1, 1])
-    roots = [v for v in range(4) if g(v).value == 0]
+    roots = [v for v in range(4) if g(v) == 0]
     assert roots == [2, 3]
 
 
@@ -216,24 +254,22 @@ def test_polynomial_reduces_plain_ints_mod_p_over_a_prime_field_only():
     assert Polynomial(GF5, [7, -1, 5]).coeffs == (2, 4)
     with pytest.raises(ValueError):
         Polynomial(GF4, [4, 1])
-    with pytest.raises(FieldMismatch):
-        Polynomial(GF4, [GF8.element(1), 1])
 
 
 def test_polynomial_evaluation_rejects_an_element_of_another_field():
+    """Evaluation returns the code, an int; the GF(8) element 5 is no
+    code of GF(4) and is refused as the code it is."""
     f = Polynomial(GF4, [1, 1])
-    assert f(GF4.element(2)) == f(2) == GF4.element(3)
-    with pytest.raises(FieldMismatch):
-        f(FieldElement(GF8, 5))
-    with pytest.raises(ValueError):
-        f(4)
+    assert f(2) == 3 and type(f(True)) is int
+    with pytest.raises(ValueError, match=r"value 5 is outside 0\.\.3 \(q=4\)"):
+        f(5)
 
 
 def test_polynomial_scale_rejects_an_element_of_another_field():
     f = Polynomial(GF4, [1, 1])
-    assert f.scale(GF4.element(2)) == f.scale(2) == Polynomial(GF4, [2, 2])
-    with pytest.raises(FieldMismatch):
-        f.scale(GF8.element(5))
+    assert f.scale(2) == Polynomial(GF4, [2, 2])
+    with pytest.raises(ValueError, match=r"value 5 is outside 0\.\.3 \(q=4\)"):
+        f.scale(5)
 
 
 def test_eval_horner_matches_naive():
@@ -246,7 +282,7 @@ def test_eval_horner_matches_naive():
             naive = 0
             for i, c in enumerate(coeffs):
                 naive = spec.add(naive, spec.mul(c, spec.pow(x, i)))
-            assert f(x).value == naive
+            assert f(x) == naive
 
 
 # -- irreducibles -----------------------------------------------------------
@@ -266,7 +302,7 @@ def test_find_irreducible_excludes_support_roots():
     # With 0 excluded, the smallest linear polynomial moves to x + 1.
     g = find_irreducible(GF8, 1, exclude=[0])
     assert g.coeffs == (1, 1)
-    assert g(0).value != 0
+    assert g(0) != 0
 
 
 def test_find_irreducible_exhausted_exclusion():
@@ -275,9 +311,9 @@ def test_find_irreducible_exhausted_exclusion():
 
 
 def test_find_irreducible_rejects_an_excluded_element_of_another_field():
-    assert find_irreducible(GF4, 1, exclude=[GF4.element(0)]).coeffs == (1, 1)
-    with pytest.raises(FieldMismatch):
-        find_irreducible(GF4, 1, exclude=[GF8.element(1)])
+    assert find_irreducible(GF4, 1, exclude=[0]).coeffs == (1, 1)
+    with pytest.raises(ValueError, match=r"value 5 is outside 0\.\.3 \(q=4\)"):
+        find_irreducible(GF4, 1, exclude=[5])
 
 
 @pytest.mark.parametrize("spec", [GF4, GF8, GF9, GF16], ids=["GF4", "GF8", "GF9", "GF16"])

@@ -14,12 +14,11 @@ from labelweight_hss.errors import (
     DecodeError,
     DimensionMismatch,
     EnumerationBudgetExceeded,
-    FieldMismatch,
     FieldTooLarge,
     InsufficientLabelweight,
     ParameterOutOfRange,
 )
-from labelweight_hss.galois import FieldElement, FieldSpec, randrange_run
+from labelweight_hss.galois import FieldSpec, randrange_run
 from labelweight_hss.hss import (
     HssParams,
     HssScheme,
@@ -181,7 +180,7 @@ def test_eval_server_reads_a_server_view_as_it_reads_dicts():
         assert refused(short) == (DimensionMismatch, message)
     # (offset, value, its secret): offset n is share n % 5 of secret n // 5 in (instance, variable) order
     cases = [(7, 9, (1, 2)), (0, -1, (1, 1)), (20, 300, (2, 2)), (5, 1.5, (1, 2)),
-             (3, FieldElement(FieldSpec(3, 2), 1), (1, 1)), (12, 9, (1, 3))]
+             (3, "3", (1, 1)), (12, 9, (1, 3))]
     for at, value, key in cases:
         for form in (list, tuple):
             shares = list(view)
@@ -223,22 +222,18 @@ def test_secrets_outside_the_field_are_rejected():
         run_end_to_end(scheme, [[7, 1, 1], [1, 1, 1]], 3)
     with pytest.raises(ParameterOutOfRange, match=r"secret \(2, 3\) value -1 is outside"):
         share_all_secrets(scheme.params, [[1, 1, 1], [1, 1, -1]], random.Random(0))
-    with pytest.raises(FieldMismatch, match=r"secret \(2, 1\) value GF\(3\^1\):2 does not belong to GF\(5\^1\)"):
-        run_end_to_end(scheme, [[1, 1, 1], [FieldElement(GF3, 2), 1, 1]], 3)
     for x in (5, -1):
         with pytest.raises(ParameterOutOfRange, match=f"secret value {x} is outside 0..4"):
             cnf_share(x, 1, 3, GF5, random.Random(0))
-    with pytest.raises(FieldMismatch):
-        cnf_share(FieldElement(GF3, 1), 1, 3, GF5, random.Random(0))
     # a float or a string is not truncated or parsed into a code
     with pytest.raises(ParameterOutOfRange, match=r"secret \(1, 2\) value 1\.5 is not an integer in 0\.\.4"):
         run_end_to_end(scheme, [[1, 1.5, 1], [1, 1, 1]], 3)
     with pytest.raises(ParameterOutOfRange, match=r"secret value '3' is not an integer"):
         cnf_share("3", 1, 3, GF5, random.Random(0))
-    # elements of the scheme's own field are shared as their codes
-    elements = [[FieldElement(GF5, 4), 1, 1], [1, 1, 1]]
-    assert run_end_to_end(scheme, elements, 3) == run_end_to_end(scheme, [[4, 1, 1], [1, 1, 1]], 3)
-    assert cnf_share(FieldElement(GF5, 3), 1, 3, GF5, random.Random(1)) == cnf_share(3, 1, 3, GF5, random.Random(1))
+    # a bool or another integer type is shared as the code it reads as
+    codes = [[True, 1, 1], [1, 1, 1]]
+    assert run_end_to_end(scheme, codes, 3) == run_end_to_end(scheme, [[1, 1, 1], [1, 1, 1]], 3)
+    assert cnf_share(_IndexOnly(), 1, 3, GF5, random.Random(1)) == cnf_share(1, 1, 3, GF5, random.Random(1))
 
 
 # -- monomials -------------------------------------------------------------------
@@ -444,7 +439,7 @@ def _view_with_one_share(scheme, j, value):
     return view
 
 
-@pytest.mark.parametrize("value", [9, 20, 255, 256, -1, 1.5, FieldElement(FieldSpec(3, 2), 1)])
+@pytest.mark.parametrize("value", [9, 20, 255, 256, -1, 1.5, Fraction(1, 2)])
 def test_eval_server_rejects_shares_outside_the_field(value):
     scheme = scheme_for_code(rs_build(9, 6, 3), t=1, d=2)
     assert eval_server(scheme, 1, _view_with_one_share(scheme, 1, 8)) is not None
@@ -470,6 +465,43 @@ def test_a_view_holds_what_field_codes_keep():
     view = _view_with_one_share(scheme, 1, _IndexOnly())
     want = eval_server(scheme, 1, bytes(_view_with_one_share(scheme, 1, 1)))
     assert eval_server(scheme, 1, view) == eval_server(scheme, 1, tuple(view)) == want
+
+
+@pytest.mark.parametrize("name", ["s", "t", "d", "ell", "m"])
+@pytest.mark.parametrize("bad", [1.5, 1.0, "1"])
+def test_scheme_parameters_must_be_integers(name, bad):
+    """Each count of HssParams is read by operator.index: a float, even a
+    whole one, or a string raises ParameterOutOfRange naming it."""
+    given = dict(s=5, t=1, d=1, ell=2, m=1, spec=GF5)
+    with pytest.raises(ParameterOutOfRange, match=f"^{name} must be an integer, got {re.escape(repr(bad))}$"):
+        HssParams(**{**given, name: bad})
+
+
+def test_scheme_parameters_are_stored_as_the_ints_they_read_as():
+    code = rs_build(5, 5, 2)
+    params = HssParams(5, True, 1, 2, _IndexOnly(), GF5)
+    assert (params.t, params.m) == (1, 1) and type(params.t) is type(params.m) is int
+    assert scheme_to_text(scheme_for_code(code, t=True, d=1, m=True)) == scheme_to_text(scheme_for_code(code, t=1, d=1))
+    for t, m in ((1, 1.5), (1.0, None)):
+        with pytest.raises(ParameterOutOfRange, match="must be an integer"):
+            scheme_for_code(code, t=t, d=1, m=m)
+
+
+def test_server_id_must_be_an_integer():
+    scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2)
+    _, views = share_all_secrets(scheme.params, [[1, 2]] * 2, random.Random(0))
+    with pytest.raises(ParameterOutOfRange, match=r"^j must be an integer, got 1\.5$"):
+        eval_server(scheme, 1.5, views[1])
+    assert eval_server(scheme, True, views[1]) == eval_server(scheme, 1, views[1])
+
+
+@pytest.mark.parametrize("call", [lambda t, s: cnf_share(1, t, s, GF2, random.Random(0)),
+                                  lambda t, s: privacy_audit(t, s, GF2)], ids=["cnf_share", "privacy_audit"])
+def test_sharing_t_and_s_must_be_integers(call):
+    for t, s, name, bad in ((1.0, 3, "t", "1.0"), (1, 3.0, "s", "3.0"), ("1", 3, "t", "'1'")):
+        with pytest.raises(ParameterOutOfRange, match=f"^{name} must be an integer, got {re.escape(bad)}$"):
+            call(t, s)
+    assert call(True, 3) == call(1, 3)
 
 
 @pytest.mark.parametrize("j", [0, 9, -1])

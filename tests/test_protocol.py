@@ -7,8 +7,8 @@ import pytest
 
 from labelweight_hss import protocol
 from labelweight_hss.codes import LabeledCode, Labeling, goppa_build, hermitian_build, rs_build
-from labelweight_hss.errors import DecodeError, FieldMismatch, ParameterOutOfRange
-from labelweight_hss.galois import FieldElement, FieldSpec, first_outside
+from labelweight_hss.errors import DecodeError, ParameterOutOfRange
+from labelweight_hss.galois import FieldSpec, first_outside
 from labelweight_hss.hss import run_end_to_end, scheme_for_code, scheme_rate
 from labelweight_hss.matrix import MatrixF
 from labelweight_hss.protocol import (
@@ -128,9 +128,9 @@ def test_simulate_rejects_secrets_outside_the_field():
     scheme = scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3)
     with pytest.raises(ParameterOutOfRange, match=r"secret \(1, 1\) value 7 is outside 0\.\.4 \(q=5\)"):
         simulate(scheme, [[7, 1, 1], [1, 1, 1]], seed=3)
-    with pytest.raises(FieldMismatch, match=r"secret \(1, 2\)"):
-        simulate(scheme, [[1, FieldElement(FieldSpec(7), 1), 1], [1, 1, 1]], seed=3)
-    _, outputs = simulate(scheme, [[FieldElement(GF5, 4), 2, 1], [1, 1, 1]], seed=3)
+    with pytest.raises(ParameterOutOfRange, match=r"secret \(1, 2\) value 1\.5 is not an integer in 0\.\.4 \(q=5\)"):
+        simulate(scheme, [[1, 1.5, 1], [1, 1, 1]], seed=3)
+    _, outputs = simulate(scheme, [[4, 2, True], [1, 1, 1]], seed=3)
     assert outputs == [3, 1]
 
 
