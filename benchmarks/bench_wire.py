@@ -97,7 +97,7 @@ def main() -> int:
     failures = []
     if {j: oracles.view_dicts(params, j, view) for j, view in views.items()} != old_views:
         failures.append("share_all_secrets views differ")
-    if outputs != old_outputs:
+    if outputs != [bytes(z) for z in old_outputs]:
         failures.append("eval_server outputs differ")
     fields = ("frames", "messages", "link_bytes", "downloaded_symbols")
     if result != old_result or any(getattr(transcript, f) != getattr(old_transcript, f) for f in fields):

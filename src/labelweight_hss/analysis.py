@@ -84,8 +84,6 @@ class ParamRow:
     amort_exact: object
     rate_printed: str
     amort_printed: int
-    pct_rate: str | None = None
-    pct_amort: str | None = None
 
 
 # -- closed-form families ----------------------------------------------------------

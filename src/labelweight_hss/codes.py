@@ -30,8 +30,8 @@ from typing import Sequence
 from . import budget, kernels
 from .budget import LABELWEIGHT_BUDGET
 from .errors import BadGoppaPolynomial, DecodeError, DimensionMismatch, FieldTooLarge, ParameterOutOfRange
-from .galois import FieldSpec, Polynomial, find_irreducible, is_irreducible, parse_field, prime_power
-from .galois import require_table_order
+from .galois import FieldSpec, Polynomial, find_irreducible, integer_parameter, is_irreducible, parse_field
+from .galois import prime_power, require_table_order
 from .matrix import MatrixF, kernel_basis, rank, rref
 
 CODE_FORMAT_TAG = "labelweight-code/v1"
@@ -44,15 +44,14 @@ class Labeling:
     __slots__ = ("n", "s", "map")
 
     def __init__(self, s: int, labels: Sequence[int]):
-        labels = tuple(int(v) for v in labels)
+        s = integer_parameter("s", s)
+        labels = tuple(integer_parameter("label", v) for v in labels)
         if s < 1 or len(labels) < s:
             raise ParameterOutOfRange(f"need s <= n, got s={s}, n={len(labels)}")
-        seen = set()
-        for v in labels:
-            if not 1 <= v <= s:
-                raise ParameterOutOfRange(f"label {v} outside 1..{s}")
-            seen.add(v)
-        if len(seen) != s:
+        outside = next((v for v in labels if not 1 <= v <= s), None)
+        if outside is not None:
+            raise ParameterOutOfRange(f"label {outside} outside 1..{s}")
+        if len(set(labels)) != s:
             raise ParameterOutOfRange("labeling is not surjective")
         self.n = len(labels)
         self.s = s

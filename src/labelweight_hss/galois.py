@@ -49,6 +49,15 @@ MAX_TABLE_ORDER = 256
 NEG_INFINITY = float("-inf")
 
 
+def integer_parameter(name: str, value) -> int:
+    """The integer parameter `name`, read by operator.index (a bool is an
+    int); anything else (1.5, 1.0, '3') raises ParameterOutOfRange naming it."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
+
+
 def _least_factor(n: int) -> int:
     """The smallest factor of n >= 2 above 1, by trial division: n itself
     exactly when n is prime."""
@@ -57,7 +66,8 @@ def _least_factor(n: int) -> int:
 
 def prime_power(q: int) -> tuple[int, int]:
     """(p, e) with p prime and p**e == q; ParameterOutOfRange if q is no
-    prime power."""
+    prime power (or no integer)."""
+    q = integer_parameter("q", q)
     if q < 2:
         raise ParameterOutOfRange(f"{q} is not a prime power")
     p, e, m = _least_factor(q), 0, q
@@ -146,6 +156,7 @@ class FieldSpec:
     """
 
     def __init__(self, p: int, k: int = 1, modulus: Sequence[int] | None = None):
+        p, k = integer_parameter("p", p), integer_parameter("k", k)
         if p < 2 or _least_factor(p) != p:
             raise ValueError(f"characteristic {p} is not prime")
         if k < 1:

@@ -44,28 +44,18 @@ from .errors import (
     MissingShare,
     ParameterOutOfRange,
 )
-from .galois import FieldSpec, first_outside, randrange_run
+from .galois import FieldSpec, first_outside, integer_parameter, randrange_run
 from .matrix import _eliminate, _row_ops
 from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py patches hss.solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v3"
 
 
-def _integer_parameter(name: str, value) -> int:
-    """The integer parameter `name`, read by operator.index as secrets and
-    product_variables read theirs (a bool is an int); anything else, such
-    as 1.5 or 1.0, raises ParameterOutOfRange naming it."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ParameterOutOfRange(f"{name} must be an integer, got {value!r}") from None
-
-
 @dataclass(frozen=True)
 class HssParams:
     """Scheme parameters: s servers, t privacy, degree d, amortization ell,
     m variables per instance, over the given field.  Each count is read by
-    _integer_parameter and stored as that int."""
+    integer_parameter and stored as that int."""
 
     s: int
     t: int
@@ -76,7 +66,7 @@ class HssParams:
 
     def __post_init__(self):
         for name in ("s", "t", "d", "ell", "m"):
-            object.__setattr__(self, name, _integer_parameter(name, getattr(self, name)))
+            object.__setattr__(self, name, integer_parameter(name, getattr(self, name)))
         if self.t < 1 or self.d < 1:
             raise ParameterOutOfRange(f"t and d must both be >= 1, got t={self.t}, d={self.d}")
         if self.s - self.d * self.t <= 0:
@@ -168,7 +158,7 @@ def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tu
     Returns the full share map {T: y_T}; server j's fragment is every
     entry with j not in T (see held_mask).
     """
-    t, s = _integer_parameter("t", t), _integer_parameter("s", s)
+    t, s = integer_parameter("t", t), integer_parameter("s", s)
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     code = _code_of_secret(spec, x)
@@ -420,8 +410,8 @@ def product_variables(params: HssParams, var_indices: Iterable[int] | None = Non
 
 def eval_server(
     scheme: HssScheme, j: int, view: Sequence[int], var_indices: tuple[int, ...] | None = None
-) -> list[int]:
-    """Server j's output shares, one per coordinate it owns.
+) -> bytes:
+    """Server j's output shares as bytes, one code per coordinate it owns.
 
     `view` is server j's share sequence, as share_all_secrets gives it
     and protocol.simulate decodes it from the INPUT_SHARES payload: for
@@ -460,7 +450,7 @@ def eval_server(
     holds what FieldSpec.codes keeps: byte values.
     """
     params = scheme.params
-    j = _integer_parameter("j", j)
+    j = integer_parameter("j", j)
     if not 1 <= j <= params.s:
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = product_variables(params, var_indices)
@@ -469,8 +459,8 @@ def eval_server(
         scheme._tensors[j] = _build_tensors(scheme, j)
     held, tensors, live = scheme._tensors[j]
     if not live:
-        return [0] * len(tensors)
-    return _contract_planes(params.spec, tensors, slots, len(held))
+        return bytes(len(tensors))
+    return bytes(_contract_planes(params.spec, tensors, slots, len(held)))
 
 
 def _build_tensors(scheme: HssScheme, j: int):
@@ -624,20 +614,21 @@ def _bit_planes(tables: _PlaneTables, strings: Sequence[Sequence[bytes]], size: 
     """One int per digit-bit plane n of lane strings of `size` bytes, each
     given as its plane bytes, one translate per packed table
     (_plane_bytes): bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit
-    of entry a of instance i (counted from 0).  A plane's bits come out of
-    the plane bytes with a mask (the whole byte for GF(2), where
-    lanes == 8) and a shift into the string's lanes of its group's bytes."""
+    of entry a of instance i (counted from 0).  The strings at one position
+    of every group of 8 instances are joined once per packed table, each
+    group's bytes where the plane wants them, and a plane's bits come out
+    with one mask (the whole byte for GF(2), where lanes == 8) and one
+    shift into that position's lanes: linear in ell."""
     lanes, count = tables.lanes, len(tables.planes)
     per_byte = 8 // lanes  # planes per packed byte, and lane strings per group of 8 instances
-    masks = _lane_masks(lanes, size)
+    masks = _lane_masks(lanes, size * -(-len(strings) // per_byte))  # as long as the planes
     planes = [0] * count
-    for s, translated in enumerate(strings):
-        offset = 8 * size * (s // per_byte) + s % per_byte * lanes  # where the string's lanes go
-        for c, plane_bytes in enumerate(translated):
-            word = int.from_bytes(plane_bytes, "little")
+    for position in range(min(per_byte, len(strings))):
+        for c, translated in enumerate(zip(*strings[position::per_byte])):
+            word = int.from_bytes(b"".join(translated), "little")
             first = c * per_byte
             for m, mask in enumerate(masks[: count - first]):
-                bits, shift = word & mask, offset - m * lanes
+                bits, shift = word & mask, (position - m) * lanes
                 planes[first + m] |= bits << shift if shift >= 0 else bits >> -shift
     return planes
 
@@ -731,9 +722,9 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     return bundles, views
 
 
-def collect_output_shares(scheme: HssScheme, per_server: dict[int, list[int]]) -> list[int]:
-    """Merge per-server output vectors into code coordinate order (keyed by
-    server id, so any arrival order gives the same result)."""
+def collect_output_shares(scheme: HssScheme, per_server: dict[int, bytes]) -> list[int]:
+    """Merge the servers' output shares (eval_server's bytes) into code
+    coordinate order, keyed by server id: any arrival order gives the same."""
     z: list[int | None] = [None] * scheme.n
     for j in range(1, scheme.params.s + 1):
         coords = scheme.code.labeling.coords(j)
@@ -821,7 +812,7 @@ def privacy_audit(t: int, s: int, spec: FieldSpec) -> PrivacyReport:
     audit covers every batch size and product degree.  Past the privacy
     budget, raises EnumerationBudgetExceeded.
     """
-    t, s = _integer_parameter("t", t), _integer_parameter("s", s)
+    t, s = integer_parameter("t", t), integer_parameter("s", s)
     if not 1 <= t < s:
         raise ParameterOutOfRange(f"need 1 <= t < s, got t={t}, s={s}")
     free = math.comb(s, t) - 1

@@ -19,17 +19,23 @@ Wire frame layout (little-endian):
     payload  field elements, one byte each
 
 Frames do not self-describe the field.  Every field fits a byte (the
-package refuses q > 256): payload bytes are the element codes
-themselves, and a WireMessage holds them as one bytes object, the frame
-body as it is, with no per-element conversion on either side.
+package refuses q > 256), so a payload is the element codes themselves,
+one bytes object, the frame body as it is.
 
 Server j's INPUT_SHARES payload is its whole view laid end to end: the
 share lists of the ell*m secrets' fragments in (instance, variable)
 order, each one the C(s-1, t) shares y_T with j not in T, in
 hss.held_subsets(s, t, j) order.  It is the dealer's view bytes
-(hss.share_all_secrets), sent as they are, and the server passes the
-decoded payload to hss.eval_server as it is, which range-checks it once
-and slices it without building any dict or copying the shares.
+(hss.share_all_secrets), and the server evaluates the decoded payload as
+it is (hss.eval_server checks it whole).  Server j's OUTPUT_SHARES
+payload is the bytes eval_server returns, and the output client merges
+the decoded payloads as they are (hss.collect_output_shares).
+
+A transcript is its frames; the messages, the bytes per link and the
+downloaded symbols are read from them.  The output client is the sender
+of the last RESULT frame (none without one), and it downloads the
+OUTPUT_SHARES payloads sent to it: one rule for a simulated run and a
+replayed one.
 """
 
 from __future__ import annotations
@@ -114,21 +120,28 @@ def decode(frame: bytes, q: int | None = None) -> WireMessage:
 
 @dataclass
 class Transcript:
-    """Ordered frame log with per-link byte counts and download accounting."""
+    """A run's frames in sending order, over GF(field_order); see the module docstring."""
 
     field_order: int
-    messages: list[WireMessage] = field(default_factory=list)
     frames: list[bytes] = field(default_factory=list)
-    link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
-    downloaded_symbols: int = 0
 
-    def record(self, message: WireMessage, frame: bytes, output_client: int) -> None:
-        self.messages.append(message)
-        self.frames.append(frame)
-        key = (message.sender, message.receiver)
-        self.link_bytes[key] = self.link_bytes.get(key, 0) + len(frame)
-        if message.kind == OUTPUT_SHARES and message.receiver == output_client:
-            self.downloaded_symbols += len(message.payload)
+    @property
+    def messages(self) -> list[WireMessage]:
+        return [decode(frame) for frame in self.frames]
+
+    @property
+    def link_bytes(self) -> dict[tuple[int, int], int]:
+        totals: dict[tuple[int, int], int] = {}
+        for message, frame in zip(self.messages, self.frames):
+            key = (message.sender, message.receiver)
+            totals[key] = totals.get(key, 0) + len(frame)
+        return totals
+
+    @property
+    def downloaded_symbols(self) -> int:
+        messages = self.messages
+        client = next((m.sender for m in reversed(messages) if m.kind == RESULT), None)
+        return sum(len(m.payload) for m in messages if m.kind == OUTPUT_SHARES and m.receiver == client)
 
     @property
     def download_cost_bits(self) -> float:
@@ -151,8 +164,8 @@ def simulate(
     does, so outputs match run_end_to_end(scheme, secrets, seed) exactly.
     Every payload makes a real encode/decode round trip.  Frames are
     decoded without q: the server's read of its view (eval_server) is the
-    one range check of each INPUT_SHARES payload, and the other payloads
-    are the package's own element codes.
+    one length and range check of each INPUT_SHARES payload, and the
+    other payloads are the package's own element codes.
     """
     params = scheme.params
     spec = params.spec
@@ -162,7 +175,7 @@ def simulate(
 
     def send(message: WireMessage) -> WireMessage:
         frame = encode(message)
-        transcript.record(message, frame, output_client)
+        transcript.frames.append(frame)
         return decode(frame)
 
     # Input client (id 0): share everything, send each server its view.
@@ -174,15 +187,11 @@ def simulate(
         inboxes[j] = send(WireMessage(INPUT_SHARES, 0, j, views[j]))
 
     # Servers 1..s in id order: evaluate each view as it came off the wire.
-    received: dict[int, list[int]] = {}
-    size = params.ell * params.m * math.comb(params.s - 1, params.t)  # a view's shares
+    received: dict[int, bytes] = {}
     for j in range(1, params.s + 1):
-        payload = inboxes[j].payload
-        if len(payload) != size:
-            raise DecodeError(f"server {j}: expected {size} elements, got {len(payload)}")
-        z_j = eval_server(scheme, j, payload, chosen)
-        delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, spec.codes(z_j)))
-        received[delivered.sender] = list(delivered.payload)
+        z_j = eval_server(scheme, j, inboxes[j].payload, chosen)
+        delivered = send(WireMessage(OUTPUT_SHARES, j, output_client, z_j))
+        received[delivered.sender] = delivered.payload
 
     # Output client: merge by server id, reconstruct, announce.
     outputs = reconstruct(scheme, collect_output_shares(scheme, received))
@@ -197,9 +206,9 @@ def transcript_to_text(transcript: Transcript) -> str:
 
 
 def transcript_from_text(text: str) -> Transcript:
-    """Rebuild a transcript from its hex dump (for replay / inspection).
-    The q line must name a field the package takes, a prime power up to
-    256, and every frame must decode over it; else DecodeError."""
+    """Rebuild a transcript from its hex dump (for replay / inspection):
+    its frames, once each decodes over the field of the q line, a prime
+    power up to 256; else DecodeError."""
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines or lines[0] != TRANSCRIPT_FORMAT_TAG:
         raise DecodeError(f"missing {TRANSCRIPT_FORMAT_TAG} header")
@@ -214,19 +223,10 @@ def transcript_from_text(text: str) -> Transcript:
         prime_power(q)
     except (FieldTooLarge, ParameterOutOfRange) as exc:
         raise DecodeError(str(exc)) from None
-    frames = []
-    for line in lines[2:]:
-        try:
-            frames.append(bytes.fromhex(line))
-        except ValueError as exc:
-            raise DecodeError(f"bad hex frame: {exc}") from exc
-    messages = [decode(frame, q) for frame in frames]
-    # the output client is the sender of the (last) RESULT frame
-    output_client = -1
-    for message in messages:
-        if message.kind == RESULT:
-            output_client = message.sender
-    transcript = Transcript(field_order=q)
-    for message, frame in zip(messages, frames):
-        transcript.record(message, frame, output_client)
-    return transcript
+    try:
+        frames = [bytes.fromhex(line) for line in lines[2:]]
+    except ValueError as exc:
+        raise DecodeError(f"bad hex frame: {exc}") from exc
+    for frame in frames:
+        decode(frame, q)
+    return Transcript(q, frames)

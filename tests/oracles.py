@@ -63,6 +63,11 @@ the last replaced (one list where the two coincide).
   ``int.to_bytes`` / ``int.from_bytes`` per element (``encode``,
   ``decode``); the run that orders each payload by an explicit
   (instance, variable, subset) list (``simulate``).
+- Transcript (``protocol.Transcript``, its frames, every other view
+  read from them): each message kept beside its frame, link bytes and
+  downloads accumulated frame by frame for an output client the caller
+  names (``Transcript``), s + 1 in ``simulate`` and the sender of the
+  last RESULT frame in ``replay``.
 """
 
 from __future__ import annotations
@@ -71,6 +76,7 @@ import functools
 import itertools
 import operator
 import random
+from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
 from labelweight_hss import hss, matrix, protocol
@@ -1112,13 +1118,46 @@ def _fragment_order(params, j: int) -> list[tuple[int, int, tuple[int, ...]]]:
     return [(i, k, T) for i in range(1, params.ell + 1) for k in range(1, params.m + 1) for T in subsets]
 
 
+@dataclass
+class Transcript:
+    """Ordered frame log with per-link byte counts and download accounting."""
+
+    field_order: int
+    messages: list[protocol.WireMessage] = field(default_factory=list)
+    frames: list[bytes] = field(default_factory=list)
+    link_bytes: dict[tuple[int, int], int] = field(default_factory=dict)
+    downloaded_symbols: int = 0
+
+    def record(self, message: protocol.WireMessage, frame: bytes, output_client: int) -> None:
+        self.messages.append(message)
+        self.frames.append(frame)
+        key = (message.sender, message.receiver)
+        self.link_bytes[key] = self.link_bytes.get(key, 0) + len(frame)
+        if message.kind == protocol.OUTPUT_SHARES and message.receiver == output_client:
+            self.downloaded_symbols += len(message.payload)
+
+
+def replay(field_order: int, frames: Sequence[bytes]) -> Transcript:
+    """The frames decoded over GF(field_order) and recorded again, the
+    output client being the sender of the (last) RESULT frame."""
+    messages = [decode(frame, field_order) for frame in frames]
+    output_client = -1
+    for message in messages:
+        if message.kind == protocol.RESULT:
+            output_client = message.sender
+    transcript = Transcript(field_order=field_order)
+    for message, frame in zip(messages, frames):
+        transcript.record(message, frame, output_client)
+    return transcript
+
+
 def simulate(scheme: HssScheme, secrets: Sequence[Sequence], seed: int, var_indices=None):
     """The protocol run of ``protocol.simulate``, with server evaluation taken from ``hss``."""
     params = scheme.params
     spec = params.spec
     chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
     output_client = params.s + 1
-    transcript = protocol.Transcript(field_order=spec.q)
+    transcript = Transcript(field_order=spec.q)
 
     def send(message):
         frame = encode(message)

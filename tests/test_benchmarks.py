@@ -42,3 +42,26 @@ def test_synth_benchmark_reads_each_document_as_synthesized():
     )
     assert run.returncode == 0, run.stderr
     assert re.search(r"^hermitian-setup \[27,10\] \(1, 3\) +23 ", run.stdout, re.M)
+
+
+def test_kernel_benchmark_runs_and_agrees_with_the_oracle():
+    """bench_kernels.py exits non-zero if the kernel and the packed walk it
+    replaced give different labelweights on any case."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_kernels.py"), "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "random [10,5] GF(9)" in run.stdout
+
+
+def test_wire_benchmark_runs_and_agrees_with_the_oracle():
+    """bench_wire.py exits 1 unless the package and the oracle give equal
+    views, server outputs, frames and payloads, and transcripts equal in
+    frames, messages, link bytes and downloaded symbols."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_wire.py"), "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "goppa-wire shape: 33 frames, 699234 bytes" in run.stdout

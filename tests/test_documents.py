@@ -5,14 +5,17 @@ synthesized key rows.  A document with one line mutated either
 raises DecodeError, and no other error, or is itself the canonical
 document of what it parses to; mutations that no valid scheme or code
 can absorb must raise.  Transcripts round-trip frames, messages and byte
-counts, and a mutated one raises only DecodeError or parses to a
-transcript whose frames are the encodings of its messages.
+counts, which equal the ones the accumulating oracle replay counts, and
+a mutated one raises only DecodeError or parses to a transcript whose
+frames are the encodings of its messages and whose counts are the
+oracle's.
 """
 
 import functools
 import random
 import re
 
+import oracles
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -251,6 +254,11 @@ def _fields(t):
     return t.field_order, t.frames, t.messages, t.link_bytes, t.downloaded_symbols
 
 
+def _replayed(t):
+    """The fields of the accumulating transcript that replays t's frames."""
+    return _fields(oracles.replay(t.field_order, t.frames))
+
+
 @pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
 def test_transcript_round_trips(name):
     original = transcript(name)
@@ -258,6 +266,14 @@ def test_transcript_round_trips(name):
     parsed = transcript_from_text(doc)
     assert _fields(parsed) == _fields(original)
     assert transcript_to_text(parsed) == doc
+
+
+@pytest.mark.parametrize("name", sorted(TRANSCRIPTS))
+def test_transcript_views_are_the_accumulated_ones(name):
+    """Messages, link bytes and downloads read from the frames equal what
+    the oracle accumulated frame by frame, for a run and its replay."""
+    parsed = transcript_from_text(transcript_to_text(transcript(name)))
+    assert _fields(transcript(name)) == _fields(parsed) == _replayed(parsed)
 
 
 @st.composite
@@ -306,4 +322,5 @@ def test_mutated_transcript_raises_only_decode_error(data):
     assert 2 <= q <= 256
     assert list(map(encode, parsed.messages)) == parsed.frames
     assert sum(parsed.link_bytes.values()) == sum(map(len, parsed.frames))
+    assert _fields(parsed) == _replayed(parsed)
     assert _fields(transcript_from_text(transcript_to_text(parsed))) == _fields(parsed)

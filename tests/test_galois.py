@@ -1,13 +1,14 @@
 import functools
 import itertools
 import random
+import re
 from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 
 import oracles
-from labelweight_hss.codes import goppa_build, labelweight, rs_build
+from labelweight_hss.codes import Labeling, goppa_build, labelweight, rs_build
 from labelweight_hss.errors import FieldMismatch, FieldTooLarge, ParameterOutOfRange
 from labelweight_hss.galois import (
     NEG_INFINITY,
@@ -452,6 +453,32 @@ def test_prime_power_splits_a_field_order(q, split):
 def test_prime_power_rejects_other_orders(q):
     with pytest.raises(ParameterOutOfRange, match=f"{q} is not a prime power"):
         prime_power(q)
+
+
+@pytest.mark.parametrize(
+    "build,name,bad",
+    [
+        (lambda: FieldSpec(5.0), "p", "5.0"),
+        (lambda: FieldSpec("5"), "p", "'5'"),
+        (lambda: FieldSpec(2, 2.0), "k", "2.0"),
+        (lambda: prime_power(9.0), "q", "9.0"),
+        (lambda: Labeling(2.0, [1, 2]), "s", "2.0"),
+        (lambda: Labeling(2, [1.5, 2]), "label", "1.5"),
+        (lambda: Labeling(2, ["1", "2"]), "label", "'1'"),
+    ],
+    ids=["FieldSpec-p", "FieldSpec-p-str", "FieldSpec-k", "prime_power", "Labeling-s", "label-float", "label-str"],
+)
+def test_field_and_label_integers_are_read_by_index(build, name, bad):
+    """The integer parameters of the field and label layers are read as
+    the scheme's are: anything operator.index refuses raises
+    ParameterOutOfRange naming the parameter, not truncated or parsed."""
+    with pytest.raises(ParameterOutOfRange, match=f"^{name} must be an integer, got {re.escape(bad)}$"):
+        build()
+
+
+def test_field_and_label_integers_take_bools_as_ints():
+    assert FieldSpec(5, True) == FieldSpec(5)
+    assert Labeling(2, [True, 2]) == Labeling(2, [1, 2])
 
 
 @pytest.mark.parametrize("p", [-3, 0, 1, 4, 6, 9, 25, 221])

@@ -268,8 +268,8 @@ def test_eval_server_matches_oracle(schemes, name):
         views = _views(scheme, seed)
         for chosen in (None, (d,) * d):
             for j in range(1, scheme.params.s + 1):
-                assert hss.eval_server(scheme, j, views[j], chosen) == oracles.eval_server(
-                    scheme, j, oracles.view_dicts(scheme.params, j, views[j]), chosen
+                assert hss.eval_server(scheme, j, views[j], chosen) == bytes(
+                    oracles.eval_server(scheme, j, oracles.view_dicts(scheme.params, j, views[j]), chosen)
                 )
 
 
@@ -422,7 +422,7 @@ def test_eval_server_matches_oracle_across_fields(name):
         for chosen in (None, (params.m,) * params.d):
             for j in range(1, params.s + 1):
                 got = hss.eval_server(scheme, j, views[j], chosen)
-                assert got == oracles.eval_server(scheme, j, oracles.view_dicts(params, j, views[j]), chosen)
+                assert got == bytes(oracles.eval_server(scheme, j, oracles.view_dicts(params, j, views[j]), chosen))
     # the tensors ran in every field
     assert sorted(scheme._tensors) == list(range(1, params.s + 1))
 
@@ -454,7 +454,7 @@ def _server_inputs(draw):
 @settings(max_examples=100, deadline=None, database=None)
 def test_eval_server_matches_oracles_on_generated_views(inputs):
     scheme, j, chosen, view = inputs
-    expected = oracles.eval_server(scheme, j, oracles.view_dicts(scheme.params, j, view), chosen)
+    expected = bytes(oracles.eval_server(scheme, j, oracles.view_dicts(scheme.params, j, view), chosen))
     assert hss.eval_server(scheme, j, view, chosen) == expected
     # the same shares as a list
     assert hss.eval_server(scheme, j, list(view), chosen) == expected
@@ -746,8 +746,17 @@ def _lane_inputs(draw):
     return spec, hss._lane_strings(hss._plane_tables(spec), tensors, size), size
 
 
+def _lane_case(spec: FieldSpec, instances: int, size: int):
+    """Lane strings of `instances` seeded random tensors of `size` entries."""
+    rng = random.Random(instances)
+    tensors = [bytes(rng.randrange(spec.q) for _ in range(size)) for _ in range(instances)]
+    return spec, hss._lane_strings(hss._plane_tables(spec), tensors, size), size
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_lane_inputs())
+@example(_lane_case(FieldSpec(3, 2), 20, 11))  # 10 lane strings: groups of 4, 4 and 2
+@example(_lane_case(FieldSpec(5, 2), 113, 6))  # 113 lane strings: 14 groups of 8 and one of 1
 @example((FieldSpec(5, 3), [bytes(range(0, 250, 2)), bytes(range(1, 251, 2))], 125))
 @example((FieldSpec(3, 5), [bytes(range(243))] * 9, 243))
 @example((FieldSpec(2), [bytes([255])] * 3, 1))
@@ -847,7 +856,7 @@ def test_always_zero_servers_output_zeros_without_a_contraction(name, monkeypatc
             calls.clear()
             out = hss.eval_server(scheme, j, views[j])
             if j in ZERO_SERVERS[name]:
-                assert out == [0] * len(coords(j)) and not calls
+                assert out == bytes(len(coords(j))) and not calls
                 assert scheme._tensors[j][1] == [[0] * len(hss._plane_tables(params.spec).planes)] * len(coords(j))
             else:
                 assert len(calls) == 1
@@ -865,11 +874,11 @@ def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
     calls = _contractions(monkeypatch)
     views = _views(scheme, 0)
     for j in zero:
-        assert hss.eval_server(scheme, j, views[j]) == [0] * len(scheme.code.labeling.coords(j))
+        assert hss.eval_server(scheme, j, views[j]) == bytes(len(scheme.code.labeling.coords(j)))
     assert not calls
     held, planes, _ = _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
     slots = hss._slot_vectors(views[1], held, params, hss.product_variables(params), 1)
-    assert hss.eval_server(scheme, 1, views[1]) == oracles.contract_planes(params.spec, planes, slots, len(held))
+    assert hss.eval_server(scheme, 1, views[1]) == bytes(oracles.contract_planes(params.spec, planes, slots, len(held)))
     assert calls
 
 
@@ -880,7 +889,7 @@ def test_always_zero_server_checks_its_views_as_before():
     params, j = scheme.params, 27
     h = len(hss.held_subsets(params.s, params.t, j))
     view = _views(scheme, 1)[j]
-    assert hss.eval_server(scheme, j, view) == hss.eval_server(scheme, j, list(view)) == [0]
+    assert hss.eval_server(scheme, j, view) == hss.eval_server(scheme, j, list(view)) == b"\0"
     layout = f"{params.ell * params.m} secrets x {h} held subsets"
     for short in (view[:-h], oracles.view_dicts(params, j, view)):
         with pytest.raises(DimensionMismatch) as missing:
@@ -1202,8 +1211,10 @@ def test_simulate_matches_oracle_protocol(wire_schemes, name, var_indices):
         assert sum(map(len, new[0].frames)) == 699_234
 
 
-def test_short_input_payload_is_a_decode_error(wire_schemes, monkeypatch):
-    """An INPUT_SHARES payload one element short fails the server's length check."""
+def test_short_input_payload_fails_the_servers_view_check(wire_schemes, monkeypatch):
+    """An INPUT_SHARES payload one element short fails the server's view
+    check: eval_server's DimensionMismatch in the package, the oracle's
+    own length check before it evaluates."""
     scheme = wire_schemes["rs5"]
     secrets = _secrets(scheme.params, 1)
 
@@ -1218,11 +1229,41 @@ def test_short_input_payload_is_a_decode_error(wire_schemes, monkeypatch):
 
     monkeypatch.setattr(protocol, "decode", short(protocol.decode))
     monkeypatch.setattr(oracles, "decode", short(oracles.decode))
-    with pytest.raises(DecodeError) as new:
+    with pytest.raises(DimensionMismatch) as new:
         protocol.simulate(scheme, secrets, 3)
     with pytest.raises(DecodeError) as old:
         oracles.simulate(scheme, secrets, 3)
-    assert str(new.value) == str(old.value) == "server 1: expected 24 elements, got 23"
+    assert str(new.value) == "server 1: view holds 23 shares, not 24 (6 secrets x 4 held subsets)"
+    assert str(old.value) == "server 1: expected 24 elements, got 23"
+
+
+def test_downloads_count_to_the_sender_of_the_last_result_frame():
+    """A replayed transcript counts the OUTPUT_SHARES payloads sent to the
+    actor that sends the last RESULT frame, whoever it is, as the oracle
+    replay does; without a RESULT frame nothing is downloaded."""
+
+    def frames(*messages):
+        return [protocol.encode(protocol.WireMessage(*message)) for message in messages]
+
+    out = protocol.OUTPUT_SHARES
+    shares = frames((out, 1, 7, b"\1\2\3\4"), (out, 2, 9, b"\4\0"), (out, 3, 9, b"\1"))
+    cases = [
+        (shares + frames((protocol.RESULT, 9, 0, b"\1")), 3),  # servers 2 and 3 send to actor 9
+        (shares + frames((protocol.RESULT, 7, 0, b"\1"), (protocol.RESULT, 9, 0, b"\1")), 3),
+        (shares + frames((protocol.RESULT, 7, 0, b"\1")), 4),
+        (frames((protocol.RESULT, 9, 0, b"\1")) + shares, 3),
+        (shares, 0),
+    ]
+    for sent, downloaded in cases:
+        text = protocol.transcript_to_text(protocol.Transcript(5, sent))
+        replayed = protocol.transcript_from_text(text)
+        assert replayed.downloaded_symbols == downloaded
+        old = oracles.replay(5, sent)
+        assert (replayed.messages, replayed.link_bytes, replayed.downloaded_symbols) == (
+            old.messages,
+            old.link_bytes,
+            old.downloaded_symbols,
+        )
 
 
 @pytest.mark.parametrize("name", ["goppa", "hermitian", "goppa-wire", "rs5"])
