@@ -6,7 +6,7 @@ and with the one it replaced (oracles.contract_planes: one popcount per
 plane pair, a second translate of each share product, kept in
 tests/oracles.py).
 
-Usage:  python3 benchmarks/bench_eval.py [--repeats N] [--seed S]
+Usage:  python3 benchmarks/bench_eval.py [--repeats N] [--seed S] [--planes]
 
 For each shape the row gives the number of servers, how many of them are
 always zero (no key carries a nonzero coefficient at any coordinate they
@@ -15,6 +15,14 @@ per owned coordinate of both contractions, and the mean time per server
 of eval_server over every server, each the best of N rounds.  Each
 server's tensors are built before timing.  The two contractions must
 give equal outputs on every server, or the script exits with status 1.
+
+--planes times the plane split instead, one row per field at a ladder
+shape (positions of a tensor x ell instances): the package's split
+(hss._bit_planes, a delta-swap transpose of the position words) against
+the one it replaced (oracles.masked_bit_planes, one mask and shift per
+plane), best of N calls each on the same seeded lane strings.  The two
+splits must give equal planes, and hss._lane_strings the strings of
+oracles.group_lane_strings, or the script exits with status 1.
 """
 
 import argparse
@@ -30,6 +38,7 @@ sys.path.insert(0, str(ROOT / "tests"))
 import oracles  # noqa: E402
 from labelweight_hss import hss  # noqa: E402
 from labelweight_hss.codes import goppa_build, hermitian_build  # noqa: E402
+from labelweight_hss.galois import FieldSpec  # noqa: E402
 
 # (code, t, d, m) of each benchmark workload's scheme
 SHAPES = {
@@ -37,6 +46,15 @@ SHAPES = {
     "hermitian-setup": (lambda: hermitian_build(3, 10), 1, 3, 3),
     "goppa-wire": (lambda: goppa_build(4, 2), 4, 1, 4),
 }
+
+# (row, field, positions, ell) of each --planes row: a server's tensor has
+# C(s - 1, t)^d positions
+PLANES = [
+    ("hermitian-setup [27,10] (1, 3)", FieldSpec(3, 2), 26**3, 10),
+    ("hermitian [64,56] (1, 2)", FieldSpec(2, 4), 63**2, 56),
+    ("hermitian [125,113] (1, 2)", FieldSpec(5, 2), 124**2, 113),
+    ("hermitian s = 343 (1, 2), ell 20", FieldSpec(7, 2), 342**2, 20),
+]
 
 
 def best_of(repeats, fn):
@@ -50,13 +68,42 @@ def best_of(repeats, fn):
     return best, value
 
 
+def split_planes(repeats: int, seed: int) -> int:
+    """The --planes table; 1 if the two splits or the lane packings differ."""
+    failures = []
+    print(f"plane split per call, best of {repeats}")
+    print(f"{'shape':<33} {'field':>7} {'positions':>9} {'ell':>4} {'package':>10} {'oracle':>10} {'ratio':>7}")
+    for name, spec, size, ell in PLANES:
+        tables = hss._plane_tables(spec)
+        codes = bytes(b % spec.q for b in range(256))
+        raw = random.Random(seed).randbytes(size * ell).translate(codes)
+        tensors = [raw[i * size : (i + 1) * size] for i in range(ell)]
+        strings = hss._lane_strings(tables, tensors, size)
+        if list(strings) != oracles.group_lane_strings(tables, tensors, size):
+            failures.append(f"{name}: hss._lane_strings differs from oracles.group_lane_strings")
+        translated = [hss._plane_bytes(tables, (string,)) for string in strings]
+        new, planes = best_of(repeats, lambda: hss._bit_planes(tables, translated, size))
+        old, old_planes = best_of(repeats, lambda: oracles.masked_bit_planes(tables, translated, size))
+        if planes != old_planes:
+            failures.append(f"{name}: hss._bit_planes differs from oracles.masked_bit_planes")
+        field = f"GF({spec.q})"
+        print(f"{name:<33} {field:>7} {size:>9} {ell:>4} {new * 1e3:>8.3f}ms {old * 1e3:>8.3f}ms {old / new:>6.2f}x")
+    if failures:
+        print("\n".join(failures), file=sys.stderr)
+        return 1
+    return 0
+
+
 def main() -> int:
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeats", type=int, default=7)
     parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--planes", action="store_true", help="time the two plane splits instead")
     args = parser.parse_args()
     if args.repeats < 1:
         parser.error("--repeats must be at least 1")
+    if args.planes:
+        return split_planes(args.repeats, args.seed)
 
     package_contract = hss._contract_planes
     failures, rows = [], []

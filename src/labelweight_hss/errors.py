@@ -42,7 +42,7 @@ class InsufficientLabelweight(HssError):
 
 
 class MissingShare(HssError):
-    """A server's output vector is missing or short at reconstruction."""
+    """A server's output vector is missing or of the wrong length at reconstruction."""
 
 
 class FieldTooLarge(HssError):

@@ -599,46 +599,51 @@ def _plane_tables(spec: FieldSpec) -> _PlaneTables:
 def _lane_strings(tables: _PlaneTables, tensors: Sequence[bytes], size: int) -> Sequence[bytes]:
     """The tensors of `size` entries each (one per instance, in order),
     packed tables.lanes to a byte (see _PlaneTables): with one lane to a
-    byte (q > 16) the tensors as they are."""
+    byte (q > 16) the tensors as they are.  One shifted sum and one
+    to_bytes pack every group: of one int per tensor of a lone group, else
+    of one int per lane, its tensors of every group end to end, then cut."""
     width, lanes = tables.width, tables.lanes
     if lanes == 1:
         return tensors
-    strings = []
-    for s in range(0, len(tensors), lanes):
-        ints = map(int.from_bytes, tensors[s : s + lanes], itertools.repeat("little"))
-        strings.append(sum(map(operator.lshift, ints, range(0, lanes * width, width))).to_bytes(size, "little"))
-    return strings
+    columns = [b"".join(tensors[l::lanes]) for l in range(lanes)] if len(tensors) > lanes else tensors
+    ints = map(int.from_bytes, columns, itertools.repeat("little"))
+    packed = sum(map(operator.lshift, ints, range(0, lanes * width, width))).to_bytes(len(columns[0]), "little")
+    return [packed[start : start + size] for start in range(0, len(packed), size)]
 
 
 def _bit_planes(tables: _PlaneTables, strings: Sequence[Sequence[bytes]], size: int) -> list[int]:
     """One int per digit-bit plane n of lane strings of `size` bytes, each
     given as its plane bytes, one translate per packed table
     (_plane_bytes): bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit
-    of entry a of instance i (counted from 0).  The strings at one position
-    of every group of 8 instances are joined once per packed table, each
-    group's bytes where the plane wants them, and a plane's bits come out
-    with one mask (the whole byte for GF(2), where lanes == 8) and one
-    shift into that position's lanes: linear in ell."""
-    lanes, count = tables.lanes, len(tables.planes)
-    per_byte = 8 // lanes  # planes per packed byte, and lane strings per group of 8 instances
-    masks = _lane_masks(lanes, size * -(-len(strings) // per_byte))  # as long as the planes
-    planes = [0] * count
-    for position in range(min(per_byte, len(strings))):
-        for c, translated in enumerate(zip(*strings[position::per_byte])):
-            word = int.from_bytes(b"".join(translated), "little")
-            first = c * per_byte
-            for m, mask in enumerate(masks[: count - first]):
-                bits, shift = word & mask, (position - m) * lanes
-                planes[first + m] |= bits << shift if shift >= 0 else bits >> -shift
+    of entry a of instance i (counted from 0).  Per packed table, word r
+    joins the strings at position r of every group of 8 instances once; its
+    bytes hold 8 // lanes cells of lanes bits, and plane m wants cell m of
+    word r in its cell r.  log2(8 // lanes) delta-swap stages transpose the
+    cells in place (none for GF(2)), and the words are the planes."""
+    per_byte = 8 // tables.lanes  # planes per packed byte, and lane strings per group of 8 instances
+    stages = _swap_masks(tables.lanes, size * -(-len(strings) // per_byte))  # as long as the planes
+    planes = []
+    for c in range(len(tables.packed)):
+        words = [int.from_bytes(b"".join(s[c] for s in strings[r::per_byte]), "little") for r in range(per_byte)]
+        for cell, low, pairs in stages:  # swap cell m + step of word r and cell m of word o, m & step == 0
+            for r, o in pairs:
+                t = ((words[r] >> cell) ^ words[o]) & low
+                words[r], words[o] = words[r] ^ t << cell, words[o] ^ t
+        planes += words[: len(tables.planes) - c * per_byte]
     return planes
 
 
 @functools.lru_cache(maxsize=4)
-def _lane_masks(lanes: int, size: int) -> tuple[int, ...]:
-    """masks[m]: bits m * lanes .. (m + 1) * lanes - 1 of each of `size`
-    bytes, as one int."""
-    low = (1 << lanes) - 1
-    return tuple(int.from_bytes(bytes([low << m * lanes]) * size, "little") for m in range(8 // lanes))
+def _swap_masks(lanes: int, size: int) -> tuple[tuple[int, int, list[tuple[int, int]]], ...]:
+    """(cell, low, pairs) of _bit_planes' stage for step 4, 2, 1 below
+    8 // lanes: cell is step * lanes bits, low the cells m & step == 0 of
+    each of `size` bytes as one int, pairs the words (r, r + step) of r & step == 0."""
+    stages = []
+    for step in (step for step in (4, 2, 1) if step < 8 // lanes):
+        pairs = [(r, r + step) for r in range(8 // lanes) if not r & step]
+        low = bytes([sum(((1 << lanes) - 1) << r * lanes for r, _ in pairs)]) * size
+        stages.append((step * lanes, int.from_bytes(low, "little"), pairs))
+    return tuple(stages)
 
 
 def _plane_bytes(tables: _PlaneTables, columns: Sequence[bytes]) -> list[bytes]:
@@ -670,7 +675,8 @@ def _contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
             folded = 0
             for n, o in pairs:
                 if coefficients[n]:
-                    folded ^= coefficients[n] & shares[o]
+                    term = coefficients[n] & shares[o]
+                    folded = folded ^ term if folded else term  # the first AND as it is: 0 ^ term copies it
             if folded:
                 sums[m] += folded.bit_count() * weight
         z = 0
@@ -724,13 +730,16 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
 
 def collect_output_shares(scheme: HssScheme, per_server: dict[int, bytes]) -> list[int]:
     """Merge the servers' output shares (eval_server's bytes) into code
-    coordinate order, keyed by server id: any arrival order gives the same."""
+    coordinate order, keyed by server id: any arrival order gives the same.
+    An absent vector, or one of another length, raises MissingShare."""
     z: list[int | None] = [None] * scheme.n
     for j in range(1, scheme.params.s + 1):
         coords = scheme.code.labeling.coords(j)
         got = per_server.get(j)
-        if got is None or len(got) != len(coords):
-            raise MissingShare(f"missing or short output vector from server {j}")
+        if got is None:
+            raise MissingShare(f"missing output vector from server {j}")
+        if len(got) != len(coords):
+            raise MissingShare(f"server {j} sent {len(got)} output shares for {len(coords)} owned coordinates")
         for pos, r in enumerate(coords):
             z[r] = got[pos]
     return z  # type: ignore[return-value]

@@ -45,9 +45,13 @@ the last replaced (one list where the two coincide).
   ``row_ops`` axpy per step (``solve_keys``); ``row_scheme``
   reads the keys back into that form through ``column``, and
   ``project_blocks`` onto each union's coordinates.
-- Server planes (``hss._build_tensors``): dense tensors read from the
-  per-union blocks (``build_byte_tensors``), split one plane at a time
-  (``bit_planes`` through ``plane_bits``).
+- Server planes (``hss._build_tensors``, lane strings packed in one pass
+  and split by a delta-swap transpose of the position words): dense
+  tensors read from the per-union blocks (``build_byte_tensors``), split
+  one plane at a time (``bit_planes`` through ``plane_bits``); lane
+  strings packed one group at a time (``group_lane_strings``), each plane
+  cut from each position word by its own mask and shift
+  (``masked_bit_planes``).
 - Evaluation (``hss.eval_server``, one popcount per fold class, on a
   view's share sequence): the per-monomial sum over the table
   (``eval_server``, on the dict form ``view_dicts`` of the view); one
@@ -968,6 +972,41 @@ def bit_planes(spec: FieldSpec, strings: Sequence[bytes], size: int) -> list[int
         offset = 8 * size * (s // per_group)
         for n, table in enumerate(bits[s % per_group]):
             planes[n] |= int.from_bytes(string.translate(table), "little") << offset
+    return planes
+
+
+def group_lane_strings(tables: hss._PlaneTables, tensors: Sequence[bytes], size: int) -> Sequence[bytes]:
+    """hss._lane_strings by one shifted sum and one to_bytes per group of
+    tables.lanes tensors."""
+    width, lanes = tables.width, tables.lanes
+    if lanes == 1:
+        return tensors
+    strings = []
+    for s in range(0, len(tensors), lanes):
+        ints = map(int.from_bytes, tensors[s : s + lanes], itertools.repeat("little"))
+        strings.append(sum(map(operator.lshift, ints, range(0, lanes * width, width))).to_bytes(size, "little"))
+    return strings
+
+
+def masked_bit_planes(tables: hss._PlaneTables, strings: Sequence[Sequence[bytes]], size: int) -> list[int]:
+    """hss._bit_planes by one mask, shift and OR per (position, packed
+    table, plane): the strings at one position of every group of 8
+    instances are joined once per packed table, and each plane's bits are
+    masked out of that word (the whole byte for GF(2)) and shifted into
+    the position's lanes."""
+    lanes, count = tables.lanes, len(tables.planes)
+    per_byte = 8 // lanes
+    length = size * -(-len(strings) // per_byte)
+    low = (1 << lanes) - 1
+    masks = [int.from_bytes(bytes([low << m * lanes]) * length, "little") for m in range(per_byte)]
+    planes = [0] * count
+    for position in range(min(per_byte, len(strings))):
+        for c, translated in enumerate(zip(*strings[position::per_byte])):
+            word = int.from_bytes(b"".join(translated), "little")
+            first = c * per_byte
+            for m, mask in enumerate(masks[: count - first]):
+                bits, shift = word & mask, (position - m) * lanes
+                planes[first + m] |= bits << shift if shift >= 0 else bits >> -shift
     return planes
 
 

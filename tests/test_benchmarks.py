@@ -19,6 +19,18 @@ def test_eval_benchmark_runs_and_its_contractions_agree():
     assert "hermitian-setup" in run.stdout
 
 
+def test_eval_benchmark_plane_splits_agree():
+    """bench_eval.py --planes exits 0 only if the package's plane split and
+    lane packing give the planes and strings of the ones they replaced on
+    every row."""
+    run = subprocess.run(
+        [sys.executable, str(ROOT / "benchmarks" / "bench_eval.py"), "--planes", "--repeats", "1"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert run.returncode == 0, run.stderr
+    assert re.search(r"^hermitian \[125,113\] \(1, 2\) +GF\(25\) +15376 +113 ", run.stdout, re.M)
+
+
 def test_synth_benchmark_key_searches_agree():
     """bench_synth.py --keys exits 0 only if the package's key search and
     the per-L search with one solve per key that it replaced give the

@@ -16,6 +16,7 @@ from labelweight_hss.errors import (
     EnumerationBudgetExceeded,
     FieldTooLarge,
     InsufficientLabelweight,
+    MissingShare,
     ParameterOutOfRange,
 )
 from labelweight_hss.galois import FieldSpec, randrange_run
@@ -545,6 +546,29 @@ def test_reconstruct_linearity():
         lhs = reconstruct(scheme, zsum)
         rhs = [GF2.add(a, b) for a, b in zip(reconstruct(scheme, z1), reconstruct(scheme, z2))]
         assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "change,message",
+    [
+        (lambda got: None, "missing output vector from server 2"),
+        (lambda got: got[:-1], "server 2 sent 1 output shares for 2 owned coordinates"),
+        (lambda got: got + b"\0", "server 2 sent 3 output shares for 2 owned coordinates"),
+    ],
+    ids=["missing", "short", "long"],
+)
+def test_collect_output_shares_names_a_missing_or_misfit_vector(change, message):
+    code = rs_build(5, 4, 2)
+    code = LabeledCode(code.spec, code.generator, Labeling(2, [1, 2, 1, 2]))
+    scheme = scheme_for_code(code, t=1, d=1)
+    _, views = share_all_secrets(scheme.params, [[1], [2]], random.Random(3))
+    per_server = {j: eval_server(scheme, j, views[j]) for j in (1, 2)}
+    assert reconstruct(scheme, hss.collect_output_shares(scheme, per_server)) == [1, 2]
+    per_server[2] = change(per_server[2])
+    if per_server[2] is None:
+        del per_server[2]
+    with pytest.raises(MissingShare, match=f"^{message}$"):
+        hss.collect_output_shares(scheme, per_server)
 
 
 def test_all_ones_product():

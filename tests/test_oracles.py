@@ -736,13 +736,19 @@ def test_packed_plane_tables_need_a_second_table_only_above_eight_bits():
 
 
 @st.composite
-def _lane_inputs(draw):
-    """A field with tables, and lane strings of 1 to 17 instances (so
-    across the boundary of a group of 8) of `size` >= 1 entries."""
-    spec = FieldSpec(*draw(st.sampled_from(TABLE_FIELDS)))
-    instances, size = draw(st.integers(1, 17)), draw(st.integers(1, 40))
+def _lane_tensors(draw, spec: FieldSpec):
+    """Tensors of 1 to 33 instances (so up to 5 groups of 8, a ragged last
+    group, and fewer lane strings than 8 // lanes) of `size` >= 1 entries."""
+    instances, size = draw(st.integers(1, 33)), draw(st.integers(1, 40))
     raw = draw(st.binary(min_size=instances * size, max_size=instances * size))
-    tensors = [bytes(b % spec.q for b in raw[i * size : (i + 1) * size]) for i in range(instances)]
+    return [bytes(b % spec.q for b in raw[i * size : (i + 1) * size]) for i in range(instances)], size
+
+
+@st.composite
+def _lane_inputs(draw):
+    """A field with tables, and the lane strings of _lane_tensors."""
+    spec = FieldSpec(*draw(st.sampled_from(TABLE_FIELDS)))
+    tensors, size = draw(_lane_tensors(spec))
     return spec, hss._lane_strings(hss._plane_tables(spec), tensors, size), size
 
 
@@ -753,10 +759,24 @@ def _lane_case(spec: FieldSpec, instances: int, size: int):
     return spec, hss._lane_strings(hss._plane_tables(spec), tensors, size), size
 
 
+@pytest.mark.parametrize("p,k", TABLE_FIELDS, ids=lambda v: str(v))
+@settings(max_examples=20, deadline=None, database=None)
+@given(data=st.data())
+def test_lane_strings_match_the_per_group_oracle(p, k, data):
+    spec = FieldSpec(p, k)
+    tables = hss._plane_tables(spec)
+    tensors, size = data.draw(_lane_tensors(spec))
+    assert list(hss._lane_strings(tables, tensors, size)) == oracles.group_lane_strings(tables, tensors, size)
+
+
 @settings(max_examples=300, deadline=None, database=None)
 @given(_lane_inputs())
+@example(_lane_case(FieldSpec(3, 2), 10, 17))  # hermitian-setup's ell: 5 lane strings, groups of 4 and 1
 @example(_lane_case(FieldSpec(3, 2), 20, 11))  # 10 lane strings: groups of 4, 4 and 2
+@example(_lane_case(FieldSpec(2, 4), 56, 9))  # [64,56]'s ell: 28 lane strings, 7 groups of 4
 @example(_lane_case(FieldSpec(5, 2), 113, 6))  # 113 lane strings: 14 groups of 8 and one of 1
+@example(_lane_case(FieldSpec(7, 2), 20, 7))  # 20 lane strings: groups of 8, 8 and 4
+@example(_lane_case(FieldSpec(5, 3), 17, 5))  # two packed tables, the second with one plane
 @example((FieldSpec(5, 3), [bytes(range(0, 250, 2)), bytes(range(1, 251, 2))], 125))
 @example((FieldSpec(3, 5), [bytes(range(243))] * 9, 243))
 @example((FieldSpec(2), [bytes([255])] * 3, 1))
@@ -765,7 +785,9 @@ def test_packed_bit_planes_match_the_per_plane_oracle(case):
     tables = hss._plane_tables(spec)
     translated = [hss._plane_bytes(tables, (string,)) for string in strings]
     assert translated == [[string.translate(table) for table in tables.packed] for string in strings]
-    assert hss._bit_planes(tables, translated, size) == oracles.bit_planes(spec, strings, size)
+    planes = hss._bit_planes(tables, translated, size)
+    assert planes == oracles.bit_planes(spec, strings, size)
+    assert planes == oracles.masked_bit_planes(tables, translated, size)
 
 
 # popcounts per owned coordinate: the number of fold classes of each field
