@@ -118,8 +118,8 @@ def main() -> int:
         def every_server():
             return [hss.eval_server(scheme, j, views[j]) for j in servers]
 
-        every_server()  # builds every server's tensors
-        zero = sum(not live for _, _, live in scheme._tensors.values())
+        every_server()  # builds every server's planes
+        zero = sum(not any(map(any, planes)) for planes in scheme._tensors.values())
         tables = hss._plane_tables(params.spec)
         new, outputs = best_of(args.repeats, every_server)
         hss._contract_planes = oracles.contract_planes

@@ -5,8 +5,8 @@ systematic-form synthesis and for the per-union elimination it replaced
 
 Usage:  python3 benchmarks/bench_synth.py [--repeats N] [--big] [--read | --keys]
 
-Each row gives the scheme's distinct subset unions (the server sets of
-hss.server_sets), its distinct (L, Q) keys, the bytes of the keys'
+Each row gives the scheme's distinct subset combo unions (the server
+sets of size t..dt, oracles.product_unions), its distinct (L, Q) keys, the bytes of the keys'
 stored Z_Q rows, and the best-of-N wall time of the code build (the
 goppa_build or hermitian_build call, whose Hermitian basis is one
 matrix.rref), of hss._synthesize, of the first hss.run_end_to_end on
@@ -39,8 +39,9 @@ oracles.synthesize_keys, the search it replaced (one scan per lost-row
 set L, rescans for unions holding a server it read) followed by one
 hss.solve_many call per key, with the distinct unions, lost-row sets,
 keys and the package's scans (eliminations after the one of [G | I]).
-Both take the same unions, the walk of hss.server_sets, and include
-the elimination of [G | I].
+Both take the same unions, the distinct combo unions in union_order
+(oracles.distinct_unions), so that their keys are numbered alike, and
+include the elimination of [G | I].
 Their KeySolutions must be equal, key order and the order of each Q
 included, or the script exits with status 1.
 
@@ -187,7 +188,7 @@ def search_keys(repeats: int) -> int:
     for name, build, t, d in LADDER:
         code = build()
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
-        unions = hss.server_sets(params.s, params.t, params.d)
+        unions = oracles.distinct_unions(oracles.product_unions(params.s, params.t, params.d))
         got, eliminations = counting_eliminations(lambda: hss._key_search(code, params, unions))
         ref = reference_time()
         fast, _ = best_of(repeats, lambda: hss._key_search(code, params, unions))
@@ -234,7 +235,7 @@ def main() -> int:
         fast, run, scheme, ok = synthesize_and_run(args.repeats, code, params)
         if not ok:
             failures.append(f"{name}: run_end_to_end did not reconstruct the products")
-        unions = len(hss.server_sets(params.s, params.t, params.d))
+        unions = len(oracles.product_unions(params.s, params.t, params.d))
         line = (f"{name:<36} {unions:>7,} {len(scheme.solutions.solved):>7,} {key_bytes(scheme):>10,}"
                 f" {ref * 1e3:>7.2f} {in_units([built, fast, run], ref)}")
         if not with_oracle:

@@ -204,6 +204,7 @@ def goppa_build(
     kernel of the bit-expanded parity check H[j][i] = a_i^j / g(a_i), and
     the labeling is the identity.
     """
+    u, r = integer_parameter("u", u), integer_parameter("r", r)
     if u < 1 or r < 1:
         raise ParameterOutOfRange("u and r must be >= 1")
     ext = FieldSpec(2, u)
@@ -293,6 +294,7 @@ def hermitian_build(q: int, k: int) -> LabeledCode:
     like x^(q^2) - x vanish on the whole point set and the skipping keeps
     the generator full rank up to k = q^3.
     """
+    q, k = integer_parameter("q", q), integer_parameter("k", k)
     ext, pts = hermitian_points(q)
     n = len(pts)
     if not 1 <= k <= n:
@@ -323,6 +325,7 @@ def hermitian_designed_distance(q: int, k: int) -> int:
 
 def rs_build(q: int, n: int, k: int) -> LabeledCode:
     """[n, k] Reed-Solomon code over GF(q), evaluated at element codes 0..n-1."""
+    q, n, k = integer_parameter("q", q), integer_parameter("n", n), integer_parameter("k", k)
     if not 1 <= k <= n:
         raise ParameterOutOfRange(f"need 1 <= k <= n, got k={k}, n={n}")
     p, e = prime_power(q)

@@ -99,17 +99,18 @@ def subsets_of_size(s: int, t: int) -> tuple[tuple[int, ...], ...]:
 
 @functools.cache
 def held_subsets(s: int, t: int, j: int) -> tuple[tuple[int, ...], ...]:
-    """The subsets_of_size(s, t) that server j holds the share of (j not in
-    T), in that order: the order of each secret's shares in server j's
-    view.  Computed once per (s, t, j)."""
-    return tuple(itertools.compress(subsets_of_size(s, t), _held_mask(s, t, j)))
+    """The subsets_of_size(s, t) that server j holds the share of, in that
+    order: the order of each secret's shares in server j's view.  Computed
+    once per (s, t, j)."""
+    return tuple(itertools.compress(subsets_of_size(s, t), held_mask(s, t, j)))
 
 
 @functools.cache
-def _held_mask(s: int, t: int, j: int) -> tuple[bool, ...]:
-    """held_mask of subsets_of_size(s, t) for server j, computed once per
-    (s, t, j): held_subsets and share_all_secrets compress by it."""
-    return tuple(held_mask(subsets_of_size(s, t), j))
+def held_mask(s: int, t: int, j: int) -> tuple[bool, ...]:
+    """Which of subsets_of_size(s, t) server j holds the share of (j not in
+    T), computed once per (s, t, j): the order of server j's fragments and
+    of its INPUT_SHARES payload (see protocol.simulate)."""
+    return tuple(j not in T for T in subsets_of_size(s, t))
 
 
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
@@ -166,16 +167,6 @@ def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tu
     return dict(zip(subsets, _share_vector(code, randrange_run(rng, spec.q, len(subsets) - 1), spec)))
 
 
-def held_mask(subsets: Iterable[tuple[int, ...]], j: int) -> list[bool]:
-    """Which of `subsets` server j holds the share of: those with j not in T.
-
-    Compressing subsets_of_size by this mask gives held_subsets, the order
-    of server j's fragments and of its INPUT_SHARES payload (see
-    protocol.simulate).
-    """
-    return [j not in T for T in subsets]
-
-
 def enumerate_monomials(params: HssParams) -> tuple[range, list[int]]:
     """All product monomials, as their indices, plus the subset union of
     each subset combo.
@@ -187,7 +178,7 @@ def enumerate_monomials(params: HssParams) -> tuple[range, list[int]]:
     itertools.product order.  The second value is the list whose entry c
     is the union of combo c as a bitmask, bit v set for server v in it: a
     monomial is locally computable by exactly the servers outside its
-    combo's union.  _synthesize reads only the unions.
+    combo's union.  _synthesize hands the unions to _key_search.
     """
     count = params.ell * math.comb(params.s, params.t) ** params.d
     budget.check(count, MONOMIAL_BUDGET, "monomials")
@@ -201,14 +192,14 @@ def enumerate_monomials(params: HssParams) -> tuple[range, list[int]]:
 class KeySolutions(NamedTuple):
     """The Eval coefficients of a scheme from _synthesize: [R | E] = `work`
     and its pivot columns B = `basis` (see _key_search) once, and per
-    distinct (L, Q) key, in first-seen order, its rows L (`lost`)
-    and Z_Q = R[L, Q]^-1 E[L] (`solved`: each coordinate of Q, in order,
-    maps to its ell coefficients, instance i at entry i - 1; these rows
-    and those of `work` are bytes, as matrix takes them).  combo_key[c]
-    is the key of subset combo c, in
-    itertools.product(subsets_of_size(s, t), repeat=d) order, so
-    monomial (i, combo c) has coefficient column(r)[combo_key[c]][i - 1]
-    at coordinate r.
+    distinct (L, Q) key its rows L (`lost`) and Z_Q = R[L, Q]^-1 E[L]
+    (`solved`: each coordinate of Q, in order, maps to its ell
+    coefficients, instance i at entry i - 1; these rows and those of
+    `work` are bytes, as matrix takes them).  combo_key[c] is the key of
+    subset combo c, in itertools.product(subsets_of_size(s, t), repeat=d)
+    order, and the keys are numbered by the first combo that takes them,
+    so monomial (i, combo c) has coefficient
+    column(r)[combo_key[c]][i - 1] at coordinate r.
     """
 
     spec: FieldSpec
@@ -242,31 +233,29 @@ class HssScheme:
     only.  It is expanded from the keys on first read and cached; it
     serves inspection and the benchmark's counters, while the scheme
     document and evaluation read the keys.  eval_server builds, on a
-    server's first call, the coefficients of each coordinate it owns from
-    the keys and caches them here: one int per digit-bit plane (bit b of
-    base-p digit e of every coefficient, one byte per tensor position,
-    instance i - 1 in bit (i - 1) % 8, groups of 8 instances
-    concatenated; see eval_server).  A scheme is therefore treated as
-    immutable once it has been read or evaluated: editing its keys
-    afterwards reaches neither the table nor the tensors.
+    server's first call, the coefficient planes of each coordinate it
+    owns from the keys and caches them in `_tensors`, the one thing a
+    server needs that it cannot derive on each call: one int per
+    digit-bit plane (bit b of base-p digit e of every coefficient, one
+    byte per tensor position, instance i - 1 in bit (i - 1) % 8, groups
+    of 8 instances concatenated; see eval_server).  A scheme is therefore
+    treated as immutable once it has been read or evaluated: editing its
+    keys afterwards reaches neither the table nor the planes.
     """
 
     params: HssParams
     code: LabeledCode
     solutions: KeySolutions = field(repr=False)
-    _eval_table: dict | None = field(default=None, init=False, repr=False, compare=False)
-    # server id -> (held subsets, per owned coordinate: its plane ints, whether any coefficient is nonzero)
+    # server id -> per owned coordinate, its plane ints
     _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.code.n
 
-    @property
+    @functools.cached_property
     def eval_table(self) -> dict[int, dict[MonomialId, int]]:
-        if self._eval_table is None:
-            self._eval_table = _expand_keys(self.params, self.n, self.solutions)
-        return self._eval_table
+        return _expand_keys(self.params, self.n, self.solutions)
 
 
 def _expand_keys(params: HssParams, n: int, solutions: KeySolutions) -> dict[int, dict[MonomialId, int]]:
@@ -306,34 +295,15 @@ def synthesize_eval(code: LabeledCode, params: HssParams) -> HssScheme:
 
 
 def _synthesize(code: LabeledCode, params: HssParams) -> KeySolutions:
-    """synthesize_eval without its parameter checks: the keys of the
-    server_sets, each subset combo taking the key of its union."""
-    combos = enumerate_monomials(params)[1]
-    unions = server_sets(params.s, params.t, params.d)
-    solutions = _key_search(code, params, unions)
-    key_of = dict(zip(unions, solutions.combo_key))
-    return solutions._replace(combo_key=list(map(key_of.__getitem__, combos)))
-
-
-def server_sets(s: int, t: int, d: int) -> list[int]:
-    """The sets of t..d*t of the servers 1..s, bit v for server v, walked
-    depth-first in the order of their sorted member lists: the distinct
-    unions of d size-t subsets, as any such set is the union of d of its
-    own t-subsets."""
-    sets, stack = [], [(0, 0, 0)]  # (set, its size, its highest server)
-    while stack:
-        union, size, last = stack.pop()
-        if size >= t:
-            sets.append(union)
-        if size < d * t:
-            stack.extend([(union | 1 << v, size + 1, v) for v in range(s, last, -1)])  # lowest server on top
-    return sets
+    """synthesize_eval without its parameter checks: the key search of
+    every subset combo's union."""
+    return _key_search(code, params, enumerate_monomials(params)[1])
 
 
 def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeySolutions:
-    """The KeySolutions of `unions`, combo_key[c] being the key of
-    unions[c]: one elimination of [G | I], then one small elimination per
-    scan, which finds a union's key (L, Q) and solves for its Z_Q.
+    """The KeySolutions of `unions` (repeats allowed), combo_key[c] being
+    the key of unions[c]: one elimination of [G | I], then one small
+    elimination per scan, which finds a union's key (L, Q) and its Z_Q.
 
     The elimination takes [G | I] to [R | E]: R = rref(G) with pivot
     columns B (one per row: LabeledCode checks that G has full row rank),
@@ -348,8 +318,8 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
     Z_Q = R[L, Q]^-1 E[L].  A scan notes the servers `seen` of every free
     coordinate up to its last pivot, read or skipped: a later union with
     the same L that holds the same of them (union & seen) would take the
-    same path, so it takes that key without a scan.  The keys are
-    numbered in the order the unions first reach them, and the first
+    same path, so it takes that key without a scan.  The distinct unions
+    are walked in first-seen order, which numbers the keys, and the first
     union whose coordinates lack rank raises InsufficientLabelweight.
     """
     spec, ell, n, labels = code.spec, params.ell, code.n, code.labeling.map
@@ -375,8 +345,8 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
     pivot_servers = functools.reduce(operator.or_, (1 << labels[b] for b in basis), 0)
     scans: dict[int, list[tuple[int, int, int]]] = {}  # a union's pivot servers -> per scan: seen, union & seen, key
     keys: dict[tuple, tuple[int, dict[int, Sequence[int]]]] = {}  # (L, Q) -> its index and Z_Q
-    union_key = []
-    for union in unions:
+    union_key = dict.fromkeys(unions)
+    for union in union_key:
         at = union & pivot_servers
         paths = scans.setdefault(at, [])
         for seen, excluded, k in paths:
@@ -386,9 +356,9 @@ def _key_search(code: LabeledCode, params: HssParams, unions: list[int]) -> KeyS
             seen, key, z_rows = scan(at, union)
             k = keys.setdefault(key, (len(keys), z_rows))[0]
             paths.append((seen, union & seen, k))
-        union_key.append(k)
+        union_key[union] = k
     solved = [z_rows for _, z_rows in keys.values()]
-    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, union_key)
+    return KeySolutions(spec, work, basis, [lost for lost, _ in keys], solved, list(map(union_key.get, unions)))
 
 
 def scheme_for_code(code: LabeledCode, t: int, d: int, m: int | None = None) -> HssScheme:
@@ -437,11 +407,11 @@ def eval_server(
     P holding plane pairs with e + f = m and 2^(b+g) = w mod p: the
     popcount of their XOR is the sum of their counts mod p (for p = 2 only
     its parity).  The share planes come from one translate per lane
-    string and packed table (_plane_bytes).  The tensors are built on
-    server j's first call and cached on the scheme (see HssScheme).  If
-    no key carries a nonzero coefficient at any coordinate server j owns,
-    every z_r is always 0: the view is still checked as below, then
-    zeros are returned without share products.
+    string and packed table (_plane_bytes).  The coefficient planes are
+    built on server j's first call and cached on the scheme (see
+    HssScheme).  If they are all zero (no key is nonzero at a coordinate
+    server j owns), every z_r is always 0: the view is still checked as
+    below, then zeros are returned without share products.
 
     The whole view is checked before any share is read or any tensor is
     built: a view of another length raises DimensionMismatch, and a share
@@ -454,32 +424,32 @@ def eval_server(
     if not 1 <= j <= params.s:
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = product_variables(params, var_indices)
-    slots = _slot_vectors(view, held_subsets(params.s, params.t, j), params, chosen, j)
+    held = held_subsets(params.s, params.t, j)
+    slots = _slot_vectors(view, held, params, chosen, j)
     if j not in scheme._tensors:
         scheme._tensors[j] = _build_tensors(scheme, j)
-    held, tensors, live = scheme._tensors[j]
-    if not live:
-        return bytes(len(tensors))
-    return bytes(_contract_planes(params.spec, tensors, slots, len(held)))
+    planes = scheme._tensors[j]
+    if not any(map(any, planes)):
+        return bytes(len(planes))
+    return bytes(_contract_planes(params.spec, planes, slots, len(held)))
 
 
-def _build_tensors(scheme: HssScheme, j: int):
-    """The subsets server j holds, for each coordinate r it owns the
-    coefficients of z_r, and whether any of them is nonzero.
+def _build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
+    """For each coordinate r server j owns, the coefficient planes of z_r.
 
     T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
     entries, indexed row-major by the d held subsets of a monomial
-    (positions in `held`): entry a is the coefficient at r of the key of
-    that combo (KeySolutions.column).  r's entry is one int per digit-bit
-    plane (_bit_planes of T_{r,1}, ..., T_{r,ell}), k * bit_length(p - 1)
-    of them.  A coordinate that no key carries a nonzero coefficient at
-    is always zero: it gets zero planes without a join or a plane build.
+    (positions in held_subsets(s, t, j)): entry a is the coefficient at r
+    of the key of that combo (KeySolutions.column).  r's entry is one int
+    per digit-bit plane (_bit_planes of T_{r,1}, ..., T_{r,ell}),
+    k * bit_length(p - 1) of them.  A coordinate that no key carries a
+    nonzero coefficient at is always zero: it gets zero planes without a
+    join or a plane build.
     """
     params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
-    held = held_subsets(params.s, params.t, j)
     # the key of every combo of held subsets, in product order: the held
     # entries of each row of combos whose first d - 1 subsets are held
-    mask, row = _held_mask(params.s, params.t, j), len(subsets_of_size(params.s, params.t))
+    mask, row = held_mask(params.s, params.t, j), len(subsets_of_size(params.s, params.t))
     offsets = list(itertools.compress(range(0, row * row, row), mask))  # a * row for each held subset a
     starts = [0]
     for _ in range(params.d - 1):
@@ -487,18 +457,18 @@ def _build_tensors(scheme: HssScheme, j: int):
     held_rows = (itertools.compress(solutions.combo_key[start : start + row], mask) for start in starts)
     held_keys = list(itertools.chain.from_iterable(held_rows))
     tables, size = _plane_tables(params.spec), len(held_keys)
-    zeros, tensors, live = [0] * len(tables.planes), [], False
+    zeros, planes = [0] * len(tables.planes), []
     for r in scheme.code.labeling.coords(j):
         column = solutions.column(r)
         if not any(map(any, column)):
-            tensors.append(zeros)
+            planes.append(zeros)
             continue
-        live = True  # j lies outside every union of a key nonzero at r, so held combos take that key
-        # combo-major, instance-minor: instance i's tensor is every ell-th entry
+        # j lies outside every union of a key nonzero at r, so held combos take that key and a plane is
+        # nonzero; combo-major, instance-minor: instance i's tensor is every ell-th entry
         joined = params.spec.concat(map(column.__getitem__, held_keys))
         strings = _lane_strings(tables, [joined[i::ell] for i in range(ell)], size)
-        tensors.append(_bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size))
-    return held, tensors, live
+        planes.append(_bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size))
+    return planes
 
 
 def _slot_vectors(
@@ -704,9 +674,8 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     order; views[j] is server j's view, the bytes of every secret's shares
     over held_subsets(s, t, j) laid end to end in (instance, variable)
     order (see eval_server): protocol.simulate sends that object as server
-    j's INPUT_SHARES payload as it is.  The subsets server j holds are
-    picked by one mask cached per (s, t, j).  Past the share budget
-    (ell * m * (C(s, t) - 1) draws) none is drawn."""
+    j's INPUT_SHARES payload as it is, its subsets picked by held_mask.
+    Past the share budget (ell * m * (C(s, t) - 1) draws) none is drawn."""
     grid = _secret_codes(params, secrets)
     spec, subsets = params.spec, subsets_of_size(params.s, params.t)
     keys = list(itertools.product(range(1, params.ell + 1), range(1, params.m + 1)))
@@ -723,7 +692,7 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     views = {}
     for j in range(1, params.s + 1):
         # the columns of the subsets j holds, then every count-th entry: one run per secret
-        subset_major = spec.concat(itertools.compress(by_subset, _held_mask(params.s, params.t, j)))
+        subset_major = spec.concat(itertools.compress(by_subset, held_mask(params.s, params.t, j)))
         views[j] = spec.concat(subset_major[n::count] for n in range(count))
     return bundles, views
 

@@ -27,8 +27,9 @@ the last replaced (one list where the two coincide).
 - Monomials (``hss.enumerate_monomials``, the count ell * C(s, t)^d as
   a range of indices): the list of every MonomialId and each server's
   local ones (``enumerate_monomials``).
-- Union walk (``hss.server_sets``): the union of every subset combo
-  (``product_unions``), deduplicated and sorted by the string key
+- Union walk (``hss.enumerate_monomials``' combo unions, deduplicated in
+  first-seen order by ``hss._key_search``): the union of every subset
+  combo (``product_unions``), deduplicated and sorted by the string key
   ``union_order`` (``distinct_unions``).
 - Synthesis (``hss.synthesize_eval``): the per-monomial table after the
   exhaustive labelweight check (``synthesize_eval``, ``scheme_for_code``,
@@ -106,7 +107,6 @@ from labelweight_hss.hss import (
     HssScheme,
     MonomialId,
     collect_output_shares,
-    held_mask,
     reconstruct,
     subsets_of_size,
 )
@@ -750,8 +750,8 @@ def union_order(union: int) -> str:
 
 
 def distinct_unions(unions: Iterable[int]) -> list[int]:
-    """The distinct unions sorted by union_order, the walk of
-    hss._key_search before hss.server_sets gave it."""
+    """The distinct unions sorted by union_order, the order in which
+    lost_set_key_search walks them and numbers its keys."""
     return sorted(set(unions), key=union_order)
 
 
@@ -1074,7 +1074,7 @@ def view_dicts(params: HssParams, j: int, view) -> dict:
 
 def server_fragment(shares, j: int) -> dict:
     """Server j's fragment of a full share map: every entry with j not in T."""
-    return dict(itertools.compress(shares.items(), held_mask(shares, j)))
+    return {T: y for T, y in shares.items() if j not in T}
 
 
 def secret_code(x, spec: FieldSpec, key: tuple[int, int] | None = None) -> int:

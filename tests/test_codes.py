@@ -337,6 +337,27 @@ def test_rs_bad_params():
         rs_build(6, 4, 2)  # 6 is not a prime power
 
 
+@pytest.mark.parametrize(
+    "build,args,name",
+    [
+        (goppa_build, (4.0, 2), "u"),
+        (goppa_build, (4, 2.0), "r"),
+        (hermitian_build, (3.0, 10), "q"),
+        (hermitian_build, (3, 10.0), "k"),
+        (rs_build, (5.0, 5, 2), "q"),
+        (rs_build, (5, 5.0, 2), "n"),
+        (rs_build, (5, 5, 2.0), "k"),
+    ],
+    ids=["goppa-u", "goppa-r", "hermitian-q", "hermitian-k", "rs-q", "rs-n", "rs-k"],
+)
+def test_builders_read_their_integer_parameters(build, args, name):
+    """Each builder reads its integers through galois.integer_parameter,
+    so a float is refused as ParameterOutOfRange naming that parameter."""
+    bad = next(v for v in args if type(v) is float)
+    with pytest.raises(ParameterOutOfRange, match=f"^{name} must be an integer, got {bad!r}$"):
+        build(*args)
+
+
 # -- all built codes have full-rank generators --------------------------------
 
 

@@ -465,7 +465,7 @@ def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name)
     scheme = wire_schemes[name]
     parsed = hss.scheme_from_text(hss.scheme_to_text(scheme))
     assert parsed.solutions == scheme.solutions
-    assert parsed._eval_table is None  # read by synthesis, no table expanded
+    assert "eval_table" not in vars(parsed)  # read by synthesis, no table expanded
     secrets = _secrets(scheme.params, 12)
     transcript, outputs = protocol.simulate(scheme, secrets, seed=4)
     parsed_transcript, parsed_outputs = protocol.simulate(parsed, secrets, seed=4)
@@ -577,7 +577,7 @@ def _case_keys(name):
 def test_derived_key_rows_match_the_stored_rows_they_replaced(name):
     """Z_Q alone, read through KeySolutions.column, expands key by key to
     the full rows the synthesis stored before (oracles.solve_keys)."""
-    scheme, want = _case_scheme(name), _case_keys(name)
+    scheme, want = _case_scheme(name), _by_first_combo(_case_keys(name))
     expanded = oracles.row_scheme(scheme)
     stored = oracles.solve_keys(scheme.code, want.work, want.basis, _keys_of(want))
     assert len(expanded.rows) == len(stored)
@@ -599,26 +599,45 @@ def _key_form(solutions):
     return solutions._replace(solved=[list(rows.items()) for rows in solutions.solved])
 
 
-def _key_search(code, params, unions):
-    """hss._key_search of the distinct `unions` in union_order, the walk
-    _synthesize hands it, with combo_key read back for each of `unions`."""
-    walk = oracles.distinct_unions(unions)
-    solutions = hss._key_search(code, params, walk)
-    key_of = dict(zip(walk, solutions.combo_key))
-    return solutions._replace(combo_key=[key_of[union] for union in unions])
+def _by_first_combo(solutions):
+    """KeySolutions with its keys renumbered in the order combo_key first
+    reaches them, as hss._key_search numbers them (oracles.synthesize_keys
+    numbers them in union_order)."""
+    order = list(dict.fromkeys(solutions.combo_key))
+    number = {k: n for n, k in enumerate(order)}
+    return solutions._replace(
+        lost=[solutions.lost[k] for k in order],
+        solved=[solutions.solved[k] for k in order],
+        combo_key=[number[k] for k in solutions.combo_key],
+    )
+
+
+def _rank_message(code, params, unions):
+    """The plain rule of the rank message: the InsufficientLabelweight
+    message naming the servers outside the first of `unions` whose columns
+    of G have rank below ell (matrix.rank), or None if there is none."""
+    G, labels, servers = code.generator, code.labeling.map, range(1, code.s + 1)
+    for union in dict.fromkeys(unions):
+        lam = [v for v in servers if not union >> v & 1]
+        cols = oracles.column_indices(labels, lam)
+        if matrix.rank(MatrixF(code.spec, [[row[c] for c in cols] for row in G.data])) < params.ell:
+            return f"columns labeled {lam} have rank below {params.ell}; labelweight < {params.d * params.t + 1}"
+    return None
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
 def test_key_search_matches_the_per_union_scan(name):
     """One scan per path through the free coordinates, its key taken by
-    every later union that holds the same of the servers it saw, and the
-    walk of server_sets give the KeySolutions of the per-L scan with one
-    solve per key (oracles.synthesize_keys), whose unions are every
-    combo's: work, basis, lost, solved with each Q in order, combo_key.
-    The workloads and LADDER_CASES are the rungs of bench_synth.py's
-    LADDER."""
+    every later union that holds the same of the servers it saw, over
+    every combo's union in product order, give the KeySolutions of the
+    per-L scan with one solve per key (oracles.synthesize_keys), its keys
+    renumbered by first combo: work, basis, lost, solved with each Q in
+    order, combo_key.  The keys are numbered 0, 1, 2, ... in the order
+    the combos first reach them.  The workloads and LADDER_CASES are the
+    rungs of bench_synth.py's LADDER."""
     got = _case_scheme(name).solutions
-    assert _key_form(got) == _key_form(_case_keys(name))
+    assert _key_form(got) == _key_form(_by_first_combo(_case_keys(name)))
+    assert list(dict.fromkeys(got.combo_key)) == list(range(len(got.solved)))
     assert all(type(lost) is tuple for lost in got.lost)
 
 
@@ -665,8 +684,8 @@ def test_unions_of_servers_without_pivots_key_as_the_oracle_does(name):
     pivot_servers = {labels[b] for b in rref(code.generator).pivots}
     free = [v for v in range(1, code.s + 1) if v not in pivot_servers]
     unions = [0] + [sum(1 << v for v in servers) for size in (1, 2) for servers in itertools.combinations(free, size)]
-    got = _key_search(code, params, unions)
-    assert _key_form(got) == _key_form(oracles.synthesize_keys(code, params, unions))
+    got = hss._key_search(code, params, unions)
+    assert _key_form(got) == _key_form(_by_first_combo(oracles.synthesize_keys(code, params, unions)))
     assert (got.lost, got.solved, got.combo_key) == ([()], [{}], [0] * len(unions))
     # L stays the key's tuple through synthesis, into KeySolutions
     assert all(type(lost) is tuple for lost in _case_scheme(name).solutions.lost)
@@ -698,25 +717,28 @@ def test_scheme_document_round_trips_by_synthesis(name):
 
 
 def _oracle_planes(scheme, blocks, j):
-    """hss._build_tensors(scheme, j) by the references: server j's held
-    subsets; per owned coordinate its dense tensors read from the
-    per-union `blocks` (oracles.build_byte_tensors), split into digit-bit
-    planes by oracles.bit_planes; and whether any of those tensors has a
-    nonzero entry."""
+    """hss._build_tensors(scheme, j) by the references: per owned
+    coordinate its dense tensors read from the per-union `blocks`
+    (oracles.build_byte_tensors), split into digit-bit planes by
+    oracles.bit_planes."""
     params = scheme.params
     held, dense = oracles.build_byte_tensors(scheme, blocks, j)
-    live = any(any(tensor) for per_instance in dense for tensor in per_instance)
     tables, size = hss._plane_tables(params.spec), len(held) ** params.d
-    planes = [oracles.bit_planes(params.spec, hss._lane_strings(tables, per_instance, size), size)
-              for per_instance in dense]
-    return held, planes, live
+    return [oracles.bit_planes(params.spec, hss._lane_strings(tables, per_instance, size), size)
+            for per_instance in dense]
 
 
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
 def test_server_planes_match_the_per_union_blocks(name):
+    """Each server's planes are the references', and some plane is nonzero,
+    eval_server's test of a live server, exactly when some entry of its
+    dense tensors is."""
     scheme, blocks = _case_scheme(name), _case_blocks(name)
     for j in range(1, scheme.params.s + 1):
-        assert hss._build_tensors(scheme, j) == _oracle_planes(scheme, blocks, j)
+        planes = hss._build_tensors(scheme, j)
+        assert planes == _oracle_planes(scheme, blocks, j)
+        dense = oracles.build_byte_tensors(scheme, blocks, j)[1]
+        assert any(map(any, planes)) == any(any(tensor) for per_instance in dense for tensor in per_instance)
 
 
 # every field with tables, as (p, k)
@@ -879,7 +901,7 @@ def test_always_zero_servers_output_zeros_without_a_contraction(name, monkeypatc
             out = hss.eval_server(scheme, j, views[j])
             if j in ZERO_SERVERS[name]:
                 assert out == bytes(len(coords(j))) and not calls
-                assert scheme._tensors[j][1] == [[0] * len(hss._plane_tables(params.spec).planes)] * len(coords(j))
+                assert scheme._tensors[j] == [[0] * len(hss._plane_tables(params.spec).planes)] * len(coords(j))
             else:
                 assert len(calls) == 1
     secrets = _secrets(params, 3)
@@ -898,7 +920,7 @@ def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
     for j in zero:
         assert hss.eval_server(scheme, j, views[j]) == bytes(len(scheme.code.labeling.coords(j)))
     assert not calls
-    held, planes, _ = _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
+    held, planes = hss.held_subsets(params.s, params.t, 1), _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
     slots = hss._slot_vectors(views[1], held, params, hss.product_variables(params), 1)
     assert hss.eval_server(scheme, 1, views[1]) == bytes(oracles.contract_planes(params.spec, planes, slots, len(held)))
     assert calls
@@ -931,9 +953,9 @@ def _gf251(rows):
     return LabeledCode(GF251, MatrixF(GF251, rows), Labeling.identity(len(rows[0])))
 
 
-# codes whose labelweight is at most d*t, with the first union in solve order
-# that lacks rank, on which synthesize_eval must fail too: the rank check is
-# its labelweight proof.  [1 1 0] fails at {1, 2}, whose lost-row set
+# codes whose labelweight is at most d*t, with the first combo union in product
+# order that lacks rank (the oracles' first in solve order is the same union),
+# on which synthesize_eval must fail too: the rank check is its labelweight proof.  [1 1 0] fails at {1, 2}, whose lost-row set
 # {1} scanned first through server 2's column, [1 0 0; 0 1 1] at the first
 # scan of its lost-row set
 RANK_DEFICIENT = {
@@ -968,6 +990,8 @@ def test_rank_deficient_codes_fail_on_the_oracle_union(name):
         hss.synthesize_eval(code, params)
     assert str(got.value) == str(want.value) == str(solved.value) == message
     assert str(checked.value) == message
+    # the first combo union in product order whose columns lack rank
+    assert message == _rank_message(code, params, hss.enumerate_monomials(params)[1])
 
 
 def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again(monkeypatch):
@@ -978,30 +1002,30 @@ def test_a_union_holding_a_server_its_lost_rows_scan_read_scans_again(monkeypatc
     code = _gf251([[1, 1, 0]])
     params = hss.HssParams(3, 1, 2, 1, 2, GF251)
     calls = _counting_eliminations(monkeypatch)
-    got = _key_search(code, params, [0b0010, 0b1010])
+    got = hss._key_search(code, params, [0b0010, 0b1010])
     assert (got.lost, got.solved, got.combo_key) == ([(0,)], [{1: b"\x01"}], [0, 0])
     assert len(calls) == 2  # [G | I] and the scan of {1}
     assert got == oracles.synthesize_keys(code, params, [0b0010, 0b1010])
     with pytest.raises(InsufficientLabelweight, match=re.escape(RANK_DEFICIENT["gf251-110-t1d2"][3])):
-        _key_search(code, params, [0b0010, 0b0110])
+        hss._key_search(code, params, [0b0010, 0b0110])
 
 
 def test_a_union_holding_the_servers_a_scan_skipped_takes_its_key(monkeypatch):
     """[1 1 1 1], each coordinate its own server, L = (0,) for every union
     holding server 1.  {1, 2} skips server 2's column and takes Q = (2,)
     at server 3, so it saw servers 2 and 3 and held server 2.  {1, 2, 4}
-    holds the same of them and takes that key without a scan.  {1, 2, 3}
-    also holds server 3, and {1, 4} lacks server 2: each scans its own
-    path, to Q = (3,) and Q = (1,)."""
+    holds the same of them and takes that key without a scan.  {1, 4}
+    lacks server 2, and {1, 2, 3} also holds server 3: each scans its own
+    path, to Q = (1,) and Q = (3,), numbered in that order."""
     code = _gf251([[1, 1, 1, 1]])
     params = hss.HssParams(4, 1, 2, 1, 2, GF251)
     unions = [0b00110, 0b10110, 0b10010, 0b01110]  # {1, 2}, {1, 2, 4}, {1, 4}, {1, 2, 3}
     calls = _counting_eliminations(monkeypatch)
-    got = _key_search(code, params, unions)
-    assert len(calls) == 4  # [G | I] and the scans of {1, 2}, {1, 2, 3} and {1, 4}
-    assert _keys_of(got) == [((0,), (2,)), ((0,), (3,)), ((0,), (1,))]
-    assert got.combo_key == [0, 0, 2, 1]
-    assert got == oracles.synthesize_keys(code, params, unions)
+    got = hss._key_search(code, params, unions)
+    assert len(calls) == 4  # [G | I] and the scans of {1, 2}, {1, 4} and {1, 2, 3}
+    assert _keys_of(got) == [((0,), (2,)), ((0,), (1,)), ((0,), (3,))]
+    assert got.combo_key == [0, 0, 1, 2]
+    assert got == _by_first_combo(oracles.synthesize_keys(code, params, unions))
 
 
 KEY_SEARCH_FIELDS = [FieldSpec(2), FieldSpec(3), FieldSpec(2, 2), FieldSpec(5), GF251]
@@ -1030,20 +1054,22 @@ def _key_search_inputs(draw):
 @settings(max_examples=300, deadline=None, database=None)
 @given(_key_search_inputs())
 def test_key_search_matches_the_per_key_solves_on_random_codes(inputs):
-    """Any code, labeling and union list: hss._key_search of its distinct
-    unions in union_order gives the per-L search and per-key solves'
-    KeySolutions (key order and each Q's order included) or raises their
-    InsufficientLabelweight message."""
+    """Any code, labeling and union list: hss._key_search gives the per-L
+    search and per-key solves' KeySolutions, keys renumbered by first
+    union (key order and each Q's order included), or, where they raise
+    InsufficientLabelweight, raises it naming the servers outside the
+    first union in list order whose columns lack rank."""
     code, unions = inputs
     params = hss.HssParams(code.s, 1, 1, code.dim, 1, code.spec)
     try:
-        want = _key_form(oracles.synthesize_keys(code, params, unions))
-    except InsufficientLabelweight as exc:
+        want = _key_form(_by_first_combo(oracles.synthesize_keys(code, params, unions)))
+    except InsufficientLabelweight:
         with pytest.raises(InsufficientLabelweight) as got:
-            _key_search(code, params, unions)
-        assert str(got.value) == str(exc)
+            hss._key_search(code, params, unions)
+        assert str(got.value) == _rank_message(code, params, unions)
     else:
-        assert _key_form(_key_search(code, params, unions)) == want
+        assert _rank_message(code, params, unions) is None
+        assert _key_form(hss._key_search(code, params, unions)) == want
 
 
 # every field of order at most 16, whose q^k messages (k <= 4) fit the labelweight budget
@@ -1070,18 +1096,20 @@ def _small_codes(draw):
 @given(_small_codes())
 def test_synthesis_succeeds_exactly_when_the_labelweight_exceeds_dt(code):
     """The paper's characterization, for every t and d <= 3 with dt < s:
-    synthesize_eval gives the per-key solves' keys when labelweight(code)
-    > dt, and raises their InsufficientLabelweight message otherwise."""
+    synthesize_eval gives the per-key solves' keys, renumbered by first
+    combo, when labelweight(code) > dt; otherwise it raises
+    InsufficientLabelweight naming the servers outside the first combo
+    union, in product order, whose columns lack rank."""
     lw = labelweight(code)
     for t, d in ((t, d) for t in range(1, code.s) for d in (1, 2, 3) if d * t < code.s):
         params = hss.HssParams(code.s, t, d, code.dim, d, code.spec)
         try:
-            want = _key_form(oracles.synthesize_keys(code, params))
-        except InsufficientLabelweight as exc:
+            want = _key_form(_by_first_combo(oracles.synthesize_keys(code, params)))
+        except InsufficientLabelweight:
             assert lw <= d * t, (t, d)
             with pytest.raises(InsufficientLabelweight) as got:
                 hss.synthesize_eval(code, params)
-            assert str(got.value) == str(exc)
+            assert str(got.value) == _rank_message(code, params, hss.enumerate_monomials(params)[1])
         else:
             assert lw > d * t, (t, d)
             assert _key_form(hss.synthesize_eval(code, params).solutions) == want
