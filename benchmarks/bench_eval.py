@@ -18,11 +18,14 @@ give equal outputs on every server, or the script exits with status 1.
 
 --planes times the plane split instead, one row per field at a ladder
 shape (positions of a tensor x ell instances): the package's split
-(hss._bit_planes, a delta-swap transpose of the position words) against
-the one it replaced (oracles.masked_bit_planes, one mask and shift per
-plane), best of N calls each on the same seeded lane strings.  The two
-splits must give equal planes, and hss._lane_strings the strings of
-oracles.group_lane_strings, or the script exits with status 1.
+(hss._bit_planes, each lane string cut into position blocks, then a
+delta-swap transpose of the block words) against the one it replaced
+(oracles.group_bit_planes, groups of 8 instances concatenated), best of
+N calls each on the same seeded lane strings, with the bytes per plane
+of both layouts.  The two splits must hold the same bits
+(oracles.blocks_from_groups lays the old planes out in blocks), and
+hss._lane_strings must give the strings of oracles.group_lane_strings,
+or the script exits with status 1.
 """
 
 import argparse
@@ -72,7 +75,10 @@ def split_planes(repeats: int, seed: int) -> int:
     """The --planes table; 1 if the two splits or the lane packings differ."""
     failures = []
     print(f"plane split per call, best of {repeats}")
-    print(f"{'shape':<33} {'field':>7} {'positions':>9} {'ell':>4} {'package':>10} {'oracle':>10} {'ratio':>7}")
+    print(
+        f"{'shape':<33} {'field':>7} {'positions':>9} {'ell':>4} {'package':>10} {'oracle':>10} {'ratio':>7}"
+        f" {'bytes/plane':>11} {'oracle':>9}"
+    )
     for name, spec, size, ell in PLANES:
         tables = hss._plane_tables(spec)
         codes = bytes(b % spec.q for b in range(256))
@@ -83,11 +89,16 @@ def split_planes(repeats: int, seed: int) -> int:
             failures.append(f"{name}: hss._lane_strings differs from oracles.group_lane_strings")
         translated = [hss._plane_bytes(tables, (string,)) for string in strings]
         new, planes = best_of(repeats, lambda: hss._bit_planes(tables, translated, size))
-        old, old_planes = best_of(repeats, lambda: oracles.masked_bit_planes(tables, translated, size))
-        if planes != old_planes:
-            failures.append(f"{name}: hss._bit_planes differs from oracles.masked_bit_planes")
+        old, old_planes = best_of(repeats, lambda: oracles.group_bit_planes(tables, translated, size))
+        if planes != oracles.blocks_from_groups(old_planes, tables.lanes, len(strings), size):
+            failures.append(f"{name}: hss._bit_planes differs from oracles.group_bit_planes")
+        per_byte = 8 // tables.lanes
+        block_bytes, group_bytes = len(strings) * -(-size // per_byte), size * -(-len(strings) // per_byte)
         field = f"GF({spec.q})"
-        print(f"{name:<33} {field:>7} {size:>9} {ell:>4} {new * 1e3:>8.3f}ms {old * 1e3:>8.3f}ms {old / new:>6.2f}x")
+        print(
+            f"{name:<33} {field:>7} {size:>9} {ell:>4} {new * 1e3:>8.3f}ms {old * 1e3:>8.3f}ms {old / new:>6.2f}x"
+            f" {block_bytes:>11} {group_bytes:>9}"
+        )
     if failures:
         print("\n".join(failures), file=sys.stderr)
         return 1

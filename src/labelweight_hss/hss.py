@@ -236,11 +236,10 @@ class HssScheme:
     server's first call, the coefficient planes of each coordinate it
     owns from the keys and caches them in `_tensors`, the one thing a
     server needs that it cannot derive on each call: one int per
-    digit-bit plane (bit b of base-p digit e of every coefficient, one
-    byte per tensor position, instance i - 1 in bit (i - 1) % 8, groups
-    of 8 instances concatenated; see eval_server).  A scheme is therefore
-    treated as immutable once it has been read or evaluated: editing its
-    keys afterwards reaches neither the table nor the planes.
+    digit-bit plane (bit b of base-p digit e of every coefficient, laid
+    out by lane strings and position blocks; see _bit_planes).  A scheme
+    is therefore treated as immutable once it has been read or evaluated:
+    editing its keys afterwards reaches neither the table nor the planes.
     """
 
     params: HssParams
@@ -396,21 +395,22 @@ def eval_server(
     is the share-product tensor and T_{r,i} the coefficient tensor of
     _build_tensors, both row-major over held_subsets(s, t, j).  Both
     sides are split into digit-bit planes (T_{e,b}: bit b of base-p
-    digit e; W_{f,g} likewise) packed one position per byte,
-    instance i - 1 in bit (i - 1) % 8 and groups of 8 instances
-    concatenated, so that with alpha = x, the generator of the
-    polynomial basis, and the fold classes (m, w, P) of _PlaneTables,
+    digit e; W_{f,g} likewise) in the one layout of _bit_planes, lane
+    strings of instances cut into position blocks, so that with
+    alpha = x, the generator of the polynomial basis, and the fold
+    classes (m, w, P) of _PlaneTables,
 
         z_r = sum_m alpha^m * ((sum over classes (m, w, P) of
               w * popcount(XOR of T_{e,b} & W_{f,g} over P)) mod p),
 
     P holding plane pairs with e + f = m and 2^(b+g) = w mod p: the
     popcount of their XOR is the sum of their counts mod p (for p = 2 only
-    its parity).  The share planes come from one translate per lane
-    string and packed table (_plane_bytes).  The coefficient planes are
-    built on server j's first call and cached on the scheme (see
+    its parity).  The view is read once (_view_lanes): each lane group's
+    d slot strings, from which the share planes come by one translate per
+    lane string and packed table (_plane_bytes).  The coefficient planes
+    are built on server j's first call and cached on the scheme (see
     HssScheme).  If they are all zero (no key is nonzero at a coordinate
-    server j owns), every z_r is always 0: the view is still checked as
+    server j owns), every z_r is always 0: the view is still read as
     below, then zeros are returned without share products.
 
     The whole view is checked before any share is read or any tensor is
@@ -425,13 +425,13 @@ def eval_server(
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = product_variables(params, var_indices)
     held = held_subsets(params.s, params.t, j)
-    slots = _slot_vectors(view, held, params, chosen, j)
+    groups = _view_lanes(view, held, params, chosen, j)
     if j not in scheme._tensors:
         scheme._tensors[j] = _build_tensors(scheme, j)
     planes = scheme._tensors[j]
     if not any(map(any, planes)):
         return bytes(len(planes))
-    return bytes(_contract_planes(params.spec, planes, slots, len(held)))
+    return bytes(_contract_planes(params.spec, planes, groups, len(held)))
 
 
 def _build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
@@ -441,10 +441,11 @@ def _build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
     entries, indexed row-major by the d held subsets of a monomial
     (positions in held_subsets(s, t, j)): entry a is the coefficient at r
     of the key of that combo (KeySolutions.column).  r's entry is one int
-    per digit-bit plane (_bit_planes of T_{r,1}, ..., T_{r,ell}),
-    k * bit_length(p - 1) of them.  A coordinate that no key carries a
-    nonzero coefficient at is always zero: it gets zero planes without a
-    join or a plane build.
+    per digit-bit plane (_bit_planes of the lane strings of T_{r,1}, ...,
+    T_{r,ell}), k * bit_length(p - 1) of them, each at most
+    8 * ceil(ell / lanes) * ceil(C(s-1, t)^d / (8 // lanes)) bits long.  A
+    coordinate that no key carries a nonzero coefficient at is always
+    zero: it gets zero planes without a join or a plane build.
     """
     params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
     # the key of every combo of held subsets, in product order: the held
@@ -471,14 +472,17 @@ def _build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
     return planes
 
 
-def _slot_vectors(
+def _view_lanes(
     view: Sequence[int], held: tuple, params: HssParams, chosen: tuple[int, ...], j: int
-) -> list[list[bytes]]:
-    """Per instance, the share vectors of its d product slots, slices of
-    the view aligned with `held`, once the whole view is checked: its
-    length is ell * m * len(held) (else DimensionMismatch), and every
-    share is an element code in 0..q-1 as FieldSpec.codes keeps it (else
-    ParameterOutOfRange, naming the first bad share and its secret)."""
+) -> list[tuple[bytes, ...]]:
+    """Per lane group of instances (see _PlaneTables), the lane strings of
+    its d product slots, each aligned with `held`, once the whole view is
+    checked: its length is ell * m * len(held) (else DimensionMismatch),
+    and every share is an element code in 0..q-1 as FieldSpec.codes keeps
+    it (else ParameterOutOfRange, naming the first bad share and its
+    secret).  Each instance's slots are one slice of the view when they
+    are its first d variables, else a join of d slices; _lane_strings
+    packs those rows in one pass, and each group's string is cut per slot."""
     spec, q, m, h = params.spec, params.spec.q, params.m, len(held)
     if len(view) != params.ell * m * h:
         layout = f"{params.ell * m} secrets x {h} held subsets"
@@ -493,7 +497,13 @@ def _slot_vectors(
         raise ParameterOutOfRange(
             f"server {j}: share {whole[n]!r} of secret {(i + 1, k + 1)} is outside 0..{q - 1} (q={q})"
         )
-    return [[whole[(i * m + v - 1) * h : (i * m + v) * h] for v in chosen] for i in range(params.ell)]
+    d, starts = len(chosen), range(0, len(whole), m * h)
+    if chosen == tuple(range(1, d + 1)):
+        rows = [whole[start : start + d * h] for start in starts]
+    else:
+        rows = [b"".join([whole[start + (v - 1) * h : start + v * h] for v in chosen]) for start in starts]
+    cuts = range(0, d * h, h)
+    return [tuple(row[cut : cut + h] for cut in cuts) for row in _lane_strings(_plane_tables(spec), rows, d * h)]
 
 
 class _PlaneTables(NamedTuple):
@@ -501,14 +511,16 @@ class _PlaneTables(NamedTuple):
 
     Tensors are packed `lanes` instances to a byte before they are split
     into planes: entry a of instance s * lanes + l sits in bits
-    l * width .. (l + 1) * width - 1 of byte a of lane string s, with
-    width = bit_length(q - 1) and lanes the largest power of two with
-    lanes * width <= 8 (8 for GF(2), 2 for GF(9), 1 above 16).  A byte of
-    a lane string translates, by packed[c], into the bits of up to
-    8 // lanes planes at once: plane c * (8 // lanes) + m's bit of lane l
-    in bit m * lanes + l.  One table covers every field but GF(125) and
-    GF(243), whose planes times lanes exceed 8.  composed[c][u] is scale[u]
-    then packed[c], so a share product's last step writes plane bytes.
+    l * width .. (l + 1) * width - 1 of byte a of lane string s (lane
+    group s), with width = bit_length(q - 1) and lanes the largest power
+    of two with lanes * width <= 8 (8 for GF(2), 2 for GF(9), 1 above
+    16).  A byte of a lane string translates, by packed[c], into the bits
+    of up to 8 // lanes planes at once: plane c * (8 // lanes) + m's bit
+    of lane l in bit m * lanes + l (cell m; _bit_planes moves cell m of
+    position block r to cell r of plane m).  One table covers every field
+    but GF(125) and GF(243), whose planes times lanes exceed 8.
+    composed[c][u] is scale[u] then packed[c], so a share product's last
+    step writes plane bytes.
     A fold class (m, weight, pairs) XORs the ANDs of its plane pairs (n, o)
     before one popcount, as counts matter mod p: one class per alpha^m for
     p = 2 (XOR keeps parity), per digit pair and weight for p = 3 (one-hot
@@ -584,17 +596,24 @@ def _lane_strings(tables: _PlaneTables, tensors: Sequence[bytes], size: int) -> 
 def _bit_planes(tables: _PlaneTables, strings: Sequence[Sequence[bytes]], size: int) -> list[int]:
     """One int per digit-bit plane n of lane strings of `size` bytes, each
     given as its plane bytes, one translate per packed table
-    (_plane_bytes): bit 8 * (size * (i // 8) + a) + i % 8 is plane n's bit
-    of entry a of instance i (counted from 0).  Per packed table, word r
-    joins the strings at position r of every group of 8 instances once; its
+    (_plane_bytes).  Each string is cut into 8 // lanes position blocks of
+    Q = ceil(size / (8 // lanes)) bytes, the last zero-padded: bit
+    8 * (s * Q + o) + r * lanes + l is plane n's bit of entry r * Q + o of
+    instance s * lanes + l (counted from 0), so a plane holds
+    8 * Q * len(strings) bits, however few instances the last string
+    holds.  Per packed table, word r joins block r of every string; its
     bytes hold 8 // lanes cells of lanes bits, and plane m wants cell m of
     word r in its cell r.  log2(8 // lanes) delta-swap stages transpose the
-    cells in place (none for GF(2)), and the words are the planes."""
-    per_byte = 8 // tables.lanes  # planes per packed byte, and lane strings per group of 8 instances
-    stages = _swap_masks(tables.lanes, size * -(-len(strings) // per_byte))  # as long as the planes
+    cells in place (none for GF(2), whose one block is the whole string),
+    and the words are the planes."""
+    per_byte = 8 // tables.lanes  # planes per packed byte, and position blocks per lane string
+    block = -(-size // per_byte)
+    stages = _swap_masks(tables.lanes, block * len(strings))  # as long as the planes
+    cuts = range(0, per_byte * block, block)
     planes = []
     for c in range(len(tables.packed)):
-        words = [int.from_bytes(b"".join(s[c] for s in strings[r::per_byte]), "little") for r in range(per_byte)]
+        padded = [memoryview(s[c].ljust(per_byte * block, b"\0")) for s in strings]
+        words = [int.from_bytes(b"".join([m[cut : cut + block] for m in padded]), "little") for cut in cuts]
         for cell, low, pairs in stages:  # swap cell m + step of word r and cell m of word o, m & step == 0
             for r, o in pairs:
                 t = ((words[r] >> cell) ^ words[o]) & low
@@ -630,14 +649,13 @@ def _plane_bytes(tables: _PlaneTables, columns: Sequence[bytes]) -> list[bytes]:
     return [b"".join(map(product.translate, map(rows.__getitem__, columns[0]))) for rows in tables.composed]
 
 
-def _contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+def _contract_planes(spec: FieldSpec, tensors, groups, h: int) -> list[int]:
     """z_r for each owned coordinate, by the popcount identity of
-    eval_server: one popcount per fold class of plane pairs."""
+    eval_server: one popcount per fold class of plane pairs.  `groups`
+    are the lane strings of each lane group's d slots (_view_lanes)."""
     tables = _plane_tables(spec)
     p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
-    d = len(slots[0])
-    columns = [_lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(d)]
-    shares = _bit_planes(tables, [_plane_bytes(tables, lane) for lane in zip(*columns)], h**d)
+    shares = _bit_planes(tables, [_plane_bytes(tables, lane) for lane in groups], h ** len(groups[0]))
     out = []
     for coefficients in tensors:
         sums = [0] * len(tables.powers)  # sums[m]: the coefficient of alpha^m, mod p

@@ -46,18 +46,20 @@ the last replaced (one list where the two coincide).
   ``row_ops`` axpy per step (``solve_keys``); ``row_scheme``
   reads the keys back into that form through ``column``, and
   ``project_blocks`` onto each union's coordinates.
-- Server planes (``hss._build_tensors``, lane strings packed in one pass
-  and split by a delta-swap transpose of the position words): dense
-  tensors read from the per-union blocks (``build_byte_tensors``), split
-  one plane at a time (``bit_planes`` through ``plane_bits``); lane
-  strings packed one group at a time (``group_lane_strings``), each plane
-  cut from each position word by its own mask and shift
-  (``masked_bit_planes``).
-- Evaluation (``hss.eval_server``, one popcount per fold class, on a
-  view's share sequence): the per-monomial sum over the table
-  (``eval_server``, on the dict form ``view_dicts`` of the view); one
-  popcount per plane pair, share planes from ``share_products``
-  (``contract_planes``).
+- Server planes (``hss._build_tensors``, lane strings packed in one pass,
+  cut into position blocks and split by a delta-swap transpose of the
+  block words): dense tensors read from the per-union blocks
+  (``build_byte_tensors``), split one block and plane at a time
+  (``bit_planes`` through ``plane_bits``); lane strings packed one group
+  at a time (``group_lane_strings``), split in the layout of groups of 8
+  instances concatenated (``group_bit_planes``, read in the block layout
+  through ``blocks_from_groups``).
+- Evaluation (``hss.eval_server``, one popcount per fold class, on the
+  lane strings ``hss._view_lanes`` reads from a view's share sequence):
+  the per-monomial sum over the table (``eval_server``, on the dict form
+  ``view_dicts`` of the view); one popcount per plane pair, share planes
+  from ``share_products`` (``contract_planes``), on lane strings packed
+  from per-instance slot slices (``slot_vectors``).
 - Sharing (``hss.cnf_share``, ``share_all_secrets``, views as bytes):
   one fragment scan per server and secret (``cnf_share``,
   ``share_all_secrets``, ``server_fragment``; its views are dicts, the
@@ -100,6 +102,7 @@ from labelweight_hss.galois import (
     FieldSpec,
     FieldTables,
     Polynomial,
+    first_outside,
     require_table_order,
 )
 from labelweight_hss.hss import (
@@ -942,9 +945,9 @@ def build_byte_tensors(scheme: HssScheme, blocks: SolutionBlocks, j: int):
 
 @functools.cache
 def plane_bits(spec: FieldSpec) -> list[list[bytes]]:
-    """bits[s][n]: the translate table that moves plane n's bit of lane l
-    of a byte (a lane string of hss._PlaneTables) to bit s * lanes + l,
-    one table per plane and per string of a group of 8 // lanes."""
+    """bits[r][n]: the translate table that moves plane n's bit of lane l
+    of a byte (a lane string of hss._PlaneTables) to bit r * lanes + l,
+    one table per plane and per cell r of a byte, 8 // lanes of them."""
     p, q = spec.p, spec.q
     planes = [(e, b) for e in range(spec.k) for b in range((p - 1).bit_length())]
     width = (q - 1).bit_length()
@@ -957,21 +960,25 @@ def plane_bits(spec: FieldSpec) -> list[list[bytes]]:
 
     digit_bits = [bytes(y // p**e % p >> b & 1 for y in range(q)) for e, b in planes]
     return [
-        [sum(by_lane(l, column, s * lanes + l) for l in range(lanes)).to_bytes(256, "little") for column in digit_bits]
-        for s in range(8 // lanes)
+        [sum(by_lane(l, column, r * lanes + l) for l in range(lanes)).to_bytes(256, "little") for column in digit_bits]
+        for r in range(8 // lanes)
     ]
 
 
 def bit_planes(spec: FieldSpec, strings: Sequence[bytes], size: int) -> list[int]:
     """hss._bit_planes by one translate and one int.from_bytes per lane
-    string and plane, through plane_bits."""
+    string, position block and plane, through plane_bits: block r of
+    string s, its positions r * Q onward with Q = ceil(size / (8 // lanes)),
+    lands in cell r of the plane's bytes s * Q onward."""
     bits = plane_bits(spec)
-    per_group = len(bits)
+    per_string = len(bits)
+    block = -(-size // per_string)
     planes = [0] * len(bits[0])
     for s, string in enumerate(strings):
-        offset = 8 * size * (s // per_group)
-        for n, table in enumerate(bits[s % per_group]):
-            planes[n] |= int.from_bytes(string.translate(table), "little") << offset
+        for r, tables in enumerate(bits):
+            piece = string[r * block : (r + 1) * block]
+            for n, table in enumerate(tables):
+                planes[n] |= int.from_bytes(piece.translate(table), "little") << 8 * block * s
     return planes
 
 
@@ -988,26 +995,44 @@ def group_lane_strings(tables: hss._PlaneTables, tensors: Sequence[bytes], size:
     return strings
 
 
-def masked_bit_planes(tables: hss._PlaneTables, strings: Sequence[Sequence[bytes]], size: int) -> list[int]:
-    """hss._bit_planes by one mask, shift and OR per (position, packed
-    table, plane): the strings at one position of every group of 8
-    instances are joined once per packed table, and each plane's bits are
-    masked out of that word (the whole byte for GF(2)) and shifted into
-    the position's lanes."""
-    lanes, count = tables.lanes, len(tables.planes)
-    per_byte = 8 // lanes
-    length = size * -(-len(strings) // per_byte)
-    low = (1 << lanes) - 1
-    masks = [int.from_bytes(bytes([low << m * lanes]) * length, "little") for m in range(per_byte)]
-    planes = [0] * count
-    for position in range(min(per_byte, len(strings))):
-        for c, translated in enumerate(zip(*strings[position::per_byte])):
-            word = int.from_bytes(b"".join(translated), "little")
-            first = c * per_byte
-            for m, mask in enumerate(masks[: count - first]):
-                bits, shift = word & mask, (position - m) * lanes
-                planes[first + m] |= bits << shift if shift >= 0 else bits >> -shift
+def group_bit_planes(tables: hss._PlaneTables, strings: Sequence[Sequence[bytes]], size: int) -> list[int]:
+    """hss._bit_planes in the layout it replaced, groups of 8 instances
+    concatenated: bit 8 * (size * (i // 8) + a) + i % 8 is the plane's bit
+    of entry a of instance i, so every plane is size * ceil(count /
+    (8 // lanes)) bytes long for `count` lane strings.  Per packed table,
+    word r joins the strings at position r of every group once, and the
+    same delta-swap stages transpose its cells."""
+    per_byte = 8 // tables.lanes
+    stages = hss._swap_masks(tables.lanes, size * -(-len(strings) // per_byte))
+    planes = []
+    for c in range(len(tables.packed)):
+        words = [int.from_bytes(b"".join(s[c] for s in strings[r::per_byte]), "little") for r in range(per_byte)]
+        for cell, low, pairs in stages:
+            for r, o in pairs:
+                t = ((words[r] >> cell) ^ words[o]) & low
+                words[r], words[o] = words[r] ^ t << cell, words[o] ^ t
+        planes += words[: len(tables.planes) - c * per_byte]
     return planes
+
+
+def blocks_from_groups(planes: Sequence[int], lanes: int, count: int, size: int) -> list[int]:
+    """group_bit_planes' planes of `count` lane strings of `size` entries,
+    laid out as hss._bit_planes lays them: lane string s is cell s % (8 //
+    lanes) of the bytes of group s // (8 // lanes); its block r, padded,
+    moves to cell r of bytes s * Q onward."""
+    per_byte = 8 // lanes
+    block, groups = -(-size // per_byte), -(-count // per_byte)
+    cells = [bytes(u >> c * lanes & ((1 << lanes) - 1) for u in range(256)) for c in range(per_byte)]
+    out = []
+    for plane in planes:
+        data, blocks = plane.to_bytes(size * groups, "little"), []
+        for s in range(count):
+            g, c = divmod(s, per_byte)
+            string = data[g * size : (g + 1) * size].translate(cells[c])
+            pieces = [int.from_bytes(string[r * block : (r + 1) * block], "little") for r in range(per_byte)]
+            blocks.append(sum(piece << r * lanes for r, piece in enumerate(pieces)).to_bytes(block, "little"))
+        out.append(int.from_bytes(b"".join(blocks), "little"))
+    return out
 
 
 def share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:
@@ -1021,21 +1046,44 @@ def share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:
     return product
 
 
-def contract_planes(spec: FieldSpec, tensors, slots, h: int) -> list[int]:
+def slot_vectors(
+    view: Sequence[int], held: tuple, params: HssParams, chosen: tuple[int, ...], j: int
+) -> list[list[bytes]]:
+    """hss._view_lanes before the lane packing: per instance, the share
+    vectors of its d product slots, slices of the view aligned with
+    `held`, once the whole view is checked (the same errors)."""
+    spec, q, m, h = params.spec, params.spec.q, params.m, len(held)
+    if len(view) != params.ell * m * h:
+        layout = f"{params.ell * m} secrets x {h} held subsets"
+        raise DimensionMismatch(f"server {j}: view holds {len(view)} shares, not {params.ell * m * h} ({layout})")
+    try:
+        whole = spec.codes(view)
+    except (TypeError, ValueError):
+        whole = list(view)
+    if first_outside(whole, q) is not None:
+        n = next(n for n, y in enumerate(whole) if first_outside((y,), q) is not None)
+        i, k = divmod(n // h, m)
+        raise ParameterOutOfRange(
+            f"server {j}: share {whole[n]!r} of secret {(i + 1, k + 1)} is outside 0..{q - 1} (q={q})"
+        )
+    return [[whole[(i * m + v - 1) * h : (i * m + v) * h] for v in chosen] for i in range(params.ell)]
+
+
+def contract_planes(spec: FieldSpec, tensors, groups, h: int) -> list[int]:
     """hss._contract_planes by one popcount per (coefficient plane, share
     plane) pair, every count an exact integer:
 
         z_r = sum_{e,f} alpha^(e+f) * ((sum_{b,g} 2^(b+g) *
               popcount(T_{e,b} & W_{f,g})) mod p),
 
-    with the share planes built from share_products and then a translate
-    of each product per packed table."""
+    with the share planes built from share_products of each lane group's
+    d slot strings (`groups`, as hss._view_lanes gives them) and then a
+    translate of each product per packed table."""
     tables = hss._plane_tables(spec)
     p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
-    d = len(slots[0])
-    columns = [hss._lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(d)]
-    products = [share_products(tables.scale, lane) for lane in zip(*columns)]
-    shares = hss._bit_planes(tables, [[product.translate(table) for table in tables.packed] for product in products], h**d)
+    products = [share_products(tables.scale, lane) for lane in groups]
+    size = h ** len(groups[0])
+    shares = hss._bit_planes(tables, [[product.translate(table) for table in tables.packed] for product in products], size)
     out = []
     for coefficients in tensors:
         sums = [0] * len(tables.powers)  # sums[m]: the integer coefficient of alpha^m

@@ -364,9 +364,10 @@ def _copies(spec, ell, copies):
 
 
 # (code, t, d); servers own several coordinates in the "pairs" and "copies"
-# cases, the "copies" cases put ell = 8, 9 and 17 instances across the
-# groups of 8 that the bit planes pack into a byte, and GF(251), whose
-# digit layout is wider than a byte, packs one instance to a lane string
+# cases, the "copies" cases put ell = 8, 9 and 17 instances into lane
+# strings, the last of them ragged where lanes do not divide ell, and
+# GF(251), whose digit layout is wider than a byte, packs one instance to
+# a lane string
 EVAL_CASES = {
     "gf2-goppa-t1d1": (lambda: goppa_build(3, 1), 1, 1),
     "gf2-goppa-t1d2": (lambda: goppa_build(3, 1), 1, 2),
@@ -728,17 +729,55 @@ def _oracle_planes(scheme, blocks, j):
             for per_instance in dense]
 
 
+def _translated(tables, strings):
+    """Each lane string translated by every packed table, as _bit_planes takes it."""
+    return [[string.translate(table) for table in tables.packed] for string in strings]
+
+
 @pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
 def test_server_planes_match_the_per_union_blocks(name):
     """Each server's planes are the references', and some plane is nonzero,
     eval_server's test of a live server, exactly when some entry of its
-    dense tensors is."""
+    dense tensors is.  Over GF(2), whose lane strings are one position
+    block each, they are the planes of the layout of groups of 8
+    instances (oracles.group_bit_planes) byte for byte."""
     scheme, blocks = _case_scheme(name), _case_blocks(name)
-    for j in range(1, scheme.params.s + 1):
+    params = scheme.params
+    tables, size = hss._plane_tables(params.spec), len(hss.held_subsets(params.s, params.t, 1)) ** params.d
+    for j in range(1, params.s + 1):
         planes = hss._build_tensors(scheme, j)
         assert planes == _oracle_planes(scheme, blocks, j)
         dense = oracles.build_byte_tensors(scheme, blocks, j)[1]
         assert any(map(any, planes)) == any(any(tensor) for per_instance in dense for tensor in per_instance)
+        if params.spec.q == 2:
+            strings = [hss._lane_strings(tables, per_instance, size) for per_instance in dense]
+            assert planes == [oracles.group_bit_planes(tables, _translated(tables, s), size) for s in strings]
+
+
+def _padding_bound(params, size):
+    """The bits a plane of ell instances over `size` positions may hold:
+    8 per byte of ceil(ell / lanes) lane strings of 8 // lanes position
+    blocks of ceil(size / (8 // lanes)) bytes each."""
+    lanes = hss._plane_tables(params.spec).lanes
+    return 8 * -(-params.ell // lanes) * -(-size // (8 // lanes))
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES))
+def test_planes_hold_no_padding_past_the_position_blocks(name):
+    """Every coefficient plane of every server, and every share plane of
+    a view with all shares nonzero, fits the bits of its lane strings'
+    position blocks: a ragged last group of instances pads no plane."""
+    scheme = _case_scheme(name)
+    params = scheme.params
+    tables, chosen = hss._plane_tables(params.spec), hss.product_variables(params)
+    h = len(hss.held_subsets(params.s, params.t, 1))
+    bound, length = _padding_bound(params, h**params.d), params.ell * params.m * h
+    view = (bytes(range(1, params.spec.q)) * length)[:length]
+    for j in range(1, params.s + 1):
+        groups = hss._view_lanes(view, hss.held_subsets(params.s, params.t, j), params, chosen, j)
+        shares = hss._bit_planes(tables, [hss._plane_bytes(tables, lane) for lane in groups], h**params.d)
+        for planes in [*hss._build_tensors(scheme, j), shares]:
+            assert max(plane.bit_length() for plane in planes) <= bound, j
 
 
 # every field with tables, as (p, k)
@@ -759,8 +798,9 @@ def test_packed_plane_tables_need_a_second_table_only_above_eight_bits():
 
 @st.composite
 def _lane_tensors(draw, spec: FieldSpec):
-    """Tensors of 1 to 33 instances (so up to 5 groups of 8, a ragged last
-    group, and fewer lane strings than 8 // lanes) of `size` >= 1 entries."""
+    """Tensors of 1 to 33 instances (so a ragged last lane string, and
+    fewer lane strings than 8 // lanes) of `size` >= 1 entries, a
+    multiple of 8 // lanes or not."""
     instances, size = draw(st.integers(1, 33)), draw(st.integers(1, 40))
     raw = draw(st.binary(min_size=instances * size, max_size=instances * size))
     return [bytes(b % spec.q for b in raw[i * size : (i + 1) * size]) for i in range(instances)], size
@@ -793,11 +833,11 @@ def test_lane_strings_match_the_per_group_oracle(p, k, data):
 
 @settings(max_examples=300, deadline=None, database=None)
 @given(_lane_inputs())
-@example(_lane_case(FieldSpec(3, 2), 10, 17))  # hermitian-setup's ell: 5 lane strings, groups of 4 and 1
-@example(_lane_case(FieldSpec(3, 2), 20, 11))  # 10 lane strings: groups of 4, 4 and 2
-@example(_lane_case(FieldSpec(2, 4), 56, 9))  # [64,56]'s ell: 28 lane strings, 7 groups of 4
-@example(_lane_case(FieldSpec(5, 2), 113, 6))  # 113 lane strings: 14 groups of 8 and one of 1
-@example(_lane_case(FieldSpec(7, 2), 20, 7))  # 20 lane strings: groups of 8, 8 and 4
+@example(_lane_case(FieldSpec(3, 2), 10, 17))  # hermitian-setup's ell: 5 lane strings, 4 blocks of 5, the last padded
+@example(_lane_case(FieldSpec(3, 2), 20, 11))  # 10 lane strings, 4 blocks of 3, the last padded
+@example(_lane_case(FieldSpec(2, 4), 56, 9))  # [64,56]'s ell: 28 lane strings, 4 blocks of 3, the last padded
+@example(_lane_case(FieldSpec(5, 2), 113, 6))  # 113 lane strings, 8 blocks of 1, the last two empty
+@example(_lane_case(FieldSpec(7, 2), 20, 7))  # 20 lane strings, 8 blocks of 1, the last empty
 @example(_lane_case(FieldSpec(5, 3), 17, 5))  # two packed tables, the second with one plane
 @example((FieldSpec(5, 3), [bytes(range(0, 250, 2)), bytes(range(1, 251, 2))], 125))
 @example((FieldSpec(3, 5), [bytes(range(243))] * 9, 243))
@@ -806,10 +846,42 @@ def test_packed_bit_planes_match_the_per_plane_oracle(case):
     spec, strings, size = case
     tables = hss._plane_tables(spec)
     translated = [hss._plane_bytes(tables, (string,)) for string in strings]
-    assert translated == [[string.translate(table) for table in tables.packed] for string in strings]
+    assert translated == _translated(tables, strings)
     planes = hss._bit_planes(tables, translated, size)
     assert planes == oracles.bit_planes(spec, strings, size)
-    assert planes == oracles.masked_bit_planes(tables, translated, size)
+    group = oracles.group_bit_planes(tables, translated, size)
+    assert planes == oracles.blocks_from_groups(group, tables.lanes, len(strings), size)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(_lane_inputs())
+@example(_lane_case(FieldSpec(3, 2), 10, 17))  # 5 lane strings of 4 blocks, 17 not a multiple of 4
+@example(_lane_case(FieldSpec(3, 2), 11, 3))  # 6 lane strings, the last with one instance; blocks of 1 and 0
+@example(_lane_case(FieldSpec(5, 2), 9, 13))  # 9 lane strings of 8 blocks of 2 positions
+@example(_lane_case(FieldSpec(2), 17, 5))  # GF(2): one block per string
+@example(_lane_case(FieldSpec(5, 3), 3, 1))  # two packed tables, one position
+def test_block_and_group_planes_hold_the_same_bits(case):
+    """The position-block layout and the layout of groups of 8 instances
+    it replaced hold the same bit at each (plane, instance, position):
+    instance i = lanes * s + l at position a = r * Q + o is bit
+    8 * (s * Q + o) + r * lanes + l of the one and 8 * (size * (i // 8) +
+    a) + i % 8 of the other, with Q = ceil(size / (8 // lanes)), and no
+    plane holds a bit past its lane strings.  Over GF(2) the layouts are
+    the same."""
+    spec, strings, size = case
+    tables = hss._plane_tables(spec)
+    lanes, per_string, count = tables.lanes, 8 // tables.lanes, len(strings)
+    block, groups = -(-size // per_string), -(-count // per_string)
+    planes = hss._bit_planes(tables, _translated(tables, strings), size)
+    group = oracles.group_bit_planes(tables, _translated(tables, strings), size)
+    for plane, old in zip(planes, group, strict=True):
+        assert plane.bit_length() <= 8 * block * count and old.bit_length() <= 8 * size * groups
+        bits, old_bits = f"{plane:0{8 * block * count}b}"[::-1], f"{old:0{8 * size * groups}b}"[::-1]
+        for i, a in itertools.product(range(lanes * count), range(size)):
+            (s, l), (r, o) = divmod(i, lanes), divmod(a, block)
+            assert bits[8 * (s * block + o) + r * lanes + l] == old_bits[8 * (size * (i // 8) + a) + i % 8]
+    if lanes == 8:
+        assert planes == group
 
 
 # popcounts per owned coordinate: the number of fold classes of each field
@@ -838,6 +910,12 @@ def test_fold_classes_cover_every_plane_pair_once(p, k):
     assert tables.composed == [[row.translate(table) for row in tables.scale] for table in tables.packed]
 
 
+def _slot_lanes(tables, slots, h):
+    """Per lane group, the lane strings of its d slots, from per-instance
+    slot vectors (oracles.slot_vectors' form) by one _lane_strings per slot."""
+    return list(zip(*[hss._lane_strings(tables, [vectors[k] for vectors in slots], h) for k in range(len(slots[0]))]))
+
+
 def _random_codes(rng, spec, size, density):
     """`size` codes of spec, each nonzero with probability `density`."""
     return bytes(rng.randrange(1, spec.q) if rng.random() < density else 0 for _ in range(size))
@@ -847,7 +925,7 @@ def _random_codes(rng, spec, size, density):
 def test_folded_contraction_matches_one_popcount_per_plane_pair(p, k):
     """The fold-class contraction and its composed share planes against
     oracles.contract_planes on random slot vectors and coefficient planes:
-    d = 1, 2, 3 and ell = 1, 3, 10, 11 (groups of 8 instances cut short),
+    d = 1, 2, 3 and ell = 1, 3, 10, 11 (a ragged last lane string),
     with all-zero, sparse and dense coefficient tensors."""
     spec = FieldSpec(p, k)
     tables = hss._plane_tables(spec)
@@ -856,16 +934,17 @@ def test_folded_contraction_matches_one_popcount_per_plane_pair(p, k):
         h = rng.randint(1, 4 if d < 3 else 3)
         size = h**d
         slots = [[_random_codes(rng, spec, h, rng.choice((0.0, 0.5, 1.0))) for _ in range(d)] for _ in range(ell)]
+        groups = _slot_lanes(tables, slots, h)
         tensors = [
             oracles.bit_planes(spec, hss._lane_strings(tables, [_random_codes(rng, spec, size, density)
                                                                 for _ in range(ell)], size), size)
             for density in (0.0, 0.2, 1.0)
         ]
         assert tensors[0] == [0] * len(tables.planes)
-        got = hss._contract_planes(spec, tensors, slots, h)
-        assert got == oracles.contract_planes(spec, tensors, slots, h), (d, ell)
+        got = hss._contract_planes(spec, tensors, groups, h)
+        assert got == oracles.contract_planes(spec, tensors, groups, h), (d, ell)
         assert got[0] == 0
-        for lane in zip(*[hss._lane_strings(tables, [vectors[n] for vectors in slots], h) for n in range(d)]):
+        for lane in groups:
             product = oracles.share_products(tables.scale, lane)
             assert hss._plane_bytes(tables, lane) == [product.translate(table) for table in tables.packed]
 
@@ -921,8 +1000,9 @@ def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
         assert hss.eval_server(scheme, j, views[j]) == bytes(len(scheme.code.labeling.coords(j)))
     assert not calls
     held, planes = hss.held_subsets(params.s, params.t, 1), _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
-    slots = hss._slot_vectors(views[1], held, params, hss.product_variables(params), 1)
-    assert hss.eval_server(scheme, 1, views[1]) == bytes(oracles.contract_planes(params.spec, planes, slots, len(held)))
+    slots = oracles.slot_vectors(views[1], held, params, hss.product_variables(params), 1)
+    groups = _slot_lanes(hss._plane_tables(params.spec), slots, len(held))
+    assert hss.eval_server(scheme, 1, views[1]) == bytes(oracles.contract_planes(params.spec, planes, groups, len(held)))
     assert calls
 
 
@@ -944,6 +1024,25 @@ def test_always_zero_server_checks_its_views_as_before():
         with pytest.raises(ParameterOutOfRange) as outside:
             hss.eval_server(scheme, j, bad)
         assert str(outside.value) == f"server {j}: share 9 of secret (2, 1) is outside 0..8 (q=9)"
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (3, 2), (5, 2)], ids=["GF2", "GF9", "GF25"])
+@pytest.mark.parametrize("ell", [1, 8, 10, 11])
+@pytest.mark.parametrize("var_indices", [None, (3, 1, 3), (2, 2, 2), (1,)], ids=str)
+def test_view_lanes_match_the_slot_vectors_and_lane_strings(p, k, ell, var_indices):
+    """The one-pass reader gives, per lane group (8, 2 and 1 instances over
+    GF(2), GF(9) and GF(25)), the lane strings of the per-instance slot
+    vectors packed one slot at a time; m = 3, and d = 2 by default."""
+    spec = FieldSpec(p, k)
+    params = hss.HssParams(4, 1, 2 if var_indices is None else len(var_indices), ell, 3, spec)
+    chosen, held = hss.product_variables(params, var_indices), hss.held_subsets(4, 1, 2)
+    rng = random.Random(ell)
+    view = bytes(rng.randrange(spec.q) for _ in range(ell * params.m * len(held)))
+    slots = oracles.slot_vectors(view, held, params, chosen, 2)
+    want = _slot_lanes(hss._plane_tables(spec), slots, len(held))
+    assert hss._view_lanes(view, held, params, chosen, 2) == want
+    assert hss._view_lanes(list(view), held, params, chosen, 2) == want
+    assert len(want) == -(-ell // hss._plane_tables(spec).lanes)
 
 
 GF251 = FieldSpec(251)
@@ -1141,6 +1240,7 @@ def wire_schemes(schemes):
         "hermitian": schemes["hermitian"][0],
         "goppa-wire": hss.scheme_for_code(goppa_build(4, 2), t=4, d=1, m=4),
         "rs5": hss.scheme_for_code(rs_build(5, 5, 2), t=1, d=2, m=3),
+        "hermitian-setup": _case_scheme("hermitian-setup"),
     }
 
 
@@ -1249,7 +1349,9 @@ def _same_runs(new, old):
 
 
 @pytest.mark.parametrize(
-    "name,var_indices", [("goppa", None), ("hermitian", None), ("goppa-wire", None), ("rs5", None), ("rs5", (3, 1))]
+    "name,var_indices",
+    [("goppa", None), ("hermitian", None), ("goppa-wire", None), ("rs5", None), ("rs5", (3, 1)),
+     ("hermitian-setup", (3, 1, 3)), ("goppa", (2, 3, 1))],
 )
 def test_simulate_matches_oracle_protocol(wire_schemes, name, var_indices):
     scheme = wire_schemes[name]
@@ -1259,6 +1361,27 @@ def test_simulate_matches_oracle_protocol(wire_schemes, name, var_indices):
     if name == "goppa-wire":
         assert len(new[0].frames) == 33
         assert sum(map(len, new[0].frames)) == 699_234
+
+
+@pytest.mark.parametrize("name,var_indices", [("hermitian-setup", (3, 1, 3)), ("goppa-eval", (2, 3, 1))])
+def test_end_to_end_runs_on_chosen_variables_match_the_oracles(name, var_indices):
+    """run_end_to_end on product variables other than the first d, which
+    the view reader joins per instance: its outputs are the direct
+    products, and each server's output shares are oracles.contract_planes'
+    on the reference planes and the lane strings of oracles.slot_vectors."""
+    scheme, blocks = _case_scheme(name), _case_blocks(name)
+    params, spec = scheme.params, scheme.params.spec
+    secrets = _secrets(params, 6)
+    result = hss.run_end_to_end(scheme, secrets, 6, var_indices)
+    assert result.ok
+    assert result.outputs == [functools.reduce(spec.mul, [row[v - 1] for v in var_indices]) for row in secrets]
+    views, tables, per_server = hss.share_all_secrets(params, secrets, random.Random(6))[1], hss._plane_tables(spec), {}
+    for j in range(1, params.s + 1):
+        held = hss.held_subsets(params.s, params.t, j)
+        groups = _slot_lanes(tables, oracles.slot_vectors(views[j], held, params, var_indices, j), len(held))
+        per_server[j] = bytes(oracles.contract_planes(spec, _oracle_planes(scheme, blocks, j), groups, len(held)))
+        assert hss.eval_server(scheme, j, views[j], var_indices) == per_server[j]
+    assert hss.reconstruct(scheme, hss.collect_output_shares(scheme, per_server)) == result.outputs
 
 
 def test_short_input_payload_fails_the_servers_view_check(wire_schemes, monkeypatch):
