@@ -405,13 +405,13 @@ def eval_server(
 
     P holding plane pairs with e + f = m and 2^(b+g) = w mod p: the
     popcount of their XOR is the sum of their counts mod p (for p = 2 only
-    its parity).  The view is read once (_view_lanes): each lane group's
-    d slot strings, from which the share planes come by one translate per
-    lane string and packed table (_plane_bytes).  The coefficient planes
-    are built on server j's first call and cached on the scheme (see
-    HssScheme).  If they are all zero (no key is nonzero at a coordinate
-    server j owns), every z_r is always 0: the view is still read as
-    below, then zeros are returned without share products.
+    its parity).  The checked view is read once (_view_lanes): each lane
+    group's d slot strings, from which the share planes come by one
+    translate per lane string and packed table (_plane_bytes).  The
+    coefficient planes are built on server j's first call and cached on
+    the scheme (see HssScheme).  If they are all zero (no key is nonzero
+    at a coordinate server j owns), every z_r is always 0: the view is
+    still checked as below, then zeros are returned without reading it.
 
     The whole view is checked before any share is read or any tensor is
     built: a view of another length raises DimensionMismatch, and a share
@@ -425,12 +425,13 @@ def eval_server(
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
     chosen = product_variables(params, var_indices)
     held = held_subsets(params.s, params.t, j)
-    groups = _view_lanes(view, held, params, chosen, j)
+    whole = _checked_view(view, held, params, j)
     if j not in scheme._tensors:
         scheme._tensors[j] = _build_tensors(scheme, j)
     planes = scheme._tensors[j]
     if not any(map(any, planes)):
         return bytes(len(planes))
+    groups = _view_lanes(whole, len(held), params, chosen)
     return bytes(_contract_planes(params.spec, planes, groups, len(held)))
 
 
@@ -472,17 +473,11 @@ def _build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
     return planes
 
 
-def _view_lanes(
-    view: Sequence[int], held: tuple, params: HssParams, chosen: tuple[int, ...], j: int
-) -> list[tuple[bytes, ...]]:
-    """Per lane group of instances (see _PlaneTables), the lane strings of
-    its d product slots, each aligned with `held`, once the whole view is
-    checked: its length is ell * m * len(held) (else DimensionMismatch),
-    and every share is an element code in 0..q-1 as FieldSpec.codes keeps
-    it (else ParameterOutOfRange, naming the first bad share and its
-    secret).  Each instance's slots are one slice of the view when they
-    are its first d variables, else a join of d slices; _lane_strings
-    packs those rows in one pass, and each group's string is cut per slot."""
+def _checked_view(view: Sequence[int], held: tuple, params: HssParams, j: int) -> bytes:
+    """Server j's view as bytes, once the whole of it is checked: its
+    length is ell * m * len(held) (else DimensionMismatch), and every share
+    is an element code in 0..q-1 as FieldSpec.codes keeps it (else
+    ParameterOutOfRange, naming the first bad share and its secret)."""
     spec, q, m, h = params.spec, params.spec.q, params.m, len(held)
     if len(view) != params.ell * m * h:
         layout = f"{params.ell * m} secrets x {h} held subsets"
@@ -497,13 +492,20 @@ def _view_lanes(
         raise ParameterOutOfRange(
             f"server {j}: share {whole[n]!r} of secret {(i + 1, k + 1)} is outside 0..{q - 1} (q={q})"
         )
-    d, starts = len(chosen), range(0, len(whole), m * h)
-    if chosen == tuple(range(1, d + 1)):
-        rows = [whole[start : start + d * h] for start in starts]
-    else:
-        rows = [b"".join([whole[start + (v - 1) * h : start + v * h] for v in chosen]) for start in starts]
-    cuts = range(0, d * h, h)
-    return [tuple(row[cut : cut + h] for cut in cuts) for row in _lane_strings(_plane_tables(spec), rows, d * h)]
+    return whole
+
+
+def _view_lanes(whole: bytes, h: int, params: HssParams, chosen: tuple[int, ...]) -> list[tuple[bytes, ...]]:
+    """Per lane group of instances (see _PlaneTables), the lane strings of
+    its d product slots, each of the h held subsets, from a checked view
+    (_checked_view): each instance's row is one slice of the view, its
+    variables from the lowest chosen one to the highest, _lane_strings
+    packs the rows in one pass, and each group's string is cut at the
+    chosen variables."""
+    low, span = min(chosen), (max(chosen) - min(chosen) + 1) * h
+    rows = [whole[start : start + span] for start in range((low - 1) * h, len(whole), params.m * h)]
+    cuts = [(v - low) * h for v in chosen]
+    return [tuple(row[cut : cut + h] for cut in cuts) for row in _lane_strings(_plane_tables(params.spec), rows, span)]
 
 
 class _PlaneTables(NamedTuple):

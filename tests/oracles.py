@@ -1049,9 +1049,9 @@ def share_products(scale: list[bytes], columns: Sequence[bytes]) -> bytes:
 def slot_vectors(
     view: Sequence[int], held: tuple, params: HssParams, chosen: tuple[int, ...], j: int
 ) -> list[list[bytes]]:
-    """hss._view_lanes before the lane packing: per instance, the share
-    vectors of its d product slots, slices of the view aligned with
-    `held`, once the whole view is checked (the same errors)."""
+    """hss._checked_view, then hss._view_lanes before the lane packing: per
+    instance, the share vectors of its d product slots, slices of the view
+    aligned with `held`, once the whole view is checked (the same errors)."""
     spec, q, m, h = params.spec, params.spec.q, params.m, len(held)
     if len(view) != params.ell * m * h:
         layout = f"{params.ell * m} secrets x {h} held subsets"

@@ -774,7 +774,8 @@ def test_planes_hold_no_padding_past_the_position_blocks(name):
     bound, length = _padding_bound(params, h**params.d), params.ell * params.m * h
     view = (bytes(range(1, params.spec.q)) * length)[:length]
     for j in range(1, params.s + 1):
-        groups = hss._view_lanes(view, hss.held_subsets(params.s, params.t, j), params, chosen, j)
+        whole = hss._checked_view(view, hss.held_subsets(params.s, params.t, j), params, j)
+        groups = hss._view_lanes(whole, h, params, chosen)
         shares = hss._bit_planes(tables, [hss._plane_bytes(tables, lane) for lane in groups], h**params.d)
         for planes in [*hss._build_tensors(scheme, j), shares]:
             assert max(plane.bit_length() for plane in planes) <= bound, j
@@ -839,10 +840,18 @@ def test_lane_strings_match_the_per_group_oracle(p, k, data):
 @example(_lane_case(FieldSpec(5, 2), 113, 6))  # 113 lane strings, 8 blocks of 1, the last two empty
 @example(_lane_case(FieldSpec(7, 2), 20, 7))  # 20 lane strings, 8 blocks of 1, the last empty
 @example(_lane_case(FieldSpec(5, 3), 17, 5))  # two packed tables, the second with one plane
+@example(_lane_case(FieldSpec(5, 3), 3, 1))  # two packed tables, one position
+@example(_lane_case(FieldSpec(3, 2), 11, 3))  # 6 lane strings, the last with one instance; blocks of 1 and 0
+@example(_lane_case(FieldSpec(5, 2), 9, 13))  # 9 lane strings of 8 blocks of 2 positions
+@example(_lane_case(FieldSpec(2), 17, 5))  # GF(2): one block per string, the layouts the same
 @example((FieldSpec(5, 3), [bytes(range(0, 250, 2)), bytes(range(1, 251, 2))], 125))
 @example((FieldSpec(3, 5), [bytes(range(243))] * 9, 243))
 @example((FieldSpec(2), [bytes([255])] * 3, 1))
 def test_packed_bit_planes_match_the_per_plane_oracle(case):
+    """The planes are the per-block reference's, and they hold the bits of
+    the layout they replaced, groups of 8 instances concatenated, moved
+    into position blocks; over GF(2), one block per string, they are that
+    layout's planes byte for byte."""
     spec, strings, size = case
     tables = hss._plane_tables(spec)
     translated = [hss._plane_bytes(tables, (string,)) for string in strings]
@@ -851,36 +860,7 @@ def test_packed_bit_planes_match_the_per_plane_oracle(case):
     assert planes == oracles.bit_planes(spec, strings, size)
     group = oracles.group_bit_planes(tables, translated, size)
     assert planes == oracles.blocks_from_groups(group, tables.lanes, len(strings), size)
-
-
-@settings(max_examples=100, deadline=None, database=None)
-@given(_lane_inputs())
-@example(_lane_case(FieldSpec(3, 2), 10, 17))  # 5 lane strings of 4 blocks, 17 not a multiple of 4
-@example(_lane_case(FieldSpec(3, 2), 11, 3))  # 6 lane strings, the last with one instance; blocks of 1 and 0
-@example(_lane_case(FieldSpec(5, 2), 9, 13))  # 9 lane strings of 8 blocks of 2 positions
-@example(_lane_case(FieldSpec(2), 17, 5))  # GF(2): one block per string
-@example(_lane_case(FieldSpec(5, 3), 3, 1))  # two packed tables, one position
-def test_block_and_group_planes_hold_the_same_bits(case):
-    """The position-block layout and the layout of groups of 8 instances
-    it replaced hold the same bit at each (plane, instance, position):
-    instance i = lanes * s + l at position a = r * Q + o is bit
-    8 * (s * Q + o) + r * lanes + l of the one and 8 * (size * (i // 8) +
-    a) + i % 8 of the other, with Q = ceil(size / (8 // lanes)), and no
-    plane holds a bit past its lane strings.  Over GF(2) the layouts are
-    the same."""
-    spec, strings, size = case
-    tables = hss._plane_tables(spec)
-    lanes, per_string, count = tables.lanes, 8 // tables.lanes, len(strings)
-    block, groups = -(-size // per_string), -(-count // per_string)
-    planes = hss._bit_planes(tables, _translated(tables, strings), size)
-    group = oracles.group_bit_planes(tables, _translated(tables, strings), size)
-    for plane, old in zip(planes, group, strict=True):
-        assert plane.bit_length() <= 8 * block * count and old.bit_length() <= 8 * size * groups
-        bits, old_bits = f"{plane:0{8 * block * count}b}"[::-1], f"{old:0{8 * size * groups}b}"[::-1]
-        for i, a in itertools.product(range(lanes * count), range(size)):
-            (s, l), (r, o) = divmod(i, lanes), divmod(a, block)
-            assert bits[8 * (s * block + o) + r * lanes + l] == old_bits[8 * (size * (i // 8) + a) + i % 8]
-    if lanes == 8:
+    if tables.lanes == 8:
         assert planes == group
 
 
@@ -1040,8 +1020,8 @@ def test_view_lanes_match_the_slot_vectors_and_lane_strings(p, k, ell, var_indic
     view = bytes(rng.randrange(spec.q) for _ in range(ell * params.m * len(held)))
     slots = oracles.slot_vectors(view, held, params, chosen, 2)
     want = _slot_lanes(hss._plane_tables(spec), slots, len(held))
-    assert hss._view_lanes(view, held, params, chosen, 2) == want
-    assert hss._view_lanes(list(view), held, params, chosen, 2) == want
+    for read in (view, list(view)):
+        assert hss._view_lanes(hss._checked_view(read, held, params, 2), len(held), params, chosen) == want
     assert len(want) == -(-ell // hss._plane_tables(spec).lanes)
 
 
