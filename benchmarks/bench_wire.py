@@ -1,25 +1,33 @@
 #!/usr/bin/env python3
 """Time sharing, evaluation and the whole protocol run on the goppa-wire
 shape (Goppa [16,8] over GF(2), s=16, t=4, d=1, m=4: 1,820 share subsets
-per secret), for the package and for the per-share dict path it replaced
-(kept in tests/oracles.py).
+per secret), for the package and for the code it replaced (kept in
+tests/oracles.py).
 
 Usage:  python3 benchmarks/bench_wire.py [--repeats N] [--seed S]
 
 Rows, each the best of N calls:
-  share     hss.share_all_secrets    vs oracles.share_all_secrets
+  draw      galois.randrange_run     vs oracles.randrange_run, the
+            58,208 draws of one deal (rounds joined once vs appended)
+  views     hss._lay_out_views       vs oracles.sliced_views, every
+            server's view from the drawn share vectors
   eval      hss.eval_server          vs oracles.eval_server, every server
   simulate  protocol.simulate        vs oracles.simulate
   codec     protocol.encode/decode   vs oracles.encode/decode, on the
             33 messages of each path's own simulate run
-Each stage calls the functions themselves, and each path's eval_server
-reads that path's own views (the package's bytes, the oracle's dicts);
-the finer breakdown of protocol.simulate (encode, decode, the server's
-own work) is in the counters of
-`perfbench/run.py --workload goppa-wire --trace 1`.  The two paths must
-give equal views (the package's read through oracles.view_dicts), equal
-server outputs, byte-identical transcripts, and from the codec equal
-frames and equal payload elements, or the script exits with status 1.
+The draw and views rows are the two stages of hss.share_all_secrets,
+timed against the per-subset-slice dealer it replaced
+(oracles.sliced_share_all_secrets); the other rows against the
+per-share dict path.  Each stage calls the functions themselves, and
+each path's eval_server reads that path's own views (the package's
+bytes, the dict oracle's dicts); the finer breakdown of
+protocol.simulate (encode, decode, the server's own work) is in the
+counters of `perfbench/run.py --workload goppa-wire --trace 1`.  The
+two paths must give equal draws and generator states, byte-identical
+views, views equal to the dict oracle's (the package's read through
+oracles.view_dicts), equal server outputs, byte-identical transcripts,
+and from the codec equal frames and equal payload elements, or the
+script exits with status 1.
 """
 
 import argparse
@@ -35,17 +43,28 @@ sys.path.insert(0, str(ROOT / "src"))
 sys.path.insert(0, str(ROOT / "tests"))
 
 import oracles  # noqa: E402
-from labelweight_hss import hss, protocol  # noqa: E402
+from labelweight_hss import galois, hss, protocol  # noqa: E402
 from labelweight_hss.codes import goppa_build  # noqa: E402
 
 
-# the package's entry points under the names tests/oracles.py gives them
+# each path's function for every stage, the package's and the replaced code's
 package = SimpleNamespace(
+    randrange_run=galois.randrange_run,
+    lay_out_views=hss._lay_out_views,
     share_all_secrets=hss.share_all_secrets,
     eval_server=hss.eval_server,
     simulate=protocol.simulate,
     encode=protocol.encode,
     decode=protocol.decode,
+)
+replaced = SimpleNamespace(
+    randrange_run=oracles.randrange_run,
+    lay_out_views=oracles.sliced_views,
+    share_all_secrets=oracles.share_all_secrets,
+    eval_server=oracles.eval_server,
+    simulate=oracles.simulate,
+    encode=oracles.encode,
+    decode=oracles.decode,
 )
 
 
@@ -77,9 +96,17 @@ def main() -> int:
     protocol.simulate(scheme, secrets, args.seed)  # builds every server's tensors
     scheme.eval_table  # expanded once, for oracles.eval_server
 
+    vectors = list(hss.share_all_secrets(params, secrets, random.Random(args.seed))[0].values())
+    draws = len(vectors) * (len(vectors[0]) - 1)
+
+    def deal_draws(path):
+        rng = random.Random(args.seed)
+        return bytes(path.randrange_run(rng, q, draws)), rng.getstate()
+
     def timed(path):
-        share = best_of(args.repeats, lambda: path.share_all_secrets(params, secrets, random.Random(args.seed)))
-        views = share[1][1]
+        draw = best_of(args.repeats, lambda: deal_draws(path))
+        layout = best_of(args.repeats, lambda: path.lay_out_views(params, vectors))
+        views = path.share_all_secrets(params, secrets, random.Random(args.seed))[1]
         evaluate = best_of(args.repeats, lambda: [path.eval_server(scheme, j, views[j]) for j in servers])
         run = best_of(args.repeats, lambda: path.simulate(scheme, secrets, args.seed))
         messages = run[1][0].messages
@@ -89,12 +116,17 @@ def main() -> int:
             return frames, [path.decode(frame, q) for frame in frames]
 
         coded = best_of(args.repeats, codec)
-        times = {"share": share[0], "eval": evaluate[0], "simulate": run[0], "codec": coded[0]}
-        return times, (views, evaluate[1], *run[1], coded[1])
+        times = {"draw": draw[0], "views": layout[0], "eval": evaluate[0], "simulate": run[0], "codec": coded[0]}
+        return times, (draw[1], layout[1], views, evaluate[1], *run[1], coded[1])
 
-    new, (views, outputs, transcript, result, (frames, decoded)) = timed(package)
-    old, (old_views, old_outputs, old_transcript, old_result, (old_frames, old_decoded)) = timed(oracles)
+    new, (drawn, laid, views, outputs, transcript, result, (frames, decoded)) = timed(package)
+    old, results = timed(replaced)
+    old_drawn, old_laid, old_views, old_outputs, old_transcript, old_result, (old_frames, old_decoded) = results
     failures = []
+    if drawn != old_drawn:
+        failures.append("galois.randrange_run and oracles.randrange_run give different draws or generator states")
+    if laid != old_laid:
+        failures.append("hss._lay_out_views and oracles.sliced_views give different views")
     if {j: oracles.view_dicts(params, j, view) for j, view in views.items()} != old_views:
         failures.append("share_all_secrets views differ")
     if outputs != [bytes(z) for z in old_outputs]:

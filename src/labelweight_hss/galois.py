@@ -104,15 +104,17 @@ def randrange_run(rng: random.Random, q: int, count: int) -> Sequence[int]:
     it is below q, and getrandbits(k) keeps the top k bits of the next
     32-bit output; getrandbits(32 * n) returns the next n outputs, output
     i in bits 32i..32i+31.  Asking for as many outputs as values are
-    missing never reads past the last output the calls would read.
+    missing never reads past the last output the calls would read; the
+    values kept in each such round are joined once, at the end.
     """
     if type(rng) is not random.Random or q >= 256:
         return list(map(rng.randrange, itertools.repeat(q, count)))
     keep, rejected = _top_bits(q)
-    out = b""
-    while (missing := count - len(out)) > 0:
-        out += rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4].translate(keep, rejected)
-    return out
+    rounds, missing = [], count
+    while missing > 0:
+        rounds.append(rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4].translate(keep, rejected))
+        missing -= len(rounds[-1])
+    return b"".join(rounds)
 
 
 @functools.cache

@@ -113,6 +113,20 @@ def held_mask(s: int, t: int, j: int) -> tuple[bool, ...]:
     return tuple(j not in T for T in subsets_of_size(s, t))
 
 
+@functools.cache
+def held_runs(s: int, t: int, j: int) -> tuple[tuple[int, int], ...]:
+    """The maximal runs [start, stop) of subsets_of_size(s, t) positions
+    that held_mask(s, t, j) marks, in order, computed once per (s, t, j):
+    share_all_secrets cuts server j's view from them."""
+    runs, start = [], 0
+    for held, group in itertools.groupby(held_mask(s, t, j)):
+        stop = start + sum(1 for _ in group)
+        if held:
+            runs.append((start, stop))
+        start = stop
+    return tuple(runs)
+
+
 def _share_vector(x: int, stream: Iterable[int], spec: FieldSpec) -> Sequence[int]:
     """CNF shares aligned with subsets_of_size, in the form of spec.codes:
     the stream values, then the one share that makes the total x.  When
@@ -697,24 +711,33 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: rando
     j's INPUT_SHARES payload as it is, its subsets picked by held_mask.
     Past the share budget (ell * m * (C(s, t) - 1) draws) none is drawn."""
     grid = _secret_codes(params, secrets)
-    spec, subsets = params.spec, subsets_of_size(params.s, params.t)
+    spec = params.spec
     keys = list(itertools.product(range(1, params.ell + 1), range(1, params.m + 1)))
-    count, free = len(keys), len(subsets) - 1
-    budget.check(count * free, SHARE_BUDGET, "share draws")
-    draws = randrange_run(rng, spec.q, count * free)
-    bundles = {
-        (i, k): _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
-        for n, (i, k) in enumerate(keys)
-    }
-    every_share = spec.concat(bundles.values())
-    # by_subset[c]: subset c's share of every secret, in (instance, variable) order
-    by_subset = [every_share[c :: len(subsets)] for c in range(len(subsets))]
+    free = math.comb(params.s, params.t) - 1
+    budget.check(len(keys) * free, SHARE_BUDGET, "share draws")
+    draws = randrange_run(rng, spec.q, len(keys) * free)
+    vectors = [
+        _share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec) for n, (i, k) in enumerate(keys)
+    ]
+    return dict(zip(keys, vectors)), _lay_out_views(params, vectors)
+
+
+def _lay_out_views(params: HssParams, vectors: Sequence[bytes]) -> dict[int, bytes]:
+    """Every server's view from the secrets' share vectors (C(s, t) shares
+    each, in (instance, variable) order).  The vectors are dealt into one
+    subset-major buffer, entry c * count + n being subset c's share of
+    secret n; server j's subsets are then one slice of it per held run,
+    and each secret's shares one strided slice of those."""
+    count = len(vectors)
+    buffer = bytearray(count * len(vectors[0]))
+    for n, vector in enumerate(vectors):
+        buffer[n::count] = vector
+    dealt = memoryview(buffer)
     views = {}
     for j in range(1, params.s + 1):
-        # the columns of the subsets j holds, then every count-th entry: one run per secret
-        subset_major = spec.concat(itertools.compress(by_subset, held_mask(params.s, params.t, j)))
-        views[j] = spec.concat(subset_major[n::count] for n in range(count))
-    return bundles, views
+        held = params.spec.concat([dealt[a * count : b * count] for a, b in held_runs(params.s, params.t, j)])
+        views[j] = params.spec.concat([held[n::count] for n in range(count)])
+    return views
 
 
 def collect_output_shares(scheme: HssScheme, per_server: dict[int, bytes]) -> list[int]:

@@ -60,12 +60,15 @@ the last replaced (one list where the two coincide).
   ``view_dicts`` of the view); one popcount per plane pair, share planes
   from ``share_products`` (``contract_planes``), on lane strings packed
   from per-instance slot slices (``slot_vectors``).
-- Sharing (``hss.cnf_share``, ``share_all_secrets``, views as bytes):
+- Sharing (``hss.cnf_share``, ``share_all_secrets``, views as bytes
+  cut by held runs from one subset-major buffer, draws joined once):
   one fragment scan per server and secret (``cnf_share``,
   ``share_all_secrets``, ``server_fragment``; its views are dicts, the
-  form ``view_dicts`` gives a package view); the secret check
+  form ``view_dicts`` gives a package view), and the secret check
   ``secret_code`` (errors agree in type, the wording is
-  ``FieldSpec.code_of``'s).
+  ``FieldSpec.code_of``'s); one strided slice per subset and a compress
+  per server (``sliced_share_all_secrets`` through ``sliced_views``),
+  on draws appended round by round (``randrange_run``).
 - Wire (``protocol.encode``, ``decode``, ``simulate``): one
   ``int.to_bytes`` / ``int.from_bytes`` per element (``encode``,
   ``decode``); the run that orders each payload by an explicit
@@ -86,8 +89,8 @@ import random
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple, Sequence
 
-from labelweight_hss import hss, matrix, protocol
-from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, effective_budget
+from labelweight_hss import budget, galois, hss, matrix, protocol
+from labelweight_hss.budget import LABELWEIGHT_BUDGET, MONOMIAL_BUDGET, SHARE_BUDGET, effective_budget
 from labelweight_hss.codes import LabeledCode, Labeling, hermitian_points, labelweight
 from labelweight_hss.errors import (
     DecodeError,
@@ -1162,6 +1165,52 @@ def share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng):
             for j in range(1, params.s + 1):
                 views[j][(i, k)] = server_fragment(shares, j)
     return bundles, views
+
+
+# -- sharing: one strided slice per subset, one compress per server -----------------
+
+
+def randrange_run(rng: random.Random, q: int, count: int) -> Sequence[int]:
+    """galois.randrange_run with each rejection round's kept bytes appended
+    to one growing bytes object, which copies the prefix again per round."""
+    if type(rng) is not random.Random or q >= 256:
+        return list(map(rng.randrange, itertools.repeat(q, count)))
+    keep, rejected = galois._top_bits(q)
+    out = b""
+    while (missing := count - len(out)) > 0:
+        out += rng.getrandbits(32 * missing).to_bytes(4 * missing, "little")[3::4].translate(keep, rejected)
+    return out
+
+
+def sliced_views(params: HssParams, vectors: Sequence[bytes]) -> dict[int, bytes]:
+    """hss._lay_out_views by one strided slice per subset of the joined
+    share vectors, and per server a compress of those slices by held_mask
+    and one strided slice per secret."""
+    spec, count, size = params.spec, len(vectors), len(vectors[0])
+    every_share = spec.concat(vectors)
+    # by_subset[c]: subset c's share of every secret, in (instance, variable) order
+    by_subset = [every_share[c::size] for c in range(size)]
+    views = {}
+    for j in range(1, params.s + 1):
+        subset_major = spec.concat(itertools.compress(by_subset, hss.held_mask(params.s, params.t, j)))
+        views[j] = spec.concat(subset_major[n::count] for n in range(count))
+    return views
+
+
+def sliced_share_all_secrets(params: HssParams, secrets: Sequence[Sequence], rng: random.Random):
+    """hss.share_all_secrets with the draws of randrange_run above and the
+    views of sliced_views; the bundles are hss._share_vector's, as there."""
+    grid = hss._secret_codes(params, secrets)
+    spec, subsets = params.spec, subsets_of_size(params.s, params.t)
+    keys = list(itertools.product(range(1, params.ell + 1), range(1, params.m + 1)))
+    count, free = len(keys), len(subsets) - 1
+    budget.check(count * free, SHARE_BUDGET, "share draws")
+    draws = randrange_run(rng, spec.q, count * free)
+    bundles = {
+        (i, k): hss._share_vector(grid[i - 1][k - 1], draws[n * free : (n + 1) * free], spec)
+        for n, (i, k) in enumerate(keys)
+    }
+    return bundles, sliced_views(params, list(bundles.values()))
 
 
 # -- protocol: one int.to_bytes / int.from_bytes per element --------------------------

@@ -29,6 +29,7 @@ from labelweight_hss.hss import (
     enumerate_monomials,
     eval_server,
     held_mask,
+    held_runs,
     held_subsets,
     privacy_audit,
     reconstruct,
@@ -144,6 +145,35 @@ def test_randrange_run_draws_what_randrange_draws(q):
             bulk, one_by_one = random.Random(seed), random.Random(seed)
             assert list(randrange_run(bulk, q, count)) == [one_by_one.randrange(q) for _ in range(count)]
             assert bulk.getstate() == one_by_one.getstate()
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 9, 16, 129, 251, 255])
+def test_randrange_run_joins_its_rounds_into_the_per_call_draws(q):
+    """The rejection rounds' bytes, joined once, are the values of one
+    randrange(q) call each, up to a whole goppa-wire deal of 58,208
+    draws, and leave the generator where those calls leave it."""
+    for count in (1, 1000, 58208):
+        bulk, one_by_one = random.Random(count), random.Random(count)
+        assert list(randrange_run(bulk, q, count)) == [one_by_one.randrange(q) for _ in range(count)]
+        assert bulk.getstate() == one_by_one.getstate()
+
+
+def test_held_runs_cover_exactly_the_held_subsets():
+    """held_runs(s, t, j) are maximal, ordered, disjoint runs whose
+    positions are exactly those held_mask marks, so the subsets they
+    select are held_subsets(s, t, j) in order."""
+    for s in range(2, 13):
+        for t in range(1, s):
+            subsets = subsets_of_size(s, t)
+            for j in range(1, s + 1):
+                runs, mask = held_runs(s, t, j), held_mask(s, t, j)
+                positions = [c for start, stop in runs for c in range(start, stop)]
+                assert positions == [c for c, held in enumerate(mask) if held]
+                assert all(start < stop for start, stop in runs)
+                # maximal: no run touches the next, none could grow at either end
+                assert all(stop < start for (_, stop), (start, _) in zip(runs, runs[1:]))
+                assert not any(start and mask[start - 1] or stop < len(mask) and mask[stop] for start, stop in runs)
+                assert tuple(T for start, stop in runs for T in subsets[start:stop]) == held_subsets(s, t, j)
 
 
 def test_share_all_secrets_lays_each_view_out_like_its_fragments():

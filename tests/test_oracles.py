@@ -1248,6 +1248,45 @@ def test_share_all_secrets_matches_oracle(wire_schemes, name):
     assert _ordered({j: oracles.view_dicts(params, j, view) for j, view in views.items()}) == _ordered(old_views)
 
 
+def _deals_like_the_sliced_dealer(params, secrets, seed):
+    """share_all_secrets gives the bundles and views of the per-subset-slice
+    dealer it replaced, byte for byte, and leaves the generator in its state."""
+    rng, old_rng = random.Random(seed), random.Random(seed)
+    bundles, views = hss.share_all_secrets(params, secrets, rng)
+    old_bundles, old_views = oracles.sliced_share_all_secrets(params, secrets, old_rng)
+    assert _ordered(bundles) == _ordered(old_bundles)
+    assert _ordered(views) == _ordered(old_views)
+    assert all(type(shares) is bytes for shares in (*bundles.values(), *views.values()))
+    assert rng.getstate() == old_rng.getstate()
+
+
+@st.composite
+def _deals(draw):
+    """A field, HssParams with s <= 9, t < s, ell <= 4, m <= 3, a secret
+    matrix and a seed."""
+    spec = draw(st.sampled_from([FieldSpec(2), FieldSpec(2, 2), FieldSpec(3, 2), FieldSpec(251)]))
+    s = draw(st.integers(2, 9))
+    t = draw(st.integers(1, s - 1))
+    ell, m = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    params = hss.HssParams(s=s, t=t, d=1, ell=ell, m=m, spec=spec)
+    codes = st.integers(0, spec.q - 1)
+    secrets = draw(st.lists(st.lists(codes, min_size=m, max_size=m), min_size=ell, max_size=ell))
+    return params, secrets, draw(st.integers(0, 2**32))
+
+
+@given(_deals())
+@settings(max_examples=150, deadline=None, database=None)
+def test_share_all_secrets_deals_like_the_sliced_dealer(case):
+    _deals_like_the_sliced_dealer(*case)
+
+
+@pytest.mark.parametrize("name", ["goppa-wire", "hermitian", "rs5"])
+def test_share_all_secrets_deals_like_the_sliced_dealer_on_wire_cases(wire_schemes, name):
+    params = wire_schemes[name].params
+    for seed in (1, 9):
+        _deals_like_the_sliced_dealer(params, _secrets(params, seed), seed)
+
+
 def test_cnf_share_matches_oracle():
     cases = (
         (FieldSpec(2), 6, 2),
