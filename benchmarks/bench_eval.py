@@ -13,8 +13,15 @@ always zero (no key carries a nonzero coefficient at any coordinate they
 own, so eval_server checks their views and returns zeros), the popcounts
 per owned coordinate of both contractions, and the mean time per server
 of eval_server over every server, each the best of N rounds.  Each
-server's tensors are built before timing.  The two contractions must
-give equal outputs on every server, or the script exits with status 1.
+server's state is built before timing.  The two contractions must give
+equal outputs on every server, or the script exits with status 1.
+
+A second table gives, per server of each shape, its first eval_server
+call on a fresh scheme (which builds the server's state, see
+hss.server_state) and its later calls (best of N, the state read from
+the scheme's cache), and per shape the first trial (the sum of every
+server's first call) against a later one (the sum of their later calls),
+with their ratio.
 
 --planes times the plane split instead, one row per field at a ladder
 shape (positions of a tensor x ell instances): the package's split
@@ -117,7 +124,7 @@ def main() -> int:
         return split_planes(args.repeats, args.seed)
 
     package_contract = hss._contract_planes
-    failures, rows = [], []
+    failures, rows, calls = [], [], []
     for name, (build, t, d, m) in SHAPES.items():
         scheme = hss.scheme_for_code(build(), t=t, d=d, m=m)
         params = scheme.params
@@ -129,8 +136,14 @@ def main() -> int:
         def every_server():
             return [hss.eval_server(scheme, j, views[j]) for j in servers]
 
-        every_server()  # builds every server's planes
-        zero = sum(not any(map(any, planes)) for planes in scheme._tensors.values())
+        first = []
+        for j in servers:  # builds every server's state
+            t0 = time.perf_counter()
+            hss.eval_server(scheme, j, views[j])
+            first.append(time.perf_counter() - t0)
+        later = [best_of(args.repeats, lambda: hss.eval_server(scheme, j, views[j]))[0] for j in servers]
+        calls.append((name, first, later))
+        zero = sum(not state.live for state in scheme._states.values())
         tables = hss._plane_tables(params.spec)
         new, outputs = best_of(args.repeats, every_server)
         hss._contract_planes = oracles.contract_planes
@@ -150,6 +163,13 @@ def main() -> int:
     print(f"{'shape':<16} {'servers':>7} {'zero':>5} {'popcounts':>9} {'package':>11} {'oracle':>11} {'ratio':>7}")
     for name, s, zero, counts, new, old in rows:
         print(f"{name:<16} {s:>7} {zero:>5} {counts:>9} {new * 1e3:>9.3f}ms {old * 1e3:>9.3f}ms {old / new:>6.2f}x")
+    print(f"\neval_server per server: first call (builds its state) and later calls, best of {args.repeats}")
+    print(f"{'shape':<16} {'server':>7} {'first':>11} {'later':>11} {'ratio':>8}")
+    for name, first, later in calls:
+        for j, (one, rest) in enumerate(zip(first, later), 1):
+            print(f"{name:<16} {j:>7} {one * 1e3:>9.3f}ms {rest * 1e3:>9.3f}ms {one / rest:>7.1f}x")
+        one, rest = sum(first), sum(later)
+        print(f"{name:<16} {'trial':>7} {one * 1e3:>9.3f}ms {rest * 1e3:>9.3f}ms {one / rest:>7.1f}x")
     return 0
 
 

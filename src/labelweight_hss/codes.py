@@ -41,7 +41,7 @@ _CODE_FIELDS = ("field", "n", "dim", "servers", "labeling")
 class Labeling:
     """Surjective map from n code coordinates onto servers 1..s."""
 
-    __slots__ = ("n", "s", "map")
+    __slots__ = ("n", "s", "map", "_coords")
 
     def __init__(self, s: int, labels: Sequence[int]):
         s = integer_parameter("s", s)
@@ -56,6 +56,7 @@ class Labeling:
         self.n = len(labels)
         self.s = s
         self.map = labels
+        self._coords: tuple[tuple[int, ...], ...] | None = None
 
     @classmethod
     def identity(cls, n: int) -> "Labeling":
@@ -66,8 +67,15 @@ class Labeling:
         """n = s*w coordinates, first w labeled 1, next w labeled 2, ..."""
         return cls(s, [1 + x // w for x in range(s * w)])
 
-    def coords(self, label: int) -> list[int]:
-        return [j for j, v in enumerate(self.map) if v == label]
+    def coords(self, label: int) -> tuple[int, ...]:
+        """The coordinates labeled `label`, in increasing order (none for a
+        label outside 1..s), computed for every label on the first call."""
+        if self._coords is None:
+            by_label: list[list[int]] = [[] for _ in range(self.s)]
+            for c, v in enumerate(self.map):
+                by_label[v - 1].append(c)
+            self._coords = tuple(map(tuple, by_label))
+        return self._coords[label - 1] if 1 <= label <= self.s else ()
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Labeling) and other.s == self.s and other.map == self.map

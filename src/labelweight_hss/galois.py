@@ -379,9 +379,15 @@ def first_outside(values: Sequence, q: int):
     range check of every element code that enters the package as a
     sequence: server views and wire payloads."""
     if isinstance(values, bytes):
-        outside = values.translate(None, bytes(range(min(q, 256))))
+        outside = values.translate(None, _codes_below(min(q, 256)))
         return outside[0] if outside else None
     return next((v for v in values if not (isinstance(v, int) and 0 <= v < q)), None)
+
+
+@functools.cache
+def _codes_below(q: int) -> bytes:
+    """The bytes 0..q-1, the codes first_outside deletes."""
+    return bytes(range(q))
 
 
 def _integer(value, q: int) -> int:

@@ -27,7 +27,7 @@ import operator
 import random
 import re
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import NamedTuple
@@ -49,6 +49,8 @@ from .matrix import _eliminate, _row_ops
 from .matrix import solve_many  # noqa: F401  unused, but perfbench/tracing.py patches hss.solve_many
 
 SCHEME_FORMAT_TAG = "labelweight-hss-scheme/v3"
+# The plane bytes a scheme keeps of its servers' evaluation states (see server_state)
+STATE_CACHE_BYTES = 64 << 20
 
 
 @dataclass(frozen=True)
@@ -158,13 +160,19 @@ def _code_of_secret(spec: FieldSpec, x, key: tuple[int, int] | None = None) -> i
         raise ParameterOutOfRange(f"secret {exc}" if key is None else f"secret {key} {exc}") from None
 
 
-def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[list[int]]:
-    """The ell x m secret matrix as element codes, each named by its
-    (instance, variable) if it is rejected."""
+def _secret_codes(params: HssParams, secrets: Sequence[Sequence]) -> list[bytes]:
+    """The ell x m secret matrix as rows of element codes (bytes), each
+    secret named by its (instance, variable) if it is rejected.  Rows that
+    are such codes already, as this returns them, are taken as they are
+    after one range check of them all, so a matrix is read once however
+    many readers it passes."""
     if len(secrets) != params.ell or any(len(row) != params.m for row in secrets):
         raise DimensionMismatch(f"secret matrix must be {params.ell} x {params.m}")
     spec = params.spec
-    return [[_code_of_secret(spec, x, (i, k)) for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)]
+    if all(type(row) is bytes for row in secrets) and first_outside(b"".join(secrets), spec.q) is None:
+        return list(secrets)
+    grid = [[_code_of_secret(spec, x, (i, k)) for k, x in enumerate(row, 1)] for i, row in enumerate(secrets, 1)]
+    return [spec.codes(row) for row in grid]
 
 
 def cnf_share(x, t: int, s: int, spec: FieldSpec, rng: random.Random) -> dict[tuple[int, ...], int]:
@@ -246,21 +254,21 @@ class HssScheme:
     polynomial z_r computed by server labeling(r), nonzero coefficients
     only.  It is expanded from the keys on first read and cached; it
     serves inspection and the benchmark's counters, while the scheme
-    document and evaluation read the keys.  eval_server builds, on a
-    server's first call, the coefficient planes of each coordinate it
-    owns from the keys and caches them in `_tensors`, the one thing a
-    server needs that it cannot derive on each call: one int per
-    digit-bit plane (bit b of base-p digit e of every coefficient, laid
-    out by lane strings and position blocks; see _bit_planes).  A scheme
-    is therefore treated as immutable once it has been read or evaluated:
-    editing its keys afterwards reaches neither the table nor the planes.
+    document and evaluation read the keys.  Each server's evaluation
+    state (server_state: the coefficient planes of the coordinates it
+    owns, and what its evaluation reads besides) is built from the keys on
+    its first use and kept in `_states` while the planes of every kept
+    state fit in STATE_CACHE_BYTES; a state that does not fit is built,
+    used and dropped.  A scheme is therefore treated as immutable once it
+    has been read or evaluated: editing its keys afterwards reaches
+    neither the table nor a kept state.
     """
 
     params: HssParams
     code: LabeledCode
     solutions: KeySolutions = field(repr=False)
-    # server id -> per owned coordinate, its plane ints
-    _tensors: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # server id -> its ServerState, planes of STATE_CACHE_BYTES at most in all
+    _states: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -386,9 +394,13 @@ def product_variables(params: HssParams, var_indices: Iterable[int] | None = Non
     Anything but d indices in 1..m, each read by operator.index as secrets
     are (a bool is an int), raises ParameterOutOfRange."""
     chosen = tuple(range(1, params.d + 1)) if var_indices is None else tuple(var_indices)
-    if len(chosen) != params.d or any(not (hasattr(v, "__index__") and 1 <= v <= params.m) for v in chosen):
+    try:
+        chosen = tuple(map(operator.index, chosen))
+    except TypeError:  # an index operator.index refuses, as 1.5 or "1"
+        chosen = ()
+    if len(chosen) != params.d or min(chosen) < 1 or max(chosen) > params.m:
         raise ParameterOutOfRange(f"need d={params.d} variable indices in 1..{params.m}")
-    return tuple(map(operator.index, chosen))
+    return chosen
 
 
 def eval_server(
@@ -407,7 +419,7 @@ def eval_server(
     z_r = sum over instances i and held-subset tuples (a_1, ..., a_d) of
     T_{r,i}[a] * W_i[a], where W_i[a] = y_{i,1}[a_1] * ... * y_{i,d}[a_d]
     is the share-product tensor and T_{r,i} the coefficient tensor of
-    _build_tensors, both row-major over held_subsets(s, t, j).  Both
+    server_state, both row-major over held_subsets(s, t, j).  Both
     sides are split into digit-bit planes (T_{e,b}: bit b of base-p
     digit e; W_{f,g} likewise) in the one layout of _bit_planes, lane
     strings of instances cut into position blocks, so that with
@@ -421,70 +433,159 @@ def eval_server(
     popcount of their XOR is the sum of their counts mod p (for p = 2 only
     its parity).  The checked view is read once (_view_lanes): each lane
     group's d slot strings, from which the share planes come by one
-    translate per lane string and packed table (_plane_bytes).  The
-    coefficient planes are built on server j's first call and cached on
-    the scheme (see HssScheme).  If they are all zero (no key is nonzero
-    at a coordinate server j owns), every z_r is always 0: the view is
-    still checked as below, then zeros are returned without reading it.
+    translate per lane string and packed table (_plane_bytes).  Everything
+    else the evaluation reads is server j's state (server_state), built
+    on its first call.  If its planes are all zero (no key is nonzero at a
+    coordinate server j owns), every z_r is always 0: the view is still
+    checked as below, then zeros are returned without reading it.
 
-    The whole view is checked before any share is read or any tensor is
+    The whole view is checked before any share is read or any state is
     built: a view of another length raises DimensionMismatch, and a share
     that is not an element code in 0..q-1, in a secret the product reads
     or not, raises ParameterOutOfRange naming it and its secret.  A view
     holds what FieldSpec.codes keeps: byte values.
     """
     params = scheme.params
+    j = _server_id(params, j)
+    chosen = product_variables(params, var_indices)
+    state = scheme._states.get(j)
+    if state and type(view) is bytes and len(view) == state.length and first_outside(view, params.spec.q) is None:
+        whole = view
+    else:  # the exact error, a view of another form, or a first call, checked before the state is built
+        whole = _checked_view(view, held_subsets(params.s, params.t, j), params, j)
+        if state is None:
+            state = server_state(scheme, j)
+    if not state.live:
+        return bytes(len(state.planes))
+    groups = _view_lanes(state.tables, whole, state.h, params.m, chosen)
+    return bytes(_contract_planes(state.tables, state.planes, groups, state.h))
+
+
+def _server_id(params: HssParams, j) -> int:
+    """j as a server id in 1..s (else ParameterOutOfRange), read by
+    integer_parameter."""
     j = integer_parameter("j", j)
     if not 1 <= j <= params.s:
         raise ParameterOutOfRange(f"server id j={j} outside 1..s={params.s}")
-    chosen = product_variables(params, var_indices)
-    held = held_subsets(params.s, params.t, j)
-    whole = _checked_view(view, held, params, j)
-    if j not in scheme._tensors:
-        scheme._tensors[j] = _build_tensors(scheme, j)
-    planes = scheme._tensors[j]
-    if not any(map(any, planes)):
-        return bytes(len(planes))
-    groups = _view_lanes(whole, len(held), params, chosen)
-    return bytes(_contract_planes(params.spec, planes, groups, len(held)))
+    return j
 
 
-def _build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
-    """For each coordinate r server j owns, the coefficient planes of z_r.
+class ServerState(NamedTuple):
+    """What evaluating server j reads that (scheme, j) fixes (server_state)."""
+
+    h: int  # held subsets, C(s - 1, t)
+    length: int  # shares in a view, ell * m * h
+    planes: list[list[int]]  # per coordinate j owns, in order, its coefficient planes
+    live: bool  # some plane is nonzero; else every output share is 0
+    tables: _PlaneTables  # the plane and field tables the evaluation reads
+    plane_bytes: int  # the planes' bytes, as STATE_CACHE_BYTES counts them
+
+
+def server_state(scheme: HssScheme, j: int) -> ServerState:
+    """Server j's evaluation state, built once from (scheme, j).
 
     T_{r,i}, z_r's coefficient tensor on instance i, has C(s-1, t)^d
     entries, indexed row-major by the d held subsets of a monomial
     (positions in held_subsets(s, t, j)): entry a is the coefficient at r
-    of the key of that combo (KeySolutions.column).  r's entry is one int
-    per digit-bit plane (_bit_planes of the lane strings of T_{r,1}, ...,
-    T_{r,ell}), k * bit_length(p - 1) of them, each at most
-    8 * ceil(ell / lanes) * ceil(C(s-1, t)^d / (8 // lanes)) bits long.  A
-    coordinate that no key carries a nonzero coefficient at is always
-    zero: it gets zero planes without a join or a plane build.
+    of the key of that combo (KeySolutions.column).  Each coordinate r
+    that j owns gets one int per digit-bit plane of T_{r,1}, ...,
+    T_{r,ell} in the layout of _bit_planes, k * bit_length(p - 1) of
+    them (_coordinate_planes); a coordinate no key is nonzero at gets
+    zero planes, which count no bytes.
+
+    A state is kept in the scheme's `_states` if its plane bytes fit in
+    STATE_CACHE_BYTES beside those of the states kept before it, and is
+    otherwise dropped after use.  The first to come are kept because every
+    run evaluates the servers in the same order: evicting the oldest state
+    would drop each one just before its next use.
     """
-    params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
-    # the key of every combo of held subsets, in product order: the held
-    # entries of each row of combos whose first d - 1 subsets are held
-    mask, row = held_mask(params.s, params.t, j), len(subsets_of_size(params.s, params.t))
-    offsets = list(itertools.compress(range(0, row * row, row), mask))  # a * row for each held subset a
-    starts = [0]
-    for _ in range(params.d - 1):
-        starts = [start * row + offset for start in starts for offset in offsets]
-    held_rows = (itertools.compress(solutions.combo_key[start : start + row], mask) for start in starts)
-    held_keys = list(itertools.chain.from_iterable(held_rows))
-    tables, size = _plane_tables(params.spec), len(held_keys)
-    zeros, planes = [0] * len(tables.planes), []
+    j = _server_id(scheme.params, j)
+    state = scheme._states.get(j)
+    if state is None:
+        state = _build_state(scheme, j)
+        if state.plane_bytes + sum(kept.plane_bytes for kept in scheme._states.values()) <= STATE_CACHE_BYTES:
+            scheme._states[j] = state
+    return state
+
+
+def _build_state(scheme: HssScheme, j: int) -> ServerState:
+    """server_state without the cache: server j's state built from the keys."""
+    params, solutions = scheme.params, scheme.solutions
+    tables, h = _plane_tables(params.spec), len(held_subsets(params.s, params.t, j))
+    size, zeros, planes = h**params.d, [0] * len(tables.planes), []
     for r in scheme.code.labeling.coords(j):
-        column = solutions.column(r)
-        if not any(map(any, column)):
+        rows = _packed_rows(tables, solutions.column(r))
+        if any(map(any, rows)):
+            # j lies outside every union of a key nonzero at r, so held combos take that key and a plane is nonzero
+            planes.append(_coordinate_planes(tables, rows, _held_keys(params, solutions.combo_key, j), size))
+        else:
             planes.append(zeros)
-            continue
-        # j lies outside every union of a key nonzero at r, so held combos take that key and a plane is
-        # nonzero; combo-major, instance-minor: instance i's tensor is every ell-th entry
-        joined = params.spec.concat(map(column.__getitem__, held_keys))
-        strings = _lane_strings(tables, [joined[i::ell] for i in range(ell)], size)
-        planes.append(_bit_planes(tables, [_plane_bytes(tables, (s,)) for s in strings], size))
-    return planes
+    live = sum(coordinate is not zeros for coordinate in planes)
+    per_plane = -(-size // (8 // tables.lanes)) * -(-params.ell // tables.lanes)  # Q bytes per lane string
+    return ServerState(h, params.ell * params.m * h, planes, live > 0, tables, live * len(tables.planes) * per_plane)
+
+
+def _held_keys(params: HssParams, combo_key: Sequence[int], j: int) -> Iterator[int]:
+    """The key of every combo of d subsets server j holds, in product
+    order, a row at a time: the held entries of each row of combos whose
+    first d - 1 subsets are held."""
+    mask, row = held_mask(params.s, params.t, j), len(subsets_of_size(params.s, params.t))
+    held = list(itertools.compress(range(row), mask))
+    starts = map(sum, itertools.product(*([a * row**e for a in held] for e in range(params.d - 1, 0, -1))))
+    return itertools.chain.from_iterable(itertools.compress(combo_key[a : a + row], mask) for a in starts)
+
+
+def _packed_rows(tables: _PlaneTables, column: Sequence[bytes]) -> list[bytes]:
+    """Each key's row of a KeySolutions column (ell coefficients, instance
+    i at entry i - 1) packed tables.lanes to a byte as _lane_strings packs
+    instances: byte s of a packed row is the key's entry of lane string s.
+    Equal rows are one object, and only the distinct rows, far fewer than
+    the keys (340 of 2,300 at goppa u = 5 (1, 3)'s first coordinate), are
+    packed: 256 at a time, each padded to a whole number of lane strings,
+    by one shifted sum of one int per lane.  With one lane to a byte
+    (q > 16) a row is its own packing."""
+    lanes, width, ell = tables.lanes, tables.width, len(column[0])
+    strings, pad, distinct = -(-ell // lanes), bytes(-ell % lanes), list(dict.fromkeys(column))
+    packed = dict(zip(distinct, distinct))
+    for start in range(0, len(distinct), 256) if lanes > 1 else ():
+        chunk = distinct[start : start + 256]
+        joined = pad.join(chunk) + pad
+        value = sum(int.from_bytes(joined[l::lanes], "little") << l * width for l in range(lanes))
+        data = value.to_bytes(len(chunk) * strings, "little")
+        packed.update(zip(chunk, (data[at : at + strings] for at in range(0, len(data), strings))))
+    return list(map(packed.__getitem__, column))
+
+
+def _coordinate_planes(tables: _PlaneTables, rows: Sequence[bytes], keys: Iterator[int], size: int) -> list[int]:
+    """The planes of one coordinate: _bit_planes of its lane strings of
+    `size` entries, entry a of lane string s being byte s of rows[k] for
+    the a-th of `keys` (_packed_rows), built a position block at a time
+    so that no lane string is held whole.  Block r of every lane string is
+    filled a run of positions at a time (one join of packed rows, one
+    translate per packed table, one strided slice per lane string) into a
+    buffer per table, which is then word r of its table; _transposed makes
+    the words planes.  So the build holds the planes, one block's buffers
+    and one run: bytes.join takes about 100 bytes per row it joins, and a
+    run of word / 400 positions (256 at least) holds about a quarter of a
+    word."""
+    strings, per_byte = len(rows[0]), 8 // tables.lanes
+    block = -(-size // per_byte)
+    run = max(256, block * strings // 400)
+    words: list[list[int]] = [[] for _ in tables.packed]
+    for start in range(0, per_byte * block, block):
+        buffers = [bytearray(block * strings) for _ in tables.packed]
+        stop = min(start + block, size)
+        for a in range(start, stop, run):
+            n = min(run, stop - a)
+            joined = b"".join(map(rows.__getitem__, itertools.islice(keys, n)))  # position-major
+            for buffer, table in zip(buffers, tables.packed):
+                moved = joined.translate(table)
+                for g in range(strings):  # lane string g's block starts at byte g * block of the buffer
+                    at = g * block + a - start
+                    buffer[at : at + n] = moved[g::strings]
+        for row, buffer in zip(words, buffers):
+            row.append(int.from_bytes(buffer, "little"))
+    return _transposed(tables, words, block * strings)
 
 
 def _checked_view(view: Sequence[int], held: tuple, params: HssParams, j: int) -> bytes:
@@ -509,17 +610,26 @@ def _checked_view(view: Sequence[int], held: tuple, params: HssParams, j: int) -
     return whole
 
 
-def _view_lanes(whole: bytes, h: int, params: HssParams, chosen: tuple[int, ...]) -> list[tuple[bytes, ...]]:
+def _view_lanes(tables: _PlaneTables, whole: bytes, h: int, m: int, chosen: tuple[int, ...]) -> list[tuple[bytes, ...]]:
     """Per lane group of instances (see _PlaneTables), the lane strings of
     its d product slots, each of the h held subsets, from a checked view
-    (_checked_view): each instance's row is one slice of the view, its
-    variables from the lowest chosen one to the highest, _lane_strings
-    packs the rows in one pass, and each group's string is cut at the
-    chosen variables."""
+    (_checked_view) of m variables per instance: each instance's row is
+    one slice of the view, _lane_strings packs the rows in one pass, and
+    each group's string is cut at the chosen variables (_view_plan)."""
+    rows, span, cuts = _view_plan(len(whole), h, m, chosen)
+    strings = _lane_strings(tables, list(map(whole.__getitem__, rows)), span)
+    return [tuple(map(row.__getitem__, cuts)) for row in strings]
+
+
+@functools.lru_cache(maxsize=64)
+def _view_plan(length: int, h: int, m: int, chosen: tuple[int, ...]) -> tuple[list[slice], int, list[slice]]:
+    """How _view_lanes reads a view of `length` shares, computed once per
+    shape and choice of variables: the slice of each instance's row, its
+    variables from the lowest chosen one to the highest, the row's length,
+    and the slice of each chosen variable in a row."""
     low, span = min(chosen), (max(chosen) - min(chosen) + 1) * h
-    rows = [whole[start : start + span] for start in range((low - 1) * h, len(whole), params.m * h)]
-    cuts = [(v - low) * h for v in chosen]
-    return [tuple(row[cut : cut + h] for cut in cuts) for row in _lane_strings(_plane_tables(params.spec), rows, span)]
+    rows = [slice(start, start + span) for start in range((low - 1) * h, length, m * h)]
+    return rows, span, [slice((v - low) * h, (v - low + 1) * h) for v in chosen]
 
 
 class _PlaneTables(NamedTuple):
@@ -551,6 +661,10 @@ class _PlaneTables(NamedTuple):
     composed: list[list[bytes]]  # composed[c][u]: scale[u], then packed[c]
     classes: list[tuple[int, int, list[tuple[int, int]]]]  # (m, weight, plane pairs (n, o)) of each fold class
     powers: list[int]  # alpha^m for m = 0..2k-2
+    p: int
+    q: int
+    add: bytes  # the field's add and mul tables (FieldSpec.tables)
+    mul: bytes
 
 
 @functools.cache
@@ -591,7 +705,8 @@ def _plane_tables(spec: FieldSpec) -> _PlaneTables:
     for _ in range(2 * k - 2):
         powers.append(mul[powers[-1] * q + p])  # times alpha, whose code is p
     composed = [[row.translate(table) for row in scale] for table in packed]
-    return _PlaneTables(planes, width, lanes, scale, packed, composed, list(classes.values()), powers)
+    add = spec.tables().add
+    return _PlaneTables(planes, width, lanes, scale, packed, composed, list(classes.values()), powers, p, q, add, mul)
 
 
 def _lane_strings(tables: _PlaneTables, tensors: Sequence[bytes], size: int) -> Sequence[bytes]:
@@ -617,24 +732,34 @@ def _bit_planes(tables: _PlaneTables, strings: Sequence[Sequence[bytes]], size: 
     8 * (s * Q + o) + r * lanes + l is plane n's bit of entry r * Q + o of
     instance s * lanes + l (counted from 0), so a plane holds
     8 * Q * len(strings) bits, however few instances the last string
-    holds.  Per packed table, word r joins block r of every string; its
-    bytes hold 8 // lanes cells of lanes bits, and plane m wants cell m of
-    word r in its cell r.  log2(8 // lanes) delta-swap stages transpose the
-    cells in place (none for GF(2), whose one block is the whole string),
-    and the words are the planes."""
+    holds.  Per packed table, word r joins block r of every string, and
+    _transposed makes the words planes."""
     per_byte = 8 // tables.lanes  # planes per packed byte, and position blocks per lane string
     block = -(-size // per_byte)
-    stages = _swap_masks(tables.lanes, block * len(strings))  # as long as the planes
     cuts = range(0, per_byte * block, block)
-    planes = []
+    words = []
     for c in range(len(tables.packed)):
         padded = [memoryview(s[c].ljust(per_byte * block, b"\0")) for s in strings]
-        words = [int.from_bytes(b"".join([m[cut : cut + block] for m in padded]), "little") for cut in cuts]
+        words.append([int.from_bytes(b"".join([m[cut : cut + block] for m in padded]), "little") for cut in cuts])
+    return _transposed(tables, words, block * len(strings))
+
+
+def _transposed(tables: _PlaneTables, words: list[list[int]], length: int) -> list[int]:
+    """The planes of each packed table's words of `length` bytes, word r
+    holding block r of every lane string (see _bit_planes).  A word's
+    bytes hold 8 // lanes cells of lanes bits, and plane m wants cell m of
+    word r in its cell r: log2(8 // lanes) delta-swap stages transpose the
+    cells in place (none for GF(2), whose one block is the whole string),
+    and the words are the planes."""
+    per_byte = 8 // tables.lanes
+    stages = _swap_masks(tables.lanes, length)
+    planes = []
+    for c, row in enumerate(words):
         for cell, low, pairs in stages:  # swap cell m + step of word r and cell m of word o, m & step == 0
             for r, o in pairs:
-                t = ((words[r] >> cell) ^ words[o]) & low
-                words[r], words[o] = words[r] ^ t << cell, words[o] ^ t
-        planes += words[: len(tables.planes) - c * per_byte]
+                t = ((row[r] >> cell) ^ row[o]) & low
+                row[r], row[o] = row[r] ^ t << cell, row[o] ^ t
+        planes += row[: len(tables.planes) - c * per_byte]
     return planes
 
 
@@ -665,12 +790,11 @@ def _plane_bytes(tables: _PlaneTables, columns: Sequence[bytes]) -> list[bytes]:
     return [b"".join(map(product.translate, map(rows.__getitem__, columns[0]))) for rows in tables.composed]
 
 
-def _contract_planes(spec: FieldSpec, tensors, groups, h: int) -> list[int]:
+def _contract_planes(tables: _PlaneTables, tensors, groups, h: int) -> list[int]:
     """z_r for each owned coordinate, by the popcount identity of
     eval_server: one popcount per fold class of plane pairs.  `groups`
     are the lane strings of each lane group's d slots (_view_lanes)."""
-    tables = _plane_tables(spec)
-    p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
+    p, q, add, mul = tables.p, tables.q, tables.add, tables.mul
     shares = _bit_planes(tables, [_plane_bytes(tables, lane) for lane in groups], h ** len(groups[0]))
     out = []
     for coefficients in tensors:

@@ -46,14 +46,16 @@ the last replaced (one list where the two coincide).
   ``row_ops`` axpy per step (``solve_keys``); ``row_scheme``
   reads the keys back into that form through ``column``, and
   ``project_blocks`` onto each union's coordinates.
-- Server planes (``hss._build_tensors``, lane strings packed in one pass,
-  cut into position blocks and split by a delta-swap transpose of the
-  block words): dense tensors read from the per-union blocks
+- Server planes (``hss.server_state``, built a position block at a time
+  from key rows packed per lane string, then a delta-swap transpose of
+  the block words; ``hss._lane_strings`` and ``hss._bit_planes`` for
+  share planes): dense tensors read from the per-union blocks
   (``build_byte_tensors``), split one block and plane at a time
-  (``bit_planes`` through ``plane_bits``); lane strings packed one group
-  at a time (``group_lane_strings``), split in the layout of groups of 8
-  instances concatenated (``group_bit_planes``, read in the block layout
-  through ``blocks_from_groups``).
+  (``bit_planes`` through ``plane_bits``); the whole column of held keys
+  joined, sliced per instance and packed at once (``build_tensors``), lane
+  strings packed one group at a time (``group_lane_strings``), split in
+  the layout of groups of 8 instances concatenated (``group_bit_planes``,
+  read in the block layout through ``blocks_from_groups``).
 - Evaluation (``hss.eval_server``, one popcount per fold class, on the
   lane strings ``hss._view_lanes`` reads from a view's share sequence):
   the per-monomial sum over the table (``eval_server``, on the dict form
@@ -946,6 +948,33 @@ def build_byte_tensors(scheme: HssScheme, blocks: SolutionBlocks, j: int):
     return held, tensors
 
 
+def build_tensors(scheme: HssScheme, j: int) -> list[list[int]]:
+    """hss.server_state's planes built whole: per coordinate server j
+    owns, the key rows of every held combo joined into one column (ell
+    bytes per combo), its ell strided slices packed into lane strings in
+    one pass, and those split by hss._bit_planes; zero planes for a
+    coordinate no key is nonzero at."""
+    params, solutions, ell = scheme.params, scheme.solutions, scheme.params.ell
+    mask, row = hss.held_mask(params.s, params.t, j), len(subsets_of_size(params.s, params.t))
+    offsets = list(itertools.compress(range(0, row * row, row), mask))  # a * row for each held subset a
+    starts = [0]
+    for _ in range(params.d - 1):
+        starts = [start * row + offset for start in starts for offset in offsets]
+    held_rows = (itertools.compress(solutions.combo_key[start : start + row], mask) for start in starts)
+    held_keys = list(itertools.chain.from_iterable(held_rows))
+    tables, size = hss._plane_tables(params.spec), len(held_keys)
+    zeros, planes = [0] * len(tables.planes), []
+    for r in scheme.code.labeling.coords(j):
+        column = solutions.column(r)
+        if not any(map(any, column)):
+            planes.append(zeros)
+            continue
+        joined = params.spec.concat(map(column.__getitem__, held_keys))
+        strings = hss._lane_strings(tables, [joined[i::ell] for i in range(ell)], size)
+        planes.append(hss._bit_planes(tables, [hss._plane_bytes(tables, (s,)) for s in strings], size))
+    return planes
+
+
 @functools.cache
 def plane_bits(spec: FieldSpec) -> list[list[bytes]]:
     """bits[r][n]: the translate table that moves plane n's bit of lane l
@@ -1072,7 +1101,7 @@ def slot_vectors(
     return [[whole[(i * m + v - 1) * h : (i * m + v) * h] for v in chosen] for i in range(params.ell)]
 
 
-def contract_planes(spec: FieldSpec, tensors, groups, h: int) -> list[int]:
+def contract_planes(tables: hss._PlaneTables, tensors, groups, h: int) -> list[int]:
     """hss._contract_planes by one popcount per (coefficient plane, share
     plane) pair, every count an exact integer:
 
@@ -1082,8 +1111,7 @@ def contract_planes(spec: FieldSpec, tensors, groups, h: int) -> list[int]:
     with the share planes built from share_products of each lane group's
     d slot strings (`groups`, as hss._view_lanes gives them) and then a
     translate of each product per packed table."""
-    tables = hss._plane_tables(spec)
-    p, q, add, mul = spec.p, spec.q, spec.tables().add, spec.tables().mul
+    p, q, add, mul = tables.p, tables.q, tables.add, tables.mul
     products = [share_products(tables.scale, lane) for lane in groups]
     size = h ** len(groups[0])
     shares = hss._bit_planes(tables, [[product.translate(table) for table in tables.packed] for product in products], size)

@@ -69,6 +69,17 @@ def test_balanced_labeling_block_sizes():
     assert Labeling.balanced(2, 3).map == (1, 1, 1, 2, 2, 2)
 
 
+def test_labeling_coords_are_computed_once():
+    """coords(label) is the increasing list of coordinates with that label,
+    as one tuple computed once per labeling: the same object on every
+    call, and empty outside 1..s."""
+    lab = Labeling(3, [2, 1, 3, 1, 2, 2])
+    for label in range(-1, 5):
+        assert lab.coords(label) == tuple(c for c, v in enumerate(lab.map) if v == label)
+        assert lab.coords(label) is lab.coords(label)
+    assert [lab.coords(label) for label in (1, 2, 3)] == [(1, 3), (0, 4, 5), (2,)]
+
+
 # -- labelweight --------------------------------------------------------------
 
 

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -464,7 +465,7 @@ def test_missing_share_raises():
             eval_server(scheme, 1, view)
     with pytest.raises(ParameterOutOfRange, match=r"^server 1: share \(1, 1\) of secret \(1, 1\) is outside"):
         eval_server(scheme, 1, {(1, 1): {}})
-    assert scheme._tensors == {}  # each view was refused before the server's planes were built
+    assert scheme._states == {}  # each view was refused before the server's state was built
 
 
 def _view_with_one_share(scheme, j, value):
@@ -484,6 +485,23 @@ def test_eval_server_rejects_shares_outside_the_field(value):
     for form in (list, tuple):
         with pytest.raises(ParameterOutOfRange, match=r"server 1: share .* of secret \(2, 1\) is outside 0..8"):
             eval_server(scheme, 1, form(_view_with_one_share(scheme, 1, value)))
+
+
+@pytest.mark.parametrize("value", [9, 20, 255])
+def test_a_kept_state_checks_byte_views_as_the_first_call_does(value):
+    """Once server 1's state is kept, a bytes view still gets the whole
+    check with the first call's errors: another length, or a share outside
+    the field, in any secret."""
+    first, kept = (scheme_for_code(rs_build(9, 6, 3), t=1, d=2) for _ in range(2))
+    view = bytes(_view_with_one_share(kept, 1, 8))
+    assert eval_server(kept, 1, view) == eval_server(first, 1, view) and list(kept._states) == [1]
+    for bad in (view[:-1], view + b"\0", bytes(_view_with_one_share(kept, 1, value))):
+        errors = []
+        for scheme in (scheme_for_code(rs_build(9, 6, 3), t=1, d=2), kept):
+            with pytest.raises((DimensionMismatch, ParameterOutOfRange)) as caught:
+                eval_server(scheme, 1, bad)
+            errors.append((type(caught.value), str(caught.value)))
+        assert errors[0] == errors[1]
 
 
 class _IndexOnly:
@@ -549,7 +567,48 @@ def test_server_id_outside_range_raises(j):
     eval_server(scheme, 1, views[1])
     with pytest.raises(ParameterOutOfRange, match=f"j={j} outside 1..s=5"):
         eval_server(scheme, j, views[1])
-    assert list(scheme._tensors) == [1]
+    assert list(scheme._states) == [1]
+
+
+def test_run_end_to_end_reads_each_secret_once(monkeypatch):
+    """run_end_to_end reads each of the ell * m secrets once, though both
+    it and share_all_secrets take the matrix, and a bad secret is refused
+    by its (instance, variable) before any share is drawn."""
+    scheme = scheme_for_code(goppa_build(4, 2), t=1, d=3, m=3)
+    secrets = [[(i + k) % 2 for k in range(3)] for i in range(8)]
+    reads, code_of = [], FieldSpec.code_of
+    monkeypatch.setattr(FieldSpec, "code_of", lambda spec, x: reads.append(x) or code_of(spec, x))
+    assert run_end_to_end(scheme, secrets, 1).ok
+    assert reads == [x for row in secrets for x in row]
+    draws = []
+    monkeypatch.setattr(hss, "randrange_run", lambda *args: draws.append(args) or randrange_run(*args))
+    with pytest.raises(ParameterOutOfRange, match=r"^secret \(2, 3\) value 2 is outside 0..1"):
+        run_end_to_end(scheme, [secrets[0], [0, 1, 2], *secrets[2:]], 1)
+    assert not draws
+
+
+def test_server_state_builds_use_at_most_four_times_their_planes():
+    """The peak memory of building one server's state, traced, is at
+    most 4x its planes' bytes on hermitian [64,56] (1, 2), the
+    hermitian-setup scheme and goppa u = 5 [32,22] (1, 3), for every
+    server that owns a live coordinate (11-12x, 22-24x and 41-42x when
+    the whole column was joined at once)."""
+    for code, t, d in ((hermitian_build(4, 56), 1, 2), (hermitian_build(3, 10), 1, 3), (goppa_build(5, 2), 1, 3)):
+        scheme = scheme_for_code(code, t=t, d=d)
+        servers = range(1, scheme.params.s + 1)
+        for j in servers:  # fills the process-wide caches a build reads (tables, swap masks, held subsets)
+            hss._build_state(scheme, j)
+        ratios = []
+        for j in servers:
+            tracemalloc.start()
+            try:
+                state = hss._build_state(scheme, j)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            if state.live:
+                ratios.append(peak / state.plane_bytes)
+        assert ratios and max(ratios) <= 4, (code, max(ratios))
 
 
 def test_zero_secrets_zero_outputs():

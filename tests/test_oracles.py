@@ -424,8 +424,8 @@ def test_eval_server_matches_oracle_across_fields(name):
             for j in range(1, params.s + 1):
                 got = hss.eval_server(scheme, j, views[j], chosen)
                 assert got == bytes(oracles.eval_server(scheme, j, oracles.view_dicts(params, j, views[j]), chosen))
-    # the tensors ran in every field
-    assert sorted(scheme._tensors) == list(range(1, params.s + 1))
+    # the planes ran in every field
+    assert sorted(scheme._states) == list(range(1, params.s + 1))
 
 
 PROPERTY_CASES = ["gf2-copies-l9-t1d3", "gf4-copies-l17-t1d2", "gf7-rs-t1d3", "gf9-rs-t2d2", "gf27-rs-t1d2",
@@ -473,7 +473,7 @@ def test_scheme_read_from_text_runs_like_the_synthesized_one(wire_schemes, name)
     assert parsed_outputs == outputs
     digest = hashlib.sha256(b"".join(transcript.frames)).hexdigest()
     assert hashlib.sha256(b"".join(parsed_transcript.frames)).hexdigest() == digest
-    assert sorted(parsed._tensors) == list(range(1, scheme.params.s + 1))
+    assert sorted(parsed._states) == list(range(1, scheme.params.s + 1))
 
 
 @pytest.mark.parametrize("s,t,d,ell", [(2, 1, 1, 1), (5, 1, 2, 2), (5, 2, 2, 3), (6, 1, 3, 2)])
@@ -491,10 +491,10 @@ def test_lazy_monomials_match_oracle(s, t, d, ell):
 
 
 def test_tensors_serve_complete_fragments_and_are_built_once(monkeypatch):
-    """Each server's tensors are built on its first call only."""
+    """Each server's state is built on its first call only."""
     builds = []
-    build = hss._build_tensors
-    monkeypatch.setattr(hss, "_build_tensors", lambda scheme, j: builds.append(j) or build(scheme, j))
+    build = hss._build_state
+    monkeypatch.setattr(hss, "_build_state", lambda scheme, j: builds.append(j) or build(scheme, j))
     for code, t, d in ((goppa_build(3, 1), 1, 2), (rs_build(9, 7, 3), 2, 2)):
         scheme = hss.scheme_for_code(code, t=t, d=d)
         builds.clear()
@@ -525,7 +525,7 @@ CASES = {**EVAL_CASES, **WORKLOAD_CASES, **LADDER_CASES, **DOCUMENT_CASES}
 def _case_scheme(name, extra_variable=False):
     """The scheme of a named case, synthesized once per session, with
     m = d, or m = d + 1 (a variable the default product leaves out).
-    Each server's planes are cached on it by its first evaluation, so a
+    Each server's state is cached on it by its first evaluation, so a
     test that needs that first call builds a scheme of its own."""
     build, t, d = CASES[name]
     return hss.scheme_for_code(build(), t=t, d=d, m=d + extra_variable)
@@ -718,7 +718,7 @@ def test_scheme_document_round_trips_by_synthesis(name):
 
 
 def _oracle_planes(scheme, blocks, j):
-    """hss._build_tensors(scheme, j) by the references: per owned
+    """hss.server_state(scheme, j).planes by the references: per owned
     coordinate its dense tensors read from the per-union `blocks`
     (oracles.build_byte_tensors), split into digit-bit planes by
     oracles.bit_planes."""
@@ -745,13 +745,70 @@ def test_server_planes_match_the_per_union_blocks(name):
     params = scheme.params
     tables, size = hss._plane_tables(params.spec), len(hss.held_subsets(params.s, params.t, 1)) ** params.d
     for j in range(1, params.s + 1):
-        planes = hss._build_tensors(scheme, j)
+        planes = hss.server_state(scheme, j).planes
         assert planes == _oracle_planes(scheme, blocks, j)
         dense = oracles.build_byte_tensors(scheme, blocks, j)[1]
         assert any(map(any, planes)) == any(any(tensor) for per_instance in dense for tensor in per_instance)
         if params.spec.q == 2:
             strings = [hss._lane_strings(tables, per_instance, size) for per_instance in dense]
             assert planes == [oracles.group_bit_planes(tables, _translated(tables, s), size) for s in strings]
+
+
+@pytest.mark.parametrize("name", sorted(EVAL_CASES) + sorted(WORKLOAD_CASES) + sorted(LADDER_CASES))
+def test_streamed_planes_match_the_whole_column_build(name):
+    """Each server's planes, built a position block at a time from packed
+    key rows, are those of the build they replaced, which joined the whole
+    column of held keys at once (oracles.build_tensors), byte for byte.
+    The state counts the nominal bytes of every plane of a live
+    coordinate, and nothing for an always-zero one."""
+    scheme = _case_scheme(name)
+    params = scheme.params
+    tables, h = hss._plane_tables(params.spec), len(hss.held_subsets(params.s, params.t, 1))
+    per_plane = -(-(h**params.d) // (8 // tables.lanes)) * -(-params.ell // tables.lanes)
+    for j in range(1, params.s + 1):
+        state = hss._build_state(scheme, j)
+        assert state.planes == oracles.build_tensors(scheme, j)
+        live = sum(map(any, state.planes))
+        assert (state.h, state.length, state.live) == (h, params.ell * params.m * h, live > 0)
+        assert state.plane_bytes == live * len(tables.planes) * per_plane
+        assert all(plane.bit_length() <= 8 * per_plane for planes in state.planes for plane in planes)
+
+
+def _state_bytes(scheme):
+    return sum(state.plane_bytes for state in scheme._states.values())
+
+
+@pytest.mark.parametrize("name", ["hermitian-setup", "goppa-wire"])
+def test_a_small_state_cache_runs_byte_identically(name, monkeypatch):
+    """With STATE_CACHE_BYTES below the planes of every server, the
+    states that do not fit are built, used and dropped on each run, and
+    run_end_to_end outputs and protocol.simulate transcripts are byte for
+    byte those of a scheme that keeps every state.  The cache never holds
+    more plane bytes than the bound, and keeps the first states that fit."""
+    build, t, d = WORKLOAD_CASES[name]
+    full = hss.scheme_for_code(build(), t=t, d=d, m=d + 1)
+    secrets = [_secrets(full.params, seed) for seed in range(3)]
+    want = [(hss.run_end_to_end(full, x, n).outputs, protocol.simulate(full, x, n)) for n, x in enumerate(secrets)]
+    sizes = [state.plane_bytes for _, state in sorted(full._states.items())]
+    bound = sum(sizes) // 3
+    monkeypatch.setattr(hss, "STATE_CACHE_BYTES", bound)
+    builds, build_state = [], hss._build_state
+    monkeypatch.setattr(hss, "_build_state", lambda scheme, j: builds.append(j) or build_state(scheme, j))
+    small = hss.scheme_for_code(build(), t=t, d=d, m=d + 1)
+    kept, total = [], 0  # the servers whose states fit beside those kept before them
+    for j, size in enumerate(sizes, 1):
+        if total + size <= bound:
+            kept, total = kept + [j], total + size
+    dropped = [j for j in range(1, full.params.s + 1) if j not in kept]
+    for seed, x in enumerate(secrets):
+        builds.clear()
+        got = hss.run_end_to_end(small, x, seed).outputs, protocol.simulate(small, x, seed)
+        assert got[0] == want[seed][0]
+        assert got[1][0].frames == want[seed][1][0].frames and got[1][1] == want[seed][1][1]
+        assert _state_bytes(small) <= bound
+        assert sorted(small._states) == kept
+        assert builds == (list(range(1, full.params.s + 1)) + dropped if seed == 0 else dropped * 2)
+    assert dropped and kept
 
 
 def _padding_bound(params, size):
@@ -775,9 +832,9 @@ def test_planes_hold_no_padding_past_the_position_blocks(name):
     view = (bytes(range(1, params.spec.q)) * length)[:length]
     for j in range(1, params.s + 1):
         whole = hss._checked_view(view, hss.held_subsets(params.s, params.t, j), params, j)
-        groups = hss._view_lanes(whole, h, params, chosen)
+        groups = hss._view_lanes(tables, whole, h, params.m, chosen)
         shares = hss._bit_planes(tables, [hss._plane_bytes(tables, lane) for lane in groups], h**params.d)
-        for planes in [*hss._build_tensors(scheme, j), shares]:
+        for planes in [*hss.server_state(scheme, j).planes, shares]:
             assert max(plane.bit_length() for plane in planes) <= bound, j
 
 
@@ -921,8 +978,8 @@ def test_folded_contraction_matches_one_popcount_per_plane_pair(p, k):
             for density in (0.0, 0.2, 1.0)
         ]
         assert tensors[0] == [0] * len(tables.planes)
-        got = hss._contract_planes(spec, tensors, groups, h)
-        assert got == oracles.contract_planes(spec, tensors, groups, h), (d, ell)
+        got = hss._contract_planes(tables, tensors, groups, h)
+        assert got == oracles.contract_planes(tables, tensors, groups, h), (d, ell)
         assert got[0] == 0
         for lane in groups:
             product = oracles.share_products(tables.scale, lane)
@@ -960,7 +1017,7 @@ def test_always_zero_servers_output_zeros_without_a_contraction(name, monkeypatc
             out = hss.eval_server(scheme, j, views[j])
             if j in ZERO_SERVERS[name]:
                 assert out == bytes(len(coords(j))) and not calls
-                assert scheme._tensors[j] == [[0] * len(hss._plane_tables(params.spec).planes)] * len(coords(j))
+                assert scheme._states[j].planes == [[0] * len(hss._plane_tables(params.spec).planes)] * len(coords(j))
             else:
                 assert len(calls) == 1
     secrets = _secrets(params, 3)
@@ -981,8 +1038,9 @@ def test_always_zero_servers_of_hermitian_t2_d2(monkeypatch):
     assert not calls
     held, planes = hss.held_subsets(params.s, params.t, 1), _oracle_planes(scheme, oracles.project_blocks(scheme), 1)
     slots = oracles.slot_vectors(views[1], held, params, hss.product_variables(params), 1)
-    groups = _slot_lanes(hss._plane_tables(params.spec), slots, len(held))
-    assert hss.eval_server(scheme, 1, views[1]) == bytes(oracles.contract_planes(params.spec, planes, groups, len(held)))
+    tables = hss._plane_tables(params.spec)
+    groups = _slot_lanes(tables, slots, len(held))
+    assert hss.eval_server(scheme, 1, views[1]) == bytes(oracles.contract_planes(tables, planes, groups, len(held)))
     assert calls
 
 
@@ -1019,10 +1077,11 @@ def test_view_lanes_match_the_slot_vectors_and_lane_strings(p, k, ell, var_indic
     rng = random.Random(ell)
     view = bytes(rng.randrange(spec.q) for _ in range(ell * params.m * len(held)))
     slots = oracles.slot_vectors(view, held, params, chosen, 2)
-    want = _slot_lanes(hss._plane_tables(spec), slots, len(held))
+    tables = hss._plane_tables(spec)
+    want = _slot_lanes(tables, slots, len(held))
     for read in (view, list(view)):
-        assert hss._view_lanes(hss._checked_view(read, held, params, 2), len(held), params, chosen) == want
-    assert len(want) == -(-ell // hss._plane_tables(spec).lanes)
+        assert hss._view_lanes(tables, hss._checked_view(read, held, params, 2), len(held), params.m, chosen) == want
+    assert len(want) == -(-ell // tables.lanes)
 
 
 GF251 = FieldSpec(251)
@@ -1398,7 +1457,7 @@ def test_end_to_end_runs_on_chosen_variables_match_the_oracles(name, var_indices
     for j in range(1, params.s + 1):
         held = hss.held_subsets(params.s, params.t, j)
         groups = _slot_lanes(tables, oracles.slot_vectors(views[j], held, params, var_indices, j), len(held))
-        per_server[j] = bytes(oracles.contract_planes(spec, _oracle_planes(scheme, blocks, j), groups, len(held)))
+        per_server[j] = bytes(oracles.contract_planes(tables, _oracle_planes(scheme, blocks, j), groups, len(held)))
         assert hss.eval_server(scheme, j, views[j], var_indices) == per_server[j]
     assert hss.reconstruct(scheme, hss.collect_output_shares(scheme, per_server)) == result.outputs
 
