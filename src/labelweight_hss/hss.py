@@ -234,15 +234,27 @@ class KeySolutions(NamedTuple):
     def column(self, r: int) -> list[Sequence[int]]:
         """Every key's ell coefficients at coordinate r: its Z_Q row at r
         in Q, E[j] - R[j, Q] Z_Q at a kept pivot r = B[j] (j not in L),
-        zero elsewhere (a kept row is one matrix._row_ops derive); that
-        support lies outside every union of the key."""
+        zero elsewhere; that support lies outside every union of the key.
+        The kept rows of keys with the same Q are matrix._row_ops derives
+        of up to 256 rows laid end to end, one term per coordinate of Q."""
         ell = len(self.work)
         zero = bytes(ell)
         if r not in self.basis:
             return [rows.get(r, zero) for rows in self.solved]
         row, derive = self.work[j := self.basis.index(r)], _row_ops(self.spec)[2]
-        e = row[len(row) - ell :]  # E[j]
-        return [zero if j in lost else derive(e, row, rows.items()) for lost, rows in zip(self.lost, self.solved)]
+        by_chosen: dict[tuple, list[int]] = {}
+        for k, (lost, rows) in enumerate(zip(self.lost, self.solved)):
+            if j not in lost:
+                by_chosen.setdefault(tuple(rows), []).append(k)
+        out, e = [zero] * len(self.solved), row[len(row) - ell :]  # E[j]
+        for chosen, keys in by_chosen.items():
+            for start in range(0, len(keys), 256):
+                part = keys[start : start + 256]
+                terms = [(c, b"".join([self.solved[k][c] for k in part])) for c in chosen]
+                joined = derive(e * len(part), row, terms)
+                for k, at in zip(part, range(0, len(joined), ell)):
+                    out[k] = joined[at : at + ell]
+        return out
 
 
 @dataclass
@@ -448,13 +460,8 @@ def eval_server(
     params = scheme.params
     j = _server_id(params, j)
     chosen = product_variables(params, var_indices)
-    state = scheme._states.get(j)
-    if state and type(view) is bytes and len(view) == state.length and first_outside(view, params.spec.q) is None:
-        whole = view
-    else:  # the exact error, a view of another form, or a first call, checked before the state is built
-        whole = _checked_view(view, held_subsets(params.s, params.t, j), params, j)
-        if state is None:
-            state = server_state(scheme, j)
+    whole = _checked_view(view, held_subsets(params.s, params.t, j), params, j)
+    state = server_state(scheme, j)
     if not state.live:
         return bytes(len(state.planes))
     groups = _view_lanes(state.tables, whole, state.h, params.m, chosen)
@@ -474,7 +481,6 @@ class ServerState(NamedTuple):
     """What evaluating server j reads that (scheme, j) fixes (server_state)."""
 
     h: int  # held subsets, C(s - 1, t)
-    length: int  # shares in a view, ell * m * h
     planes: list[list[int]]  # per coordinate j owns, in order, its coefficient planes
     live: bool  # some plane is nonzero; else every output share is 0
     tables: _PlaneTables  # the plane and field tables the evaluation reads
@@ -522,7 +528,7 @@ def _build_state(scheme: HssScheme, j: int) -> ServerState:
             planes.append(zeros)
     live = sum(coordinate is not zeros for coordinate in planes)
     per_plane = -(-size // (8 // tables.lanes)) * -(-params.ell // tables.lanes)  # Q bytes per lane string
-    return ServerState(h, params.ell * params.m * h, planes, live > 0, tables, live * len(tables.planes) * per_plane)
+    return ServerState(h, planes, live > 0, tables, live * len(tables.planes) * per_plane)
 
 
 def _held_keys(params: HssParams, combo_key: Sequence[int], j: int) -> Iterator[int]:
@@ -539,15 +545,18 @@ def _packed_rows(tables: _PlaneTables, column: Sequence[bytes]) -> list[bytes]:
     """Each key's row of a KeySolutions column (ell coefficients, instance
     i at entry i - 1) packed tables.lanes to a byte as _lane_strings packs
     instances: byte s of a packed row is the key's entry of lane string s.
-    Equal rows are one object, and only the distinct rows, far fewer than
-    the keys (340 of 2,300 at goppa u = 5 (1, 3)'s first coordinate), are
-    packed: 256 at a time, each padded to a whole number of lane strings,
-    by one shifted sum of one int per lane.  With one lane to a byte
-    (q > 16) a row is its own packing."""
+    With one lane to a byte (q > 16) a row is its own packing, so the
+    column is returned as it is.  Otherwise equal rows are one object, and
+    only the distinct rows, far fewer than the keys (340 of 2,300 at
+    goppa u = 5 (1, 3)'s first coordinate), are packed: 256 at a time,
+    each padded to a whole number of lane strings, by one shifted sum of
+    one int per lane."""
     lanes, width, ell = tables.lanes, tables.width, len(column[0])
+    if lanes == 1:
+        return column
     strings, pad, distinct = -(-ell // lanes), bytes(-ell % lanes), list(dict.fromkeys(column))
-    packed = dict(zip(distinct, distinct))
-    for start in range(0, len(distinct), 256) if lanes > 1 else ():
+    packed = {}
+    for start in range(0, len(distinct), 256):
         chunk = distinct[start : start + 256]
         joined = pad.join(chunk) + pad
         value = sum(int.from_bytes(joined[l::lanes], "little") << l * width for l in range(lanes))

@@ -878,6 +878,19 @@ class RowScheme(NamedTuple):
     combo_key: list[int]
 
 
+def key_column(solutions: hss.KeySolutions, r: int) -> list[Sequence[int]]:
+    """KeySolutions.column before keys with the same Q were derived
+    together: at a kept pivot r = B[j], one matrix._row_ops derive of
+    E[j] per key that keeps row j, zero for a key that lost it."""
+    ell = len(solutions.work)
+    zero = bytes(ell)
+    if r not in solutions.basis:
+        return [rows.get(r, zero) for rows in solutions.solved]
+    row, derive = solutions.work[j := solutions.basis.index(r)], matrix._row_ops(solutions.spec)[2]
+    e = row[len(row) - ell :]  # E[j]
+    return [zero if j in lost else derive(e, row, rows.items()) for lost, rows in zip(solutions.lost, solutions.solved)]
+
+
 def row_scheme(scheme: HssScheme) -> RowScheme:
     """The scheme's keys expanded to full-row form, each support row read
     through KeySolutions.column."""
